@@ -13,7 +13,6 @@ from .bem import (
     LayerOperatorSet,
     TrigPolynomial,
     assemble_layer_operators,
-    compute_u_infinity,
     evaluate_exterior,
     project_mean_zero,
     solve_exterior,
@@ -22,7 +21,7 @@ from .bem import (
 from .coupling import (
     CouplingConfig,
     CouplingState,
-    InterfaceSampler,
+    InterfaceMap,
     dtn_step,
     estimate_contraction,
     monolithic_solve,
@@ -81,7 +80,6 @@ from .hdg import (
     assemble_local,
     assemble_transfer,
     build_system,
-    extrapolate_flux,
     hdg_projection,
     j_functional,
     l2_errors,

@@ -8,7 +8,8 @@ constant,
 
 and the interface equation (1/2 - K) g = -V lam is solved on the space of
 mean-zero trigonometric polynomials; the constant mode is annihilated by
-the mean-zero test space and is recovered separately by testing against 1.
+the mean-zero test space and is recovered by the coupling's zero-mean-flux
+condition instead.
 Parametric kernels (2 pi periodic, G the Green function of the minus
 Laplacian):
 
@@ -65,14 +66,8 @@ class TrigPolynomial:
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or len(samples) % 2 or len(samples) < 4:
             raise DimensionError("need an even number (>= 4) of equispaced samples")
-        n = len(samples) // 2
-        F = np.fft.rfft(samples)
-        cos_c = np.empty(n + 1)
-        cos_c[0] = F[0].real / (2 * n)
-        cos_c[1:n] = F[1:n].real / n
-        cos_c[n] = F[n].real / (2 * n)
-        sin_c = -F[1:n].imag / n
-        return cls(cos_c, sin_c)
+        return cls.from_coefficients(
+            _samples_to_coeff(len(samples) // 2, samples[:, None])[:, 0])
 
     @classmethod
     def from_coefficients(cls, vec, mean_zero=False):
@@ -122,17 +117,6 @@ class TrigPolynomial:
         return TrigPolynomial(a * self.cos, a * self.sin, mean_zero=self.mean_zero)
 
     __rmul__ = __mul__
-
-
-def lagrange_node_basis(n, j, t):
-    """Cardinal interpolation function for node t_j = j pi / n."""
-    t = np.asarray(t, dtype=float)
-    tj = j * np.pi / n
-    out = np.full(t.shape, 1.0)
-    for m in range(1, n):
-        out = out + 2.0 * np.cos(m * (t - tj))
-    out = out + np.cos(n * (t - tj))
-    return out / (2.0 * n)
 
 
 def project_mean_zero(data, curve=None, n=None):
@@ -208,17 +192,12 @@ def _coeff_to_samples(n, t):
 def _samples_to_coeff(n_out, samples_matrix):
     """Fourier truncation of columns sampled on their own equispaced grid."""
     m = samples_matrix.shape[0]
-    half = m // 2
-    F = np.fft.rfft(samples_matrix, axis=0)
-    cos_c = np.empty((n_out + 1, samples_matrix.shape[1]))
-    cos_c[0] = F[0].real / m
-    for k in range(1, n_out + 1):
-        cos_c[k] = 2.0 * F[k].real / m
-    if n_out == half:
-        cos_c[n_out] = F[n_out].real / m
-    sin_c = np.empty((max(n_out - 1, 0), samples_matrix.shape[1]))
-    for k in range(1, n_out):
-        sin_c[k - 1] = -2.0 * F[k].imag / m
+    F = np.fft.rfft(samples_matrix, axis=0)[:n_out + 1]
+    cos_c = 2.0 * F.real / m
+    cos_c[0] /= 2.0
+    if n_out == m // 2:
+        cos_c[n_out] /= 2.0
+    sin_c = -2.0 * F[1:n_out].imag / m
     return np.vstack([cos_c, sin_c])
 
 
@@ -302,26 +281,35 @@ def assemble_layer_operators(curve, n, oversample=2):
 # solves
 # ---------------------------------------------------------------------------
 
+def _arc_moments(ops):
+    """Arclength integrals of the packed basis functions; None on circles.
+
+    On a circle the arclength mean of a density is its constant
+    coefficient, so no moment vector is needed.
+    """
+    if ops.is_circle:
+        return None
+    t = np.linspace(0.0, TWO_PI, 8 * ops.n, endpoint=False)
+    w = ops.curve.speed(t)
+    return (w[:, None] * _coeff_to_samples(ops.n, t)).mean(axis=0) * TWO_PI
+
+
 def _mean_zero_injection(ops):
     """Columns spanning the weighted-mean-zero coefficient subspace."""
     n2 = 2 * ops.n
     Z = np.zeros((n2, n2 - 1))
     Z[1:, :] = np.eye(n2 - 1)
-    if not ops.is_circle:
-        t = np.linspace(0.0, TWO_PI, 8 * ops.n, endpoint=False)
-        w = ops.curve.speed(t)
-        basis = _coeff_to_samples(ops.n, t)
-        moments = (w[:, None] * basis).mean(axis=0) * TWO_PI
+    moments = _arc_moments(ops)
+    if moments is not None:
         Z[0, :] = -moments[1:] / moments[0]
     return Z
 
 
-def solve_exterior(ops, lam, method="galerkin"):
+def solve_exterior(ops, lam):
     """Dirichlet trace of the exterior field with mean-zero Neumann density.
 
     Solves the second-kind interface equation tested against the mean-zero
-    trigonometric space; ``method="collocation"`` enforces the equation at
-    the 2n nodes in the least-squares sense instead (experimental).
+    trigonometric space.
     """
     if not lam.mean_zero:
         raise SolverError("exterior solve requires a mean-zero density")
@@ -331,39 +319,19 @@ def solve_exterior(ops, lam, method="galerkin"):
     A = 0.5 * np.eye(2 * ops.n) - ops.K
     rhs_c = -ops.V @ lam_c
     Z = _mean_zero_injection(ops)
-    if method == "galerkin":
-        G = ops.gram[:, None]
-        M = Z.T @ (G * A) @ Z
-        r = Z.T @ (ops.gram * rhs_c)
-        try:
-            sol = np.linalg.solve(M, r)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular reduced interface system") from exc
-    elif method == "collocation":
-        P = _coeff_to_samples(ops.n, ops.nodes)
-        sol, *_ = np.linalg.lstsq(P @ A @ Z, P @ rhs_c, rcond=None)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    G = ops.gram[:, None]
+    M = Z.T @ (G * A) @ Z
+    r = Z.T @ (ops.gram * rhs_c)
+    try:
+        sol = np.linalg.solve(M, r)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular reduced interface system") from exc
     g_c = Z @ sol
     res = np.linalg.norm(Z.T @ (ops.gram * (A @ g_c - rhs_c)))
-    scale = np.linalg.norm(Z.T @ (ops.gram * rhs_c))
-    if method == "galerkin" and res > 1e-12 * max(scale, 1e-300) and scale > 0:
+    scale = np.linalg.norm(r)
+    if res > 1e-12 * max(scale, 1e-300) and scale > 0:
         raise SolverError(f"interface solve residual {res:.3e} vs scale {scale:.3e}")
     return TrigPolynomial.from_coefficients(g_c, mean_zero=True)
-
-
-def compute_u_infinity(ops, lam, g):
-    """Far-field constant from testing the interface equation against 1.
-
-    Returns (integral of V lam + integral of (1/2 - K) g) / (2 pi); both
-    integrals are the constant Fourier coefficients times 2 pi.  On the
-    unit circle this vanishes for mean-zero densities (the single layer
-    annihilates the constant there), so the coupled iteration recovers the
-    constant through the flux-mean compatibility channel instead.
-    """
-    vlam = ops.V @ lam.coefficients()
-    kg = (0.5 * np.eye(2 * ops.n) - ops.K) @ g.coefficients()
-    return float(vlam[0] + kg[0])
 
 
 def evaluate_exterior(ops, g, lam, u_inf, points, standoff=1e-6, n_quad=None):
@@ -400,17 +368,3 @@ def write_density_csv(poly, path):
             s = poly.sin[m - 1] if 1 <= m <= poly.n - 1 else 0.0
             fh.write(f"{m},{poly.cos[m]:.17e},{s:.17e}\n")
 
-
-def read_points_csv(path):
-    """Evaluation points as CSV rows x,y (with or without a header)."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts[0] == "" or parts[0].lstrip("-+.").replace(".", "", 1)[:1].isalpha():
-                continue
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                continue
-    return np.asarray(rows, dtype=float)

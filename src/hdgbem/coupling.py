@@ -5,10 +5,16 @@ polynomial plus a separately tracked far-field constant) to a new trace:
 
   1. solve the interior problem with Dirichlet data g + u_inf on the
      interface and the problem datum on the inner boundary;
-  2. extrapolate the interior flux to the interface nodes, project onto
-     mean-zero densities and flip the sign to obtain the exterior Neumann
-     density, then solve the boundary integral equation for the new trace;
+  2. sample the interior normal flux at the interface nodes, project it
+     onto mean-zero densities and flip the sign to obtain the exterior
+     Neumann density, then solve the boundary integral equation for the
+     new trace;
   3. relax:  g  <-  omega * g_tilde + (1 - omega) * g.
+
+Steps 1 and 2 up to the exterior solve are one ``InterfaceMap``: an affine
+map from interface data to flux samples that needs one trace solve per
+application and recovers no element field.  The iteration recovers the
+field once, for the converged trace.
 
 The constant mode cannot travel through the mean-zero integral equation,
 so it is driven by the radiation-condition compatibility "total interface
@@ -17,8 +23,9 @@ unit constant datum (one extra interior solve at setup).  A fixed point of
 the relaxed map is a fixed point of the unrelaxed one, so converged
 answers do not depend on the relaxation weight.
 
-``monolithic_solve`` assembles the same coupling conditions into a single
-linear system and is the equivalence oracle for the iteration's limit.
+``monolithic_solve`` assembles the same coupling conditions, from the same
+``InterfaceMap``, into a single linear system and is the equivalence
+oracle for the iteration's limit.
 """
 
 import numpy as np
@@ -27,23 +34,27 @@ import scipy.sparse.linalg as spla
 
 from .bem import (
     TrigPolynomial,
+    _arc_moments,
     _coeff_to_samples,
     _mean_zero_injection,
-    compute_u_infinity,
-    project_mean_zero,
+    _samples_to_coeff,
     solve_exterior,
 )
 from .errors import DimensionError, DivergenceError, EstimationError, SolverError
+from .geometry import TAG_OUTER
 from .hdg import PatchLocator
 
 TWO_PI = 2.0 * np.pi
+# largest bordered system (trace, reduced density and far-field unknowns)
+# that monolithic_solve factors directly
+MONOLITHIC_SIZE_LIMIT = 400000
 
 
 class CouplingConfig:
     """Iteration controls: relaxation weight, cap, tolerance, density degree."""
 
     def __init__(self, omega=0.5, max_iterations=100, tol=1e-8, n=32,
-                 g0=None, u_inf0=0.0, aitken=False, method="galerkin"):
+                 g0=None, u_inf0=0.0, aitken=False):
         if not 0.0 < omega <= 1.0:
             raise ValueError(f"relaxation weight must lie in (0, 1], got {omega}")
         if tol <= 0.0:
@@ -55,7 +66,6 @@ class CouplingConfig:
         self.g0 = g0
         self.u_inf0 = float(u_inf0)
         self.aitken = bool(aitken)
-        self.method = method
 
 
 class CouplingState:
@@ -66,7 +76,6 @@ class CouplingState:
         self.g = TrigPolynomial.zero(n)
         self.lam = TrigPolynomial.zero(n)
         self.u_inf = 0.0
-        self.u_inf_formula = 0.0
         self.history = []
         self.u_inf_history = []
         self.residual_history = []
@@ -77,120 +86,121 @@ class CouplingState:
         self.omega = None
 
 
-class InterfaceSampler:
-    """Flux sampling at the 2n interface nodes of the density grid."""
+class InterfaceMap:
+    """Affine map from interface data (g, u_inf) to interface flux samples.
 
-    def __init__(self, system, curve, n):
-        self.curve = curve
-        self.n = int(n)
-        self.params = np.arange(2 * self.n) * np.pi / self.n
-        self.locator = PatchLocator(system.bmap, system.patches)
-        self.parents = self.locator.locate(self.params)
-        pts = curve.point(self.params)
-        normals = curve.normal(self.params)
-        disc = system.disc
-        mesh = system.mesh
-        verts = mesh.vertices[mesh.elements[self.parents]]
-        rel = pts - verts[:, 0, :]
-        ref = np.einsum("pd,ped->pe", rel, disc.invJ[self.parents])
-        vals = disc.basis.eval(ref)                       # (2n, d)
-        d = disc.d
-        rows = np.empty((2 * self.n, 2 * d))
-        rows[:, :d] = normals[:, 0:1] * vals
-        rows[:, d:] = normals[:, 1:2] * vals
-        self.rows = rows
-        self.arc_w = curve.speed(self.params) * np.pi / self.n
+    With c the packed coefficients of g + u_inf and A the trace system
+    matrix, the normal flux at the 2n density nodes is
 
-    def flux(self, field):
-        d = field.U.shape[1]
-        qflat = field.Q.reshape(len(field.mesh.elements), 2 * d)
-        return np.einsum("pc,pc->p", self.rows, qflat[self.parents])
+        flux = Z A^{-1} (rhs0 + B c) + z_f.
 
-    def mean_flux(self, samples):
-        return float(np.sum(self.arc_w * samples))
+    ``B`` (n_trace x 2n) holds the edge moments of each density basis
+    function on the interface rows, ``rhs0`` the load f and the inner
+    datum u0.  Row j of ``Z`` evaluates the flux of node j's patch parent
+    element, extrapolated to the node, from that element's trace
+    coefficients; ``z_f`` adds the parent's particular solution.  ``P``
+    maps flux samples to mean-zero density coefficients and ``arc_w``
+    integrates samples over the interface.
+    """
 
-    def trace_operator(self, system, f_mom):
-        """Sparse Z with flux = Z uhat + z_f, for the monolithic assembly."""
-        disc = system.disc
-        mesh = system.mesh
-        d, ne = disc.d, disc.ne
-        part = disc.local_particular(f_mom)
-        rows, cols, vals = [], [], []
-        z_f = np.empty(2 * self.n)
-        for j in range(2 * self.n):
-            t = int(self.parents[j])
-            Gq = disc.recovery[t][:2 * d]                 # (2d, 3ne)
-            coeff_row = self.rows[j] @ Gq                 # (3ne,)
-            ecols = (mesh.element_edges[t][:, None] * ne
-                     + np.arange(ne)[None, :]).ravel()
-            rows.append(np.full(3 * ne, j))
-            cols.append(ecols)
-            vals.append(coeff_row)
-            z_f[j] = self.rows[j] @ part[t][:2 * d]
-        Z = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(2 * self.n, system.n_trace)).tocsr()
-        return Z, z_f
-
-
-class _CachedInterior:
-    """Reusable right-hand-side pieces for repeated interface solves."""
-
-    def __init__(self, system, ops, f, u0):
+    def __init__(self, system, ops, f=None, u0=None):
         self.system = system
-        self.ops = ops
-        self.f_mom = system.disc.f_moments(f)
+        self.n = n = ops.n
+        curve = ops.curve
+        disc, mesh = system.disc, system.mesh
+        d, ne = disc.d, disc.ne
+        self.f_mom = disc.f_moments(f)
         rhs_f, _ = system.rhs(f_mom=self.f_mom)
-        self.rhs_f = rhs_f
-        self.data_u0 = system.boundary_data_vector(None, u0)
-        bmap = system.bmap
-        from .geometry import TAG_OUTER
-        self.out_rows = [r for r in range(len(bmap.edge_ids))
-                         if bmap.tags[r] == TAG_OUTER]
-        self.out_edges = [int(bmap.edge_ids[r]) for r in self.out_rows]
-        self.out_params = np.stack([bmap.params[r] for r in self.out_rows])
-        self.out_weights = np.stack([bmap.weights[r] for r in self.out_rows])
-        self.mu = system.disc.mu_vals
+        self.rhs0 = rhs_f + system.boundary_data_vector(None, u0)
 
-    def data_g(self, g, u_inf):
-        vals = g.eval(self.out_params) + u_inf
-        moments = np.einsum("rq,rq,qm->rm", self.out_weights, vals, self.mu)
-        vec = np.zeros(self.system.n_trace)
-        ne = self.system.ne
-        for i, e in enumerate(self.out_edges):
-            vec[e * ne:(e + 1) * ne] = moments[i]
-        return vec
+        bmap = system.bmap
+        out = np.nonzero(bmap.tags == TAG_OUTER)[0]
+        params = bmap.params[out]
+        basis = _coeff_to_samples(n, params.ravel()).reshape(params.shape + (2 * n,))
+        moments = np.einsum("rq,rqc,qm->rmc", bmap.weights[out], basis, disc.mu_vals)
+        rows = bmap.edge_ids[out][:, None] * ne + np.arange(ne)
+        self.B = sp.csr_matrix(
+            (moments.ravel(), (np.repeat(rows.ravel(), 2 * n),
+                               np.tile(np.arange(2 * n), rows.size))),
+            shape=(system.n_trace, 2 * n))
+
+        self.params = ops.nodes
+        parents = PatchLocator(bmap, system.patches).locate(self.params)
+        verts = mesh.vertices[mesh.elements[parents]]
+        ref = np.einsum("pd,ped->pe", curve.point(self.params) - verts[:, 0],
+                        disc.invJ[parents])
+        vals = disc.basis.eval(ref)
+        normals = curve.normal(self.params)
+        flux_rows = np.concatenate([normals[:, :1] * vals, normals[:, 1:] * vals],
+                                   axis=1)                         # (2n, 2d)
+        z_loc = np.einsum("pc,pcj->pj", flux_rows, disc.recovery[parents, :2 * d])
+        cols = mesh.element_edges[parents][:, :, None] * ne + np.arange(ne)
+        self.Z = sp.csr_matrix(
+            (z_loc.ravel(), (np.repeat(np.arange(2 * n), 3 * ne), cols.ravel())),
+            shape=(2 * n, system.n_trace))
+        part = np.einsum("pab,pb->pa", disc.local_inv[parents, :2 * d, 2 * d:],
+                         self.f_mom[parents])
+        self.z_f = np.einsum("pc,pc->p", flux_rows, part)
+
+        self.P = _samples_to_coeff(n, np.eye(2 * n))
+        arc = _arc_moments(ops)
+        if arc is None:
+            self.P[0] = 0.0
+        else:
+            self.P[0] -= (arc @ self.P) / arc[0]
+        self.arc_w = curve.speed(self.params) * np.pi / n
+        self._chi = None
+
+    def data(self, g, u_inf):
+        """Trace right-hand side of the interface datum g + u_inf alone."""
+        c = g.coefficients()
+        c[0] += u_inf
+        return self.B @ c
 
     def solve(self, g, u_inf):
-        rhs = self.rhs_f + self.data_u0 + self.data_g(g, u_inf)
-        uhat = self.system.solve_trace(rhs)
-        field = self.system.recover(uhat, self.f_mom)
-        return field, self.system.residual(uhat, rhs)
+        """Interior trace for interface datum g + u_inf, and its residual."""
+        return self.system.solve_trace(self.rhs0 + self.data(g, u_inf))
+
+    def flux(self, uhat):
+        return self.Z @ uhat + self.z_f
+
+    def mean_flux(self, samples):
+        return float(self.arc_w @ samples)
+
+    def project(self, samples):
+        """Mean-zero density interpolating the samples up to a constant."""
+        return TrigPolynomial.from_coefficients(self.P @ samples, mean_zero=True)
+
+    @property
+    def chi(self):
+        """Mean-flux response to a unit constant datum (far-field channel)."""
+        if self._chi is None:
+            zero = TrigPolynomial.zero(self.n)
+            uhat, _ = self.system.solve_trace(self.data(zero, 1.0))
+            self._chi = self.mean_flux(self.Z @ uhat)
+        return self._chi
 
 
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
 
-def dtn_step(system, ops, sampler, g, u_inf=0.0, f=None, u0=None, cache=None):
-    """Interior solve followed by flux extraction and mean-zero projection.
+def dtn_step(imap, g, u_inf=0.0):
+    """Interior solve followed by flux sampling and mean-zero projection.
 
-    Returns (lam, field, mean_flux): lam is the negated projected normal
-    flux at the interface nodes, the Neumann density handed to the
-    exterior solver.
+    Returns (lam, mean_flux, uhat, residual): lam is the negated projected
+    normal flux at the interface nodes, the Neumann density handed to the
+    exterior solver; uhat is the interior trace and residual the relative
+    residual of its solve.
     """
-    if cache is None:
-        cache = _CachedInterior(system, ops, f, u0)
-    field, _ = cache.solve(g, u_inf)
-    samples = sampler.flux(field)
-    lam = project_mean_zero(-samples, curve=ops.curve)
-    return lam, field, sampler.mean_flux(samples)
+    uhat, residual = imap.solve(g, u_inf)
+    samples = imap.flux(uhat)
+    return imap.project(-samples), imap.mean_flux(samples), uhat, residual
 
 
-def ntd_step(ops, lam, method="galerkin"):
-    """Exterior solve: new Dirichlet trace and the far-field test value."""
-    g_tilde = solve_exterior(ops, lam, method=method)
-    return g_tilde, compute_u_infinity(ops, lam, g_tilde)
+def ntd_step(ops, lam):
+    """Exterior solve: the new Dirichlet trace."""
+    return solve_exterior(ops, lam)
 
 
 def relax_update(g_old, g_tilde, omega):
@@ -233,13 +243,8 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
         raise DimensionError("initial trace degree does not match the operator set")
     speed = ops.curve.radius if ops.curve.is_circle else \
         ops.curve.length() / TWO_PI
-    sampler = InterfaceSampler(system, ops.curve, n)
-    cache = _CachedInterior(system, ops, f, u0)
-
-    # flux response to a unit constant interface datum (far-field channel)
-    probe, _ = cache.solve(TrigPolynomial.zero(n), 1.0)
-    base, _ = cache.solve(TrigPolynomial.zero(n), 0.0)
-    chi = sampler.mean_flux(sampler.flux(probe)) - sampler.mean_flux(sampler.flux(base))
+    imap = InterfaceMap(system, ops, f, u0)
+    chi = imap.chi
     if abs(chi) < 1e-12:
         raise SolverError("degenerate far-field channel: zero flux response")
 
@@ -251,14 +256,11 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     prev_resid = None
     for it in range(1, config.max_iterations + 1):
         state.iteration = it
-        field, lin_res = cache.solve(g, u_inf)
-        samples = sampler.flux(field)
-        mflux = sampler.mean_flux(samples)
-        lam = project_mean_zero(-samples, curve=ops.curve)
+        lam, mflux, _, lin_res = dtn_step(imap, g, u_inf)
         state.lambda_mean_max = max(state.lambda_mean_max,
                                     abs(lam.weighted_mean(
                                         None if ops.curve.is_circle else ops.curve)))
-        g_tilde, u_inf_formula = ntd_step(ops, lam, method=config.method)
+        g_tilde = ntd_step(ops, lam)
         u_inf_new = u_inf - mflux / chi
         if config.aitken and prev_resid is not None:
             resid = (g_tilde - g).coefficients()
@@ -279,8 +281,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
         state.u_inf_history.append(u_inf)
         state.residual_history.append(lin_res)
         state.g, state.lam = g, lam
-        state.u_inf, state.u_inf_formula = u_inf, u_inf_formula
-        state.field = field
+        state.u_inf = u_inf
         state.mean_flux = mflux
 
         trace = TrigPolynomial(g.cos.copy(), g.sin.copy())
@@ -292,12 +293,10 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
         raise DivergenceError(
             f"no convergence in {config.max_iterations} iterations "
             f"(last update {state.history[-1]:.3e})", state=state)
-    # synchronize the stored field and density with the converged trace
-    field, lin_res = cache.solve(g, u_inf)
-    samples = sampler.flux(field)
-    state.field = field
-    state.lam = project_mean_zero(-samples, curve=ops.curve)
-    state.mean_flux = sampler.mean_flux(samples)
+    # the field and density of the converged trace
+    lam, mflux, uhat, lin_res = dtn_step(imap, g, u_inf)
+    state.field = system.recover(uhat, imap.f_mom)
+    state.lam, state.mean_flux = lam, mflux
     state.residual_history.append(lin_res)
     return state
 
@@ -315,73 +314,30 @@ def write_iteration_log(state, path):
 # monolithic oracle
 # ---------------------------------------------------------------------------
 
-def monolithic_solve(system, ops, f=None, u0=None, size_limit=400000):
+def monolithic_solve(system, ops, f=None, u0=None):
     """Solve interior, interface equation and flux compatibility at once.
 
     Unknowns are the interior trace coefficients, the mean-zero interface
-    trace and the far-field constant.  Returns (field, g, lam, u_inf).
+    trace and the far-field constant; the interface map supplies every
+    coupling block.  Returns (field, g, lam, u_inf).
     """
-    n = ops.n
     n_trace = system.n_trace
-    n_red = 2 * n - 1
-    if n_trace + n_red + 1 > size_limit:
+    n_red = 2 * ops.n - 1
+    if n_trace + n_red + 1 > MONOLITHIC_SIZE_LIMIT:
         raise SolverError("coupled system exceeds the desk-scale limit")
-    sampler = InterfaceSampler(system, ops.curve, n)
-    cache = _CachedInterior(system, ops, f, u0)
-    f_mom = cache.f_mom
-    Z_flux, z_f = sampler.trace_operator(system, f_mom)
-
-    # interface data columns: moments of the trig basis and of the constant
-    ne = system.ne
-    basis_vals = _coeff_to_samples(n, cache.out_params.ravel())
-    basis_vals = basis_vals.reshape(cache.out_params.shape + (2 * n,))
-    Bg = sp.lil_matrix((n_trace, 2 * n))
-    bc = np.zeros(n_trace)
-    for i, e in enumerate(cache.out_edges):
-        mom = np.einsum("q,qc,qm->mc", cache.out_weights[i], basis_vals[i], cache.mu)
-        Bg[e * ne:(e + 1) * ne, :] = mom
-        bc[e * ne:(e + 1) * ne] = np.einsum("q,qm->m", cache.out_weights[i], cache.mu)
+    imap = InterfaceMap(system, ops, f, u0)
     Zinj = _mean_zero_injection(ops)
-    Bg_red = Bg.tocsr() @ Zinj
-
-    # sample -> mean-zero-coefficient projection
-    nodes = sampler.params
-    Pmat = np.zeros((2 * n, 2 * n))
-    Pmat[0, :] = 1.0 / (2 * n)
-    for m in range(1, n):
-        Pmat[m, :] = np.cos(m * nodes) / n
-        Pmat[n + m, :] = np.sin(m * nodes) / n
-    Pmat[n, :] = np.cos(n * nodes) / (2 * n)
-    if ops.curve.is_circle:
-        Pmat[0, :] = 0.0
-    else:
-        t8 = np.linspace(0.0, TWO_PI, 8 * n, endpoint=False)
-        w8 = ops.curve.speed(t8)
-        moms = (w8[:, None] * _coeff_to_samples(n, t8)).mean(axis=0) * TWO_PI
-        Pmat -= np.outer(np.eye(2 * n)[:, 0], moms @ Pmat) / moms[0]
-
-    A_bie = 0.5 * np.eye(2 * n) - ops.K
     G = ops.gram[:, None]
-    rows_bie_g = Zinj.T @ (G * A_bie) @ Zinj
-    # lam = -P flux  =>  (1/2 - K) g - V P flux = 0
-    coupling = Zinj.T @ (G * ops.V) @ (Pmat @ Z_flux.toarray())
-    rhs_bie = Zinj.T @ ((G * ops.V) @ (Pmat @ z_f)).ravel()
-
-    w_arc = sampler.arc_w
-    row_flux = w_arc @ Z_flux.toarray()
-
-    top = sp.hstack([system.matrix,
-                     sp.csr_matrix(-Bg_red),
-                     sp.csr_matrix(-bc[:, None])])
-    mid = sp.hstack([sp.csr_matrix(-coupling),
-                     sp.csr_matrix(rows_bie_g),
-                     sp.csr_matrix((n_red, 1))])
-    bot = sp.hstack([sp.csr_matrix(row_flux[None, :]),
-                     sp.csr_matrix((1, n_red)),
-                     sp.csr_matrix((1, 1))])
-    A = sp.vstack([top, mid, bot]).tocsc()
-    rhs = np.concatenate([cache.rhs_f + cache.data_u0, rhs_bie,
-                          [-float(w_arc @ z_f)]])
+    # lam = -P flux  =>  (1/2 - K) g - V P (Z uhat + z_f) = 0, tested on
+    # mean-zero densities
+    VP = Zinj.T @ (G * ops.V) @ imap.P
+    bie_g = Zinj.T @ (G * (0.5 * np.eye(2 * ops.n) - ops.K)) @ Zinj
+    A = sp.bmat([
+        [system.matrix, -imap.B @ sp.csr_matrix(Zinj), -imap.B[:, :1]],
+        [-sp.csr_matrix(VP) @ imap.Z, sp.csr_matrix(bie_g), None],
+        [sp.csr_matrix(imap.arc_w[None, :]) @ imap.Z, None, None],
+    ], format="csc")
+    rhs = np.concatenate([imap.rhs0, VP @ imap.z_f, [-(imap.arc_w @ imap.z_f)]])
     x = spla.spsolve(A, rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("monolithic coupled solve produced non-finite values")
@@ -389,7 +345,6 @@ def monolithic_solve(system, ops, f=None, u0=None, size_limit=400000):
     g = TrigPolynomial.from_coefficients(Zinj @ x[n_trace:n_trace + n_red],
                                          mean_zero=True)
     u_inf = float(x[-1])
-    field = system.recover(uhat, f_mom)
-    samples = sampler.flux(field)
-    lam = project_mean_zero(-samples, curve=ops.curve)
+    field = system.recover(uhat, imap.f_mom)
+    lam = imap.project(-imap.flux(uhat))
     return field, g, lam, u_inf

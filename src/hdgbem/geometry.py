@@ -374,9 +374,6 @@ class BoundaryMap:
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
 
-    def edge_row(self, edge_id):
-        return int(np.nonzero(self.edge_ids == edge_id)[0][0])
-
 
 def _curve_for_tag(tag, gamma, gamma0):
     return gamma if tag == TAG_OUTER else gamma0

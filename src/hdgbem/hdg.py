@@ -519,19 +519,30 @@ class HDGSystem:
     # -- solve and recovery ---------------------------------------------------
 
     def solve_trace(self, rhs):
+        """Trace coefficients for ``rhs`` and the relative residual of the solve.
+
+        The residual is scaled by max(|rhs|, 1); a non-finite solution or a
+        residual above 1e-8 raises SolverError with a condition estimate.
+        """
         x = self.lu.solve(rhs)
         res = np.linalg.norm(self.matrix @ x - rhs)
         scale = np.linalg.norm(rhs)
         if not np.all(np.isfinite(x)) or res > 1e-8 * max(scale, 1.0):
-            try:
-                cond = spla.onenormest(self.matrix) * spla.onenormest(
-                    spla.inv(self.matrix.tocsc()))
-            except Exception:
-                cond = np.inf
             raise SolverError(
                 f"trace solve residual {res:.3e} (rhs norm {scale:.3e}, "
-                f"condition estimate {cond:.3e})")
-        return x
+                f"condition estimate {self._condition_estimate():.3e})")
+        return x, float(res / max(scale, 1.0))
+
+    def _condition_estimate(self):
+        """1-norm condition number estimate that reuses the LU factors."""
+        lu = self.lu
+        inverse = spla.LinearOperator(
+            self.matrix.shape, matvec=lu.solve,
+            rmatvec=lambda b: lu.solve(b, trans="T"), dtype=float)
+        try:
+            return spla.onenormest(self.matrix) * spla.onenormest(inverse)
+        except ValueError:
+            return np.inf
 
     def recover(self, uhat, f_mom):
         disc = self.disc
@@ -546,10 +557,6 @@ class HDGSystem:
         U = qu[:, 2 * d:]
         return DGField(mesh, self.k, Q, U, uhat.reshape(mesh.n_edges, ne))
 
-    def residual(self, uhat, rhs):
-        return float(np.linalg.norm(self.matrix @ uhat - rhs)
-                     / max(np.linalg.norm(rhs), 1.0))
-
 
 def build_system(mesh, bmap, patches, material, tau, k, transfer=True):
     """Assemble the condensed trace system (factorization happens lazily)."""
@@ -563,12 +570,12 @@ def solve_interior(system, f=None, g_gamma=None, u0_gamma0=None):
     true curves (composition with the boundary map happens here).
     """
     rhs, f_mom = system.rhs(f=f, g_gamma=g_gamma, u0_gamma0=u0_gamma0)
-    uhat = system.solve_trace(rhs)
+    uhat, _ = system.solve_trace(rhs)
     return system.recover(uhat, f_mom)
 
 
 # ---------------------------------------------------------------------------
-# flux extrapolation onto the interface
+# interface points to patch parents
 # ---------------------------------------------------------------------------
 
 class PatchLocator:
@@ -602,20 +609,6 @@ class PatchLocator:
             if np.any(offset > self.widths[idx] + 1e-9):
                 raise CoverageError("interface point not covered by any extension patch")
         return self.parents[idx]
-
-
-def extrapolate_flux(field, curve, locator, params):
-    """Normal flux E q . n at curve parameters, via patch-parent extrapolation."""
-    params = np.asarray(params, dtype=float)
-    parents = locator.locate(params)
-    pts = curve.point(params)
-    normals = curve.normal(params)
-    out = np.empty(len(params))
-    for t in np.unique(parents):
-        m = parents == t
-        qv = field.q_at(int(t), pts[m])
-        out[m] = np.einsum("pd,pd->p", qv, normals[m])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,6 @@ def gauss01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def interval_rule(a, b, n):
-    """Nodes and weights on [a, b]."""
-    x, w = gauss01(n)
-    return a + (b - a) * x, (b - a) * w
-
-
 def triangle_rule(degree):
     """Rule on the reference triangle, exact for total degree ``degree``.
 
@@ -42,17 +36,3 @@ def triangle_rule(degree):
     w = (WU * WV * (1.0 - V)).ravel()
     return np.column_stack([x, y]), w
 
-
-def edge_rule(p0, p1, n):
-    """Gauss rule along the straight segment p0 -> p1 in the plane.
-
-    Returns (points (n,2), weights (n,), unit tangent).  Weights include the
-    segment length.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    x, w = gauss01(n)
-    pts = p0[None, :] + x[:, None] * (p1 - p0)[None, :]
-    length = float(np.hypot(*(p1 - p0)))
-    tangent = (p1 - p0) / length if length > 0 else np.array([1.0, 0.0])
-    return pts, w * length, tangent

@@ -9,18 +9,12 @@ from hdgbem import (
     SolverError,
     TrigPolynomial,
     assemble_layer_operators,
-    compute_u_infinity,
     evaluate_exterior,
     project_mean_zero,
     solve_exterior,
     write_density_csv,
 )
-from hdgbem.bem import (
-    kernel_double,
-    kernel_single,
-    lagrange_node_basis,
-    read_points_csv,
-)
+from hdgbem.bem import kernel_double, kernel_single
 
 N = 32
 
@@ -202,13 +196,6 @@ def test_degree_mismatch(ops32):
         solve_exterior(ops32, TrigPolynomial.zero(N // 2))
 
 
-def test_collocation_flag_agrees_on_circle(ops32):
-    lam = project_mean_zero(np.cos(2 * nodes()) - 0.3 * np.sin(4 * nodes()))
-    g1 = solve_exterior(ops32, lam, method="galerkin")
-    g2 = solve_exterior(ops32, lam, method="collocation")
-    assert np.abs((g1 - g2).coefficients()).max() < 1e-10
-
-
 def test_spectral_accuracy_entire_density(ops32):
     # lambda = exp(cos t) - I0(1) has Bessel coefficients 2 I_m(1);
     # the exact trace follows from the Fourier diagonalization
@@ -222,21 +209,8 @@ def test_spectral_accuracy_entire_density(ops32):
 
 
 # ---------------------------------------------------------------------------
-# far-field constant and exterior evaluation
+# exterior evaluation
 # ---------------------------------------------------------------------------
-
-def test_u_infinity_zero_for_zero_data(ops32):
-    assert compute_u_infinity(ops32, TrigPolynomial.zero(N),
-                              TrigPolynomial.zero(N)) == 0.0
-
-
-def test_u_infinity_orthogonality_case(ops32):
-    lam = TrigPolynomial.zero(N)
-    lam.cos[1] = 1.0
-    g = TrigPolynomial.zero(N)
-    g.cos[1] = -1.0
-    assert compute_u_infinity(ops32, lam, g) == pytest.approx(0.0, abs=1e-15)
-
 
 def test_constant_field_evaluation(ops32):
     pts = np.array([[2.0, 0.0], [0.0, -3.0], [5.0, 5.0]])
@@ -280,20 +254,22 @@ def test_inside_point_rejected(ops32):
 # ---------------------------------------------------------------------------
 
 def test_lagrange_cardinal_and_mean_zero_combinations():
+    # the interpolant of the j-th unit sample vector is the cardinal
+    # function of node t_j
     n = 8
     tj = np.arange(2 * n) * np.pi / n
+    cardinal = lambda j: TrigPolynomial.from_samples(np.eye(2 * n)[j])
     for j in (0, 3, 11):
-        L = lagrange_node_basis(n, j, tj)
         expect = np.zeros(2 * n)
         expect[j] = 1.0
-        assert np.abs(L - expect).max() < 1e-13
+        assert np.abs(cardinal(j).eval(tj) - expect).max() < 1e-13
     t = np.linspace(0, 2 * np.pi, 400, endpoint=False)
     for j in (1, 5):
-        diff = lagrange_node_basis(n, j, t) - lagrange_node_basis(n, 0, t)
+        diff = cardinal(j).eval(t) - cardinal(0).eval(t)
         assert abs(np.mean(diff)) < 1e-14      # mean-zero basis member
 
 
-def test_density_csv_and_point_list(tmp_path, ops32):
+def test_density_csv(tmp_path):
     g = TrigPolynomial.zero(N)
     g.cos[1] = 1.0
     g.sin[2] = -0.25
@@ -302,8 +278,3 @@ def test_density_csv_and_point_list(tmp_path, ops32):
     rows = path.read_text().splitlines()
     assert rows[0] == "mode,cos,sin"
     assert len(rows) == N + 2
-    pts_path = tmp_path / "points.csv"
-    pts_path.write_text("x,y\n2.0,0.0\n0.0,3.0\n")
-    pts = read_points_csv(pts_path)
-    assert pts.shape == (2, 2)
-    assert np.allclose(pts[0], [2.0, 0.0])

@@ -6,7 +6,9 @@ from hdgbem import (
     DimensionError,
     DivergenceError,
     EstimationError,
-    InterfaceSampler,
+    HDGSystem,
+    InterfaceMap,
+    PatchLocator,
     TrigPolynomial,
     dtn_step,
     estimate_contraction,
@@ -34,13 +36,13 @@ def dipole_bundle():
 # ---------------------------------------------------------------------------
 
 def test_dtn_zero_data(dipole_bundle):
-    case, bundle = dipole_bundle
-    sampler = InterfaceSampler(bundle.system, case.gamma, N)
-    lam, field, mflux = dtn_step(bundle.system, bundle.ops, sampler,
-                                 TrigPolynomial.zero(N), 0.0)
+    _, bundle = dipole_bundle
+    imap = InterfaceMap(bundle.system, bundle.ops)
+    lam, mflux, uhat, _ = dtn_step(imap, TrigPolynomial.zero(N), 0.0)
     assert np.abs(lam.coefficients()).max() == 0.0
     assert mflux == 0.0
-    assert np.abs(field.U).max() == 0.0
+    assert np.abs(uhat).max() == 0.0
+    assert np.abs(imap.flux(uhat)).max() == 0.0
 
 
 def test_constant_flux_projects_to_zero_density():
@@ -50,26 +52,51 @@ def test_constant_flux_projects_to_zero_density():
 
 def test_dtn_at_exact_fixed_point(dipole_bundle):
     case, bundle = dipole_bundle
-    sampler = InterfaceSampler(bundle.system, case.gamma, N)
-    lam, field, mflux = dtn_step(bundle.system, bundle.ops, sampler,
-                                 case.g_exact(N), case.u_inf,
-                                 f=case.f, u0=case.u0)
+    imap = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    lam, mflux, _, _ = dtn_step(imap, case.g_exact(N), case.u_inf)
     exact = case.lam_exact(N)
     assert np.abs((lam - exact).coefficients()).max() < 3e-2   # flux-level error
     assert abs(mflux) < 5e-3
     assert abs(lam.weighted_mean()) < 1e-14
 
 
+def test_interface_map_data_matches_boundary_moments(dipole_bundle):
+    # on the unit circle the datum g + u_inf = cos s + 3 is x + 3 at the
+    # mapped points, so its edge moments are those of the callable datum
+    case, bundle = dipole_bundle
+    imap = InterfaceMap(bundle.system, bundle.ops)
+    want = bundle.system.boundary_data_vector(g_gamma=lambda p: p[:, 0] + 3.0)
+    assert np.abs(imap.data(case.g_exact(N), 3.0) - want).max() < 1e-13
+
+
+def test_interface_map_matches_recovered_field(dipole_bundle):
+    # Z uhat + z_f is the normal flux of each node's parent element
+    # polynomial, extrapolated to the node, with a load in the particular part
+    case, bundle = dipole_bundle
+    system = bundle.system
+    f = lambda pts: 1.0 + pts[:, 0] * pts[:, 1]
+    imap = InterfaceMap(system, bundle.ops, f=f, u0=case.u0)
+    uhat, _ = imap.solve(case.g_exact(N), case.u_inf)
+    field = system.recover(uhat, imap.f_mom)
+    pts = case.gamma.point(imap.params)
+    normals = case.gamma.normal(imap.params)
+    parents = PatchLocator(system.bmap, system.patches).locate(imap.params)
+    direct = np.array([field.q_at(int(t), p[None, :])[0] @ nu
+                       for t, p, nu in zip(parents, pts, normals)])
+    assert np.abs(imap.flux(uhat) - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert np.abs(imap.z_f).max() > 0.0
+
+
 def test_ntd_closed_forms(dipole_bundle):
     _, bundle = dipole_bundle
-    zero, u0f = ntd_step(bundle.ops, TrigPolynomial.zero(N))
-    assert np.abs(zero.coefficients()).max() == 0.0 and u0f == 0.0
+    zero = ntd_step(bundle.ops, TrigPolynomial.zero(N))
+    assert np.abs(zero.coefficients()).max() == 0.0
     lam = TrigPolynomial.zero(N)
     lam.cos[1] = 1.0
-    g, _ = ntd_step(bundle.ops, lam)
+    g = ntd_step(bundle.ops, lam)
     assert g.cos[1] == pytest.approx(-1.0, abs=1e-13)
     lam2 = project_mean_zero(np.sin(2 * np.arange(2 * N) * np.pi / N))
-    g2, _ = ntd_step(bundle.ops, lam2)
+    g2 = ntd_step(bundle.ops, lam2)
     assert g2.sin[1] == pytest.approx(-0.5, abs=1e-13)
 
 
@@ -157,6 +184,7 @@ def test_divergence_reports_history(dipole_bundle):
     hist = err.value.state.history
     assert len(hist) == 25
     assert hist[-1] > hist[0]
+    assert err.value.state.field is None
 
 
 def test_aitken_adaptation_converges(dipole_bundle):
@@ -177,6 +205,24 @@ def test_iteration_log(tmp_path, dipole_bundle):
     rows = path.read_text().splitlines()
     assert rows[0] == "iter,update_norm,u_inf,interior_residual"
     assert len(rows) == 1 + len(state.history)
+
+
+def test_converged_run_recovers_the_field_once(dipole_bundle, monkeypatch):
+    # one solve for the far-field response, one per iteration, one for the
+    # converged trace; only the last is recovered to an element field
+    case, bundle = dipole_bundle
+    calls = {"solve_trace": 0, "recover": 0}
+    for name in calls:
+        original = getattr(HDGSystem, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(HDGSystem, name, counted)
+    state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                            config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
+    assert state.converged
+    assert calls == {"solve_trace": state.iteration + 2, "recover": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from hdgbem import (
     AssemblyError,
     CoverageError,
     Curve,
+    InterfaceMap,
     MaterialField,
     PatchLocator,
+    SolverError,
     Stabilization,
     UnfittedMesh,
+    assemble_layer_operators,
     assemble_local,
     build_annulus_mesh,
     build_boundary_map,
     build_extension_patches,
     build_system,
-    extrapolate_flux,
     hdg_projection,
     j_functional,
     l2_errors,
@@ -188,6 +193,25 @@ def test_zero_data_gives_zero_solution(coarse_k1):
     assert np.abs(fld.U).max() == 0.0
 
 
+def test_failed_trace_solve_reports_condition_estimate(circles, monkeypatch):
+    # a factorization of the wrong matrix trips the residual guard; the
+    # diagnostic must come from the LU factors, not from a dense inverse
+    gamma, gamma0 = circles
+    mesh = build_annulus_mesh(gamma, gamma0, 0.3)
+    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+    patches = build_extension_patches(mesh, bmap, gamma, gamma0)
+    system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
+    system._lu = spla.splu((1.5 * system.matrix).tocsc())
+
+    def dense_inverse(*args, **kwargs):
+        raise MemoryError("dense inverse of the trace matrix")
+    monkeypatch.setattr(spla, "inv", dense_inverse)
+    with pytest.raises(SolverError, match="condition estimate") as err:
+        system.solve_trace(np.ones(system.n_trace))
+    cond = float(re.search(r"condition estimate ([^)]+)\)", str(err.value)).group(1))
+    assert np.isfinite(cond) and cond >= 1.0
+
+
 def test_patch_test_linear_fitted(fitted_k1):
     mesh, bmap, patches, system = fitted_k1
     u_ex = lambda p: p[:, 0]
@@ -289,36 +313,33 @@ def test_stability_bounded_under_refinement(circles):
 
 
 # ---------------------------------------------------------------------------
-# flux extrapolation
+# interface flux of the patch parents
 # ---------------------------------------------------------------------------
 
+def _interface_flux(system, gamma, u_ex=None, n=16):
+    """Interface map flux at its 2n nodes for the interior solve with data u_ex."""
+    imap = InterfaceMap(system, assemble_layer_operators(gamma, n))
+    rhs, _ = system.rhs(g_gamma=u_ex, u0_gamma0=u_ex)
+    uhat, _ = system.solve_trace(rhs)
+    return imap.flux(uhat), imap.params
+
+
 def test_extrapolated_flux_of_constant_field(coarse_k1, circles):
+    # u = x on the unfitted mesh: q = (-1, 0), n = (cos s, sin s)
     mesh, bmap, patches, system = coarse_k1
-    gamma, _ = circles
-    fld = solve_interior(system)
-    fld.Q[:, 0, 0] = 1.0      # q = (1, 0) everywhere
-    loc = PatchLocator(bmap, patches)
-    s = np.linspace(0, 2 * np.pi, 40, endpoint=False)
-    flux = extrapolate_flux(fld, gamma, loc, s)
-    assert np.abs(flux - np.cos(s)).max() < 1e-13
+    flux, s = _interface_flux(system, circles[0], lambda p: p[:, 0])
+    assert np.abs(flux + np.cos(s)).max() < 1e-10
 
 
 def test_extrapolated_flux_zero_field(coarse_k1, circles):
     mesh, bmap, patches, system = coarse_k1
-    fld = solve_interior(system)
-    loc = PatchLocator(bmap, patches)
-    flux = extrapolate_flux(fld, circles[0], loc, np.linspace(0, 6, 11))
+    flux, _ = _interface_flux(system, circles[0])
     assert np.all(flux == 0.0)
 
 
 def test_extrapolated_flux_linear_patch(fitted_k1, circles):
     mesh, bmap, patches, system = fitted_k1
-    gamma, _ = circles
-    u_ex = lambda p: p[:, 0]
-    fld = solve_interior(system, g_gamma=u_ex, u0_gamma0=u_ex)
-    loc = PatchLocator(bmap, patches)
-    s = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-    flux = extrapolate_flux(fld, gamma, loc, s)
+    flux, s = _interface_flux(system, circles[0], lambda p: p[:, 0])
     # q = (-1, 0), n = (cos s, sin s) on the circle
     assert np.abs(flux + np.cos(s)).max() < 1e-10
 
