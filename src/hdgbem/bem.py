@@ -29,6 +29,7 @@ sample <-> coefficient transforms.
 """
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionError, DomainError, SolverError
 
@@ -207,7 +208,11 @@ class LayerOperatorSet:
     ``V`` and ``K`` are 2n x 2n matrices acting on packed coefficient
     vectors and returning packed coefficients of the boundary traces.  The
     Galerkin inner product in the 2 pi-periodic parameter is diagonal:
-    gram = diag(2 pi, pi, ..., pi).
+    gram = diag(2 pi, pi, ..., pi).  The set also holds what every exterior
+    solve reuses: the arclength ``moments`` of the basis, the ``injection``
+    (2n x 2n-1) of the zero-mean coefficients, ``bie`` = 1/2 - K, and the
+    ``reduced`` interface matrix injection^T gram bie injection with its LU
+    factors.
     """
 
     def __init__(self, curve, n, V, K):
@@ -218,6 +223,11 @@ class LayerOperatorSet:
         self.nodes = np.arange(2 * self.n) * np.pi / self.n
         self.gram = np.full(2 * self.n, np.pi)
         self.gram[0] = TWO_PI
+        self.moments = _arc_moments(curve, self.n)
+        self.injection = _mean_zero_injection(self.moments)
+        self.bie = 0.5 * np.eye(2 * self.n) - K
+        self.reduced = self.injection.T @ (self.gram[:, None] * self.bie) @ self.injection
+        self.reduced_lu = scipy.linalg.lu_factor(self.reduced, check_finite=False)
 
     @property
     def is_circle(self):
@@ -281,27 +291,25 @@ def assemble_layer_operators(curve, n, oversample=2):
 # solves
 # ---------------------------------------------------------------------------
 
-def _arc_moments(ops):
-    """Arclength integrals of the packed basis functions; None on circles.
+def _arc_moments(curve, n):
+    """Arclength integrals of the packed degree-n basis functions.
 
-    On a circle the arclength mean of a density is its constant
-    coefficient, so no moment vector is needed.
+    On a circle of radius R they are exactly (2 pi R, 0, ..., 0).
     """
-    if ops.is_circle:
-        return None
-    t = np.linspace(0.0, TWO_PI, 8 * ops.n, endpoint=False)
-    w = ops.curve.speed(t)
-    return (w[:, None] * _coeff_to_samples(ops.n, t)).mean(axis=0) * TWO_PI
+    if curve.is_circle:
+        moments = np.zeros(2 * n)
+        moments[0] = TWO_PI * curve.radius
+        return moments
+    t = np.linspace(0.0, TWO_PI, 8 * n, endpoint=False)
+    return (curve.speed(t)[:, None] * _coeff_to_samples(n, t)).mean(axis=0) * TWO_PI
 
 
-def _mean_zero_injection(ops):
-    """Columns spanning the weighted-mean-zero coefficient subspace."""
-    n2 = 2 * ops.n
+def _mean_zero_injection(moments):
+    """Columns spanning the coefficients with zero arclength mean."""
+    n2 = len(moments)
     Z = np.zeros((n2, n2 - 1))
     Z[1:, :] = np.eye(n2 - 1)
-    moments = _arc_moments(ops)
-    if moments is not None:
-        Z[0, :] = -moments[1:] / moments[0]
+    Z[0, :] -= moments[1:] / moments[0]
     return Z
 
 
@@ -309,25 +317,19 @@ def solve_exterior(ops, lam):
     """Dirichlet trace of the exterior field with mean-zero Neumann density.
 
     Solves the second-kind interface equation tested against the mean-zero
-    trigonometric space.
+    trigonometric space, with the operator set's reduced LU factors.
     """
     if not lam.mean_zero:
         raise SolverError("exterior solve requires a mean-zero density")
     if lam.n != ops.n:
         raise DimensionError("density degree does not match the operator set")
-    lam_c = lam.coefficients()
-    A = 0.5 * np.eye(2 * ops.n) - ops.K
-    rhs_c = -ops.V @ lam_c
-    Z = _mean_zero_injection(ops)
-    G = ops.gram[:, None]
-    M = Z.T @ (G * A) @ Z
+    rhs_c = -ops.V @ lam.coefficients()
+    Z = ops.injection
     r = Z.T @ (ops.gram * rhs_c)
-    try:
-        sol = np.linalg.solve(M, r)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular reduced interface system") from exc
-    g_c = Z @ sol
-    res = np.linalg.norm(Z.T @ (ops.gram * (A @ g_c - rhs_c)))
+    if np.any(np.diag(ops.reduced_lu[0]) == 0.0):
+        raise SolverError("singular reduced interface system")
+    g_c = Z @ scipy.linalg.lu_solve(ops.reduced_lu, r, check_finite=False)
+    res = np.linalg.norm(Z.T @ (ops.gram * (ops.bie @ g_c - rhs_c)))
     scale = np.linalg.norm(r)
     if res > 1e-12 * max(scale, 1e-300) and scale > 0:
         raise SolverError(f"interface solve residual {res:.3e} vs scale {scale:.3e}")

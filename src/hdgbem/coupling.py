@@ -32,14 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bem import (
-    TrigPolynomial,
-    _arc_moments,
-    _coeff_to_samples,
-    _mean_zero_injection,
-    _samples_to_coeff,
-    solve_exterior,
-)
+from .bem import TrigPolynomial, _coeff_to_samples, _samples_to_coeff, solve_exterior
 from .errors import DimensionError, DivergenceError, EstimationError, SolverError
 from .geometry import TAG_OUTER
 from .hdg import PatchLocator
@@ -142,12 +135,7 @@ class InterfaceMap:
                          self.f_mom[parents])
         self.z_f = np.einsum("pc,pc->p", flux_rows, part)
 
-        self.P = _samples_to_coeff(n, np.eye(2 * n))
-        arc = _arc_moments(ops)
-        if arc is None:
-            self.P[0] = 0.0
-        else:
-            self.P[0] -= (arc @ self.P) / arc[0]
+        self.P = ops.injection @ _samples_to_coeff(n, np.eye(2 * n))[1:]
         self.arc_w = curve.speed(self.params) * np.pi / n
         self._chi = None
 
@@ -258,8 +246,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
         state.iteration = it
         lam, mflux, _, lin_res = dtn_step(imap, g, u_inf)
         state.lambda_mean_max = max(state.lambda_mean_max,
-                                    abs(lam.weighted_mean(
-                                        None if ops.curve.is_circle else ops.curve)))
+                                    abs(ops.moments @ lam.coefficients()))
         g_tilde = ntd_step(ops, lam)
         u_inf_new = u_inf - mflux / chi
         if config.aitken and prev_resid is not None:
@@ -326,15 +313,13 @@ def monolithic_solve(system, ops, f=None, u0=None):
     if n_trace + n_red + 1 > MONOLITHIC_SIZE_LIMIT:
         raise SolverError("coupled system exceeds the desk-scale limit")
     imap = InterfaceMap(system, ops, f, u0)
-    Zinj = _mean_zero_injection(ops)
-    G = ops.gram[:, None]
+    Zinj = ops.injection
     # lam = -P flux  =>  (1/2 - K) g - V P (Z uhat + z_f) = 0, tested on
     # mean-zero densities
-    VP = Zinj.T @ (G * ops.V) @ imap.P
-    bie_g = Zinj.T @ (G * (0.5 * np.eye(2 * ops.n) - ops.K)) @ Zinj
+    VP = Zinj.T @ (ops.gram[:, None] * ops.V) @ imap.P
     A = sp.bmat([
         [system.matrix, -imap.B @ sp.csr_matrix(Zinj), -imap.B[:, :1]],
-        [-sp.csr_matrix(VP) @ imap.Z, sp.csr_matrix(bie_g), None],
+        [-sp.csr_matrix(VP) @ imap.Z, sp.csr_matrix(ops.reduced), None],
         [sp.csr_matrix(imap.arc_w[None, :]) @ imap.Z, None, None],
     ], format="csc")
     rhs = np.concatenate([imap.rhs0, VP @ imap.z_f, [-(imap.arc_w @ imap.z_f)]])

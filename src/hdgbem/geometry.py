@@ -163,6 +163,10 @@ class UnfittedMesh:
     Edges are stored as sorted vertex pairs ordered lexicographically by
     (min vertex index, max vertex index); this ordering is the canonical
     edge numbering used by exports and by all trace unknowns.
+    ``edge_elements`` (E, 2) lists the elements of each edge, the lower one
+    first, and ``edge_sides`` (E, 2) the edge's local side in each, so that
+    ``element_edges[edge_elements[e, i], edge_sides[e, i]] == e``; boundary
+    edges have -1 in slot 1.
     """
 
     def __init__(self, vertices, elements, fitted=False, regularity_bound=None):
@@ -198,15 +202,17 @@ class UnfittedMesh:
         self.element_edges = np.stack(
             [inverse[:m], inverse[m:2 * m], inverse[2 * m:]], axis=1)
         self.n_edges = len(self.edges)
-        counts = np.bincount(self.element_edges.ravel(), minlength=self.n_edges)
+        flat = self.element_edges.ravel()
+        counts = np.bincount(flat, minlength=self.n_edges)
         if counts.max() > 2:
             raise MeshingFailureError("non-manifold edge in triangulation")
+        # (element, local side) of each edge, lower element in slot 0
+        by_edge = np.argsort(flat, kind="stable")
+        slot = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
         self.edge_elements = np.full((self.n_edges, 2), -1, dtype=np.int64)
-        for t in range(m):
-            for le in range(3):
-                e = self.element_edges[t, le]
-                slot = 0 if self.edge_elements[e, 0] < 0 else 1
-                self.edge_elements[e, slot] = t
+        self.edge_sides = np.full((self.n_edges, 2), -1, dtype=np.int64)
+        self.edge_elements[flat[by_edge], slot] = by_edge // 3
+        self.edge_sides[flat[by_edge], slot] = by_edge % 3
         self.boundary_edge_ids = np.nonzero(counts == 1)[0]
         self.interior_edge_ids = np.nonzero(counts == 2)[0]
 
@@ -244,18 +250,6 @@ class UnfittedMesh:
     def edge_length(self, edge_id):
         p = self.edge_vertices(edge_id)
         return float(np.linalg.norm(p[1] - p[0]))
-
-    def boundary_normal(self, edge_id):
-        """Outward unit normal of a boundary edge."""
-        t = self.edge_elements[edge_id, 0]
-        p = self.edge_vertices(edge_id)
-        tang = p[1] - p[0]
-        n = np.array([tang[1], -tang[0]])
-        n /= np.linalg.norm(n)
-        centroid = self.vertices[self.elements[t]].mean(axis=0)
-        if np.dot(n, centroid - 0.5 * (p[0] + p[1])) > 0:
-            n = -n
-        return n
 
     def edges_with_tag(self, tag):
         return self.boundary_edge_ids[
@@ -326,12 +320,10 @@ def build_annulus_mesh(gamma, gamma0, target_h, regularity_bound=10.0,
 
 
 def _check_strictly_inside(mesh, gamma, gamma0):
-    samples = [mesh.vertices]
+    p = mesh.vertices[mesh.edges[mesh.boundary_edge_ids]]          # (B, 2, 2)
     frac = np.linspace(0.0, 1.0, 5)
-    for e in mesh.boundary_edge_ids:
-        p = mesh.edge_vertices(e)
-        samples.append(p[0] + frac[:, None] * (p[1] - p[0]))
-    pts = np.vstack(samples)
+    on_edges = p[:, None, 0] + frac[None, :, None] * (p[:, None, 1] - p[:, None, 0])
+    pts = np.vstack([mesh.vertices, on_edges.reshape(-1, 2)])
     if np.any(gamma.signed_distance(pts) >= 0) or np.any(gamma0.signed_distance(pts) <= 0):
         raise MeshingFailureError("mesh is not strictly inside the annulus")
 
@@ -342,15 +334,16 @@ def classify_boundary_edges(mesh, gamma, gamma0):
     Distances are evaluated at edge midpoints; exact ties fall back to the
     edge endpoints before applying the tie rule.
     """
-    for e in mesh.boundary_edge_ids:
-        p = mesh.edge_vertices(e)
-        mid = 0.5 * (p[0] + p[1])
-        d_out = float(gamma.distance(mid[None, :])[0])
-        d_in = float(gamma0.distance(mid[None, :])[0])
-        if abs(d_out - d_in) < 1e-12 * max(d_out + d_in, 1e-30):
-            d_out = float(gamma.distance(p).sum())
-            d_in = float(gamma0.distance(p).sum())
-        mesh.boundary_tags[e] = TAG_OUTER if d_out <= d_in else TAG_INNER
+    ids = mesh.boundary_edge_ids
+    p = mesh.vertices[mesh.edges[ids]]                              # (B, 2, 2)
+    mid = 0.5 * (p[:, 0] + p[:, 1])
+    d_out, d_in = gamma.distance(mid), gamma0.distance(mid)
+    tie = np.abs(d_out - d_in) < 1e-12 * np.maximum(d_out + d_in, 1e-30)
+    if np.any(tie):
+        ends = p[tie].reshape(-1, 2)
+        d_out[tie] = gamma.distance(ends).reshape(-1, 2).sum(axis=1)
+        d_in[tie] = gamma0.distance(ends).reshape(-1, 2).sum(axis=1)
+    mesh.boundary_tags[ids] = np.where(d_out <= d_in, TAG_OUTER, TAG_INNER)
     return mesh
 
 
@@ -417,6 +410,11 @@ def _map_point_derivative(pts, curve, strategy):
     return dy[:, :, None] * dy[:, None, :] / denom[:, None, None]
 
 
+def _row_lengths(vecs):
+    """Lengths of the rows of (B, 2) vecs, rounded as np.linalg.norm of one row."""
+    return np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
+
+
 def build_boundary_map(mesh, gamma, gamma0, strategy="auto", n_nodes=6,
                        tangency_floor=0.1):
     """Build the node-to-curve transfer map for every boundary edge.
@@ -426,58 +424,62 @@ def build_boundary_map(mesh, gamma, gamma0, strategy="auto", n_nodes=6,
     """
     xg, wg = gauss01(n_nodes)
     scale = max(gamma.diameter(), 1.0)
-    B = len(mesh.boundary_edge_ids)
-    q = n_nodes
-    out = dict(
-        edge_ids=np.array(mesh.boundary_edge_ids, dtype=np.int64),
-        tags=mesh.boundary_tags[mesh.boundary_edge_ids].copy(),
-        parents=mesh.edge_elements[mesh.boundary_edge_ids, 0].copy(),
-        nu=np.zeros((B, 2)), nodes=np.zeros((B, q, 2)), mapped=np.zeros((B, q, 2)),
-        l=np.zeros((B, q)), t=np.zeros((B, q, 2)), params=np.zeros((B, q)),
-        normals=np.zeros((B, q, 2)), weights=np.zeros((B, q)),
-        endpoint_params=np.zeros((B, 2)), strategy=strategy, n_nodes=n_nodes,
-    )
-    for row, e in enumerate(mesh.boundary_edge_ids):
-        tag = mesh.boundary_tags[e]
-        if tag < 0:
-            raise MapConstructionError("boundary edges must be classified first", edge=int(e))
+    edge_ids = np.array(mesh.boundary_edge_ids, dtype=np.int64)
+    tags = mesh.boundary_tags[edge_ids].copy()
+    if np.any(tags < 0):
+        raise MapConstructionError("boundary edges must be classified first",
+                                   edge=int(edge_ids[np.argmax(tags < 0)]))
+    parents = mesh.edge_elements[edge_ids, 0].copy()
+    p = mesh.vertices[mesh.edges[edge_ids]]                         # (B, 2, 2)
+    tang = p[:, 1] - p[:, 0]
+    length = _row_lengths(tang)
+    nodes = p[:, None, 0] + xg[None, :, None] * tang[:, None, :]    # (B, q, 2)
+    # outward edge normals: away from the parent element's centroid
+    nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    nu /= _row_lengths(nu)[:, None]
+    centroid = mesh.vertices[mesh.elements[parents]].mean(axis=1)
+    nu[np.einsum("bd,bd->b", nu, centroid - 0.5 * (p[:, 0] + p[:, 1])) > 0] *= -1.0
+
+    mapped, params = np.empty_like(nodes), np.empty(nodes.shape[:2])
+    endpoint_params, normals = np.empty((len(edge_ids), 2)), np.empty_like(nodes)
+    for tag in (TAG_OUTER, TAG_INNER):
+        rows = tags == tag
+        if not np.any(rows):
+            continue
         curve = _curve_for_tag(tag, gamma, gamma0)
         strat = strategy
         if strat == "auto":
             strat = "radial" if curve.is_circle else "closest-point"
-        p = mesh.edge_vertices(e)
-        nodes = p[0] + xg[:, None] * (p[1] - p[0])
-        nu = mesh.boundary_normal(e)
-        length = np.linalg.norm(p[1] - p[0])
-        if mesh.fitted:
-            mapped = nodes.copy()
-            _, params = _map_points(nodes, curve, strat)
-            _, ep = _map_points(p, curve, strat)
-        else:
-            mapped, params = _map_points(nodes, curve, strat)
-            _, ep = _map_points(p, curve, strat)
-        delta = mapped - nodes
-        l = np.linalg.norm(delta, axis=1)
-        t = np.where(l[:, None] > 1e-14 * scale, delta / np.where(l > 0, l, 1.0)[:, None],
-                     nu[None, :])
-        l = np.where(l > 1e-14 * scale, l, 0.0)
-        dot = t @ nu
-        if np.any(dot < tangency_floor):
-            raise MapConstructionError(
-                f"transfer direction nearly tangent on edge {int(e)} "
-                f"(min t.nu = {dot.min():.3f} < floor {tangency_floor})", edge=int(e))
-        out["nu"][row] = nu
-        out["nodes"][row] = nodes
-        out["mapped"][row] = mapped
-        out["l"][row] = l
-        out["t"][row] = t
-        out["params"][row] = params
-        sign = _outward_normal_sign(tag)
-        out["normals"][row] = sign * curve.normal(params) if not mesh.fitted \
-            else np.tile(nu, (q, 1))
-        out["weights"][row] = wg * length
-        out["endpoint_params"][row] = ep
-    return BoundaryMap(**out)
+        n_node = rows.sum() * n_nodes
+        y, s = _map_points(np.vstack([nodes[rows].reshape(-1, 2), p[rows].reshape(-1, 2)]),
+                           curve, strat)
+        mapped[rows] = y[:n_node].reshape(-1, n_nodes, 2)
+        params[rows] = s[:n_node].reshape(-1, n_nodes)
+        endpoint_params[rows] = s[n_node:].reshape(-1, 2)
+        normals[rows] = (_outward_normal_sign(tag) * curve.normal(s[:n_node])).reshape(
+            -1, n_nodes, 2)
+    if mesh.fitted:
+        mapped = nodes.copy()
+        normals = np.repeat(nu[:, None, :], n_nodes, axis=1)
+    delta = mapped - nodes
+    l = np.linalg.norm(delta, axis=2)
+    far = l > 1e-14 * scale
+    t = np.where(far[..., None], delta / np.where(l > 0, l, 1.0)[..., None],
+                 nu[:, None, :])
+    l = np.where(far, l, 0.0)
+    dot = np.einsum("bqd,bd->bq", t, nu)
+    tangent = np.any(dot < tangency_floor, axis=1)
+    if np.any(tangent):
+        row = int(np.argmax(tangent))
+        raise MapConstructionError(
+            f"transfer direction nearly tangent on edge {int(edge_ids[row])} "
+            f"(min t.nu = {dot[row].min():.3f} < floor {tangency_floor})",
+            edge=int(edge_ids[row]))
+    return BoundaryMap(
+        edge_ids=edge_ids, tags=tags, parents=parents, nu=nu, nodes=nodes,
+        mapped=mapped, l=l, t=t, params=params, normals=normals,
+        weights=wg[None, :] * length[:, None], endpoint_params=endpoint_params,
+        strategy=strategy, n_nodes=n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +623,10 @@ def proximity_parameter(mesh, bmap):
     Also reports the sup over boundary nodes of |n_h - n|, the deviation of
     the facet normal from the curve normal at the mapped point.
     """
-    per_edge = np.zeros(len(bmap.edge_ids))
-    dev = 0.0
-    for row in range(len(bmap.edge_ids)):
-        hT = mesh.h_T[bmap.parents[row]]
-        per_edge[row] = bmap.l[row].max() / hT
-        dev = max(dev, float(np.linalg.norm(
-            bmap.normals[row] - bmap.nu[row][None, :], axis=1).max()))
-    R_h = float(per_edge.max()) if len(per_edge) else 0.0
-    return ProximityReport(R_h, dev, per_edge)
+    per_edge = bmap.l.max(axis=1, initial=0.0) / mesh.h_T[bmap.parents]
+    dev = np.linalg.norm(bmap.normals - bmap.nu[:, None, :], axis=2)
+    return ProximityReport(float(per_edge.max(initial=0.0)),
+                           float(dev.max(initial=0.0)), per_edge)
 
 
 # ---------------------------------------------------------------------------

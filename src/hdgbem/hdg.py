@@ -130,9 +130,6 @@ class DGField:
         J = np.column_stack([v[1] - v[0], v[2] - v[0]])
         return np.atleast_2d(pts - v[0]) @ np.linalg.inv(J).T
 
-    def u_at(self, elem, pts):
-        return self._basis.eval(self._ref(elem, pts)) @ self.U[elem]
-
     def q_at(self, elem, pts):
         vals = self._basis.eval(self._ref(elem, pts))
         return np.stack([vals @ self.Q[elem, 0], vals @ self.Q[elem, 1]], axis=-1)
@@ -281,17 +278,23 @@ class _Discretization:
         return np.einsum("mab,mb->ma", self.local_inv, rhs)
 
 
+def _side_functionals(disc):
+    """Trace-side functionals C_side = [E^T | F^T], (M, 3, ne, 3d)."""
+    return np.concatenate([np.swapaxes(disc.E_side, 2, 3),
+                           np.swapaxes(disc.F_side, 2, 3)], axis=3)
+
+
 # ---------------------------------------------------------------------------
 # transfer couplings
 # ---------------------------------------------------------------------------
 
 class TransferBlocks:
-    """Path-integral couplings of one boundary edge.
+    """Path-integral couplings of the boundary edges, one row per map row.
 
-    path_moments : (2d, ne)  line integral of extrapolated flux tested
+    path_moments : (B, 2d, ne)  line integral of extrapolated flux tested
                    against the edge trace basis (enters the trace system)
-    flux_flux    : (2d, 2d)  same integral tested against v . nu
-    flux_scalar  : (d, 2d)   tau-weighted integral tested against w
+    flux_flux    : (B, 2d, 2d)  same integral tested against v . nu
+    flux_scalar  : (B, d, 2d)   tau-weighted integral tested against w
     """
 
     def __init__(self, path_moments, flux_flux, flux_scalar):
@@ -300,41 +303,43 @@ class TransferBlocks:
         self.flux_scalar = flux_scalar
 
 
-def assemble_transfer(disc, bmap, row):
-    """Transfer blocks for boundary-map row ``row`` (zero when fitted)."""
+def assemble_transfer(disc, bmap):
+    """Transfer blocks of every boundary-map row (zero for zero-length paths)."""
     mesh = disc.mesh
-    e = int(bmap.edge_ids[row])
-    parent = int(bmap.parents[row])
     d, ne = disc.d, disc.ne
-    nodes, l, t = bmap.nodes[row], bmap.l[row], bmap.t[row]
-    w_edge = bmap.weights[row]
-    if np.max(l) > 3.0 * mesh.h_T[parent]:
+    B = len(bmap.edge_ids)
+    lmax = bmap.l.max(axis=1, initial=0.0)
+    leaves = lmax > 3.0 * mesh.h_T[bmap.parents]
+    if np.any(leaves):
         raise TransferIntegrationError(
-            f"transfer path on edge {e} leaves the extension patch")
-    mu = disc.mu_vals                                   # nodes follow gauss01(k+2)
-    nu = bmap.nu[row]
-    tr = disc.trace_vals[parent, list(mesh.element_edges[parent]).index(e)]
-    nq = len(w_edge)
-    if np.max(l) == 0.0:
-        z2, zf, zs = np.zeros((2 * d, ne)), np.zeros((2 * d, 2 * d)), np.zeros((d, 2 * d))
-        return TransferBlocks(z2, zf, zs)
+            f"transfer path on edge {int(bmap.edge_ids[np.argmax(leaves)])} "
+            f"leaves the extension patch")
+    blocks = TransferBlocks(np.zeros((B, 2 * d, ne)), np.zeros((B, 2 * d, 2 * d)),
+                            np.zeros((B, d, 2 * d)))
+    rows = np.nonzero(lmax > 0.0)[0]
+    if len(rows) == 0:
+        return blocks
+    edges, parents = bmap.edge_ids[rows], bmap.parents[rows]
+    nodes, l, t, nu = bmap.nodes[rows], bmap.l[rows], bmap.t[rows], bmap.nu[rows]
+    w_edge = bmap.weights[rows]
+    tr = disc.trace_vals[parents, mesh.edge_sides[edges, 0]]    # (b, nq, d)
     qs, ws = gauss01(disc.k + 2)
-    # path points (nq, ns, 2) and the inner integral of kappa^{-1} phi . t
-    pts = nodes[:, None, :] + (l[:, None] * qs[None, :])[:, :, None] * t[:, None, :]
-    kinv = disc.material.inv(pts)                        # (nq,ns,2,2)
-    kt = np.einsum("qsab,qb->qsa", kinv, t)              # kappa^{-1} t
-    verts = mesh.vertices[mesh.elements[parent]]
-    ref = (pts.reshape(-1, 2) - verts[0]) @ disc.invJ[parent].T
-    phi = disc.basis.eval(ref).reshape(nq, len(qs), d)   # extrapolated basis
-    # inner[q, c, b] = int_0^l (kappa^{-1} t)_c phi_b ds
-    inner = np.einsum("s,q,qsc,qsb->qcb", ws, l, kt, phi)
-    tau_e = disc.tau[e]
-    inner_flat = inner.reshape(nq, 2 * d)
-    path_moments = np.einsum("q,qc,qm->cm", w_edge, inner_flat, mu)
-    vdotnu = np.concatenate([nu[0] * tr, nu[1] * tr], axis=1)   # (nq, 2d)
-    flux_flux = np.einsum("q,qc,qv->vc", w_edge, inner_flat, vdotnu)
-    flux_scalar = tau_e * np.einsum("q,qc,qw->wc", w_edge, inner_flat, tr)
-    return TransferBlocks(path_moments, flux_flux, flux_scalar)
+    # path points (b, nq, ns, 2) and the inner integral of kappa^{-1} phi . t
+    pts = nodes[:, :, None, :] + (l[:, :, None] * qs)[..., None] * t[:, :, None, :]
+    kt = np.einsum("bqsxy,bqy->bqsx", disc.material.inv(pts), t)  # kappa^{-1} t
+    v0 = mesh.vertices[mesh.elements[parents, 0]]
+    ref = (pts.reshape(len(rows), -1, 2) - v0[:, None, :]) @ np.swapaxes(
+        disc.invJ[parents], 1, 2)
+    phi = disc.basis.eval(ref.reshape(-1, 2)).reshape(pts.shape[:3] + (d,))
+    # inner[b, q, c, a] = int_0^l (kappa^{-1} t)_c phi_a ds, flattened over (c, a)
+    inner = np.einsum("s,bq,bqsc,bqsa->bqca", ws, l, kt, phi).reshape(
+        len(rows), -1, 2 * d)
+    vdotnu = np.concatenate([nu[:, None, :1] * tr, nu[:, None, 1:] * tr], axis=2)
+    blocks.path_moments[rows] = np.einsum("bq,bqc,qm->bcm", w_edge, inner, disc.mu_vals)
+    blocks.flux_flux[rows] = np.einsum("bq,bqc,bqv->bvc", w_edge, inner, vdotnu)
+    blocks.flux_scalar[rows] = disc.tau[edges][:, None, None] * np.einsum(
+        "bq,bqc,bqw->bwc", w_edge, inner, tr)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -386,84 +391,61 @@ class HDGSystem:
     data reuse the one-time factorization.
     """
 
-    def __init__(self, mesh, bmap, patches, material, tau, k, transfer=True):
+    def __init__(self, mesh, bmap, patches, material, tau, k):
         self.mesh = mesh
         self.bmap = bmap
         self.patches = patches
         self.material = material
         self.k = int(k)
-        self.transfer_enabled = transfer
         self.disc = _Discretization(mesh, material, tau, k)
         self.ne = self.disc.ne
         self.n_trace = mesh.n_edges * self.ne
-        self.transfer = [assemble_transfer(self.disc, bmap, row) if transfer else
-                         TransferBlocks(np.zeros((2 * self.disc.d, self.ne)),
-                                        np.zeros((2 * self.disc.d, 2 * self.disc.d)),
-                                        np.zeros((self.disc.d, 2 * self.disc.d)))
-                         for row in range(len(bmap.edge_ids))]
+        self.transfer = assemble_transfer(self.disc, bmap)
         self._assemble()
         self._lu = None
 
     # -- assembly ---------------------------------------------------------
 
-    def edge_dofs(self, edge_id):
-        return np.arange(edge_id * self.ne, (edge_id + 1) * self.ne)
-
     def _assemble(self):
-        mesh, disc = self.mesh, self.disc
-        d, ne = disc.d, disc.ne
-        M = len(mesh.elements)
-        rows, cols, vals = [], [], []
+        mesh, disc, bmap = self.mesh, self.disc, self.bmap
+        ne, M = disc.ne, len(mesh.elements)
+        trace_dofs = np.arange(self.n_trace).reshape(mesh.n_edges, ne)
+        side_dofs = trace_dofs[mesh.element_edges]                    # (M,3,ne)
+        elem_cols = side_dofs.reshape(M, 3 * ne)
+        # interior (element, side) pairs, ordered by side, then element
+        sides, elems = np.nonzero((mesh.boundary_tags[mesh.element_edges] < 0).T)
+        self._interior_sides = (elems, sides)
+        self._trace_dofs, self._side_dofs = trace_dofs, side_dofs
 
-        # trace-side functionals  C_side = [E^T | F^T]  (ne x 3d)
-        C = np.concatenate([np.swapaxes(disc.E_side, 2, 3),
-                            np.swapaxes(disc.F_side, 2, 3)], axis=3)  # (M,3,ne,3d)
-        contrib = np.einsum("msab,mbc->msac", C, disc.recovery)       # (M,3,ne,3ne)
-        elem_cols = (mesh.element_edges[:, :, None] * ne
-                     + np.arange(ne)[None, None, :]).reshape(M, 3 * ne)
-        is_interior = mesh.boundary_tags[mesh.element_edges] < 0      # (M,3)
+        def block(rows, cols, vals):
+            shape = vals.shape
+            return (np.broadcast_to(rows[:, :, None], shape).ravel(),
+                    np.broadcast_to(cols[:, None, :], shape).ravel(), vals.ravel())
 
-        for s_loc in range(3):
-            sel = np.nonzero(is_interior[:, s_loc])[0]
-            if len(sel) == 0:
-                continue
-            e_ids = mesh.element_edges[sel, s_loc]
-            r = (e_ids[:, None] * ne + np.arange(ne)[None, :])        # (m, ne)
-            block = contrib[sel, s_loc]                               # (m, ne, 3ne)
-            rows.append(np.repeat(r, 3 * ne, axis=1).ravel())
-            cols.append(np.tile(elem_cols[sel][:, None, :], (1, ne, 1)).ravel())
-            vals.append(block.ravel())
+        interior = mesh.interior_edge_ids
+        bdry, parents = bmap.edge_ids, bmap.parents
+        groups = [
+            # flux continuity  C_side recovery  on interior sides
+            block(side_dofs[elems, sides], elem_cols[elems],
+                  np.einsum("kab,kbc->kac", _side_functionals(disc)[elems, sides],
+                            disc.recovery[elems])),
+            # interior diagonal  -2 tau M_e
+            block(trace_dofs[interior], trace_dofs[interior],
+                  (-2.0 * disc.tau[interior])[:, None, None] * disc.edge_mass[interior]),
+            # boundary rows:  M_e uhat_e - T^t q(uhat, f) = data
+            block(trace_dofs[bdry], elem_cols[parents],
+                  -(self._boundary_functionals() @ disc.recovery[parents])),
+            block(trace_dofs[bdry], trace_dofs[bdry], disc.edge_mass[bdry]),
+        ]
+        rows, cols, vals = (np.concatenate(part) for part in zip(*groups))
+        self.matrix = sp.coo_matrix((vals, (rows, cols)),
+                                    shape=(self.n_trace, self.n_trace)).tocsc()
 
-        # interior diagonal  -2 tau M_e
-        for e in mesh.interior_edge_ids:
-            dof = self.edge_dofs(e)
-            blk = -2.0 * disc.tau[e] * disc.edge_mass[e]
-            rows.append(np.repeat(dof, ne))
-            cols.append(np.tile(dof, ne))
-            vals.append(blk.ravel())
-
-        # boundary rows:  M_e uhat_e - T^t q(uhat, f) = data
-        self._bdry_Ct = []
-        for row, e in enumerate(self.bmap.edge_ids):
-            t = int(self.bmap.parents[row])
-            dof = self.edge_dofs(e)
-            Ct = np.zeros((ne, 3 * d))
-            Ct[:, :2 * d] = self.transfer[row].path_moments.T
-            self._bdry_Ct.append(Ct)
-            blk = -Ct @ disc.recovery[t]
-            rows.append(np.repeat(dof, 3 * ne))
-            cols.append(np.tile(elem_cols[t], ne))
-            vals.append(blk.ravel())
-            rows.append(np.repeat(dof, ne))
-            cols.append(np.tile(dof, ne))
-            vals.append(disc.edge_mass[e].ravel())
-
-        self.matrix = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_trace, self.n_trace)).tocsc()
-        self._contrib = contrib
-        self._elem_cols = elem_cols
-        self._is_interior = is_interior
+    def _boundary_functionals(self):
+        """Boundary-row functionals [T^t | 0] on the parent unknowns, (B, ne, 3d)."""
+        pm = self.transfer.path_moments
+        return np.concatenate([np.swapaxes(pm, 1, 2),
+                               np.zeros((len(pm), self.ne, self.disc.d))], axis=2)
 
     @property
     def lu(self):
@@ -483,37 +465,28 @@ class HDGSystem:
         on the inner problem boundary; each is a callable of points (m, 2).
         """
         bmap, disc = self.bmap, self.disc
-        rhs = np.zeros(self.n_trace)
-        for row, e in enumerate(bmap.edge_ids):
-            fun = g_gamma if bmap.tags[row] == TAG_OUTER else u0_gamma0
-            if fun is None:
+        rhs = np.zeros((self.mesh.n_edges, self.ne))
+        outer = bmap.tags == TAG_OUTER
+        for rows, fun in ((outer, g_gamma), (~outer, u0_gamma0)):
+            if fun is None or not np.any(rows):
                 continue
-            vals = np.asarray(fun(bmap.mapped[row]), dtype=float)
-            rhs[self.edge_dofs(e)] = np.einsum(
-                "q,q,qm->m", bmap.weights[row], vals, disc.mu_vals)
-        return rhs
+            vals = np.asarray(fun(bmap.mapped[rows].reshape(-1, 2)), dtype=float)
+            rhs[bmap.edge_ids[rows]] = np.einsum(
+                "bq,bq,qm->bm", bmap.weights[rows],
+                vals.reshape(bmap.weights[rows].shape), disc.mu_vals)
+        return rhs.ravel()
 
     def rhs(self, f=None, g_gamma=None, u0_gamma0=None, f_mom=None):
-        disc = self.disc
-        mesh = self.mesh
-        ne = self.ne
+        disc, bmap = self.disc, self.bmap
         if f_mom is None:
             f_mom = disc.f_moments(f)
         part = disc.local_particular(f_mom)            # (M, 3d)
         rhs = self.boundary_data_vector(g_gamma, u0_gamma0)
-        C = np.concatenate([np.swapaxes(disc.E_side, 2, 3),
-                            np.swapaxes(disc.F_side, 2, 3)], axis=3)
-        side_rhs = -np.einsum("msab,mb->msa", C, part)  # interior rows
-        for s_loc in range(3):
-            sel = np.nonzero(self._is_interior[:, s_loc])[0]
-            if len(sel) == 0:
-                continue
-            e_ids = mesh.element_edges[sel, s_loc]
-            idx = (e_ids[:, None] * ne + np.arange(ne)[None, :]).ravel()
-            np.add.at(rhs, idx, side_rhs[sel, s_loc].ravel())
-        for row, e in enumerate(self.bmap.edge_ids):
-            t = int(self.bmap.parents[row])
-            rhs[self.edge_dofs(e)] += self._bdry_Ct[row] @ part[t]
+        side_rhs = -np.einsum("msab,mb->msa", _side_functionals(disc), part)
+        interior = self._interior_sides
+        np.add.at(rhs, self._side_dofs[interior].ravel(), side_rhs[interior].ravel())
+        rhs[self._trace_dofs[bmap.edge_ids]] += (
+            self._boundary_functionals() @ part[bmap.parents, :, None])[..., 0]
         return rhs, f_mom
 
     # -- solve and recovery ---------------------------------------------------
@@ -549,8 +522,7 @@ class HDGSystem:
         mesh = self.mesh
         d, ne = disc.d, disc.ne
         M = len(mesh.elements)
-        uhat_loc = uhat[(mesh.element_edges[:, :, None] * ne
-                         + np.arange(ne)[None, None, :]).reshape(M, 3 * ne)[..., None]][..., 0]
+        uhat_loc = uhat[self._side_dofs.reshape(M, 3 * ne)]
         qu = np.einsum("mab,mb->ma", disc.recovery, uhat_loc) \
             + disc.local_particular(f_mom)
         Q = qu[:, :2 * d].reshape(M, 2, d)
@@ -558,9 +530,9 @@ class HDGSystem:
         return DGField(mesh, self.k, Q, U, uhat.reshape(mesh.n_edges, ne))
 
 
-def build_system(mesh, bmap, patches, material, tau, k, transfer=True):
+def build_system(mesh, bmap, patches, material, tau, k):
     """Assemble the condensed trace system (factorization happens lazily)."""
-    return HDGSystem(mesh, bmap, patches, material, tau, k, transfer=transfer)
+    return HDGSystem(mesh, bmap, patches, material, tau, k)
 
 
 def solve_interior(system, f=None, g_gamma=None, u0_gamma0=None):
@@ -615,6 +587,13 @@ class PatchLocator:
 # diagnostics
 # ---------------------------------------------------------------------------
 
+def _interior_two_sides(mesh, *side_tables):
+    """Interior edge ids and, per (M, 3, ...) table, its values on both sides."""
+    e = mesh.interior_edge_ids
+    t, s = mesh.edge_elements[e], mesh.edge_sides[e]
+    return e, *((tab[t[:, 0], s[:, 0]], tab[t[:, 1], s[:, 1]]) for tab in side_tables)
+
+
 def j_functional(field, material, tau, mesh):
     """Energy-style seminorm combining flux mass, boundary traces and jumps."""
     disc = _Discretization(mesh, material, tau, field.k)
@@ -633,16 +612,11 @@ def j_functional(field, material, tau, mesh):
     total += np.sum(np.where(bdry, tau_es, 0.0)[:, :, None] * w_es * u_tr ** 2)
 
     # interior terms need both sides of each edge
-    for e in mesh.interior_edge_ids:
-        t1, t2 = mesh.edge_elements[e]
-        s1 = list(mesh.element_edges[t1]).index(e)
-        s2 = list(mesh.element_edges[t2]).index(e)
-        w = disc.edge_w[e]
-        mean_u = 0.5 * (u_tr[t1, s1] + u_tr[t2, s2])
-        jump_q = qn_tr[t1, s1] + qn_tr[t2, s2]
-        total += disc.tau[e] * np.sum(w * ((u_tr[t1, s1] - mean_u) ** 2
-                                           + (u_tr[t2, s2] - mean_u) ** 2))
-        total += np.sum(w * jump_q ** 2) / disc.tau[e]
+    e, (u1, u2), (qn1, qn2) = _interior_two_sides(mesh, u_tr, qn_tr)
+    w, tau_e = disc.edge_w[e], disc.tau[e]
+    mean_u = 0.5 * (u1 + u2)
+    total += np.sum(tau_e * np.sum(w * ((u1 - mean_u) ** 2 + (u2 - mean_u) ** 2), axis=1))
+    total += np.sum(np.sum(w * (qn1 + qn2) ** 2, axis=1) / tau_e)
     return float(np.sqrt(total))
 
 
@@ -670,17 +644,11 @@ def trace_identity_residual(field, system):
     u_tr = np.einsum("msqa,ma->msq", disc.trace_vals, field.U)
     qn_tr = np.einsum("msqa,msd,mda->msq",
                       disc.trace_vals, disc.side_normals, field.Q)
-    worst = 0.0
-    for e in mesh.interior_edge_ids:
-        t1, t2 = mesh.edge_elements[e]
-        s1 = list(mesh.element_edges[t1]).index(e)
-        s2 = list(mesh.element_edges[t2]).index(e)
-        uhat = field.Uhat[e] @ disc.mu_vals.T
-        target = (0.5 / disc.tau[e]) * (qn_tr[t1, s1] + qn_tr[t2, s2]) \
-            + 0.5 * (u_tr[t1, s1] + u_tr[t2, s2])
-        err = np.sqrt(np.sum(disc.edge_w[e] * (uhat - target) ** 2))
-        worst = max(worst, float(err))
-    return worst
+    e, (u1, u2), (qn1, qn2) = _interior_two_sides(mesh, u_tr, qn_tr)
+    uhat = field.Uhat[e] @ disc.mu_vals.T
+    target = (0.5 / disc.tau[e])[:, None] * (qn1 + qn2) + 0.5 * (u1 + u2)
+    err = np.sqrt(np.sum(disc.edge_w[e] * (uhat - target) ** 2, axis=1))
+    return float(err.max(initial=0.0))
 
 
 def l2_errors(field, system, u_exact, q_exact, kappa_weight=True):
@@ -740,7 +708,7 @@ def assemble_uncondensed(system, f=None, g_gamma=None, u0_gamma0=None):
         st = slice(nq + nu + e * ne, nq + nu + (e + 1) * ne)
         sq = slice(t * 2 * d, (t + 1) * 2 * d)
         A[st, st] = disc.edge_mass[e]
-        A[st, sq] = -system.transfer[row].path_moments.T
+        A[st, sq] = -system.transfer.path_moments[row].T
         b[nq + nu + e * ne:nq + nu + (e + 1) * ne] = data[e * ne:(e + 1) * ne]
     return A.tocsc(), b
 
@@ -790,9 +758,7 @@ def assemble_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
             e = mesh.element_edges[t, s_loc]
             Cm[su, su] += disc.tau[e] * u_trace_mats[t, s_loc]
     for e in mesh.interior_edge_ids:
-        (t1, t2) = mesh.edge_elements[e]
-        sides = (list(mesh.element_edges[t1]).index(e),
-                 list(mesh.element_edges[t2]).index(e))
+        (t1, t2), sides = mesh.edge_elements[e], mesh.edge_sides[e]
         w = disc.edge_w[e]
         tau_e = disc.tau[e]
         vn, tr, slq, slu = [], [], [], []
@@ -816,11 +782,11 @@ def assemble_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
         t = int(system.bmap.parents[row])
         sq = slice(t * 2 * d, (t + 1) * 2 * d)
         su = slice(t * d, (t + 1) * d)
-        Aq[sq, sq] += system.transfer[row].flux_flux
-        Bt[su, sq] += system.transfer[row].flux_scalar
+        Aq[sq, sq] += system.transfer.flux_flux[row]
+        Bt[su, sq] += system.transfer.flux_scalar[row]
         bm = system.bmap
         vals_mu = disc.mu_vals
-        tr = disc.trace_vals[t, list(mesh.element_edges[t]).index(e)]
+        tr = disc.trace_vals[t, mesh.edge_sides[e, 0]]
         nrm = bm.nu[row]
         vnb = np.concatenate([nrm[0] * tr, nrm[1] * tr], axis=1)
         fun_w = data[e * disc.ne:(e + 1) * disc.ne]
@@ -934,70 +900,57 @@ def _projection_edges(A, b, r, verts, invJ, basis, k, tau, xg, wg, mu, q_fun,
 # exports
 # ---------------------------------------------------------------------------
 
-def write_vtk(field, path, refine=None):
+def _reference_lattice(r):
+    """Lattice (i/r, j/r), i + j <= r, and its r^2 congruent triangles."""
+    ij = [(i, j) for i in range(r + 1) for j in range(r + 1 - i)]
+    idx = {p: n for n, p in enumerate(ij)}
+    tris = []
+    for i, j in ij:
+        if i + j < r:
+            tris.append((idx[(i, j)], idx[(i + 1, j)], idx[(i, j + 1)]))
+        if i + j < r - 1:
+            tris.append((idx[(i + 1, j)], idx[(i + 1, j + 1)], idx[(i, j + 1)]))
+    return np.array(ij, dtype=float) / r, np.array(tris)
+
+
+def write_vtk(field, path):
     """Legacy ASCII unstructured-grid file with u point data and q vectors.
 
-    Each element is subdivided into refine^2 congruent triangles (defaults
-    to the polynomial degree) and the discontinuous fields are written as
-    per-element point data.
+    Each element is subdivided into k^2 congruent triangles (one for k = 0)
+    and the discontinuous fields are written as per-element point data; the
+    basis is evaluated once on the shared reference lattice.
     """
     mesh = field.mesh
-    r = int(refine) if refine else max(field.k, 1)
-    # lattice on the reference triangle
-    nodes = []
-    idx = {}
-    for i in range(r + 1):
-        for j in range(r + 1 - i):
-            idx[(i, j)] = len(nodes)
-            nodes.append((i / r, j / r))
-    tris = []
-    for i in range(r):
-        for j in range(r - i):
-            tris.append((idx[(i, j)], idx[(i + 1, j)], idx[(i, j + 1)]))
-            if i + j < r - 1:
-                tris.append((idx[(i + 1, j)], idx[(i + 1, j + 1)], idx[(i, j + 1)]))
-    nodes = np.array(nodes)
-    pts_all, u_all, q_all, cells = [], [], [], []
-    off = 0
-    for t in range(len(mesh.elements)):
-        v = mesh.vertices[mesh.elements[t]]
-        J = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        phys = v[0] + nodes @ J.T
-        pts_all.append(phys)
-        u_all.append(field.u_at(t, phys))
-        q_all.append(field.q_at(t, phys))
-        cells.extend([(a + off, b + off, c + off) for a, b, c in tris])
-        off += len(nodes)
-    pts_all = np.vstack(pts_all)
-    u_all = np.concatenate(u_all)
-    q_all = np.vstack(q_all)
+    nodes, tris = _reference_lattice(max(field.k, 1))
+    vals = field._basis.eval(nodes)                                  # (n, d)
+    v = mesh.vertices[mesh.elements]
+    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)     # (M,2,2)
+    pts = (v[:, None, 0] + nodes @ np.swapaxes(J, 1, 2)).reshape(-1, 2)
+    u = (field.U @ vals.T).ravel()
+    q = np.einsum("mcd,nd->mnc", field.Q, vals).reshape(-1, 2)
+    cells = (len(nodes) * np.arange(len(mesh.elements))[:, None, None] + tris).reshape(-1, 3)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\ninterior field\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(pts_all)} double\n")
-        for x, y in pts_all:
-            fh.write(f"{x:.16e} {y:.16e} 0.0\n")
+        fh.write(f"POINTS {len(pts)} double\n")
+        fh.write("%.16e %.16e 0.0\n" * len(pts) % tuple(pts.ravel().tolist()))
         fh.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
-        for c in cells:
-            fh.write(f"3 {c[0]} {c[1]} {c[2]}\n")
+        fh.write("3 %d %d %d\n" * len(cells) % tuple(cells.ravel().tolist()))
         fh.write(f"CELL_TYPES {len(cells)}\n")
-        fh.write("\n".join(["5"] * len(cells)) + "\n")
-        fh.write(f"POINT_DATA {len(pts_all)}\n")
+        fh.write("5\n" * len(cells))
+        fh.write(f"POINT_DATA {len(pts)}\n")
         fh.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        for uv in u_all:
-            fh.write(f"{uv:.16e}\n")
+        fh.write("%.16e\n" * len(u) % tuple(u.tolist()))
         fh.write("VECTORS q double\n")
-        for qx, qy in q_all:
-            fh.write(f"{qx:.16e} {qy:.16e} 0.0\n")
+        fh.write("%.16e %.16e 0.0\n" * len(q) % tuple(q.ravel().tolist()))
 
 
 def write_coefficients_csv(field, path):
     """Regression dump: one row per element with its coefficient block."""
-    d = field.U.shape[1]
+    M, d = field.U.shape
     header = ["element"] + [f"qx_{i}" for i in range(d)] \
         + [f"qy_{i}" for i in range(d)] + [f"u_{i}" for i in range(d)]
+    table = np.column_stack([np.arange(M), field.Q[:, 0], field.Q[:, 1], field.U])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for t in range(len(field.mesh.elements)):
-            row = np.concatenate([field.Q[t, 0], field.Q[t, 1], field.U[t]])
-            fh.write(str(t) + "," + ",".join(f"{v:.17e}" for v in row) + "\n")
+        fh.write(("%d" + ",%.17e" * (3 * d) + "\n") * M % tuple(table.ravel().tolist()))

@@ -131,6 +131,21 @@ def test_tag_partition(circles):
     assert (tags == TAG_OUTER).sum() + (tags == TAG_INNER).sum() == len(tags)
 
 
+@pytest.mark.parametrize("bundle", ["coarse_k1", "fitted_k1"])
+def test_edge_table_inverts_element_edges(bundle, request):
+    mesh = request.getfixturevalue(bundle)[0]
+    elems, sides = mesh.edge_elements, mesh.edge_sides
+    assert elems.shape == sides.shape == (mesh.n_edges, 2)
+    assert np.array_equal(elems < 0, sides < 0)
+    e, slot = np.nonzero(elems >= 0)
+    assert np.array_equal(mesh.element_edges[elems[e, slot], sides[e, slot]], e)
+    assert np.all(elems[:, 0] >= 0)
+    inner = mesh.interior_edge_ids
+    assert np.all(elems[inner, 0] < elems[inner, 1])       # lower element first
+    assert np.all(elems[mesh.boundary_edge_ids, 1] == -1)
+    assert np.all(sides[mesh.boundary_edge_ids, 1] == -1)
+
+
 def test_patch_partition_of_annulus(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.1)

@@ -188,3 +188,18 @@ def test_deterministic_outputs(tmp_path):
         assert cli_main(["study", str(cfg)]) == 0
         outs.append((out / "study.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_deterministic_solve_outputs(tmp_path):
+    # identical configs produce byte-identical solve files
+    names = ("field.vtk", "coefficients.csv", "iterations.csv", "trace_g.csv",
+             "density_lambda.csv")
+    outs = []
+    for tag in ("a", "b"):
+        cfg = tmp_path / f"{tag}.cfg"
+        out = tmp_path / tag
+        _write_config(cfg, out)
+        assert cli_main(["solve", str(cfg)]) == 0
+        outs.append({name: (out / name).read_bytes() for name in names})
+    for name in names:
+        assert outs[0][name] == outs[1][name], name

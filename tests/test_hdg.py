@@ -124,23 +124,27 @@ def test_transfer_constant_flux_straight_path():
     for k in (0, 1, 2):
         disc = _Discretization(mesh, MaterialField.identity(), 1.0, k)
         bmap = _synthetic_boundary_map(mesh, edge, d, (1.0, 0.0), n_nodes=k + 2)
-        blocks = assemble_transfer(disc, bmap, 0)
+        blocks = assemble_transfer(disc, bmap)
+        assert blocks.path_moments.shape == (1, 2 * disc.d, disc.ne)
+        assert blocks.flux_flux.shape == (1, 2 * disc.d, 2 * disc.d)
+        assert blocks.flux_scalar.shape == (1, disc.d, 2 * disc.d)
         qcoeff = np.zeros(2 * disc.d)
         qcoeff[0] = 1.0      # first basis function is 1, so q = (1, 0)
-        val = qcoeff @ blocks.flux_flux @ qcoeff
+        val = qcoeff @ blocks.flux_flux[0] @ qcoeff
         assert val == pytest.approx(length * d, rel=1e-13)
         # doubling the path length doubles the coupling
         bmap2 = _synthetic_boundary_map(mesh, edge, 2 * d, (1.0, 0.0), n_nodes=k + 2)
-        blocks2 = assemble_transfer(disc, bmap2, 0)
-        assert qcoeff @ blocks2.flux_flux @ qcoeff == pytest.approx(2 * val, rel=1e-13)
+        blocks2 = assemble_transfer(disc, bmap2)
+        assert qcoeff @ blocks2.flux_flux[0] @ qcoeff == pytest.approx(2 * val, rel=1e-13)
 
 
 def test_transfer_vanishes_on_fitted_edges(fitted_k1):
     mesh, bmap, patches, system = fitted_k1
-    for blocks in system.transfer:
-        assert np.all(blocks.path_moments == 0.0)
-        assert np.all(blocks.flux_flux == 0.0)
-        assert np.all(blocks.flux_scalar == 0.0)
+    blocks = system.transfer
+    assert blocks.path_moments.shape[0] == len(bmap.edge_ids)
+    assert np.all(blocks.path_moments == 0.0)
+    assert np.all(blocks.flux_flux == 0.0)
+    assert np.all(blocks.flux_scalar == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +152,20 @@ def test_transfer_vanishes_on_fitted_edges(fitted_k1):
 # ---------------------------------------------------------------------------
 
 def test_fitted_matrix_equals_transfer_free_assembly(circles):
+    # with zero transfer paths every boundary row is the edge mass block on
+    # the edge's own trace dofs and zero elsewhere
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=True)
     bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    with_transfer = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
-    without = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1,
-                           transfer=False)
-    assert np.array_equal(with_transfer.matrix.toarray(), without.matrix.toarray())
+    system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
+    ne = system.ne
+    A = system.matrix.tocsr()
+    for e in bmap.edge_ids:
+        rows = A[e * ne:(e + 1) * ne].toarray()
+        expected = np.zeros_like(rows)
+        expected[:, e * ne:(e + 1) * ne] = system.disc.edge_mass[e]
+        assert np.array_equal(rows, expected)
 
 
 def test_two_element_mesh_trace_dimension():
@@ -482,6 +492,41 @@ def test_field_exports(tmp_path, coarse_k1):
     assert len(rows) == 1 + len(fld.mesh.elements)
 
 
+def test_export_contents_match_the_field(tmp_path, coarse_k2):
+    # point data is the field on the reference lattice of each element; the
+    # coefficient table holds Q and U digit for digit
+    _, _, _, system = coarse_k2
+    fld = solve_interior(system, f=lambda p: p[:, 0] * p[:, 1],
+                         g_gamma=lambda p: p[:, 0] ** 2, u0_gamma0=lambda p: p[:, 1])
+    vtk, csv = tmp_path / "field.vtk", tmp_path / "coeff.csv"
+    write_vtk(fld, vtk)
+    write_coefficients_csv(fld, csv)
+    head, data = vtk.read_text().split("POINT_DATA ", 1)
+    u_txt, q_txt = data.split("LOOKUP_TABLE default\n", 1)[1].split("VECTORS q double\n")
+    u = np.array(u_txt.split(), dtype=float)
+    q = np.array(q_txt.split(), dtype=float).reshape(-1, 3)
+    lattice = np.array([(i / 2, j / 2) for i in range(3) for j in range(3 - i)])
+    vals = TriangleBasis(2).eval(lattice)
+    u_ref = (fld.U @ vals.T).ravel()
+    q_ref = np.einsum("mcd,nd->mnc", fld.Q, vals).reshape(-1, 2)
+    scale = max(np.abs(u_ref).max(), np.abs(q_ref).max())
+    assert int(data.split("\n", 1)[0]) == len(u) == len(u_ref) == len(q)
+    assert np.abs(u - u_ref).max() <= 1e-12 * scale
+    assert np.abs(q[:, :2] - q_ref).max() <= 1e-12 * scale
+    assert np.all(q[:, 2] == 0.0)
+    pts = np.array(head.split("double\n", 1)[1].split("CELLS")[0].split(),
+                   dtype=float).reshape(-1, 3)[:, :2]
+    v = fld.mesh.vertices[fld.mesh.elements]
+    pts_ref = v[:, None, 0] + np.einsum("nj,mjc->mnc", lattice, v[:, 1:] - v[:, :1])
+    assert np.abs(pts - pts_ref.reshape(-1, 2)).max() <= 1e-14
+    table = np.loadtxt(csv, delimiter=",", skiprows=1)
+    d = fld.U.shape[1]
+    assert np.array_equal(table[:, 0], np.arange(len(fld.mesh.elements)))
+    assert np.array_equal(table[:, 1:1 + d], fld.Q[:, 0])
+    assert np.array_equal(table[:, 1 + d:1 + 2 * d], fld.Q[:, 1])
+    assert np.array_equal(table[:, 1 + 2 * d:], fld.U)
+
+
 def test_transfer_path_leaving_patch_raises():
     from hdgbem import TransferIntegrationError
     mesh = UnfittedMesh(np.array([[0.9, -0.025], [0.9, 0.025], [0.85, 0.0]]),
@@ -491,4 +536,4 @@ def test_transfer_path_leaving_patch_raises():
     disc = _Discretization(mesh, MaterialField.identity(), 1.0, 1)
     bmap = _synthetic_boundary_map(mesh, edge, 5.0, (1.0, 0.0))  # absurd length
     with pytest.raises(TransferIntegrationError):
-        assemble_transfer(disc, bmap, 0)
+        assemble_transfer(disc, bmap)
