@@ -12,16 +12,20 @@ polynomial plus a separately tracked far-field constant) to a new trace:
   3. relax:  g  <-  omega * g_tilde + (1 - omega) * g.
 
 Steps 1 and 2 up to the exterior solve are one ``InterfaceMap``: an affine
-map from interface data to flux samples that needs one trace solve per
-application and recovers no element field.  The iteration recovers the
-field once, for the converged trace.
+map from interface data to flux samples that recovers no element field.
+Its data-independent part, an ``InterfaceResponse``, is kept once per
+(system, operator set) and shared by every run on it, so a sweep over
+weights pays for it once.  An application costs one trace solve until the
+solves on the pair reach 2n; then the dense 2n x 2n response is built by
+one block solve and every later application is a matvec.  The iteration
+recovers the field once, for the converged trace, from a real solve.
 
 The constant mode cannot travel through the mean-zero integral equation,
 so it is driven by the radiation-condition compatibility "total interface
 flux = 0": its update is an exact Newton step using the flux response to a
-unit constant datum (one extra interior solve at setup).  A fixed point of
-the relaxed map is a fixed point of the unrelaxed one, so converged
-answers do not depend on the relaxation weight.
+unit constant datum (one extra interior solve per response).  A fixed
+point of the relaxed map is a fixed point of the unrelaxed one, so
+converged answers do not depend on the relaxation weight.
 
 ``monolithic_solve`` assembles the same coupling conditions, from the same
 ``InterfaceMap``, into a single linear system and is the equivalence
@@ -79,32 +83,36 @@ class CouplingState:
         self.omega = None
 
 
-class InterfaceMap:
-    """Affine map from interface data (g, u_inf) to interface flux samples.
+def _packed(g, u_inf):
+    """Packed coefficients of the interface datum g + u_inf."""
+    c = g.coefficients()
+    c[0] += u_inf
+    return c
 
-    With c the packed coefficients of g + u_inf and A the trace system
-    matrix, the normal flux at the 2n density nodes is
 
-        flux = Z A^{-1} (rhs0 + B c) + z_f.
+class InterfaceResponse:
+    """The f/u0-independent part of the interface map of one (system, ops).
 
     ``B`` (n_trace x 2n) holds the edge moments of each density basis
-    function on the interface rows, ``rhs0`` the load f and the inner
-    datum u0.  Row j of ``Z`` evaluates the flux of node j's patch parent
-    element, extrapolated to the node, from that element's trace
-    coefficients; ``z_f`` adds the parent's particular solution.  ``P``
-    maps flux samples to mean-zero density coefficients and ``arc_w``
-    integrates samples over the interface.
+    function on the interface rows.  Row j of ``Z`` evaluates the flux of
+    node j's patch parent element, extrapolated to the node, from that
+    element's trace coefficients.  ``P`` maps flux samples to mean-zero
+    density coefficients and ``arc_w`` integrates samples over the interface.
+
+    Every trace solve made through it is counted, over all runs on the
+    pair.  Once the count reaches 2n, the column count of ``B``, one block
+    solve builds the dense response F = Z A^{-1} B (2n x 2n), so a flux then
+    costs a small matvec instead of a sparse solve: F is bought only after
+    the one-solve path has spent as many solves as F costs columns.  Use
+    ``of`` to get the one instance a system keeps per operator set.
     """
 
-    def __init__(self, system, ops, f=None, u0=None):
+    def __init__(self, system, ops):
         self.system = system
         self.n = n = ops.n
         curve = ops.curve
         disc, mesh = system.disc, system.mesh
         d, ne = disc.d, disc.ne
-        self.f_mom = disc.f_moments(f)
-        rhs_f, _ = system.rhs(f_mom=self.f_mom)
-        self.rhs0 = rhs_f + system.boundary_data_vector(None, u0)
 
         bmap = system.bmap
         out = np.nonzero(bmap.tags == TAG_OUTER)[0]
@@ -118,39 +126,50 @@ class InterfaceMap:
             shape=(system.n_trace, 2 * n))
 
         self.params = ops.nodes
-        parents = PatchLocator(bmap, system.patches).locate(self.params)
+        self.parents = parents = PatchLocator(bmap, system.patches).locate(self.params)
         verts = mesh.vertices[mesh.elements[parents]]
         ref = np.einsum("pd,ped->pe", curve.point(self.params) - verts[:, 0],
                         disc.invJ[parents])
         vals = disc.basis.eval(ref)
         normals = curve.normal(self.params)
-        flux_rows = np.concatenate([normals[:, :1] * vals, normals[:, 1:] * vals],
-                                   axis=1)                         # (2n, 2d)
-        z_loc = np.einsum("pc,pcj->pj", flux_rows, disc.recovery[parents, :2 * d])
+        self.flux_rows = np.concatenate([normals[:, :1] * vals,
+                                         normals[:, 1:] * vals], axis=1)  # (2n, 2d)
+        z_loc = np.einsum("pc,pcj->pj", self.flux_rows,
+                          disc.recovery[parents, :2 * d])
         cols = mesh.element_edges[parents][:, :, None] * ne + np.arange(ne)
         self.Z = sp.csr_matrix(
             (z_loc.ravel(), (np.repeat(np.arange(2 * n), 3 * ne), cols.ravel())),
             shape=(2 * n, system.n_trace))
-        part = np.einsum("pab,pb->pa", disc.local_inv[parents, :2 * d, 2 * d:],
-                         self.f_mom[parents])
-        self.z_f = np.einsum("pc,pc->p", flux_rows, part)
 
         self.P = ops.injection @ _samples_to_coeff(n, np.eye(2 * n))[1:]
         self.arc_w = curve.speed(self.params) * np.pi / n
+        self.solves = 0
+        self.F = None
+        self.F_residual = None
         self._chi = None
+
+    @classmethod
+    def of(cls, system, ops):
+        """The response of (system, ops), built on first use and kept on the system."""
+        if ops not in system.interface_responses:
+            system.interface_responses[ops] = cls(system, ops)
+        return system.interface_responses[ops]
+
+    def solve(self, rhs):
+        """Counted trace solve: coefficients and the relative residual."""
+        self.solves += 1
+        return self.system.solve_trace(rhs)
+
+    def dense(self):
+        """F once the solves on this pair reach 2n (built then), else None."""
+        if self.F is None and self.solves >= self.B.shape[1]:
+            uhat, self.F_residual = self.solve(self.B.toarray())
+            self.F = self.Z @ uhat
+        return self.F
 
     def data(self, g, u_inf):
         """Trace right-hand side of the interface datum g + u_inf alone."""
-        c = g.coefficients()
-        c[0] += u_inf
-        return self.B @ c
-
-    def solve(self, g, u_inf):
-        """Interior trace for interface datum g + u_inf, and its residual."""
-        return self.system.solve_trace(self.rhs0 + self.data(g, u_inf))
-
-    def flux(self, uhat):
-        return self.Z @ uhat + self.z_f
+        return self.B @ _packed(g, u_inf)
 
     def mean_flux(self, samples):
         return float(self.arc_w @ samples)
@@ -163,10 +182,63 @@ class InterfaceMap:
     def chi(self):
         """Mean-flux response to a unit constant datum (far-field channel)."""
         if self._chi is None:
-            zero = TrigPolynomial.zero(self.n)
-            uhat, _ = self.system.solve_trace(self.data(zero, 1.0))
-            self._chi = self.mean_flux(self.Z @ uhat)
+            if self.F is not None:
+                self._chi = self.mean_flux(self.F[:, 0])
+            else:
+                uhat, _ = self.solve(self.data(TrigPolynomial.zero(self.n), 1.0))
+                self._chi = self.mean_flux(self.Z @ uhat)
         return self._chi
+
+
+class InterfaceMap:
+    """Affine map from interface data (g, u_inf) to interface flux samples.
+
+    With c the packed coefficients of g + u_inf and A the trace system
+    matrix, the normal flux at the 2n density nodes is
+
+        flux = Z A^{-1} (rhs0 + B c) + z_f  =  flux0 + F c.
+
+    ``response`` is the shared ``InterfaceResponse`` of (system, ops) that
+    holds B, Z and F; ``rhs0`` carries the load f and the inner datum u0,
+    ``z_f`` adds each parent element's particular solution.  ``apply``
+    applies the map with one trace solve until the response holds F, and
+    with ``flux0`` (one solve, on first use) plus F c after that.
+    """
+
+    def __init__(self, system, ops, f=None, u0=None):
+        self.response = resp = InterfaceResponse.of(system, ops)
+        disc = system.disc
+        d = disc.d
+        self.f_mom = disc.f_moments(f)
+        rhs_f, _ = system.rhs(f_mom=self.f_mom)
+        self.rhs0 = rhs_f + system.boundary_data_vector(None, u0)
+        part = np.einsum("pab,pb->pa", disc.local_inv[resp.parents, :2 * d, 2 * d:],
+                         self.f_mom[resp.parents])
+        self.z_f = np.einsum("pc,pc->p", resp.flux_rows, part)
+        self._flux0 = None
+
+    def solve(self, g, u_inf):
+        """Interior trace for interface datum g + u_inf, and its residual."""
+        return self.response.solve(self.rhs0 + self.response.data(g, u_inf))
+
+    def flux(self, uhat):
+        """Flux samples of the interior trace uhat."""
+        return self.response.Z @ uhat + self.z_f
+
+    def apply(self, g, u_inf):
+        """Flux samples for datum g + u_inf and the residual of the solve behind them.
+
+        Served by F, the residual is that of F's worst column.
+        """
+        resp = self.response
+        F = resp.dense()
+        if F is None:
+            uhat, residual = self.solve(g, u_inf)
+            return self.flux(uhat), residual
+        if self._flux0 is None:
+            uhat0, _ = resp.solve(self.rhs0)
+            self._flux0 = self.flux(uhat0)
+        return self._flux0 + F @ _packed(g, u_inf), resp.F_residual
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +246,15 @@ class InterfaceMap:
 # ---------------------------------------------------------------------------
 
 def dtn_step(imap, g, u_inf=0.0):
-    """Interior solve followed by flux sampling and mean-zero projection.
+    """Interior flux at the interface nodes and its mean-zero projection.
 
-    Returns (lam, mean_flux, uhat, residual): lam is the negated projected
-    normal flux at the interface nodes, the Neumann density handed to the
-    exterior solver; uhat is the interior trace and residual the relative
-    residual of its solve.
+    Returns (lam, mean_flux, residual): lam is the negated projected normal
+    flux, the Neumann density handed to the exterior solver, and residual
+    the relative residual of the trace solve behind the flux.
     """
-    uhat, residual = imap.solve(g, u_inf)
-    samples = imap.flux(uhat)
-    return imap.project(-samples), imap.mean_flux(samples), uhat, residual
+    samples, residual = imap.apply(g, u_inf)
+    resp = imap.response
+    return resp.project(-samples), resp.mean_flux(samples), residual
 
 
 def ntd_step(ops, lam):
@@ -232,7 +303,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     speed = ops.curve.radius if ops.curve.is_circle else \
         ops.curve.length() / TWO_PI
     imap = InterfaceMap(system, ops, f, u0)
-    chi = imap.chi
+    chi = imap.response.chi
     if abs(chi) < 1e-12:
         raise SolverError("degenerate far-field channel: zero flux response")
 
@@ -244,7 +315,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     prev_resid = None
     for it in range(1, config.max_iterations + 1):
         state.iteration = it
-        lam, mflux, _, lin_res = dtn_step(imap, g, u_inf)
+        lam, mflux, lin_res = dtn_step(imap, g, u_inf)
         state.lambda_mean_max = max(state.lambda_mean_max,
                                     abs(ops.moments @ lam.coefficients()))
         g_tilde = ntd_step(ops, lam)
@@ -280,16 +351,25 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
         raise DivergenceError(
             f"no convergence in {config.max_iterations} iterations "
             f"(last update {state.history[-1]:.3e})", state=state)
-    # the field and density of the converged trace
-    lam, mflux, uhat, lin_res = dtn_step(imap, g, u_inf)
+    # the field and density of the converged trace, from a real trace solve
+    uhat, lin_res = imap.solve(g, u_inf)
+    samples = imap.flux(uhat)
     state.field = system.recover(uhat, imap.f_mom)
-    state.lam, state.mean_flux = lam, mflux
+    state.lam = imap.response.project(-samples)
+    state.mean_flux = imap.response.mean_flux(samples)
     state.residual_history.append(lin_res)
     return state
 
 
 def write_iteration_log(state, path):
-    """CSV rows (iter, update-norm, u_inf estimate, interior residual)."""
+    """CSV rows (iter, update-norm, u_inf estimate, interior residual).
+
+    The interior residual is that of the iteration's trace solve.  Once the
+    trace solves on a (system, operators) pair, summed over runs, reach 2n,
+    the dense interface response is built and serves every later
+    iteration; those iterations log the largest column residual of its
+    block solve.
+    """
     with open(path, "w") as fh:
         fh.write("iter,update_norm,u_inf,interior_residual\n")
         for i, upd in enumerate(state.history):
@@ -313,16 +393,17 @@ def monolithic_solve(system, ops, f=None, u0=None):
     if n_trace + n_red + 1 > MONOLITHIC_SIZE_LIMIT:
         raise SolverError("coupled system exceeds the desk-scale limit")
     imap = InterfaceMap(system, ops, f, u0)
+    resp = imap.response
     Zinj = ops.injection
     # lam = -P flux  =>  (1/2 - K) g - V P (Z uhat + z_f) = 0, tested on
     # mean-zero densities
-    VP = Zinj.T @ (ops.gram[:, None] * ops.V) @ imap.P
+    VP = Zinj.T @ (ops.gram[:, None] * ops.V) @ resp.P
     A = sp.bmat([
-        [system.matrix, -imap.B @ sp.csr_matrix(Zinj), -imap.B[:, :1]],
-        [-sp.csr_matrix(VP) @ imap.Z, sp.csr_matrix(ops.reduced), None],
-        [sp.csr_matrix(imap.arc_w[None, :]) @ imap.Z, None, None],
+        [system.matrix, -resp.B @ sp.csr_matrix(Zinj), -resp.B[:, :1]],
+        [-sp.csr_matrix(VP) @ resp.Z, sp.csr_matrix(ops.reduced), None],
+        [sp.csr_matrix(resp.arc_w[None, :]) @ resp.Z, None, None],
     ], format="csc")
-    rhs = np.concatenate([imap.rhs0, VP @ imap.z_f, [-(imap.arc_w @ imap.z_f)]])
+    rhs = np.concatenate([imap.rhs0, VP @ imap.z_f, [-(resp.arc_w @ imap.z_f)]])
     x = spla.spsolve(A, rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("monolithic coupled solve produced non-finite values")
@@ -331,5 +412,5 @@ def monolithic_solve(system, ops, f=None, u0=None):
                                          mean_zero=True)
     u_inf = float(x[-1])
     field = system.recover(uhat, imap.f_mom)
-    lam = imap.project(-imap.flux(uhat))
+    lam = resp.project(-imap.flux(uhat))
     return field, g, lam, u_inf

@@ -90,6 +90,9 @@ class MaterialField:
         return out.reshape(lead + (2, 2))
 
     def inv(self, pts):
+        if self._const is not None:
+            lead = np.shape(pts)[:-1]
+            return np.broadcast_to(np.linalg.inv(self._const), lead + (2, 2))
         return np.linalg.inv(self.value(pts))
 
 
@@ -403,6 +406,8 @@ class HDGSystem:
         self.transfer = assemble_transfer(self.disc, bmap)
         self._assemble()
         self._lu = None
+        # coupling.InterfaceResponse per LayerOperatorSet, shared by all runs
+        self.interface_responses = {}
 
     # -- assembly ---------------------------------------------------------
 
@@ -494,17 +499,21 @@ class HDGSystem:
     def solve_trace(self, rhs):
         """Trace coefficients for ``rhs`` and the relative residual of the solve.
 
-        The residual is scaled by max(|rhs|, 1); a non-finite solution or a
-        residual above 1e-8 raises SolverError with a condition estimate.
+        ``rhs`` is one right-hand side or a 2-D array of them, one per
+        column.  Each column's residual is scaled by max(|rhs column|, 1) and
+        the worst column is reported; a non-finite solution or a residual
+        above 1e-8 raises SolverError with a condition estimate.
         """
         x = self.lu.solve(rhs)
-        res = np.linalg.norm(self.matrix @ x - rhs)
-        scale = np.linalg.norm(rhs)
-        if not np.all(np.isfinite(x)) or res > 1e-8 * max(scale, 1.0):
+        res = np.atleast_1d(np.linalg.norm(self.matrix @ x - rhs, axis=0))
+        norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
+        rel = res / np.maximum(norm, 1.0)
+        j = int(np.argmax(rel))
+        if not np.all(np.isfinite(x)) or rel[j] > 1e-8:
             raise SolverError(
-                f"trace solve residual {res:.3e} (rhs norm {scale:.3e}, "
+                f"trace solve residual {res[j]:.3e} (rhs norm {norm[j]:.3e}, "
                 f"condition estimate {self._condition_estimate():.3e})")
-        return x, float(res / max(scale, 1.0))
+        return x, float(rel[j])
 
     def _condition_estimate(self):
         """1-norm condition number estimate that reuses the LU factors."""

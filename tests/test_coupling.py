@@ -38,7 +38,8 @@ def dipole_bundle():
 def test_dtn_zero_data(dipole_bundle):
     _, bundle = dipole_bundle
     imap = InterfaceMap(bundle.system, bundle.ops)
-    lam, mflux, uhat, _ = dtn_step(imap, TrigPolynomial.zero(N), 0.0)
+    lam, mflux, _ = dtn_step(imap, TrigPolynomial.zero(N), 0.0)
+    uhat, _ = imap.solve(TrigPolynomial.zero(N), 0.0)
     assert np.abs(lam.coefficients()).max() == 0.0
     assert mflux == 0.0
     assert np.abs(uhat).max() == 0.0
@@ -53,7 +54,7 @@ def test_constant_flux_projects_to_zero_density():
 def test_dtn_at_exact_fixed_point(dipole_bundle):
     case, bundle = dipole_bundle
     imap = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0)
-    lam, mflux, _, _ = dtn_step(imap, case.g_exact(N), case.u_inf)
+    lam, mflux, _ = dtn_step(imap, case.g_exact(N), case.u_inf)
     exact = case.lam_exact(N)
     assert np.abs((lam - exact).coefficients()).max() < 3e-2   # flux-level error
     assert abs(mflux) < 5e-3
@@ -66,7 +67,7 @@ def test_interface_map_data_matches_boundary_moments(dipole_bundle):
     case, bundle = dipole_bundle
     imap = InterfaceMap(bundle.system, bundle.ops)
     want = bundle.system.boundary_data_vector(g_gamma=lambda p: p[:, 0] + 3.0)
-    assert np.abs(imap.data(case.g_exact(N), 3.0) - want).max() < 1e-13
+    assert np.abs(imap.response.data(case.g_exact(N), 3.0) - want).max() < 1e-13
 
 
 def test_interface_map_matches_recovered_field(dipole_bundle):
@@ -78,9 +79,10 @@ def test_interface_map_matches_recovered_field(dipole_bundle):
     imap = InterfaceMap(system, bundle.ops, f=f, u0=case.u0)
     uhat, _ = imap.solve(case.g_exact(N), case.u_inf)
     field = system.recover(uhat, imap.f_mom)
-    pts = case.gamma.point(imap.params)
-    normals = case.gamma.normal(imap.params)
-    parents = PatchLocator(system.bmap, system.patches).locate(imap.params)
+    params = imap.response.params
+    pts = case.gamma.point(params)
+    normals = case.gamma.normal(params)
+    parents = PatchLocator(system.bmap, system.patches).locate(params)
     direct = np.array([field.q_at(int(t), p[None, :])[0] @ nu
                        for t, p, nu in zip(parents, pts, normals)])
     assert np.abs(imap.flux(uhat) - direct).max() <= 1e-12 * np.abs(direct).max()
@@ -207,10 +209,13 @@ def test_iteration_log(tmp_path, dipole_bundle):
     assert len(rows) == 1 + len(state.history)
 
 
-def test_converged_run_recovers_the_field_once(dipole_bundle, monkeypatch):
+def test_converged_run_recovers_the_field_once(monkeypatch):
     # one solve for the far-field response, one per iteration, one for the
-    # converged trace; only the last is recovered to an element field
-    case, bundle = dipole_bundle
+    # converged trace; only the last is recovered to an element field.  A
+    # fresh system: solves made by earlier runs on a shared one would count
+    # toward its dense response
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    bundle = setup_level(case, 0.12, 1, n=N)
     calls = {"solve_trace": 0, "recover": 0}
     for name in calls:
         original = getattr(HDGSystem, name)
@@ -223,6 +228,75 @@ def test_converged_run_recovers_the_field_once(dipole_bundle, monkeypatch):
                             config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
     assert state.converged
     assert calls == {"solve_trace": state.iteration + 2, "recover": 1}
+
+
+def _sweep(case, omegas, bundle_for, calls):
+    """Coupled runs, one per weight, and the solve_trace calls after each."""
+    states, marks = [], []
+    for omega in omegas:
+        bundle = bundle_for()
+        cfg = CouplingConfig(omega=omega, tol=1e-10, n=N, max_iterations=25)
+        try:
+            states.append(run_fixed_point(bundle.system, bundle.ops, f=case.f,
+                                          u0=case.u0, config=cfg))
+        except DivergenceError as err:
+            states.append(err.state)
+        marks.append(len(calls))
+    return states, np.diff([0] + marks)
+
+
+def test_shared_response_matches_fresh_systems(monkeypatch):
+    # one system swept over weights builds its dense response once its trace
+    # solves reach 2n = 32, in the second run; fresh systems per weight stay
+    # below 2n, so they take the one-solve-per-iteration path throughout.
+    # The case has a load, so the particular flux z_f is not zero
+    case = manufactured_case("variable-kappa-bump", degree=1)
+    omegas = (0.3, 0.4, 0.35, 0.95, 0.45)         # 0.95 diverges in 25
+    calls = []
+    original = HDGSystem.solve_trace
+
+    def counted(self, rhs):
+        calls.append(np.ndim(rhs))
+        return original(self, rhs)
+    monkeypatch.setattr(HDGSystem, "solve_trace", counted)
+    fresh_bundles = []
+
+    def fresh():
+        fresh_bundles.append(setup_level(case, 0.12, 1, n=N))
+        return fresh_bundles[-1]
+    ref, _ = _sweep(case, omegas, fresh, calls)
+    assert all(b.system.interface_responses[b.ops].F is None for b in fresh_bundles)
+
+    calls.clear()
+    bundle = setup_level(case, 0.12, 1, n=N)
+    states, per_run = _sweep(case, omegas, lambda: bundle, calls)
+    assert [s.iteration for s in states] == [s.iteration for s in ref]
+    assert [s.converged for s in states] == [True, True, True, False, True]
+    for s, r in zip(states, ref):
+        if r.converged:
+            gs, gr = s.g.coefficients(), r.g.coefficients()
+            assert np.abs(gs - gr).max() <= 1e-12 * np.abs(gr).max()
+            assert abs(s.u_inf - r.u_inf) <= 1e-12 * abs(r.u_inf)
+        else:
+            hs, hr = np.array(s.history), np.array(r.history)
+            assert np.all(np.abs(hs - hr) <= 1e-10 * hr)
+
+    # solves before the crossing, one block solve, then per run one for its
+    # own data and one for a converged trace; chi is solved once, in run 0
+    assert calls.count(2) == 1
+    block = calls.index(2)
+    assert 2 * N <= block <= 2 * N + 1
+    crossing = int(np.searchsorted(np.cumsum(per_run), block, side="right"))
+    before = [s.iteration + 1 for s in states[:crossing]]
+    before[0] += 1
+    assert list(per_run[:crossing]) == before
+    after = [1 + s.converged for s in states[crossing:]]
+    assert len(calls) - block - 1 == sum(after)
+    assert list(per_run[crossing + 1:]) == after[1:]
+    # iterations served by the response log its worst column residual
+    resp = bundle.system.interface_responses[bundle.ops]
+    assert states[-1].residual_history[:-1] == \
+        [resp.F_residual] * states[-1].iteration
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from hdgbem import (
     CouplingConfig,
+    HDGSystem,
     convergence_study,
     manufactured_case,
     omega_sweep,
@@ -187,6 +188,27 @@ def test_deterministic_outputs(tmp_path):
         _write_config(cfg, out)
         assert cli_main(["study", str(cfg)]) == 0
         outs.append((out / "study.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_deterministic_sweep_outputs(tmp_path, monkeypatch):
+    # identical configs produce byte-identical sweep tables, also when the
+    # sweep crosses 2n trace solves and switches to the dense response
+    blocks = []
+    original = HDGSystem.solve_trace
+
+    def counted(self, rhs):
+        blocks.append(np.ndim(rhs) == 2)
+        return original(self, rhs)
+    monkeypatch.setattr(HDGSystem, "solve_trace", counted)
+    outs = []
+    for tag in ("a", "b"):
+        cfg = tmp_path / f"{tag}.cfg"
+        out = tmp_path / tag
+        _write_config(cfg, out, extra=["sweep.omegas = 0.3,0.5,0.7,0.9"])
+        assert cli_main(["sweep", str(cfg)]) == 0
+        outs.append((out / "sweep.csv").read_bytes())
+    assert sum(blocks) == 2
     assert outs[0] == outs[1]
 
 

@@ -62,6 +62,16 @@ def test_mass_block_scales_inversely_with_kappa():
     assert np.allclose(b2.mass_kinv, 0.5 * b1.mass_kinv, atol=1e-15)
 
 
+@pytest.mark.parametrize("kappa", [None, 2.5, [[2.0, 0.3], [0.3, 1.5]]])
+def test_constant_kappa_inverse_is_broadcast(kappa):
+    # one inverse of the constant, bitwise the per-point inverse
+    material = MaterialField(kappa)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 5, 2))
+    inv = material.inv(pts)
+    assert inv.shape == (4, 5, 2, 2)
+    assert np.array_equal(inv, np.linalg.inv(material.value(pts)))
+
+
 def test_blocks_match_dense_quadrature_oracle():
     rng = np.random.default_rng(7)
     A = rng.normal(size=(2, 2))
@@ -216,10 +226,14 @@ def test_failed_trace_solve_reports_condition_estimate(circles, monkeypatch):
     def dense_inverse(*args, **kwargs):
         raise MemoryError("dense inverse of the trace matrix")
     monkeypatch.setattr(spla, "inv", dense_inverse)
-    with pytest.raises(SolverError, match="condition estimate") as err:
-        system.solve_trace(np.ones(system.n_trace))
-    cond = float(re.search(r"condition estimate ([^)]+)\)", str(err.value)).group(1))
-    assert np.isfinite(cond) and cond >= 1.0
+    # one right-hand side, and a block whose second column fails
+    block = np.stack([np.zeros(system.n_trace), np.ones(system.n_trace)], axis=1)
+    for rhs in (np.ones(system.n_trace), block):
+        with pytest.raises(SolverError, match="condition estimate") as err:
+            system.solve_trace(rhs)
+        cond = float(re.search(r"condition estimate ([^)]+)\)",
+                               str(err.value)).group(1))
+        assert np.isfinite(cond) and cond >= 1.0
 
 
 def test_patch_test_linear_fitted(fitted_k1):
@@ -331,7 +345,7 @@ def _interface_flux(system, gamma, u_ex=None, n=16):
     imap = InterfaceMap(system, assemble_layer_operators(gamma, n))
     rhs, _ = system.rhs(g_gamma=u_ex, u0_gamma0=u_ex)
     uhat, _ = system.solve_trace(rhs)
-    return imap.flux(uhat), imap.params
+    return imap.flux(uhat), imap.response.params
 
 
 def test_extrapolated_flux_of_constant_field(coarse_k1, circles):
