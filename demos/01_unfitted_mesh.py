@@ -29,7 +29,7 @@ for target_h in (0.2, 0.1, 0.05, 0.025):
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     rep = proximity_parameter(mesh, bmap)
     # mesh plus extension patches tile the annulus exactly
-    covered = mesh.area() + sum(p.area for p in patches)
+    covered = mesh.area() + patches.area.sum()
     defect = abs(covered - np.pi * 0.75)
     print(f"{target_h:5.3f} {len(mesh.elements):10d} {mesh.h:8.4f} "
           f"{rep.R_h:8.4f} {rep.normal_deviation:12.4e} {defect:12.2e}")

@@ -49,7 +49,7 @@ from .errors import (
 from .geometry import (
     BoundaryMap,
     Curve,
-    ExtensionPatch,
+    ExtensionPatches,
     TAG_INNER,
     TAG_OUTER,
     UnfittedMesh,
@@ -75,7 +75,6 @@ from .hdg import (
     DGField,
     HDGSystem,
     MaterialField,
-    PatchLocator,
     Stabilization,
     assemble_local,
     assemble_transfer,

@@ -39,7 +39,6 @@ import scipy.sparse.linalg as spla
 from .bem import TrigPolynomial, _coeff_to_samples, _samples_to_coeff, solve_exterior
 from .errors import DimensionError, DivergenceError, EstimationError, SolverError
 from .geometry import TAG_OUTER
-from .hdg import PatchLocator
 
 TWO_PI = 2.0 * np.pi
 # largest bordered system (trace, reduced density and far-field unknowns)
@@ -126,7 +125,7 @@ class InterfaceResponse:
             shape=(system.n_trace, 2 * n))
 
         self.params = ops.nodes
-        self.parents = parents = PatchLocator(bmap, system.patches).locate(self.params)
+        self.parents = parents = system.patches.locate(self.params)
         verts = mesh.vertices[mesh.elements[parents]]
         ref = np.einsum("pd,ped->pe", curve.point(self.params) - verts[:, 0],
                         disc.invJ[parents])

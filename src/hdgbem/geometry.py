@@ -20,6 +20,7 @@ which case all transfer distances are exactly zero.
 import numpy as np
 
 from .errors import (
+    CoverageError,
     GeometryInfeasibleError,
     MapConstructionError,
     MeshingFailureError,
@@ -251,10 +252,6 @@ class UnfittedMesh:
         p = self.edge_vertices(edge_id)
         return float(np.linalg.norm(p[1] - p[0]))
 
-    def edges_with_tag(self, tag):
-        return self.boundary_edge_ids[
-            self.boundary_tags[self.boundary_edge_ids] == tag]
-
 
 # ---------------------------------------------------------------------------
 # mesh generation
@@ -298,19 +295,17 @@ def build_annulus_mesh(gamma, gamma0, target_h, regularity_bound=10.0,
     verts = ((1.0 - sigma)[:, None, None] * ring_in[None, :, :]
              + sigma[:, None, None] * ring_out[None, :, :]).reshape(-1, 2)
 
-    tris = []
-    for i in range(n_layer - 1):
-        for j in range(n_theta):
-            jp = (j + 1) % n_theta
-            v00 = i * n_theta + j
-            v01 = i * n_theta + jp
-            v10 = (i + 1) * n_theta + j
-            v11 = (i + 1) * n_theta + jp
-            if (i + j) % 2 == 0:
-                tris += [(v00, v01, v11), (v00, v11, v10)]
-            else:
-                tris += [(v00, v01, v10), (v01, v11, v10)]
-    mesh = UnfittedMesh(verts, np.asarray(tris), fitted=fitted,
+    # each (layer, sector) quad splits along alternating diagonals
+    i, j = np.meshgrid(np.arange(n_layer - 1), np.arange(n_theta), indexing="ij")
+    v00 = i * n_theta + j
+    v01 = i * n_theta + (j + 1) % n_theta
+    v10, v11 = v00 + n_theta, v01 + n_theta
+    even = ((i + j) % 2 == 0)[..., None]
+    tris = np.stack([
+        np.where(even, np.stack([v00, v01, v11], -1), np.stack([v00, v01, v10], -1)),
+        np.where(even, np.stack([v00, v11, v10], -1), np.stack([v01, v11, v10], -1)),
+    ], axis=2).reshape(-1, 3)
+    mesh = UnfittedMesh(verts, tris, fitted=fitted,
                         regularity_bound=regularity_bound)
 
     if not fitted:
@@ -378,6 +373,13 @@ def _outward_normal_sign(tag):
     return 1.0 if tag == TAG_OUTER else -1.0
 
 
+def _resolve_strategy(strategy, curve):
+    """The map strategy for one curve: "auto" is radial on circles only."""
+    if strategy == "auto":
+        return "radial" if curve.is_circle else "closest-point"
+    return strategy
+
+
 def _map_points(pts, curve, strategy):
     """Map points near a curve onto it; returns (mapped, params)."""
     if strategy == "radial":
@@ -394,9 +396,8 @@ def _map_points(pts, curve, strategy):
     return curve.point(params), params
 
 
-def _map_point_derivative(pts, curve, strategy):
-    """d(mapped)/d(x) applied to a direction, returned as 2x2 Jacobians."""
-    pts = np.atleast_2d(pts)
+def _map_point_derivative(pts, params, curve, strategy):
+    """2x2 Jacobians d(mapped)/d(x) at pts, whose curve parameters are params."""
     if strategy == "radial":
         rel = pts - curve.center
         rho = np.linalg.norm(rel, axis=1)
@@ -404,8 +405,8 @@ def _map_point_derivative(pts, curve, strategy):
         eye = np.eye(2)[None, :, :]
         proj = eye - rhat[:, :, None] * rhat[:, None, :]
         return (curve.radius / rho)[:, None, None] * proj
-    s = curve.closest_parameter(pts)
-    y, dy, ddy = curve.point(s), curve.derivative(s), curve.second_derivative(s)
+    y, dy, ddy = (curve.point(params), curve.derivative(params),
+                  curve.second_derivative(params))
     denom = (dy * dy).sum(axis=1) - ((pts - y) * ddy).sum(axis=1)
     return dy[:, :, None] * dy[:, None, :] / denom[:, None, None]
 
@@ -447,12 +448,9 @@ def build_boundary_map(mesh, gamma, gamma0, strategy="auto", n_nodes=6,
         if not np.any(rows):
             continue
         curve = _curve_for_tag(tag, gamma, gamma0)
-        strat = strategy
-        if strat == "auto":
-            strat = "radial" if curve.is_circle else "closest-point"
         n_node = rows.sum() * n_nodes
         y, s = _map_points(np.vstack([nodes[rows].reshape(-1, 2), p[rows].reshape(-1, 2)]),
-                           curve, strat)
+                           curve, _resolve_strategy(strategy, curve))
         mapped[rows] = y[:n_node].reshape(-1, n_nodes, 2)
         params[rows] = s[:n_node].reshape(-1, n_nodes)
         endpoint_params[rows] = s[n_node:].reshape(-1, 2)
@@ -486,120 +484,136 @@ def build_boundary_map(mesh, gamma, gamma0, strategy="auto", n_nodes=6,
 # extension patches
 # ---------------------------------------------------------------------------
 
-class ExtensionPatch:
-    """Sliver between a boundary edge and the true curve.
+# patch quadrature: N_ALONG Gauss points along the edge resolve the curved
+# side; the patch map is affine across the transfer direction, so N_ACROSS
+# points suffice there
+N_ALONG, N_ACROSS = 12, 2
+# slack of the overlap and coverage tests on curve parameter intervals
+ARC_SLACK = 1e-9
 
-    Holds the owning edge, its parent element, the four corner points, the
-    parameter interval of the curved side, a quadrature rule over the patch
-    and its area computed independently via Green's theorem.
+
+class ExtensionPatches:
+    """Slivers between the boundary edges and the true curves, one per row.
+
+    Like ``BoundaryMap`` (whose ``edge_ids`` and ``parents`` name each
+    patch's edge and parent element), all arrays are indexed by boundary-map
+    row:
+
+    corners (B,4,2) the edge endpoints followed by the mapped endpoints in
+    reverse order, param_interval (B,2) the shortest parameter interval
+    (lo <= hi) of the curved side, points (B,m,2) and weights (B,m) a
+    quadrature rule over the patch, and area (B,) its area by Green's
+    theorem, independent of the rule.  Flat patches (fitted meshes, zero
+    transfer length) carry zero weights and zero area.
+
+    starts (K,), widths (K,) and owners (K,) are the outer curve's intervals
+    sorted by start (mod 2pi) and their parent elements, the table behind
+    ``locate``.
     """
 
-    def __init__(self, edge_id, parent, corners, param_interval,
-                 points, weights, area):
-        self.edge_id = edge_id
-        self.parent = parent
-        self.corners = corners
-        self.param_interval = param_interval
-        self.points = points
-        self.weights = weights
-        self.area = area
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def locate(self, params):
+        """Parent element of an outer patch whose interval covers each parameter."""
+        s = np.mod(np.asarray(params, dtype=float), TWO_PI)
+
+        def covers(i):
+            return np.mod(s - self.starts[i], TWO_PI) <= self.widths[i] + ARC_SLACK
+
+        # the interval starting at or before s (index -1 wraps to the last
+        # one), or else the next one if s falls within the slack before it
+        idx = np.searchsorted(self.starts, s, side="right") - 1
+        idx = np.where(covers(idx), idx, (idx + 1) % len(self.starts))
+        if not np.all(covers(idx)):
+            raise CoverageError("interface point not covered by any extension patch")
+        return self.owners[idx]
 
 
-def _unwrap_interval(s0, s1):
-    """Shortest arc interval (lo, hi) with hi >= lo covering both parameters."""
-    d = np.mod(s1 - s0, TWO_PI)
-    if d <= np.pi:
-        return s0, s0 + d
-    return s1, s1 + (TWO_PI - d)
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def build_extension_patches(mesh, bmap, gamma, gamma0, n_along=12, n_across=2):
-    """One quadrature-carrying patch per boundary edge.
+def build_extension_patches(mesh, bmap, gamma, gamma0):
+    """Build the quadrature-carrying patch of every boundary edge.
 
-    The patch is parametrised by (edge fraction, transfer fraction); the
-    geometry is affine across the transfer direction, so two Gauss points
-    suffice there, while ``n_along`` points resolve the curved side.
+    The patch point at (edge fraction a, transfer fraction b) is x(a) + b
+    l t(x(a)), with x(a) on the edge and l t its transfer vector.  Each
+    curve's patch nodes are mapped by one call.  Raises
+    PatchConstructionError when two patch intervals of a curve overlap or
+    a patch map folds.
     """
-    patches = []
-    x1d, w1d = gauss01(n_along)
-    x2d, w2d = gauss01(n_across)
+    x1d, w1d = gauss01(N_ALONG)
+    x2d, w2d = gauss01(N_ACROSS)
     arc_x, arc_w = gauss_legendre(16)
-    for row, e in enumerate(bmap.edge_ids):
-        tag = bmap.tags[row]
-        curve = _curve_for_tag(tag, gamma, gamma0)
-        strat = bmap.strategy
-        if strat == "auto":
-            strat = "radial" if curve.is_circle else "closest-point"
-        p = mesh.edge_vertices(e)
-        e_vec = p[1] - p[0]
-        length = np.linalg.norm(e_vec)
-        s0, s1 = _unwrap_interval(*bmap.endpoint_params[row])
-        if mesh.fitted or np.max(bmap.l[row]) == 0.0:
-            patches.append(ExtensionPatch(int(e), int(bmap.parents[row]),
-                                          np.array([p[0], p[1], p[1], p[0]]),
-                                          (s0, s1), np.zeros((0, 2)),
-                                          np.zeros(0), 0.0))
+    p = mesh.vertices[mesh.edges[bmap.edge_ids]]                    # (B, 2, 2)
+    e_vec = p[:, 1] - p[:, 0]
+    base = p[:, None, 0] + x1d[None, :, None] * e_vec[:, None, :]   # (B, n, 2)
+    s0, s1 = bmap.endpoint_params.T
+    d = np.mod(s1 - s0, TWO_PI)
+    param_interval = np.where((d <= np.pi)[:, None], np.stack([s0, s0 + d], axis=1),
+                              np.stack([s1, s1 + (TWO_PI - d)], axis=1))
+
+    delta = np.zeros_like(base)          # transfer vectors l t, zero when flat
+    ddelta = np.zeros_like(base)         # their derivative along the edge
+    corners = p[:, [0, 1, 1, 0]]
+    area = np.zeros(len(p))
+    live = np.max(bmap.l, axis=1) > 0.0
+    lookup = {}
+    for tag in (TAG_OUTER, TAG_INNER):
+        rows = np.nonzero(bmap.tags == tag)[0]
+        if len(rows) == 0:
             continue
-        base = p[0] + x1d[:, None] * e_vec
-        mapped, _ = _map_points(base, curve, strat)
-        delta = mapped - base                       # transfer vectors l*t
-        dmap = _map_point_derivative(base, curve, strat)
-        ddelta = np.einsum("nij,j->ni", dmap, e_vec) - e_vec[None, :]
-        pts = np.empty((n_along * n_across, 2))
-        wts = np.empty(n_along * n_across)
-        idx = 0
-        sign_ref = None
-        for i in range(n_along):
-            for jj in range(n_across):
-                s2 = x2d[jj]
-                d1 = e_vec + s2 * ddelta[i]
-                d2 = delta[i]
-                det = d1[0] * d2[1] - d1[1] * d2[0]
-                if det != 0.0:
-                    sgn = np.sign(det)
-                    if sign_ref is None:
-                        sign_ref = sgn
-                    elif sgn != sign_ref:
-                        raise PatchConstructionError(
-                            f"patch of edge {int(e)} self-intersects (map folds)")
-                pts[idx] = base[i] + s2 * delta[i]
-                wts[idx] = w1d[i] * w2d[jj] * abs(det)
-                idx += 1
+        lo = np.mod(param_interval[rows, 0], TWO_PI)
+        width = param_interval[rows, 1] - param_interval[rows, 0]
+        order = np.lexsort((width, lo))
+        lo, width = lo[order], width[order]
+        following = np.append(lo[1:], lo[0] + TWO_PI)
+        if np.any(following < lo + width - ARC_SLACK):
+            raise PatchConstructionError("extension patches overlap along the curve")
+        if tag == TAG_OUTER:
+            lookup = dict(starts=lo, widths=width, owners=bmap.parents[rows[order]])
+
+        rows = rows[live[rows]]
+        if len(rows) == 0:
+            continue
+        curve = _curve_for_tag(tag, gamma, gamma0)
+        strategy = _resolve_strategy(bmap.strategy, curve)
+        x = base[rows].reshape(-1, 2)
+        mapped, s = _map_points(x, curve, strategy)
+        delta[rows] = (mapped - x).reshape(-1, N_ALONG, 2)
+        dmap = _map_point_derivative(x, s, curve, strategy).reshape(-1, N_ALONG, 2, 2)
+        ddelta[rows] = (np.einsum("bnij,bj->bni", dmap, e_vec[rows])
+                        - e_vec[rows][:, None, :])
         # independent area: signed Green's theorem around the closed loop
         # p0 -> p1 -> map(p1) -> (arc back to map(p0)) -> p0
-        sA, sB = bmap.endpoint_params[row]
-        d = np.mod(sA - sB + np.pi, TWO_PI) - np.pi      # short way from sB to sA
-        sm = sB + d * 0.5 * (arc_x + 1.0)
-        y, dy = curve.point(sm), curve.derivative(sm)
-        arc = 0.25 * d * np.sum(arc_w * (y[:, 0] * dy[:, 1] - y[:, 1] * dy[:, 0]))
-        xbar_A, xbar_B = curve.point(np.array([sA, sB]))
+        sA, sB = bmap.endpoint_params[rows].T
+        span = np.mod(sA - sB + np.pi, TWO_PI) - np.pi  # short way from sB to sA
+        sm = (sB[:, None] + span[:, None] * 0.5 * (arc_x + 1.0)).ravel()
+        integrand = _cross(curve.point(sm), curve.derivative(sm)).reshape(-1, len(arc_x))
+        arc = 0.25 * span * np.sum(arc_w * integrand, axis=1)
+        xbar = curve.point(bmap.endpoint_params[rows].ravel()).reshape(-1, 2, 2)
+        corners[rows, 2:] = xbar[:, ::-1]
+        p0, p1 = p[rows, 0], p[rows, 1]
+        area[rows] = np.abs(0.5 * _cross(p0, p1) + 0.5 * _cross(p1, xbar[:, 1]) + arc
+                            + 0.5 * _cross(xbar[:, 0], p0))
 
-        def seg(a, b):
-            return 0.5 * (a[0] * b[1] - a[1] * b[0])
-
-        area = abs(seg(p[0], p[1]) + seg(p[1], xbar_B) + arc + seg(xbar_A, p[0]))
-        patches.append(ExtensionPatch(int(e), int(bmap.parents[row]),
-                                      np.array([p[0], p[1], xbar_B, xbar_A]),
-                                      (s0, s1), pts, wts, float(area)))
-    _check_disjoint_arcs(patches, bmap)
-    return patches
-
-
-def _check_disjoint_arcs(patches, bmap):
-    for tag in (TAG_OUTER, TAG_INNER):
-        rows = [i for i in range(len(patches)) if bmap.tags[i] == tag]
-        ivals = []
-        for i in rows:
-            lo, hi = patches[i].param_interval
-            lo_m = np.mod(lo, TWO_PI)
-            ivals.append((lo_m, lo_m + (hi - lo)))
-        ivals.sort()
-        for k, (a0, a1) in enumerate(ivals):
-            b0, b1 = ivals[(k + 1) % len(ivals)]
-            if k + 1 == len(ivals):
-                b0, b1 = b0 + TWO_PI, b1 + TWO_PI
-            if b0 < a1 - 1e-9:
-                raise PatchConstructionError("extension patches overlap along the curve")
+    # Jacobian determinants at the (along, across) nodes; a patch map folds
+    # where they take both signs
+    det = _cross(e_vec[:, None, None, :] + x2d[:, None] * ddelta[:, :, None, :],
+                 delta[:, :, None, :])                                # (B, n, c)
+    sign = np.sign(det).reshape(len(p), -1)
+    folds = np.any(sign > 0, axis=1) & np.any(sign < 0, axis=1)
+    if np.any(folds):
+        raise PatchConstructionError(
+            f"patch of edge {int(bmap.edge_ids[np.argmax(folds)])} self-intersects "
+            "(map folds)")
+    points = base[:, :, None, :] + x2d[:, None] * delta[:, :, None, :]
+    weights = (w1d[:, None] * w2d[None, :]) * np.abs(det)
+    return ExtensionPatches(
+        corners=corners, param_interval=param_interval,
+        points=points.reshape(len(p), -1, 2), weights=weights.reshape(len(p), -1),
+        area=area, **lookup)
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,11 @@ import scipy.sparse.linalg as spla
 from .basis import TriangleBasis, edge_legendre
 from .errors import (
     AssemblyError,
-    CoverageError,
     SolverError,
     TransferIntegrationError,
 )
 from .geometry import TAG_OUTER
 from .quadrature import gauss01, triangle_rule
-
-TWO_PI = 2.0 * np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +69,6 @@ class MaterialField:
     @classmethod
     def identity(cls):
         return cls(None)
-
-    @property
-    def is_identity(self):
-        return self._const is not None and np.array_equal(self._const, np.eye(2))
 
     def value(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -553,43 +546,6 @@ def solve_interior(system, f=None, g_gamma=None, u0_gamma0=None):
     rhs, f_mom = system.rhs(f=f, g_gamma=g_gamma, u0_gamma0=u0_gamma0)
     uhat, _ = system.solve_trace(rhs)
     return system.recover(uhat, f_mom)
-
-
-# ---------------------------------------------------------------------------
-# interface points to patch parents
-# ---------------------------------------------------------------------------
-
-class PatchLocator:
-    """Parameter-interval lookup from curve positions to parent elements."""
-
-    def __init__(self, bmap, patches, tag=TAG_OUTER):
-        rows = [r for r in range(len(bmap.edge_ids)) if bmap.tags[r] == tag]
-        ivals = []
-        for r in rows:
-            lo, hi = patches[r].param_interval
-            lo_m = np.mod(lo, TWO_PI)
-            ivals.append((lo_m, hi - lo, patches[r].parent, r))
-        ivals.sort()
-        self.starts = np.array([i[0] for i in ivals])
-        self.widths = np.array([i[1] for i in ivals])
-        self.parents = np.array([i[2] for i in ivals], dtype=np.int64)
-        self.rows = np.array([i[3] for i in ivals], dtype=np.int64)
-
-    def locate(self, params):
-        s = np.mod(np.asarray(params, dtype=float), TWO_PI)
-        idx = np.searchsorted(self.starts, s, side="right") - 1
-        idx = np.where(idx < 0, len(self.starts) - 1, idx)
-        offset = np.mod(s - self.starts[idx], TWO_PI)
-        bad = offset > self.widths[idx] + 1e-9
-        if np.any(bad):
-            nxt = (idx + 1) % len(self.starts)
-            offs2 = np.mod(s - self.starts[nxt], TWO_PI)
-            use2 = bad & (offs2 <= self.widths[nxt] + 1e-9)
-            idx = np.where(use2, nxt, idx)
-            offset = np.mod(s - self.starts[idx], TWO_PI)
-            if np.any(offset > self.widths[idx] + 1e-9):
-                raise CoverageError("interface point not covered by any extension patch")
-        return self.parents[idx]
 
 
 # ---------------------------------------------------------------------------

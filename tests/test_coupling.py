@@ -8,7 +8,6 @@ from hdgbem import (
     EstimationError,
     HDGSystem,
     InterfaceMap,
-    PatchLocator,
     TrigPolynomial,
     dtn_step,
     estimate_contraction,
@@ -82,7 +81,7 @@ def test_interface_map_matches_recovered_field(dipole_bundle):
     params = imap.response.params
     pts = case.gamma.point(params)
     normals = case.gamma.normal(params)
-    parents = PatchLocator(system.bmap, system.patches).locate(params)
+    parents = system.patches.locate(params)
     direct = np.array([field.q_at(int(t), p[None, :])[0] @ nu
                        for t, p, nu in zip(parents, pts, normals)])
     assert np.abs(imap.flux(uhat) - direct).max() <= 1e-12 * np.abs(direct).max()

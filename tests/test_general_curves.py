@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hdgbem import (
+    TAG_OUTER,
     Curve,
     MaterialField,
     assemble_layer_operators,
@@ -61,8 +62,30 @@ def test_ellipse_annulus_patch_test_and_partition(ellipse):
     fld = solve_interior(system, g_gamma=u_ex, u0_gamma0=u_ex)
     eq, eu = l2_errors(fld, system, u_ex, q_ex)
     assert eq < 1e-9 and eu < 1e-9
-    covered = mesh.area() + sum(p.area for p in patches)
+    covered = mesh.area() + patches.area.sum()
     assert abs(covered - (np.pi * 1.1 * 0.85 - np.pi * 0.16)) < 1e-10
+
+
+@pytest.mark.parametrize("geometry", ["coarse_k1", "ellipse"])
+def test_locate_maps_to_a_covering_parent(geometry, request):
+    # the interval ends, 0 and just below 2pi each go to the parent of an
+    # outer patch whose parameter interval contains them
+    if geometry == "coarse_k1":
+        mesh, bmap, patches, _ = request.getfixturevalue("coarse_k1")
+    else:
+        gamma, gamma0 = request.getfixturevalue("ellipse"), Curve.circle((0.15, -0.1), 0.4)
+        mesh = build_annulus_mesh(gamma, gamma0, 0.15)
+        bmap = build_boundary_map(mesh, gamma, gamma0, strategy="closest-point", n_nodes=4)
+        patches = build_extension_patches(mesh, bmap, gamma, gamma0)
+    outer = np.nonzero(bmap.tags == TAG_OUTER)[0]
+    lo, hi = patches.param_interval[outer].T
+    s = np.concatenate([[0.0, 2 * np.pi - 1e-12], lo, hi])
+    tol = 1e-12
+    offset = np.mod(s[:, None] - lo[None, :] + tol, 2 * np.pi) - tol
+    contains = (offset >= -tol) & (offset <= (hi - lo)[None, :] + tol)
+    assert np.all(contains.any(axis=1))
+    for parent, covering in zip(patches.locate(s), contains):
+        assert parent in bmap.parents[outer[covering]]
 
 
 def test_ellipse_interface_solve_self_convergence(ellipse):

@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 
+from hdgbem import geometry
 from hdgbem import (
     Curve,
     GeometryInfeasibleError,
@@ -19,6 +20,7 @@ from hdgbem import (
     proximity_parameter,
     save_mesh,
 )
+from hdgbem.quadrature import gauss01, gauss_legendre
 
 ANNULUS_AREA = np.pi * (1.0 - 0.25)
 
@@ -151,11 +153,11 @@ def test_patch_partition_of_annulus(circles):
     mesh = build_annulus_mesh(gamma, gamma0, 0.1)
     bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    total = mesh.area() + sum(p.area for p in patches)
+    total = mesh.area() + patches.area.sum()
     assert abs(total - ANNULUS_AREA) < 1e-6
-    for p in patches:
-        if p.area > 0:
-            assert abs(p.weights.sum() - p.area) <= 1e-12 * p.area
+    live = patches.area > 0
+    assert np.all(np.abs(patches.weights[live].sum(axis=1) - patches.area[live])
+                  <= 1e-12 * patches.area[live])
 
 
 def test_fitted_patches_are_empty(circles):
@@ -163,8 +165,76 @@ def test_fitted_patches_are_empty(circles):
     mesh = build_annulus_mesh(gamma, gamma0, 0.2, fitted=True)
     bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    assert all(p.area == 0.0 for p in patches)
-    assert all(p.weights.sum() == 0.0 for p in patches)
+    assert np.all(patches.area == 0.0)
+    assert np.all(patches.weights.sum(axis=1) == 0.0)
+
+
+def _reference_patch(mesh, bmap, row, curve, strategy):
+    """One edge's patch by the per-node loop: (points, weights, corners, area)."""
+    x1d, w1d = gauss01(geometry.N_ALONG)
+    x2d, w2d = gauss01(geometry.N_ACROSS)
+    p = mesh.edge_vertices(bmap.edge_ids[row])
+    e_vec = p[1] - p[0]
+    base = p[0] + x1d[:, None] * e_vec
+    mapped, s = geometry._map_points(base, curve, strategy)
+    dmap = geometry._map_point_derivative(base, s, curve, strategy)
+    pts, wts = [], []
+    for i in range(len(x1d)):
+        delta = mapped[i] - base[i]
+        ddelta = np.einsum("ij,j->i", dmap[i], e_vec) - e_vec
+        for j in range(len(x2d)):
+            d1 = e_vec + x2d[j] * ddelta
+            pts.append(base[i] + x2d[j] * delta)
+            wts.append(w1d[i] * w2d[j] * abs(d1[0] * delta[1] - d1[1] * delta[0]))
+    sA, sB = bmap.endpoint_params[row]
+    d = np.mod(sA - sB + np.pi, 2 * np.pi) - np.pi
+    arc_x, arc_w = gauss_legendre(16)
+    sm = sB + d * 0.5 * (arc_x + 1.0)
+    y, dy = curve.point(sm), curve.derivative(sm)
+    arc = 0.25 * d * np.sum(arc_w * (y[:, 0] * dy[:, 1] - y[:, 1] * dy[:, 0]))
+    xA, xB = curve.point(np.array([sA, sB]))
+
+    def seg(a, b):
+        return 0.5 * (a[0] * b[1] - a[1] * b[0])
+
+    area = abs(seg(p[0], p[1]) + seg(p[1], xB) + arc + seg(xA, p[0]))
+    return np.array(pts), np.array(wts), np.array([p[0], p[1], xB, xA]), area
+
+
+@pytest.mark.parametrize("outer", ["circle", "smooth_unit_circle"])
+def test_patch_table_matches_per_edge_reference(outer, circles, request):
+    # radial and closest-point maps; the whole-array table must reproduce
+    # the per-edge construction bit for bit, the area to rounding
+    gamma = circles[0] if outer == "circle" else request.getfixturevalue(outer)
+    gamma0 = circles[1]
+    mesh = build_annulus_mesh(gamma, gamma0, 0.2)
+    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+    patches = build_extension_patches(mesh, bmap, gamma, gamma0)
+    for row, tag in enumerate(bmap.tags):
+        curve = gamma if tag == TAG_OUTER else gamma0
+        strategy = "radial" if curve.is_circle else "closest-point"
+        pts, wts, corners, area = _reference_patch(mesh, bmap, row, curve, strategy)
+        assert np.array_equal(patches.points[row], pts)
+        assert np.array_equal(patches.weights[row], wts)
+        assert np.array_equal(patches.corners[row], corners)
+        assert abs(patches.area[row] - area) <= 1e-13 * area
+
+
+def test_layered_elements_match_loop_reference(circles):
+    gamma, gamma0 = circles
+    mesh = build_annulus_mesh(gamma, gamma0, 0.2)
+    n_theta = int(np.sum(mesh.boundary_tags == TAG_INNER))
+    n_layer = len(mesh.vertices) // n_theta
+    tris = []
+    for i in range(n_layer - 1):
+        for j in range(n_theta):
+            v00, v01 = i * n_theta + j, i * n_theta + (j + 1) % n_theta
+            v10, v11 = v00 + n_theta, v01 + n_theta
+            if (i + j) % 2 == 0:
+                tris += [(v00, v01, v11), (v00, v11, v10)]
+            else:
+                tris += [(v00, v01, v10), (v01, v11, v10)]
+    assert np.array_equal(UnfittedMesh(mesh.vertices, tris).elements, mesh.elements)
 
 
 def test_patch_area_approaches_trapezoid_rule(circles):
@@ -177,12 +247,10 @@ def test_patch_area_approaches_trapezoid_rule(circles):
         bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
         patches = build_extension_patches(mesh, bmap, gamma, gamma0)
         worst = 0.0
-        for row, p in enumerate(patches):
-            if p.area == 0.0:
-                continue
-            length = mesh.edge_length(p.edge_id)
+        for row in np.nonzero(patches.area)[0]:
+            length = mesh.edge_length(bmap.edge_ids[row])
             trap = length * bmap.l[row].mean()
-            worst = max(worst, abs(p.area - trap) / p.area)
+            worst = max(worst, abs(patches.area[row] - trap) / patches.area[row])
         return worst
 
     coarse, fine = worst_deviation(0.2), worst_deviation(0.1)
@@ -257,4 +325,30 @@ def test_overlapping_patches_raise(circles):
     # tamper one edge's arc interval so it overlaps its neighbour
     bmap.endpoint_params[0] = bmap.endpoint_params[0] + np.array([0.0, 0.5])
     with pytest.raises(PatchConstructionError):
+        build_extension_patches(mesh, bmap, gamma, gamma0)
+
+
+def test_folding_patch_map_raises(circles, monkeypatch):
+    # a map Jacobian flipped on one edge's nodes turns the transfer vector's
+    # derivative against the edge: the patch map then reverses orientation
+    # between the two across nodes, and that edge's patch must be refused
+    from hdgbem import PatchConstructionError
+    gamma, gamma0 = circles
+    mesh = build_annulus_mesh(gamma, gamma0, 0.2)
+    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+    edge = int(bmap.edge_ids[np.nonzero(bmap.tags == TAG_INNER)[0][3]])
+    a, b = mesh.edge_vertices(edge)
+    along, normal = b - a, np.array([a[1] - b[1], b[0] - a[0]])
+    derivative = geometry._map_point_derivative
+
+    def flipped(pts, params, curve, strategy):
+        jac = derivative(pts, params, curve, strategy)
+        frac = (pts - a) @ along / (along @ along)
+        on_edge = (frac > 0) & (frac < 1) & (np.abs((pts - a) @ normal) < 1e-12)
+        jac[on_edge] *= -1.0
+        return jac
+
+    build_extension_patches(mesh, bmap, gamma, gamma0)
+    monkeypatch.setattr(geometry, "_map_point_derivative", flipped)
+    with pytest.raises(PatchConstructionError, match=f"patch of edge {edge} self-intersects"):
         build_extension_patches(mesh, bmap, gamma, gamma0)

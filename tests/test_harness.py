@@ -1,3 +1,5 @@
+import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -225,3 +227,22 @@ def test_deterministic_solve_outputs(tmp_path):
         outs.append({name: (out / name).read_bytes() for name in names})
     for name in names:
         assert outs[0][name] == outs[1][name], name
+
+
+# ---------------------------------------------------------------------------
+# demos
+# ---------------------------------------------------------------------------
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+def test_unfitted_mesh_demo(tmp_path, monkeypatch, capsys):
+    # the demo reads the patch table: mesh plus patches must tile the
+    # annulus to rounding at every size, and the finest mesh is written
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "01_unfitted_mesh.py"), run_name="__main__")
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.strip()[:1].isdigit()]
+    assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05, 0.025]
+    assert max(float(r[-1]) for r in rows) < 1e-13
+    assert (tmp_path / "annulus_mesh.txt").exists()
