@@ -34,6 +34,8 @@ import scipy.linalg
 from .errors import DimensionError, DomainError, SolverError
 
 TWO_PI = 2.0 * np.pi
+# evaluation points per block of evaluate_exterior
+EVAL_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -337,24 +339,32 @@ def solve_exterior(ops, lam):
 
 
 def evaluate_exterior(ops, g, lam, u_inf, points, standoff=1e-6, n_quad=None):
-    """Exterior representation D g - S lam + u_inf at points outside the curve."""
+    """Exterior representation D g - S lam + u_inf at points outside the curve.
+
+    All points are checked before any is evaluated; both passes run over
+    blocks of EVAL_CHUNK points, so memory is bounded in the point count.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    sd = ops.curve.signed_distance(pts)
+    starts = range(0, len(pts), EVAL_CHUNK)
+    sd = np.concatenate([ops.curve.signed_distance(pts[i:i + EVAL_CHUNK]) for i in starts])
     if np.any(sd <= standoff * ops.curve.diameter()):
         raise DomainError("evaluation point inside or too close to the interface")
     m = n_quad if n_quad is not None else max(8 * ops.n, 64)
     t = np.linspace(0.0, TWO_PI, m, endpoint=False)
     y = ops.curve.point(t)
     nrm = ops.curve.normal(t)
-    sp = ops.curve.speed(t)
-    gv = g.eval(t)
-    lv = lam.eval(t)
-    w = TWO_PI / m
-    diff = pts[:, None, :] - y[None, :, :]
-    r2 = np.sum(diff * diff, axis=2)
-    single = -np.log(r2) / (2.0 * TWO_PI)             # G(x, y)
-    double = np.sum(diff * nrm[None, :, :], axis=2) / (TWO_PI * r2)
-    vals = w * (double @ (gv * sp)) - w * (single @ (lv * sp)) + u_inf
+    # trapezoid weight, speed and kernel constants folded into the samples
+    w = ops.curve.speed(t) / m
+    gw = g.eval(t) * w
+    lw = lam.eval(t) * w / 2.0
+    vals = np.empty(len(pts))
+    for i in starts:
+        dx = pts[i:i + EVAL_CHUNK, :1] - y[:, 0]
+        dy = pts[i:i + EVAL_CHUNK, 1:] - y[:, 1]
+        r2 = dx * dx + dy * dy
+        # D g = sum (x - y).n / (2 pi r^2),  -S lam = sum log(r^2) / (4 pi)
+        vals[i:i + EVAL_CHUNK] = ((dx * nrm[:, 0] + dy * nrm[:, 1]) / r2) @ gw \
+            + np.log(r2) @ lw + u_inf
     return vals if np.ndim(points) > 1 else float(vals[0])
 
 

@@ -55,6 +55,8 @@ class CouplingConfig:
             raise ValueError(f"relaxation weight must lie in (0, 1], got {omega}")
         if tol <= 0.0:
             raise ValueError("tolerance must be positive")
+        if max_iterations < 1:
+            raise ValueError(f"iteration cap must be at least 1, got {max_iterations}")
         self.omega = float(omega)
         self.max_iterations = int(max_iterations)
         self.tol = float(tol)

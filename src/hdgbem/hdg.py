@@ -16,6 +16,14 @@ unknowns and its factorization is reused for every right-hand side.
 Element unknowns are eliminated per element (static condensation); the
 global system is posed on the trace coefficients of every edge, boundary
 edges included, because the transfer coupling keeps them in the graph.
+It is factorized once by SuperLU under the MMD_ATA column ordering, which
+fills less than COLAMD on these systems.
+
+Elements are straight triangles, so every element and edge block is a
+small table on the reference triangle, contracted with the element's detJ,
+invJ, edge lengths, side orientations and normals (the tensor
+representation of Kirby & Logg, ACM TOMS 32, 2006); only the kappa^{-1}
+mass reads the material at the volume quadrature points.
 """
 
 import numpy as np
@@ -135,143 +143,124 @@ class DGField:
 
 
 # ---------------------------------------------------------------------------
-# discretization cache
+# reference tables and the discretization cache
 # ---------------------------------------------------------------------------
 
+# gradients of the barycentric coordinates on the reference triangle
+_REF_GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+class _ReferenceTables:
+    """Degree-k basis integrals on the reference triangle and its sides.
+
+    Side s runs from reference vertex s+1 to s+2 (mod 3); orientation 1
+    swaps its ends, for a global edge that runs against the side.
+    """
+
+    def __init__(self, k):
+        basis = TriangleBasis(k)
+        d = basis.dim
+        self.vol_pts, self.vol_w = triangle_rule(2 * k + 3)
+        self.vals, grads = basis.eval_grad(self.vol_pts)                 # (nq,d), (nq,d,2)
+        self.products = (self.vals[:, :, None] * self.vals[:, None, :]).reshape(-1, d * d)
+        self.grad_moments = np.einsum("q,qa,qbc->cab", self.vol_w, self.vals, grads)
+        q1, self.edge_w = gauss01(k + 2)
+        self.mu = edge_legendre(k, 2.0 * q1 - 1.0)                       # (qe, ne)
+        self.edge_mass = (self.edge_w[:, None] * self.mu).T @ self.mu
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])            # side starts
+        pts = a[:, None] + q1[:, None] * (np.roll(a, -1, axis=0) - a)[:, None]
+        vals = basis.eval(pts.reshape(-1, 2)).reshape(3, len(q1), d)
+        # the Gauss nodes are symmetric, so a reversed side reads them backwards
+        self.side_vals = np.stack([vals, vals[:, ::-1]], axis=1)         # (3,2,qe,d)
+        self.side_mu = np.einsum("q,soqa,qm->soam", self.edge_w, self.side_vals, self.mu)
+        self.side_mass = np.einsum("q,sqa,sqb->sab", self.edge_w, vals, vals)
+
+
 class _Discretization:
-    """All element/edge quadrature tables for one (mesh, material, tau, k)."""
+    """Element and edge blocks for one (mesh, material, tau, k).
+
+    Each block is a table of ``_ReferenceTables(k)`` scaled by the
+    element's geometry.
+    """
 
     def __init__(self, mesh, material, tau, k):
         self.mesh = mesh
         self.material = material
         self.k = int(k)
-        self.tau = Stabilization(tau).on_edges(mesh) if not isinstance(tau, Stabilization) \
-            else tau.on_edges(mesh)
+        stab = tau if isinstance(tau, Stabilization) else Stabilization(tau)
+        self.tau = stab.on_edges(mesh)
         self.basis = TriangleBasis(k)
-        d = self.basis.dim
-        self.d = d
-        self.ne = k + 1
+        ref = _ReferenceTables(self.k)
+        d = self.d = self.basis.dim
+        self.ne = self.k + 1
         M = len(mesh.elements)
 
-        # volume tables
-        ref_pts, ref_w = triangle_rule(2 * self.k + 3)
-        vals, grads = self.basis.eval_grad(ref_pts)
+        # volume blocks
         verts = mesh.vertices[mesh.elements]                       # (M,3,2)
         J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
         detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         if np.any(detJ <= 0):
             raise AssemblyError("element with non-positive Jacobian")
-        invJ = np.linalg.inv(J)
-        self.J, self.invJ, self.detJ = J, invJ, detJ
-        phys = verts[:, None, 0, :] + ref_pts[None, :, :] @ np.swapaxes(J, 1, 2)
-        wphys = detJ[:, None] * ref_w[None, :]                     # (M,nq)
-        self.phys_pts, self.phys_w = phys, wphys
-        kinv = material.inv(phys)                                  # (M,nq,2,2)
-        gx = np.einsum("qbd,mde->mqbe", grads, invJ)               # phys grads (M,nq,dim,2)
-        self.vol_vals, self.vol_grads = vals, gx
-
+        self.invJ = invJ = np.linalg.inv(J)
+        self.phys_pts = verts[:, None, 0, :] + ref.vol_pts @ np.swapaxes(J, 1, 2)
+        self.phys_w = detJ[:, None] * ref.vol_w                    # (M,nq)
+        self.vol_vals = ref.vals
         # kappa^{-1}-weighted vector mass, grouped [x-block | y-block]
-        Mk = np.empty((M, 2 * d, 2 * d))
-        for c1 in range(2):
-            for c2 in range(2):
-                Mk[:, c1 * d:(c1 + 1) * d, c2 * d:(c2 + 1) * d] = np.einsum(
-                    "mq,q a,qb->mab", wphys * kinv[:, :, c1, c2], vals, vals)
-        self.mass_kinv = Mk
-        Dx = np.einsum("mq,qa,mqb->mab", wphys, vals, gx[..., 0])
-        Dy = np.einsum("mq,qa,mqb->mab", wphys, vals, gx[..., 1])
-        self.div = np.concatenate([Dx, Dy], axis=2)                # (M,d,2d) = (w, div q)
+        wk = self.phys_w[:, None, None, :] * np.moveaxis(
+            material.inv(self.phys_pts), 1, 3)                     # (M,2,2,nq)
+        self.mass_kinv = (wk.reshape(-1, len(ref.vol_w)) @ ref.products).reshape(
+            M, 2, 2, d, d).transpose(0, 1, 3, 2, 4).reshape(M, 2 * d, 2 * d)
+        # (w, div q) = detJ invJ[c, e] (phi_a, d_c phi_b)_ref, columns [x | y]
+        gj = np.swapaxes(detJ[:, None, None] * invJ, 1, 2)          # (M,e,c)
+        self.div = (gj.reshape(-1, 2) @ ref.grad_moments.reshape(2, -1)).reshape(
+            M, 2, d, d).transpose(0, 2, 1, 3).reshape(M, d, 2 * d)
 
-        # edge tables: Gauss nodes along the canonical edge direction
-        q1, w1 = gauss01(self.k + 2)
-        self.edge_q1, self.edge_w1 = q1, w1
-        self.nq_edge = len(q1)
-        self.mu_vals = edge_legendre(self.k, 2.0 * q1 - 1.0)       # (qe, ne)
+        # edge blocks: Gauss nodes along the canonical edge direction
+        ends = mesh.vertices[mesh.edges]
+        edge_len = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+        self.edge_w = edge_len[:, None] * ref.edge_w               # (E,qe)
+        self.mu_vals = ref.mu
+        self.edge_mass = edge_len[:, None, None] * ref.edge_mass
 
-        E = mesh.n_edges
-        edge_pts = (mesh.vertices[mesh.edges[:, 0]][:, None, :]
-                    + q1[None, :, None]
-                    * (mesh.vertices[mesh.edges[:, 1]]
-                       - mesh.vertices[mesh.edges[:, 0]])[:, None, :])  # (E,qe,2)
-        self.edge_pts = edge_pts
-        self.edge_len = np.linalg.norm(
-            mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]], axis=1)
-        self.edge_w = self.edge_len[:, None] * w1[None, :]          # (E,qe)
-
-        # per (element, side): traces of the volume basis at the edge nodes
+        # per (element, side): orientation 1 where the edge runs against the side
         side_edges = mesh.element_edges                             # (M,3)
-        pts_es = edge_pts[side_edges]                               # (M,3,qe,2)
-        rel = pts_es - verts[:, None, None, 0, :]
-        ref_es = np.einsum("msqd,med->msqe", rel, invJ)
-        self.trace_vals = self.basis.eval(
-            ref_es.reshape(-1, 2)).reshape(M, 3, self.nq_edge, d)
-
-        # outward side normals
-        nrm = np.empty((M, 3, 2))
-        for s_loc in range(3):
-            a = verts[:, (s_loc + 1) % 3, :]
-            b = verts[:, (s_loc + 2) % 3, :]
-            t_vec = b - a
-            n = np.stack([t_vec[:, 1], -t_vec[:, 0]], axis=1)
-            n /= np.linalg.norm(n, axis=1, keepdims=True)
-            mid = 0.5 * (a + b)
-            cent = verts.mean(axis=1)
-            flip = np.einsum("md,md->m", n, cent - mid) > 0
-            n[flip] *= -1.0
-            nrm[:, s_loc, :] = n
-        self.side_normals = nrm
+        orient = (mesh.elements[:, [1, 2, 0]] != mesh.edges[side_edges, 0]).astype(int)
+        s3 = np.arange(3)
+        self.trace_vals = ref.side_vals[s3, orient]                 # (M,3,qe,d)
+        # outward normals -invJ^T grad(lambda_s), outward because detJ > 0
+        nrm = -(_REF_GRAD_LAMBDA @ invJ)
+        self.side_normals = nrm / np.linalg.norm(nrm, axis=2, keepdims=True)
 
         # E_e (2d x ne) and F_e (d x ne) per (element, side); S (d x d)
-        w_es = self.edge_w[side_edges]                              # (M,3,qe)
-        tau_es = self.tau[side_edges]                               # (M,3)
-        tr = self.trace_vals
-        mu = self.mu_vals
-        En = np.einsum("msq,msqa,qb->msab", w_es, tr, mu)           # (M,3,d,ne)
-        E_side = np.empty((M, 3, 2 * d, self.ne))
-        E_side[:, :, :d, :] = nrm[:, :, 0, None, None] * En
-        E_side[:, :, d:, :] = nrm[:, :, 1, None, None] * En
-        self.E_side = E_side
+        len_es = edge_len[side_edges]
+        tau_es = self.tau[side_edges]
+        En = len_es[:, :, None, None] * ref.side_mu[s3, orient]     # (M,3,d,ne)
+        self.E_side = np.concatenate([self.side_normals[:, :, :1, None] * En,
+                                      self.side_normals[:, :, 1:, None] * En], axis=2)
         self.F_side = tau_es[:, :, None, None] * En
-        self.S_elem = np.einsum("ms,msq,msqa,msqb->mab",
-                                tau_es, w_es, tr, tr)
-        self.edge_mass = np.einsum("eq,qa,qb->eab", self.edge_w, mu, mu)
+        self.S_elem = ((tau_es * len_es) @ ref.side_mass.reshape(3, -1)).reshape(M, d, d)
 
-        self._local_solvers()
-
-    def _local_solvers(self):
-        M = len(self.mesh.elements)
-        d, ne = self.d, self.ne
-        nloc = 3 * d
-        L = np.zeros((M, nloc, nloc))
-        L[:, :2 * d, :2 * d] = self.mass_kinv
-        L[:, :2 * d, 2 * d:] = -np.swapaxes(self.div, 1, 2)
-        L[:, 2 * d:, :2 * d] = self.div
-        L[:, 2 * d:, 2 * d:] = self.S_elem
+        # static condensation: local solver and trace-to-(q, u) recovery
+        L = np.block([[self.mass_kinv, -np.swapaxes(self.div, 1, 2)],
+                      [self.div, self.S_elem]])
         try:
             self.local_inv = np.linalg.inv(L)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("singular element local solver") from exc
-        R = np.zeros((M, nloc, 3 * ne))
-        for s_loc in range(3):
-            R[:, :2 * d, s_loc * ne:(s_loc + 1) * ne] = -self.E_side[:, s_loc]
-            R[:, 2 * d:, s_loc * ne:(s_loc + 1) * ne] = self.F_side[:, s_loc]
+        R = np.concatenate([-self.E_side, self.F_side], axis=2)     # (M,3,3d,ne)
+        R = np.swapaxes(R, 1, 2).reshape(M, 3 * d, 3 * self.ne)
         self.recovery = self.local_inv @ R      # (q,u) = recovery @ uhat_loc + local_inv @ [0; f]
 
     def f_moments(self, f):
         """Element load vectors (M, d) for callable/constant/zero f."""
-        M = len(self.mesh.elements)
         if f is None:
-            return np.zeros((M, self.d))
-        if np.isscalar(f):
-            fv = np.full(self.phys_pts.shape[:2], float(f))
-        else:
-            fv = np.asarray(f(self.phys_pts.reshape(-1, 2)), dtype=float).reshape(
-                self.phys_pts.shape[:2])
-        return np.einsum("mq,qa->ma", self.phys_w * fv, self.vol_vals)
+            return np.zeros((len(self.mesh.elements), self.d))
+        fv = float(f) if np.isscalar(f) else np.asarray(
+            f(self.phys_pts.reshape(-1, 2)), dtype=float).reshape(self.phys_w.shape)
+        return (self.phys_w * fv) @ self.vol_vals
 
     def local_particular(self, f_mom):
-        rhs = np.zeros((len(self.mesh.elements), 3 * self.d))
-        rhs[:, 2 * self.d:] = f_mom
-        return np.einsum("mab,mb->ma", self.local_inv, rhs)
+        return (self.local_inv[:, :, 2 * self.d:] @ f_mom[:, :, None])[..., 0]
 
 
 def _side_functionals(disc):
@@ -360,17 +349,12 @@ def assemble_local(mesh, elem, material, tau, k):
     """
     disc = _Discretization(mesh, material, tau, k)
     t = int(elem)
-    jump, eflux, escal = [], [], []
-    w_es = disc.edge_w[mesh.element_edges[t]]
-    for s_loc in range(3):
-        e = mesh.element_edges[t, s_loc]
-        tr = disc.trace_vals[t, s_loc]
-        nrm = disc.side_normals[t, s_loc]
-        vn = np.concatenate([nrm[0] * tr, nrm[1] * tr], axis=1)
-        jump.append(0.5 / disc.tau[e] * np.einsum("q,qa,qb->ab", w_es[s_loc], vn, vn))
-        eflux.append(np.einsum("q,qa,qm->am", w_es[s_loc], vn, disc.mu_vals))
-        escal.append(np.einsum("q,qa,qb->ab", w_es[s_loc], tr, tr))
-    return LocalBlocks(disc.mass_kinv[t], disc.div[t], jump, eflux, escal)
+    sides = mesh.element_edges[t]
+    escal = [(w[:, None] * tr).T @ tr
+             for w, tr in zip(disc.edge_w[sides], disc.trace_vals[t])]
+    jump = [0.5 / disc.tau[e] * np.kron(np.outer(n, n), m)
+            for e, n, m in zip(sides, disc.side_normals[t], escal)]
+    return LocalBlocks(disc.mass_kinv[t], disc.div[t], jump, list(disc.E_side[t]), escal)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +433,7 @@ class HDGSystem:
     def lu(self):
         if self._lu is None:
             try:
-                self._lu = spla.splu(self.matrix)
+                self._lu = spla.splu(self.matrix, permc_spec="MMD_ATA")
             except RuntimeError as exc:
                 raise SolverError(f"trace factorization failed: {exc}") from exc
         return self._lu
@@ -593,9 +577,7 @@ def local_conservation_residual(field, system, f=None):
     u_tr = np.einsum("msqa,ma->msq", disc.trace_vals, field.U)
     qn_tr = np.einsum("msqa,msd,mda->msq",
                       disc.trace_vals, disc.side_normals, field.Q)
-    mu = disc.mu_vals
-    ne = disc.ne
-    uhat_tr = np.einsum("msn,qn->msq", field.Uhat[mesh.element_edges], mu)
+    uhat_tr = field.Uhat[mesh.element_edges] @ disc.mu_vals.T
     w_es = disc.edge_w[mesh.element_edges]
     tau_es = disc.tau[mesh.element_edges]
     flux = np.einsum("msq,msq->m",

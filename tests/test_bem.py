@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import iv
@@ -14,7 +16,7 @@ from hdgbem import (
     solve_exterior,
     write_density_csv,
 )
-from hdgbem.bem import kernel_double, kernel_single
+from hdgbem.bem import EVAL_CHUNK, kernel_double, kernel_single
 
 N = 32
 
@@ -241,6 +243,39 @@ def test_far_field_monotone_decay(ops32):
     assert abs(v100 - 2.0) < abs(v10 - 2.0)
     assert abs(v10 - 2.0) == pytest.approx(0.1, rel=1e-6)
     assert abs(v100 - 2.0) == pytest.approx(0.01, rel=1e-6)
+
+
+def test_chunked_evaluation_is_bounded_and_pointwise(ops32):
+    # 20k points span many blocks: the traced peak stays small, and every
+    # point, block ends included, gets its own value
+    rng = np.random.default_rng(5)
+    r, s = rng.uniform(1.01, 4.0, 20000), rng.uniform(0.0, 2.0 * np.pi, 20000)
+    pts = np.column_stack([r * np.cos(s), r * np.sin(s)])
+    decay = 1.0 / (1.0 + np.arange(2 * N)) ** 2
+    g = TrigPolynomial.from_coefficients(rng.normal(size=2 * N) * decay)
+    lam = TrigPolynomial.from_coefficients(rng.normal(size=2 * N) * decay)
+    tracemalloc.start()
+    try:
+        vals = evaluate_exterior(ops32, g, lam, 0.7, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # the same trapezoid sums, accumulated node by node over all points
+    m = 8 * N
+    t = 2.0 * np.pi * np.arange(m) / m
+    ref = np.full(len(pts), 0.7)
+    curve = ops32.curve
+    for y, nrm, sp, gj, lj in zip(curve.point(t), curve.normal(t), curve.speed(t),
+                                  g.eval(t), lam.eval(t)):
+        diff = pts - y
+        r2 = np.sum(diff * diff, axis=1)
+        ref += sp * (gj * (diff @ nrm) / r2 + 0.5 * lj * np.log(r2)) / m
+    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+    ends = np.arange(EVAL_CHUNK, len(pts), EVAL_CHUNK)
+    for i in np.concatenate([[0, len(pts) - 1], ends - 1, ends]):
+        one = evaluate_exterior(ops32, g, lam, 0.7, pts[i])
+        assert abs(one - vals[i]) <= 1e-13 * np.abs(ref).max()
 
 
 def test_inside_point_rejected(ops32):

@@ -124,6 +124,14 @@ def test_config_rejects_degenerate_weight():
         CouplingConfig(tol=0.0)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_config_rejects_empty_iteration_cap(cap):
+    # a run with no iteration has no update norm to report
+    with pytest.raises(ValueError, match="iteration cap"):
+        CouplingConfig(max_iterations=cap)
+    assert CouplingConfig(max_iterations=1).max_iterations == 1
+
+
 # ---------------------------------------------------------------------------
 # contraction estimation
 # ---------------------------------------------------------------------------

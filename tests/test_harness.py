@@ -1,3 +1,4 @@
+import os
 import pathlib
 import runpy
 import subprocess
@@ -14,6 +15,7 @@ from hdgbem import (
     omega_sweep,
     pde_residual,
 )
+import hdgbem
 from hdgbem.cli import main as cli_main
 
 N = 16
@@ -175,8 +177,12 @@ def test_cli_missing_config_file(tmp_path, capsys):
 def test_cli_runs_as_module(tmp_path):
     cfg = tmp_path / "run.cfg"
     _write_config(cfg, tmp_path / "out")
+    # the child imports the same hdgbem as this test, installed or not
+    src = str(pathlib.Path(hdgbem.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "hdgbem", "mesh", str(cfg)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "proximity ratio" in proc.stdout
 

@@ -29,7 +29,7 @@ from hdgbem import (
     write_coefficients_csv,
     write_vtk,
 )
-from hdgbem.basis import TriangleBasis
+from hdgbem.basis import TriangleBasis, edge_legendre
 from hdgbem.geometry import BoundaryMap
 from hdgbem.hdg import (
     _Discretization,
@@ -37,7 +37,8 @@ from hdgbem.hdg import (
     solve_eliminated,
     solve_uncondensed,
 )
-from hdgbem.quadrature import triangle_rule
+from hdgbem.harness import manufactured_case, setup_level
+from hdgbem.quadrature import gauss01, triangle_rule
 
 
 def _unit_right_triangle():
@@ -91,6 +92,135 @@ def test_blocks_match_dense_quadrature_oracle():
             oracle[c1 * d:(c1 + 1) * d, c2 * d:(c2 + 1) * d] = \
                 kinv[c1, c2] * np.einsum("q,qa,qb->ab", w, vals, vals)
     assert np.abs(blocks.mass_kinv - oracle).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference-table blocks against a per-point quadrature oracle
+# ---------------------------------------------------------------------------
+
+def _distorted_mesh():
+    """Jittered 4 x 4 grid with shuffled vertex numbers and rotated elements."""
+    rng = np.random.default_rng(11)
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 4), indexing="ij")
+    pts = np.column_stack([x.ravel(), y.ravel()]) + rng.uniform(-0.08, 0.08, (16, 2))
+    tris = []
+    for i in range(3):
+        for j in range(3):
+            a, b, c, d = 4 * i + j, 4 * i + j + 4, 4 * i + j + 5, 4 * i + j + 1
+            tris += [(a, b, c), (a, c, d)]
+    perm = rng.permutation(16)
+    tris = [np.roll(t, r) for t, r in zip(perm[np.array(tris)], rng.integers(0, 3, 18))]
+    return UnfittedMesh(pts[np.argsort(perm)], np.array(tris))
+
+
+def _kappa_field(p):
+    off = 0.3 * np.sin(p[:, 0] + p[:, 1])
+    return np.stack([np.stack([2.0 + p[:, 0] ** 2, off], -1),
+                     np.stack([off, 1.0 + p[:, 1] ** 2], -1)], -2)
+
+
+def _oracle_tables(mesh, material, tau, k):
+    """The blocks of _Discretization, quadrature point by point per element.
+
+    Volume integrands use physical gradients; side integrands map the
+    physical Gauss points of the global edge back through J^{-1}.
+    """
+    basis = TriangleBasis(k)
+    d = basis.dim
+    ref_pts, ref_w = triangle_rule(2 * k + 3)
+    vals, grads = basis.eval_grad(ref_pts)
+    xg, wg = gauss01(k + 2)
+    mu = edge_legendre(k, 2.0 * xg - 1.0)
+    out = {key: [] for key in ("mass_kinv", "div", "trace_vals", "side_normals",
+                               "E_side", "F_side", "S_elem")}
+    for tri, edges in zip(mesh.elements, mesh.element_edges):
+        v = mesh.vertices[tri]
+        J = np.column_stack([v[1] - v[0], v[2] - v[0]])
+        invJ = np.linalg.inv(J)
+        mass, div = np.zeros((2 * d, 2 * d)), np.zeros((d, 2 * d))
+        for p, w, phi, dphi in zip(v[0] + ref_pts @ J.T, np.linalg.det(J) * ref_w,
+                                   vals, grads):
+            kinv = np.linalg.inv(material.value(p[None])[0])
+            mass += w * np.kron(kinv, np.outer(phi, phi))
+            div += w * np.outer(phi, (dphi @ invJ).T.ravel())
+        sides = {key: [] for key in ("trace_vals", "side_normals", "E_side", "F_side")}
+        S = np.zeros((d, d))
+        for e in edges:
+            p0, p1 = mesh.vertices[mesh.edges[e]]
+            length = np.linalg.norm(p1 - p0)
+            tv = basis.eval((p0 + xg[:, None] * (p1 - p0) - v[0]) @ invJ.T)
+            nrm = np.array([p1[1] - p0[1], p0[0] - p1[0]]) / length
+            if nrm @ (v.mean(axis=0) - 0.5 * (p0 + p1)) > 0:
+                nrm = -nrm
+            En = length * (wg[:, None] * tv).T @ mu
+            sides["trace_vals"].append(tv)
+            sides["side_normals"].append(nrm)
+            sides["E_side"].append(np.concatenate([nrm[0] * En, nrm[1] * En]))
+            sides["F_side"].append(tau[e] * En)
+            S += tau[e] * length * (wg[:, None] * tv).T @ tv
+        for key, val in sides.items():
+            out[key].append(val)
+        out["mass_kinv"].append(mass)
+        out["div"].append(div)
+        out["S_elem"].append(S)
+    out = {key: np.array(val) for key, val in out.items()}
+    length = np.linalg.norm(np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0], axis=1)
+    out["edge_mass"] = length[:, None, None] * ((wg[:, None] * mu).T @ mu)
+    return out
+
+
+def _assert_close(actual, expected, rel=1e-13):
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("kappa", [[[2.0, 0.6], [0.6, 0.5]], _kappa_field],
+                         ids=["anisotropic", "callable"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_reference_tables_match_pointwise_quadrature(k, kappa):
+    mesh = _distorted_mesh()
+    # every local side meets global edges of both orientations
+    along = mesh.elements[:, [1, 2, 0]] == mesh.edges[mesh.element_edges, 0]
+    assert np.all(along.any(axis=0)) and not np.any(along.all(axis=0))
+    tau = np.linspace(0.5, 2.0, mesh.n_edges)
+    material = MaterialField(kappa)
+    disc = _Discretization(mesh, material, tau, k)
+    for key, expected in _oracle_tables(mesh, material, tau, k).items():
+        _assert_close(getattr(disc, key), expected)
+
+
+def _reference_matrix(system):
+    """Condensed trace matrix from the oracle blocks, one element at a time."""
+    mesh, ne, d = system.mesh, system.ne, system.disc.d
+    blocks = _oracle_tables(mesh, system.material, system.disc.tau, system.k)
+    dofs = np.arange(system.n_trace).reshape(mesh.n_edges, ne)
+    A = np.zeros((system.n_trace, system.n_trace))
+    recovery = []
+    for t, edges in enumerate(mesh.element_edges):
+        E, F = blocks["E_side"][t], blocks["F_side"][t]
+        L = np.block([[blocks["mass_kinv"][t], -blocks["div"][t].T],
+                      [blocks["div"][t], blocks["S_elem"][t]]])
+        rec = np.linalg.solve(L, np.hstack([np.vstack([-E[s], F[s]]) for s in range(3)]))
+        recovery.append(rec)
+        for s, e in enumerate(edges):
+            if mesh.boundary_tags[e] < 0:
+                A[np.ix_(dofs[e], dofs[edges].ravel())] += np.hstack([E[s].T, F[s].T]) @ rec
+                A[np.ix_(dofs[e], dofs[e])] -= system.disc.tau[e] * blocks["edge_mass"][e]
+    for row, (e, t) in enumerate(zip(system.bmap.edge_ids, system.bmap.parents)):
+        T = system.transfer.path_moments[row]
+        A[np.ix_(dofs[e], dofs[mesh.element_edges[t]].ravel())] -= T.T @ recovery[t][:2 * d]
+        A[np.ix_(dofs[e], dofs[e])] += blocks["edge_mass"][e]
+    return A
+
+
+@pytest.mark.parametrize("which", ["coarse_k2", "bump"])
+def test_trace_matrix_matches_reference_assembly(which, request):
+    if which == "bump":
+        case = manufactured_case("variable-kappa-bump", degree=1)
+        system = setup_level(case, 0.2, 1, n=8).system
+    else:
+        system = request.getfixturevalue(which)[3]
+    _assert_close(system.matrix.toarray(), _reference_matrix(system))
 
 
 # ---------------------------------------------------------------------------
