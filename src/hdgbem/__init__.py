@@ -14,7 +14,6 @@ from .bem import (
     TrigPolynomial,
     assemble_layer_operators,
     evaluate_exterior,
-    project_mean_zero,
     solve_exterior,
     write_density_csv,
 )
@@ -25,8 +24,6 @@ from .coupling import (
     dtn_step,
     estimate_contraction,
     monolithic_solve,
-    ntd_step,
-    relax_update,
     run_fixed_point,
     write_iteration_log,
 )
@@ -76,7 +73,6 @@ from .hdg import (
     HDGSystem,
     MaterialField,
     Stabilization,
-    assemble_local,
     assemble_transfer,
     build_system,
     hdg_projection,

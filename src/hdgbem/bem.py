@@ -9,7 +9,10 @@ constant,
 and the interface equation (1/2 - K) g = -V lam is solved on the space of
 mean-zero trigonometric polynomials; the constant mode is annihilated by
 the mean-zero test space and is recovered by the coupling's zero-mean-flux
-condition instead.
+condition instead.  "Mean-zero" always means zero arclength mean, and
+``LayerOperatorSet`` owns the rule: its ``moments`` measure the mean, its
+``injection`` and ``P`` build mean-zero densities, and ``solve_exterior``
+refuses a density whose mean is not zero.
 Parametric kernels (2 pi periodic, G the Green function of the minus
 Laplacian):
 
@@ -49,7 +52,7 @@ class TrigPolynomial:
     real degrees of freedom matching 2n equispaced samples.
     """
 
-    def __init__(self, cos_coeff, sin_coeff, mean_zero=False):
+    def __init__(self, cos_coeff, sin_coeff):
         self.cos = np.asarray(cos_coeff, dtype=float)
         self.sin = np.asarray(sin_coeff, dtype=float)
         self.n = len(self.cos) - 1
@@ -57,11 +60,10 @@ class TrigPolynomial:
             raise DimensionError(
                 f"degree {self.n} needs {self.n - 1} sine coefficients, "
                 f"got {len(self.sin)}")
-        self.mean_zero = bool(mean_zero)
 
     @classmethod
-    def zero(cls, n, mean_zero=True):
-        return cls(np.zeros(n + 1), np.zeros(max(n - 1, 0)), mean_zero=mean_zero)
+    def zero(cls, n):
+        return cls(np.zeros(n + 1), np.zeros(max(n - 1, 0)))
 
     @classmethod
     def from_samples(cls, samples):
@@ -73,13 +75,13 @@ class TrigPolynomial:
             _samples_to_coeff(len(samples) // 2, samples[:, None])[:, 0])
 
     @classmethod
-    def from_coefficients(cls, vec, mean_zero=False):
+    def from_coefficients(cls, vec):
         """From the packed vector [a0..an, b1..b_{n-1}] of length 2n."""
         vec = np.asarray(vec, dtype=float)
         if len(vec) % 2:
             raise DimensionError("packed coefficient vector must have even length")
         n = len(vec) // 2
-        return cls(vec[:n + 1], vec[n + 1:], mean_zero=mean_zero)
+        return cls(vec[:n + 1], vec[n + 1:])
 
     def coefficients(self):
         return np.concatenate([self.cos, self.sin])
@@ -102,14 +104,6 @@ class TrigPolynomial:
                                                   + np.sum(self.sin ** 2))
         return float(np.sqrt(speed * s2))
 
-    def weighted_mean(self, curve=None):
-        """Arclength mean integral of the polynomial over the curve."""
-        if curve is None:
-            return TWO_PI * self.cos[0]
-        t = np.linspace(0.0, TWO_PI, 8 * self.n, endpoint=False)
-        w = curve.speed(t)
-        return float(np.mean(self.eval(t) * w) * TWO_PI)
-
     def __add__(self, other):
         return TrigPolynomial(self.cos + other.cos, self.sin + other.sin)
 
@@ -117,36 +111,9 @@ class TrigPolynomial:
         return TrigPolynomial(self.cos - other.cos, self.sin - other.sin)
 
     def __mul__(self, a):
-        return TrigPolynomial(a * self.cos, a * self.sin, mean_zero=self.mean_zero)
+        return TrigPolynomial(a * self.cos, a * self.sin)
 
     __rmul__ = __mul__
-
-
-def project_mean_zero(data, curve=None, n=None):
-    """L2 projection onto mean-zero trigonometric polynomials.
-
-    ``data`` is either 2n equispaced samples, a packed coefficient vector,
-    or a TrigPolynomial; sample input is interpolated first.  Mean removal
-    uses the arclength measure of ``curve`` when given (for circles, and by
-    default, this is plain removal of the constant coefficient).  The
-    operation is idempotent.
-    """
-    if isinstance(data, TrigPolynomial):
-        poly = data
-    else:
-        arr = np.asarray(data, dtype=float)
-        if n is not None and len(arr) != 2 * n:
-            raise DimensionError(f"expected {2 * n} samples, got {len(arr)}")
-        poly = TrigPolynomial.from_samples(arr)
-    if curve is None or curve.is_circle:
-        cos_c = poly.cos.copy()
-        cos_c[0] = 0.0
-        return TrigPolynomial(cos_c, poly.sin.copy(), mean_zero=True)
-    total = curve.length()
-    mean = poly.weighted_mean(curve) / total
-    cos_c = poly.cos.copy()
-    cos_c[0] -= mean
-    return TrigPolynomial(cos_c, poly.sin.copy(), mean_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +182,12 @@ class LayerOperatorSet:
     (2n x 2n-1) of the zero-mean coefficients, ``bie`` = 1/2 - K, and the
     ``reduced`` interface matrix injection^T gram bie injection with its LU
     factors.
+
+    It is the one owner of the mean-zero rule: a density is mean-zero when
+    its arclength mean ``moments @ c`` vanishes, ``P`` (2n x 2n) maps 2n
+    node samples to the coefficients of the mean-zero density that
+    interpolates them up to a constant, and ``solve_exterior`` refuses any
+    other density.
     """
 
     def __init__(self, curve, n, V, K):
@@ -230,6 +203,14 @@ class LayerOperatorSet:
         self.bie = 0.5 * np.eye(2 * self.n) - K
         self.reduced = self.injection.T @ (self.gram[:, None] * self.bie) @ self.injection
         self.reduced_lu = scipy.linalg.lu_factor(self.reduced, check_finite=False)
+        self.P = self.injection @ _samples_to_coeff(self.n, np.eye(2 * self.n))[1:]
+
+    def project(self, samples):
+        """Mean-zero density interpolating the 2n node samples up to a constant."""
+        samples = np.asarray(samples, dtype=float)
+        if samples.shape != (2 * self.n,):
+            raise DimensionError(f"expected {2 * self.n} samples, got shape {samples.shape}")
+        return TrigPolynomial.from_coefficients(self.P @ samples)
 
     @property
     def is_circle(self):
@@ -319,13 +300,17 @@ def solve_exterior(ops, lam):
     """Dirichlet trace of the exterior field with mean-zero Neumann density.
 
     Solves the second-kind interface equation tested against the mean-zero
-    trigonometric space, with the operator set's reduced LU factors.
+    trigonometric space, with the operator set's reduced LU factors.  A
+    density whose arclength mean exceeds 1e-12 of |moments| |c| is refused.
     """
-    if not lam.mean_zero:
-        raise SolverError("exterior solve requires a mean-zero density")
     if lam.n != ops.n:
         raise DimensionError("density degree does not match the operator set")
-    rhs_c = -ops.V @ lam.coefficients()
+    lam_c = lam.coefficients()
+    mean = abs(ops.moments @ lam_c)
+    if mean > 1e-12 * np.linalg.norm(ops.moments) * np.linalg.norm(lam_c):
+        raise SolverError(f"exterior solve requires a mean-zero density "
+                          f"(arclength mean integral {mean:.3e})")
+    rhs_c = -ops.V @ lam_c
     Z = ops.injection
     r = Z.T @ (ops.gram * rhs_c)
     if np.any(np.diag(ops.reduced_lu[0]) == 0.0):
@@ -335,7 +320,7 @@ def solve_exterior(ops, lam):
     scale = np.linalg.norm(r)
     if res > 1e-12 * max(scale, 1e-300) and scale > 0:
         raise SolverError(f"interface solve residual {res:.3e} vs scale {scale:.3e}")
-    return TrigPolynomial.from_coefficients(g_c, mean_zero=True)
+    return TrigPolynomial.from_coefficients(g_c)
 
 
 def evaluate_exterior(ops, g, lam, u_inf, points, standoff=1e-6, n_quad=None):

@@ -6,9 +6,9 @@ polynomial plus a separately tracked far-field constant) to a new trace:
   1. solve the interior problem with Dirichlet data g + u_inf on the
      interface and the problem datum on the inner boundary;
   2. sample the interior normal flux at the interface nodes, project it
-     onto mean-zero densities and flip the sign to obtain the exterior
-     Neumann density, then solve the boundary integral equation for the
-     new trace;
+     with the operator set's ``project`` onto densities of zero arclength
+     mean and flip the sign to obtain the exterior Neumann density, then
+     solve the boundary integral equation for the new trace;
   3. relax:  g  <-  omega * g_tilde + (1 - omega) * g.
 
 Steps 1 and 2 up to the exterior solve are one ``InterfaceMap``: an affine
@@ -36,21 +36,24 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bem import TrigPolynomial, _coeff_to_samples, _samples_to_coeff, solve_exterior
+from .bem import TrigPolynomial, _coeff_to_samples, solve_exterior
 from .errors import DimensionError, DivergenceError, EstimationError, SolverError
 from .geometry import TAG_OUTER
 
-TWO_PI = 2.0 * np.pi
 # largest bordered system (trace, reduced density and far-field unknowns)
 # that monolithic_solve factors directly
 MONOLITHIC_SIZE_LIMIT = 400000
 
 
 class CouplingConfig:
-    """Iteration controls: relaxation weight, cap, tolerance, density degree."""
+    """Iteration controls: relaxation weight, cap, tolerance, density degree.
 
-    def __init__(self, omega=0.5, max_iterations=100, tol=1e-8, n=32,
-                 g0=None, u_inf0=0.0, aitken=False):
+    ``n=None`` takes the degree of the operator set the run is given; any
+    other value must equal it.
+    """
+
+    def __init__(self, omega=0.5, max_iterations=100, tol=1e-8, n=None,
+                 g0=None, u_inf0=0.0):
         if not 0.0 < omega <= 1.0:
             raise ValueError(f"relaxation weight must lie in (0, 1], got {omega}")
         if tol <= 0.0:
@@ -60,10 +63,9 @@ class CouplingConfig:
         self.omega = float(omega)
         self.max_iterations = int(max_iterations)
         self.tol = float(tol)
-        self.n = int(n)
+        self.n = None if n is None else int(n)
         self.g0 = g0
         self.u_inf0 = float(u_inf0)
-        self.aitken = bool(aitken)
 
 
 class CouplingState:
@@ -97,8 +99,8 @@ class InterfaceResponse:
     ``B`` (n_trace x 2n) holds the edge moments of each density basis
     function on the interface rows.  Row j of ``Z`` evaluates the flux of
     node j's patch parent element, extrapolated to the node, from that
-    element's trace coefficients.  ``P`` maps flux samples to mean-zero
-    density coefficients and ``arc_w`` integrates samples over the interface.
+    element's trace coefficients.  ``arc_w`` integrates samples over the
+    interface.
 
     Every trace solve made through it is counted, over all runs on the
     pair.  Once the count reaches 2n, the column count of ``B``, one block
@@ -142,7 +144,6 @@ class InterfaceResponse:
             (z_loc.ravel(), (np.repeat(np.arange(2 * n), 3 * ne), cols.ravel())),
             shape=(2 * n, system.n_trace))
 
-        self.P = ops.injection @ _samples_to_coeff(n, np.eye(2 * n))[1:]
         self.arc_w = curve.speed(self.params) * np.pi / n
         self.solves = 0
         self.F = None
@@ -175,10 +176,6 @@ class InterfaceResponse:
     def mean_flux(self, samples):
         return float(self.arc_w @ samples)
 
-    def project(self, samples):
-        """Mean-zero density interpolating the samples up to a constant."""
-        return TrigPolynomial.from_coefficients(self.P @ samples, mean_zero=True)
-
     @property
     def chi(self):
         """Mean-flux response to a unit constant datum (far-field channel)."""
@@ -200,13 +197,15 @@ class InterfaceMap:
         flux = Z A^{-1} (rhs0 + B c) + z_f  =  flux0 + F c.
 
     ``response`` is the shared ``InterfaceResponse`` of (system, ops) that
-    holds B, Z and F; ``rhs0`` carries the load f and the inner datum u0,
-    ``z_f`` adds each parent element's particular solution.  ``apply``
-    applies the map with one trace solve until the response holds F, and
-    with ``flux0`` (one solve, on first use) plus F c after that.
+    holds B, Z and F, and ``ops`` the operator set; ``rhs0`` carries the
+    load f and the inner datum u0, ``z_f`` adds each parent element's
+    particular solution.  ``apply`` applies the map with one trace solve
+    until the response holds F, and with ``flux0`` (one solve, on first
+    use) plus F c after that.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
+        self.ops = ops
         self.response = resp = InterfaceResponse.of(system, ops)
         disc = system.disc
         d = disc.d
@@ -254,22 +253,7 @@ def dtn_step(imap, g, u_inf=0.0):
     the relative residual of the trace solve behind the flux.
     """
     samples, residual = imap.apply(g, u_inf)
-    resp = imap.response
-    return resp.project(-samples), resp.mean_flux(samples), residual
-
-
-def ntd_step(ops, lam):
-    """Exterior solve: the new Dirichlet trace."""
-    return solve_exterior(ops, lam)
-
-
-def relax_update(g_old, g_tilde, omega):
-    """Convex combination omega * g_tilde + (1 - omega) * g_old."""
-    if g_old.n != g_tilde.n:
-        raise DimensionError("relaxation requires equal density degrees")
-    out = omega * g_tilde + (1.0 - omega) * g_old
-    out.mean_zero = g_old.mean_zero and g_tilde.mean_zero
-    return out
+    return imap.ops.project(-samples), imap.response.mean_flux(samples), residual
 
 
 def estimate_contraction(history):
@@ -297,12 +281,14 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     Raises DivergenceError (carrying the state and its history) when the
     iteration cap is hit; callers may retry with a smaller weight.
     """
-    config = config or CouplingConfig(n=ops.n)
+    config = config or CouplingConfig()
     n = ops.n
+    if config.n is not None and config.n != n:
+        raise DimensionError(f"configured density degree {config.n} does not "
+                             f"match the operator set's {n}")
     if config.g0 is not None and config.g0.n != n:
         raise DimensionError("initial trace degree does not match the operator set")
-    speed = ops.curve.radius if ops.curve.is_circle else \
-        ops.curve.length() / TWO_PI
+    speed = ops.curve.mean_speed()
     imap = InterfaceMap(system, ops, f, u0)
     chi = imap.response.chi
     if abs(chi) < 1e-12:
@@ -313,24 +299,14 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     g = config.g0 if config.g0 is not None else TrigPolynomial.zero(n)
     u_inf = config.u_inf0
     omega = config.omega
-    prev_resid = None
     for it in range(1, config.max_iterations + 1):
         state.iteration = it
         lam, mflux, lin_res = dtn_step(imap, g, u_inf)
         state.lambda_mean_max = max(state.lambda_mean_max,
                                     abs(ops.moments @ lam.coefficients()))
-        g_tilde = ntd_step(ops, lam)
+        g_tilde = solve_exterior(ops, lam)
         u_inf_new = u_inf - mflux / chi
-        if config.aitken and prev_resid is not None:
-            resid = (g_tilde - g).coefficients()
-            dr = resid - prev_resid
-            denom = float(dr @ dr)
-            if denom > 0:
-                omega = float(np.clip(-omega * (prev_resid @ dr) / denom, 0.05, 1.0))
-            prev_resid = resid
-        elif config.aitken:
-            prev_resid = (g_tilde - g).coefficients()
-        g_new = relax_update(g, g_tilde, omega)
+        g_new = omega * g_tilde + (1.0 - omega) * g
         delta = g_new - g
         delta.cos[0] += u_inf_new - u_inf
         update = delta.l2_norm(speed=speed)
@@ -356,7 +332,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     uhat, lin_res = imap.solve(g, u_inf)
     samples = imap.flux(uhat)
     state.field = system.recover(uhat, imap.f_mom)
-    state.lam = imap.response.project(-samples)
+    state.lam = ops.project(-samples)
     state.mean_flux = imap.response.mean_flux(samples)
     state.residual_history.append(lin_res)
     return state
@@ -373,9 +349,9 @@ def write_iteration_log(state, path):
     """
     with open(path, "w") as fh:
         fh.write("iter,update_norm,u_inf,interior_residual\n")
-        for i, upd in enumerate(state.history):
-            res = state.residual_history[i] if i < len(state.residual_history) else ""
-            fh.write(f"{i + 1},{upd:.17e},{state.u_inf_history[i]:.17e},{res:.3e}\n")
+        for i, (upd, u_inf, res) in enumerate(zip(
+                state.history, state.u_inf_history, state.residual_history), 1):
+            fh.write(f"{i},{upd:.17e},{u_inf:.17e},{res:.3e}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +374,7 @@ def monolithic_solve(system, ops, f=None, u0=None):
     Zinj = ops.injection
     # lam = -P flux  =>  (1/2 - K) g - V P (Z uhat + z_f) = 0, tested on
     # mean-zero densities
-    VP = Zinj.T @ (ops.gram[:, None] * ops.V) @ resp.P
+    VP = Zinj.T @ (ops.gram[:, None] * ops.V) @ ops.P
     A = sp.bmat([
         [system.matrix, -resp.B @ sp.csr_matrix(Zinj), -resp.B[:, :1]],
         [-sp.csr_matrix(VP) @ resp.Z, sp.csr_matrix(ops.reduced), None],
@@ -409,9 +385,8 @@ def monolithic_solve(system, ops, f=None, u0=None):
     if not np.all(np.isfinite(x)):
         raise SolverError("monolithic coupled solve produced non-finite values")
     uhat = x[:n_trace]
-    g = TrigPolynomial.from_coefficients(Zinj @ x[n_trace:n_trace + n_red],
-                                         mean_zero=True)
+    g = TrigPolynomial.from_coefficients(Zinj @ x[n_trace:n_trace + n_red])
     u_inf = float(x[-1])
     field = system.recover(uhat, imap.f_mom)
-    lam = resp.project(-imap.flux(uhat))
+    lam = ops.project(-imap.flux(uhat))
     return field, g, lam, u_inf

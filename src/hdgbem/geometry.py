@@ -143,6 +143,10 @@ class Curve:
         s = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         return float(np.mean(self.speed(s)) * TWO_PI)
 
+    def mean_speed(self):
+        """Mean |y'| over the parameter: the radius of a circle, else length / 2 pi."""
+        return self.radius if self.is_circle else self.length() / TWO_PI
+
     def diameter(self):
         if self.is_circle:
             return 2.0 * self.radius
@@ -621,10 +625,9 @@ def build_extension_patches(mesh, bmap, gamma, gamma0):
 # ---------------------------------------------------------------------------
 
 class ProximityReport:
-    def __init__(self, R_h, normal_deviation, per_edge):
+    def __init__(self, R_h, normal_deviation):
         self.R_h = R_h
         self.normal_deviation = normal_deviation
-        self.per_edge = per_edge
 
     def __repr__(self):
         return (f"ProximityReport(R_h={self.R_h:.4g}, "
@@ -640,7 +643,7 @@ def proximity_parameter(mesh, bmap):
     per_edge = bmap.l.max(axis=1, initial=0.0) / mesh.h_T[bmap.parents]
     dev = np.linalg.norm(bmap.normals - bmap.nu[:, None, :], axis=2)
     return ProximityReport(float(per_edge.max(initial=0.0)),
-                           float(dev.max(initial=0.0)), per_edge)
+                           float(dev.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

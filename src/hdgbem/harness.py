@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .bem import TrigPolynomial, assemble_layer_operators
+from .bem import TrigPolynomial, _arc_moments, assemble_layer_operators
 from .coupling import (
     CouplingConfig,
     estimate_contraction,
@@ -58,14 +58,17 @@ class ManufacturedCase:
         """Dirichlet datum on the inner problem boundary."""
         return self.u(pts)
 
+    def _without_arc_mean(self, samples):
+        """Interpolant of node samples with its arclength mean removed."""
+        poly = TrigPolynomial.from_samples(samples)
+        moments = _arc_moments(self.gamma, poly.n)
+        poly.cos[0] = -(moments[1:] @ poly.coefficients()[1:]) / moments[0]
+        return poly
+
     def g_exact(self, n):
         """Mean-zero part of the exact interface trace."""
         t = np.arange(2 * n) * np.pi / n
-        vals = self.u(self.gamma.point(t))
-        poly = TrigPolynomial.from_samples(vals)
-        poly.cos[0] = 0.0
-        poly.mean_zero = True
-        return poly
+        return self._without_arc_mean(self.u(self.gamma.point(t)))
 
     def lam_exact(self, n):
         """Exterior Neumann density: negated interface normal flux."""
@@ -73,10 +76,7 @@ class ManufacturedCase:
         pts = self.gamma.point(t)
         nrm = self.gamma.normal(t)
         flux = np.einsum("pd,pd->p", self.q(pts), nrm)
-        poly = TrigPolynomial.from_samples(-flux)
-        poly.cos[0] = 0.0
-        poly.mean_zero = True
-        return poly
+        return self._without_arc_mean(-flux)
 
 
 def _bump(r, lo=0.55, hi=0.95, amp=0.3):
@@ -129,7 +129,7 @@ def manufactured_case(case_id, degree=1, constant=3.0):
                 r = np.sqrt(p[:, 0] ** 2 + p[:, 1] ** 2)   # analytic radius
                 return 1.0 + _bump(r)
 
-            kappa = MaterialField(lambda p: np.real(kval(p)), bounds=(1.0, 1.3))
+            kappa = MaterialField(lambda p: np.real(kval(p)))
 
             def q(p):
                 return -kval(p)[:, None] * grad_u(p)
@@ -308,7 +308,7 @@ def convergence_study(case, k, hs, n=32, config=None, fitted=False, tau=1.0):
     interface trace as data.  A diverging level is recorded and the study
     continues.
     """
-    config = config or CouplingConfig(n=n)
+    config = config or CouplingConfig()
     report = StudyReport(case.id, k, n)
     for target_h in hs:
         t0 = time.time()
@@ -324,7 +324,7 @@ def convergence_study(case, k, hs, n=32, config=None, fitted=False, tau=1.0):
                 ratio = estimate_contraction(state.history) \
                     if len(state.history) >= 3 else np.nan
                 err_g = (state.g - case.g_exact(n)).l2_norm(
-                    speed=case.gamma.radius)
+                    speed=case.gamma.mean_speed())
                 err_uinf = abs(state.u_inf - case.u_inf)
             else:
                 field = solve_interior(bundle.system, f=case.f,

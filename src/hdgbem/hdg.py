@@ -49,10 +49,9 @@ class MaterialField:
 
     Accepts the identity (None), a scalar, a constant 2x2 matrix, or a
     callable mapping points (m, 2) to scalars (m,) or matrices (m, 2, 2).
-    The declared bounds are the extreme entries used in diagnostics only.
     """
 
-    def __init__(self, kappa=None, bounds=None):
+    def __init__(self, kappa=None):
         self._fun = None
         self._const = None
         if kappa is None:
@@ -66,13 +65,8 @@ class MaterialField:
             if mat.shape != (2, 2) or not np.allclose(mat, mat.T):
                 raise AssemblyError("constant kappa must be a symmetric 2x2 matrix")
             self._const = mat
-        if self._const is not None:
-            ev = np.linalg.eigvalsh(self._const)
-            if ev.min() <= 0:
-                raise AssemblyError("kappa must be positive definite")
-            self.bounds = (float(ev.min()), float(ev.max()))
-        else:
-            self.bounds = bounds if bounds is not None else (None, None)
+        if self._const is not None and np.linalg.eigvalsh(self._const).min() <= 0:
+            raise AssemblyError("kappa must be positive definite")
 
     @classmethod
     def identity(cls):
@@ -112,10 +106,6 @@ class Stabilization:
         if np.any(tau <= 0):
             raise AssemblyError("tau must be strictly positive")
         return tau
-
-    @property
-    def bar(self):
-        return float(np.max(self.value))
 
 
 class DGField:
@@ -325,36 +315,6 @@ def assemble_transfer(disc, bmap):
     blocks.flux_scalar[rows] = disc.tau[edges][:, None, None] * np.einsum(
         "bq,bqc,bqw->bwc", w_edge, inner, tr)
     return blocks
-
-
-# ---------------------------------------------------------------------------
-# local block view (diagnostics and low-level tests)
-# ---------------------------------------------------------------------------
-
-class LocalBlocks:
-    def __init__(self, mass_kinv, div, jump_penalty, edge_flux, edge_scalar):
-        self.mass_kinv = mass_kinv      # (2d, 2d)  (kappa^{-1} q, v)_T
-        self.div = div                  # (d, 2d)   (w, div q)_T
-        self.jump_penalty = jump_penalty  # list per side, own-side 1/(2 tau) <q.nu, v.nu>
-        self.edge_flux = edge_flux      # list per side, <q.nu, mu>
-        self.edge_scalar = edge_scalar  # list per side, <u, w>_e
-
-
-def assemble_local(mesh, elem, material, tau, k):
-    """Per-element blocks of the bilinear forms (exact Gauss quadrature).
-
-    Diagnostic view: builds the full discretization cache on each call, so
-    query single elements of small meshes; production assembly goes through
-    build_system, which shares one cache across all elements.
-    """
-    disc = _Discretization(mesh, material, tau, k)
-    t = int(elem)
-    sides = mesh.element_edges[t]
-    escal = [(w[:, None] * tr).T @ tr
-             for w, tr in zip(disc.edge_w[sides], disc.trace_vals[t])]
-    jump = [0.5 / disc.tau[e] * np.kron(np.outer(n, n), m)
-            for e, n, m in zip(sides, disc.side_normals[t], escal)]
-    return LocalBlocks(disc.mass_kinv[t], disc.div[t], jump, list(disc.E_side[t]), escal)
 
 
 # ---------------------------------------------------------------------------

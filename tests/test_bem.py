@@ -12,7 +12,6 @@ from hdgbem import (
     TrigPolynomial,
     assemble_layer_operators,
     evaluate_exterior,
-    project_mean_zero,
     solve_exterior,
     write_density_csv,
 )
@@ -37,43 +36,47 @@ def test_interpolation_round_trip():
     assert len(poly.coefficients()) == 2 * N
 
 
-def test_projection_kills_constants():
-    out = project_mean_zero(np.full(2 * N, 4.2))
-    assert np.abs(out.coefficients()).max() == 0.0
-    assert out.mean_zero
+def test_projection_kills_constants(ops32):
+    # the projection is a matrix product, so a constant leaves rounding
+    out = ops32.project(np.full(2 * N, 4.2))
+    assert np.abs(out.coefficients()).max() <= 1e-15 * 4.2
+    assert ops32.moments @ out.coefficients() == 0.0
 
 
-def test_projection_keeps_mean_zero_modes():
-    out = project_mean_zero(np.cos(3 * nodes()))
+def test_projection_keeps_mean_zero_modes(ops32):
+    out = ops32.project(np.cos(3 * nodes()))
     expect = np.zeros(2 * N)
     expect[3] = 1.0
     assert np.abs(out.coefficients() - expect).max() < 1e-14
 
 
-def test_projection_removes_mean_keeps_rest():
-    out = project_mean_zero(np.cos(3 * nodes()) + 5.0)
+def test_projection_removes_mean_keeps_rest(ops32):
+    out = ops32.project(np.cos(3 * nodes()) + 5.0)
     expect = np.zeros(2 * N)
     expect[3] = 1.0
     assert np.abs(out.coefficients() - expect).max() < 1e-14
 
 
-def test_projection_idempotent():
+def test_projection_idempotent(ops32):
+    # projecting the node samples of a projected density gives it back
     rng = np.random.default_rng(1)
-    out1 = project_mean_zero(rng.normal(size=2 * N))
-    out2 = project_mean_zero(out1)
-    assert np.array_equal(out1.coefficients(), out2.coefficients())
+    out1 = ops32.project(rng.normal(size=2 * N))
+    out2 = ops32.project(out1.eval(ops32.nodes))
+    c1 = out1.coefficients()
+    assert np.abs(out2.coefficients() - c1).max() <= 1e-14 * np.abs(c1).max()
 
 
-def test_projection_dimension_errors():
+def test_projection_dimension_errors(ops32):
     with pytest.raises(DimensionError):
-        project_mean_zero(np.zeros(2 * N), n=N + 1)
+        ops32.project(np.zeros(2 * N + 2))
     with pytest.raises(DimensionError):
         TrigPolynomial.from_samples(np.zeros(9))
 
 
 def test_weighted_mean_zero_on_curve(smooth_unit_circle):
-    out = project_mean_zero(np.cos(nodes()) + 2.0, curve=smooth_unit_circle)
-    assert abs(out.weighted_mean(smooth_unit_circle)) < 1e-13
+    ops = assemble_layer_operators(smooth_unit_circle, N)
+    out = ops.project(np.cos(nodes()) + 2.0)
+    assert abs(ops.moments @ out.coefficients()) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +177,7 @@ def test_cos_mode_solution(ops32, m):
 
 
 def test_sin_mode_solution(ops32):
-    lam = project_mean_zero(np.sin(2 * nodes()))
+    lam = ops32.project(np.sin(2 * nodes()))
     g = solve_exterior(ops32, lam)
     assert g.sin[1] == pytest.approx(-0.5, abs=1e-13)
     assert g.l2_norm() == pytest.approx(0.5 * np.sqrt(np.pi), rel=1e-12)
@@ -182,15 +185,24 @@ def test_sin_mode_solution(ops32):
 
 def test_solution_is_mean_zero(ops32):
     rng = np.random.default_rng(3)
-    lam = project_mean_zero(rng.normal(size=2 * N))
+    lam = ops32.project(rng.normal(size=2 * N))
     g = solve_exterior(ops32, lam)
-    assert abs(g.weighted_mean()) <= 1e-13 * max(g.l2_norm(), 1e-30)
+    assert abs(ops32.moments @ g.coefficients()) <= 1e-13 * max(g.l2_norm(), 1e-30)
 
 
 def test_rejects_non_mean_zero_density(ops32):
-    lam = TrigPolynomial.zero(N, mean_zero=False)
-    with pytest.raises(SolverError):
+    lam = TrigPolynomial.zero(N)
+    lam.cos[0] = 1.0
+    with pytest.raises(SolverError, match="mean-zero"):
         solve_exterior(ops32, lam)
+
+
+def test_accepts_sum_of_projected_densities(ops32):
+    # mean-zero is a property of the coefficients, so it survives arithmetic
+    rng = np.random.default_rng(4)
+    lam = ops32.project(rng.normal(size=2 * N)) + ops32.project(rng.normal(size=2 * N))
+    g = solve_exterior(ops32, 0.5 * lam)
+    assert np.abs(g.coefficients() - (-2.0 * ops32.V @ (0.5 * lam).coefficients())).max() < 1e-13
 
 
 def test_degree_mismatch(ops32):
@@ -201,7 +213,7 @@ def test_degree_mismatch(ops32):
 def test_spectral_accuracy_entire_density(ops32):
     # lambda = exp(cos t) - I0(1) has Bessel coefficients 2 I_m(1);
     # the exact trace follows from the Fourier diagonalization
-    lam = project_mean_zero(np.exp(np.cos(nodes())))
+    lam = ops32.project(np.exp(np.cos(nodes())))
     g = solve_exterior(ops32, lam)
     t = np.linspace(0, 2 * np.pi, 1001)
     exact = np.zeros_like(t)

@@ -12,13 +12,14 @@ from hdgbem import (
     TAG_OUTER,
     Curve,
     MaterialField,
+    SolverError,
+    TrigPolynomial,
     assemble_layer_operators,
     build_annulus_mesh,
     build_boundary_map,
     build_extension_patches,
     build_system,
     l2_errors,
-    project_mean_zero,
     proximity_parameter,
     solve_exterior,
     solve_interior,
@@ -95,12 +96,32 @@ def test_ellipse_interface_solve_self_convergence(ellipse):
     sols = []
     for n in (24, 48):
         ops = assemble_layer_operators(ellipse, n)
-        lam = project_mean_zero(lam_fun(np.arange(2 * n) * np.pi / n),
-                                curve=ellipse)
+        lam = ops.project(lam_fun(ops.nodes))
         sols.append(solve_exterior(ops, lam))
     t = np.linspace(0.0, 2 * np.pi, 500)
     assert np.abs(sols[0].eval(t) - sols[1].eval(t)).max() < 1e-12
-    assert abs(sols[1].weighted_mean(ellipse)) < 1e-12
+    assert abs(ops.moments @ sols[1].coefficients()) < 1e-12
+
+
+def test_exterior_solve_refuses_arclength_mean():
+    # on an ellipse a density with zero constant coefficient still has an
+    # arclength mean; the solve refuses it and accepts its projection
+    a, b, n = 1.3, 0.9, 16
+    curve = Curve.from_parametrization(
+        lambda s: np.stack([a * np.cos(s), b * np.sin(s)], axis=-1),
+        lambda s: np.stack([-a * np.sin(s), b * np.cos(s)], axis=-1),
+        lambda s: np.stack([-a * np.cos(s), -b * np.sin(s)], axis=-1))
+    ops = assemble_layer_operators(curve, n)
+    samples = np.cos(2 * ops.nodes) + 0.3 * np.sin(ops.nodes)
+    coeff_mean_free = TrigPolynomial.from_samples(samples)
+    coeff_mean_free.cos[0] = 0.0
+    assert abs(ops.moments @ coeff_mean_free.coefficients()) > 0.1
+    with pytest.raises(SolverError, match="mean-zero"):
+        solve_exterior(ops, coeff_mean_free)
+    lam = ops.project(samples)
+    assert abs(ops.moments @ lam.coefficients()) < 1e-14
+    both = solve_exterior(ops, lam + ops.project(np.sin(3 * ops.nodes)))
+    assert np.all(np.isfinite(both.coefficients()))
 
 
 def test_single_layer_self_adjoint_in_arclength_pairing(ellipse):

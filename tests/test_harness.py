@@ -9,7 +9,10 @@ import pytest
 
 from hdgbem import (
     CouplingConfig,
+    Curve,
     HDGSystem,
+    ManufacturedCase,
+    assemble_layer_operators,
     convergence_study,
     manufactured_case,
     omega_sweep,
@@ -37,7 +40,8 @@ def test_dipole_interface_traces():
     assert g.cos[1] == pytest.approx(1.0, abs=1e-13)
     assert lam.cos[1] == pytest.approx(-1.0, abs=1e-13)
     assert lam.cos[0] == 0.0                      # mean-zero density
-    assert abs(lam.weighted_mean()) < 1e-13
+    assert abs(assemble_layer_operators(case.gamma, N).moments
+               @ lam.coefficients()) < 1e-13
 
 
 def test_polynomial_patch_linear_data():
@@ -102,6 +106,33 @@ def test_study_rows_and_csv(tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0] == "level,h,R_h,err_q,err_u,rate_q,rate_u,iters,ratio"
     assert len(rows) == 3
+
+
+@pytest.fixture(scope="module")
+def ellipse_study():
+    # the dipole-plus-constant fields with a 1.3 x 0.9 elliptic interface
+    a, b = 1.3, 0.9
+    gamma = Curve.from_parametrization(
+        lambda s: np.stack([a * np.cos(s), b * np.sin(s)], axis=-1),
+        lambda s: np.stack([-a * np.sin(s), b * np.cos(s)], axis=-1),
+        lambda s: np.stack([-a * np.cos(s), -b * np.sin(s)], axis=-1))
+    base = manufactured_case("dipole-plus-constant")
+    case = ManufacturedCase("ellipse", base.kappa, base.f, base.u, base.q,
+                            base.grad_u, base.u_inf, gamma, base.gamma0,
+                            supports_coupling=True)
+    return convergence_study(case, 1, [0.1, 0.05], n=32)
+
+
+def test_study_on_ellipse_reports_finite_errors(ellipse_study):
+    for row in ellipse_study.rows:
+        assert row["converged"]
+        for key in ("err_q", "err_u", "err_g", "err_uinf"):
+            assert np.isfinite(row[key]), key
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: interface solve uses ½I−K")
+def test_study_on_ellipse_converges_at_order_k_plus_1(ellipse_study):
+    assert ellipse_study.rate("err_u", 1) >= 2 - 0.3
 
 
 def test_omega_sweep_records_divergence():
@@ -240,6 +271,15 @@ def test_deterministic_solve_outputs(tmp_path):
 # ---------------------------------------------------------------------------
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+# 01 runs in test_unfitted_mesh_demo, with assertions on its table
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")
+                                        if not p.name.startswith("01_")))
+def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    assert capsys.readouterr().out.strip()
 
 
 def test_unfitted_mesh_demo(tmp_path, monkeypatch, capsys):

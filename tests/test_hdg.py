@@ -15,7 +15,6 @@ from hdgbem import (
     Stabilization,
     UnfittedMesh,
     assemble_layer_operators,
-    assemble_local,
     build_annulus_mesh,
     build_boundary_map,
     build_extension_patches,
@@ -52,15 +51,15 @@ def _unit_right_triangle():
 
 def test_k0_mass_block_is_area_times_identity():
     mesh = _unit_right_triangle()
-    blocks = assemble_local(mesh, 0, MaterialField.identity(), 1.0, 0)
-    assert np.allclose(blocks.mass_kinv, 0.5 * np.eye(2), atol=1e-15)
+    mass_kinv = _Discretization(mesh, MaterialField.identity(), 1.0, 0).mass_kinv[0]
+    assert np.allclose(mass_kinv, 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_mass_block_scales_inversely_with_kappa():
     mesh = _unit_right_triangle()
-    b1 = assemble_local(mesh, 0, MaterialField.identity(), 1.0, 0)
-    b2 = assemble_local(mesh, 0, MaterialField(2.0), 1.0, 0)
-    assert np.allclose(b2.mass_kinv, 0.5 * b1.mass_kinv, atol=1e-15)
+    m1 = _Discretization(mesh, MaterialField.identity(), 1.0, 0).mass_kinv[0]
+    m2 = _Discretization(mesh, MaterialField(2.0), 1.0, 0).mass_kinv[0]
+    assert np.allclose(m2, 0.5 * m1, atol=1e-15)
 
 
 @pytest.mark.parametrize("kappa", [None, 2.5, [[2.0, 0.3], [0.3, 1.5]]])
@@ -79,7 +78,7 @@ def test_blocks_match_dense_quadrature_oracle():
     kappa = A @ A.T + 2.0 * np.eye(2)
     mesh = _unit_right_triangle()
     k = 2
-    blocks = assemble_local(mesh, 0, MaterialField(kappa), 1.0, k)
+    mass_kinv = _Discretization(mesh, MaterialField(kappa), 1.0, k).mass_kinv[0]
     # independent oracle: dense high-order rule, direct basis contraction
     basis = TriangleBasis(k)
     pts, w = triangle_rule(12)
@@ -91,7 +90,7 @@ def test_blocks_match_dense_quadrature_oracle():
         for c2 in range(2):
             oracle[c1 * d:(c1 + 1) * d, c2 * d:(c2 + 1) * d] = \
                 kinv[c1, c2] * np.einsum("q,qa,qb->ab", w, vals, vals)
-    assert np.abs(blocks.mass_kinv - oracle).max() < 1e-12
+    assert np.abs(mass_kinv - oracle).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +616,6 @@ def test_stabilization_validation(coarse_k1):
         Stabilization(0.0).on_edges(mesh)
     tau = Stabilization(2.5).on_edges(mesh)
     assert tau.shape == (mesh.n_edges,)
-    assert Stabilization(2.5).bar == 2.5
 
 
 def test_field_exports(tmp_path, coarse_k1):
