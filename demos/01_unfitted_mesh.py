@@ -25,7 +25,7 @@ gamma0 = Curve.circle((0.0, 0.0), 0.5)   # problem boundary
 print("    h   elements   mesh_h      R_h   max|n_h-n|   area defect")
 for target_h in (0.2, 0.1, 0.05, 0.025):
     mesh = build_annulus_mesh(gamma, gamma0, target_h)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     rep = proximity_parameter(mesh, bmap)
     # mesh plus extension patches tile the annulus exactly
@@ -39,6 +39,6 @@ print("\nfinest mesh written to annulus_mesh.txt "
       "(plain-text: header, vertices, elements, boundary tags)")
 
 fitted = build_annulus_mesh(gamma, gamma0, 0.1, fitted=True)
-fmap = build_boundary_map(fitted, gamma, gamma0, n_nodes=4)
+fmap = build_boundary_map(fitted, gamma, gamma0, k=2)
 print(f"fitted variant: R_h = {proximity_parameter(fitted, fmap).R_h} "
       "(the polygon itself is the domain boundary)")

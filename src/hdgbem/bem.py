@@ -37,8 +37,12 @@ import scipy.linalg
 from .errors import DimensionError, DomainError, SolverError
 
 TWO_PI = 2.0 * np.pi
+# the off-circle operator quadrature uses OVERSAMPLE times the 2n density nodes
+OVERSAMPLE = 2
 # evaluation points per block of evaluate_exterior
 EVAL_CHUNK = 1024
+# evaluate_exterior refuses points within EVAL_STANDOFF * diameter of the curve
+EVAL_STANDOFF = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +98,6 @@ class TrigPolynomial:
         for m in range(1, self.n):
             out = out + self.sin[m - 1] * np.sin(m * t)
         return out
-
-    def nodes(self):
-        return np.arange(2 * self.n) * np.pi / self.n
 
     def l2_norm(self, speed=1.0):
         """L2(Gamma) norm; ``speed`` is |y'| (a scalar for circles)."""
@@ -212,17 +213,13 @@ class LayerOperatorSet:
             raise DimensionError(f"expected {2 * self.n} samples, got shape {samples.shape}")
         return TrigPolynomial.from_coefficients(self.P @ samples)
 
-    @property
-    def is_circle(self):
-        return self.curve.is_circle
 
-
-def assemble_layer_operators(curve, n, oversample=2):
+def assemble_layer_operators(curve, n):
     """Build the coefficient-space layer operator matrices.
 
     Circles get the exact Fourier diagonalization; smooth curves use the
-    periodic log splitting with an oversampled grid so that products of
-    degree-n densities are integrated exactly.
+    periodic log splitting on a grid of 2 OVERSAMPLE n points, so that
+    products of degree-n densities are integrated exactly.
     """
     n = int(n)
     if n < 2:
@@ -239,7 +236,7 @@ def assemble_layer_operators(curve, n, oversample=2):
         K[0, 0] = 0.5
         return LayerOperatorSet(curve, n, V, K)
 
-    N = oversample * n
+    N = OVERSAMPLE * n
     t = np.arange(2 * N) * np.pi / N
     speed = curve.speed(t)
     T = _coeff_to_samples(n, t)                    # coeff -> samples (2N x 2n)
@@ -323,18 +320,23 @@ def solve_exterior(ops, lam):
     return TrigPolynomial.from_coefficients(g_c)
 
 
-def evaluate_exterior(ops, g, lam, u_inf, points, standoff=1e-6, n_quad=None):
+def evaluate_exterior(ops, g, lam, u_inf, points):
     """Exterior representation D g - S lam + u_inf at points outside the curve.
 
-    All points are checked before any is evaluated; both passes run over
-    blocks of EVAL_CHUNK points, so memory is bounded in the point count.
+    All points are checked before any is evaluated: a point at signed
+    distance at most EVAL_STANDOFF times the curve's diameter raises
+    DomainError.  The layer potentials use the trapezoidal rule on
+    max(8n, 64) nodes.  Both passes run over blocks of EVAL_CHUNK points,
+    so memory is bounded in the point count; no points give an empty array.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(pts) == 0:
+        return np.empty(0)
     starts = range(0, len(pts), EVAL_CHUNK)
     sd = np.concatenate([ops.curve.signed_distance(pts[i:i + EVAL_CHUNK]) for i in starts])
-    if np.any(sd <= standoff * ops.curve.diameter()):
+    if np.any(sd <= EVAL_STANDOFF * ops.curve.diameter()):
         raise DomainError("evaluation point inside or too close to the interface")
-    m = n_quad if n_quad is not None else max(8 * ops.n, 64)
+    m = max(8 * ops.n, 64)
     t = np.linspace(0.0, TWO_PI, m, endpoint=False)
     y = ops.curve.point(t)
     nrm = ops.curve.normal(t)

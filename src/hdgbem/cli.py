@@ -22,6 +22,7 @@ failure, 2 configuration error.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -81,6 +82,8 @@ def _get_float(cfg, key, positive=False):
         val = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}", key=key) from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"{key} must be finite, got {val}", key=key)
     if positive and val <= 0:
         raise ConfigError(f"{key} must be positive, got {val}", key=key)
     return val

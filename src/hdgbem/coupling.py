@@ -49,23 +49,20 @@ class CouplingConfig:
     """Iteration controls: relaxation weight, cap, tolerance, density degree.
 
     ``n=None`` takes the degree of the operator set the run is given; any
-    other value must equal it.
+    other value must equal it.  Every run starts from g = 0 and u_inf = 0.
     """
 
-    def __init__(self, omega=0.5, max_iterations=100, tol=1e-8, n=None,
-                 g0=None, u_inf0=0.0):
+    def __init__(self, omega=0.5, max_iterations=100, tol=1e-8, n=None):
         if not 0.0 < omega <= 1.0:
             raise ValueError(f"relaxation weight must lie in (0, 1], got {omega}")
-        if tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < tol < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {tol}")
         if max_iterations < 1:
             raise ValueError(f"iteration cap must be at least 1, got {max_iterations}")
         self.omega = float(omega)
         self.max_iterations = int(max_iterations)
         self.tol = float(tol)
         self.n = None if n is None else int(n)
-        self.g0 = g0
-        self.u_inf0 = float(u_inf0)
 
 
 class CouplingState:
@@ -210,8 +207,7 @@ class InterfaceMap:
         disc = system.disc
         d = disc.d
         self.f_mom = disc.f_moments(f)
-        rhs_f, _ = system.rhs(f_mom=self.f_mom)
-        self.rhs0 = rhs_f + system.boundary_data_vector(None, u0)
+        self.rhs0 = system.rhs(self.f_mom) + system.boundary_data_vector(None, u0)
         part = np.einsum("pab,pb->pa", disc.local_inv[resp.parents, :2 * d, 2 * d:],
                          self.f_mom[resp.parents])
         self.z_f = np.einsum("pc,pc->p", resp.flux_rows, part)
@@ -286,8 +282,6 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     if config.n is not None and config.n != n:
         raise DimensionError(f"configured density degree {config.n} does not "
                              f"match the operator set's {n}")
-    if config.g0 is not None and config.g0.n != n:
-        raise DimensionError("initial trace degree does not match the operator set")
     speed = ops.curve.mean_speed()
     imap = InterfaceMap(system, ops, f, u0)
     chi = imap.response.chi
@@ -296,8 +290,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
 
     state = CouplingState(n)
     state.omega = config.omega
-    g = config.g0 if config.g0 is not None else TrigPolynomial.zero(n)
-    u_inf = config.u_inf0
+    g, u_inf = TrigPolynomial.zero(n), 0.0
     omega = config.omega
     for it in range(1, config.max_iterations + 1):
         state.iteration = it

@@ -5,7 +5,10 @@ problem boundary) and an outer artificial interface.  The computational
 domain is a polygonal triangulation that stays strictly inside Omega; every
 boundary edge carries a pointwise map onto the nearby true curve, short
 straight transfer segments, and an extension patch tiling the sliver
-between the polygon and the curve.
+between the polygon and the curve.  The map sends a point radially onto a
+circle and to its closest point on any other curve; the boundary map
+applies it to the nodes of the degree-k edge rule (``edge_rule(k)``), the
+patches to their own quadrature nodes.
 
 Construction is a structured boundary-aligned layering between the two
 curves: vertices are placed on blended offset rings so that the distance
@@ -14,8 +17,11 @@ h^(3/2) under refinement (the edge-distance/element-diameter ratio then
 decays like sqrt(h), and the facet normals converge to the curve normals
 like h).  A mesh built with ``fitted=True`` places its boundary vertices on
 the curves and declares the polygon itself to be the domain boundary, in
-which case all transfer distances are exactly zero.
+which case all transfer distances are exactly zero.  The plain-text mesh
+format records that flag in its header.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,9 +32,11 @@ from .errors import (
     MeshingFailureError,
     PatchConstructionError,
 )
-from .quadrature import gauss01, gauss_legendre
+from .quadrature import edge_rule, gauss01, gauss_legendre
 
 TWO_PI = 2.0 * np.pi
+# Newton steps of the closest-point search (it stops early once converged)
+NEWTON_STEPS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +109,7 @@ class Curve:
         n = np.stack([d[..., 1], -d[..., 0]], axis=-1)
         return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
-    def closest_parameter(self, pts, newton_steps=30):
+    def closest_parameter(self, pts):
         """Parameter of the closest curve point for each row of pts."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.is_circle:
@@ -111,7 +119,7 @@ class Curve:
         yg = self.point(grid)
         d2 = ((pts[:, None, :] - yg[None, :, :]) ** 2).sum(axis=2)
         s = grid[np.argmin(d2, axis=1)]
-        for _ in range(newton_steps):
+        for _ in range(NEWTON_STEPS):
             y, dy, ddy = self.point(s), self.derivative(s), self.second_derivative(s)
             r = pts - y
             g = -(r * dy).sum(axis=1)
@@ -261,23 +269,29 @@ class UnfittedMesh:
 # mesh generation
 # ---------------------------------------------------------------------------
 
-def build_annulus_mesh(gamma, gamma0, target_h, regularity_bound=10.0,
-                       fitted=False, inset_coeff=0.3):
+# largest circumradius/inradius ratio of a generated element
+REGULARITY_BOUND = 10.0
+# unfitted rings sit INSET_COEFF * target_h^(3/2) inside the curves
+INSET_COEFF = 0.3
+
+
+def build_annulus_mesh(gamma, gamma0, target_h, fitted=False):
     """Triangulate the region between gamma0 (inner) and gamma (outer).
 
     The unfitted variant offsets both boundary rings into the annulus by
-    inset_coeff * target_h^(3/2) so every element is strictly interior;
+    INSET_COEFF * target_h^(3/2) so every element is strictly interior;
     ``fitted=True`` puts the rings exactly on the curves and declares the
     polygon to be the domain boundary.
     """
-    if target_h <= 0:
-        raise GeometryInfeasibleError("target_h must be positive")
+    if not 0.0 < target_h < np.inf:
+        raise GeometryInfeasibleError(
+            f"target_h must be positive and finite, got {target_h}")
     probe = np.linspace(0.0, TWO_PI, 256, endpoint=False)
     p_in, p_out = gamma0.point(probe), gamma.point(probe)
     if np.any(gamma.signed_distance(p_in) >= 0):
         raise GeometryInfeasibleError("inner curve is not strictly inside outer curve")
     gap = np.linalg.norm(p_out - p_in, axis=1)
-    inset = 0.0 if fitted else inset_coeff * target_h ** 1.5
+    inset = 0.0 if fitted else INSET_COEFF * target_h ** 1.5
     if gap.min() - 2.0 * inset <= 1.05 * target_h:
         raise GeometryInfeasibleError(
             f"gap {gap.min():.3g} leaves no room for a layer of elements at "
@@ -309,8 +323,7 @@ def build_annulus_mesh(gamma, gamma0, target_h, regularity_bound=10.0,
         np.where(even, np.stack([v00, v01, v11], -1), np.stack([v00, v01, v10], -1)),
         np.where(even, np.stack([v00, v11, v10], -1), np.stack([v01, v11, v10], -1)),
     ], axis=2).reshape(-1, 3)
-    mesh = UnfittedMesh(verts, tris, fitted=fitted,
-                        regularity_bound=regularity_bound)
+    mesh = UnfittedMesh(verts, tris, fitted=fitted, regularity_bound=REGULARITY_BOUND)
 
     if not fitted:
         _check_strictly_inside(mesh, gamma, gamma0)
@@ -350,11 +363,13 @@ def classify_boundary_edges(mesh, gamma, gamma0):
 # boundary map
 # ---------------------------------------------------------------------------
 
-class BoundaryMap:
+class BoundaryMap(SimpleNamespace):
     """Pointwise map from boundary-edge quadrature nodes onto the true curves.
 
-    All arrays are indexed by position in ``edge_ids`` (the mesh's boundary
-    edges in canonical order) and by node within the edge:
+    The nodes are those of the degree-k edge rule, q = k + 2 per edge, so a
+    map serves only systems of its degree.  All arrays are indexed by
+    position in ``edge_ids`` (the mesh's boundary edges in canonical order)
+    and by node within the edge:
 
     edge_ids (B,), tags (B,), parents (B,), nu (B,2) outward edge normals,
     nodes/mapped (B,q,2), l (B,q), t (B,q,2), params (B,q) curve parameters
@@ -363,32 +378,13 @@ class BoundaryMap:
     endpoint_params (B,2) for the patch corners.
     """
 
-    def __init__(self, **arrays):
-        self.__dict__.update(arrays)
 
+def _map_points(pts, curve):
+    """Map points near a curve onto it; returns (mapped, params).
 
-def _curve_for_tag(tag, gamma, gamma0):
-    return gamma if tag == TAG_OUTER else gamma0
-
-
-def _outward_normal_sign(tag):
-    # the outward normal of the annulus along the inner curve points into the
-    # hole, i.e. against that curve's own counterclockwise normal
-    return 1.0 if tag == TAG_OUTER else -1.0
-
-
-def _resolve_strategy(strategy, curve):
-    """The map strategy for one curve: "auto" is radial on circles only."""
-    if strategy == "auto":
-        return "radial" if curve.is_circle else "closest-point"
-    return strategy
-
-
-def _map_points(pts, curve, strategy):
-    """Map points near a curve onto it; returns (mapped, params)."""
-    if strategy == "radial":
-        if not curve.is_circle:
-            raise MapConstructionError("radial strategy requires a circle")
+    A circle maps radially, any other curve to the closest point.
+    """
+    if curve.is_circle:
         rel = pts - curve.center
         rho = np.linalg.norm(rel, axis=1)
         if np.any(rho == 0):
@@ -400,9 +396,9 @@ def _map_points(pts, curve, strategy):
     return curve.point(params), params
 
 
-def _map_point_derivative(pts, params, curve, strategy):
+def _map_point_derivative(pts, params, curve):
     """2x2 Jacobians d(mapped)/d(x) at pts, whose curve parameters are params."""
-    if strategy == "radial":
+    if curve.is_circle:
         rel = pts - curve.center
         rho = np.linalg.norm(rel, axis=1)
         rhat = rel / rho[:, None]
@@ -420,14 +416,19 @@ def _row_lengths(vecs):
     return np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
 
 
-def build_boundary_map(mesh, gamma, gamma0, strategy="auto", n_nodes=6,
-                       tangency_floor=0.1):
-    """Build the node-to-curve transfer map for every boundary edge.
+# smallest admissible t . nu of a transfer direction t
+TANGENCY_FLOOR = 0.1
 
-    For fitted meshes the map is the identity (zero transfer length, the
+
+def build_boundary_map(mesh, gamma, gamma0, k):
+    """Build the node-to-curve transfer map of the degree-k method.
+
+    Each boundary edge carries the k + 2 nodes of ``edge_rule(k)``.  For
+    fitted meshes the map is the identity (zero transfer length, the
     transfer direction degenerates to the edge normal by convention).
     """
-    xg, wg = gauss01(n_nodes)
+    xg, wg = edge_rule(k)
+    nq = len(xg)
     scale = max(gamma.diameter(), 1.0)
     edge_ids = np.array(mesh.boundary_edge_ids, dtype=np.int64)
     tags = mesh.boundary_tags[edge_ids].copy()
@@ -447,22 +448,22 @@ def build_boundary_map(mesh, gamma, gamma0, strategy="auto", n_nodes=6,
 
     mapped, params = np.empty_like(nodes), np.empty(nodes.shape[:2])
     endpoint_params, normals = np.empty((len(edge_ids), 2)), np.empty_like(nodes)
-    for tag in (TAG_OUTER, TAG_INNER):
+    # the outward normal of the annulus along the inner curve points into the
+    # hole, i.e. against that curve's own counterclockwise normal
+    for tag, curve, sign in ((TAG_OUTER, gamma, 1.0), (TAG_INNER, gamma0, -1.0)):
         rows = tags == tag
         if not np.any(rows):
             continue
-        curve = _curve_for_tag(tag, gamma, gamma0)
-        n_node = rows.sum() * n_nodes
+        n_node = rows.sum() * nq
         y, s = _map_points(np.vstack([nodes[rows].reshape(-1, 2), p[rows].reshape(-1, 2)]),
-                           curve, _resolve_strategy(strategy, curve))
-        mapped[rows] = y[:n_node].reshape(-1, n_nodes, 2)
-        params[rows] = s[:n_node].reshape(-1, n_nodes)
+                           curve)
+        mapped[rows] = y[:n_node].reshape(-1, nq, 2)
+        params[rows] = s[:n_node].reshape(-1, nq)
         endpoint_params[rows] = s[n_node:].reshape(-1, 2)
-        normals[rows] = (_outward_normal_sign(tag) * curve.normal(s[:n_node])).reshape(
-            -1, n_nodes, 2)
+        normals[rows] = (sign * curve.normal(s[:n_node])).reshape(-1, nq, 2)
     if mesh.fitted:
         mapped = nodes.copy()
-        normals = np.repeat(nu[:, None, :], n_nodes, axis=1)
+        normals = np.repeat(nu[:, None, :], nq, axis=1)
     delta = mapped - nodes
     l = np.linalg.norm(delta, axis=2)
     far = l > 1e-14 * scale
@@ -470,18 +471,17 @@ def build_boundary_map(mesh, gamma, gamma0, strategy="auto", n_nodes=6,
                  nu[:, None, :])
     l = np.where(far, l, 0.0)
     dot = np.einsum("bqd,bd->bq", t, nu)
-    tangent = np.any(dot < tangency_floor, axis=1)
+    tangent = np.any(dot < TANGENCY_FLOOR, axis=1)
     if np.any(tangent):
         row = int(np.argmax(tangent))
         raise MapConstructionError(
             f"transfer direction nearly tangent on edge {int(edge_ids[row])} "
-            f"(min t.nu = {dot[row].min():.3f} < floor {tangency_floor})",
+            f"(min t.nu = {dot[row].min():.3f} < floor {TANGENCY_FLOOR})",
             edge=int(edge_ids[row]))
     return BoundaryMap(
         edge_ids=edge_ids, tags=tags, parents=parents, nu=nu, nodes=nodes,
         mapped=mapped, l=l, t=t, params=params, normals=normals,
-        weights=wg[None, :] * length[:, None], endpoint_params=endpoint_params,
-        strategy=strategy, n_nodes=n_nodes)
+        weights=wg[None, :] * length[:, None], endpoint_params=endpoint_params)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +496,7 @@ N_ALONG, N_ACROSS = 12, 2
 ARC_SLACK = 1e-9
 
 
-class ExtensionPatches:
+class ExtensionPatches(SimpleNamespace):
     """Slivers between the boundary edges and the true curves, one per row.
 
     Like ``BoundaryMap`` (whose ``edge_ids`` and ``parents`` name each
@@ -514,9 +514,6 @@ class ExtensionPatches:
     sorted by start (mod 2pi) and their parent elements, the table behind
     ``locate``.
     """
-
-    def __init__(self, **arrays):
-        self.__dict__.update(arrays)
 
     def locate(self, params):
         """Parent element of an outer patch whose interval covers each parameter."""
@@ -564,7 +561,7 @@ def build_extension_patches(mesh, bmap, gamma, gamma0):
     area = np.zeros(len(p))
     live = np.max(bmap.l, axis=1) > 0.0
     lookup = {}
-    for tag in (TAG_OUTER, TAG_INNER):
+    for tag, curve in ((TAG_OUTER, gamma), (TAG_INNER, gamma0)):
         rows = np.nonzero(bmap.tags == tag)[0]
         if len(rows) == 0:
             continue
@@ -581,12 +578,10 @@ def build_extension_patches(mesh, bmap, gamma, gamma0):
         rows = rows[live[rows]]
         if len(rows) == 0:
             continue
-        curve = _curve_for_tag(tag, gamma, gamma0)
-        strategy = _resolve_strategy(bmap.strategy, curve)
         x = base[rows].reshape(-1, 2)
-        mapped, s = _map_points(x, curve, strategy)
+        mapped, s = _map_points(x, curve)
         delta[rows] = (mapped - x).reshape(-1, N_ALONG, 2)
-        dmap = _map_point_derivative(x, s, curve, strategy).reshape(-1, N_ALONG, 2, 2)
+        dmap = _map_point_derivative(x, s, curve).reshape(-1, N_ALONG, 2, 2)
         ddelta[rows] = (np.einsum("bnij,bj->bni", dmap, e_vec[rows])
                         - e_vec[rows][:, None, :])
         # independent area: signed Green's theorem around the closed loop
@@ -653,13 +648,14 @@ def proximity_parameter(mesh, bmap):
 def save_mesh(mesh, path):
     """Write the plain-text mesh format.
 
-    Header ``vertices N / elements M / boundary B``, then coordinate rows,
-    0-based element index triples, and boundary rows ``edge-id tag`` with
-    tag 0 for outer-facing and 1 for inner-facing edges.  Edge ids refer to
-    the canonical lexicographic edge ordering.
+    Header ``vertices N / elements M / boundary B / fitted F`` with F 1 for
+    a fitted mesh and 0 otherwise, then coordinate rows, 0-based element
+    index triples, and boundary rows ``edge-id tag`` with tag 0 for
+    outer-facing and 1 for inner-facing edges.  Edge ids refer to the
+    canonical lexicographic edge ordering.
     """
     lines = [f"vertices {len(mesh.vertices)} / elements {len(mesh.elements)} "
-             f"/ boundary {len(mesh.boundary_edge_ids)}"]
+             f"/ boundary {len(mesh.boundary_edge_ids)} / fitted {int(mesh.fitted)}"]
     for x, y in mesh.vertices:
         lines.append(f"{float(x)!r} {float(y)!r}")
     for tri in mesh.elements:
@@ -670,13 +666,14 @@ def save_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_mesh(path, fitted=False):
+def load_mesh(path):
     """Read a mesh written by save_mesh and restore its boundary tags."""
     with open(path) as fh:
         header = fh.readline().split()
         try:
             n_v, n_e, n_b = int(header[1]), int(header[4]), int(header[7])
-        except (IndexError, ValueError) as exc:
+            fitted = {"fitted 0": False, "fitted 1": True}[" ".join(header[9:])]
+        except (IndexError, KeyError, ValueError) as exc:
             raise MeshingFailureError(f"malformed mesh header in {path}") from exc
         verts = np.array([[float(t) for t in fh.readline().split()] for _ in range(n_v)])
         elems = np.array([[int(t) for t in fh.readline().split()] for _ in range(n_e)])

@@ -168,14 +168,14 @@ def manufactured_case(case_id, degree=1, constant=3.0):
     raise KeyError(f"unknown case id {case_id!r}; choose from {CASE_IDS}")
 
 
-def pde_residual(case, pts, step=1e-30):
+def pde_residual(case, pts):
     """Complex-step residuals of the two first-order equations at points.
 
     Returns (|div q - f|, |q + kappa grad u|) sampled rows; both should be
     at rounding level for a consistent case.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    h = step
+    h = 1e-30
 
     def dd(fun, comp, axis):
         shift = np.zeros(2, dtype=complex)
@@ -212,12 +212,12 @@ class SolverBundle:
         self.proximity = proximity
 
 
-def setup_level(case, target_h, k, n=32, fitted=False, tau=1.0):
-    """Mesh, maps, patches, trace system and layer operators for one level."""
+def setup_level(case, target_h, k, n=32, fitted=False):
+    """Mesh, maps, patches, trace system (tau = 1) and layer operators for one level."""
     mesh = build_annulus_mesh(case.gamma, case.gamma0, target_h, fitted=fitted)
-    bmap = build_boundary_map(mesh, case.gamma, case.gamma0, n_nodes=k + 2)
+    bmap = build_boundary_map(mesh, case.gamma, case.gamma0, k)
     patches = build_extension_patches(mesh, bmap, case.gamma, case.gamma0)
-    system = build_system(mesh, bmap, patches, case.kappa, tau, k)
+    system = build_system(mesh, bmap, patches, case.kappa, 1.0, k)
     ops = assemble_layer_operators(case.gamma, n)
     return SolverBundle(mesh, bmap, patches, system, ops,
                         proximity_parameter(mesh, bmap))
@@ -300,7 +300,7 @@ class StudyReport:
         return "\n".join(lines)
 
 
-def convergence_study(case, k, hs, n=32, config=None, fitted=False, tau=1.0):
+def convergence_study(case, k, hs, n=32, config=None, fitted=False):
     """Solve the case on a sequence of meshes and tabulate errors and rates.
 
     Coupled cases run the relaxed fixed point per level; interior-only
@@ -312,7 +312,7 @@ def convergence_study(case, k, hs, n=32, config=None, fitted=False, tau=1.0):
     report = StudyReport(case.id, k, n)
     for target_h in hs:
         t0 = time.time()
-        bundle = setup_level(case, target_h, k, n=n, fitted=fitted, tau=tau)
+        bundle = setup_level(case, target_h, k, n=n, fitted=fitted)
         iters, ratio, conv = 0, np.nan, True
         err_g, err_uinf = np.nan, np.nan
         try:

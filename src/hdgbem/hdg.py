@@ -33,11 +33,12 @@ import scipy.sparse.linalg as spla
 from .basis import TriangleBasis, edge_legendre
 from .errors import (
     AssemblyError,
+    DimensionError,
     SolverError,
     TransferIntegrationError,
 )
 from .geometry import TAG_OUTER
-from .quadrature import gauss01, triangle_rule
+from .quadrature import edge_rule, gauss01, triangle_rule
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ class _ReferenceTables:
         self.vals, grads = basis.eval_grad(self.vol_pts)                 # (nq,d), (nq,d,2)
         self.products = (self.vals[:, :, None] * self.vals[:, None, :]).reshape(-1, d * d)
         self.grad_moments = np.einsum("q,qa,qbc->cab", self.vol_w, self.vals, grads)
-        q1, self.edge_w = gauss01(k + 2)
+        q1, self.edge_w = edge_rule(k)
         self.mu = edge_legendre(k, 2.0 * q1 - 1.0)                       # (qe, ne)
         self.edge_mass = (self.edge_w[:, None] * self.mu).T @ self.mu
         a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])            # side starts
@@ -298,7 +299,7 @@ def assemble_transfer(disc, bmap):
     nodes, l, t, nu = bmap.nodes[rows], bmap.l[rows], bmap.t[rows], bmap.nu[rows]
     w_edge = bmap.weights[rows]
     tr = disc.trace_vals[parents, mesh.edge_sides[edges, 0]]    # (b, nq, d)
-    qs, ws = gauss01(disc.k + 2)
+    qs, ws = edge_rule(disc.k)
     # path points (b, nq, ns, 2) and the inner integral of kappa^{-1} phi . t
     pts = nodes[:, :, None, :] + (l[:, :, None] * qs)[..., None] * t[:, :, None, :]
     kt = np.einsum("bqsxy,bqy->bqsx", disc.material.inv(pts), t)  # kappa^{-1} t
@@ -332,6 +333,10 @@ class HDGSystem:
     """
 
     def __init__(self, mesh, bmap, patches, material, tau, k):
+        if bmap.nodes.shape[1] != int(k) + 2:
+            raise DimensionError(
+                f"boundary map has {bmap.nodes.shape[1]} nodes per edge; "
+                f"degree {k} needs {int(k) + 2}")
         self.mesh = mesh
         self.bmap = bmap
         self.patches = patches
@@ -418,10 +423,9 @@ class HDGSystem:
                 vals.reshape(bmap.weights[rows].shape), disc.mu_vals)
         return rhs.ravel()
 
-    def rhs(self, f=None, g_gamma=None, u0_gamma0=None, f_mom=None):
+    def rhs(self, f_mom, g_gamma=None, u0_gamma0=None):
+        """Trace right-hand side of element loads f_mom and the boundary data."""
         disc, bmap = self.disc, self.bmap
-        if f_mom is None:
-            f_mom = disc.f_moments(f)
         part = disc.local_particular(f_mom)            # (M, 3d)
         rhs = self.boundary_data_vector(g_gamma, u0_gamma0)
         side_rhs = -np.einsum("msab,mb->msa", _side_functionals(disc), part)
@@ -429,7 +433,7 @@ class HDGSystem:
         np.add.at(rhs, self._side_dofs[interior].ravel(), side_rhs[interior].ravel())
         rhs[self._trace_dofs[bmap.edge_ids]] += (
             self._boundary_functionals() @ part[bmap.parents, :, None])[..., 0]
-        return rhs, f_mom
+        return rhs
 
     # -- solve and recovery ---------------------------------------------------
 
@@ -487,8 +491,8 @@ def solve_interior(system, f=None, g_gamma=None, u0_gamma0=None):
     ``g_gamma`` and ``u0_gamma0`` are evaluated at the mapped points on the
     true curves (composition with the boundary map happens here).
     """
-    rhs, f_mom = system.rhs(f=f, g_gamma=g_gamma, u0_gamma0=u0_gamma0)
-    uhat, _ = system.solve_trace(rhs)
+    f_mom = system.disc.f_moments(f)
+    uhat, _ = system.solve_trace(system.rhs(f_mom, g_gamma, u0_gamma0))
     return system.recover(uhat, f_mom)
 
 
@@ -558,7 +562,7 @@ def trace_identity_residual(field, system):
     return float(err.max(initial=0.0))
 
 
-def l2_errors(field, system, u_exact, q_exact, kappa_weight=True):
+def l2_errors(field, system, u_exact, q_exact):
     """Weighted flux error ||kappa^{-1/2}(q - q_h)|| and scalar L2 error."""
     disc = system.disc
     pts = disc.phys_pts
@@ -568,11 +572,8 @@ def l2_errors(field, system, u_exact, q_exact, kappa_weight=True):
     ue = np.asarray(u_exact(pts.reshape(-1, 2)), dtype=float).reshape(M, nq)
     qe = np.asarray(q_exact(pts.reshape(-1, 2)), dtype=float).reshape(M, nq, 2)
     diff = qv - qe
-    if kappa_weight:
-        kinv = system.material.inv(pts)
-        err_q = np.sqrt(np.einsum("mq,mqc,mqcd,mqd->", disc.phys_w, diff, kinv, diff))
-    else:
-        err_q = np.sqrt(np.einsum("mq,mqc,mqc->", disc.phys_w, diff, diff))
+    kinv = system.material.inv(pts)
+    err_q = np.sqrt(np.einsum("mq,mqc,mqcd,mqd->", disc.phys_w, diff, kinv, diff))
     err_u = np.sqrt(np.sum(disc.phys_w * (uv - ue) ** 2))
     return float(err_q), float(err_u)
 
@@ -723,21 +724,21 @@ def solve_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
 # elementwise projection oracle
 # ---------------------------------------------------------------------------
 
-def hdg_projection(q_fun, u_fun, verts, tau, k, quad_degree=None):
+def hdg_projection(q_fun, u_fun, verts, tau, k):
     """Elementwise projection matching volume moments and stabilized fluxes.
 
     Solves, on the triangle with the given vertices, for (Pq, Pu) of degree
     k satisfying the degree k-1 volume moments of q and u and the edge
     moments of q.n + tau u.  Returns the coefficient arrays in the modal
-    basis.  Intended as a test oracle.
+    basis.  Intended as a test oracle; its volume and edge rules are exact
+    for degrees 2k + 8 and 2k + 9.
     """
     verts = np.asarray(verts, dtype=float)
     k = int(k)
     basis = TriangleBasis(k)
     d = basis.dim
     d_low = (k * (k + 1)) // 2
-    qd = quad_degree if quad_degree is not None else 2 * k + 8
-    ref_pts, ref_w = triangle_rule(qd)
+    ref_pts, ref_w = triangle_rule(2 * k + 8)
     J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
     detJ = float(np.linalg.det(J))
     if detJ <= 0:
@@ -766,16 +767,9 @@ def hdg_projection(q_fun, u_fun, verts, tau, k, quad_degree=None):
         A[r:r + d_low, 2 * d:] = Mlow
         b[r:r + d_low] = np.einsum("q,qa->a", w, vals[:, :d_low] * ue[:, None])
         r += d_low
-    nq1d = max(k + 3, (qd + 2) // 2)
-    xg, wg = gauss01(nq1d)
+    xg, wg = gauss01(k + 5)
     mu = edge_legendre(k, 2.0 * xg - 1.0)
     invJ = np.linalg.inv(J)
-    return _projection_edges(A, b, r, verts, invJ, basis, k, tau, xg, wg, mu,
-                             q_fun, u_fun, d)
-
-
-def _projection_edges(A, b, r, verts, invJ, basis, k, tau, xg, wg, mu, q_fun,
-                      u_fun, d):
     for s_loc in range(3):
         p0, p1 = verts[(s_loc + 1) % 3], verts[(s_loc + 2) % 3]
         pts = p0 + xg[:, None] * (p1 - p0)

@@ -20,6 +20,11 @@ def gauss01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def edge_rule(k):
+    """The k + 2 Gauss points on [0, 1] of every degree-k edge integral."""
+    return gauss01(k + 2)
+
+
 def triangle_rule(degree):
     """Rule on the reference triangle, exact for total degree ``degree``.
 

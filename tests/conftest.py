@@ -28,7 +28,7 @@ def smooth_unit_circle():
 def _bundle(circles, h, k, fitted=False):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, h, fitted=fitted)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=k + 2)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, k)
     return mesh, bmap, patches, system

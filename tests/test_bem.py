@@ -290,6 +290,12 @@ def test_chunked_evaluation_is_bounded_and_pointwise(ops32):
         assert abs(one - vals[i]) <= 1e-13 * np.abs(ref).max()
 
 
+def test_evaluate_exterior_on_no_points(ops32):
+    vals = evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
+                             0.0, np.empty((0, 2)))
+    assert vals.shape == (0,)
+
+
 def test_inside_point_rejected(ops32):
     with pytest.raises(DomainError):
         evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),

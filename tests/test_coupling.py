@@ -109,6 +109,13 @@ def test_config_rejects_degenerate_weight():
         CouplingConfig(tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_config_rejects_non_finite_tolerance(tol):
+    # an infinite tolerance accepts the first update, a NaN one none
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        CouplingConfig(tol=tol)
+
+
 def test_config_degree_must_match_operators(dipole_bundle):
     # n=None takes the operators' degree; any other degree is refused
     case, bundle = dipole_bundle
@@ -116,9 +123,6 @@ def test_config_degree_must_match_operators(dipole_bundle):
     with pytest.raises(DimensionError, match="density degree 64"):
         run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                         config=CouplingConfig(n=4 * N))
-    with pytest.raises(DimensionError, match="initial trace degree"):
-        run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
-                        config=CouplingConfig(g0=TrigPolynomial.zero(N // 2)))
 
 
 @pytest.mark.parametrize("cap", [0, -3])

@@ -40,7 +40,7 @@ def test_non_concentric_annulus_patch_test():
     gamma = Curve.circle((0.0, 0.0), 1.0)
     gamma0 = Curve.circle((0.15, -0.1), 0.4)
     mesh = build_annulus_mesh(gamma, gamma0, 0.15)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
     u_ex = lambda p: p[:, 0] - 0.5 * p[:, 1]
@@ -54,8 +54,7 @@ def test_non_concentric_annulus_patch_test():
 def test_ellipse_annulus_patch_test_and_partition(ellipse):
     gamma0 = Curve.circle((0.15, -0.1), 0.4)
     mesh = build_annulus_mesh(ellipse, gamma0, 0.15)
-    bmap = build_boundary_map(mesh, ellipse, gamma0, strategy="closest-point",
-                              n_nodes=4)
+    bmap = build_boundary_map(mesh, ellipse, gamma0, k=2)
     patches = build_extension_patches(mesh, bmap, ellipse, gamma0)
     system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 2)
     u_ex = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2     # harmonic quadratic
@@ -76,7 +75,7 @@ def test_locate_maps_to_a_covering_parent(geometry, request):
     else:
         gamma, gamma0 = request.getfixturevalue("ellipse"), Curve.circle((0.15, -0.1), 0.4)
         mesh = build_annulus_mesh(gamma, gamma0, 0.15)
-        bmap = build_boundary_map(mesh, gamma, gamma0, strategy="closest-point", n_nodes=4)
+        bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
         patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     outer = np.nonzero(bmap.tags == TAG_OUTER)[0]
     lo, hi = patches.param_interval[outer].T

@@ -30,7 +30,7 @@ def test_build_keeps_vertices_in_band_and_edges_near_curves(circles):
     mesh = build_annulus_mesh(gamma, gamma0, 0.1)
     r = np.linalg.norm(mesh.vertices, axis=1)
     assert r.min() > 0.5 and r.max() < 1.0
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
     rep = proximity_parameter(mesh, bmap)
     # every boundary edge within C * (parent diameter) of its curve
     for row, e in enumerate(bmap.edge_ids):
@@ -40,6 +40,12 @@ def test_build_keeps_vertices_in_band_and_edges_near_curves(circles):
 def test_too_thin_gap_is_infeasible():
     with pytest.raises(GeometryInfeasibleError):
         build_annulus_mesh(Curve.circle((0, 0), 1.0), Curve.circle((0, 0), 0.9), 0.5)
+
+
+@pytest.mark.parametrize("target_h", [np.nan, np.inf])
+def test_non_finite_target_h_is_infeasible(circles, target_h):
+    with pytest.raises(GeometryInfeasibleError, match="positive and finite"):
+        build_annulus_mesh(*circles, target_h)
 
 
 def test_curves_not_nested_is_infeasible():
@@ -52,11 +58,22 @@ def test_fitted_mesh_round_trips_with_zero_proximity(circles, tmp_path):
     mesh = build_annulus_mesh(gamma, gamma0, 0.15, fitted=True)
     path = tmp_path / "fitted.txt"
     save_mesh(mesh, path)
-    loaded = load_mesh(path, fitted=True)
-    bmap = build_boundary_map(loaded, gamma, gamma0, n_nodes=4)
+    loaded = load_mesh(path)
+    bmap = build_boundary_map(loaded, gamma, gamma0, k=2)
     rep = proximity_parameter(loaded, bmap)
     assert rep.R_h == 0.0
     assert np.all(bmap.l == 0.0)
+
+
+def test_mesh_header_without_fitted_flag_is_malformed(circles, tmp_path):
+    mesh = build_annulus_mesh(*circles, 0.3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0].endswith(" / fitted 0\n")
+    path.write_text(lines[0].replace(" / fitted 0", "") + "".join(lines[1:]))
+    with pytest.raises(MeshingFailureError, match="malformed mesh header"):
+        load_mesh(path)
 
 
 def _one_triangle_mesh(v0, v1, v2):
@@ -89,7 +106,7 @@ def test_classification_tie_goes_outward(circles):
 def test_radial_map_values(circles):
     from hdgbem.geometry import _map_points
     gamma, _ = circles
-    mapped, params = _map_points(np.array([[0.9, 0.0], [0.0, 0.95]]), gamma, "radial")
+    mapped, params = _map_points(np.array([[0.9, 0.0], [0.0, 0.95]]), gamma)
     assert np.allclose(mapped, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
     assert np.allclose(params, [0.0, np.pi / 2])
 
@@ -97,7 +114,7 @@ def test_radial_map_values(circles):
 def test_map_consistency_invariant(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.1)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=5)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=3)
     err = np.abs(bmap.nodes + bmap.l[..., None] * bmap.t - bmap.mapped).max()
     assert err <= 1e-12 * gamma.diameter()
     assert np.allclose(np.linalg.norm(bmap.t, axis=2), 1.0)
@@ -109,7 +126,7 @@ def test_map_consistency_invariant(circles):
 def test_fitted_map_convention(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2, fitted=True)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
     assert np.all(bmap.l == 0.0)
     assert np.allclose(bmap.t, np.broadcast_to(bmap.nu[:, None, :], bmap.t.shape))
     assert np.array_equal(bmap.nodes, bmap.mapped)
@@ -121,7 +138,7 @@ def test_tangency_floor_violation_names_edge(circles):
     mesh = _one_triangle_mesh((0.8, 0.0), (0.95, 0.0), (0.875, 0.05))
     classify_boundary_edges(mesh, gamma, gamma0)
     with pytest.raises(MapConstructionError) as err:
-        build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+        build_boundary_map(mesh, gamma, gamma0, k=1)
     assert err.value.edge is not None
 
 
@@ -151,7 +168,7 @@ def test_edge_table_inverts_element_edges(bundle, request):
 def test_patch_partition_of_annulus(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.1)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     total = mesh.area() + patches.area.sum()
     assert abs(total - ANNULUS_AREA) < 1e-6
@@ -163,21 +180,21 @@ def test_patch_partition_of_annulus(circles):
 def test_fitted_patches_are_empty(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2, fitted=True)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     assert np.all(patches.area == 0.0)
     assert np.all(patches.weights.sum(axis=1) == 0.0)
 
 
-def _reference_patch(mesh, bmap, row, curve, strategy):
+def _reference_patch(mesh, bmap, row, curve):
     """One edge's patch by the per-node loop: (points, weights, corners, area)."""
     x1d, w1d = gauss01(geometry.N_ALONG)
     x2d, w2d = gauss01(geometry.N_ACROSS)
     p = mesh.edge_vertices(bmap.edge_ids[row])
     e_vec = p[1] - p[0]
     base = p[0] + x1d[:, None] * e_vec
-    mapped, s = geometry._map_points(base, curve, strategy)
-    dmap = geometry._map_point_derivative(base, s, curve, strategy)
+    mapped, s = geometry._map_points(base, curve)
+    dmap = geometry._map_point_derivative(base, s, curve)
     pts, wts = [], []
     for i in range(len(x1d)):
         delta = mapped[i] - base[i]
@@ -208,12 +225,11 @@ def test_patch_table_matches_per_edge_reference(outer, circles, request):
     gamma = circles[0] if outer == "circle" else request.getfixturevalue(outer)
     gamma0 = circles[1]
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     for row, tag in enumerate(bmap.tags):
         curve = gamma if tag == TAG_OUTER else gamma0
-        strategy = "radial" if curve.is_circle else "closest-point"
-        pts, wts, corners, area = _reference_patch(mesh, bmap, row, curve, strategy)
+        pts, wts, corners, area = _reference_patch(mesh, bmap, row, curve)
         assert np.array_equal(patches.points[row], pts)
         assert np.array_equal(patches.weights[row], wts)
         assert np.array_equal(patches.corners[row], corners)
@@ -244,7 +260,7 @@ def test_patch_area_approaches_trapezoid_rule(circles):
 
     def worst_deviation(h):
         mesh = build_annulus_mesh(gamma, gamma0, h)
-        bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
+        bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
         patches = build_extension_patches(mesh, bmap, gamma, gamma0)
         worst = 0.0
         for row in np.nonzero(patches.area)[0]:
@@ -276,7 +292,7 @@ def test_refinement_trends(circles):
     R_hs, devs = [], []
     for h in (0.2, 0.1, 0.05):
         mesh = build_annulus_mesh(gamma, gamma0, h)
-        bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=4)
+        bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
         rep = proximity_parameter(mesh, bmap)
         R_hs.append(rep.R_h)
         devs.append(rep.normal_deviation)
@@ -321,7 +337,7 @@ def test_overlapping_patches_raise(circles):
     from hdgbem import PatchConstructionError
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
     # tamper one edge's arc interval so it overlaps its neighbour
     bmap.endpoint_params[0] = bmap.endpoint_params[0] + np.array([0.0, 0.5])
     with pytest.raises(PatchConstructionError):
@@ -335,14 +351,14 @@ def test_folding_patch_map_raises(circles, monkeypatch):
     from hdgbem import PatchConstructionError
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
     edge = int(bmap.edge_ids[np.nonzero(bmap.tags == TAG_INNER)[0][3]])
     a, b = mesh.edge_vertices(edge)
     along, normal = b - a, np.array([a[1] - b[1], b[0] - a[0]])
     derivative = geometry._map_point_derivative
 
-    def flipped(pts, params, curve, strategy):
-        jac = derivative(pts, params, curve, strategy)
+    def flipped(pts, params, curve):
+        jac = derivative(pts, params, curve)
         frac = (pts - a) @ along / (along @ along)
         on_edge = (frac > 0) & (frac < 1) & (np.abs((pts - a) @ normal) < 1e-12)
         jac[on_edge] *= -1.0

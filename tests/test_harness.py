@@ -194,6 +194,18 @@ def test_cli_rejects_negative_omega(tmp_path, capsys):
     assert "coupling.omega" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["coupling.tol = inf", "coupling.tol = nan",
+                                  "discretization.h0 = nan",
+                                  "discretization.h0 = inf"])
+def test_cli_rejects_non_finite_numbers(line, tmp_path, capsys):
+    # a non-finite number is a configuration error: tol = inf would accept
+    # the first update as converged, and h0 = nan cannot size a mesh
+    cfg = tmp_path / "bad.cfg"
+    _write_config(cfg, tmp_path / "out", extra=[line])
+    assert cli_main(["solve", str(cfg)]) == 2
+    assert f"{line.split()[0]} must be finite" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("coupling.weight = 0.5\n")

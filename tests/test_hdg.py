@@ -9,6 +9,7 @@ from hdgbem import (
     AssemblyError,
     CoverageError,
     Curve,
+    DimensionError,
     InterfaceMap,
     MaterialField,
     SolverError,
@@ -226,10 +227,11 @@ def test_trace_matrix_matches_reference_assembly(which, request):
 # transfer couplings
 # ---------------------------------------------------------------------------
 
-def _synthetic_boundary_map(mesh, edge_id, d, t_dir, n_nodes=4):
-    """Fabricated straight-path map for the given boundary edge."""
-    from hdgbem.quadrature import gauss01
-    xg, wg = gauss01(n_nodes)
+def _synthetic_boundary_map(mesh, edge_id, d, t_dir, k):
+    """Fabricated straight-path degree-k map for the given boundary edge."""
+    from hdgbem.quadrature import edge_rule
+    xg, wg = edge_rule(k)
+    nq = len(xg)
     p = mesh.edge_vertices(edge_id)
     nodes = p[0] + xg[:, None] * (p[1] - p[0])
     length = np.linalg.norm(p[1] - p[0])
@@ -241,13 +243,12 @@ def _synthetic_boundary_map(mesh, edge_id, d, t_dir, n_nodes=4):
         nu=t_dir[None, :].copy(),
         nodes=nodes[None, :, :],
         mapped=(nodes + d * t_dir)[None, :, :],
-        l=np.full((1, n_nodes), d),
-        t=np.tile(t_dir, (1, n_nodes, 1)),
-        params=np.zeros((1, n_nodes)),
-        normals=np.tile(t_dir, (1, n_nodes, 1)),
+        l=np.full((1, nq), d),
+        t=np.tile(t_dir, (1, nq, 1)),
+        params=np.zeros((1, nq)),
+        normals=np.tile(t_dir, (1, nq, 1)),
         weights=(wg * length)[None, :],
         endpoint_params=np.zeros((1, 2)),
-        strategy="radial", n_nodes=n_nodes,
     )
 
 
@@ -262,7 +263,7 @@ def test_transfer_constant_flux_straight_path():
     d = 0.07
     for k in (0, 1, 2):
         disc = _Discretization(mesh, MaterialField.identity(), 1.0, k)
-        bmap = _synthetic_boundary_map(mesh, edge, d, (1.0, 0.0), n_nodes=k + 2)
+        bmap = _synthetic_boundary_map(mesh, edge, d, (1.0, 0.0), k)
         blocks = assemble_transfer(disc, bmap)
         assert blocks.path_moments.shape == (1, 2 * disc.d, disc.ne)
         assert blocks.flux_flux.shape == (1, 2 * disc.d, 2 * disc.d)
@@ -272,7 +273,7 @@ def test_transfer_constant_flux_straight_path():
         val = qcoeff @ blocks.flux_flux[0] @ qcoeff
         assert val == pytest.approx(length * d, rel=1e-13)
         # doubling the path length doubles the coupling
-        bmap2 = _synthetic_boundary_map(mesh, edge, 2 * d, (1.0, 0.0), n_nodes=k + 2)
+        bmap2 = _synthetic_boundary_map(mesh, edge, 2 * d, (1.0, 0.0), k)
         blocks2 = assemble_transfer(disc, bmap2)
         assert qcoeff @ blocks2.flux_flux[0] @ qcoeff == pytest.approx(2 * val, rel=1e-13)
 
@@ -295,7 +296,7 @@ def test_fitted_matrix_equals_transfer_free_assembly(circles):
     # the edge's own trace dofs and zero elsewhere
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=True)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
     ne = system.ne
@@ -305,6 +306,14 @@ def test_fitted_matrix_equals_transfer_free_assembly(circles):
         expected = np.zeros_like(rows)
         expected[:, e * ne:(e + 1) * ne] = system.disc.edge_mass[e]
         assert np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_map_of_another_degree_is_refused(coarse_k1, circles, k):
+    # the degree-1 map carries 3 nodes per edge; a degree-k system needs k + 2
+    mesh, bmap, patches, _ = coarse_k1
+    with pytest.raises(DimensionError, match=f"3 nodes per edge; degree {k} needs {k + 2}"):
+        build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, k)
 
 
 def test_two_element_mesh_trace_dimension():
@@ -347,7 +356,7 @@ def test_failed_trace_solve_reports_condition_estimate(circles, monkeypatch):
     # diagnostic must come from the LU factors, not from a dense inverse
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.3)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
     system._lu = spla.splu((1.5 * system.matrix).tocsc())
@@ -427,7 +436,7 @@ def test_patch_exactness_random_polynomial(circles, k, fitted):
         return -kappa * lap
 
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=fitted)
-    bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=k + 2)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k)
     patches = build_extension_patches(mesh, bmap, gamma, gamma0)
     system = build_system(mesh, bmap, patches, MaterialField(kappa), 1.0, k)
     fld = solve_interior(system, f=f_ex, g_gamma=u_ex, u0_gamma0=u_ex)
@@ -454,7 +463,7 @@ def test_stability_bounded_under_refinement(circles):
     vals = []
     for h in (0.2, 0.1, 0.05):
         mesh = build_annulus_mesh(gamma, gamma0, h)
-        bmap = build_boundary_map(mesh, gamma, gamma0, n_nodes=3)
+        bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
         patches = build_extension_patches(mesh, bmap, gamma, gamma0)
         system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
         fld = solve_interior(system, f=None, g_gamma=u_ex, u0_gamma0=u_ex)
@@ -472,7 +481,7 @@ def test_stability_bounded_under_refinement(circles):
 def _interface_flux(system, gamma, u_ex=None, n=16):
     """Interface map flux at its 2n nodes for the interior solve with data u_ex."""
     imap = InterfaceMap(system, assemble_layer_operators(gamma, n))
-    rhs, _ = system.rhs(g_gamma=u_ex, u0_gamma0=u_ex)
+    rhs = system.rhs(system.disc.f_moments(None), g_gamma=u_ex, u0_gamma0=u_ex)
     uhat, _ = system.solve_trace(rhs)
     return imap.flux(uhat), imap.response.params
 
@@ -676,6 +685,6 @@ def test_transfer_path_leaving_patch_raises():
     edge = next(e for e in mesh.boundary_edge_ids
                 if abs(mesh.edge_vertices(e).mean(axis=0)[0] - 0.9) < 1e-12)
     disc = _Discretization(mesh, MaterialField.identity(), 1.0, 1)
-    bmap = _synthetic_boundary_map(mesh, edge, 5.0, (1.0, 0.0))  # absurd length
+    bmap = _synthetic_boundary_map(mesh, edge, 5.0, (1.0, 0.0), 1)  # absurd length
     with pytest.raises(TransferIntegrationError):
         assemble_transfer(disc, bmap)
