@@ -46,13 +46,11 @@ from .errors import (
 from .geometry import (
     BoundaryMap,
     Curve,
-    ExtensionPatches,
     TAG_INNER,
     TAG_OUTER,
     UnfittedMesh,
     build_annulus_mesh,
     build_boundary_map,
-    build_extension_patches,
     classify_boundary_edges,
     load_mesh,
     proximity_parameter,

@@ -92,12 +92,7 @@ class TrigPolynomial:
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self.cos[0])
-        for m in range(1, self.n + 1):
-            out = out + self.cos[m] * np.cos(m * t)
-        for m in range(1, self.n):
-            out = out + self.sin[m - 1] * np.sin(m * t)
-        return out
+        return (_coeff_to_samples(self.n, t.ravel()) @ self.coefficients()).reshape(t.shape)
 
     def l2_norm(self, speed=1.0):
         """L2(Gamma) norm; ``speed`` is |y'| (a scalar for circles)."""

@@ -29,7 +29,12 @@ import sys
 from .bem import write_density_csv
 from .coupling import CouplingConfig, run_fixed_point, write_iteration_log
 from .errors import ConfigError, DivergenceError, HdgBemError
-from .geometry import save_mesh
+from .geometry import (
+    build_annulus_mesh,
+    build_boundary_map,
+    proximity_parameter,
+    save_mesh,
+)
 from .harness import (
     convergence_study,
     manufactured_case,
@@ -171,19 +176,20 @@ def _case(params):
 
 def cmd_mesh(params):
     case = _case(params)
-    bundle = setup_level(case, params["h0"], params["k"], n=params["n"],
-                         fitted=params["fitted"])
+    mesh = build_annulus_mesh(case.gamma, case.gamma0, params["h0"],
+                              fitted=params["fitted"])
+    rep = proximity_parameter(
+        mesh, build_boundary_map(mesh, case.gamma, case.gamma0, params["k"]))
     os.makedirs(params["outdir"], exist_ok=True)
     mesh_path = os.path.join(params["outdir"], "mesh.txt")
-    save_mesh(bundle.mesh, mesh_path)
-    rep = bundle.proximity
+    save_mesh(mesh, mesh_path)
     report_path = os.path.join(params["outdir"], "mesh_report.csv")
     with open(report_path, "w") as fh:
         fh.write("h_target,mesh_h,elements,R_h,normal_deviation\n")
-        fh.write(f"{params['h0']:.10e},{bundle.mesh.h:.10e},"
-                 f"{len(bundle.mesh.elements)},{rep.R_h:.10e},"
+        fh.write(f"{params['h0']:.10e},{mesh.h:.10e},"
+                 f"{len(mesh.elements)},{rep.R_h:.10e},"
                  f"{rep.normal_deviation:.10e}\n")
-    print(f"mesh: {len(bundle.mesh.elements)} elements, h = {bundle.mesh.h:.4f}")
+    print(f"mesh: {len(mesh.elements)} elements, h = {mesh.h:.4f}")
     print(f"proximity ratio R_h = {rep.R_h:.4e}, "
           f"max |n_h - n| = {rep.normal_deviation:.4e}")
     print(f"wrote {mesh_path} and {report_path}")

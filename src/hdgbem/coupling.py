@@ -95,8 +95,9 @@ class InterfaceResponse:
 
     ``B`` (n_trace x 2n) holds the edge moments of each density basis
     function on the interface rows.  Row j of ``Z`` evaluates the flux of
-    node j's patch parent element, extrapolated to the node, from that
-    element's trace coefficients.  ``arc_w`` integrates samples over the
+    the parent element of the outer edge that covers node j
+    (``BoundaryMap.locate``), extrapolated to the node, from that element's
+    trace coefficients.  ``arc_w`` integrates samples over the
     interface.
 
     Every trace solve made through it is counted, over all runs on the
@@ -126,7 +127,7 @@ class InterfaceResponse:
             shape=(system.n_trace, 2 * n))
 
         self.params = ops.nodes
-        self.parents = parents = system.patches.locate(self.params)
+        self.parents = parents = bmap.locate(self.params)
         verts = mesh.vertices[mesh.elements[parents]]
         ref = np.einsum("pd,ped->pe", curve.point(self.params) - verts[:, 0],
                         disc.invJ[parents])

@@ -3,12 +3,12 @@
 The physical domain is the annulus Omega bounded by an inner curve (the
 problem boundary) and an outer artificial interface.  The computational
 domain is a polygonal triangulation that stays strictly inside Omega; every
-boundary edge carries a pointwise map onto the nearby true curve, short
-straight transfer segments, and an extension patch tiling the sliver
-between the polygon and the curve.  The map sends a point radially onto a
-circle and to its closest point on any other curve; the boundary map
-applies it to the nodes of the degree-k edge rule (``edge_rule(k)``), the
-patches to their own quadrature nodes.
+boundary edge carries a pointwise map onto the nearby true curve and short
+straight transfer segments across the sliver between the polygon and the
+curve.  The map sends a point to its closest point on the curve (radially
+onto a circle); the boundary map applies it to the nodes of the degree-k
+edge rule (``edge_rule(k)``), refuses slivers that overlap along a curve or
+fold, and finds the edge whose sliver covers a point of the outer curve.
 
 Construction is a structured boundary-aligned layering between the two
 curves: vertices are placed on blended offset rings so that the distance
@@ -32,7 +32,7 @@ from .errors import (
     MeshingFailureError,
     PatchConstructionError,
 )
-from .quadrature import edge_rule, gauss01, gauss_legendre
+from .quadrature import edge_rule, gauss01
 
 TWO_PI = 2.0 * np.pi
 # Newton steps of the closest-point search (it stops early once converged)
@@ -132,11 +132,7 @@ class Curve:
 
     def distance(self, pts):
         """Unsigned distance from each point to the curve."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.is_circle:
-            return np.abs(np.linalg.norm(pts - self.center, axis=1) - self.radius)
-        s = self.closest_parameter(pts)
-        return np.linalg.norm(pts - self.point(s), axis=1)
+        return np.abs(self.signed_distance(pts))
 
     def signed_distance(self, pts):
         """Negative inside the enclosed region, positive outside."""
@@ -363,6 +359,14 @@ def classify_boundary_edges(mesh, gamma, gamma0):
 # boundary map
 # ---------------------------------------------------------------------------
 
+# nodes of the fold test: N_ALONG Gauss points along each edge resolve the
+# curved side of its sliver; the sliver map is affine across the transfer
+# direction, so N_ACROSS points suffice there
+N_ALONG, N_ACROSS = 12, 2
+# slack of the overlap and coverage tests on curve parameter intervals
+ARC_SLACK = 1e-9
+
+
 class BoundaryMap(SimpleNamespace):
     """Pointwise map from boundary-edge quadrature nodes onto the true curves.
 
@@ -375,8 +379,27 @@ class BoundaryMap(SimpleNamespace):
     nodes/mapped (B,q,2), l (B,q), t (B,q,2), params (B,q) curve parameters
     of the mapped nodes, normals (B,q,2) true curve normals there,
     weights (B,q) edge Gauss weights including the edge length, and
-    endpoint_params (B,2) for the patch corners.
+    endpoint_params (B,2) curve parameters of the mapped edge endpoints.
+
+    starts (K,), widths (K,) and owners (K,) are the outer edges' shortest
+    parameter intervals between their mapped endpoints, sorted by start
+    (mod 2pi), and their parent elements: the table behind ``locate``.
     """
+
+    def locate(self, params):
+        """Parent element of an outer edge whose interval covers each parameter."""
+        s = np.mod(np.asarray(params, dtype=float), TWO_PI)
+
+        def covers(i):
+            return np.mod(s - self.starts[i], TWO_PI) <= self.widths[i] + ARC_SLACK
+
+        # the interval starting at or before s (index -1 wraps to the last
+        # one), or else the next one if s falls within the slack before it
+        idx = np.searchsorted(self.starts, s, side="right") - 1
+        idx = np.where(covers(idx), idx, (idx + 1) % len(self.starts))
+        if not np.all(covers(idx)):
+            raise CoverageError("interface point not covered by any extension patch")
+        return self.owners[idx]
 
 
 def _map_points(pts, curve):
@@ -384,27 +407,18 @@ def _map_points(pts, curve):
 
     A circle maps radially, any other curve to the closest point.
     """
+    params = curve.closest_parameter(pts)
     if curve.is_circle:
         rel = pts - curve.center
         rho = np.linalg.norm(rel, axis=1)
         if np.any(rho == 0):
             raise MapConstructionError("radial map undefined at the circle center")
-        mapped = curve.center + curve.radius * rel / rho[:, None]
-        params = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), TWO_PI)
-        return mapped, params
-    params = curve.closest_parameter(pts)
+        return curve.center + curve.radius * rel / rho[:, None], params
     return curve.point(params), params
 
 
 def _map_point_derivative(pts, params, curve):
     """2x2 Jacobians d(mapped)/d(x) at pts, whose curve parameters are params."""
-    if curve.is_circle:
-        rel = pts - curve.center
-        rho = np.linalg.norm(rel, axis=1)
-        rhat = rel / rho[:, None]
-        eye = np.eye(2)[None, :, :]
-        proj = eye - rhat[:, :, None] * rhat[:, None, :]
-        return (curve.radius / rho)[:, None, None] * proj
     y, dy, ddy = (curve.point(params), curve.derivative(params),
                   curve.second_derivative(params))
     denom = (dy * dy).sum(axis=1) - ((pts - y) * ddy).sum(axis=1)
@@ -414,6 +428,45 @@ def _map_point_derivative(pts, params, curve):
 def _row_lengths(vecs):
     """Lengths of the rows of (B, 2) vecs, rounded as np.linalg.norm of one row."""
     return np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
+
+
+def _edge_intervals(endpoint_params):
+    """One curve's edge intervals: sorted (starts, widths) and their order.
+
+    Each edge spans the shorter parameter interval between its mapped
+    endpoints; two intervals that overlap raise PatchConstructionError.
+    """
+    s0, s1 = endpoint_params.T
+    d = np.mod(s1 - s0, TWO_PI)
+    short = d <= np.pi
+    lo = np.mod(np.where(short, s0, s1), TWO_PI)
+    width = np.where(short, d, TWO_PI - d)
+    order = np.lexsort((width, lo))
+    lo, width = lo[order], width[order]
+    following = np.append(lo[1:], lo[0] + TWO_PI)
+    if np.any(following < lo + width - ARC_SLACK):
+        raise PatchConstructionError("extension patches overlap along the curve")
+    return lo, width, order
+
+
+def _folds(p, curve):
+    """Whether the sliver map of each edge p (b, 2, 2) folds.
+
+    The sliver point at (edge fraction a, transfer fraction b) is x(a) + b
+    (map(x(a)) - x(a)), with x(a) on the edge; the map folds where its
+    Jacobian determinant takes both signs on the N_ALONG x N_ACROSS nodes.
+    """
+    x1d, x2d = gauss01(N_ALONG)[0], gauss01(N_ACROSS)[0]
+    e_vec = p[:, 1] - p[:, 0]
+    x = (p[:, None, 0] + x1d[None, :, None] * e_vec[:, None, :]).reshape(-1, 2)
+    mapped, s = _map_points(x, curve)
+    delta = (mapped - x).reshape(-1, N_ALONG, 2)
+    dmap = _map_point_derivative(x, s, curve).reshape(-1, N_ALONG, 2, 2)
+    ddelta = np.einsum("bnij,bj->bni", dmap, e_vec) - e_vec[:, None, :]
+    side = e_vec[:, None, None, :] + x2d[:, None] * ddelta[:, :, None, :]  # (b, n, c, 2)
+    det = side[..., 0] * delta[:, :, None, 1] - side[..., 1] * delta[:, :, None, 0]
+    sign = np.sign(det).reshape(len(p), -1)
+    return np.any(sign > 0, axis=1) & np.any(sign < 0, axis=1)
 
 
 # smallest admissible t . nu of a transfer direction t
@@ -426,6 +479,9 @@ def build_boundary_map(mesh, gamma, gamma0, k):
     Each boundary edge carries the k + 2 nodes of ``edge_rule(k)``.  For
     fitted meshes the map is the identity (zero transfer length, the
     transfer direction degenerates to the edge normal by convention).
+    Raises MapConstructionError when a transfer direction is nearly
+    tangent to its edge, and PatchConstructionError when two edge
+    intervals of a curve overlap or the sliver map of an edge folds.
     """
     xg, wg = edge_rule(k)
     nq = len(xg)
@@ -450,7 +506,8 @@ def build_boundary_map(mesh, gamma, gamma0, k):
     endpoint_params, normals = np.empty((len(edge_ids), 2)), np.empty_like(nodes)
     # the outward normal of the annulus along the inner curve points into the
     # hole, i.e. against that curve's own counterclockwise normal
-    for tag, curve, sign in ((TAG_OUTER, gamma, 1.0), (TAG_INNER, gamma0, -1.0)):
+    curves = ((TAG_OUTER, gamma, 1.0), (TAG_INNER, gamma0, -1.0))
+    for tag, curve, sign in curves:
         rows = tags == tag
         if not np.any(rows):
             continue
@@ -478,141 +535,27 @@ def build_boundary_map(mesh, gamma, gamma0, k):
             f"transfer direction nearly tangent on edge {int(edge_ids[row])} "
             f"(min t.nu = {dot[row].min():.3f} < floor {TANGENCY_FLOOR})",
             edge=int(edge_ids[row]))
+    lookup, folds = {}, np.zeros(len(edge_ids), dtype=bool)
+    live = l.max(axis=1) > 0.0
+    for tag, curve, _ in curves:
+        rows = np.nonzero(tags == tag)[0]
+        if len(rows) == 0:
+            continue
+        starts, widths, order = _edge_intervals(endpoint_params[rows])
+        if tag == TAG_OUTER:
+            lookup = dict(starts=starts, widths=widths, owners=parents[rows[order]])
+        rows = rows[live[rows]]
+        if len(rows):
+            folds[rows] = _folds(p[rows], curve)
+    if np.any(folds):
+        raise PatchConstructionError(
+            f"patch of edge {int(edge_ids[np.argmax(folds)])} self-intersects "
+            "(map folds)")
     return BoundaryMap(
         edge_ids=edge_ids, tags=tags, parents=parents, nu=nu, nodes=nodes,
         mapped=mapped, l=l, t=t, params=params, normals=normals,
-        weights=wg[None, :] * length[:, None], endpoint_params=endpoint_params)
-
-
-# ---------------------------------------------------------------------------
-# extension patches
-# ---------------------------------------------------------------------------
-
-# patch quadrature: N_ALONG Gauss points along the edge resolve the curved
-# side; the patch map is affine across the transfer direction, so N_ACROSS
-# points suffice there
-N_ALONG, N_ACROSS = 12, 2
-# slack of the overlap and coverage tests on curve parameter intervals
-ARC_SLACK = 1e-9
-
-
-class ExtensionPatches(SimpleNamespace):
-    """Slivers between the boundary edges and the true curves, one per row.
-
-    Like ``BoundaryMap`` (whose ``edge_ids`` and ``parents`` name each
-    patch's edge and parent element), all arrays are indexed by boundary-map
-    row:
-
-    corners (B,4,2) the edge endpoints followed by the mapped endpoints in
-    reverse order, param_interval (B,2) the shortest parameter interval
-    (lo <= hi) of the curved side, points (B,m,2) and weights (B,m) a
-    quadrature rule over the patch, and area (B,) its area by Green's
-    theorem, independent of the rule.  Flat patches (fitted meshes, zero
-    transfer length) carry zero weights and zero area.
-
-    starts (K,), widths (K,) and owners (K,) are the outer curve's intervals
-    sorted by start (mod 2pi) and their parent elements, the table behind
-    ``locate``.
-    """
-
-    def locate(self, params):
-        """Parent element of an outer patch whose interval covers each parameter."""
-        s = np.mod(np.asarray(params, dtype=float), TWO_PI)
-
-        def covers(i):
-            return np.mod(s - self.starts[i], TWO_PI) <= self.widths[i] + ARC_SLACK
-
-        # the interval starting at or before s (index -1 wraps to the last
-        # one), or else the next one if s falls within the slack before it
-        idx = np.searchsorted(self.starts, s, side="right") - 1
-        idx = np.where(covers(idx), idx, (idx + 1) % len(self.starts))
-        if not np.all(covers(idx)):
-            raise CoverageError("interface point not covered by any extension patch")
-        return self.owners[idx]
-
-
-def _cross(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def build_extension_patches(mesh, bmap, gamma, gamma0):
-    """Build the quadrature-carrying patch of every boundary edge.
-
-    The patch point at (edge fraction a, transfer fraction b) is x(a) + b
-    l t(x(a)), with x(a) on the edge and l t its transfer vector.  Each
-    curve's patch nodes are mapped by one call.  Raises
-    PatchConstructionError when two patch intervals of a curve overlap or
-    a patch map folds.
-    """
-    x1d, w1d = gauss01(N_ALONG)
-    x2d, w2d = gauss01(N_ACROSS)
-    arc_x, arc_w = gauss_legendre(16)
-    p = mesh.vertices[mesh.edges[bmap.edge_ids]]                    # (B, 2, 2)
-    e_vec = p[:, 1] - p[:, 0]
-    base = p[:, None, 0] + x1d[None, :, None] * e_vec[:, None, :]   # (B, n, 2)
-    s0, s1 = bmap.endpoint_params.T
-    d = np.mod(s1 - s0, TWO_PI)
-    param_interval = np.where((d <= np.pi)[:, None], np.stack([s0, s0 + d], axis=1),
-                              np.stack([s1, s1 + (TWO_PI - d)], axis=1))
-
-    delta = np.zeros_like(base)          # transfer vectors l t, zero when flat
-    ddelta = np.zeros_like(base)         # their derivative along the edge
-    corners = p[:, [0, 1, 1, 0]]
-    area = np.zeros(len(p))
-    live = np.max(bmap.l, axis=1) > 0.0
-    lookup = {}
-    for tag, curve in ((TAG_OUTER, gamma), (TAG_INNER, gamma0)):
-        rows = np.nonzero(bmap.tags == tag)[0]
-        if len(rows) == 0:
-            continue
-        lo = np.mod(param_interval[rows, 0], TWO_PI)
-        width = param_interval[rows, 1] - param_interval[rows, 0]
-        order = np.lexsort((width, lo))
-        lo, width = lo[order], width[order]
-        following = np.append(lo[1:], lo[0] + TWO_PI)
-        if np.any(following < lo + width - ARC_SLACK):
-            raise PatchConstructionError("extension patches overlap along the curve")
-        if tag == TAG_OUTER:
-            lookup = dict(starts=lo, widths=width, owners=bmap.parents[rows[order]])
-
-        rows = rows[live[rows]]
-        if len(rows) == 0:
-            continue
-        x = base[rows].reshape(-1, 2)
-        mapped, s = _map_points(x, curve)
-        delta[rows] = (mapped - x).reshape(-1, N_ALONG, 2)
-        dmap = _map_point_derivative(x, s, curve).reshape(-1, N_ALONG, 2, 2)
-        ddelta[rows] = (np.einsum("bnij,bj->bni", dmap, e_vec[rows])
-                        - e_vec[rows][:, None, :])
-        # independent area: signed Green's theorem around the closed loop
-        # p0 -> p1 -> map(p1) -> (arc back to map(p0)) -> p0
-        sA, sB = bmap.endpoint_params[rows].T
-        span = np.mod(sA - sB + np.pi, TWO_PI) - np.pi  # short way from sB to sA
-        sm = (sB[:, None] + span[:, None] * 0.5 * (arc_x + 1.0)).ravel()
-        integrand = _cross(curve.point(sm), curve.derivative(sm)).reshape(-1, len(arc_x))
-        arc = 0.25 * span * np.sum(arc_w * integrand, axis=1)
-        xbar = curve.point(bmap.endpoint_params[rows].ravel()).reshape(-1, 2, 2)
-        corners[rows, 2:] = xbar[:, ::-1]
-        p0, p1 = p[rows, 0], p[rows, 1]
-        area[rows] = np.abs(0.5 * _cross(p0, p1) + 0.5 * _cross(p1, xbar[:, 1]) + arc
-                            + 0.5 * _cross(xbar[:, 0], p0))
-
-    # Jacobian determinants at the (along, across) nodes; a patch map folds
-    # where they take both signs
-    det = _cross(e_vec[:, None, None, :] + x2d[:, None] * ddelta[:, :, None, :],
-                 delta[:, :, None, :])                                # (B, n, c)
-    sign = np.sign(det).reshape(len(p), -1)
-    folds = np.any(sign > 0, axis=1) & np.any(sign < 0, axis=1)
-    if np.any(folds):
-        raise PatchConstructionError(
-            f"patch of edge {int(bmap.edge_ids[np.argmax(folds)])} self-intersects "
-            "(map folds)")
-    points = base[:, :, None, :] + x2d[:, None] * delta[:, :, None, :]
-    weights = (w1d[:, None] * w2d[None, :]) * np.abs(det)
-    return ExtensionPatches(
-        corners=corners, param_interval=param_interval,
-        points=points.reshape(len(p), -1, 2), weights=weights.reshape(len(p), -1),
-        area=area, **lookup)
+        weights=wg[None, :] * length[:, None], endpoint_params=endpoint_params,
+        **lookup)
 
 
 # ---------------------------------------------------------------------------

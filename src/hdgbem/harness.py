@@ -28,7 +28,6 @@ from .geometry import (
     Curve,
     build_annulus_mesh,
     build_boundary_map,
-    build_extension_patches,
     proximity_parameter,
 )
 from .hdg import MaterialField, build_system, l2_errors, solve_interior
@@ -203,24 +202,21 @@ def pde_residual(case, pts):
 class SolverBundle:
     """Everything needed to solve one refinement level."""
 
-    def __init__(self, mesh, bmap, patches, system, ops, proximity):
+    def __init__(self, mesh, bmap, system, ops, proximity):
         self.mesh = mesh
         self.bmap = bmap
-        self.patches = patches
         self.system = system
         self.ops = ops
         self.proximity = proximity
 
 
 def setup_level(case, target_h, k, n=32, fitted=False):
-    """Mesh, maps, patches, trace system (tau = 1) and layer operators for one level."""
+    """Mesh, boundary map, trace system (tau = 1) and layer operators for one level."""
     mesh = build_annulus_mesh(case.gamma, case.gamma0, target_h, fitted=fitted)
     bmap = build_boundary_map(mesh, case.gamma, case.gamma0, k)
-    patches = build_extension_patches(mesh, bmap, case.gamma, case.gamma0)
-    system = build_system(mesh, bmap, patches, case.kappa, 1.0, k)
+    system = build_system(mesh, bmap, case.kappa, 1.0, k)
     ops = assemble_layer_operators(case.gamma, n)
-    return SolverBundle(mesh, bmap, patches, system, ops,
-                        proximity_parameter(mesh, bmap))
+    return SolverBundle(mesh, bmap, system, ops, proximity_parameter(mesh, bmap))
 
 
 # ---------------------------------------------------------------------------

@@ -332,14 +332,13 @@ class HDGSystem:
     data reuse the one-time factorization.
     """
 
-    def __init__(self, mesh, bmap, patches, material, tau, k):
+    def __init__(self, mesh, bmap, material, tau, k):
         if bmap.nodes.shape[1] != int(k) + 2:
             raise DimensionError(
                 f"boundary map has {bmap.nodes.shape[1]} nodes per edge; "
                 f"degree {k} needs {int(k) + 2}")
         self.mesh = mesh
         self.bmap = bmap
-        self.patches = patches
         self.material = material
         self.k = int(k)
         self.disc = _Discretization(mesh, material, tau, k)
@@ -480,9 +479,9 @@ class HDGSystem:
         return DGField(mesh, self.k, Q, U, uhat.reshape(mesh.n_edges, ne))
 
 
-def build_system(mesh, bmap, patches, material, tau, k):
+def build_system(mesh, bmap, material, tau, k):
     """Assemble the condensed trace system (factorization happens lazily)."""
-    return HDGSystem(mesh, bmap, patches, material, tau, k)
+    return HDGSystem(mesh, bmap, material, tau, k)
 
 
 def solve_interior(system, f=None, g_gamma=None, u0_gamma0=None):
@@ -507,16 +506,21 @@ def _interior_two_sides(mesh, *side_tables):
     return e, *((tab[t[:, 0], s[:, 0]], tab[t[:, 1], s[:, 1]]) for tab in side_tables)
 
 
-def j_functional(field, material, tau, mesh):
-    """Energy-style seminorm combining flux mass, boundary traces and jumps."""
-    disc = _Discretization(mesh, material, tau, field.k)
-    d = disc.d
-    qc = field.Q.reshape(len(mesh.elements), 2 * d)
-    total = np.einsum("ma,mab,mb->", qc, disc.mass_kinv, qc)
-
+def _side_traces(field, disc):
+    """Traces of u and of q . n at the edge nodes of every (element, side)."""
     u_tr = np.einsum("msqa,ma->msq", disc.trace_vals, field.U)
     qn_tr = np.einsum("msqa,msd,mda->msq",
                       disc.trace_vals, disc.side_normals, field.Q)
+    return u_tr, qn_tr
+
+
+def j_functional(field, system):
+    """Energy-style seminorm combining flux mass, boundary traces and jumps."""
+    mesh, disc = system.mesh, system.disc
+    qc = field.Q.reshape(len(mesh.elements), 2 * disc.d)
+    total = np.einsum("ma,mab,mb->", qc, disc.mass_kinv, qc)
+
+    u_tr, qn_tr = _side_traces(field, disc)
     w_es = disc.edge_w[mesh.element_edges]
     tau_es = disc.tau[mesh.element_edges]
     tags = mesh.boundary_tags[mesh.element_edges]
@@ -538,9 +542,7 @@ def local_conservation_residual(field, system, f=None):
     mesh, disc = system.mesh, system.disc
     f_mom = disc.f_moments(f)
     f_int = f_mom[:, 0]        # first basis function is identically 1
-    u_tr = np.einsum("msqa,ma->msq", disc.trace_vals, field.U)
-    qn_tr = np.einsum("msqa,msd,mda->msq",
-                      disc.trace_vals, disc.side_normals, field.Q)
+    u_tr, qn_tr = _side_traces(field, disc)
     uhat_tr = field.Uhat[mesh.element_edges] @ disc.mu_vals.T
     w_es = disc.edge_w[mesh.element_edges]
     tau_es = disc.tau[mesh.element_edges]
@@ -552,9 +554,7 @@ def local_conservation_residual(field, system, f=None):
 def trace_identity_residual(field, system):
     """Sup over interior edges of || uhat - jump(q)/(2 tau) - mean(u) ||_e."""
     mesh, disc = system.mesh, system.disc
-    u_tr = np.einsum("msqa,ma->msq", disc.trace_vals, field.U)
-    qn_tr = np.einsum("msqa,msd,mda->msq",
-                      disc.trace_vals, disc.side_normals, field.Q)
+    u_tr, qn_tr = _side_traces(field, disc)
     e, (u1, u2), (qn1, qn2) = _interior_two_sides(mesh, u_tr, qn_tr)
     uhat = field.Uhat[e] @ disc.mu_vals.T
     target = (0.5 / disc.tau[e])[:, None] * (qn1 + qn2) + 0.5 * (u1 + u2)

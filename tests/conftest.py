@@ -7,7 +7,6 @@ from hdgbem import (
     assemble_layer_operators,
     build_annulus_mesh,
     build_boundary_map,
-    build_extension_patches,
     build_system,
 )
 
@@ -29,9 +28,8 @@ def _bundle(circles, h, k, fitted=False):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, h, fitted=fitted)
     bmap = build_boundary_map(mesh, gamma, gamma0, k)
-    patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, k)
-    return mesh, bmap, patches, system
+    system = build_system(mesh, bmap, MaterialField.identity(), 1.0, k)
+    return mesh, bmap, system
 
 
 @pytest.fixture(scope="session")

@@ -36,6 +36,19 @@ def test_interpolation_round_trip():
     assert len(poly.coefficients()) == 2 * N
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_eval_matches_mode_sum(n):
+    # the coefficient matrix product against the mode-by-mode sum, on a
+    # 2-D parameter array whose shape it keeps
+    rng = np.random.default_rng(n)
+    poly = TrigPolynomial.from_coefficients(rng.normal(size=2 * n))
+    t = rng.uniform(-7.0, 7.0, size=(3, 5))
+    expect = poly.cos[0] + sum(poly.cos[m] * np.cos(m * t) for m in range(1, n + 1)) \
+        + sum(poly.sin[m - 1] * np.sin(m * t) for m in range(1, n))
+    assert np.abs(poly.eval(t) - expect).max() <= 1e-14 * np.abs(poly.coefficients()).sum()
+    assert np.shape(poly.eval(0.5)) == ()
+
+
 def test_projection_kills_constants(ops32):
     # the projection is a matrix product, so a constant leaves rounding
     out = ops32.project(np.full(2 * N, 4.2))

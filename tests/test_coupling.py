@@ -80,7 +80,7 @@ def test_interface_map_matches_recovered_field(dipole_bundle):
     params = imap.response.params
     pts = case.gamma.point(params)
     normals = case.gamma.normal(params)
-    parents = system.patches.locate(params)
+    parents = system.bmap.locate(params)
     direct = np.array([field.q_at(int(t), p[None, :])[0] @ nu
                        for t, p, nu in zip(parents, pts, normals)])
     assert np.abs(imap.flux(uhat) - direct).max() <= 1e-12 * np.abs(direct).max()

@@ -14,16 +14,11 @@ from hdgbem import (
     UnfittedMesh,
     build_annulus_mesh,
     build_boundary_map,
-    build_extension_patches,
     classify_boundary_edges,
     load_mesh,
     proximity_parameter,
     save_mesh,
 )
-from hdgbem.quadrature import gauss01, gauss_legendre
-
-ANNULUS_AREA = np.pi * (1.0 - 0.25)
-
 
 def test_build_keeps_vertices_in_band_and_edges_near_curves(circles):
     gamma, gamma0 = circles
@@ -165,77 +160,6 @@ def test_edge_table_inverts_element_edges(bundle, request):
     assert np.all(sides[mesh.boundary_edge_ids, 1] == -1)
 
 
-def test_patch_partition_of_annulus(circles):
-    gamma, gamma0 = circles
-    mesh = build_annulus_mesh(gamma, gamma0, 0.1)
-    bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
-    patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    total = mesh.area() + patches.area.sum()
-    assert abs(total - ANNULUS_AREA) < 1e-6
-    live = patches.area > 0
-    assert np.all(np.abs(patches.weights[live].sum(axis=1) - patches.area[live])
-                  <= 1e-12 * patches.area[live])
-
-
-def test_fitted_patches_are_empty(circles):
-    gamma, gamma0 = circles
-    mesh = build_annulus_mesh(gamma, gamma0, 0.2, fitted=True)
-    bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
-    patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    assert np.all(patches.area == 0.0)
-    assert np.all(patches.weights.sum(axis=1) == 0.0)
-
-
-def _reference_patch(mesh, bmap, row, curve):
-    """One edge's patch by the per-node loop: (points, weights, corners, area)."""
-    x1d, w1d = gauss01(geometry.N_ALONG)
-    x2d, w2d = gauss01(geometry.N_ACROSS)
-    p = mesh.edge_vertices(bmap.edge_ids[row])
-    e_vec = p[1] - p[0]
-    base = p[0] + x1d[:, None] * e_vec
-    mapped, s = geometry._map_points(base, curve)
-    dmap = geometry._map_point_derivative(base, s, curve)
-    pts, wts = [], []
-    for i in range(len(x1d)):
-        delta = mapped[i] - base[i]
-        ddelta = np.einsum("ij,j->i", dmap[i], e_vec) - e_vec
-        for j in range(len(x2d)):
-            d1 = e_vec + x2d[j] * ddelta
-            pts.append(base[i] + x2d[j] * delta)
-            wts.append(w1d[i] * w2d[j] * abs(d1[0] * delta[1] - d1[1] * delta[0]))
-    sA, sB = bmap.endpoint_params[row]
-    d = np.mod(sA - sB + np.pi, 2 * np.pi) - np.pi
-    arc_x, arc_w = gauss_legendre(16)
-    sm = sB + d * 0.5 * (arc_x + 1.0)
-    y, dy = curve.point(sm), curve.derivative(sm)
-    arc = 0.25 * d * np.sum(arc_w * (y[:, 0] * dy[:, 1] - y[:, 1] * dy[:, 0]))
-    xA, xB = curve.point(np.array([sA, sB]))
-
-    def seg(a, b):
-        return 0.5 * (a[0] * b[1] - a[1] * b[0])
-
-    area = abs(seg(p[0], p[1]) + seg(p[1], xB) + arc + seg(xA, p[0]))
-    return np.array(pts), np.array(wts), np.array([p[0], p[1], xB, xA]), area
-
-
-@pytest.mark.parametrize("outer", ["circle", "smooth_unit_circle"])
-def test_patch_table_matches_per_edge_reference(outer, circles, request):
-    # radial and closest-point maps; the whole-array table must reproduce
-    # the per-edge construction bit for bit, the area to rounding
-    gamma = circles[0] if outer == "circle" else request.getfixturevalue(outer)
-    gamma0 = circles[1]
-    mesh = build_annulus_mesh(gamma, gamma0, 0.2)
-    bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-    patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    for row, tag in enumerate(bmap.tags):
-        curve = gamma if tag == TAG_OUTER else gamma0
-        pts, wts, corners, area = _reference_patch(mesh, bmap, row, curve)
-        assert np.array_equal(patches.points[row], pts)
-        assert np.array_equal(patches.weights[row], wts)
-        assert np.array_equal(patches.corners[row], corners)
-        assert abs(patches.area[row] - area) <= 1e-13 * area
-
-
 def test_layered_elements_match_loop_reference(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
@@ -251,27 +175,6 @@ def test_layered_elements_match_loop_reference(circles):
             else:
                 tris += [(v00, v01, v10), (v01, v11, v10)]
     assert np.array_equal(UnfittedMesh(mesh.vertices, tris).elements, mesh.elements)
-
-
-def test_patch_area_approaches_trapezoid_rule(circles):
-    # with straight transfer segments the patch is a trapezoid up to the
-    # curvature of the arc side: |area - |e| dbar| = O(h) relative
-    gamma, gamma0 = circles
-
-    def worst_deviation(h):
-        mesh = build_annulus_mesh(gamma, gamma0, h)
-        bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
-        patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-        worst = 0.0
-        for row in np.nonzero(patches.area)[0]:
-            length = mesh.edge_length(bmap.edge_ids[row])
-            trap = length * bmap.l[row].mean()
-            worst = max(worst, abs(patches.area[row] - trap) / patches.area[row])
-        return worst
-
-    coarse, fine = worst_deviation(0.2), worst_deviation(0.1)
-    assert coarse < 0.2
-    assert fine < coarse
 
 
 def test_proximity_parameter_synthetic_ratio():
@@ -333,21 +236,30 @@ def test_parametrized_curve_matches_circle(smooth_unit_circle):
                        circle.signed_distance(pts), atol=1e-12)
 
 
-def test_overlapping_patches_raise(circles):
+def test_overlapping_patches_raise(circles, monkeypatch):
+    # moving one mapped endpoint's curve parameter by 0.5 stretches the
+    # intervals of its two edges over their neighbours
     from hdgbem import PatchConstructionError
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
-    bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-    # tamper one edge's arc interval so it overlaps its neighbour
-    bmap.endpoint_params[0] = bmap.endpoint_params[0] + np.array([0.0, 0.5])
-    with pytest.raises(PatchConstructionError):
-        build_extension_patches(mesh, bmap, gamma, gamma0)
+    end = mesh.edge_vertices(mesh.boundary_edge_ids[0])[1]
+    map_points = geometry._map_points
+
+    def tampered(pts, curve):
+        mapped, params = map_points(pts, curve)
+        params[np.all(pts == end, axis=1)] += 0.5
+        return mapped, params
+
+    build_boundary_map(mesh, gamma, gamma0, k=1)
+    monkeypatch.setattr(geometry, "_map_points", tampered)
+    with pytest.raises(PatchConstructionError, match="overlap along the curve"):
+        build_boundary_map(mesh, gamma, gamma0, k=1)
 
 
 def test_folding_patch_map_raises(circles, monkeypatch):
     # a map Jacobian flipped on one edge's nodes turns the transfer vector's
-    # derivative against the edge: the patch map then reverses orientation
-    # between the two across nodes, and that edge's patch must be refused
+    # derivative against the edge: the sliver map then reverses orientation
+    # between the two across nodes, and that edge's map must be refused
     from hdgbem import PatchConstructionError
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
@@ -364,7 +276,25 @@ def test_folding_patch_map_raises(circles, monkeypatch):
         jac[on_edge] *= -1.0
         return jac
 
-    build_extension_patches(mesh, bmap, gamma, gamma0)
     monkeypatch.setattr(geometry, "_map_point_derivative", flipped)
     with pytest.raises(PatchConstructionError, match=f"patch of edge {edge} self-intersects"):
-        build_extension_patches(mesh, bmap, gamma, gamma0)
+        build_boundary_map(mesh, gamma, gamma0, k=1)
+
+
+@pytest.mark.parametrize("outer", ["circle", "ellipse"])
+def test_map_point_derivative_matches_finite_differences(outer, circles):
+    # the circle's and the ellipse's Jacobians come from the same formula
+    curve = circles[0] if outer == "circle" else Curve.from_parametrization(
+        lambda s: np.stack([1.1 * np.cos(s), 0.85 * np.sin(s)], axis=-1),
+        lambda s: np.stack([-1.1 * np.sin(s), 0.85 * np.cos(s)], axis=-1),
+        lambda s: np.stack([-1.1 * np.cos(s), -0.85 * np.sin(s)], axis=-1))
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.0, 2 * np.pi, 16)
+    pts = curve.point(s) - rng.uniform(0.01, 0.1, 16)[:, None] * curve.normal(s)
+    jac = geometry._map_point_derivative(pts, geometry._map_points(pts, curve)[1], curve)
+    step = 1e-6
+    for axis in range(2):
+        shift = step * np.eye(2)[axis]
+        fd = (geometry._map_points(pts + shift, curve)[0]
+              - geometry._map_points(pts - shift, curve)[0]) / (2 * step)
+        assert np.abs(jac[:, :, axis] - fd).max() < 1e-8

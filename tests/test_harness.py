@@ -17,8 +17,11 @@ from hdgbem import (
     manufactured_case,
     omega_sweep,
     pde_residual,
+    save_mesh,
+    setup_level,
 )
 import hdgbem
+from hdgbem import harness
 from hdgbem.cli import main as cli_main
 
 N = 16
@@ -187,6 +190,27 @@ def test_cli_mesh_solve_study_sweep(tmp_path):
     assert sweep[0] == "omega,converged,iterations,ratio"
 
 
+def test_cli_mesh_builds_only_geometry(tmp_path, monkeypatch):
+    # the mesh command writes setup_level's mesh and proximity report
+    # without assembling the trace system or the layer operators
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    _write_config(cfg, out, extra=["discretization.k = 2"])
+    bundle = setup_level(manufactured_case("dipole-plus-constant"), 0.25, 2, n=N)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hdgbem mesh assembled a solver")
+
+    monkeypatch.setattr(harness, "build_system", refuse)
+    monkeypatch.setattr(harness, "assemble_layer_operators", refuse)
+    assert cli_main(["mesh", str(cfg)]) == 0
+    save_mesh(bundle.mesh, tmp_path / "expected.txt")
+    assert (out / "mesh.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
+    rep, mesh = bundle.proximity, bundle.mesh
+    assert (out / "mesh_report.csv").read_text().splitlines()[1] == (
+        f"{0.25:.10e},{mesh.h:.10e},{len(mesh.elements)},{rep.R_h:.10e},"
+        f"{rep.normal_deviation:.10e}")
+
+
 def test_cli_rejects_negative_omega(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("coupling.omega = -0.5\n")
@@ -295,12 +319,13 @@ def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
 
 
 def test_unfitted_mesh_demo(tmp_path, monkeypatch, capsys):
-    # the demo reads the patch table: mesh plus patches must tile the
-    # annulus to rounding at every size, and the finest mesh is written
+    # the longest transfer segment must shrink at every refinement, and the
+    # finest mesh is written
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / "01_unfitted_mesh.py"), run_name="__main__")
     rows = [line.split() for line in capsys.readouterr().out.splitlines()
             if line.strip()[:1].isdigit()]
     assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05, 0.025]
-    assert max(float(r[-1]) for r in rows) < 1e-13
+    lengths = [float(r[-1]) for r in rows]
+    assert all(fine < coarse for coarse, fine in zip(lengths, lengths[1:]))
     assert (tmp_path / "annulus_mesh.txt").exists()

@@ -18,7 +18,6 @@ from hdgbem import (
     assemble_layer_operators,
     build_annulus_mesh,
     build_boundary_map,
-    build_extension_patches,
     build_system,
     hdg_projection,
     j_functional,
@@ -219,7 +218,7 @@ def test_trace_matrix_matches_reference_assembly(which, request):
         case = manufactured_case("variable-kappa-bump", degree=1)
         system = setup_level(case, 0.2, 1, n=8).system
     else:
-        system = request.getfixturevalue(which)[3]
+        system = request.getfixturevalue(which)[2]
     _assert_close(system.matrix.toarray(), _reference_matrix(system))
 
 
@@ -279,7 +278,7 @@ def test_transfer_constant_flux_straight_path():
 
 
 def test_transfer_vanishes_on_fitted_edges(fitted_k1):
-    mesh, bmap, patches, system = fitted_k1
+    mesh, bmap, system = fitted_k1
     blocks = system.transfer
     assert blocks.path_moments.shape[0] == len(bmap.edge_ids)
     assert np.all(blocks.path_moments == 0.0)
@@ -297,8 +296,7 @@ def test_fitted_matrix_equals_transfer_free_assembly(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=True)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-    patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
+    system = build_system(mesh, bmap, MaterialField.identity(), 1.0, 1)
     ne = system.ne
     A = system.matrix.tocsr()
     for e in bmap.edge_ids:
@@ -311,9 +309,9 @@ def test_fitted_matrix_equals_transfer_free_assembly(circles):
 @pytest.mark.parametrize("k", [0, 2])
 def test_map_of_another_degree_is_refused(coarse_k1, circles, k):
     # the degree-1 map carries 3 nodes per edge; a degree-k system needs k + 2
-    mesh, bmap, patches, _ = coarse_k1
+    mesh, bmap, _ = coarse_k1
     with pytest.raises(DimensionError, match=f"3 nodes per edge; degree {k} needs {k + 2}"):
-        build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, k)
+        build_system(mesh, bmap, MaterialField.identity(), 1.0, k)
 
 
 def test_two_element_mesh_trace_dimension():
@@ -325,7 +323,7 @@ def test_two_element_mesh_trace_dimension():
 
 
 def test_condensation_matches_uncondensed_solve(coarse_k1):
-    mesh, bmap, patches, system = coarse_k1
+    mesh, bmap, system = coarse_k1
     u_ex = lambda p: p[:, 0] / (p[:, 0] ** 2 + p[:, 1] ** 2)
     fld = solve_interior(system, f=None, g_gamma=u_ex, u0_gamma0=u_ex)
     ref = solve_uncondensed(system, f=None, g_gamma=u_ex, u0_gamma0=u_ex)
@@ -336,7 +334,7 @@ def test_condensation_matches_uncondensed_solve(coarse_k1):
 
 
 def test_condensation_matches_eliminated_two_field_form(coarse_k2):
-    mesh, bmap, patches, system = coarse_k2
+    mesh, bmap, system = coarse_k2
     u_ex = lambda p: p[:, 0] ** 2
     fld = solve_interior(system, f=-2.0, g_gamma=u_ex, u0_gamma0=u_ex)
     Q, U = solve_eliminated(system, f=-2.0, g_gamma=u_ex, u0_gamma0=u_ex)
@@ -345,7 +343,7 @@ def test_condensation_matches_eliminated_two_field_form(coarse_k2):
 
 
 def test_zero_data_gives_zero_solution(coarse_k1):
-    _, _, _, system = coarse_k1
+    _, _, system = coarse_k1
     fld = solve_interior(system)
     assert np.abs(fld.Q).max() == 0.0
     assert np.abs(fld.U).max() == 0.0
@@ -357,8 +355,7 @@ def test_failed_trace_solve_reports_condition_estimate(circles, monkeypatch):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.3)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-    patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
+    system = build_system(mesh, bmap, MaterialField.identity(), 1.0, 1)
     system._lu = spla.splu((1.5 * system.matrix).tocsc())
 
     def dense_inverse(*args, **kwargs):
@@ -375,7 +372,7 @@ def test_failed_trace_solve_reports_condition_estimate(circles, monkeypatch):
 
 
 def test_patch_test_linear_fitted(fitted_k1):
-    mesh, bmap, patches, system = fitted_k1
+    mesh, bmap, system = fitted_k1
     u_ex = lambda p: p[:, 0]
     q_ex = lambda p: np.tile([-1.0, 0.0], (len(p), 1))
     fld = solve_interior(system, g_gamma=u_ex, u0_gamma0=u_ex)
@@ -384,7 +381,7 @@ def test_patch_test_linear_fitted(fitted_k1):
 
 
 def test_patch_test_quadratic_unfitted(coarse_k2):
-    mesh, bmap, patches, system = coarse_k2
+    mesh, bmap, system = coarse_k2
     u_ex = lambda p: p[:, 0] ** 2
     q_ex = lambda p: np.column_stack([-2.0 * p[:, 0], np.zeros(len(p))])
     fld = solve_interior(system, f=-2.0, g_gamma=u_ex, u0_gamma0=u_ex)
@@ -437,8 +434,7 @@ def test_patch_exactness_random_polynomial(circles, k, fitted):
 
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=fitted)
     bmap = build_boundary_map(mesh, gamma, gamma0, k)
-    patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-    system = build_system(mesh, bmap, patches, MaterialField(kappa), 1.0, k)
+    system = build_system(mesh, bmap, MaterialField(kappa), 1.0, k)
     fld = solve_interior(system, f=f_ex, g_gamma=u_ex, u0_gamma0=u_ex)
     eq, eu = l2_errors(fld, system, u_ex, q_ex)
     assert eq < 1e-9 and eu < 1e-9
@@ -449,7 +445,7 @@ def test_patch_exactness_random_polynomial(circles, k, fitted):
 # ---------------------------------------------------------------------------
 
 def test_local_conservation_and_trace_identity(coarse_k1):
-    _, _, _, system = coarse_k1
+    _, _, system = coarse_k1
     u_ex = lambda p: p[:, 0] / (p[:, 0] ** 2 + p[:, 1] ** 2)
     fld = solve_interior(system, f=None, g_gamma=u_ex, u0_gamma0=u_ex)
     res = local_conservation_residual(fld, system, f=None)
@@ -464,18 +460,17 @@ def test_stability_bounded_under_refinement(circles):
     for h in (0.2, 0.1, 0.05):
         mesh = build_annulus_mesh(gamma, gamma0, h)
         bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-        patches = build_extension_patches(mesh, bmap, gamma, gamma0)
-        system = build_system(mesh, bmap, patches, MaterialField.identity(), 1.0, 1)
+        system = build_system(mesh, bmap, MaterialField.identity(), 1.0, 1)
         fld = solve_interior(system, f=None, g_gamma=u_ex, u0_gamma0=u_ex)
         mass = np.sqrt(np.sum(system.disc.phys_w
                               * np.einsum("qa,ma->mq", system.disc.vol_vals,
                                           fld.U) ** 2))
-        vals.append(j_functional(fld, system.material, 1.0, mesh) + mass)
+        vals.append(j_functional(fld, system) + mass)
     assert max(vals) / min(vals) < 1.5
 
 
 # ---------------------------------------------------------------------------
-# interface flux of the patch parents
+# interface flux of the covering parents
 # ---------------------------------------------------------------------------
 
 def _interface_flux(system, gamma, u_ex=None, n=16):
@@ -488,27 +483,27 @@ def _interface_flux(system, gamma, u_ex=None, n=16):
 
 def test_extrapolated_flux_of_constant_field(coarse_k1, circles):
     # u = x on the unfitted mesh: q = (-1, 0), n = (cos s, sin s)
-    mesh, bmap, patches, system = coarse_k1
+    mesh, bmap, system = coarse_k1
     flux, s = _interface_flux(system, circles[0], lambda p: p[:, 0])
     assert np.abs(flux + np.cos(s)).max() < 1e-10
 
 
 def test_extrapolated_flux_zero_field(coarse_k1, circles):
-    mesh, bmap, patches, system = coarse_k1
+    mesh, bmap, system = coarse_k1
     flux, _ = _interface_flux(system, circles[0])
     assert np.all(flux == 0.0)
 
 
 def test_extrapolated_flux_linear_patch(fitted_k1, circles):
-    mesh, bmap, patches, system = fitted_k1
+    mesh, bmap, system = fitted_k1
     flux, s = _interface_flux(system, circles[0], lambda p: p[:, 0])
     # q = (-1, 0), n = (cos s, sin s) on the circle
     assert np.abs(flux + np.cos(s)).max() < 1e-10
 
 
 def test_uncovered_point_raises(coarse_k1):
-    mesh, bmap, patches, system = coarse_k1
-    loc = copy.copy(patches)            # the fixture's table stays intact
+    mesh, bmap, system = coarse_k1
+    loc = copy.copy(bmap)               # the fixture's table stays intact
     loc.widths = loc.widths * 0.0       # artificially shrink coverage
     with pytest.raises(CoverageError):
         loc.locate(np.array([0.1]))
@@ -519,23 +514,22 @@ def test_uncovered_point_raises(coarse_k1):
 # ---------------------------------------------------------------------------
 
 def test_j_functional_zero_perimeter_homogeneity(coarse_k1):
-    mesh, bmap, patches, system = coarse_k1
-    mat = MaterialField.identity()
+    mesh, bmap, system = coarse_k1
     zero = solve_interior(system)
-    assert j_functional(zero, mat, 1.0, mesh) == 0.0
+    assert j_functional(zero, system) == 0.0
     one = zero.copy()
     one.U[:, 0] = 1.0
     one.Uhat[:, 0] = 1.0
     perim = sum(mesh.edge_length(e) for e in mesh.boundary_edge_ids)
-    assert j_functional(one, mat, 1.0, mesh) == pytest.approx(np.sqrt(perim), rel=1e-12)
+    assert j_functional(one, system) == pytest.approx(np.sqrt(perim), rel=1e-12)
     u_ex = lambda p: p[:, 0] / (p[:, 0] ** 2 + p[:, 1] ** 2)
     fld = solve_interior(system, g_gamma=u_ex, u0_gamma0=u_ex)
-    j1 = j_functional(fld, mat, 1.0, mesh)
+    j1 = j_functional(fld, system)
     scaled = fld.copy()
     scaled.Q *= -3.0
     scaled.U *= -3.0
     scaled.Uhat *= -3.0
-    assert j_functional(scaled, mat, 1.0, mesh) == pytest.approx(3.0 * j1, rel=1e-12)
+    assert j_functional(scaled, system) == pytest.approx(3.0 * j1, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +622,7 @@ def test_stabilization_validation(coarse_k1):
 
 
 def test_field_exports(tmp_path, coarse_k1):
-    _, _, _, system = coarse_k1
+    _, _, system = coarse_k1
     u_ex = lambda p: p[:, 0]
     fld = solve_interior(system, g_gamma=u_ex, u0_gamma0=u_ex)
     vtk = tmp_path / "field.vtk"
@@ -646,7 +640,7 @@ def test_field_exports(tmp_path, coarse_k1):
 def test_export_contents_match_the_field(tmp_path, coarse_k2):
     # point data is the field on the reference lattice of each element; the
     # coefficient table holds Q and U digit for digit
-    _, _, _, system = coarse_k2
+    _, _, system = coarse_k2
     fld = solve_interior(system, f=lambda p: p[:, 0] * p[:, 1],
                          g_gamma=lambda p: p[:, 0] ** 2, u0_gamma0=lambda p: p[:, 1])
     vtk, csv = tmp_path / "field.vtk", tmp_path / "coeff.csv"
