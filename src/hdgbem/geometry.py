@@ -37,6 +37,8 @@ from .quadrature import edge_rule, gauss01
 TWO_PI = 2.0 * np.pi
 # Newton steps of the closest-point search (it stops early once converged)
 NEWTON_STEPS = 30
+# points per block of its grid search, which bounds the (block, 256) temporaries
+GRID_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +117,7 @@ class Curve:
         if self.is_circle:
             rel = pts - self.center
             return np.mod(np.arctan2(rel[:, 1], rel[:, 0]), TWO_PI)
-        grid = np.linspace(0.0, TWO_PI, 256, endpoint=False)
-        yg = self.point(grid)
-        d2 = ((pts[:, None, :] - yg[None, :, :]) ** 2).sum(axis=2)
-        s = grid[np.argmin(d2, axis=1)]
+        s = self._grid_parameter(pts)
         for _ in range(NEWTON_STEPS):
             y, dy, ddy = self.point(s), self.derivative(s), self.second_derivative(s)
             r = pts - y
@@ -128,6 +127,18 @@ class Curve:
             s = np.mod(s - step, TWO_PI)
             if np.max(np.abs(step)) < 1e-15:
                 break
+        return s
+
+    def _grid_parameter(self, pts):
+        """Closest of 256 equispaced parameters, searched GRID_BLOCK points at a time."""
+        grid = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+        xg, yg = self.point(grid).T
+        s = np.empty(len(pts))
+        for start in range(0, len(pts), GRID_BLOCK):
+            block = pts[start:start + GRID_BLOCK]
+            dx = block[:, :1] - xg
+            dy = block[:, 1:] - yg
+            s[start:start + GRID_BLOCK] = grid[np.argmin(dx * dx + dy * dy, axis=1)]
         return s
 
     def distance(self, pts):

@@ -24,6 +24,15 @@ def smooth_unit_circle():
         lambda s: np.stack([-np.cos(s), -np.sin(s)], axis=-1))
 
 
+@pytest.fixture(scope="session")
+def ellipse():
+    a, b = 1.1, 0.85
+    return Curve.from_parametrization(
+        lambda s: np.stack([a * np.cos(s), b * np.sin(s)], axis=-1),
+        lambda s: np.stack([-a * np.sin(s), b * np.cos(s)], axis=-1),
+        lambda s: np.stack([-a * np.cos(s), -b * np.sin(s)], axis=-1))
+
+
 def _bundle(circles, h, k, fitted=False):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, h, fitted=fitted)

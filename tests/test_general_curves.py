@@ -26,15 +26,6 @@ from hdgbem import (
 from hdgbem.bem import _coeff_to_samples
 
 
-@pytest.fixture(scope="module")
-def ellipse():
-    a, b = 1.1, 0.85
-    return Curve.from_parametrization(
-        lambda s: np.stack([a * np.cos(s), b * np.sin(s)], axis=-1),
-        lambda s: np.stack([-a * np.sin(s), b * np.cos(s)], axis=-1),
-        lambda s: np.stack([-a * np.cos(s), -b * np.sin(s)], axis=-1))
-
-
 def test_non_concentric_annulus_patch_test():
     gamma = Curve.circle((0.0, 0.0), 1.0)
     gamma0 = Curve.circle((0.15, -0.1), 0.4)

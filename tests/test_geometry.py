@@ -236,6 +236,18 @@ def test_parametrized_curve_matches_circle(smooth_unit_circle):
                        circle.signed_distance(pts), atol=1e-12)
 
 
+def test_grid_search_matches_unblocked_distance_bitwise(ellipse):
+    # the blocked dx*dx + dy*dy must pick the same grid parameter as the
+    # (npts, 256, 2) squared-difference sum, across several block boundaries
+    rng = np.random.default_rng(12)
+    n = 3 * geometry.GRID_BLOCK + 77
+    s = rng.uniform(0.0, 2 * np.pi, n)
+    pts = ellipse.point(s) + rng.uniform(-0.3, 0.3, n)[:, None] * ellipse.normal(s)
+    grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    d2 = ((pts[:, None, :] - ellipse.point(grid)[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(ellipse._grid_parameter(pts), grid[np.argmin(d2, axis=1)])
+
+
 def test_overlapping_patches_raise(circles, monkeypatch):
     # moving one mapped endpoint's curve parameter by 0.5 stretches the
     # intervals of its two edges over their neighbours

@@ -371,6 +371,46 @@ def test_failed_trace_solve_reports_condition_estimate(circles, monkeypatch):
         assert np.isfinite(cond) and cond >= 1.0
 
 
+@pytest.mark.parametrize("which", ["coarse_k1", "fitted_k1", "bump", "ellipse"])
+def test_trace_matrix_pattern_is_symmetric(which, request, circles):
+    # the symmetric-mode ordering (minimum degree on A^T + A) assumes it
+    if which == "bump":
+        case = manufactured_case("variable-kappa-bump", degree=1)
+        system = setup_level(case, 0.2, 1, n=8).system
+    elif which == "ellipse":
+        gamma = request.getfixturevalue("ellipse")
+        mesh = build_annulus_mesh(gamma, circles[1], 0.15)
+        bmap = build_boundary_map(mesh, gamma, circles[1], k=2)
+        system = build_system(mesh, bmap, MaterialField.identity(), 1.0, 2)
+    else:
+        system = request.getfixturevalue(which)[2]
+    pattern, transpose = system.matrix.tocsr(), system.matrix.T.tocsr()
+    pattern.sort_indices()
+    transpose.sort_indices()
+    assert np.array_equal(pattern.indptr, transpose.indptr)
+    assert np.array_equal(pattern.indices, transpose.indices)
+
+
+def test_trace_factor_keeps_diagonal_pivots_and_fills_less(coarse_k1):
+    system = coarse_k1[2]
+    lu = system.lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    unsymmetric = spla.splu(system.matrix, permc_spec="MMD_ATA")
+    assert lu.L.nnz + lu.U.nnz < unsymmetric.L.nnz + unsymmetric.U.nnz
+
+
+def test_zero_diagonal_entry_is_pivoted_around(coarse_k1):
+    # threshold 0 still pivots off the diagonal at an exactly zero pivot,
+    # and the solve passes its residual guard
+    system = copy.copy(coarse_k1[2])
+    matrix = system.matrix.tolil()
+    matrix[1, 1] = 0.0
+    system.matrix, system._lu = matrix.tocsc(), None
+    _, rel = system.solve_trace(np.ones(system.n_trace))
+    assert np.any(system.lu.perm_r != system.lu.perm_c)
+    assert rel < 1e-12
+
+
 def test_patch_test_linear_fitted(fitted_k1):
     mesh, bmap, system = fitted_k1
     u_ex = lambda p: p[:, 0]
