@@ -10,8 +10,8 @@ mass matrices stay diagonal and the constant mode keeps unit coefficient).
 The i-direction factor is evaluated through the homogenised Legendre
 recurrence L_i(u, v) = P_i(u/v) v^i with u = 2x + y - 1, v = 1 - y, which is
 polynomial in (u, v) and therefore stable at and beyond the collapsed
-vertex.  This matters here: extrapolation onto extension patches evaluates
-the basis outside the element.
+vertex.  This matters here: extrapolation onto the boundary map's slivers
+evaluates the basis outside the element.
 
 Edges carry Legendre polynomials in the canonical edge parameter s in
 [-1, 1].

@@ -12,7 +12,9 @@ the mean-zero test space and is recovered by the coupling's zero-mean-flux
 condition instead.  "Mean-zero" always means zero arclength mean, and
 ``LayerOperatorSet`` owns the rule: its ``moments`` measure the mean, its
 ``injection`` and ``P`` build mean-zero densities, and ``solve_exterior``
-refuses a density whose mean is not zero.
+refuses a density whose mean is not zero.  It also owns what the coupling
+reads of the exterior side: the node arc weights and the matrix from
+interface flux samples to the exterior trace.
 Parametric kernels (2 pi periodic, G the Green function of the minus
 Laplacian):
 
@@ -147,12 +149,12 @@ def kernel_double(curve, s, t):
 # ---------------------------------------------------------------------------
 
 def _coeff_to_samples(n, t):
-    """Matrix mapping packed coefficients to values at parameters t."""
+    """Values (t.shape + (2n,)) of the packed degree-n modes at parameters t."""
     t = np.asarray(t, dtype=float)
     cols = [np.ones_like(t)]
     cols += [np.cos(m * t) for m in range(1, n + 1)]
     cols += [np.sin(m * t) for m in range(1, n)]
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=-1)
 
 
 def _samples_to_coeff(n_out, samples_matrix):
@@ -177,7 +179,9 @@ class LayerOperatorSet:
     solve reuses: the arclength ``moments`` of the basis, the ``injection``
     (2n x 2n-1) of the zero-mean coefficients, ``bie`` = 1/2 - K, and the
     ``reduced`` interface matrix injection^T gram bie injection with its LU
-    factors.
+    factors.  For the coupling it holds the node arc weights ``arc_w`` and
+    ``trace_from_flux`` (2n x 2n), the coefficients of the exterior trace
+    ``solve_exterior(ops, ops.project(-flux))`` of 2n flux samples.
 
     It is the one owner of the mean-zero rule: a density is mean-zero when
     its arclength mean ``moments @ c`` vanishes, ``P`` (2n x 2n) maps 2n
@@ -200,6 +204,14 @@ class LayerOperatorSet:
         self.reduced = self.injection.T @ (self.gram[:, None] * self.bie) @ self.injection
         self.reduced_lu = scipy.linalg.lu_factor(self.reduced, check_finite=False)
         self.P = self.injection @ _samples_to_coeff(self.n, np.eye(2 * self.n))[1:]
+        self.arc_w = curve.speed(self.nodes) * np.pi / self.n
+        self.trace_from_flux = self.injection @ scipy.linalg.lu_solve(
+            self.reduced_lu, self.injection.T @ (self.gram[:, None] * V) @ self.P,
+            check_finite=False)
+
+    def modes(self, t):
+        """Values (t.shape + (2n,)) of the 2n packed density modes at parameters t."""
+        return _coeff_to_samples(self.n, t)
 
     def project(self, samples):
         """Mean-zero density interpolating the 2n node samples up to a constant."""

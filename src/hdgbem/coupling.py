@@ -13,6 +13,10 @@ polynomial plus a separately tracked far-field constant) to a new trace:
 
 Steps 1 and 2 up to the exterior solve are one ``InterfaceMap``: an affine
 map from interface data to flux samples that recovers no element field.
+Each layer owns its part of it: ``HDGSystem`` the data operator B, the
+point-flux map Z and its load part z_f; ``LayerOperatorSet`` the node arc
+weights of the mean-flux integral and ``trace_from_flux``, the exterior
+trace of flux samples, which ``monolithic_solve`` uses as its g-block.
 Its data-independent part, an ``InterfaceResponse``, is kept once per
 (system, operator set) and shared by every run on it, so a sweep over
 weights pays for it once.  An application costs one trace solve until the
@@ -36,11 +40,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bem import TrigPolynomial, _coeff_to_samples, solve_exterior
+from .bem import TrigPolynomial, solve_exterior
 from .errors import DimensionError, DivergenceError, EstimationError, SolverError
-from .geometry import TAG_OUTER
 
-# largest bordered system (trace, reduced density and far-field unknowns)
+# largest bordered system (trace, interface trace and far-field unknowns)
 # that monolithic_solve factors directly
 MONOLITHIC_SIZE_LIMIT = 400000
 
@@ -93,67 +96,31 @@ def _packed(g, u_inf):
 class InterfaceResponse:
     """The f/u0-independent part of the interface map of one (system, ops).
 
-    ``B`` (n_trace x 2n) holds the edge moments of each density basis
-    function on the interface rows.  Row j of ``Z`` evaluates the flux of
-    the parent element of the outer edge that covers node j
-    (``BoundaryMap.locate``), extrapolated to the node, from that element's
-    trace coefficients.  ``arc_w`` integrates samples over the
-    interface.
+    ``B`` (n_trace x 2n) maps density coefficients to the trace right-hand
+    side (``HDGSystem.interface_operator``).  Row j of ``Z`` reads the
+    normal flux at node j from the trace coefficients of the element that
+    ``BoundaryMap.locate`` finds for it (``HDGSystem.point_flux``, which
+    also gives ``flux_load``, the part of element loads).
 
     Every trace solve made through it is counted, over all runs on the
     pair.  Once the count reaches 2n, the column count of ``B``, one block
     solve builds the dense response F = Z A^{-1} B (2n x 2n), so a flux then
     costs a small matvec instead of a sparse solve: F is bought only after
-    the one-solve path has spent as many solves as F costs columns.  Use
-    ``of`` to get the one instance a system keeps per operator set.
+    the one-solve path has spent as many solves as F costs columns.  The
+    system keeps one per operator set, built by the first ``InterfaceMap``.
     """
 
     def __init__(self, system, ops):
         self.system = system
-        self.n = n = ops.n
-        curve = ops.curve
-        disc, mesh = system.disc, system.mesh
-        d, ne = disc.d, disc.ne
-
-        bmap = system.bmap
-        out = np.nonzero(bmap.tags == TAG_OUTER)[0]
-        params = bmap.params[out]
-        basis = _coeff_to_samples(n, params.ravel()).reshape(params.shape + (2 * n,))
-        moments = np.einsum("rq,rqc,qm->rmc", bmap.weights[out], basis, disc.mu_vals)
-        rows = bmap.edge_ids[out][:, None] * ne + np.arange(ne)
-        self.B = sp.csr_matrix(
-            (moments.ravel(), (np.repeat(rows.ravel(), 2 * n),
-                               np.tile(np.arange(2 * n), rows.size))),
-            shape=(system.n_trace, 2 * n))
-
-        self.params = ops.nodes
-        self.parents = parents = bmap.locate(self.params)
-        verts = mesh.vertices[mesh.elements[parents]]
-        ref = np.einsum("pd,ped->pe", curve.point(self.params) - verts[:, 0],
-                        disc.invJ[parents])
-        vals = disc.basis.eval(ref)
-        normals = curve.normal(self.params)
-        self.flux_rows = np.concatenate([normals[:, :1] * vals,
-                                         normals[:, 1:] * vals], axis=1)  # (2n, 2d)
-        z_loc = np.einsum("pc,pcj->pj", self.flux_rows,
-                          disc.recovery[parents, :2 * d])
-        cols = mesh.element_edges[parents][:, :, None] * ne + np.arange(ne)
-        self.Z = sp.csr_matrix(
-            (z_loc.ravel(), (np.repeat(np.arange(2 * n), 3 * ne), cols.ravel())),
-            shape=(2 * n, system.n_trace))
-
-        self.arc_w = curve.speed(self.params) * np.pi / n
+        self.ops = ops
+        self.B = system.interface_operator(ops.modes)
+        self.Z, self.flux_load = system.point_flux(
+            system.bmap.locate(ops.nodes), ops.curve.point(ops.nodes),
+            ops.curve.normal(ops.nodes))
         self.solves = 0
         self.F = None
         self.F_residual = None
         self._chi = None
-
-    @classmethod
-    def of(cls, system, ops):
-        """The response of (system, ops), built on first use and kept on the system."""
-        if ops not in system.interface_responses:
-            system.interface_responses[ops] = cls(system, ops)
-        return system.interface_responses[ops]
 
     def solve(self, rhs):
         """Counted trace solve: coefficients and the relative residual."""
@@ -171,18 +138,12 @@ class InterfaceResponse:
         """Trace right-hand side of the interface datum g + u_inf alone."""
         return self.B @ _packed(g, u_inf)
 
-    def mean_flux(self, samples):
-        return float(self.arc_w @ samples)
-
     @property
     def chi(self):
         """Mean-flux response to a unit constant datum (far-field channel)."""
         if self._chi is None:
-            if self.F is not None:
-                self._chi = self.mean_flux(self.F[:, 0])
-            else:
-                uhat, _ = self.solve(self.data(TrigPolynomial.zero(self.n), 1.0))
-                self._chi = self.mean_flux(self.Z @ uhat)
+            uhat, _ = self.solve(self.data(TrigPolynomial.zero(self.ops.n), 1.0))
+            self._chi = float(self.ops.arc_w @ (self.Z @ uhat))
         return self._chi
 
 
@@ -204,14 +165,12 @@ class InterfaceMap:
 
     def __init__(self, system, ops, f=None, u0=None):
         self.ops = ops
-        self.response = resp = InterfaceResponse.of(system, ops)
-        disc = system.disc
-        d = disc.d
-        self.f_mom = disc.f_moments(f)
-        self.rhs0 = system.rhs(self.f_mom) + system.boundary_data_vector(None, u0)
-        part = np.einsum("pab,pb->pa", disc.local_inv[resp.parents, :2 * d, 2 * d:],
-                         self.f_mom[resp.parents])
-        self.z_f = np.einsum("pc,pc->p", resp.flux_rows, part)
+        if ops not in system.interface_responses:
+            system.interface_responses[ops] = InterfaceResponse(system, ops)
+        self.response = system.interface_responses[ops]
+        self.f_mom = system.disc.f_moments(f)
+        self.rhs0 = system.rhs(self.f_mom, u0_gamma0=u0)
+        self.z_f = self.response.flux_load(self.f_mom)
         self._flux0 = None
 
     def solve(self, g, u_inf):
@@ -250,7 +209,7 @@ def dtn_step(imap, g, u_inf=0.0):
     the relative residual of the trace solve behind the flux.
     """
     samples, residual = imap.apply(g, u_inf)
-    return imap.ops.project(-samples), imap.response.mean_flux(samples), residual
+    return imap.ops.project(-samples), float(imap.ops.arc_w @ samples), residual
 
 
 def estimate_contraction(history):
@@ -327,7 +286,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     samples = imap.flux(uhat)
     state.field = system.recover(uhat, imap.f_mom)
     state.lam = ops.project(-samples)
-    state.mean_flux = imap.response.mean_flux(samples)
+    state.mean_flux = float(ops.arc_w @ samples)
     state.residual_history.append(lin_res)
     return state
 
@@ -355,31 +314,28 @@ def write_iteration_log(state, path):
 def monolithic_solve(system, ops, f=None, u0=None):
     """Solve interior, interface equation and flux compatibility at once.
 
-    Unknowns are the interior trace coefficients, the mean-zero interface
-    trace and the far-field constant; the interface map supplies every
-    coupling block.  Returns (field, g, lam, u_inf).
+    Unknowns are the interior trace coefficients, the 2n coefficients of
+    the interface trace g and the far-field constant; the interface map
+    supplies the interior blocks and the operator set's ``trace_from_flux``
+    T the exterior one, g = T flux.  Returns (field, g, lam, u_inf).
     """
-    n_trace = system.n_trace
-    n_red = 2 * ops.n - 1
-    if n_trace + n_red + 1 > MONOLITHIC_SIZE_LIMIT:
+    n_trace, n2 = system.n_trace, 2 * ops.n
+    if n_trace + n2 + 1 > MONOLITHIC_SIZE_LIMIT:
         raise SolverError("coupled system exceeds the desk-scale limit")
     imap = InterfaceMap(system, ops, f, u0)
     resp = imap.response
-    Zinj = ops.injection
-    # lam = -P flux  =>  (1/2 - K) g - V P (Z uhat + z_f) = 0, tested on
-    # mean-zero densities
-    VP = Zinj.T @ (ops.gram[:, None] * ops.V) @ ops.P
+    T = ops.trace_from_flux
     A = sp.bmat([
-        [system.matrix, -resp.B @ sp.csr_matrix(Zinj), -resp.B[:, :1]],
-        [-sp.csr_matrix(VP) @ resp.Z, sp.csr_matrix(ops.reduced), None],
-        [sp.csr_matrix(resp.arc_w[None, :]) @ resp.Z, None, None],
+        [system.matrix, -resp.B, -resp.B[:, :1]],
+        [-sp.csr_matrix(T) @ resp.Z, sp.identity(n2), None],
+        [sp.csr_matrix(ops.arc_w[None, :]) @ resp.Z, None, None],
     ], format="csc")
-    rhs = np.concatenate([imap.rhs0, VP @ imap.z_f, [-(resp.arc_w @ imap.z_f)]])
+    rhs = np.concatenate([imap.rhs0, T @ imap.z_f, [-(ops.arc_w @ imap.z_f)]])
     x = spla.spsolve(A, rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError("monolithic coupled solve produced non-finite values")
     uhat = x[:n_trace]
-    g = TrigPolynomial.from_coefficients(Zinj @ x[n_trace:n_trace + n_red])
+    g = TrigPolynomial.from_coefficients(x[n_trace:n_trace + n2])
     u_inf = float(x[-1])
     field = system.recover(uhat, imap.f_mom)
     lam = ops.project(-imap.flux(uhat))

@@ -26,7 +26,7 @@ class MapConstructionError(HdgBemError):
 
 
 class PatchConstructionError(HdgBemError):
-    """An extension patch is degenerate or self-intersecting."""
+    """Two edge intervals of a curve overlap, or an edge's sliver map folds."""
 
 
 class AssemblyError(HdgBemError):
@@ -34,7 +34,7 @@ class AssemblyError(HdgBemError):
 
 
 class TransferIntegrationError(HdgBemError):
-    """A transfer path left the extension patch of its edge."""
+    """A transfer path is longer than 3 h_T of its parent element."""
 
 
 class SolverError(HdgBemError):
@@ -42,7 +42,7 @@ class SolverError(HdgBemError):
 
 
 class CoverageError(HdgBemError):
-    """An evaluation point on the boundary is not covered by any patch."""
+    """An interface point is not covered by any outer edge interval."""
 
 
 class DimensionError(HdgBemError):

@@ -409,7 +409,7 @@ class BoundaryMap(SimpleNamespace):
         idx = np.searchsorted(self.starts, s, side="right") - 1
         idx = np.where(covers(idx), idx, (idx + 1) % len(self.starts))
         if not np.all(covers(idx)):
-            raise CoverageError("interface point not covered by any extension patch")
+            raise CoverageError("interface point not covered by any outer edge interval")
         return self.owners[idx]
 
 
@@ -456,7 +456,7 @@ def _edge_intervals(endpoint_params):
     lo, width = lo[order], width[order]
     following = np.append(lo[1:], lo[0] + TWO_PI)
     if np.any(following < lo + width - ARC_SLACK):
-        raise PatchConstructionError("extension patches overlap along the curve")
+        raise PatchConstructionError("edge intervals overlap along the curve")
     return lo, width, order
 
 
@@ -560,7 +560,7 @@ def build_boundary_map(mesh, gamma, gamma0, k):
             folds[rows] = _folds(p[rows], curve)
     if np.any(folds):
         raise PatchConstructionError(
-            f"patch of edge {int(edge_ids[np.argmax(folds)])} self-intersects "
+            f"sliver of edge {int(edge_ids[np.argmax(folds)])} self-intersects "
             "(map folds)")
     return BoundaryMap(
         edge_ids=edge_ids, tags=tags, parents=parents, nu=nu, nodes=nodes,

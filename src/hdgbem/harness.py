@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .bem import TrigPolynomial, _arc_moments, assemble_layer_operators
+from .bem import assemble_layer_operators
 from .coupling import (
     CouplingConfig,
     estimate_contraction,
@@ -57,25 +57,15 @@ class ManufacturedCase:
         """Dirichlet datum on the inner problem boundary."""
         return self.u(pts)
 
-    def _without_arc_mean(self, samples):
-        """Interpolant of node samples with its arclength mean removed."""
-        poly = TrigPolynomial.from_samples(samples)
-        moments = _arc_moments(self.gamma, poly.n)
-        poly.cos[0] = -(moments[1:] @ poly.coefficients()[1:]) / moments[0]
-        return poly
+    def g_exact(self, ops):
+        """Mean-zero part of the exact interface trace, as ``ops`` projects it."""
+        return ops.project(self.u(self.gamma.point(ops.nodes)))
 
-    def g_exact(self, n):
-        """Mean-zero part of the exact interface trace."""
-        t = np.arange(2 * n) * np.pi / n
-        return self._without_arc_mean(self.u(self.gamma.point(t)))
-
-    def lam_exact(self, n):
-        """Exterior Neumann density: negated interface normal flux."""
-        t = np.arange(2 * n) * np.pi / n
-        pts = self.gamma.point(t)
-        nrm = self.gamma.normal(t)
-        flux = np.einsum("pd,pd->p", self.q(pts), nrm)
-        return self._without_arc_mean(-flux)
+    def lam_exact(self, ops):
+        """Exterior Neumann density: projected negated interface normal flux."""
+        t = ops.nodes
+        return ops.project(-np.einsum("pd,pd->p", self.q(self.gamma.point(t)),
+                                      self.gamma.normal(t)))
 
 
 def _bump(r, lo=0.55, hi=0.95, amp=0.3):
@@ -319,7 +309,7 @@ def convergence_study(case, k, hs, n=32, config=None, fitted=False):
                 iters = state.iteration
                 ratio = estimate_contraction(state.history) \
                     if len(state.history) >= 3 else np.nan
-                err_g = (state.g - case.g_exact(n)).l2_norm(
+                err_g = (state.g - case.g_exact(bundle.ops)).l2_norm(
                     speed=case.gamma.mean_speed())
                 err_uinf = abs(state.u_inf - case.u_inf)
             else:

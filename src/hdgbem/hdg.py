@@ -262,6 +262,15 @@ class _Discretization:
         return (self.local_inv[:, :, 2 * self.d:] @ f_mom[:, :, None])[..., 0]
 
 
+def _block_matrix(shape, *blocks):
+    """COO matrix summing dense blocks (rows (K, a), cols (K, b), vals (K, a, b))."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*(
+        (np.broadcast_to(r[:, :, None], v.shape).ravel(),
+         np.broadcast_to(c[:, None, :], v.shape).ravel(), v.ravel())
+        for r, c, v in blocks)))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape)
+
+
 def _side_functionals(disc):
     """Trace-side functionals C_side = [E^T | F^T], (M, 3, ne, 3d)."""
     return np.concatenate([np.swapaxes(disc.E_side, 2, 3),
@@ -297,7 +306,7 @@ def assemble_transfer(disc, bmap):
     if np.any(leaves):
         raise TransferIntegrationError(
             f"transfer path on edge {int(bmap.edge_ids[np.argmax(leaves)])} "
-            f"leaves the extension patch")
+            f"is longer than 3 h_T of its parent element")
     blocks = TransferBlocks(np.zeros((B, 2 * d, ne)), np.zeros((B, 2 * d, 2 * d)),
                             np.zeros((B, d, 2 * d)))
     rows = np.nonzero(lmax > 0.0)[0]
@@ -370,30 +379,21 @@ class HDGSystem:
         sides, elems = np.nonzero((mesh.boundary_tags[mesh.element_edges] < 0).T)
         self._interior_sides = (elems, sides)
         self._trace_dofs, self._side_dofs = trace_dofs, side_dofs
-
-        def block(rows, cols, vals):
-            shape = vals.shape
-            return (np.broadcast_to(rows[:, :, None], shape).ravel(),
-                    np.broadcast_to(cols[:, None, :], shape).ravel(), vals.ravel())
-
         interior = mesh.interior_edge_ids
         bdry, parents = bmap.edge_ids, bmap.parents
-        groups = [
+        self.matrix = _block_matrix(
+            (self.n_trace, self.n_trace),
             # flux continuity  C_side recovery  on interior sides
-            block(side_dofs[elems, sides], elem_cols[elems],
-                  np.einsum("kab,kbc->kac", _side_functionals(disc)[elems, sides],
-                            disc.recovery[elems])),
+            (side_dofs[elems, sides], elem_cols[elems],
+             np.einsum("kab,kbc->kac", _side_functionals(disc)[elems, sides],
+                       disc.recovery[elems])),
             # interior diagonal  -2 tau M_e
-            block(trace_dofs[interior], trace_dofs[interior],
-                  (-2.0 * disc.tau[interior])[:, None, None] * disc.edge_mass[interior]),
+            (trace_dofs[interior], trace_dofs[interior],
+             (-2.0 * disc.tau[interior])[:, None, None] * disc.edge_mass[interior]),
             # boundary rows:  M_e uhat_e - T^t q(uhat, f) = data
-            block(trace_dofs[bdry], elem_cols[parents],
-                  -(self._boundary_functionals() @ disc.recovery[parents])),
-            block(trace_dofs[bdry], trace_dofs[bdry], disc.edge_mass[bdry]),
-        ]
-        rows, cols, vals = (np.concatenate(part) for part in zip(*groups))
-        self.matrix = sp.coo_matrix((vals, (rows, cols)),
-                                    shape=(self.n_trace, self.n_trace)).tocsc()
+            (trace_dofs[bdry], elem_cols[parents],
+             -(self._boundary_functionals() @ disc.recovery[parents])),
+            (trace_dofs[bdry], trace_dofs[bdry], disc.edge_mass[bdry])).tocsc()
 
     def _boundary_functionals(self):
         """Boundary-row functionals [T^t | 0] on the parent unknowns, (B, ne, 3d)."""
@@ -414,23 +414,40 @@ class HDGSystem:
 
     # -- right-hand sides ---------------------------------------------------
 
+    def _edge_moments(self, rows, vals):
+        """Moments <vals, mu>_e (b, ne, ...) of values at the nodes of map rows."""
+        return np.einsum("bq,bq...,qm->bm...", self.bmap.weights[rows], vals,
+                         self.disc.mu_vals)
+
     def boundary_data_vector(self, g_gamma=None, u0_gamma0=None):
         """Moments <data(mapped x), mu>_e for every boundary edge.
 
         ``g_gamma`` supplies the datum on the outer interface, ``u0_gamma0``
         on the inner problem boundary; each is a callable of points (m, 2).
         """
-        bmap, disc = self.bmap, self.disc
+        bmap = self.bmap
         rhs = np.zeros((self.mesh.n_edges, self.ne))
         outer = bmap.tags == TAG_OUTER
         for rows, fun in ((outer, g_gamma), (~outer, u0_gamma0)):
             if fun is None or not np.any(rows):
                 continue
             vals = np.asarray(fun(bmap.mapped[rows].reshape(-1, 2)), dtype=float)
-            rhs[bmap.edge_ids[rows]] = np.einsum(
-                "bq,bq,qm->bm", bmap.weights[rows],
-                vals.reshape(bmap.weights[rows].shape), disc.mu_vals)
+            rhs[bmap.edge_ids[rows]] = self._edge_moments(
+                rows, vals.reshape(bmap.weights[rows].shape))
         return rhs.ravel()
+
+    def interface_operator(self, modes):
+        """Sparse B (n_trace x m): B c is the right-hand side of the datum sum_j c_j mode_j.
+
+        ``modes`` maps curve parameters (b, q) to the values (b, q, m) of m
+        interface modes; B reads them at the outer nodes' curve parameters.
+        """
+        out = np.nonzero(self.bmap.tags == TAG_OUTER)[0]
+        moments = self._edge_moments(out, modes(self.bmap.params[out]))  # (b, ne, m)
+        m = moments.shape[-1]
+        return _block_matrix((self.n_trace, m), (
+            self._trace_dofs[self.bmap.edge_ids[out]],
+            np.broadcast_to(np.arange(m), (len(out), m)), moments)).tocsr()
 
     def rhs(self, f_mom, g_gamma=None, u0_gamma0=None):
         """Trace right-hand side of element loads f_mom and the boundary data."""
@@ -487,6 +504,29 @@ class HDGSystem:
         Q = qu[:, :2 * d].reshape(M, 2, d)
         U = qu[:, 2 * d:]
         return DGField(mesh, self.k, Q, U, uhat.reshape(mesh.n_edges, ne))
+
+    def point_flux(self, parents, points, normals):
+        """Normal flux nu . q at p points, each from its parent element's polynomial.
+
+        Returns (Z, load): the flux of trace uhat and element loads f_mom is
+        Z @ uhat + load(f_mom), with Z sparse (p x n_trace).
+        """
+        disc, mesh = self.disc, self.mesh
+        d, ne = disc.d, disc.ne
+        verts = mesh.vertices[mesh.elements[parents]]
+        ref = np.einsum("pd,ped->pe", points - verts[:, 0], disc.invJ[parents])
+        vals = disc.basis.eval(ref)
+        flux_rows = np.concatenate([normals[:, :1] * vals, normals[:, 1:] * vals], axis=1)
+        z_loc = np.einsum("pc,pcj->pj", flux_rows, disc.recovery[parents, :2 * d])
+        Z = _block_matrix((len(parents), self.n_trace), (
+            np.arange(len(parents))[:, None], self._side_dofs[parents].reshape(-1, 3 * ne),
+            z_loc[:, None, :])).tocsr()
+
+        def load(f_mom):
+            part = np.einsum("pab,pb->pa", disc.local_inv[parents, :2 * d, 2 * d:],
+                             f_mom[parents])
+            return np.einsum("pc,pc->p", flux_rows, part)
+        return Z, load
 
 
 def build_system(mesh, bmap, material, tau, k):

@@ -8,6 +8,7 @@ from hdgbem import (
     EstimationError,
     HDGSystem,
     InterfaceMap,
+    ManufacturedCase,
     TrigPolynomial,
     dtn_step,
     estimate_contraction,
@@ -52,8 +53,8 @@ def test_constant_flux_projects_to_zero_density(dipole_bundle):
 def test_dtn_at_exact_fixed_point(dipole_bundle):
     case, bundle = dipole_bundle
     imap = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0)
-    lam, mflux, _ = dtn_step(imap, case.g_exact(N), case.u_inf)
-    exact = case.lam_exact(N)
+    lam, mflux, _ = dtn_step(imap, case.g_exact(bundle.ops), case.u_inf)
+    exact = case.lam_exact(bundle.ops)
     assert np.abs((lam - exact).coefficients()).max() < 3e-2   # flux-level error
     assert abs(mflux) < 5e-3
     assert abs(bundle.ops.moments @ lam.coefficients()) < 1e-14
@@ -65,7 +66,7 @@ def test_interface_map_data_matches_boundary_moments(dipole_bundle):
     case, bundle = dipole_bundle
     imap = InterfaceMap(bundle.system, bundle.ops)
     want = bundle.system.boundary_data_vector(g_gamma=lambda p: p[:, 0] + 3.0)
-    assert np.abs(imap.response.data(case.g_exact(N), 3.0) - want).max() < 1e-13
+    assert np.abs(imap.response.data(case.g_exact(bundle.ops), 3.0) - want).max() < 1e-13
 
 
 def test_interface_map_matches_recovered_field(dipole_bundle):
@@ -75,9 +76,9 @@ def test_interface_map_matches_recovered_field(dipole_bundle):
     system = bundle.system
     f = lambda pts: 1.0 + pts[:, 0] * pts[:, 1]
     imap = InterfaceMap(system, bundle.ops, f=f, u0=case.u0)
-    uhat, _ = imap.solve(case.g_exact(N), case.u_inf)
+    uhat, _ = imap.solve(case.g_exact(bundle.ops), case.u_inf)
     field = system.recover(uhat, imap.f_mom)
-    params = imap.response.params
+    params = imap.ops.nodes
     pts = case.gamma.point(params)
     normals = case.gamma.normal(params)
     parents = system.bmap.locate(params)
@@ -310,10 +311,9 @@ def test_monolithic_zero_data(dipole_bundle):
     assert u_inf == pytest.approx(0.0, abs=1e-14)
 
 
-def test_monolithic_matches_fixed_point(dipole_bundle):
-    case, bundle = dipole_bundle
+def _assert_monolithic_matches_fixed_point(case, bundle):
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
-                            config=CouplingConfig(omega=0.5, tol=1e-11, n=N,
+                            config=CouplingConfig(omega=0.5, tol=1e-11,
                                                   max_iterations=200))
     field, g, lam, u_inf = monolithic_solve(bundle.system, bundle.ops,
                                             f=case.f, u0=case.u0)
@@ -322,6 +322,21 @@ def test_monolithic_matches_fixed_point(dipole_bundle):
     assert np.abs(state.field.U - field.U).max() <= 1e-8 * scale
     assert (state.g - g).l2_norm() <= 1e-8
     assert abs(state.u_inf - u_inf) <= 1e-8
+
+
+def test_monolithic_matches_fixed_point(dipole_bundle):
+    _assert_monolithic_matches_fixed_point(*dipole_bundle)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_monolithic_matches_fixed_point_on_ellipse(ellipse, k):
+    # off the circle K is not trivial and the mean-zero injection touches
+    # every mode, so the oracle's exterior block is exercised in full
+    base = manufactured_case("dipole-plus-constant", constant=3.0)
+    case = ManufacturedCase("ellipse", base.kappa, base.f, base.u, base.q,
+                            base.grad_u, base.u_inf, ellipse, base.gamma0,
+                            supports_coupling=True)
+    _assert_monolithic_matches_fixed_point(case, setup_level(case, 0.1, k, n=32))
 
 
 @pytest.mark.parametrize("fitted", [False, True])

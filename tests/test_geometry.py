@@ -264,7 +264,7 @@ def test_overlapping_patches_raise(circles, monkeypatch):
 
     build_boundary_map(mesh, gamma, gamma0, k=1)
     monkeypatch.setattr(geometry, "_map_points", tampered)
-    with pytest.raises(PatchConstructionError, match="overlap along the curve"):
+    with pytest.raises(PatchConstructionError, match="edge intervals overlap along the curve"):
         build_boundary_map(mesh, gamma, gamma0, k=1)
 
 
@@ -289,7 +289,7 @@ def test_folding_patch_map_raises(circles, monkeypatch):
         return jac
 
     monkeypatch.setattr(geometry, "_map_point_derivative", flipped)
-    with pytest.raises(PatchConstructionError, match=f"patch of edge {edge} self-intersects"):
+    with pytest.raises(PatchConstructionError, match=f"sliver of edge {edge} self-intersects"):
         build_boundary_map(mesh, gamma, gamma0, k=1)
 
 

@@ -518,7 +518,7 @@ def _interface_flux(system, gamma, u_ex=None, n=16):
     imap = InterfaceMap(system, assemble_layer_operators(gamma, n))
     rhs = system.rhs(system.disc.f_moments(None), g_gamma=u_ex, u0_gamma0=u_ex)
     uhat, _ = system.solve_trace(rhs)
-    return imap.flux(uhat), imap.response.params
+    return imap.flux(uhat), imap.ops.nodes
 
 
 def test_extrapolated_flux_of_constant_field(coarse_k1, circles):
