@@ -9,9 +9,11 @@ constant,
 and the interface equation (1/2 - K) g = -V lam is solved on the space of
 mean-zero trigonometric polynomials; the constant mode is annihilated by
 the mean-zero test space and is recovered by the coupling's zero-mean-flux
-condition instead.  "Mean-zero" always means zero arclength mean, and
-``LayerOperatorSet`` owns the rule: its ``moments`` measure the mean, its
-``injection`` and ``P`` build mean-zero densities, and ``solve_exterior``
+condition instead.  ``LayerOperatorSet`` solves it once, for every density
+mode, into the matrix ``exterior`` (lam coefficients to g coefficients),
+so an exterior solve is one matvec.  "Mean-zero" always means zero
+arclength mean, and the operator set owns the rule: its ``moments``
+measure the mean, ``P`` builds mean-zero densities, and ``solve_exterior``
 refuses a density whose mean is not zero.  It also owns what the coupling
 reads of the exterior side: the node arc weights and the matrix from
 interface flux samples to the exterior trace.
@@ -34,7 +36,6 @@ sample <-> coefficient transforms.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DomainError, SolverError
 
@@ -176,12 +177,12 @@ class LayerOperatorSet:
     vectors and returning packed coefficients of the boundary traces.  The
     Galerkin inner product in the 2 pi-periodic parameter is diagonal:
     gram = diag(2 pi, pi, ..., pi).  The set also holds what every exterior
-    solve reuses: the arclength ``moments`` of the basis, the ``injection``
-    (2n x 2n-1) of the zero-mean coefficients, ``bie`` = 1/2 - K, and the
-    ``reduced`` interface matrix injection^T gram bie injection with its LU
-    factors.  For the coupling it holds the node arc weights ``arc_w`` and
-    ``trace_from_flux`` (2n x 2n), the coefficients of the exterior trace
-    ``solve_exterior(ops, ops.project(-flux))`` of 2n flux samples.
+    solve reuses: the arclength ``moments`` of the basis and ``exterior``
+    (2n x 2n), the interface solve applied to every density mode, so that
+    g = exterior @ lam.  For the coupling it holds the node arc weights
+    ``arc_w`` and ``trace_from_flux`` = -exterior P (2n x 2n), the
+    coefficients of the exterior trace of the Neumann density -flux of 2n
+    flux samples.
 
     It is the one owner of the mean-zero rule: a density is mean-zero when
     its arclength mean ``moments @ c`` vanishes, ``P`` (2n x 2n) maps 2n
@@ -199,15 +200,11 @@ class LayerOperatorSet:
         self.gram = np.full(2 * self.n, np.pi)
         self.gram[0] = TWO_PI
         self.moments = _arc_moments(curve, self.n)
-        self.injection = _mean_zero_injection(self.moments)
-        self.bie = 0.5 * np.eye(2 * self.n) - K
-        self.reduced = self.injection.T @ (self.gram[:, None] * self.bie) @ self.injection
-        self.reduced_lu = scipy.linalg.lu_factor(self.reduced, check_finite=False)
-        self.P = self.injection @ _samples_to_coeff(self.n, np.eye(2 * self.n))[1:]
+        injection = _mean_zero_injection(self.moments)
+        self.exterior = _exterior_map(V, K, self.gram, injection)
+        self.P = injection @ _samples_to_coeff(self.n, np.eye(2 * self.n))[1:]
         self.arc_w = curve.speed(self.nodes) * np.pi / self.n
-        self.trace_from_flux = self.injection @ scipy.linalg.lu_solve(
-            self.reduced_lu, self.injection.T @ (self.gram[:, None] * V) @ self.P,
-            check_finite=False)
+        self.trace_from_flux = -self.exterior @ self.P
 
     def modes(self, t):
         """Values (t.shape + (2n,)) of the 2n packed density modes at parameters t."""
@@ -300,12 +297,35 @@ def _mean_zero_injection(moments):
     return Z
 
 
+def _exterior_map(V, K, gram, injection):
+    """Solutions g (2n x 2n) of (1/2 - K) g = -V lam for every density mode lam.
+
+    Both sides are tested against the mean-zero space and g is sought in
+    it: one dense solve of the reduced (2n-1)^2 system for all 2n right-hand
+    sides.  An exactly singular system or a column residual above 1e-12 of
+    its right-hand side raises SolverError.
+    """
+    ZtG = injection.T * gram
+    reduced = ZtG @ (0.5 * np.eye(len(gram)) - K) @ injection
+    rhs = -ZtG @ V
+    try:
+        sol = np.linalg.solve(reduced, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular reduced interface system") from exc
+    res = np.linalg.norm(reduced @ sol - rhs, axis=0)
+    scale = np.linalg.norm(rhs, axis=0)
+    bad = (res > 1e-12 * scale) & (scale > 0)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise SolverError(f"interface solve residual {res[j]:.3e} vs scale {scale[j]:.3e}")
+    return injection @ sol
+
+
 def solve_exterior(ops, lam):
     """Dirichlet trace of the exterior field with mean-zero Neumann density.
 
-    Solves the second-kind interface equation tested against the mean-zero
-    trigonometric space, with the operator set's reduced LU factors.  A
-    density whose arclength mean exceeds 1e-12 of |moments| |c| is refused.
+    Applies the operator set's ``exterior`` matrix.  A density whose
+    arclength mean exceeds 1e-12 of |moments| |c| is refused.
     """
     if lam.n != ops.n:
         raise DimensionError("density degree does not match the operator set")
@@ -314,17 +334,7 @@ def solve_exterior(ops, lam):
     if mean > 1e-12 * np.linalg.norm(ops.moments) * np.linalg.norm(lam_c):
         raise SolverError(f"exterior solve requires a mean-zero density "
                           f"(arclength mean integral {mean:.3e})")
-    rhs_c = -ops.V @ lam_c
-    Z = ops.injection
-    r = Z.T @ (ops.gram * rhs_c)
-    if np.any(np.diag(ops.reduced_lu[0]) == 0.0):
-        raise SolverError("singular reduced interface system")
-    g_c = Z @ scipy.linalg.lu_solve(ops.reduced_lu, r, check_finite=False)
-    res = np.linalg.norm(Z.T @ (ops.gram * (ops.bie @ g_c - rhs_c)))
-    scale = np.linalg.norm(r)
-    if res > 1e-12 * max(scale, 1e-300) and scale > 0:
-        raise SolverError(f"interface solve residual {res:.3e} vs scale {scale:.3e}")
-    return TrigPolynomial.from_coefficients(g_c)
+    return TrigPolynomial.from_coefficients(ops.exterior @ lam_c)
 
 
 def evaluate_exterior(ops, g, lam, u_inf, points):

@@ -2,10 +2,8 @@
 
 Configuration is a plain-text key = value file with dotted section keys::
 
-    geometry.gamma_radius  = 1.0
-    geometry.gamma0_radius = 0.5
     geometry.fitted        = false
-    material.kappa         = 1.0        # scalar, or "bump" for the radial bump
+    material.kappa         = 1.0        # 1, or "bump" for the radial bump
     material.u_inf         = 0.0        # far-field constant of the data
     discretization.k       = 1
     discretization.h0      = 0.2
@@ -45,8 +43,6 @@ from .harness import (
 from .hdg import write_coefficients_csv, write_vtk
 
 _DEFAULTS = {
-    "geometry.gamma_radius": "1.0",
-    "geometry.gamma0_radius": "0.5",
     "geometry.fitted": "false",
     "material.kappa": "1.0",
     "material.u_inf": "0.0",
@@ -115,8 +111,6 @@ def _get_bool(cfg, key):
 
 def _validated(cfg):
     out = {
-        "gamma_radius": _get_float(cfg, "geometry.gamma_radius", positive=True),
-        "gamma0_radius": _get_float(cfg, "geometry.gamma0_radius", positive=True),
         "fitted": _get_bool(cfg, "geometry.fitted"),
         "u_inf": _get_float(cfg, "material.u_inf"),
         "k": _get_int(cfg, "discretization.k", minimum=0),
@@ -132,9 +126,6 @@ def _validated(cfg):
         raise ConfigError(
             f"coupling.omega must lie in (0, 1], got {out['omega']}",
             key="coupling.omega")
-    if out["gamma0_radius"] >= out["gamma_radius"]:
-        raise ConfigError("geometry.gamma0_radius must be smaller than "
-                          "geometry.gamma_radius", key="geometry.gamma0_radius")
     kappa_raw = cfg["material.kappa"].strip().lower()
     if kappa_raw == "bump":
         out["case_id"] = "variable-kappa-bump"
@@ -166,12 +157,8 @@ def _validated(cfg):
 
 
 def _case(params):
-    case = manufactured_case(params["case_id"], degree=params["k"],
+    return manufactured_case(params["case_id"], degree=params["k"],
                              constant=params["u_inf"])
-    if params["gamma_radius"] != 1.0 or params["gamma0_radius"] != 0.5:
-        raise ConfigError("manufactured data is defined for radii 1.0 / 0.5",
-                          key="geometry.gamma_radius")
-    return case
 
 
 def cmd_mesh(params):

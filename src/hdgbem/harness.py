@@ -89,18 +89,21 @@ def _bump_deriv(r, lo=0.55, hi=0.95, amp=0.3):
     return np.where(inside, body, np.zeros_like(z))
 
 
-def manufactured_case(case_id, degree=1, constant=3.0):
+def manufactured_case(case_id, degree=1, constant=None):
     """Build one of the named verification cases.
 
     ``degree`` selects the polynomial for the patch case; ``constant`` is
-    the far-field constant of the plus-constant variant.
+    the far-field constant of the plus-constant and bump variants, None for
+    their own (3.0 and 1.0).
     """
     gamma = Curve.circle((0.0, 0.0), 1.0)
     gamma0 = Curve.circle((0.0, 0.0), 0.5)
 
     if case_id in ("dipole", "dipole-plus-constant", "variable-kappa-bump"):
-        c = {"dipole": 0.0, "dipole-plus-constant": float(constant),
+        c = {"dipole": 0.0, "dipole-plus-constant": 3.0,
              "variable-kappa-bump": 1.0}[case_id]
+        if constant is not None and case_id != "dipole":
+            c = float(constant)
 
         def u(p):
             p = np.atleast_2d(p)

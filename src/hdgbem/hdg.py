@@ -239,16 +239,19 @@ class _Discretization:
         self.F_side = tau_es[:, :, None, None] * En
         self.S_elem = ((tau_es * len_es) @ ref.side_mass.reshape(3, -1)).reshape(M, d, d)
 
-        # static condensation: local solver and trace-to-(q, u) recovery
+        # static condensation: one solve of the local blocks L against the
+        # trace columns R and the load columns [0; I], so that
+        # (q, u) = recovery @ uhat_loc + particular @ f_mom
         L = np.block([[self.mass_kinv, -np.swapaxes(self.div, 1, 2)],
                       [self.div, self.S_elem]])
-        try:
-            self.local_inv = np.linalg.inv(L)
-        except np.linalg.LinAlgError as exc:
-            raise AssemblyError("singular element local solver") from exc
         R = np.concatenate([-self.E_side, self.F_side], axis=2)     # (M,3,3d,ne)
         R = np.swapaxes(R, 1, 2).reshape(M, 3 * d, 3 * self.ne)
-        self.recovery = self.local_inv @ R      # (q,u) = recovery @ uhat_loc + local_inv @ [0; f]
+        load = np.broadcast_to(np.eye(3 * d, d, -2 * d), (M, 3 * d, d))
+        try:
+            sol = np.linalg.solve(L, np.concatenate([R, load], axis=2))
+        except np.linalg.LinAlgError as exc:
+            raise AssemblyError("singular element local solver") from exc
+        self.recovery, self.particular = sol[:, :, :3 * self.ne], sol[:, :, 3 * self.ne:]
 
     def f_moments(self, f):
         """Element load vectors (M, d) for callable/constant/zero f."""
@@ -259,7 +262,7 @@ class _Discretization:
         return (self.phys_w * fv) @ self.vol_vals
 
     def local_particular(self, f_mom):
-        return (self.local_inv[:, :, 2 * self.d:] @ f_mom[:, :, None])[..., 0]
+        return (self.particular @ f_mom[:, :, None])[..., 0]
 
 
 def _block_matrix(shape, *blocks):
@@ -281,23 +284,13 @@ def _side_functionals(disc):
 # transfer couplings
 # ---------------------------------------------------------------------------
 
-class TransferBlocks:
-    """Path-integral couplings of the boundary edges, one row per map row.
-
-    path_moments : (B, 2d, ne)  line integral of extrapolated flux tested
-                   against the edge trace basis (enters the trace system)
-    flux_flux    : (B, 2d, 2d)  same integral tested against v . nu
-    flux_scalar  : (B, d, 2d)   tau-weighted integral tested against w
-    """
-
-    def __init__(self, path_moments, flux_flux, flux_scalar):
-        self.path_moments = path_moments
-        self.flux_flux = flux_flux
-        self.flux_scalar = flux_scalar
-
-
 def assemble_transfer(disc, bmap):
-    """Transfer blocks of every boundary-map row (zero for zero-length paths)."""
+    """Path moments (B, 2d, ne) of every boundary-map row.
+
+    Entry (c, m) is the line integral of the extrapolated flux component c
+    along the transfer paths, tested against the edge trace basis mu_m; it
+    is zero on rows with zero-length paths (fitted edges).
+    """
     mesh = disc.mesh
     d, ne = disc.d, disc.ne
     B = len(bmap.edge_ids)
@@ -307,15 +300,12 @@ def assemble_transfer(disc, bmap):
         raise TransferIntegrationError(
             f"transfer path on edge {int(bmap.edge_ids[np.argmax(leaves)])} "
             f"is longer than 3 h_T of its parent element")
-    blocks = TransferBlocks(np.zeros((B, 2 * d, ne)), np.zeros((B, 2 * d, 2 * d)),
-                            np.zeros((B, d, 2 * d)))
+    path_moments = np.zeros((B, 2 * d, ne))
     rows = np.nonzero(lmax > 0.0)[0]
     if len(rows) == 0:
-        return blocks
-    edges, parents = bmap.edge_ids[rows], bmap.parents[rows]
-    nodes, l, t, nu = bmap.nodes[rows], bmap.l[rows], bmap.t[rows], bmap.nu[rows]
-    w_edge = bmap.weights[rows]
-    tr = disc.trace_vals[parents, mesh.edge_sides[edges, 0]]    # (b, nq, d)
+        return path_moments
+    parents = bmap.parents[rows]
+    nodes, l, t = bmap.nodes[rows], bmap.l[rows], bmap.t[rows]
     qs, ws = edge_rule(disc.k)
     # path points (b, nq, ns, 2) and the inner integral of kappa^{-1} phi . t
     pts = nodes[:, :, None, :] + (l[:, :, None] * qs)[..., None] * t[:, :, None, :]
@@ -327,12 +317,9 @@ def assemble_transfer(disc, bmap):
     # inner[b, q, c, a] = int_0^l (kappa^{-1} t)_c phi_a ds, flattened over (c, a)
     inner = np.einsum("s,bq,bqsc,bqsa->bqca", ws, l, kt, phi).reshape(
         len(rows), -1, 2 * d)
-    vdotnu = np.concatenate([nu[:, None, :1] * tr, nu[:, None, 1:] * tr], axis=2)
-    blocks.path_moments[rows] = np.einsum("bq,bqc,qm->bcm", w_edge, inner, disc.mu_vals)
-    blocks.flux_flux[rows] = np.einsum("bq,bqc,bqv->bvc", w_edge, inner, vdotnu)
-    blocks.flux_scalar[rows] = disc.tau[edges][:, None, None] * np.einsum(
-        "bq,bqc,bqw->bwc", w_edge, inner, tr)
-    return blocks
+    path_moments[rows] = np.einsum("bq,bqc,qm->bcm", bmap.weights[rows], inner,
+                                   disc.mu_vals)
+    return path_moments
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +379,8 @@ class HDGSystem:
              (-2.0 * disc.tau[interior])[:, None, None] * disc.edge_mass[interior]),
             # boundary rows:  M_e uhat_e - T^t q(uhat, f) = data
             (trace_dofs[bdry], elem_cols[parents],
-             -(self._boundary_functionals() @ disc.recovery[parents])),
+             -(np.swapaxes(self.transfer, 1, 2) @ disc.recovery[parents, :2 * disc.d])),
             (trace_dofs[bdry], trace_dofs[bdry], disc.edge_mass[bdry])).tocsc()
-
-    def _boundary_functionals(self):
-        """Boundary-row functionals [T^t | 0] on the parent unknowns, (B, ne, 3d)."""
-        pm = self.transfer.path_moments
-        return np.concatenate([np.swapaxes(pm, 1, 2),
-                               np.zeros((len(pm), self.ne, self.disc.d))], axis=2)
 
     @property
     def lu(self):
@@ -457,8 +438,8 @@ class HDGSystem:
         side_rhs = -np.einsum("msab,mb->msa", _side_functionals(disc), part)
         interior = self._interior_sides
         np.add.at(rhs, self._side_dofs[interior].ravel(), side_rhs[interior].ravel())
-        rhs[self._trace_dofs[bmap.edge_ids]] += (
-            self._boundary_functionals() @ part[bmap.parents, :, None])[..., 0]
+        rhs[self._trace_dofs[bmap.edge_ids]] += np.einsum(
+            "bcm,bc->bm", self.transfer, part[bmap.parents, :2 * disc.d])
         return rhs
 
     # -- solve and recovery ---------------------------------------------------
@@ -523,8 +504,7 @@ class HDGSystem:
             z_loc[:, None, :])).tocsr()
 
         def load(f_mom):
-            part = np.einsum("pab,pb->pa", disc.local_inv[parents, :2 * d, 2 * d:],
-                             f_mom[parents])
+            part = np.einsum("pab,pb->pa", disc.particular[parents, :2 * d], f_mom[parents])
             return np.einsum("pc,pc->p", flux_rows, part)
         return Z, load
 
@@ -666,7 +646,7 @@ def assemble_uncondensed(system, f=None, g_gamma=None, u0_gamma0=None):
         st = slice(nq + nu + e * ne, nq + nu + (e + 1) * ne)
         sq = slice(t * 2 * d, (t + 1) * 2 * d)
         A[st, st] = disc.edge_mass[e]
-        A[st, sq] = -system.transfer.path_moments[row].T
+        A[st, sq] = -system.transfer[row].T
         b[nq + nu + e * ne:nq + nu + (e + 1) * ne] = data[e * ne:(e + 1) * ne]
     return A.tocsc(), b
 
@@ -736,24 +716,25 @@ def assemble_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
                 Cm[slu[a], slu[c]] += -2.0 * tau_e * 0.25 * np.einsum(
                     "q,qi,qj->ij", w, tr[a], tr[c])
     data = system.boundary_data_vector(g_gamma, u0_gamma0)  # reuse moments
-    for row, e in enumerate(system.bmap.edge_ids):
-        t = int(system.bmap.parents[row])
+    bm = system.bmap
+    for row, e in enumerate(bm.edge_ids):
+        t = int(bm.parents[row])
         sq = slice(t * 2 * d, (t + 1) * 2 * d)
         su = slice(t * d, (t + 1) * d)
-        Aq[sq, sq] += system.transfer.flux_flux[row]
-        Bt[su, sq] += system.transfer.flux_scalar[row]
-        bm = system.bmap
-        vals_mu = disc.mu_vals
         tr = disc.trace_vals[t, mesh.edge_sides[e, 0]]
         nrm = bm.nu[row]
         vnb = np.concatenate([nrm[0] * tr, nrm[1] * tr], axis=1)
-        fun_w = data[e * disc.ne:(e + 1) * disc.ne]
-        # reconstruct nodal data values from the moments for the F terms
-        nodal = np.linalg.solve(disc.edge_mass[e], fun_w) @ vals_mu.T
-        F1[t * 2 * d:(t + 1) * 2 * d] += -np.einsum("q,q,qa->a",
-                                                    bm.weights[row], nodal, vnb)
-        F2[t * d:(t + 1) * d] += -disc.tau[e] * np.einsum("q,q,qa->a",
-                                                          bm.weights[row], nodal, tr)
+        # the edge rule reproduces degree-k traces from their Legendre
+        # coefficients, so the path integrals and the data integrals tested
+        # against v . nu and w are contractions with those coefficients
+        coef = np.linalg.solve(disc.edge_mass[e], (bm.weights[row][:, None] * disc.mu_vals).T
+                               @ np.hstack([vnb, tr]))              # (ne, 3d)
+        pm_t = system.transfer[row].T
+        Aq[sq, sq] += coef[:, :2 * d].T @ pm_t
+        Bt[su, sq] += disc.tau[e] * coef[:, 2 * d:].T @ pm_t
+        data_e = data[e * disc.ne:(e + 1) * disc.ne]
+        F1[sq] -= data_e @ coef[:, :2 * d]
+        F2[su] -= disc.tau[e] * data_e @ coef[:, 2 * d:]
     big = sp.bmat([[Aq.tocsc(), Bm.tocsc().T],
                    [(Bm + Bt).tocsc(), -Cm.tocsc()]]).tocsc()
     rhs = np.concatenate([F1, F2])

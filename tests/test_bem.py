@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import iv
 
 from hdgbem import (
@@ -15,7 +16,7 @@ from hdgbem import (
     solve_exterior,
     write_density_csv,
 )
-from hdgbem.bem import EVAL_CHUNK, kernel_double, kernel_single
+from hdgbem.bem import EVAL_CHUNK, LayerOperatorSet, kernel_double, kernel_single
 
 N = 32
 
@@ -221,6 +222,34 @@ def test_accepts_sum_of_projected_densities(ops32):
 def test_degree_mismatch(ops32):
     with pytest.raises(DimensionError):
         solve_exterior(ops32, TrigPolynomial.zero(N // 2))
+
+
+def _reduced_interface_solve(ops, lam_c):
+    """g for one density: an LU solve of (1/2 - K) g = -V lam on the mean-zero space."""
+    n2 = 2 * ops.n
+    Z = np.zeros((n2, n2 - 1))
+    Z[1:] = np.eye(n2 - 1)
+    Z[0] -= ops.moments[1:] / ops.moments[0]
+    reduced = Z.T @ (ops.gram[:, None] * (0.5 * np.eye(n2) - ops.K)) @ Z
+    lu = scipy.linalg.lu_factor(reduced)
+    return Z @ scipy.linalg.lu_solve(lu, Z.T @ (ops.gram * (-ops.V @ lam_c)))
+
+
+@pytest.mark.parametrize("curve", ["circle", "ellipse"])
+def test_exterior_matrix_is_the_interface_solve_of_every_mode(curve, ops32, ellipse):
+    ops = ops32 if curve == "circle" else assemble_layer_operators(ellipse, N)
+    modes = np.eye(2 * N)
+    ref = np.column_stack([_reduced_interface_solve(ops, e) for e in modes])
+    assert np.abs(ops.exterior - ref).max() <= 1e-13 * np.abs(ref).max()
+    # flux samples -> g is the exterior solve of the projected Neumann density -flux
+    traces = np.column_stack([solve_exterior(ops, ops.project(-e)).coefficients()
+                              for e in modes])
+    assert np.abs(ops.trace_from_flux - traces).max() <= 1e-13 * np.abs(traces).max()
+
+
+def test_singular_interface_system_is_refused_at_construction(ops32):
+    with pytest.raises(SolverError, match="singular reduced interface system"):
+        LayerOperatorSet(ops32.curve, N, ops32.V, 0.5 * np.eye(2 * N))
 
 
 def test_spectral_accuracy_entire_density(ops32):

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import runpy
 import subprocess
 import sys
@@ -155,8 +156,6 @@ def test_omega_sweep_records_divergence():
 
 def _write_config(path, outdir, extra=()):
     lines = [
-        "geometry.gamma_radius  = 1.0",
-        "geometry.gamma0_radius = 0.5",
         "material.u_inf         = 3.0",
         "discretization.k       = 1",
         "discretization.h0      = 0.25",
@@ -235,6 +234,25 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
     cfg.write_text("coupling.weight = 0.5\n")
     assert cli_main(["study", str(cfg)]) == 2
     assert "coupling.weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["geometry.gamma_radius", "geometry.gamma0_radius"])
+def test_cli_rejects_interface_radius_keys(key, tmp_path, capsys):
+    # the manufactured data fix both radii, so no key sets them
+    cfg = tmp_path / "bad.cfg"
+    _write_config(cfg, tmp_path / "out", extra=[f"{key} = 1.0"])
+    assert cli_main(["solve", str(cfg)]) == 2
+    assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_bump_case_takes_configured_u_inf(tmp_path, capsys):
+    cfg = tmp_path / "bump.cfg"
+    _write_config(cfg, tmp_path / "out",
+                  extra=["material.kappa = bump", "material.u_inf = 5.0"])
+    assert cli_main(["solve", str(cfg)]) == 0
+    found = re.search(r"u_inf = (\S+) \(exact (\S+)\)", capsys.readouterr().out)
+    assert float(found.group(2)) == 5.0
+    assert float(found.group(1)) == pytest.approx(5.0, abs=1e-2)
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

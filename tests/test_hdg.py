@@ -206,7 +206,7 @@ def _reference_matrix(system):
                 A[np.ix_(dofs[e], dofs[edges].ravel())] += np.hstack([E[s].T, F[s].T]) @ rec
                 A[np.ix_(dofs[e], dofs[e])] -= system.disc.tau[e] * blocks["edge_mass"][e]
     for row, (e, t) in enumerate(zip(system.bmap.edge_ids, system.bmap.parents)):
-        T = system.transfer.path_moments[row]
+        T = system.transfer[row]
         A[np.ix_(dofs[e], dofs[mesh.element_edges[t]].ravel())] -= T.T @ recovery[t][:2 * d]
         A[np.ix_(dofs[e], dofs[e])] += blocks["edge_mass"][e]
     return A
@@ -220,6 +220,25 @@ def test_trace_matrix_matches_reference_assembly(which, request):
     else:
         system = request.getfixturevalue(which)[2]
     _assert_close(system.matrix.toarray(), _reference_matrix(system))
+
+
+@pytest.mark.parametrize("which", ["coarse_k1", "coarse_k2", "bump"])
+def test_local_solves_match_inverse_of_local_blocks(which, request):
+    # recovery = L^-1 R and particular = the load columns of L^-1, per element
+    if which == "bump":
+        case = manufactured_case("variable-kappa-bump", degree=1)
+        disc = setup_level(case, 0.2, 1, n=8).system.disc
+    else:
+        disc = request.getfixturevalue(which)[2].disc
+    M, d, ne = len(disc.mesh.elements), disc.d, disc.ne
+    L = np.block([[disc.mass_kinv, -np.swapaxes(disc.div, 1, 2)],
+                  [disc.div, disc.S_elem]])
+    R = np.concatenate([-disc.E_side, disc.F_side], axis=2)
+    R = np.swapaxes(R, 1, 2).reshape(M, 3 * d, 3 * ne)
+    inv = np.linalg.inv(L)
+    for got, expect in ((disc.recovery, inv @ R), (disc.particular, inv[:, :, 2 * d:])):
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +272,7 @@ def _synthetic_boundary_map(mesh, edge_id, d, t_dir, k):
 
 def test_transfer_constant_flux_straight_path():
     # edge of length L, straight paths of length d, kappa = I, q = (1, 0),
-    # t = nu = (1, 0): the flux-flux coupling contracts to L * d
+    # t = (1, 0): the path moment of q against mu_0 = 1 is L * d
     mesh = UnfittedMesh(np.array([[0.9, -0.025], [0.9, 0.025], [0.85, 0.0]]),
                         np.array([[0, 1, 2]]))
     edge = next(e for e in mesh.boundary_edge_ids
@@ -263,27 +282,22 @@ def test_transfer_constant_flux_straight_path():
     for k in (0, 1, 2):
         disc = _Discretization(mesh, MaterialField.identity(), 1.0, k)
         bmap = _synthetic_boundary_map(mesh, edge, d, (1.0, 0.0), k)
-        blocks = assemble_transfer(disc, bmap)
-        assert blocks.path_moments.shape == (1, 2 * disc.d, disc.ne)
-        assert blocks.flux_flux.shape == (1, 2 * disc.d, 2 * disc.d)
-        assert blocks.flux_scalar.shape == (1, disc.d, 2 * disc.d)
+        moments = assemble_transfer(disc, bmap)
+        assert moments.shape == (1, 2 * disc.d, disc.ne)
         qcoeff = np.zeros(2 * disc.d)
         qcoeff[0] = 1.0      # first basis function is 1, so q = (1, 0)
-        val = qcoeff @ blocks.flux_flux[0] @ qcoeff
+        val = qcoeff @ moments[0, :, 0]
         assert val == pytest.approx(length * d, rel=1e-13)
         # doubling the path length doubles the coupling
         bmap2 = _synthetic_boundary_map(mesh, edge, 2 * d, (1.0, 0.0), k)
-        blocks2 = assemble_transfer(disc, bmap2)
-        assert qcoeff @ blocks2.flux_flux[0] @ qcoeff == pytest.approx(2 * val, rel=1e-13)
+        moments2 = assemble_transfer(disc, bmap2)
+        assert qcoeff @ moments2[0, :, 0] == pytest.approx(2 * val, rel=1e-13)
 
 
 def test_transfer_vanishes_on_fitted_edges(fitted_k1):
     mesh, bmap, system = fitted_k1
-    blocks = system.transfer
-    assert blocks.path_moments.shape[0] == len(bmap.edge_ids)
-    assert np.all(blocks.path_moments == 0.0)
-    assert np.all(blocks.flux_flux == 0.0)
-    assert np.all(blocks.flux_scalar == 0.0)
+    assert system.transfer.shape == (len(bmap.edge_ids), 2 * system.disc.d, system.ne)
+    assert np.all(system.transfer == 0.0)
 
 
 # ---------------------------------------------------------------------------
