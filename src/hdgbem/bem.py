@@ -119,12 +119,6 @@ class TrigPolynomial:
 # parametric kernels
 # ---------------------------------------------------------------------------
 
-def kernel_single(curve, s, t):
-    """V(s, t); log-singular at s = t."""
-    ys, yt = curve.point(s), curve.point(t)
-    return -np.log(np.linalg.norm(ys - yt, axis=-1)) / TWO_PI
-
-
 def kernel_double(curve, s, t):
     """K(s, t) with the curvature limit on the diagonal."""
     s = np.asarray(s, dtype=float)
@@ -340,15 +334,17 @@ def solve_exterior(ops, lam):
 def evaluate_exterior(ops, g, lam, u_inf, points):
     """Exterior representation D g - S lam + u_inf at points outside the curve.
 
-    All points are checked before any is evaluated: a point at signed
-    distance at most EVAL_STANDOFF times the curve's diameter raises
-    DomainError.  The layer potentials use the trapezoidal rule on
+    All points are checked before any is evaluated: a non-finite point, or
+    one at signed distance at most EVAL_STANDOFF times the curve's diameter,
+    raises DomainError.  The layer potentials use the trapezoidal rule on
     max(8n, 64) nodes.  Both passes run over blocks of EVAL_CHUNK points,
     so memory is bounded in the point count; no points give an empty array.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if len(pts) == 0:
         return np.empty(0)
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("evaluation point is not finite")
     starts = range(0, len(pts), EVAL_CHUNK)
     sd = np.concatenate([ops.curve.signed_distance(pts[i:i + EVAL_CHUNK]) for i in starts])
     if np.any(sd <= EVAL_STANDOFF * ops.curve.diameter()):

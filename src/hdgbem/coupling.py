@@ -99,8 +99,8 @@ class InterfaceResponse:
     ``B`` (n_trace x 2n) maps density coefficients to the trace right-hand
     side (``HDGSystem.interface_operator``).  Row j of ``Z`` reads the
     normal flux at node j from the trace coefficients of the element that
-    ``BoundaryMap.locate`` finds for it (``HDGSystem.point_flux``, which
-    also gives ``flux_load``, the part of element loads).
+    ``BoundaryMap.locate`` finds for it, and row j of ``Z_f`` reads it
+    from that element's load moments (both from ``HDGSystem.point_flux``).
 
     Every trace solve made through it is counted, over all runs on the
     pair.  Once the count reaches 2n, the column count of ``B``, one block
@@ -114,7 +114,7 @@ class InterfaceResponse:
         self.system = system
         self.ops = ops
         self.B = system.interface_operator(ops.modes)
-        self.Z, self.flux_load = system.point_flux(
+        self.Z, self.Z_f = system.point_flux(
             system.bmap.locate(ops.nodes), ops.curve.point(ops.nodes),
             ops.curve.normal(ops.nodes))
         self.solves = 0
@@ -153,14 +153,14 @@ class InterfaceMap:
     With c the packed coefficients of g + u_inf and A the trace system
     matrix, the normal flux at the 2n density nodes is
 
-        flux = Z A^{-1} (rhs0 + B c) + z_f  =  flux0 + F c.
+        flux = Z A^{-1} (rhs0 + B c) + Z_f f_mom  =  flux0 + F c.
 
     ``response`` is the shared ``InterfaceResponse`` of (system, ops) that
-    holds B, Z and F, and ``ops`` the operator set; ``rhs0`` carries the
-    load f and the inner datum u0, ``z_f`` adds each parent element's
-    particular solution.  ``apply`` applies the map with one trace solve
-    until the response holds F, and with ``flux0`` (one solve, on first
-    use) plus F c after that.
+    holds B, Z, Z_f and F, and ``ops`` the operator set; ``rhs0`` carries
+    the load f and the inner datum u0, and ``z_f`` = Z_f f_mom the load's
+    direct part of each parent element's flux.  ``apply`` applies the map
+    with one trace solve until the response holds F, and with ``flux0``
+    (one solve, on first use) plus F c after that.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -170,7 +170,7 @@ class InterfaceMap:
         self.response = system.interface_responses[ops]
         self.f_mom = system.disc.f_moments(f)
         self.rhs0 = system.rhs(self.f_mom, u0_gamma0=u0)
-        self.z_f = self.response.flux_load(self.f_mom)
+        self.z_f = self.response.Z_f @ self.f_mom.ravel()
         self._flux0 = None
 
     def solve(self, g, u_inf):

@@ -629,13 +629,16 @@ def load_mesh(path):
             fitted = {"fitted 0": False, "fitted 1": True}[" ".join(header[9:])]
         except (IndexError, KeyError, ValueError) as exc:
             raise MeshingFailureError(f"malformed mesh header in {path}") from exc
-        verts = np.array([[float(t) for t in fh.readline().split()] for _ in range(n_v)])
-        elems = np.array([[int(t) for t in fh.readline().split()] for _ in range(n_e)])
-        tags = [tuple(int(t) for t in fh.readline().split()) for _ in range(n_b)]
+
+        def table(rows, cols, conv):
+            return np.array([[conv(t) for t in fh.readline().split()] for _ in range(rows)],
+                            dtype=conv).reshape(rows, cols)
+        try:
+            verts, elems, tags = table(n_v, 2, float), table(n_e, 3, int), table(n_b, 2, int)
+        except ValueError as exc:
+            raise MeshingFailureError(f"truncated or malformed mesh body in {path}") from exc
     mesh = UnfittedMesh(verts, elems, fitted=fitted)
-    listed = sorted(e for e, _ in tags)
-    if listed != sorted(mesh.boundary_edge_ids.tolist()):
+    if sorted(tags[:, 0].tolist()) != sorted(mesh.boundary_edge_ids.tolist()):
         raise MeshingFailureError(f"boundary rows in {path} do not match the mesh")
-    for e, tag in tags:
-        mesh.boundary_tags[e] = tag
+    mesh.boundary_tags[tags[:, 0]] = tags[:, 1]
     return mesh

@@ -66,7 +66,7 @@ class MaterialField:
         if kappa is None:
             self._const = np.eye(2)
         elif np.isscalar(kappa):
-            self._const = float(kappa) * np.eye(2)
+            self._const = np.diag([float(kappa)] * 2)
         elif callable(kappa):
             self._fun = kappa
         else:
@@ -74,8 +74,9 @@ class MaterialField:
             if mat.shape != (2, 2) or not np.allclose(mat, mat.T):
                 raise AssemblyError("constant kappa must be a symmetric 2x2 matrix")
             self._const = mat
-        if self._const is not None and np.linalg.eigvalsh(self._const).min() <= 0:
-            raise AssemblyError("kappa must be positive definite")
+        if self._const is not None and not (np.all(np.isfinite(self._const))
+                                            and np.linalg.eigvalsh(self._const).min() > 0):
+            raise AssemblyError("kappa must be finite and positive definite")
 
     @classmethod
     def identity(cls):
@@ -112,8 +113,8 @@ class Stabilization:
             tau = np.full(mesh.n_edges, float(tau))
         if tau.shape != (mesh.n_edges,):
             raise AssemblyError("tau must be scalar or one value per edge")
-        if np.any(tau <= 0):
-            raise AssemblyError("tau must be strictly positive")
+        if not np.all(np.isfinite(tau) & (tau > 0)):
+            raise AssemblyError("tau must be finite and strictly positive")
         return tau
 
 
@@ -241,17 +242,16 @@ class _Discretization:
 
         # static condensation: one solve of the local blocks L against the
         # trace columns R and the load columns [0; I], so that
-        # (q, u) = recovery @ uhat_loc + particular @ f_mom
+        # (q, u) = local @ [uhat_loc; f_mom]
         L = np.block([[self.mass_kinv, -np.swapaxes(self.div, 1, 2)],
                       [self.div, self.S_elem]])
         R = np.concatenate([-self.E_side, self.F_side], axis=2)     # (M,3,3d,ne)
         R = np.swapaxes(R, 1, 2).reshape(M, 3 * d, 3 * self.ne)
         load = np.broadcast_to(np.eye(3 * d, d, -2 * d), (M, 3 * d, d))
         try:
-            sol = np.linalg.solve(L, np.concatenate([R, load], axis=2))
+            self.local = np.linalg.solve(L, np.concatenate([R, load], axis=2))
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("singular element local solver") from exc
-        self.recovery, self.particular = sol[:, :, :3 * self.ne], sol[:, :, 3 * self.ne:]
 
     def f_moments(self, f):
         """Element load vectors (M, d) for callable/constant/zero f."""
@@ -261,9 +261,6 @@ class _Discretization:
             f(self.phys_pts.reshape(-1, 2)), dtype=float).reshape(self.phys_w.shape)
         return (self.phys_w * fv) @ self.vol_vals
 
-    def local_particular(self, f_mom):
-        return (self.particular @ f_mom[:, :, None])[..., 0]
-
 
 def _block_matrix(shape, *blocks):
     """COO matrix summing dense blocks (rows (K, a), cols (K, b), vals (K, a, b))."""
@@ -272,12 +269,6 @@ def _block_matrix(shape, *blocks):
          np.broadcast_to(c[:, None, :], v.shape).ravel(), v.ravel())
         for r, c, v in blocks)))
     return sp.coo_matrix((vals, (rows, cols)), shape=shape)
-
-
-def _side_functionals(disc):
-    """Trace-side functionals C_side = [E^T | F^T], (M, 3, ne, 3d)."""
-    return np.concatenate([np.swapaxes(disc.E_side, 2, 3),
-                           np.swapaxes(disc.F_side, 2, 3)], axis=3)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +322,12 @@ class HDGSystem:
 
     The matrix couples the single-valued trace coefficients of all edges:
     flux-continuity rows on interior edges, transfer rows on boundary
-    edges.  Right-hand sides carry the volume load and the Dirichlet data
-    evaluated at the mapped boundary points, so repeated solves with fresh
-    data reuse the one-time factorization.
+    edges.  ``load`` (n_trace x M d) maps the element load moments into the
+    same rows; right-hand sides are the Dirichlet data evaluated at the
+    mapped boundary points minus ``load @ f_mom.ravel()``, so repeated
+    solves with fresh data reuse the one-time factorization.  Every trace
+    map reads an element through ``disc.local`` over ``_elem_cols``, its
+    3 ne side-trace dofs followed by n_trace plus its d load dofs.
     """
 
     def __init__(self, mesh, bmap, material, tau, k):
@@ -358,29 +352,34 @@ class HDGSystem:
 
     def _assemble(self):
         mesh, disc, bmap = self.mesh, self.disc, self.bmap
-        ne, M = disc.ne, len(mesh.elements)
-        trace_dofs = np.arange(self.n_trace).reshape(mesh.n_edges, ne)
+        n, ne, d, M = self.n_trace, disc.ne, disc.d, len(mesh.elements)
+        trace_dofs = self._trace_dofs = np.arange(n).reshape(mesh.n_edges, ne)
         side_dofs = trace_dofs[mesh.element_edges]                    # (M,3,ne)
-        elem_cols = side_dofs.reshape(M, 3 * ne)
+        self._elem_cols = elem_cols = np.hstack([
+            side_dofs.reshape(M, 3 * ne), n + np.arange(M * d).reshape(M, d)])
         # interior (element, side) pairs, ordered by side, then element
         sides, elems = np.nonzero((mesh.boundary_tags[mesh.element_edges] < 0).T)
-        self._interior_sides = (elems, sides)
-        self._trace_dofs, self._side_dofs = trace_dofs, side_dofs
         interior = mesh.interior_edge_ids
         bdry, parents = bmap.edge_ids, bmap.parents
+        # side functionals C_side = [E^T | F^T] of every (element, side)
+        side_fun = np.concatenate([np.swapaxes(disc.E_side, 2, 3),
+                                   np.swapaxes(disc.F_side, 2, 3)], axis=3)
+        # element blocks over the columns [uhat_loc | f_mom]: flux continuity
+        # C_side local on interior sides, and on boundary edges the transfer
+        # part of  M_e uhat_e - T^t q(uhat, f) = data
+        blocks = [(side_dofs[elems, sides], elem_cols[elems],
+                   np.einsum("msab,mbc->msac", side_fun, disc.local)[elems, sides]),
+                  (trace_dofs[bdry], elem_cols[parents],
+                   -(np.swapaxes(self.transfer, 1, 2) @ disc.local[parents, :2 * d]))]
+        (flux, trans), load = ([(r, c[:, :3 * ne], v[..., :3 * ne]) for r, c, v in blocks],
+                               [(r, c[:, 3 * ne:] - n, v[..., 3 * ne:]) for r, c, v in blocks])
         self.matrix = _block_matrix(
-            (self.n_trace, self.n_trace),
-            # flux continuity  C_side recovery  on interior sides
-            (side_dofs[elems, sides], elem_cols[elems],
-             np.einsum("kab,kbc->kac", _side_functionals(disc)[elems, sides],
-                       disc.recovery[elems])),
+            (n, n), flux,
             # interior diagonal  -2 tau M_e
             (trace_dofs[interior], trace_dofs[interior],
              (-2.0 * disc.tau[interior])[:, None, None] * disc.edge_mass[interior]),
-            # boundary rows:  M_e uhat_e - T^t q(uhat, f) = data
-            (trace_dofs[bdry], elem_cols[parents],
-             -(np.swapaxes(self.transfer, 1, 2) @ disc.recovery[parents, :2 * disc.d])),
-            (trace_dofs[bdry], trace_dofs[bdry], disc.edge_mass[bdry])).tocsc()
+            trans, (trace_dofs[bdry], trace_dofs[bdry], disc.edge_mass[bdry])).tocsc()
+        self.load = _block_matrix((n, M * d), *load).tocsc()
 
     @property
     def lu(self):
@@ -432,15 +431,7 @@ class HDGSystem:
 
     def rhs(self, f_mom, g_gamma=None, u0_gamma0=None):
         """Trace right-hand side of element loads f_mom and the boundary data."""
-        disc, bmap = self.disc, self.bmap
-        part = disc.local_particular(f_mom)            # (M, 3d)
-        rhs = self.boundary_data_vector(g_gamma, u0_gamma0)
-        side_rhs = -np.einsum("msab,mb->msa", _side_functionals(disc), part)
-        interior = self._interior_sides
-        np.add.at(rhs, self._side_dofs[interior].ravel(), side_rhs[interior].ravel())
-        rhs[self._trace_dofs[bmap.edge_ids]] += np.einsum(
-            "bcm,bc->bm", self.transfer, part[bmap.parents, :2 * disc.d])
-        return rhs
+        return self.boundary_data_vector(g_gamma, u0_gamma0) - self.load @ f_mom.ravel()
 
     # -- solve and recovery ---------------------------------------------------
 
@@ -475,38 +466,29 @@ class HDGSystem:
             return np.inf
 
     def recover(self, uhat, f_mom):
-        disc = self.disc
-        mesh = self.mesh
-        d, ne = disc.d, disc.ne
-        M = len(mesh.elements)
-        uhat_loc = uhat[self._side_dofs.reshape(M, 3 * ne)]
-        qu = np.einsum("mab,mb->ma", disc.recovery, uhat_loc) \
-            + disc.local_particular(f_mom)
-        Q = qu[:, :2 * d].reshape(M, 2, d)
-        U = qu[:, 2 * d:]
-        return DGField(mesh, self.k, Q, U, uhat.reshape(mesh.n_edges, ne))
+        mesh, d = self.mesh, self.disc.d
+        qu = np.einsum("mab,mb->ma", self.disc.local,
+                       np.concatenate([uhat, f_mom.ravel()])[self._elem_cols])
+        Q = qu[:, :2 * d].reshape(len(mesh.elements), 2, d)
+        return DGField(mesh, self.k, Q, qu[:, 2 * d:], uhat.reshape(mesh.n_edges, self.ne))
 
     def point_flux(self, parents, points, normals):
         """Normal flux nu . q at p points, each from its parent element's polynomial.
 
-        Returns (Z, load): the flux of trace uhat and element loads f_mom is
-        Z @ uhat + load(f_mom), with Z sparse (p x n_trace).
+        Returns (Z, Z_f): the flux of trace uhat and element loads f_mom is
+        Z @ uhat + Z_f @ f_mom.ravel(), with Z (p x n_trace) and Z_f
+        (p x M d) sparse.
         """
-        disc, mesh = self.disc, self.mesh
-        d, ne = disc.d, disc.ne
+        disc, mesh, n = self.disc, self.mesh, self.n_trace
         verts = mesh.vertices[mesh.elements[parents]]
         ref = np.einsum("pd,ped->pe", points - verts[:, 0], disc.invJ[parents])
         vals = disc.basis.eval(ref)
         flux_rows = np.concatenate([normals[:, :1] * vals, normals[:, 1:] * vals], axis=1)
-        z_loc = np.einsum("pc,pcj->pj", flux_rows, disc.recovery[parents, :2 * d])
-        Z = _block_matrix((len(parents), self.n_trace), (
-            np.arange(len(parents))[:, None], self._side_dofs[parents].reshape(-1, 3 * ne),
+        z_loc = np.einsum("pc,pcj->pj", flux_rows, disc.local[parents, :2 * disc.d])
+        full = _block_matrix((len(parents), n + self.load.shape[1]), (
+            np.arange(len(parents))[:, None], self._elem_cols[parents],
             z_loc[:, None, :])).tocsr()
-
-        def load(f_mom):
-            part = np.einsum("pab,pb->pa", disc.particular[parents, :2 * d], f_mom[parents])
-            return np.einsum("pc,pc->p", flux_rows, part)
-        return Z, load
+        return full[:, :n], full[:, n:]
 
 
 def build_system(mesh, bmap, material, tau, k):

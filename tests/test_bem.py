@@ -16,7 +16,7 @@ from hdgbem import (
     solve_exterior,
     write_density_csv,
 )
-from hdgbem.bem import EVAL_CHUNK, LayerOperatorSet, kernel_double, kernel_single
+from hdgbem.bem import EVAL_CHUNK, LayerOperatorSet, kernel_double
 
 N = 32
 
@@ -96,13 +96,6 @@ def test_weighted_mean_zero_on_curve(smooth_unit_circle):
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
-
-def test_single_layer_kernel_antipodal_value():
-    circle = Curve.circle((0, 0), 1.0)
-    val = kernel_single(circle, np.array([0.0]), np.array([np.pi]))[0]
-    assert val == pytest.approx(-np.log(2.0) / (2 * np.pi), abs=1e-15)
-    assert val == pytest.approx(-0.1103178, abs=1e-7)
-
 
 def test_double_layer_kernel_constant_on_circle():
     circle = Curve.circle((0, 0), 1.0)
@@ -342,6 +335,15 @@ def test_inside_point_rejected(ops32):
     with pytest.raises(DomainError):
         evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
                           0.0, np.array([[0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 0.0], [3.0, np.nan]],
+                         ids=["nan", "inf", "nan-y"])
+def test_non_finite_point_rejected(ops32, point):
+    # NaN compares False against the standoff, so it must be refused first
+    with pytest.raises(DomainError, match="not finite"):
+        evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
+                          0.0, np.array([[5.0, 0.0], point]))
 
 
 # ---------------------------------------------------------------------------

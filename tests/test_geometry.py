@@ -71,6 +71,23 @@ def test_mesh_header_without_fitted_flag_is_malformed(circles, tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("cut", ["half", "vertex-row", "element-row", "tag-row"])
+def test_truncated_or_malformed_mesh_body_names_the_file(circles, tmp_path, cut):
+    mesh = build_annulus_mesh(*circles, 0.3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines(keepends=True)
+    n_v, n_e = len(mesh.vertices), len(mesh.elements)
+    if cut == "half":
+        lines = lines[:len(lines) // 2]
+    else:
+        row = {"vertex-row": 1, "element-row": 1 + n_v, "tag-row": 1 + n_v + n_e}[cut]
+        lines[row] = lines[row].split()[0] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(MeshingFailureError, match="mesh body in .*mesh.txt"):
+        load_mesh(path)
+
+
 def _one_triangle_mesh(v0, v1, v2):
     return UnfittedMesh(np.array([v0, v1, v2], dtype=float),
                         np.array([[0, 1, 2]]))

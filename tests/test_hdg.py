@@ -189,27 +189,31 @@ def test_reference_tables_match_pointwise_quadrature(k, kappa):
 
 
 def _reference_matrix(system):
-    """Condensed trace matrix from the oracle blocks, one element at a time."""
+    """Condensed trace matrix and load map from the oracle blocks, one element at a time."""
     mesh, ne, d = system.mesh, system.ne, system.disc.d
     blocks = _oracle_tables(mesh, system.material, system.disc.tau, system.k)
     dofs = np.arange(system.n_trace).reshape(mesh.n_edges, ne)
-    A = np.zeros((system.n_trace, system.n_trace))
+    # columns [trace | load]: element t's load moments sit at n_trace + t d ...
+    A = np.zeros((system.n_trace, system.n_trace + len(mesh.elements) * d))
     recovery = []
     for t, edges in enumerate(mesh.element_edges):
         E, F = blocks["E_side"][t], blocks["F_side"][t]
         L = np.block([[blocks["mass_kinv"][t], -blocks["div"][t].T],
                       [blocks["div"][t], blocks["S_elem"][t]]])
-        rec = np.linalg.solve(L, np.hstack([np.vstack([-E[s], F[s]]) for s in range(3)]))
-        recovery.append(rec)
+        cols = np.concatenate([dofs[edges].ravel(), system.n_trace + t * d + np.arange(d)])
+        # trace columns, then the load columns of L^-1
+        rec = np.linalg.solve(L, np.hstack([np.vstack([-E[s], F[s]]) for s in range(3)]
+                                           + [np.eye(3 * d)[:, 2 * d:]]))
+        recovery.append((cols, rec))
         for s, e in enumerate(edges):
             if mesh.boundary_tags[e] < 0:
-                A[np.ix_(dofs[e], dofs[edges].ravel())] += np.hstack([E[s].T, F[s].T]) @ rec
+                A[np.ix_(dofs[e], cols)] += np.hstack([E[s].T, F[s].T]) @ rec
                 A[np.ix_(dofs[e], dofs[e])] -= system.disc.tau[e] * blocks["edge_mass"][e]
     for row, (e, t) in enumerate(zip(system.bmap.edge_ids, system.bmap.parents)):
-        T = system.transfer[row]
-        A[np.ix_(dofs[e], dofs[mesh.element_edges[t]].ravel())] -= T.T @ recovery[t][:2 * d]
+        cols, rec = recovery[t]
+        A[np.ix_(dofs[e], cols)] -= system.transfer[row].T @ rec[:2 * d]
         A[np.ix_(dofs[e], dofs[e])] += blocks["edge_mass"][e]
-    return A
+    return A[:, :system.n_trace], A[:, system.n_trace:]
 
 
 @pytest.mark.parametrize("which", ["coarse_k2", "bump"])
@@ -219,12 +223,14 @@ def test_trace_matrix_matches_reference_assembly(which, request):
         system = setup_level(case, 0.2, 1, n=8).system
     else:
         system = request.getfixturevalue(which)[2]
-    _assert_close(system.matrix.toarray(), _reference_matrix(system))
+    matrix, load = _reference_matrix(system)
+    _assert_close(system.matrix.toarray(), matrix)
+    _assert_close(system.load.toarray(), load)
 
 
 @pytest.mark.parametrize("which", ["coarse_k1", "coarse_k2", "bump"])
 def test_local_solves_match_inverse_of_local_blocks(which, request):
-    # recovery = L^-1 R and particular = the load columns of L^-1, per element
+    # local = [L^-1 R | the load columns of L^-1], per element
     if which == "bump":
         case = manufactured_case("variable-kappa-bump", degree=1)
         disc = setup_level(case, 0.2, 1, n=8).system.disc
@@ -236,8 +242,9 @@ def test_local_solves_match_inverse_of_local_blocks(which, request):
     R = np.concatenate([-disc.E_side, disc.F_side], axis=2)
     R = np.swapaxes(R, 1, 2).reshape(M, 3 * d, 3 * ne)
     inv = np.linalg.inv(L)
-    for got, expect in ((disc.recovery, inv @ R), (disc.particular, inv[:, :, 2 * d:])):
-        assert got.shape == expect.shape
+    assert disc.local.shape == (M, 3 * d, 3 * ne + d)
+    for got, expect in ((disc.local[:, :, :3 * ne], inv @ R),
+                        (disc.local[:, :, 3 * ne:], inv[:, :, 2 * d:])):
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -662,6 +669,9 @@ def test_material_field_validation():
         MaterialField(np.array([[1.0, 2.0], [0.0, 1.0]]))   # not symmetric
     with pytest.raises(AssemblyError):
         MaterialField(np.array([[1.0, 3.0], [3.0, 1.0]]))   # indefinite
+    for kappa in (np.nan, np.inf, [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(AssemblyError, match="finite"):
+            MaterialField(kappa)
     mat = MaterialField(np.array([[2.0, 0.5], [0.5, 1.0]]))
     pts = np.zeros((4, 2))
     assert np.allclose(mat.inv(pts) @ mat.value(pts), np.eye(2))
@@ -671,6 +681,13 @@ def test_stabilization_validation(coarse_k1):
     mesh = coarse_k1[0]
     with pytest.raises(AssemblyError):
         Stabilization(0.0).on_edges(mesh)
+    # NaN compares False against 0, so it must be refused as non-finite
+    for bad in (np.nan, np.inf):
+        per_edge = np.full(mesh.n_edges, 2.0)
+        per_edge[mesh.n_edges // 2] = bad
+        for tau in (bad, per_edge):
+            with pytest.raises(AssemblyError, match="finite"):
+                Stabilization(tau).on_edges(mesh)
     tau = Stabilization(2.5).on_edges(mesh)
     assert tau.shape == (mesh.n_edges,)
 
