@@ -1,11 +1,14 @@
 """The interface equation on the circle, solved spectrally.
 
-On a circle the single layer diagonalizes in the Fourier basis (mode m
-maps to R/(2m) of itself) and the double layer annihilates mean-zero
-densities, so the interface equation has the closed solution
-g = -2 V lambda.  For an entire density the trigonometric solve converges
-faster than any power of 1/n; the table shows the sup error against the
-Bessel-series solution for lambda = exp(cos t), mean removed.
+The layer operators come from the periodic-log quadrature that every
+curve uses.  On a circle they reproduce, to rounding, the Fourier
+diagonalization: the single layer maps mode m to R/(2m) of itself and the
+double layer annihilates mean-zero densities, so the interface equation
+has the closed solution g = -2 V lambda.  For an entire density the
+trigonometric solve converges faster than any power of 1/n; the table
+shows the sup error against the Bessel-series solution for
+lambda = exp(cos t), mean removed.  The closed-form checks at the end may
+move in the last printed digit.
 """
 
 import numpy as np

@@ -23,12 +23,13 @@ Laplacian):
     V(s,t) = -log|y(s) - y(t)| / (2 pi)
     K(s,t) = (y(s) - y(t)) . n(y(s)) / (2 pi |y(s) - y(t)|^2),
 
-with the curvature limit on the diagonal of K.  On a circle of radius R
-both operators diagonalize in the Fourier basis: V maps cos/sin of mode m
-to R/(2m) times itself (constants to -R log R) and K annihilates mean-zero
-densities.  General smooth curves use the periodic-log splitting: the
-singular part is applied through its exact Fourier multipliers, the smooth
-remainder and K by the trapezoidal rule, both spectrally accurate.
+with the curvature limit on the diagonal of K.  Every curve, circles
+included, uses the periodic-log splitting: the singular part is applied
+through its exact Fourier multipliers, the smooth remainder and K by the
+trapezoidal rule, both spectrally accurate.  On a circle of radius R the
+result is, to rounding, the Fourier diagonalization: V maps cos/sin of
+mode m to R/(2m) times itself (constants to -R log R) and K annihilates
+mean-zero densities.
 
 Densities live in the span of {1, cos t .. cos nt, sin t .. sin (n-1)t}
 with 2n real coefficients; the 2n equispaced nodes t_j = j pi / n carry the
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, SolverError
 
 TWO_PI = 2.0 * np.pi
-# the off-circle operator quadrature uses OVERSAMPLE times the 2n density nodes
+# the operator quadrature uses OVERSAMPLE times the 2n density nodes
 OVERSAMPLE = 2
 # evaluation points per block of evaluate_exterior
 EVAL_CHUNK = 1024
@@ -215,25 +216,12 @@ class LayerOperatorSet:
 def assemble_layer_operators(curve, n):
     """Build the coefficient-space layer operator matrices.
 
-    Circles get the exact Fourier diagonalization; smooth curves use the
-    periodic log splitting on a grid of 2 OVERSAMPLE n points, so that
-    products of degree-n densities are integrated exactly.
+    Every curve uses the periodic log splitting on a grid of 2 OVERSAMPLE n
+    points, so that products of degree-n densities are integrated exactly.
     """
     n = int(n)
     if n < 2:
         raise DimensionError("density degree must be at least 2")
-    if curve.is_circle:
-        R = curve.radius
-        V = np.zeros((2 * n, 2 * n))
-        K = np.zeros((2 * n, 2 * n))
-        V[0, 0] = -R * np.log(R)
-        for m in range(1, n + 1):
-            V[m, m] = R / (2.0 * m)
-        for m in range(1, n):
-            V[n + m, n + m] = R / (2.0 * m)
-        K[0, 0] = 0.5
-        return LayerOperatorSet(curve, n, V, K)
-
     N = OVERSAMPLE * n
     t = np.arange(2 * N) * np.pi / N
     speed = curve.speed(t)
@@ -253,9 +241,8 @@ def assemble_layer_operators(curve, n):
     dist = np.linalg.norm(ys[:, None, :] - ys[None, :, :], axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         smooth = -np.log(dist / gap) / TWO_PI
-    diag = -np.log(curve.speed(t)) / TWO_PI
     ii = np.arange(2 * N)
-    smooth[ii, ii] = diag
+    smooth[ii, ii] = -np.log(speed) / TWO_PI
     w_trap = np.pi / N
     V_samples = log_part + w_trap * smooth.T @ dens
     Kk = kernel_double(curve, S.ravel(), Tm.ravel()).reshape(2 * N, 2 * N)
@@ -272,7 +259,9 @@ def assemble_layer_operators(curve, n):
 def _arc_moments(curve, n):
     """Arclength integrals of the packed degree-n basis functions.
 
-    On a circle of radius R they are exactly (2 pi R, 0, ..., 0).
+    On a circle of radius R they are exactly (2 pi R, 0, ..., 0); the
+    quadrature would leave about 1e-17 in the others, and the mean of a
+    projected density would then not be exactly zero.
     """
     if curve.is_circle:
         moments = np.zeros(2 * n)

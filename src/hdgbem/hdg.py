@@ -138,9 +138,6 @@ class DGField:
         vals = self._basis.eval(self._ref(elem, pts))
         return np.stack([vals @ self.Q[elem, 0], vals @ self.Q[elem, 1]], axis=-1)
 
-    def copy(self):
-        return DGField(self.mesh, self.k, self.Q.copy(), self.U.copy(), self.Uhat.copy())
-
 
 # ---------------------------------------------------------------------------
 # reference tables and the discretization cache
@@ -368,7 +365,7 @@ class HDGSystem:
         # C_side local on interior sides, and on boundary edges the transfer
         # part of  M_e uhat_e - T^t q(uhat, f) = data
         blocks = [(side_dofs[elems, sides], elem_cols[elems],
-                   np.einsum("msab,mbc->msac", side_fun, disc.local)[elems, sides]),
+                   (side_fun @ disc.local[:, None])[elems, sides]),
                   (trace_dofs[bdry], elem_cols[parents],
                    -(np.swapaxes(self.transfer, 1, 2) @ disc.local[parents, :2 * d]))]
         (flux, trans), load = ([(r, c[:, :3 * ne], v[..., :3 * ne]) for r, c, v in blocks],

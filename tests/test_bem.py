@@ -147,6 +147,15 @@ def test_radius_scaling_of_single_layer():
     assert (ops.V @ const)[0] == pytest.approx(-R * np.log(R), abs=1e-14)
 
 
+def closed_form_circle_operators(R, n):
+    """V and K of a circle of radius R on degree-n densities, from their Fourier diagonalization."""
+    m = np.concatenate([np.arange(1, n + 1), np.arange(1, n)])
+    V = np.diag(np.concatenate([[-R * np.log(R)], R / (2.0 * m)]))
+    K = np.zeros((2 * n, 2 * n))
+    K[0, 0] = 0.5
+    return V, K
+
+
 def test_galerkin_symmetry_and_diagonality(smooth_unit_circle, ops32):
     smooth = assemble_layer_operators(smooth_unit_circle, N)
     for ops in (ops32, smooth):
@@ -158,10 +167,19 @@ def test_galerkin_symmetry_and_diagonality(smooth_unit_circle, ops32):
         assert np.abs(off_K).max() <= 1e-12
 
 
-def test_smooth_path_matches_analytic_circle(smooth_unit_circle, ops32):
+def test_smooth_path_matches_analytic_circle(smooth_unit_circle):
     smooth = assemble_layer_operators(smooth_unit_circle, N)
-    assert np.abs(smooth.V - ops32.V).max() < 1e-12
-    assert np.abs(smooth.K - ops32.K).max() < 1e-12
+    V, K = closed_form_circle_operators(1.0, N)
+    assert np.abs(smooth.V - V).max() < 1e-12
+    assert np.abs(smooth.K - K).max() < 1e-12
+
+
+@pytest.mark.parametrize("center, R", [((0.0, 0.0), 1.0), ((0.0, 0.0), 2.5), ((0.7, -1.3), 2.5)])
+def test_circle_operators_match_closed_form(center, R):
+    ops = assemble_layer_operators(Curve.circle(center, R), N)
+    V, K = closed_form_circle_operators(R, N)
+    assert np.abs(ops.V - V).max() < 1e-12
+    assert np.abs(ops.K - K).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,36 @@ def test_parametrized_curve_matches_circle(smooth_unit_circle):
                        circle.signed_distance(pts), atol=1e-12)
 
 
+def _spoiled_unit_circle(part, value):
+    """The unit circle with value in its position (part 0) or derivative (1) for s > 3."""
+    fns = [lambda s: np.stack([np.cos(s), np.sin(s)], axis=-1),
+           lambda s: np.stack([-np.sin(s), np.cos(s)], axis=-1),
+           lambda s: -np.stack([np.cos(s), np.sin(s)], axis=-1)]
+    good = fns[part]
+    fns[part] = lambda s: np.where(s[:, None] > 3.0, value, good(s))
+    return Curve.from_parametrization(*fns)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Curve.circle((0.0, 0.0), np.nan),
+    lambda: Curve.circle((0.0, 0.0), np.inf),
+    lambda: Curve.circle((np.nan, 0.0), 1.0),
+    lambda: _spoiled_unit_circle(1, np.nan),
+    lambda: _spoiled_unit_circle(0, np.inf),
+], ids=["nan-radius", "inf-radius", "nan-center", "nan-derivative", "inf-position"])
+def test_non_finite_curve_is_infeasible(make):
+    with pytest.raises(GeometryInfeasibleError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.2)])
+def test_map_refuses_the_circle_center(center):
+    curve = Curve.circle(center, 1.0)
+    pts = np.array([[0.9, 0.1], center])
+    with pytest.raises(MapConstructionError, match="radial map undefined at the circle center"):
+        geometry._map_points(pts, curve)
+
+
 def test_grid_search_matches_unblocked_distance_bitwise(ellipse):
     # the blocked dx*dx + dy*dy must pick the same grid parameter as the
     # (npts, 256, 2) squared-difference sum, across several block boundaries

@@ -576,21 +576,20 @@ def test_uncovered_point_raises(coarse_k1):
 
 def test_j_functional_zero_perimeter_homogeneity(coarse_k1):
     mesh, bmap, system = coarse_k1
-    zero = solve_interior(system)
-    assert j_functional(zero, system) == 0.0
-    one = zero.copy()
-    one.U[:, 0] = 1.0
-    one.Uhat[:, 0] = 1.0
+    fld = solve_interior(system)
+    assert j_functional(fld, system) == 0.0
+    # the fields are changed in place: the unit field, then -3 times a solve
+    fld.U[:, 0] = 1.0
+    fld.Uhat[:, 0] = 1.0
     perim = sum(mesh.edge_length(e) for e in mesh.boundary_edge_ids)
-    assert j_functional(one, system) == pytest.approx(np.sqrt(perim), rel=1e-12)
+    assert j_functional(fld, system) == pytest.approx(np.sqrt(perim), rel=1e-12)
     u_ex = lambda p: p[:, 0] / (p[:, 0] ** 2 + p[:, 1] ** 2)
     fld = solve_interior(system, g_gamma=u_ex, u0_gamma0=u_ex)
     j1 = j_functional(fld, system)
-    scaled = fld.copy()
-    scaled.Q *= -3.0
-    scaled.U *= -3.0
-    scaled.Uhat *= -3.0
-    assert j_functional(scaled, system) == pytest.approx(3.0 * j1, rel=1e-12)
+    fld.Q *= -3.0
+    fld.U *= -3.0
+    fld.Uhat *= -3.0
+    assert j_functional(fld, system) == pytest.approx(3.0 * j1, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
