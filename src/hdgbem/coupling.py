@@ -16,7 +16,7 @@ map from interface data to flux samples that recovers no element field.
 Each layer owns its part of it: ``HDGSystem`` the data operator B, the
 point-flux map Z and its load part z_f; ``LayerOperatorSet`` the node arc
 weights of the mean-flux integral and ``trace_from_flux``, the exterior
-trace of flux samples, which ``monolithic_solve`` uses as its g-block.
+trace of flux samples, which ``monolithic_solve`` applies as g = T flux.
 Its data-independent part, an ``InterfaceResponse``, is kept once per
 (system, operator set) and shared by every run on it, so a sweep over
 weights pays for it once.  An application costs one trace solve until the
@@ -31,21 +31,19 @@ unit constant datum (one extra interior solve per response).  A fixed
 point of the relaxed map is a fixed point of the unrelaxed one, so
 converged answers do not depend on the relaxation weight.
 
-``monolithic_solve`` assembles the same coupling conditions, from the same
-``InterfaceMap``, into a single linear system and is the equivalence
-oracle for the iteration's limit.
+``monolithic_solve`` is the equivalence oracle for the iteration's limit.
+It solves the same coupling conditions, g = T flux and zero total flux,
+as one linear system on the 2n + 1 interface unknowns (g, u_inf) by
+full-memory GMRES, reading the flux through ``InterfaceMap.linear``: at
+most 2n + 1 steps, each one trace solve on the existing factorization or
+a 2n x 2n matvec once the response holds F.  It never builds F itself.
 """
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bem import TrigPolynomial, solve_exterior
 from .errors import DimensionError, DivergenceError, EstimationError, SolverError
-
-# largest bordered system (trace, interface trace and far-field unknowns)
-# that monolithic_solve factors directly
-MONOLITHIC_SIZE_LIMIT = 400000
 
 
 class CouplingConfig:
@@ -181,20 +179,32 @@ class InterfaceMap:
         """Flux samples of the interior trace uhat."""
         return self.response.Z @ uhat + self.z_f
 
+    def linear(self, c):
+        """F c: flux samples of packed datum coefficients c, without load or u0.
+
+        The linear part of the map.  Read from F when the response holds
+        it; otherwise one trace solve that the response does not count, so
+        that a caller of this method alone never makes the response build F.
+        """
+        resp = self.response
+        if resp.F is not None:
+            return resp.F @ c
+        uhat, _ = resp.system.solve_trace(resp.B @ c)
+        return resp.Z @ uhat
+
     def apply(self, g, u_inf):
         """Flux samples for datum g + u_inf and the residual of the solve behind them.
 
         Served by F, the residual is that of F's worst column.
         """
         resp = self.response
-        F = resp.dense()
-        if F is None:
+        if resp.dense() is None:
             uhat, residual = self.solve(g, u_inf)
             return self.flux(uhat), residual
         if self._flux0 is None:
             uhat0, _ = resp.solve(self.rhs0)
             self._flux0 = self.flux(uhat0)
-        return self._flux0 + F @ _packed(g, u_inf), resp.F_residual
+        return self._flux0 + self.linear(_packed(g, u_inf)), resp.F_residual
 
 
 # ---------------------------------------------------------------------------
@@ -314,29 +324,42 @@ def write_iteration_log(state, path):
 def monolithic_solve(system, ops, f=None, u0=None):
     """Solve interior, interface equation and flux compatibility at once.
 
-    Unknowns are the interior trace coefficients, the 2n coefficients of
-    the interface trace g and the far-field constant; the interface map
-    supplies the interior blocks and the operator set's ``trace_from_flux``
-    T the exterior one, g = T flux.  Returns (field, g, lam, u_inf).
+    The unknowns are x = (g coefficients, u_inf).  With c = g + u_inf e_0,
+    F c = ``imap.linear(c)``, flux0 the flux of the load and inner datum
+    alone and T = ``ops.trace_from_flux``, the coupled system is
+
+        g - T F c = T flux0,    arc_w . F c = -arc_w . flux0,
+
+    solved by GMRES with full memory (2n + 1 steps at most, so exact up
+    to rounding).  The true residual of the answer, read from the trace
+    solve that also gives the field, must be below 1e-10 of the
+    right-hand side, or SolverError is raised with it.  Trace solves go to
+    the system directly: flux0, one per GMRES step until F exists, the
+    closing residual of GMRES and the field; the shared response's solve
+    count and F stay as they are.  Returns (field, g, lam, u_inf).
     """
-    n_trace, n2 = system.n_trace, 2 * ops.n
-    if n_trace + n2 + 1 > MONOLITHIC_SIZE_LIMIT:
-        raise SolverError("coupled system exceeds the desk-scale limit")
+    n2 = 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)
-    resp = imap.response
-    T = ops.trace_from_flux
-    A = sp.bmat([
-        [system.matrix, -resp.B, -resp.B[:, :1]],
-        [-sp.csr_matrix(T) @ resp.Z, sp.identity(n2), None],
-        [sp.csr_matrix(ops.arc_w[None, :]) @ resp.Z, None, None],
-    ], format="csc")
-    rhs = np.concatenate([imap.rhs0, T @ imap.z_f, [-(ops.arc_w @ imap.z_f)]])
-    x = spla.spsolve(A, rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("monolithic coupled solve produced non-finite values")
-    uhat = x[:n_trace]
-    g = TrigPolynomial.from_coefficients(x[n_trace:n_trace + n2])
-    u_inf = float(x[-1])
+    T, w = ops.trace_from_flux, ops.arc_w
+
+    def matvec(x):
+        c = x[:n2].copy()
+        c[0] += x[n2]
+        flux = imap.linear(c)
+        return np.concatenate([x[:n2] - T @ flux, [w @ flux]])
+
+    flux0 = imap.flux(system.solve_trace(imap.rhs0)[0])
+    b = np.concatenate([T @ flux0, [-(w @ flux0)]])
+    b_norm = np.linalg.norm(b)
+    x, _ = spla.gmres(spla.LinearOperator((n2 + 1, n2 + 1), matvec=matvec), b,
+                      rtol=1e-13, atol=0.0, restart=n2 + 1, maxiter=1)
+    g, u_inf = TrigPolynomial.from_coefficients(x[:n2]), float(x[n2])
+    uhat, _ = system.solve_trace(imap.rhs0 + imap.response.data(g, u_inf))
+    flux = imap.flux(uhat)
+    residual = np.linalg.norm(np.concatenate([T @ flux - x[:n2], [w @ flux]]))
+    if not residual <= 1e-10 * b_norm:
+        raise SolverError(
+            f"coupled GMRES did not solve the interface system: residual "
+            f"{residual:.3e} against right-hand side {b_norm:.3e}")
     field = system.recover(uhat, imap.f_mom)
-    lam = ops.project(-imap.flux(uhat))
-    return field, g, lam, u_inf
+    return field, g, ops.project(-flux), u_inf

@@ -1,14 +1,18 @@
+import copy
+
 import numpy as np
 import pytest
 
 from hdgbem import (
     CouplingConfig,
+    Curve,
     DimensionError,
     DivergenceError,
     EstimationError,
     HDGSystem,
     InterfaceMap,
     ManufacturedCase,
+    SolverError,
     TrigPolynomial,
     dtn_step,
     estimate_contraction,
@@ -19,6 +23,7 @@ from hdgbem import (
     solve_exterior,
     write_iteration_log,
 )
+from reference import bordered_monolithic_solve
 
 N = 16
 
@@ -337,6 +342,95 @@ def test_monolithic_matches_fixed_point_on_ellipse(ellipse, k):
                             base.grad_u, base.u_inf, ellipse, base.gamma0,
                             supports_coupling=True)
     _assert_monolithic_matches_fixed_point(case, setup_level(case, 0.1, k, n=32))
+
+
+def _ellipse_case(center):
+    # the dipole-plus-constant fields with a 1.3 x 0.9 elliptic interface
+    (cx, cy), a, b = center, 1.3, 0.9
+    gamma = Curve.from_parametrization(
+        lambda s: np.stack([cx + a * np.cos(s), cy + b * np.sin(s)], axis=-1),
+        lambda s: np.stack([-a * np.sin(s), b * np.cos(s)], axis=-1),
+        lambda s: np.stack([-a * np.cos(s), -b * np.sin(s)], axis=-1))
+    base = manufactured_case("dipole-plus-constant", constant=3.0)
+    return ManufacturedCase("ellipse", base.kappa, base.f, base.u, base.q,
+                            base.grad_u, base.u_inf, gamma, base.gamma0,
+                            supports_coupling=True)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_monolithic_matches_fixed_point_on_shifted_ellipse(k):
+    # no symmetry of the interface about the obstacle's centre is left
+    case = _ellipse_case((0.15, 0.1))
+    _assert_monolithic_matches_fixed_point(case, setup_level(case, 0.1, k, n=32))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("interface", ["circle", "ellipse"])
+def test_monolithic_matches_bordered_reference(interface, k):
+    # GMRES on the interface unknowns against one sparse LU of the bordered
+    # system over trace, interface and far-field unknowns
+    case = manufactured_case("dipole-plus-constant", constant=3.0) \
+        if interface == "circle" else _ellipse_case((0.0, 0.0))
+    bundle = setup_level(case, 0.1, k, n=32)
+    got = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    ref = bordered_monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    for a, b in ((got[0].Q, ref[0].Q), (got[0].U, ref[0].U),
+                 (got[1].coefficients(), ref[1].coefficients())):
+        assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
+    assert abs(got[3] - ref[3]) <= 1e-11 * abs(ref[3])
+
+
+def _count_trace_solves(system, monkeypatch):
+    calls = []
+    solve = system.solve_trace
+
+    def counted(rhs):
+        calls.append(1)
+        return solve(rhs)
+    monkeypatch.setattr(system, "solve_trace", counted)
+    return calls
+
+
+def test_monolithic_never_builds_the_dense_response(monkeypatch):
+    # flux0, at most 2n + 1 GMRES steps, GMRES's closing residual and the
+    # field: the oracle never spends the 2n solves that F would cost, and
+    # the response it shares with the iteration is left as it was
+    n = 8
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    bundle = setup_level(case, 0.2, 1, n=n)
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    resp = bundle.system.interface_responses[bundle.ops]
+    assert len(calls) <= 2 * n + 4
+    assert resp.solves == 0 and resp.F is None
+
+    # once a run has built F, GMRES steps are matvecs with it
+    run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    F, solves = resp.F, resp.solves
+    assert F is not None
+    del calls[:]
+    monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    assert len(calls) <= 2
+    assert resp.F is F and resp.solves == solves
+
+
+def test_monolithic_refuses_an_unsolved_system():
+    # zero T and arc weights orthogonal to the flux of a constant datum make
+    # the u_inf column vanish while the zero-flux row still asks for
+    # arc_w . flux0 = 0, which no (g, u_inf) meets; GMRES stalls on an
+    # iterate that only rounding keeps finite, and the oracle refuses it
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    bundle = setup_level(case, 0.2, 1, n=8)
+    ops = bundle.ops
+    unit = InterfaceMap(bundle.system, ops).linear(np.eye(2 * ops.n)[0])
+    bad = copy.copy(ops)
+    bad.trace_from_flux = np.zeros_like(ops.trace_from_flux)
+    bad.arc_w = ops.arc_w - (ops.arc_w @ unit) / (unit @ unit) * unit
+    flux0 = InterfaceMap(bundle.system, bad, f=case.f, u0=case.u0).apply(
+        TrigPolynomial.zero(ops.n), 0.0)[0]
+    assert abs(bad.arc_w @ flux0) > 1e-3 * np.abs(bad.arc_w).sum() * np.abs(flux0).max()
+    with pytest.raises(SolverError, match=r"coupled GMRES .* residual \d\.\d+e[+-]\d+"):
+        monolithic_solve(bundle.system, bad, f=case.f, u0=case.u0)
 
 
 @pytest.mark.parametrize("fitted", [False, True])

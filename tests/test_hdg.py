@@ -30,14 +30,10 @@ from hdgbem import (
 )
 from hdgbem.basis import TriangleBasis, edge_legendre
 from hdgbem.geometry import BoundaryMap
-from hdgbem.hdg import (
-    _Discretization,
-    assemble_transfer,
-    solve_eliminated,
-    solve_uncondensed,
-)
+from hdgbem.hdg import _Discretization, assemble_transfer
 from hdgbem.harness import manufactured_case, setup_level
 from hdgbem.quadrature import gauss01, triangle_rule
+from reference import solve_eliminated, solve_uncondensed
 
 
 def _unit_right_triangle():
