@@ -21,7 +21,6 @@ from .coupling import (
     CouplingConfig,
     CouplingState,
     InterfaceMap,
-    dtn_step,
     estimate_contraction,
     monolithic_solve,
     run_fixed_point,

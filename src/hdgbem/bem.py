@@ -175,9 +175,7 @@ class LayerOperatorSet:
     solve reuses: the arclength ``moments`` of the basis and ``exterior``
     (2n x 2n), the interface solve applied to every density mode, so that
     g = exterior @ lam.  For the coupling it holds the node arc weights
-    ``arc_w`` and ``trace_from_flux`` = -exterior P (2n x 2n), the
-    coefficients of the exterior trace of the Neumann density -flux of 2n
-    flux samples.
+    ``arc_w`` of the total-flux integral over 2n flux samples.
 
     It is the one owner of the mean-zero rule: a density is mean-zero when
     its arclength mean ``moments @ c`` vanishes, ``P`` (2n x 2n) maps 2n
@@ -199,7 +197,6 @@ class LayerOperatorSet:
         self.exterior = _exterior_map(V, K, self.gram, injection)
         self.P = injection @ _samples_to_coeff(self.n, np.eye(2 * self.n))[1:]
         self.arc_w = curve.speed(self.nodes) * np.pi / self.n
-        self.trace_from_flux = -self.exterior @ self.P
 
     def modes(self, t):
         """Values (t.shape + (2n,)) of the 2n packed density modes at parameters t."""

@@ -1,42 +1,44 @@
 """Relaxed alternating coupling of the interior and exterior solvers.
 
-One cycle maps the interface Dirichlet trace g (a mean-zero trigonometric
-polynomial plus a separately tracked far-field constant) to a new trace:
+Both drivers work on one packed iterate x = (g coefficients, u_inf) of
+length 2n + 1: g, the mean-zero part of the interface Dirichlet trace, and
+the separately tracked far-field constant u_inf.  The interface datum is
+c = g + u_inf e_0.  Both read one step from an ``InterfaceMap``:
 
-  1. solve the interior problem with Dirichlet data g + u_inf on the
-     interface and the problem datum on the inner boundary;
-  2. sample the interior normal flux at the interface nodes, project it
-     with the operator set's ``project`` onto densities of zero arclength
-     mean and flip the sign to obtain the exterior Neumann density, then
-     solve the boundary integral equation for the new trace;
-  3. relax:  g  <-  omega * g_tilde + (1 - omega) * g.
+  1. the flux: the interior solve with Dirichlet data c on the interface
+     and the problem datum on the inner boundary, sampled as normal flux
+     at the interface nodes (``apply``, or ``linear`` for its part F c);
+  2. the exterior half (``exterior``): the flux, projected onto densities
+     of zero arclength mean and negated, is the exterior Neumann density
+     lam, and the boundary integral equation gives the trace g_tilde;
+  3. the closing solve (``trace_solve``) of the final datum, which gives
+     the interior trace for the field, the flux samples and the residual.
 
-Steps 1 and 2 up to the exterior solve are one ``InterfaceMap``: an affine
-map from interface data to flux samples that recovers no element field.
-Each layer owns its part of it: ``HDGSystem`` the data operator B, the
-point-flux map Z and its load part z_f; ``LayerOperatorSet`` the node arc
-weights of the mean-flux integral and ``trace_from_flux``, the exterior
-trace of flux samples, which ``monolithic_solve`` applies as g = T flux.
-Its data-independent part, an ``InterfaceResponse``, is kept once per
-(system, operator set) and shared by every run on it, so a sweep over
-weights pays for it once.  An application costs one trace solve until the
-solves on the pair reach 2n; then the dense 2n x 2n response is built by
-one block solve and every later application is a matvec.  The iteration
-recovers the field once, for the converged trace, from a real solve.
+``run_fixed_point`` relaxes the step, g <- omega g_tilde + (1 - omega) g.
+Each layer owns its part of the map: ``HDGSystem`` the data operator B,
+the point-flux map Z and its load part z_f; ``LayerOperatorSet`` the node
+arc weights of the mean-flux integral and the exterior solve.  The map's
+data-independent part, an ``InterfaceResponse``, is kept once per (system,
+operator set) and shared by every run on it, so a sweep over weights pays
+for it once.  It counts the trace solves that its dense form F could
+replace: the far-field response and each flux of ``apply``.  Until the
+count reaches 2n a flux costs one trace solve; then one block solve builds
+the dense 2n x 2n F and every later flux is a matvec.  The closing solve
+needs the trace itself, so it is not counted; the iteration recovers the
+field once, for the converged trace.
 
 The constant mode cannot travel through the mean-zero integral equation,
 so it is driven by the radiation-condition compatibility "total interface
-flux = 0": its update is an exact Newton step using the flux response to a
-unit constant datum (one extra interior solve per response).  A fixed
+flux = 0": its update is an exact Newton step using the flux response chi
+to a unit constant datum (one extra interior solve per response).  A fixed
 point of the relaxed map is a fixed point of the unrelaxed one, so
 converged answers do not depend on the relaxation weight.
 
 ``monolithic_solve`` is the equivalence oracle for the iteration's limit.
-It solves the same coupling conditions, g = T flux and zero total flux,
-as one linear system on the 2n + 1 interface unknowns (g, u_inf) by
-full-memory GMRES, reading the flux through ``InterfaceMap.linear``: at
-most 2n + 1 steps, each one trace solve on the existing factorization or
-a 2n x 2n matvec once the response holds F.  It never builds F itself.
+It solves the same coupling conditions, g = g_tilde and zero total flux,
+as one linear system on x by full-memory GMRES over ``linear``: at most
+2n + 1 steps, each one trace solve on the existing factorization or a
+2n x 2n matvec once the response holds F.  It never builds F itself.
 """
 
 import numpy as np
@@ -78,16 +80,14 @@ class CouplingState:
         self.u_inf_history = []
         self.residual_history = []
         self.lambda_mean_max = 0.0
-        self.mean_flux = 0.0
         self.field = None
         self.converged = False
-        self.omega = None
 
 
-def _packed(g, u_inf):
-    """Packed coefficients of the interface datum g + u_inf."""
-    c = g.coefficients()
-    c[0] += u_inf
+def _datum(x):
+    """Interface datum c = g + u_inf e_0 of the packed iterate x = (g, u_inf)."""
+    c = x[:-1].copy()
+    c[0] += x[-1]
     return c
 
 
@@ -100,12 +100,14 @@ class InterfaceResponse:
     ``BoundaryMap.locate`` finds for it, and row j of ``Z_f`` reads it
     from that element's load moments (both from ``HDGSystem.point_flux``).
 
-    Every trace solve made through it is counted, over all runs on the
-    pair.  Once the count reaches 2n, the column count of ``B``, one block
-    solve builds the dense response F = Z A^{-1} B (2n x 2n), so a flux then
-    costs a small matvec instead of a sparse solve: F is bought only after
-    the one-solve path has spent as many solves as F costs columns.  The
-    system keeps one per operator set, built by the first ``InterfaceMap``.
+    ``solves`` counts, over all runs on the pair, the trace solves that the
+    dense response could replace: the far-field response chi and each flux
+    that ``InterfaceMap.apply`` solves for.  Once the count reaches 2n, the
+    column count of ``B``, one block solve builds the dense response
+    F = Z A^{-1} B (2n x 2n), so a flux then costs a small matvec instead
+    of a sparse solve: F is bought only after the one-solve path has spent
+    as many solves as F costs columns.  The system keeps one per operator
+    set, built by the first ``InterfaceMap``.
     """
 
     def __init__(self, system, ops):
@@ -132,33 +134,31 @@ class InterfaceResponse:
             self.F = self.Z @ uhat
         return self.F
 
-    def data(self, g, u_inf):
-        """Trace right-hand side of the interface datum g + u_inf alone."""
-        return self.B @ _packed(g, u_inf)
-
     @property
     def chi(self):
         """Mean-flux response to a unit constant datum (far-field channel)."""
         if self._chi is None:
-            uhat, _ = self.solve(self.data(TrigPolynomial.zero(self.ops.n), 1.0))
+            uhat, _ = self.solve(self.B @ np.eye(self.B.shape[1])[0])
             self._chi = float(self.ops.arc_w @ (self.Z @ uhat))
         return self._chi
 
 
 class InterfaceMap:
-    """Affine map from interface data (g, u_inf) to interface flux samples.
+    """One step of the coupling, from interface datum c to the exterior trace.
 
-    With c the packed coefficients of g + u_inf and A the trace system
-    matrix, the normal flux at the 2n density nodes is
+    With A the trace system matrix, the normal flux at the 2n density nodes
+    for datum coefficients c is
 
         flux = Z A^{-1} (rhs0 + B c) + Z_f f_mom  =  flux0 + F c.
 
     ``response`` is the shared ``InterfaceResponse`` of (system, ops) that
     holds B, Z, Z_f and F, and ``ops`` the operator set; ``rhs0`` carries
     the load f and the inner datum u0, and ``z_f`` = Z_f f_mom the load's
-    direct part of each parent element's flux.  ``apply`` applies the map
-    with one trace solve until the response holds F, and with ``flux0``
-    (one solve, on first use) plus F c after that.
+    direct part of each parent element's flux.  ``apply`` gives the flux
+    with one counted trace solve until the response holds F, and with
+    ``flux0`` (one uncounted solve, on first use) plus F c after that;
+    ``linear`` gives F c alone, never counted; ``exterior`` turns a flux
+    into the exterior trace; ``trace_solve`` is the uncounted closing solve.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -171,16 +171,21 @@ class InterfaceMap:
         self.z_f = self.response.Z_f @ self.f_mom.ravel()
         self._flux0 = None
 
-    def solve(self, g, u_inf):
-        """Interior trace for interface datum g + u_inf, and its residual."""
-        return self.response.solve(self.rhs0 + self.response.data(g, u_inf))
+    def trace_solve(self, c):
+        """Interior trace for datum c, its flux samples and the solve's residual.
+
+        The response counts this solve only when ``apply`` makes it.
+        """
+        resp = self.response
+        uhat, residual = resp.system.solve_trace(self.rhs0 + resp.B @ c)
+        return uhat, self.flux(uhat), residual
 
     def flux(self, uhat):
         """Flux samples of the interior trace uhat."""
         return self.response.Z @ uhat + self.z_f
 
     def linear(self, c):
-        """F c: flux samples of packed datum coefficients c, without load or u0.
+        """F c: flux samples of datum coefficients c, without load or u0.
 
         The linear part of the map.  Read from F when the response holds
         it; otherwise one trace solve that the response does not count, so
@@ -192,34 +197,29 @@ class InterfaceMap:
         uhat, _ = resp.system.solve_trace(resp.B @ c)
         return resp.Z @ uhat
 
-    def apply(self, g, u_inf):
-        """Flux samples for datum g + u_inf and the residual of the solve behind them.
+    def apply(self, c):
+        """Flux samples for datum c and the residual of the solve behind them.
 
+        Until F exists this is one trace solve, which the response counts.
         Served by F, the residual is that of F's worst column.
         """
         resp = self.response
         if resp.dense() is None:
-            uhat, residual = self.solve(g, u_inf)
-            return self.flux(uhat), residual
+            resp.solves += 1
+            return self.trace_solve(c)[1:]
         if self._flux0 is None:
-            uhat0, _ = resp.solve(self.rhs0)
-            self._flux0 = self.flux(uhat0)
-        return self._flux0 + self.linear(_packed(g, u_inf)), resp.F_residual
+            self._flux0 = self.trace_solve(np.zeros_like(c))[1]
+        return self._flux0 + self.linear(c), resp.F_residual
 
+    def exterior(self, flux):
+        """(g_tilde coefficients, lam, arc_w . flux) of flux samples.
 
-# ---------------------------------------------------------------------------
-# single steps
-# ---------------------------------------------------------------------------
-
-def dtn_step(imap, g, u_inf=0.0):
-    """Interior flux at the interface nodes and its mean-zero projection.
-
-    Returns (lam, mean_flux, residual): lam is the negated projected normal
-    flux, the Neumann density handed to the exterior solver, and residual
-    the relative residual of the trace solve behind the flux.
-    """
-    samples, residual = imap.apply(g, u_inf)
-    return imap.ops.project(-samples), float(imap.ops.arc_w @ samples), residual
+        lam is the negated projected flux, the Neumann density handed to
+        the exterior solve, and g_tilde that solve's trace.
+        """
+        lam = self.ops.project(-flux)
+        g_tilde = solve_exterior(self.ops, lam).coefficients()
+        return g_tilde, lam, float(self.ops.arc_w @ flux)
 
 
 def estimate_contraction(history):
@@ -248,56 +248,50 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     iteration cap is hit; callers may retry with a smaller weight.
     """
     config = config or CouplingConfig()
-    n = ops.n
-    if config.n is not None and config.n != n:
+    n2 = 2 * ops.n
+    if config.n is not None and config.n != ops.n:
         raise DimensionError(f"configured density degree {config.n} does not "
-                             f"match the operator set's {n}")
+                             f"match the operator set's {ops.n}")
     speed = ops.curve.mean_speed()
     imap = InterfaceMap(system, ops, f, u0)
     chi = imap.response.chi
     if abs(chi) < 1e-12:
         raise SolverError("degenerate far-field channel: zero flux response")
 
-    state = CouplingState(n)
-    state.omega = config.omega
-    g, u_inf = TrigPolynomial.zero(n), 0.0
+    state = CouplingState(ops.n)
     omega = config.omega
+    x = np.zeros(n2 + 1)
+    c = _datum(x)
     for it in range(1, config.max_iterations + 1):
         state.iteration = it
-        lam, mflux, lin_res = dtn_step(imap, g, u_inf)
+        flux, residual = imap.apply(c)
+        g_tilde, state.lam, mean = imap.exterior(flux)
         state.lambda_mean_max = max(state.lambda_mean_max,
-                                    abs(ops.moments @ lam.coefficients()))
-        g_tilde = solve_exterior(ops, lam)
-        u_inf_new = u_inf - mflux / chi
-        g_new = omega * g_tilde + (1.0 - omega) * g
-        delta = g_new - g
-        delta.cos[0] += u_inf_new - u_inf
-        update = delta.l2_norm(speed=speed)
-        g, u_inf = g_new, u_inf_new
+                                    abs(ops.moments @ state.lam.coefficients()))
+        x_new = np.append(omega * g_tilde + (1.0 - omega) * x[:n2],
+                          x[n2] - mean / chi)
+        delta = x_new[:n2] - x[:n2]
+        delta[0] += x_new[n2] - x[n2]
+        update = TrigPolynomial.from_coefficients(delta).l2_norm(speed=speed)
+        x, c = x_new, _datum(x_new)
 
         state.history.append(update)
-        state.u_inf_history.append(u_inf)
-        state.residual_history.append(lin_res)
-        state.g, state.lam = g, lam
-        state.u_inf = u_inf
-        state.mean_flux = mflux
-
-        trace = TrigPolynomial(g.cos.copy(), g.sin.copy())
-        trace.cos[0] += u_inf
-        if update <= config.tol * max(1.0, trace.l2_norm(speed=speed)):
+        state.u_inf_history.append(float(x[n2]))
+        state.residual_history.append(residual)
+        trace = TrigPolynomial.from_coefficients(c).l2_norm(speed=speed)
+        if update <= config.tol * max(1.0, trace):
             state.converged = True
             break
+    state.g, state.u_inf = TrigPolynomial.from_coefficients(x[:n2]), float(x[n2])
     if not state.converged:
         raise DivergenceError(
             f"no convergence in {config.max_iterations} iterations "
             f"(last update {state.history[-1]:.3e})", state=state)
     # the field and density of the converged trace, from a real trace solve
-    uhat, lin_res = imap.solve(g, u_inf)
-    samples = imap.flux(uhat)
+    uhat, flux, residual = imap.trace_solve(c)
     state.field = system.recover(uhat, imap.f_mom)
-    state.lam = ops.project(-samples)
-    state.mean_flux = float(ops.arc_w @ samples)
-    state.residual_history.append(lin_res)
+    state.lam = ops.project(-flux)
+    state.residual_history.append(residual)
     return state
 
 
@@ -305,8 +299,8 @@ def write_iteration_log(state, path):
     """CSV rows (iter, update-norm, u_inf estimate, interior residual).
 
     The interior residual is that of the iteration's trace solve.  Once the
-    trace solves on a (system, operators) pair, summed over runs, reach 2n,
-    the dense interface response is built and serves every later
+    counted trace solves on a (system, operators) pair, summed over runs,
+    reach 2n, the dense interface response is built and serves every later
     iteration; those iterations log the largest column residual of its
     block solve.
     """
@@ -324,42 +318,42 @@ def write_iteration_log(state, path):
 def monolithic_solve(system, ops, f=None, u0=None):
     """Solve interior, interface equation and flux compatibility at once.
 
-    The unknowns are x = (g coefficients, u_inf).  With c = g + u_inf e_0,
-    F c = ``imap.linear(c)``, flux0 the flux of the load and inner datum
-    alone and T = ``ops.trace_from_flux``, the coupled system is
+    The unknowns are x = (g coefficients, u_inf), with datum c = g + u_inf
+    e_0.  With ``imap.exterior`` taking a flux to (g_tilde, lam, arc_w .
+    flux), the residual of x under a flux is r(x, flux) = (g - g_tilde,
+    arc_w . flux), and the coupled system r(x, flux0 + F c) = 0 is linear:
 
-        g - T F c = T flux0,    arc_w . F c = -arc_w . flux0,
+        r(x, F c) = -r(0, flux0),
 
-    solved by GMRES with full memory (2n + 1 steps at most, so exact up
-    to rounding).  The true residual of the answer, read from the trace
-    solve that also gives the field, must be below 1e-10 of the
-    right-hand side, or SolverError is raised with it.  Trace solves go to
-    the system directly: flux0, one per GMRES step until F exists, the
-    closing residual of GMRES and the field; the shared response's solve
-    count and F stay as they are.  Returns (field, g, lam, u_inf).
+    with F c = ``imap.linear(c)`` and flux0 the flux of the load and inner
+    datum alone.  It is solved by GMRES with full memory (2n + 1 steps at
+    most, so exact up to rounding).  The true residual of the answer, read
+    from the closing trace solve that also gives the field, must be below
+    1e-10 of the right-hand side, or SolverError is raised with it.  Trace
+    solves go to the system uncounted: flux0, one per GMRES step until F
+    exists, the closing residual of GMRES and the field; the shared
+    response's solve count and F stay as they are.  Returns (field, g, lam,
+    u_inf).
     """
     n2 = 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)
-    T, w = ops.trace_from_flux, ops.arc_w
+
+    def residual(x, flux):
+        g_tilde, _, mean = imap.exterior(flux)
+        return np.append(x[:n2] - g_tilde, mean)
 
     def matvec(x):
-        c = x[:n2].copy()
-        c[0] += x[n2]
-        flux = imap.linear(c)
-        return np.concatenate([x[:n2] - T @ flux, [w @ flux]])
+        return residual(x, imap.linear(_datum(x)))
 
-    flux0 = imap.flux(system.solve_trace(imap.rhs0)[0])
-    b = np.concatenate([T @ flux0, [-(w @ flux0)]])
+    b = -residual(np.zeros(n2 + 1), imap.trace_solve(np.zeros(n2))[1])
     b_norm = np.linalg.norm(b)
     x, _ = spla.gmres(spla.LinearOperator((n2 + 1, n2 + 1), matvec=matvec), b,
                       rtol=1e-13, atol=0.0, restart=n2 + 1, maxiter=1)
-    g, u_inf = TrigPolynomial.from_coefficients(x[:n2]), float(x[n2])
-    uhat, _ = system.solve_trace(imap.rhs0 + imap.response.data(g, u_inf))
-    flux = imap.flux(uhat)
-    residual = np.linalg.norm(np.concatenate([T @ flux - x[:n2], [w @ flux]]))
-    if not residual <= 1e-10 * b_norm:
+    uhat, flux, _ = imap.trace_solve(_datum(x))
+    r_norm = np.linalg.norm(residual(x, flux))
+    if not r_norm <= 1e-10 * b_norm:
         raise SolverError(
             f"coupled GMRES did not solve the interface system: residual "
-            f"{residual:.3e} against right-hand side {b_norm:.3e}")
-    field = system.recover(uhat, imap.f_mom)
-    return field, g, ops.project(-flux), u_inf
+            f"{r_norm:.3e} against right-hand side {b_norm:.3e}")
+    g = TrigPolynomial.from_coefficients(x[:n2])
+    return system.recover(uhat, imap.f_mom), g, ops.project(-flux), float(x[n2])

@@ -289,45 +289,54 @@ class StudyReport:
         return "\n".join(lines)
 
 
+def _relaxed_run(bundle, case, config):
+    """Run the relaxed fixed point: (state, converged, contraction estimate).
+
+    A DivergenceError is caught and its state returned.  The estimate is
+    nan below three updates.
+    """
+    try:
+        state, converged = run_fixed_point(bundle.system, bundle.ops, f=case.f,
+                                           u0=case.u0, config=config), True
+    except DivergenceError as err:
+        state, converged = err.state, False
+    ratio = estimate_contraction(state.history) \
+        if len(state.history) >= 3 else np.nan
+    return state, converged, float(ratio)
+
+
 def convergence_study(case, k, hs, n=32, config=None, fitted=False):
     """Solve the case on a sequence of meshes and tabulate errors and rates.
 
     Coupled cases run the relaxed fixed point per level; interior-only
     cases (polynomial patches) solve the interior problem with the exact
-    interface trace as data.  A diverging level is recorded and the study
-    continues.
+    interface trace as data.  A diverging level is recorded with its
+    iteration count and contraction estimate, and the study continues.
     """
     config = config or CouplingConfig()
     report = StudyReport(case.id, k, n)
     for target_h in hs:
         t0 = time.time()
         bundle = setup_level(case, target_h, k, n=n, fitted=fitted)
-        iters, ratio, conv = 0, np.nan, True
+        iters, ratio, conv = 1, np.nan, True
         err_g, err_uinf = np.nan, np.nan
-        try:
-            if case.supports_coupling:
-                state = run_fixed_point(bundle.system, bundle.ops, f=case.f,
-                                        u0=case.u0, config=config)
-                field = state.field
-                iters = state.iteration
-                ratio = estimate_contraction(state.history) \
-                    if len(state.history) >= 3 else np.nan
+        if case.supports_coupling:
+            state, conv, ratio = _relaxed_run(bundle, case, config)
+            field, iters = state.field, state.iteration
+            if conv:
                 err_g = (state.g - case.g_exact(bundle.ops)).l2_norm(
                     speed=case.gamma.mean_speed())
                 err_uinf = abs(state.u_inf - case.u_inf)
-            else:
-                field = solve_interior(bundle.system, f=case.f,
-                                       g_gamma=case.u, u0_gamma0=case.u0)
-                iters = 1
-            err_q, err_u = l2_errors(field, bundle.system, case.u, case.q)
-        except DivergenceError:
-            conv = False
-            err_q = err_u = np.nan
+        else:
+            field = solve_interior(bundle.system, f=case.f,
+                                   g_gamma=case.u, u0_gamma0=case.u0)
+        err_q, err_u = l2_errors(field, bundle.system, case.u, case.q) \
+            if conv else (np.nan, np.nan)
         report.add_row(h=float(target_h), mesh_h=bundle.mesh.h,
                        R_h=bundle.proximity.R_h, n=n,
                        dofs=bundle.system.n_trace, err_q=err_q, err_u=err_u,
                        err_g=err_g, err_uinf=err_uinf, iters=iters,
-                       ratio=float(ratio), converged=conv,
+                       ratio=ratio, converged=conv,
                        wall_time=time.time() - t0)
     return report
 
@@ -343,19 +352,9 @@ def omega_sweep(case, target_h, k, omegas, n=32, tol=1e-8, max_iterations=100):
     for omega in omegas:
         cfg = CouplingConfig(omega=omega, tol=tol, n=n,
                              max_iterations=max_iterations)
-        try:
-            state = run_fixed_point(bundle.system, bundle.ops, f=case.f,
-                                    u0=case.u0, config=cfg)
-            converged = True
-            iters = state.iteration
-            hist = state.history
-        except DivergenceError as err:
-            converged = False
-            iters = max_iterations
-            hist = err.state.history
-        ratio = estimate_contraction(hist) if len(hist) >= 3 else np.nan
+        state, converged, ratio = _relaxed_run(bundle, case, cfg)
         rows.append({"omega": float(omega), "converged": converged,
-                     "iterations": iters, "ratio": float(ratio)})
+                     "iterations": state.iteration, "ratio": ratio})
     converged_rows = [r for r in rows if r["converged"]]
     best = min(converged_rows, key=lambda r: r["iterations"]) \
         if converged_rows else None

@@ -20,14 +20,15 @@ from hdgbem.hdg import DGField
 def bordered_monolithic_solve(system, ops, f=None, u0=None):
     """Coupled solve over the trace, g and u_inf unknowns by one sparse LU.
 
-    The interior trace system, the interface equation g = T flux with T =
-    ``ops.trace_from_flux``, and zero total flux, bordered into one sparse
+    The interior trace system, the interface equation g = T flux with
+    T = -``ops.exterior`` ``ops.P`` (the exterior trace of the projected
+    Neumann density -flux), and zero total flux, bordered into one sparse
     matrix.  Returns (field, g, lam, u_inf), like ``monolithic_solve``.
     """
     n_trace, n2 = system.n_trace, 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)
     resp = imap.response
-    T = ops.trace_from_flux
+    T = -ops.exterior @ ops.P
     A = sp.bmat([
         [system.matrix, -resp.B, -resp.B[:, :1]],
         [-sp.csr_matrix(T) @ resp.Z, sp.identity(n2), None],

@@ -252,10 +252,6 @@ def test_exterior_matrix_is_the_interface_solve_of_every_mode(curve, ops32, elli
     modes = np.eye(2 * N)
     ref = np.column_stack([_reduced_interface_solve(ops, e) for e in modes])
     assert np.abs(ops.exterior - ref).max() <= 1e-13 * np.abs(ref).max()
-    # flux samples -> g is the exterior solve of the projected Neumann density -flux
-    traces = np.column_stack([solve_exterior(ops, ops.project(-e)).coefficients()
-                              for e in modes])
-    assert np.abs(ops.trace_from_flux - traces).max() <= 1e-13 * np.abs(traces).max()
 
 
 def test_singular_interface_system_is_refused_at_construction(ops32):

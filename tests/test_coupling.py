@@ -14,7 +14,6 @@ from hdgbem import (
     ManufacturedCase,
     SolverError,
     TrigPolynomial,
-    dtn_step,
     estimate_contraction,
     manufactured_case,
     monolithic_solve,
@@ -34,6 +33,13 @@ def dipole_bundle():
     return case, setup_level(case, 0.12, 1, n=N)
 
 
+def _datum(g, u_inf):
+    """Packed coefficients of the interface datum g + u_inf."""
+    c = g.coefficients()
+    c[0] += u_inf
+    return c
+
+
 # ---------------------------------------------------------------------------
 # individual steps
 # ---------------------------------------------------------------------------
@@ -41,12 +47,12 @@ def dipole_bundle():
 def test_dtn_zero_data(dipole_bundle):
     _, bundle = dipole_bundle
     imap = InterfaceMap(bundle.system, bundle.ops)
-    lam, mflux, _ = dtn_step(imap, TrigPolynomial.zero(N), 0.0)
-    uhat, _ = imap.solve(TrigPolynomial.zero(N), 0.0)
+    _, lam, mflux = imap.exterior(imap.apply(np.zeros(2 * N))[0])
+    uhat, flux, _ = imap.trace_solve(np.zeros(2 * N))
     assert np.abs(lam.coefficients()).max() == 0.0
     assert mflux == 0.0
     assert np.abs(uhat).max() == 0.0
-    assert np.abs(imap.flux(uhat)).max() == 0.0
+    assert np.abs(flux).max() == 0.0
 
 
 def test_constant_flux_projects_to_zero_density(dipole_bundle):
@@ -58,7 +64,8 @@ def test_constant_flux_projects_to_zero_density(dipole_bundle):
 def test_dtn_at_exact_fixed_point(dipole_bundle):
     case, bundle = dipole_bundle
     imap = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0)
-    lam, mflux, _ = dtn_step(imap, case.g_exact(bundle.ops), case.u_inf)
+    c = _datum(case.g_exact(bundle.ops), case.u_inf)
+    _, lam, mflux = imap.exterior(imap.apply(c)[0])
     exact = case.lam_exact(bundle.ops)
     assert np.abs((lam - exact).coefficients()).max() < 3e-2   # flux-level error
     assert abs(mflux) < 5e-3
@@ -71,7 +78,8 @@ def test_interface_map_data_matches_boundary_moments(dipole_bundle):
     case, bundle = dipole_bundle
     imap = InterfaceMap(bundle.system, bundle.ops)
     want = bundle.system.boundary_data_vector(g_gamma=lambda p: p[:, 0] + 3.0)
-    assert np.abs(imap.response.data(case.g_exact(bundle.ops), 3.0) - want).max() < 1e-13
+    c = _datum(case.g_exact(bundle.ops), 3.0)
+    assert np.abs(imap.response.B @ c - want).max() < 1e-13
 
 
 def test_interface_map_matches_recovered_field(dipole_bundle):
@@ -81,7 +89,8 @@ def test_interface_map_matches_recovered_field(dipole_bundle):
     system = bundle.system
     f = lambda pts: 1.0 + pts[:, 0] * pts[:, 1]
     imap = InterfaceMap(system, bundle.ops, f=f, u0=case.u0)
-    uhat, _ = imap.solve(case.g_exact(bundle.ops), case.u_inf)
+    c = _datum(case.g_exact(bundle.ops), case.u_inf)
+    uhat, flux, _ = imap.trace_solve(c)
     field = system.recover(uhat, imap.f_mom)
     params = imap.ops.nodes
     pts = case.gamma.point(params)
@@ -89,7 +98,7 @@ def test_interface_map_matches_recovered_field(dipole_bundle):
     parents = system.bmap.locate(params)
     direct = np.array([field.q_at(int(t), p[None, :])[0] @ nu
                        for t, p, nu in zip(parents, pts, normals)])
-    assert np.abs(imap.flux(uhat) - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert np.abs(flux - direct).max() <= 1e-12 * np.abs(direct).max()
     assert np.abs(imap.z_f).max() > 0.0
 
 
@@ -233,6 +242,18 @@ def test_converged_run_recovers_the_field_once(monkeypatch):
                             config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
     assert state.converged
     assert calls == {"solve_trace": state.iteration + 2, "recover": 1}
+
+
+def test_response_counts_only_the_solves_its_dense_form_replaces():
+    # chi and one flux per iteration are counted; the closing solve of the
+    # converged trace is not, since it needs the trace itself
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    bundle = setup_level(case, 0.12, 1, n=N)
+    state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                            config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
+    resp = bundle.system.interface_responses[bundle.ops]
+    assert state.converged and resp.F is None
+    assert resp.solves == state.iteration + 1
 
 
 def _sweep(case, omegas, bundle_for, calls):
@@ -415,19 +436,20 @@ def test_monolithic_never_builds_the_dense_response(monkeypatch):
 
 
 def test_monolithic_refuses_an_unsolved_system():
-    # zero T and arc weights orthogonal to the flux of a constant datum make
-    # the u_inf column vanish while the zero-flux row still asks for
-    # arc_w . flux0 = 0, which no (g, u_inf) meets; GMRES stalls on an
-    # iterate that only rounding keeps finite, and the oracle refuses it
+    # a zero exterior solve (so zero T, flux -> g) and arc weights orthogonal
+    # to the flux of a constant datum make the u_inf column vanish while the
+    # zero-flux row still asks for arc_w . flux0 = 0, which no (g, u_inf)
+    # meets; GMRES stalls on an iterate that only rounding keeps finite, and
+    # the oracle refuses it
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     ops = bundle.ops
     unit = InterfaceMap(bundle.system, ops).linear(np.eye(2 * ops.n)[0])
     bad = copy.copy(ops)
-    bad.trace_from_flux = np.zeros_like(ops.trace_from_flux)
+    bad.exterior = np.zeros_like(ops.exterior)
     bad.arc_w = ops.arc_w - (ops.arc_w @ unit) / (unit @ unit) * unit
     flux0 = InterfaceMap(bundle.system, bad, f=case.f, u0=case.u0).apply(
-        TrigPolynomial.zero(ops.n), 0.0)[0]
+        np.zeros(2 * ops.n))[0]
     assert abs(bad.arc_w @ flux0) > 1e-3 * np.abs(bad.arc_w).sum() * np.abs(flux0).max()
     with pytest.raises(SolverError, match=r"coupled GMRES .* residual \d\.\d+e[+-]\d+"):
         monolithic_solve(bundle.system, bad, f=case.f, u0=case.u0)

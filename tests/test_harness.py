@@ -150,6 +150,21 @@ def test_omega_sweep_records_divergence():
     assert best is not None and best["converged"]
 
 
+def test_diverged_study_level_reports_its_iterations_and_ratio():
+    # a level that hits the cap records the iterations it ran and their
+    # contraction estimate, as the sweep does for the same run
+    case = manufactured_case("dipole-plus-constant")
+    rep = convergence_study(case, 1, [0.2], n=8,
+                            config=CouplingConfig(omega=0.95, max_iterations=25))
+    rows, _ = omega_sweep(case, 0.2, 1, [0.95], n=8, max_iterations=25)
+    row = rep.rows[0]
+    assert not row["converged"] and not rows[0]["converged"]
+    assert row["iters"] == rows[0]["iterations"] == 25
+    assert row["ratio"] == rows[0]["ratio"] > 1.0
+    assert np.isnan(row["err_u"]) and np.isnan(row["err_uinf"])
+    assert "   25  1.537" in rep.summary()
+
+
 # ---------------------------------------------------------------------------
 # command-line driver
 # ---------------------------------------------------------------------------
