@@ -22,10 +22,11 @@ data-independent part, an ``InterfaceResponse``, is kept once per (system,
 operator set) and shared by every run on it, so a sweep over weights pays
 for it once.  It counts the trace solves that its dense form F could
 replace: the far-field response and each flux of ``apply``.  Until the
-count reaches 2n a flux costs one trace solve; then one block solve builds
-the dense 2n x 2n F and every later flux is a matvec.  The closing solve
-needs the trace itself, so it is not counted; the iteration recovers the
-field once, for the converged trace.
+count reaches n a flux costs one trace solve; then one block solve gives
+U = A^{-1} B and the dense 2n x 2n F = Z U, and every later flux is a
+matvec.  The closing solve needs the trace itself, so it is not counted;
+once U exists it is uhat0 + U c, with a true residual check.  The
+iteration recovers the field once, for the converged trace.
 
 The constant mode cannot travel through the mean-zero integral equation,
 so it is driven by the radiation-condition compatibility "total interface
@@ -102,12 +103,24 @@ class InterfaceResponse:
 
     ``solves`` counts, over all runs on the pair, the trace solves that the
     dense response could replace: the far-field response chi and each flux
-    that ``InterfaceMap.apply`` solves for.  Once the count reaches 2n, the
-    column count of ``B``, one block solve builds the dense response
-    F = Z A^{-1} B (2n x 2n), so a flux then costs a small matvec instead
-    of a sparse solve: F is bought only after the one-solve path has spent
-    as many solves as F costs columns.  The system keeps one per operator
-    set, built by the first ``InterfaceMap``.
+    that ``InterfaceMap.apply`` solves for.  Once the count reaches n, half
+    the column count of ``B``, one block solve of all 2n columns gives
+    U = A^{-1} B and the dense response F = Z U (2n x 2n), so a flux then
+    costs a small matvec instead of a sparse solve.  This is the
+    ski-rental rule (Karlin et al., Algorithmica 3, 1988): rent single
+    solves until they have cost what F costs, then buy F.  The block solve
+    costs about n single solves (perfbench workloads, one BLAS thread on a
+    2-core Xeon, medians of rounds of n single solves and one block):
+
+        workload       single solve   2n-column block          in single solves
+        bump-sweep     4.5 ms         64 columns, 164-169 ms   1.15-1.18 n
+        dipole-fine    7.5-8.0 ms     64 columns, 284-304 ms   1.18-1.19 n
+        ellipse-near   5.9-6.7 ms     128 columns, 456-498 ms  1.16-1.21 n
+
+    ``U`` is kept, n_trace x 2n doubles (11.8 MB on bump-sweep), so that a
+    closing solve is a matvec (``InterfaceMap.trace_solve``).  The system
+    keeps one response per operator set, built by the first
+    ``InterfaceMap``.
     """
 
     def __init__(self, system, ops):
@@ -118,6 +131,7 @@ class InterfaceResponse:
             system.bmap.locate(ops.nodes), ops.curve.point(ops.nodes),
             ops.curve.normal(ops.nodes))
         self.solves = 0
+        self.U = None
         self.F = None
         self.F_residual = None
         self._chi = None
@@ -128,10 +142,10 @@ class InterfaceResponse:
         return self.system.solve_trace(rhs)
 
     def dense(self):
-        """F once the solves on this pair reach 2n (built then), else None."""
-        if self.F is None and self.solves >= self.B.shape[1]:
-            uhat, self.F_residual = self.solve(self.B.toarray())
-            self.F = self.Z @ uhat
+        """F once the solves on this pair reach n (built then), else None."""
+        if self.F is None and self.solves >= self.ops.n:
+            self.U, self.F_residual = self.solve(self.B.toarray())
+            self.F = self.Z @ self.U
         return self.F
 
     @property
@@ -152,13 +166,14 @@ class InterfaceMap:
         flux = Z A^{-1} (rhs0 + B c) + Z_f f_mom  =  flux0 + F c.
 
     ``response`` is the shared ``InterfaceResponse`` of (system, ops) that
-    holds B, Z, Z_f and F, and ``ops`` the operator set; ``rhs0`` carries
-    the load f and the inner datum u0, and ``z_f`` = Z_f f_mom the load's
-    direct part of each parent element's flux.  ``apply`` gives the flux
-    with one counted trace solve until the response holds F, and with
-    ``flux0`` (one uncounted solve, on first use) plus F c after that;
-    ``linear`` gives F c alone, never counted; ``exterior`` turns a flux
-    into the exterior trace; ``trace_solve`` is the uncounted closing solve.
+    holds B, Z, Z_f, U and F, and ``ops`` the operator set; ``rhs0``
+    carries the load f and the inner datum u0, and ``z_f`` = Z_f f_mom the
+    load's direct part of each parent element's flux.  ``apply`` gives the
+    flux with one counted trace solve until the response holds F, and with
+    flux0 plus F c after that, where flux0 is the flux of uhat0, the
+    map's own solve of rhs0 (one uncounted solve, on first use); ``linear``
+    gives F c alone, never counted; ``exterior`` turns a flux into the
+    exterior trace; ``trace_solve`` is the uncounted closing solve.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -169,15 +184,30 @@ class InterfaceMap:
         self.f_mom = system.disc.f_moments(f)
         self.rhs0 = system.rhs(self.f_mom, u0_gamma0=u0)
         self.z_f = self.response.Z_f @ self.f_mom.ravel()
-        self._flux0 = None
+        self._zero = None
+
+    def _zero_datum(self):
+        """(uhat0, flux0) of datum c = 0 from one uncounted solve of rhs0."""
+        if self._zero is None:
+            uhat0, _ = self.response.system.solve_trace(self.rhs0)
+            self._zero = uhat0, self.flux(uhat0)
+        return self._zero
 
     def trace_solve(self, c):
         """Interior trace for datum c, its flux samples and the solve's residual.
 
-        The response counts this solve only when ``apply`` makes it.
+        Once the response holds U the trace is uhat0 + U c, and its true
+        residual |A uhat - rhs| goes through the same check as a solve's
+        (``HDGSystem.residual``); before, it is one trace solve.  The
+        response counts this solve only when ``apply`` makes it.
         """
         resp = self.response
-        uhat, residual = resp.system.solve_trace(self.rhs0 + resp.B @ c)
+        rhs = self.rhs0 + resp.B @ c
+        if resp.U is None:
+            uhat, residual = resp.system.solve_trace(rhs)
+        else:
+            uhat = self._zero_datum()[0] + resp.U @ c
+            residual = resp.system.residual(uhat, rhs)
         return uhat, self.flux(uhat), residual
 
     def flux(self, uhat):
@@ -207,9 +237,7 @@ class InterfaceMap:
         if resp.dense() is None:
             resp.solves += 1
             return self.trace_solve(c)[1:]
-        if self._flux0 is None:
-            self._flux0 = self.trace_solve(np.zeros_like(c))[1]
-        return self._flux0 + self.linear(c), resp.F_residual
+        return self._zero_datum()[1] + self.linear(c), resp.F_residual
 
     def exterior(self, flux):
         """(g_tilde coefficients, lam, arc_w . flux) of flux samples.
@@ -298,11 +326,14 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
 def write_iteration_log(state, path):
     """CSV rows (iter, update-norm, u_inf estimate, interior residual).
 
-    The interior residual is that of the iteration's trace solve.  Once the
-    counted trace solves on a (system, operators) pair, summed over runs,
-    reach 2n, the dense interface response is built and serves every later
-    iteration; those iterations log the largest column residual of its
-    block solve.
+    One row per iteration.  The interior residual is that of the
+    iteration's trace solve.  Once the counted trace solves on a (system,
+    operators) pair, summed over runs, reach n, the dense interface
+    response is built and serves every later iteration; those iterations
+    log the largest column residual of its block solve.  The closing solve
+    of a converged run has no row: its residual, the true residual of
+    uhat0 + U c once the response holds U, is the last entry of
+    ``state.residual_history``.
     """
     with open(path, "w") as fh:
         fh.write("iter,update_norm,u_inf,interior_residual\n")
@@ -331,9 +362,9 @@ def monolithic_solve(system, ops, f=None, u0=None):
     from the closing trace solve that also gives the field, must be below
     1e-10 of the right-hand side, or SolverError is raised with it.  Trace
     solves go to the system uncounted: flux0, one per GMRES step until F
-    exists, the closing residual of GMRES and the field; the shared
-    response's solve count and F stay as they are.  Returns (field, g, lam,
-    u_inf).
+    exists, the closing residual of GMRES and the field (uhat0 + U c, with
+    its true residual, when a sweep has built U); the shared response's
+    solve count, U and F stay as they are.  Returns (field, g, lam, u_inf).
     """
     n2 = 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)
@@ -345,7 +376,7 @@ def monolithic_solve(system, ops, f=None, u0=None):
     def matvec(x):
         return residual(x, imap.linear(_datum(x)))
 
-    b = -residual(np.zeros(n2 + 1), imap.trace_solve(np.zeros(n2))[1])
+    b = -residual(np.zeros(n2 + 1), imap._zero_datum()[1])
     b_norm = np.linalg.norm(b)
     x, _ = spla.gmres(spla.LinearOperator((n2 + 1, n2 + 1), matvec=matvec), b,
                       rtol=1e-13, atol=0.0, restart=n2 + 1, maxiter=1)

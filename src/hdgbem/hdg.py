@@ -436,11 +436,19 @@ class HDGSystem:
         """Trace coefficients for ``rhs`` and the relative residual of the solve.
 
         ``rhs`` is one right-hand side or a 2-D array of them, one per
-        column.  Each column's residual is scaled by max(|rhs column|, 1) and
-        the worst column is reported; a non-finite solution or a residual
-        above 1e-8 raises SolverError with a condition estimate.
+        column; the residual is checked by ``residual``.
         """
         x = self.lu.solve(rhs)
+        return x, self.residual(x, rhs)
+
+    def residual(self, x, rhs):
+        """Checked relative residual of trace coefficients x for ``rhs``.
+
+        Columns of 2-D x and rhs are checked each.  A column's residual is
+        |A x - rhs| scaled by max(|rhs column|, 1), and the worst column is
+        returned; a non-finite x or a residual above 1e-8 raises
+        SolverError with a condition estimate.
+        """
         res = np.atleast_1d(np.linalg.norm(self.matrix @ x - rhs, axis=0))
         norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
         rel = res / np.maximum(norm, 1.0)
@@ -449,7 +457,7 @@ class HDGSystem:
             raise SolverError(
                 f"trace solve residual {res[j]:.3e} (rhs norm {norm[j]:.3e}, "
                 f"condition estimate {self._condition_estimate():.3e})")
-        return x, float(rel[j])
+        return float(rel[j])
 
     def _condition_estimate(self):
         """1-norm condition number estimate that reuses the LU factors."""

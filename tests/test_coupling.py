@@ -22,6 +22,7 @@ from hdgbem import (
     solve_exterior,
     write_iteration_log,
 )
+from hdgbem.coupling import InterfaceResponse
 from reference import bordered_monolithic_solve
 
 N = 16
@@ -224,10 +225,11 @@ def test_iteration_log(tmp_path, dipole_bundle):
 
 
 def test_converged_run_recovers_the_field_once(monkeypatch):
-    # one solve for the far-field response, one per iteration, one for the
-    # converged trace; only the last is recovered to an element field.  A
-    # fresh system: solves made by earlier runs on a shared one would count
-    # toward its dense response
+    # one solve for the far-field response and one per iteration until they
+    # reach n = N, the block solve of the dense response, one of the load
+    # and inner datum for flux0; the converged trace is uhat0 + U c and the
+    # only one recovered to an element field.  A fresh system: solves made
+    # by earlier runs on a shared one would count toward its dense response
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.12, 1, n=N)
     calls = {"solve_trace": 0, "recover": 0}
@@ -240,20 +242,76 @@ def test_converged_run_recovers_the_field_once(monkeypatch):
         monkeypatch.setattr(HDGSystem, name, counted)
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                             config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
-    assert state.converged
-    assert calls == {"solve_trace": state.iteration + 2, "recover": 1}
+    assert state.converged and state.iteration >= N
+    assert calls == {"solve_trace": N + 2, "recover": 1}
 
 
 def test_response_counts_only_the_solves_its_dense_form_replaces():
-    # chi and one flux per iteration are counted; the closing solve of the
-    # converged trace is not, since it needs the trace itself
+    # chi and one flux per iteration are counted until the count reaches
+    # n = N; then the block solve, counted once, builds F.  Later fluxes
+    # read F, and the closing solve of the converged trace is not counted
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.12, 1, n=N)
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                             config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
     resp = bundle.system.interface_responses[bundle.ops]
-    assert state.converged and resp.F is None
-    assert resp.solves == state.iteration + 1
+    assert state.converged and state.iteration > N and resp.F is not None
+    assert resp.solves == N + 1
+
+
+def _bump_run(monkeypatch):
+    """A fresh bump run of at least 20 iterations, its response and the
+    (ndim, response.solves) of every solve_trace call it made."""
+    case = manufactured_case("variable-kappa-bump", degree=1)
+    bundle = setup_level(case, 0.12, 1, n=N)
+    resp = InterfaceMap(bundle.system, bundle.ops).response
+    calls = []
+    original = HDGSystem.solve_trace
+
+    def counted(self, rhs):
+        calls.append((np.ndim(rhs), resp.solves))
+        return original(self, rhs)
+    monkeypatch.setattr(HDGSystem, "solve_trace", counted)
+    state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                            config=CouplingConfig(omega=0.3, tol=1e-10, n=N))
+    monkeypatch.undo()
+    assert state.converged and state.iteration >= 20
+    return case, bundle, resp, calls
+
+
+def test_dense_response_is_built_at_n_counted_solves(monkeypatch):
+    # n single solves cost about one 2n-column block solve, so the block is
+    # solved when the counted solves reach n; after it only the flux0 solve
+    # of the load and inner datum is left, and the closing solve is uhat0 + U c
+    _, _, resp, calls = _bump_run(monkeypatch)
+    assert [d for d, _ in calls] == [1] * N + [2, 1]
+    assert calls[N][1] == N + 1          # counted as it is made
+    assert resp.solves == N + 1
+    assert np.array_equal(resp.F, resp.Z @ resp.U)
+
+
+def test_served_trace_matches_a_trace_solve(monkeypatch):
+    # uhat0 + U c is a solve of rhs0 + B c up to rounding, and reports the
+    # true residual; a wrong U fails the same 1e-8 residual gate
+    case, bundle, resp, _ = _bump_run(monkeypatch)
+    system = bundle.system
+    imap = InterfaceMap(system, bundle.ops, f=case.f, u0=case.u0)
+    c = np.random.default_rng(3).normal(size=2 * N)
+    uhat, flux, residual = imap.trace_solve(c)
+    rhs = imap.rhs0 + resp.B @ c
+    want, _ = system.solve_trace(rhs)
+    assert np.linalg.norm(uhat - want) <= 1e-12 * np.linalg.norm(want)
+    want_flux = imap.flux(want)
+    assert np.linalg.norm(flux - want_flux) <= 1e-12 * np.linalg.norm(want_flux)
+    true = np.linalg.norm(system.matrix @ uhat - rhs) / max(np.linalg.norm(rhs), 1.0)
+    assert residual == pytest.approx(true, rel=1e-12, abs=0.0)
+
+    bad = copy.copy(imap)
+    bad.response = copy.copy(resp)
+    bad.response.U = resp.U.copy()
+    bad.response.U[:, 1] *= 1.0 + 1e-3
+    with pytest.raises(SolverError, match="trace solve residual"):
+        bad.trace_solve(c)
 
 
 def _sweep(case, omegas, bundle_for, calls):
@@ -273,9 +331,9 @@ def _sweep(case, omegas, bundle_for, calls):
 
 def test_shared_response_matches_fresh_systems(monkeypatch):
     # one system swept over weights builds its dense response once its trace
-    # solves reach 2n = 32, in the second run; fresh systems per weight stay
-    # below 2n, so they take the one-solve-per-iteration path throughout.
-    # The case has a load, so the particular flux z_f is not zero
+    # solves reach n = 16, in the first run; the reference takes one trace
+    # solve per iteration throughout, on fresh systems whose response never
+    # builds F.  The case has a load, so the particular flux z_f is not zero
     case = manufactured_case("variable-kappa-bump", degree=1)
     omegas = (0.3, 0.4, 0.35, 0.95, 0.45)         # 0.95 diverges in 25
     calls = []
@@ -290,8 +348,11 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
     def fresh():
         fresh_bundles.append(setup_level(case, 0.12, 1, n=N))
         return fresh_bundles[-1]
-    ref, _ = _sweep(case, omegas, fresh, calls)
+    with monkeypatch.context() as m:
+        m.setattr(InterfaceResponse, "dense", lambda self: None)
+        ref, ref_runs = _sweep(case, omegas, fresh, calls)
     assert all(b.system.interface_responses[b.ops].F is None for b in fresh_bundles)
+    assert list(ref_runs) == [1 + s.iteration + s.converged for s in ref]
 
     calls.clear()
     bundle = setup_level(case, 0.12, 1, n=N)
@@ -307,18 +368,12 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
             hs, hr = np.array(s.history), np.array(r.history)
             assert np.all(np.abs(hs - hr) <= 1e-10 * hr)
 
-    # solves before the crossing, one block solve, then per run one for its
-    # own data and one for a converged trace; chi is solved once, in run 0
+    # chi and one solve per iteration until they reach n, one block solve,
+    # then per run one solve of its own data; a converged trace is
+    # uhat0 + U c, no solve.  Run 0 crosses n
     assert calls.count(2) == 1
-    block = calls.index(2)
-    assert 2 * N <= block <= 2 * N + 1
-    crossing = int(np.searchsorted(np.cumsum(per_run), block, side="right"))
-    before = [s.iteration + 1 for s in states[:crossing]]
-    before[0] += 1
-    assert list(per_run[:crossing]) == before
-    after = [1 + s.converged for s in states[crossing:]]
-    assert len(calls) - block - 1 == sum(after)
-    assert list(per_run[crossing + 1:]) == after[1:]
+    assert calls.index(2) == N and states[0].iteration >= N
+    assert list(per_run) == [N + 2] + [1] * (len(omegas) - 1)
     # iterations served by the response log its worst column residual
     resp = bundle.system.interface_responses[bundle.ops]
     assert states[-1].residual_history[:-1] == \
@@ -414,8 +469,9 @@ def _count_trace_solves(system, monkeypatch):
 
 def test_monolithic_never_builds_the_dense_response(monkeypatch):
     # flux0, at most 2n + 1 GMRES steps, GMRES's closing residual and the
-    # field: the oracle never spends the 2n solves that F would cost, and
-    # the response it shares with the iteration is left as it was
+    # field: none is counted, so the oracle never builds F though it may
+    # make more than the n solves at which a run would, and the response
+    # it shares with the iteration is left as it was
     n = 8
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=n)

@@ -301,7 +301,7 @@ def test_deterministic_outputs(tmp_path):
 
 def test_deterministic_sweep_outputs(tmp_path, monkeypatch):
     # identical configs produce byte-identical sweep tables, also when the
-    # sweep crosses 2n trace solves and switches to the dense response
+    # sweep crosses n trace solves and switches to the dense response
     blocks = []
     original = HDGSystem.solve_trace
 
