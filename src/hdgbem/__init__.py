@@ -62,22 +62,17 @@ from .harness import (
     convergence_study,
     manufactured_case,
     omega_sweep,
-    pde_residual,
     setup_level,
 )
 from .hdg import (
     DGField,
     HDGSystem,
     MaterialField,
-    Stabilization,
     assemble_transfer,
     build_system,
-    hdg_projection,
-    j_functional,
     l2_errors,
     local_conservation_residual,
     solve_interior,
-    trace_identity_residual,
     write_coefficients_csv,
     write_vtk,
 )

@@ -149,6 +149,8 @@ def _validated(cfg):
             except ValueError as exc:
                 raise ConfigError(f"sweep.omegas entry {tok!r} is not a number",
                                   key="sweep.omegas") from exc
+    if not omegas:
+        raise ConfigError("sweep.omegas lists no weight", key="sweep.omegas")
     if any(not 0.0 < w <= 1.0 for w in omegas):
         raise ConfigError("sweep.omegas entries must lie in (0, 1]",
                           key="sweep.omegas")

@@ -118,8 +118,11 @@ class InterfaceResponse:
         ellipse-near   5.9-6.7 ms     128 columns, 456-498 ms  1.16-1.21 n
 
     ``U`` is kept, n_trace x 2n doubles (11.8 MB on bump-sweep), so that a
-    closing solve is a matvec (``InterfaceMap.trace_solve``).  The system
-    keeps one response per operator set, built by the first
+    closing solve is a matvec (``InterfaceMap.trace_solve``).  So is the
+    latest solve uhat0 = A^{-1} rhs0 of a map's load and inner datum
+    (``zero_trace``): every run with the same f and u0 reuses it, and a
+    run with other data replaces it, so one trace vector is kept.  The
+    system keeps one response per operator set, built by the first
     ``InterfaceMap``.
     """
 
@@ -135,6 +138,7 @@ class InterfaceResponse:
         self.F = None
         self.F_residual = None
         self._chi = None
+        self._zero = None
 
     def solve(self, rhs):
         """Counted trace solve: coefficients and the relative residual."""
@@ -147,6 +151,12 @@ class InterfaceResponse:
             self.U, self.F_residual = self.solve(self.B.toarray())
             self.F = self.Z @ self.U
         return self.F
+
+    def zero_trace(self, rhs0):
+        """uhat0 = A^{-1} rhs0, one uncounted solve unless rhs0 is bitwise the last one."""
+        if self._zero is None or self._zero[0].tobytes() != rhs0.tobytes():
+            self._zero = rhs0.copy(), self.system.solve_trace(rhs0)[0]
+        return self._zero[1]
 
     @property
     def chi(self):
@@ -171,7 +181,7 @@ class InterfaceMap:
     load's direct part of each parent element's flux.  ``apply`` gives the
     flux with one counted trace solve until the response holds F, and with
     flux0 plus F c after that, where flux0 is the flux of uhat0, the
-    map's own solve of rhs0 (one uncounted solve, on first use); ``linear``
+    response's solve of rhs0 (``InterfaceResponse.zero_trace``); ``linear``
     gives F c alone, never counted; ``exterior`` turns a flux into the
     exterior trace; ``trace_solve`` is the uncounted closing solve.
     """
@@ -187,9 +197,9 @@ class InterfaceMap:
         self._zero = None
 
     def _zero_datum(self):
-        """(uhat0, flux0) of datum c = 0 from one uncounted solve of rhs0."""
+        """(uhat0, flux0) of datum c = 0, from the response's solve of rhs0."""
         if self._zero is None:
-            uhat0, _ = self.response.system.solve_trace(self.rhs0)
+            uhat0 = self.response.zero_trace(self.rhs0)
             self._zero = uhat0, self.flux(uhat0)
         return self._zero
 
@@ -361,7 +371,8 @@ def monolithic_solve(system, ops, f=None, u0=None):
     most, so exact up to rounding).  The true residual of the answer, read
     from the closing trace solve that also gives the field, must be below
     1e-10 of the right-hand side, or SolverError is raised with it.  Trace
-    solves go to the system uncounted: flux0, one per GMRES step until F
+    solves go to the system uncounted: flux0 (none when a run with the same
+    f and u0 has left uhat0 on the response), one per GMRES step until F
     exists, the closing residual of GMRES and the field (uhat0 + U c, with
     its true residual, when a sweep has built U); the shared response's
     solve count, U and F stay as they are.  Returns (field, g, lam, u_inf).

@@ -181,20 +181,24 @@ class UnfittedMesh:
     ``edge_elements`` (E, 2) lists the elements of each edge, the lower one
     first, and ``edge_sides`` (E, 2) the edge's local side in each, so that
     ``element_edges[edge_elements[e, i], edge_sides[e, i]] == e``; boundary
-    edges have -1 in slot 1.
+    edges have -1 in slot 1.  ``J`` (M, 2, 2) and ``detJ`` (M,) hold each
+    element's affine map x = v_0 + J xi from the reference triangle, the
+    one copy that assembly and export read.
     """
 
     def __init__(self, vertices, elements, fitted=False, regularity_bound=None):
         self.vertices = np.asarray(vertices, dtype=float)
         elements = np.asarray(elements, dtype=np.int64)
-        # enforce counterclockwise orientation
-        v = self.vertices
-        e1 = v[elements[:, 1]] - v[elements[:, 0]]
-        e2 = v[elements[:, 2]] - v[elements[:, 0]]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        flip = det < 0
+        v = self.vertices[elements]
+        J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+        detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        # enforce counterclockwise orientation: swapping vertices 1 and 2
+        # swaps the columns of J and negates detJ exactly
+        flip = detJ < 0
         elements[flip] = elements[flip][:, [0, 2, 1]]
-        self.elements = elements
+        J[flip] = J[flip][:, :, ::-1]
+        detJ[flip] = -detJ[flip]
+        self.elements, self.J, self.detJ = elements, J, detJ
         self.fitted = bool(fitted)
         self._build_edges()
         self._geometry_tables(regularity_bound)
@@ -236,9 +240,7 @@ class UnfittedMesh:
         a = np.linalg.norm(v[:, 1] - v[:, 2], axis=1)
         b = np.linalg.norm(v[:, 2] - v[:, 0], axis=1)
         c = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
-        f1 = v[:, 1] - v[:, 0]
-        f2 = v[:, 2] - v[:, 0]
-        area2 = f1[:, 0] * f2[:, 1] - f1[:, 1] * f2[:, 0]
+        area2 = self.detJ                                    # twice the area
         if np.any(area2 <= 0):
             raise MeshingFailureError("degenerate element",
                                       element=int(np.argmin(area2)))
@@ -254,13 +256,6 @@ class UnfittedMesh:
                     f"element {worst} has circumradius/inradius "
                     f"{self.regularity[worst]:.2f} > bound {regularity_bound:.2f}",
                     element=worst)
-
-    def edge_vertices(self, edge_id):
-        return self.vertices[self.edges[edge_id]]
-
-    def edge_length(self, edge_id):
-        p = self.edge_vertices(edge_id)
-        return float(np.linalg.norm(p[1] - p[0]))
 
 
 # ---------------------------------------------------------------------------

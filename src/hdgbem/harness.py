@@ -160,34 +160,6 @@ def manufactured_case(case_id, degree=1, constant=None):
     raise KeyError(f"unknown case id {case_id!r}; choose from {CASE_IDS}")
 
 
-def pde_residual(case, pts):
-    """Complex-step residuals of the two first-order equations at points.
-
-    Returns (|div q - f|, |q + kappa grad u|) sampled rows; both should be
-    at rounding level for a consistent case.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    h = 1e-30
-
-    def dd(fun, comp, axis):
-        shift = np.zeros(2, dtype=complex)
-        shift[axis] = 1j * h
-        return np.imag(np.asarray(fun(pts + shift))[..., comp]) / h
-
-    div_q = dd(case.q, 0, 0) + dd(case.q, 1, 1)
-    if case.f is None:
-        fv = np.zeros(len(pts))
-    elif np.isscalar(case.f):
-        fv = np.full(len(pts), float(case.f))
-    else:
-        fv = np.asarray(case.f(pts))
-    res_div = np.abs(div_q - fv)
-    kap = case.kappa.value(pts)
-    res_flux = np.linalg.norm(case.q(pts) + np.einsum("pab,pb->pa", kap,
-                                                      case.grad_u(pts)), axis=1)
-    return res_div, res_flux
-
-
 # ---------------------------------------------------------------------------
 # level setup
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .errors import (
     TransferIntegrationError,
 )
 from .geometry import TAG_OUTER
-from .quadrature import edge_rule, gauss01, triangle_rule
+from .quadrature import edge_rule, triangle_rule
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +101,6 @@ class MaterialField:
         return np.linalg.inv(self.value(pts))
 
 
-class Stabilization:
-    """Positive piecewise-constant stabilization on the mesh skeleton."""
-
-    def __init__(self, value=1.0):
-        self.value = value
-
-    def on_edges(self, mesh):
-        tau = np.asarray(self.value, dtype=float)
-        if tau.ndim == 0:
-            tau = np.full(mesh.n_edges, float(tau))
-        if tau.shape != (mesh.n_edges,):
-            raise AssemblyError("tau must be scalar or one value per edge")
-        if not np.all(np.isfinite(tau) & (tau > 0)):
-            raise AssemblyError("tau must be finite and strictly positive")
-        return tau
-
-
 class DGField:
     """Element-wise (q, u) coefficients plus the single-valued edge trace."""
 
@@ -128,15 +111,6 @@ class DGField:
         self.U = U          # (M, d)
         self.Uhat = Uhat    # (E, k+1)
         self._basis = TriangleBasis(k)
-
-    def _ref(self, elem, pts):
-        v = self.mesh.vertices[self.mesh.elements[elem]]
-        J = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        return np.atleast_2d(pts - v[0]) @ np.linalg.inv(J).T
-
-    def q_at(self, elem, pts):
-        vals = self._basis.eval(self._ref(elem, pts))
-        return np.stack([vals @ self.Q[elem, 0], vals @ self.Q[elem, 1]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,29 +151,33 @@ class _Discretization:
     """Element and edge blocks for one (mesh, material, tau, k).
 
     Each block is a table of ``_ReferenceTables(k)`` scaled by the
-    element's geometry.
+    element's geometry.  The stabilization tau is a positive scalar or one
+    positive value per edge.
     """
 
     def __init__(self, mesh, material, tau, k):
         self.mesh = mesh
         self.material = material
         self.k = int(k)
-        stab = tau if isinstance(tau, Stabilization) else Stabilization(tau)
-        self.tau = stab.on_edges(mesh)
+        tau = np.asarray(tau, dtype=float)
+        if tau.ndim == 0:
+            tau = np.full(mesh.n_edges, float(tau))
+        if tau.shape != (mesh.n_edges,):
+            raise AssemblyError("tau must be scalar or one value per edge")
+        if not np.all(np.isfinite(tau) & (tau > 0)):
+            raise AssemblyError("tau must be finite and strictly positive")
+        self.tau = tau
         self.basis = TriangleBasis(k)
         ref = _ReferenceTables(self.k)
         d = self.d = self.basis.dim
         self.ne = self.k + 1
         M = len(mesh.elements)
 
-        # volume blocks
-        verts = mesh.vertices[mesh.elements]                       # (M,3,2)
-        J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=2)
-        detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        if np.any(detJ <= 0):
-            raise AssemblyError("element with non-positive Jacobian")
+        # volume blocks; the mesh keeps every element counterclockwise
+        J, detJ = mesh.J, mesh.detJ
         self.invJ = invJ = np.linalg.inv(J)
-        self.phys_pts = verts[:, None, 0, :] + ref.vol_pts @ np.swapaxes(J, 1, 2)
+        v0 = mesh.vertices[mesh.elements[:, 0]]
+        self.phys_pts = v0[:, None, :] + ref.vol_pts @ np.swapaxes(J, 1, 2)
         self.phys_w = detJ[:, None] * ref.vol_w                    # (M,nq)
         self.vol_vals = ref.vals
         # kappa^{-1}-weighted vector mass, grouped [x-block | y-block]
@@ -207,7 +185,7 @@ class _Discretization:
             material.inv(self.phys_pts), 1, 3)                     # (M,2,2,nq)
         self.mass_kinv = (wk.reshape(-1, len(ref.vol_w)) @ ref.products).reshape(
             M, 2, 2, d, d).transpose(0, 1, 3, 2, 4).reshape(M, 2 * d, 2 * d)
-        # (w, div q) = detJ invJ[c, e] (phi_a, d_c phi_b)_ref, columns [x | y]
+        # (w, div q) = detJ invJ[c, e] (phi_a, d_c phi_b) on T_ref, columns [x | y]
         gj = np.swapaxes(detJ[:, None, None] * invJ, 1, 2)          # (M,e,c)
         self.div = (gj.reshape(-1, 2) @ ref.grad_moments.reshape(2, -1)).reshape(
             M, 2, d, d).transpose(0, 2, 1, 3).reshape(M, d, 2 * d)
@@ -250,6 +228,17 @@ class _Discretization:
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("singular element local solver") from exc
 
+    def basis_at(self, parents, pts):
+        """Basis values (p, ..., d) of each parent element at its points (p, ..., 2).
+
+        A point x of parent t has reference coordinates (x - v_0) J^{-T};
+        outside t this is the element polynomial's extrapolation.
+        """
+        v0 = self.mesh.vertices[self.mesh.elements[parents, 0]]
+        ref = (pts.reshape(len(parents), -1, 2) - v0[:, None, :]) @ np.swapaxes(
+            self.invJ[parents], 1, 2)
+        return self.basis.eval(ref.reshape(-1, 2)).reshape(pts.shape[:-1] + (self.d,))
+
     def f_moments(self, f):
         """Element load vectors (M, d) for callable/constant/zero f."""
         if f is None:
@@ -279,11 +268,10 @@ def assemble_transfer(disc, bmap):
     along the transfer paths, tested against the edge trace basis mu_m; it
     is zero on rows with zero-length paths (fitted edges).
     """
-    mesh = disc.mesh
     d, ne = disc.d, disc.ne
     B = len(bmap.edge_ids)
     lmax = bmap.l.max(axis=1, initial=0.0)
-    leaves = lmax > 3.0 * mesh.h_T[bmap.parents]
+    leaves = lmax > 3.0 * disc.mesh.h_T[bmap.parents]
     if np.any(leaves):
         raise TransferIntegrationError(
             f"transfer path on edge {int(bmap.edge_ids[np.argmax(leaves)])} "
@@ -298,10 +286,7 @@ def assemble_transfer(disc, bmap):
     # path points (b, nq, ns, 2) and the inner integral of kappa^{-1} phi . t
     pts = nodes[:, :, None, :] + (l[:, :, None] * qs)[..., None] * t[:, :, None, :]
     kt = np.einsum("bqsxy,bqy->bqsx", disc.material.inv(pts), t)  # kappa^{-1} t
-    v0 = mesh.vertices[mesh.elements[parents, 0]]
-    ref = (pts.reshape(len(rows), -1, 2) - v0[:, None, :]) @ np.swapaxes(
-        disc.invJ[parents], 1, 2)
-    phi = disc.basis.eval(ref.reshape(-1, 2)).reshape(pts.shape[:3] + (d,))
+    phi = disc.basis_at(parents, pts)
     # inner[b, q, c, a] = int_0^l (kappa^{-1} t)_c phi_a ds, flattened over (c, a)
     inner = np.einsum("s,bq,bqsc,bqsa->bqca", ws, l, kt, phi).reshape(
         len(rows), -1, 2 * d)
@@ -485,9 +470,10 @@ class HDGSystem:
         (p x M d) sparse.
         """
         disc, mesh, n = self.disc, self.mesh, self.n_trace
-        verts = mesh.vertices[mesh.elements[parents]]
-        ref = np.einsum("pd,ped->pe", points - verts[:, 0], disc.invJ[parents])
-        vals = disc.basis.eval(ref)
+        # the map of _Discretization.basis_at, summed by einsum: its BLAS
+        # matmul fuses the multiply-add and would round Z differently
+        v0 = mesh.vertices[mesh.elements[parents, 0]]
+        vals = disc.basis.eval(np.einsum("pd,ped->pe", points - v0, disc.invJ[parents]))
         flux_rows = np.concatenate([normals[:, :1] * vals, normals[:, 1:] * vals], axis=1)
         z_loc = np.einsum("pc,pcj->pj", flux_rows, disc.local[parents, :2 * disc.d])
         full = _block_matrix((len(parents), n + self.load.shape[1]), (
@@ -516,42 +502,12 @@ def solve_interior(system, f=None, g_gamma=None, u0_gamma0=None):
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def _interior_two_sides(mesh, *side_tables):
-    """Interior edge ids and, per (M, 3, ...) table, its values on both sides."""
-    e = mesh.interior_edge_ids
-    t, s = mesh.edge_elements[e], mesh.edge_sides[e]
-    return e, *((tab[t[:, 0], s[:, 0]], tab[t[:, 1], s[:, 1]]) for tab in side_tables)
-
-
 def _side_traces(field, disc):
     """Traces of u and of q . n at the edge nodes of every (element, side)."""
     u_tr = np.einsum("msqa,ma->msq", disc.trace_vals, field.U)
     qn_tr = np.einsum("msqa,msd,mda->msq",
                       disc.trace_vals, disc.side_normals, field.Q)
     return u_tr, qn_tr
-
-
-def j_functional(field, system):
-    """Energy-style seminorm combining flux mass, boundary traces and jumps."""
-    mesh, disc = system.mesh, system.disc
-    qc = field.Q.reshape(len(mesh.elements), 2 * disc.d)
-    total = np.einsum("ma,mab,mb->", qc, disc.mass_kinv, qc)
-
-    u_tr, qn_tr = _side_traces(field, disc)
-    w_es = disc.edge_w[mesh.element_edges]
-    tau_es = disc.tau[mesh.element_edges]
-    tags = mesh.boundary_tags[mesh.element_edges]
-
-    bdry = tags >= 0
-    total += np.sum(np.where(bdry, tau_es, 0.0)[:, :, None] * w_es * u_tr ** 2)
-
-    # interior terms need both sides of each edge
-    e, (u1, u2), (qn1, qn2) = _interior_two_sides(mesh, u_tr, qn_tr)
-    w, tau_e = disc.edge_w[e], disc.tau[e]
-    mean_u = 0.5 * (u1 + u2)
-    total += np.sum(tau_e * np.sum(w * ((u1 - mean_u) ** 2 + (u2 - mean_u) ** 2), axis=1))
-    total += np.sum(np.sum(w * (qn1 + qn2) ** 2, axis=1) / tau_e)
-    return float(np.sqrt(total))
 
 
 def local_conservation_residual(field, system, f=None):
@@ -568,17 +524,6 @@ def local_conservation_residual(field, system, f=None):
     return flux - f_int
 
 
-def trace_identity_residual(field, system):
-    """Sup over interior edges of || uhat - jump(q)/(2 tau) - mean(u) ||_e."""
-    mesh, disc = system.mesh, system.disc
-    u_tr, qn_tr = _side_traces(field, disc)
-    e, (u1, u2), (qn1, qn2) = _interior_two_sides(mesh, u_tr, qn_tr)
-    uhat = field.Uhat[e] @ disc.mu_vals.T
-    target = (0.5 / disc.tau[e])[:, None] * (qn1 + qn2) + 0.5 * (u1 + u2)
-    err = np.sqrt(np.sum(disc.edge_w[e] * (uhat - target) ** 2, axis=1))
-    return float(err.max(initial=0.0))
-
-
 def l2_errors(field, system, u_exact, q_exact):
     """Weighted flux error ||kappa^{-1/2}(q - q_h)|| and scalar L2 error."""
     disc = system.disc
@@ -593,83 +538,6 @@ def l2_errors(field, system, u_exact, q_exact):
     err_q = np.sqrt(np.einsum("mq,mqc,mqcd,mqd->", disc.phys_w, diff, kinv, diff))
     err_u = np.sqrt(np.sum(disc.phys_w * (uv - ue) ** 2))
     return float(err_q), float(err_u)
-
-
-# ---------------------------------------------------------------------------
-# elementwise projection oracle
-# ---------------------------------------------------------------------------
-
-def hdg_projection(q_fun, u_fun, verts, tau, k):
-    """Elementwise projection matching volume moments and stabilized fluxes.
-
-    Solves, on the triangle with the given vertices, for (Pq, Pu) of degree
-    k satisfying the degree k-1 volume moments of q and u and the edge
-    moments of q.n + tau u.  Returns the coefficient arrays in the modal
-    basis.  Intended as a test oracle; its volume and edge rules are exact
-    for degrees 2k + 8 and 2k + 9.
-    """
-    verts = np.asarray(verts, dtype=float)
-    k = int(k)
-    basis = TriangleBasis(k)
-    d = basis.dim
-    d_low = (k * (k + 1)) // 2
-    ref_pts, ref_w = triangle_rule(2 * k + 8)
-    J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-    detJ = float(np.linalg.det(J))
-    if detJ <= 0:
-        verts = verts[[0, 2, 1]]
-        J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-        detJ = float(np.linalg.det(J))
-    phys = verts[0] + ref_pts @ J.T
-    w = detJ * ref_w
-    vals = basis.eval(ref_pts)
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), (3,))
-
-    n_rows = 2 * d_low + d_low + 3 * (k + 1)
-    if n_rows != 3 * d:
-        raise AssemblyError("projection system is not square")
-    A = np.zeros((3 * d, 3 * d))
-    b = np.zeros(3 * d)
-    qe = np.asarray(q_fun(phys), dtype=float)
-    ue = np.asarray(u_fun(phys), dtype=float)
-    r = 0
-    if d_low:
-        Mlow = np.einsum("q,qa,qb->ab", w, vals[:, :d_low], vals)
-        for c in range(2):
-            A[r:r + d_low, c * d:(c + 1) * d] = Mlow
-            b[r:r + d_low] = np.einsum("q,qa->a", w, vals[:, :d_low] * qe[:, c:c + 1])
-            r += d_low
-        A[r:r + d_low, 2 * d:] = Mlow
-        b[r:r + d_low] = np.einsum("q,qa->a", w, vals[:, :d_low] * ue[:, None])
-        r += d_low
-    xg, wg = gauss01(k + 5)
-    mu = edge_legendre(k, 2.0 * xg - 1.0)
-    invJ = np.linalg.inv(J)
-    for s_loc in range(3):
-        p0, p1 = verts[(s_loc + 1) % 3], verts[(s_loc + 2) % 3]
-        pts = p0 + xg[:, None] * (p1 - p0)
-        length = np.linalg.norm(p1 - p0)
-        t_vec = (p1 - p0) / length
-        nrm = np.array([t_vec[1], -t_vec[0]])
-        if np.dot(nrm, verts.mean(axis=0) - 0.5 * (p0 + p1)) > 0:
-            nrm = -nrm
-        ref = (pts - verts[0]) @ invJ.T
-        tv = basis.eval(ref)
-        wq = wg * length
-        qe = np.asarray(q_fun(pts), dtype=float)
-        ue = np.asarray(u_fun(pts), dtype=float)
-        target = qe @ nrm + tau[s_loc] * ue
-        for m in range(k + 1):
-            A[r, 0 * d:1 * d] = np.einsum("q,qa->a", wq * mu[:, m] * nrm[0], tv)
-            A[r, 1 * d:2 * d] = np.einsum("q,qa->a", wq * mu[:, m] * nrm[1], tv)
-            A[r, 2 * d:] = tau[s_loc] * np.einsum("q,qa->a", wq * mu[:, m], tv)
-            b[r] = np.sum(wq * mu[:, m] * target)
-            r += 1
-    try:
-        sol = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError("singular projection system") from exc
-    return sol[:d], sol[d:2 * d], sol[2 * d:]
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +567,8 @@ def write_vtk(field, path):
     mesh = field.mesh
     nodes, tris = _reference_lattice(max(field.k, 1))
     vals = field._basis.eval(nodes)                                  # (n, d)
-    v = mesh.vertices[mesh.elements]
-    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)     # (M,2,2)
-    pts = (v[:, None, 0] + nodes @ np.swapaxes(J, 1, 2)).reshape(-1, 2)
+    v0 = mesh.vertices[mesh.elements[:, 0]]
+    pts = (v0[:, None] + nodes @ np.swapaxes(mesh.J, 1, 2)).reshape(-1, 2)
     u = (field.U @ vals.T).ravel()
     q = np.einsum("mcd,nd->mnc", field.Q, vals).reshape(-1, 2)
     cells = (len(nodes) * np.arange(len(mesh.elements))[:, None, None] + tris).reshape(-1, 3)

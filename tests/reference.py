@@ -1,20 +1,27 @@
-"""Reference solves that check the library's solvers by a different route.
+"""Reference code that checks the library by a different route.
 
-Each assembles a sparse system that the library never forms and solves it
-with a direct sparse solver: the uncondensed HDG saddle system, the
-two-field form with the trace eliminated, and the bordered coupled system
-(trace, interface trace and far-field unknowns at once) that the
-monolithic oracle reduces to the interface unknowns.  They are slow and
-exist only to pin the library's answers in the tests.
+The reference solves each assemble a sparse system that the library never
+forms and solve it with a direct sparse solver: the uncondensed HDG saddle
+system, the two-field form with the trace eliminated, and the bordered
+coupled system (trace, interface trace and far-field unknowns at once)
+that the monolithic oracle reduces to the interface unknowns.  Beside them
+are the tools of the HDG analysis (Cockburn, Gopalakrishnan & Sayas, Math.
+Comp. 79, 2010) that only the tests evaluate: the elementwise HDG
+projection, the energy functional and the trace identity; and pointwise
+diagnostics: the PDE residual of a manufactured case, an element's flux
+at given points, and edge geometry.  All are slow and exist only to pin
+the library's answers in the tests.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hdgbem import TrigPolynomial
+from hdgbem import AssemblyError, TrigPolynomial
+from hdgbem.basis import TriangleBasis, edge_legendre
 from hdgbem.coupling import InterfaceMap
-from hdgbem.hdg import DGField
+from hdgbem.hdg import DGField, _side_traces
+from hdgbem.quadrature import gauss01, triangle_rule
 
 
 def bordered_monolithic_solve(system, ops, f=None, u0=None):
@@ -179,3 +186,168 @@ def solve_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
     Q = x[:2 * d * M].reshape(M, 2, d)
     U = x[2 * d * M:].reshape(M, d)
     return Q, U
+
+
+# ---------------------------------------------------------------------------
+# HDG analysis: projection, energy functional, trace identity
+# ---------------------------------------------------------------------------
+
+def hdg_projection(q_fun, u_fun, verts, tau, k):
+    """Elementwise projection matching volume moments and stabilized fluxes.
+
+    Solves, on the triangle with the given vertices, for (Pq, Pu) of degree
+    k satisfying the degree k-1 volume moments of q and u and the edge
+    moments of q.n + tau u.  Returns the coefficient arrays in the modal
+    basis.  Its volume and edge rules are exact for degrees 2k + 8 and
+    2k + 9.
+    """
+    verts = np.asarray(verts, dtype=float)
+    k = int(k)
+    basis = TriangleBasis(k)
+    d = basis.dim
+    d_low = (k * (k + 1)) // 2
+    ref_pts, ref_w = triangle_rule(2 * k + 8)
+    J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
+    detJ = float(np.linalg.det(J))
+    if detJ <= 0:
+        verts = verts[[0, 2, 1]]
+        J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
+        detJ = float(np.linalg.det(J))
+    phys = verts[0] + ref_pts @ J.T
+    w = detJ * ref_w
+    vals = basis.eval(ref_pts)
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), (3,))
+
+    n_rows = 2 * d_low + d_low + 3 * (k + 1)
+    if n_rows != 3 * d:
+        raise AssemblyError("projection system is not square")
+    A = np.zeros((3 * d, 3 * d))
+    b = np.zeros(3 * d)
+    qe = np.asarray(q_fun(phys), dtype=float)
+    ue = np.asarray(u_fun(phys), dtype=float)
+    r = 0
+    if d_low:
+        Mlow = np.einsum("q,qa,qb->ab", w, vals[:, :d_low], vals)
+        for c in range(2):
+            A[r:r + d_low, c * d:(c + 1) * d] = Mlow
+            b[r:r + d_low] = np.einsum("q,qa->a", w, vals[:, :d_low] * qe[:, c:c + 1])
+            r += d_low
+        A[r:r + d_low, 2 * d:] = Mlow
+        b[r:r + d_low] = np.einsum("q,qa->a", w, vals[:, :d_low] * ue[:, None])
+        r += d_low
+    xg, wg = gauss01(k + 5)
+    mu = edge_legendre(k, 2.0 * xg - 1.0)
+    invJ = np.linalg.inv(J)
+    for s_loc in range(3):
+        p0, p1 = verts[(s_loc + 1) % 3], verts[(s_loc + 2) % 3]
+        pts = p0 + xg[:, None] * (p1 - p0)
+        length = np.linalg.norm(p1 - p0)
+        t_vec = (p1 - p0) / length
+        nrm = np.array([t_vec[1], -t_vec[0]])
+        if np.dot(nrm, verts.mean(axis=0) - 0.5 * (p0 + p1)) > 0:
+            nrm = -nrm
+        ref = (pts - verts[0]) @ invJ.T
+        tv = basis.eval(ref)
+        wq = wg * length
+        qe = np.asarray(q_fun(pts), dtype=float)
+        ue = np.asarray(u_fun(pts), dtype=float)
+        target = qe @ nrm + tau[s_loc] * ue
+        for m in range(k + 1):
+            A[r, 0 * d:1 * d] = np.einsum("q,qa->a", wq * mu[:, m] * nrm[0], tv)
+            A[r, 1 * d:2 * d] = np.einsum("q,qa->a", wq * mu[:, m] * nrm[1], tv)
+            A[r, 2 * d:] = tau[s_loc] * np.einsum("q,qa->a", wq * mu[:, m], tv)
+            b[r] = np.sum(wq * mu[:, m] * target)
+            r += 1
+    try:
+        sol = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError("singular projection system") from exc
+    return sol[:d], sol[d:2 * d], sol[2 * d:]
+
+
+def _interior_two_sides(mesh, *side_tables):
+    """Interior edge ids and, per (M, 3, ...) table, its values on both sides."""
+    e = mesh.interior_edge_ids
+    t, s = mesh.edge_elements[e], mesh.edge_sides[e]
+    return e, *((tab[t[:, 0], s[:, 0]], tab[t[:, 1], s[:, 1]]) for tab in side_tables)
+
+
+def j_functional(field, system):
+    """Energy-style seminorm combining flux mass, boundary traces and jumps."""
+    mesh, disc = system.mesh, system.disc
+    qc = field.Q.reshape(len(mesh.elements), 2 * disc.d)
+    total = np.einsum("ma,mab,mb->", qc, disc.mass_kinv, qc)
+
+    u_tr, qn_tr = _side_traces(field, disc)
+    w_es = disc.edge_w[mesh.element_edges]
+    tau_es = disc.tau[mesh.element_edges]
+    tags = mesh.boundary_tags[mesh.element_edges]
+
+    bdry = tags >= 0
+    total += np.sum(np.where(bdry, tau_es, 0.0)[:, :, None] * w_es * u_tr ** 2)
+
+    # interior terms need both sides of each edge
+    e, (u1, u2), (qn1, qn2) = _interior_two_sides(mesh, u_tr, qn_tr)
+    w, tau_e = disc.edge_w[e], disc.tau[e]
+    mean_u = 0.5 * (u1 + u2)
+    total += np.sum(tau_e * np.sum(w * ((u1 - mean_u) ** 2 + (u2 - mean_u) ** 2), axis=1))
+    total += np.sum(np.sum(w * (qn1 + qn2) ** 2, axis=1) / tau_e)
+    return float(np.sqrt(total))
+
+
+def trace_identity_residual(field, system):
+    """Sup over interior edges of || uhat - jump(q)/(2 tau) - mean(u) ||_e."""
+    mesh, disc = system.mesh, system.disc
+    u_tr, qn_tr = _side_traces(field, disc)
+    e, (u1, u2), (qn1, qn2) = _interior_two_sides(mesh, u_tr, qn_tr)
+    uhat = field.Uhat[e] @ disc.mu_vals.T
+    target = (0.5 / disc.tau[e])[:, None] * (qn1 + qn2) + 0.5 * (u1 + u2)
+    err = np.sqrt(np.sum(disc.edge_w[e] * (uhat - target) ** 2, axis=1))
+    return float(err.max(initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# pointwise diagnostics
+# ---------------------------------------------------------------------------
+
+def pde_residual(case, pts):
+    """Complex-step residuals of the two first-order equations at points.
+
+    Returns (|div q - f|, |q + kappa grad u|) sampled rows; both should be
+    at rounding level for a consistent case.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    h = 1e-30
+
+    def dd(fun, comp, axis):
+        shift = np.zeros(2, dtype=complex)
+        shift[axis] = 1j * h
+        return np.imag(np.asarray(fun(pts + shift))[..., comp]) / h
+
+    div_q = dd(case.q, 0, 0) + dd(case.q, 1, 1)
+    if case.f is None:
+        fv = np.zeros(len(pts))
+    elif np.isscalar(case.f):
+        fv = np.full(len(pts), float(case.f))
+    else:
+        fv = np.asarray(case.f(pts))
+    res_div = np.abs(div_q - fv)
+    kap = case.kappa.value(pts)
+    res_flux = np.linalg.norm(case.q(pts) + np.einsum("pab,pb->pa", kap,
+                                                      case.grad_u(pts)), axis=1)
+    return res_div, res_flux
+
+
+def q_at(system, field, elem, pts):
+    """Flux q (m, 2) of the field's polynomial on element elem at points (m, 2)."""
+    vals = system.disc.basis_at(np.full(len(pts), elem), pts)
+    return np.stack([vals @ field.Q[elem, 0], vals @ field.Q[elem, 1]], axis=-1)
+
+
+def edge_vertices(mesh, edge_id):
+    return mesh.vertices[mesh.edges[edge_id]]
+
+
+def edge_length(mesh, edge_id):
+    p = edge_vertices(mesh, edge_id)
+    return float(np.linalg.norm(p[1] - p[0]))

@@ -23,7 +23,7 @@ from hdgbem import (
     write_iteration_log,
 )
 from hdgbem.coupling import InterfaceResponse
-from reference import bordered_monolithic_solve
+from reference import bordered_monolithic_solve, q_at
 
 N = 16
 
@@ -97,7 +97,7 @@ def test_interface_map_matches_recovered_field(dipole_bundle):
     pts = case.gamma.point(params)
     normals = case.gamma.normal(params)
     parents = system.bmap.locate(params)
-    direct = np.array([field.q_at(int(t), p[None, :])[0] @ nu
+    direct = np.array([q_at(system, field, int(t), p[None, :])[0] @ nu
                        for t, p, nu in zip(parents, pts, normals)])
     assert np.abs(flux - direct).max() <= 1e-12 * np.abs(direct).max()
     assert np.abs(imap.z_f).max() > 0.0
@@ -369,11 +369,12 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
             assert np.all(np.abs(hs - hr) <= 1e-10 * hr)
 
     # chi and one solve per iteration until they reach n, one block solve,
-    # then per run one solve of its own data; a converged trace is
-    # uhat0 + U c, no solve.  Run 0 crosses n
+    # then one solve of uhat0, which every later run shares since their
+    # data are the same; a converged trace is uhat0 + U c, no solve.  Run 0
+    # crosses n
     assert calls.count(2) == 1
     assert calls.index(2) == N and states[0].iteration >= N
-    assert list(per_run) == [N + 2] + [1] * (len(omegas) - 1)
+    assert list(per_run) == [N + 2] + [0] * (len(omegas) - 1)
     # iterations served by the response log its worst column residual
     resp = bundle.system.interface_responses[bundle.ops]
     assert states[-1].residual_history[:-1] == \
@@ -489,6 +490,26 @@ def test_monolithic_never_builds_the_dense_response(monkeypatch):
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(calls) <= 2
     assert resp.F is F and resp.solves == solves
+
+
+def test_maps_with_equal_data_share_one_zero_datum_solve(monkeypatch):
+    # the response keeps the latest (rhs0, uhat0): a map whose rhs0 is
+    # bitwise equal reuses it, a map with other data replaces it
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    bundle = setup_level(case, 0.2, 1, n=8)
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+
+    def zero(u0):
+        return InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=u0)._zero_datum()
+    uhat0, flux0 = zero(case.u0)
+    assert len(calls) == 1
+    again = zero(case.u0)
+    assert len(calls) == 1 and again[0] is uhat0
+    assert np.array_equal(again[1], flux0)
+    other = zero(lambda p: 2.0 * case.u0(p))
+    assert len(calls) == 2 and not np.array_equal(other[0], uhat0)
+    assert np.array_equal(zero(case.u0)[0], uhat0)
+    assert len(calls) == 3
 
 
 def test_monolithic_refuses_an_unsolved_system():

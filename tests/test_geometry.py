@@ -19,6 +19,8 @@ from hdgbem import (
     proximity_parameter,
     save_mesh,
 )
+from reference import edge_vertices
+
 
 def test_build_keeps_vertices_in_band_and_edges_near_curves(circles):
     gamma, gamma0 = circles
@@ -93,6 +95,19 @@ def _one_triangle_mesh(v0, v1, v2):
                         np.array([[0, 1, 2]]))
 
 
+def test_clockwise_elements_are_stored_counterclockwise_with_their_map():
+    # the flip swaps J's columns and negates detJ, bit for bit a fresh
+    # computation from the stored vertex order
+    verts = np.array([[0.1, 0.2], [0.9, 0.15], [0.4, 0.8], [0.3, -0.4]])
+    mesh = UnfittedMesh(verts, np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3]]))
+    assert np.array_equal(mesh.elements, [[0, 1, 2], [0, 3, 1], [1, 2, 3]])
+    v = verts[mesh.elements]
+    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+    assert np.array_equal(mesh.J, J)
+    assert np.array_equal(mesh.detJ, J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
+    assert np.all(mesh.detJ > 0)
+
+
 @pytest.mark.parametrize("radius,expected", [(0.95, TAG_OUTER), (0.55, TAG_INNER)])
 def test_classification_by_midpoint_distance(circles, radius, expected):
     gamma, gamma0 = circles
@@ -100,7 +115,7 @@ def test_classification_by_midpoint_distance(circles, radius, expected):
     classify_boundary_edges(mesh, gamma, gamma0)
     # the vertical edge has midpoint exactly at the probed radius
     for e in mesh.boundary_edge_ids:
-        mid = mesh.edge_vertices(e).mean(axis=0)
+        mid = edge_vertices(mesh, e).mean(axis=0)
         if abs(np.linalg.norm(mid) - radius) < 1e-12:
             assert mesh.boundary_tags[e] == expected
 
@@ -110,7 +125,7 @@ def test_classification_tie_goes_outward(circles):
     mesh = _one_triangle_mesh((0.75, -0.02), (0.75, 0.02), (0.72, 0.0))
     classify_boundary_edges(mesh, gamma, gamma0)
     for e in mesh.boundary_edge_ids:
-        mid = mesh.edge_vertices(e).mean(axis=0)
+        mid = edge_vertices(mesh, e).mean(axis=0)
         if abs(np.linalg.norm(mid) - 0.75) < 1e-12:
             assert mesh.boundary_tags[e] == TAG_OUTER
 
@@ -301,7 +316,7 @@ def test_overlapping_patches_raise(circles, monkeypatch):
     from hdgbem import PatchConstructionError
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
-    end = mesh.edge_vertices(mesh.boundary_edge_ids[0])[1]
+    end = edge_vertices(mesh, mesh.boundary_edge_ids[0])[1]
     map_points = geometry._map_points
 
     def tampered(pts, curve):
@@ -324,7 +339,7 @@ def test_folding_patch_map_raises(circles, monkeypatch):
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
     edge = int(bmap.edge_ids[np.nonzero(bmap.tags == TAG_INNER)[0][3]])
-    a, b = mesh.edge_vertices(edge)
+    a, b = edge_vertices(mesh, edge)
     along, normal = b - a, np.array([a[1] - b[1], b[0] - a[0]])
     derivative = geometry._map_point_derivative
 

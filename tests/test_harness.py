@@ -17,13 +17,13 @@ from hdgbem import (
     convergence_study,
     manufactured_case,
     omega_sweep,
-    pde_residual,
     save_mesh,
     setup_level,
 )
 import hdgbem
 from hdgbem import harness
 from hdgbem.cli import main as cli_main
+from reference import pde_residual
 
 N = 16
 
@@ -230,6 +230,16 @@ def test_cli_rejects_negative_omega(tmp_path, capsys):
     cfg.write_text("coupling.omega = -0.5\n")
     assert cli_main(["solve", str(cfg)]) == 2
     assert "coupling.omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["", " , "], ids=["empty", "blank-entries"])
+def test_cli_rejects_empty_sweep_weights(value, tmp_path, capsys):
+    # a sweep over no weight would build a level and write a header-only table
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+    _write_config(cfg, out, extra=[f"sweep.omegas = {value}"])
+    assert cli_main(["sweep", str(cfg)]) == 2
+    assert "config error (sweep.omegas)" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("line", ["coupling.tol = inf", "coupling.tol = nan",

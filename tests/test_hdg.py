@@ -13,18 +13,14 @@ from hdgbem import (
     InterfaceMap,
     MaterialField,
     SolverError,
-    Stabilization,
     UnfittedMesh,
     assemble_layer_operators,
     build_annulus_mesh,
     build_boundary_map,
     build_system,
-    hdg_projection,
-    j_functional,
     l2_errors,
     local_conservation_residual,
     solve_interior,
-    trace_identity_residual,
     write_coefficients_csv,
     write_vtk,
 )
@@ -33,7 +29,15 @@ from hdgbem.geometry import BoundaryMap
 from hdgbem.hdg import _Discretization, assemble_transfer
 from hdgbem.harness import manufactured_case, setup_level
 from hdgbem.quadrature import gauss01, triangle_rule
-from reference import solve_eliminated, solve_uncondensed
+from reference import (
+    edge_length,
+    edge_vertices,
+    hdg_projection,
+    j_functional,
+    solve_eliminated,
+    solve_uncondensed,
+    trace_identity_residual,
+)
 
 
 def _unit_right_triangle():
@@ -253,7 +257,7 @@ def _synthetic_boundary_map(mesh, edge_id, d, t_dir, k):
     from hdgbem.quadrature import edge_rule
     xg, wg = edge_rule(k)
     nq = len(xg)
-    p = mesh.edge_vertices(edge_id)
+    p = edge_vertices(mesh, edge_id)
     nodes = p[0] + xg[:, None] * (p[1] - p[0])
     length = np.linalg.norm(p[1] - p[0])
     t_dir = np.asarray(t_dir, dtype=float)
@@ -279,8 +283,8 @@ def test_transfer_constant_flux_straight_path():
     mesh = UnfittedMesh(np.array([[0.9, -0.025], [0.9, 0.025], [0.85, 0.0]]),
                         np.array([[0, 1, 2]]))
     edge = next(e for e in mesh.boundary_edge_ids
-                if abs(mesh.edge_vertices(e).mean(axis=0)[0] - 0.9) < 1e-12)
-    length = mesh.edge_length(edge)
+                if abs(edge_vertices(mesh, e).mean(axis=0)[0] - 0.9) < 1e-12)
+    length = edge_length(mesh, edge)
     d = 0.07
     for k in (0, 1, 2):
         disc = _Discretization(mesh, MaterialField.identity(), 1.0, k)
@@ -577,7 +581,7 @@ def test_j_functional_zero_perimeter_homogeneity(coarse_k1):
     # the fields are changed in place: the unit field, then -3 times a solve
     fld.U[:, 0] = 1.0
     fld.Uhat[:, 0] = 1.0
-    perim = sum(mesh.edge_length(e) for e in mesh.boundary_edge_ids)
+    perim = sum(edge_length(mesh, e) for e in mesh.boundary_edge_ids)
     assert j_functional(fld, system) == pytest.approx(np.sqrt(perim), rel=1e-12)
     u_ex = lambda p: p[:, 0] / (p[:, 0] ** 2 + p[:, 1] ** 2)
     fld = solve_interior(system, g_gamma=u_ex, u0_gamma0=u_ex)
@@ -673,17 +677,17 @@ def test_material_field_validation():
 
 
 def test_stabilization_validation(coarse_k1):
-    mesh = coarse_k1[0]
+    mesh, kappa = coarse_k1[0], MaterialField.identity()
     with pytest.raises(AssemblyError):
-        Stabilization(0.0).on_edges(mesh)
+        _Discretization(mesh, kappa, 0.0, 1)
     # NaN compares False against 0, so it must be refused as non-finite
     for bad in (np.nan, np.inf):
         per_edge = np.full(mesh.n_edges, 2.0)
         per_edge[mesh.n_edges // 2] = bad
         for tau in (bad, per_edge):
             with pytest.raises(AssemblyError, match="finite"):
-                Stabilization(tau).on_edges(mesh)
-    tau = Stabilization(2.5).on_edges(mesh)
+                _Discretization(mesh, kappa, tau, 1)
+    tau = _Discretization(mesh, kappa, 2.5, 1).tau
     assert tau.shape == (mesh.n_edges,)
 
 
@@ -743,7 +747,7 @@ def test_transfer_path_leaving_patch_raises():
     mesh = UnfittedMesh(np.array([[0.9, -0.025], [0.9, 0.025], [0.85, 0.0]]),
                         np.array([[0, 1, 2]]))
     edge = next(e for e in mesh.boundary_edge_ids
-                if abs(mesh.edge_vertices(e).mean(axis=0)[0] - 0.9) < 1e-12)
+                if abs(edge_vertices(mesh, e).mean(axis=0)[0] - 0.9) < 1e-12)
     disc = _Discretization(mesh, MaterialField.identity(), 1.0, 1)
     bmap = _synthetic_boundary_map(mesh, edge, 5.0, (1.0, 0.0), 1)  # absurd length
     with pytest.raises(TransferIntegrationError):
