@@ -8,12 +8,12 @@ relaxed map contracts exactly for weights below about 0.75.  The sweep
 records every weight, divergent ones included.
 """
 
-from hdgbem import manufactured_case, omega_sweep
+from hdgbem import manufactured_case, omega_sweep, setup_level
 
 case = manufactured_case("dipole")
-rows, best = omega_sweep(case, 0.1, k=1,
+rows, best = omega_sweep(setup_level(case, 0.1, k=1, n=32), case,
                          omegas=[0.1 * i for i in range(1, 10)],
-                         n=32, tol=1e-8, max_iterations=100)
+                         tol=1e-8, max_iterations=100)
 
 print("omega  converged  iterations  estimated ratio")
 for r in rows:

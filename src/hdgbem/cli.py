@@ -232,8 +232,9 @@ def cmd_study(params):
 
 def cmd_sweep(params):
     case = _case(params)
-    rows, best = omega_sweep(case, params["h0"], params["k"], params["omegas"],
-                             n=params["n"], tol=params["tol"],
+    bundle = setup_level(case, params["h0"], params["k"], n=params["n"],
+                         fitted=params["fitted"])
+    rows, best = omega_sweep(bundle, case, params["omegas"], tol=params["tol"],
                              max_iterations=params["max_iterations"])
     os.makedirs(params["outdir"], exist_ok=True)
     path = os.path.join(params["outdir"], "sweep.csv")

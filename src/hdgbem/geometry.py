@@ -181,9 +181,10 @@ class UnfittedMesh:
     ``edge_elements`` (E, 2) lists the elements of each edge, the lower one
     first, and ``edge_sides`` (E, 2) the edge's local side in each, so that
     ``element_edges[edge_elements[e, i], edge_sides[e, i]] == e``; boundary
-    edges have -1 in slot 1.  ``J`` (M, 2, 2) and ``detJ`` (M,) hold each
-    element's affine map x = v_0 + J xi from the reference triangle, the
-    one copy that assembly and export read.
+    edges have -1 in slot 1.  ``edge_len`` (E,) holds the edge lengths,
+    and ``J`` (M, 2, 2) and ``detJ`` (M,) each element's affine map
+    x = v_0 + J xi from the reference triangle: the one copy of each that
+    the boundary map, assembly and export read.
     """
 
     def __init__(self, vertices, elements, fitted=False, regularity_bound=None):
@@ -210,13 +211,10 @@ class UnfittedMesh:
         elems = self.elements
         # local edge m joins vertices (m+1, m+2) mod 3, opposite vertex m
         raw = np.concatenate([elems[:, [1, 2]], elems[:, [2, 0]], elems[:, [0, 1]]])
-        raw_sorted = np.sort(raw, axis=1)
-        edges, inverse = np.unique(raw_sorted, axis=0, return_inverse=True)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self.edges = edges[order]
-        inverse = rank[inverse]
+        # np.unique returns the rows in lexicographic order
+        self.edges, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+        ends = self.vertices[self.edges]
+        self.edge_len = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
         m = len(elems)
         self.element_edges = np.stack(
             [inverse[:m], inverse[m:2 * m], inverse[2 * m:]], axis=1)
@@ -236,10 +234,8 @@ class UnfittedMesh:
         self.interior_edge_ids = np.nonzero(counts == 2)[0]
 
     def _geometry_tables(self, regularity_bound):
-        v = self.vertices[self.elements]                     # (M, 3, 2)
-        a = np.linalg.norm(v[:, 1] - v[:, 2], axis=1)
-        b = np.linalg.norm(v[:, 2] - v[:, 0], axis=1)
-        c = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
+        # side lengths, side m opposite vertex m
+        a, b, c = self.edge_len[self.element_edges].T
         area2 = self.detJ                                    # twice the area
         if np.any(area2 <= 0):
             raise MeshingFailureError("degenerate element",
@@ -373,10 +369,11 @@ class BoundaryMap(SimpleNamespace):
     and by node within the edge:
 
     edge_ids (B,), tags (B,), parents (B,), nu (B,2) outward edge normals,
-    nodes/mapped (B,q,2), l (B,q), t (B,q,2), params (B,q) curve parameters
-    of the mapped nodes, normals (B,q,2) true curve normals there,
-    weights (B,q) edge Gauss weights including the edge length, and
-    endpoint_params (B,2) curve parameters of the mapped edge endpoints.
+    nodes/mapped (B,q,2), l (B,q), t (B,q,2) unit transfer directions (the
+    annulus's outward normal at the mapped node, nu where l = 0), params
+    (B,q) curve parameters of the mapped nodes, and endpoint_params (B,2)
+    curve parameters of the mapped edge endpoints.  The edge quadrature
+    weights belong to the discretization (``edge_w``).
 
     starts (K,), widths (K,) and owners (K,) are the outer edges' shortest
     parameter intervals between their mapped endpoints, sorted by start
@@ -411,11 +408,6 @@ def _map_point_derivative(pts, params, curve):
                   curve.second_derivative(params))
     denom = (dy * dy).sum(axis=1) - ((pts - y) * ddy).sum(axis=1)
     return dy[:, :, None] * dy[:, None, :] / denom[:, None, None]
-
-
-def _row_lengths(vecs):
-    """Lengths of the rows of (B, 2) vecs, rounded as np.linalg.norm of one row."""
-    return np.sqrt(vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0]
 
 
 def _edge_intervals(endpoint_params):
@@ -471,7 +463,7 @@ def build_boundary_map(mesh, gamma, gamma0, k):
     tangent to its edge, and PatchConstructionError when two edge
     intervals of a curve overlap or the sliver map of an edge folds.
     """
-    xg, wg = edge_rule(k)
+    xg = edge_rule(k)[0]
     nq = len(xg)
     scale = max(gamma.diameter(), 1.0)
     edge_ids = np.array(mesh.boundary_edge_ids, dtype=np.int64)
@@ -482,20 +474,17 @@ def build_boundary_map(mesh, gamma, gamma0, k):
     parents = mesh.edge_elements[edge_ids, 0].copy()
     p = mesh.vertices[mesh.edges[edge_ids]]                         # (B, 2, 2)
     tang = p[:, 1] - p[:, 0]
-    length = _row_lengths(tang)
     nodes = p[:, None, 0] + xg[None, :, None] * tang[:, None, :]    # (B, q, 2)
     # outward edge normals: away from the parent element's centroid
     nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    nu /= _row_lengths(nu)[:, None]
+    nu /= mesh.edge_len[edge_ids, None]
     centroid = mesh.vertices[mesh.elements[parents]].mean(axis=1)
     nu[np.einsum("bd,bd->b", nu, centroid - 0.5 * (p[:, 0] + p[:, 1])) > 0] *= -1.0
 
     mapped, params = np.empty_like(nodes), np.empty(nodes.shape[:2])
-    endpoint_params, normals = np.empty((len(edge_ids), 2)), np.empty_like(nodes)
-    # the outward normal of the annulus along the inner curve points into the
-    # hole, i.e. against that curve's own counterclockwise normal
-    curves = ((TAG_OUTER, gamma, 1.0), (TAG_INNER, gamma0, -1.0))
-    for tag, curve, sign in curves:
+    endpoint_params = np.empty((len(edge_ids), 2))
+    curves = ((TAG_OUTER, gamma), (TAG_INNER, gamma0))
+    for tag, curve in curves:
         rows = tags == tag
         if not np.any(rows):
             continue
@@ -505,10 +494,8 @@ def build_boundary_map(mesh, gamma, gamma0, k):
         mapped[rows] = y[:n_node].reshape(-1, nq, 2)
         params[rows] = s[:n_node].reshape(-1, nq)
         endpoint_params[rows] = s[n_node:].reshape(-1, 2)
-        normals[rows] = (sign * curve.normal(s[:n_node])).reshape(-1, nq, 2)
     if mesh.fitted:
         mapped = nodes.copy()
-        normals = np.repeat(nu[:, None, :], nq, axis=1)
     delta = mapped - nodes
     l = np.linalg.norm(delta, axis=2)
     far = l > 1e-14 * scale
@@ -525,7 +512,7 @@ def build_boundary_map(mesh, gamma, gamma0, k):
             edge=int(edge_ids[row]))
     lookup, folds = {}, np.zeros(len(edge_ids), dtype=bool)
     live = l.max(axis=1) > 0.0
-    for tag, curve, _ in curves:
+    for tag, curve in curves:
         rows = np.nonzero(tags == tag)[0]
         if len(rows) == 0:
             continue
@@ -541,8 +528,7 @@ def build_boundary_map(mesh, gamma, gamma0, k):
             "(map folds)")
     return BoundaryMap(
         edge_ids=edge_ids, tags=tags, parents=parents, nu=nu, nodes=nodes,
-        mapped=mapped, l=l, t=t, params=params, normals=normals,
-        weights=wg[None, :] * length[:, None], endpoint_params=endpoint_params,
+        mapped=mapped, l=l, t=t, params=params, endpoint_params=endpoint_params,
         **lookup)
 
 
@@ -564,10 +550,11 @@ def proximity_parameter(mesh, bmap):
     """Max ratio of edge-to-boundary distance over parent element diameter.
 
     Also reports the sup over boundary nodes of |n_h - n|, the deviation of
-    the facet normal from the curve normal at the mapped point.
+    the facet normal from the annulus's outward normal at the mapped point,
+    which is the transfer direction t (nu itself on a fitted map).
     """
     per_edge = bmap.l.max(axis=1, initial=0.0) / mesh.h_T[bmap.parents]
-    dev = np.linalg.norm(bmap.normals - bmap.nu[:, None, :], axis=2)
+    dev = np.linalg.norm(bmap.t - bmap.nu[:, None, :], axis=2)
     return ProximityReport(float(per_edge.max(initial=0.0)),
                            float(dev.max(initial=0.0)))
 

@@ -13,8 +13,6 @@ compactly supported inside the annulus (the source term follows in closed
 form), and polynomial cases exercise the discrete-exactness paths.
 """
 
-import time
-
 import numpy as np
 
 from .bem import assemble_layer_operators
@@ -222,8 +220,7 @@ class StudyReport:
     def to_csv(self, path, full=False):
         cols = list(self.columns)
         if full:
-            cols += ["mesh_h", "n", "dofs", "err_g", "err_uinf", "converged",
-                     "wall_time"]
+            cols += ["mesh_h", "n", "dofs", "err_g", "err_uinf", "converged"]
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
             for i, row in enumerate(self.rows):
@@ -288,7 +285,6 @@ def convergence_study(case, k, hs, n=32, config=None, fitted=False):
     config = config or CouplingConfig()
     report = StudyReport(case.id, k, n)
     for target_h in hs:
-        t0 = time.time()
         bundle = setup_level(case, target_h, k, n=n, fitted=fitted)
         iters, ratio, conv = 1, np.nan, True
         err_g, err_uinf = np.nan, np.nan
@@ -308,22 +304,23 @@ def convergence_study(case, k, hs, n=32, config=None, fitted=False):
                        R_h=bundle.proximity.R_h, n=n,
                        dofs=bundle.system.n_trace, err_q=err_q, err_u=err_u,
                        err_g=err_g, err_uinf=err_uinf, iters=iters,
-                       ratio=ratio, converged=conv,
-                       wall_time=time.time() - t0)
+                       ratio=ratio, converged=conv)
     return report
 
 
-def omega_sweep(case, target_h, k, omegas, n=32, tol=1e-8, max_iterations=100):
+def omega_sweep(bundle, case, omegas, tol=1e-8, max_iterations=100):
     """Convergence behavior of the relaxed iteration across weights.
 
-    Divergent weights are recorded, not raised.  Returns a list of dicts
-    (omega, converged, iterations, ratio) plus the best-performing weight.
+    Every weight runs on the one level ``bundle`` (from ``setup_level``).
+    Divergent weights are recorded, not raised; an empty ``omegas`` raises
+    ValueError.  Returns a list of dicts (omega, converged, iterations,
+    ratio) plus the best-performing weight.
     """
-    bundle = setup_level(case, target_h, k, n=n)
+    if len(omegas) == 0:
+        raise ValueError("omega_sweep needs at least one relaxation weight")
     rows = []
     for omega in omegas:
-        cfg = CouplingConfig(omega=omega, tol=tol, n=n,
-                             max_iterations=max_iterations)
+        cfg = CouplingConfig(omega=omega, tol=tol, max_iterations=max_iterations)
         state, converged, ratio = _relaxed_run(bundle, case, cfg)
         rows.append({"omega": float(omega), "converged": converged,
                      "iterations": state.iteration, "ratio": ratio})

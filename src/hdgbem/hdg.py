@@ -191,8 +191,7 @@ class _Discretization:
             M, 2, d, d).transpose(0, 2, 1, 3).reshape(M, d, 2 * d)
 
         # edge blocks: Gauss nodes along the canonical edge direction
-        ends = mesh.vertices[mesh.edges]
-        edge_len = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+        edge_len = mesh.edge_len
         self.edge_w = edge_len[:, None] * ref.edge_w               # (E,qe)
         self.mu_vals = ref.mu
         self.edge_mass = edge_len[:, None, None] * ref.edge_mass
@@ -290,8 +289,8 @@ def assemble_transfer(disc, bmap):
     # inner[b, q, c, a] = int_0^l (kappa^{-1} t)_c phi_a ds, flattened over (c, a)
     inner = np.einsum("s,bq,bqsc,bqsa->bqca", ws, l, kt, phi).reshape(
         len(rows), -1, 2 * d)
-    path_moments[rows] = np.einsum("bq,bqc,qm->bcm", bmap.weights[rows], inner,
-                                   disc.mu_vals)
+    path_moments[rows] = np.einsum("bq,bqc,qm->bcm", disc.edge_w[bmap.edge_ids[rows]],
+                                   inner, disc.mu_vals)
     return path_moments
 
 
@@ -378,8 +377,8 @@ class HDGSystem:
 
     def _edge_moments(self, rows, vals):
         """Moments <vals, mu>_e (b, ne, ...) of values at the nodes of map rows."""
-        return np.einsum("bq,bq...,qm->bm...", self.bmap.weights[rows], vals,
-                         self.disc.mu_vals)
+        return np.einsum("bq,bq...,qm->bm...", self.disc.edge_w[self.bmap.edge_ids[rows]],
+                         vals, self.disc.mu_vals)
 
     def boundary_data_vector(self, g_gamma=None, u0_gamma0=None):
         """Moments <data(mapped x), mu>_e for every boundary edge.
@@ -395,7 +394,7 @@ class HDGSystem:
                 continue
             vals = np.asarray(fun(bmap.mapped[rows].reshape(-1, 2)), dtype=float)
             rhs[bmap.edge_ids[rows]] = self._edge_moments(
-                rows, vals.reshape(bmap.weights[rows].shape))
+                rows, vals.reshape(bmap.l[rows].shape))
         return rhs.ravel()
 
     def interface_operator(self, modes):
@@ -469,11 +468,8 @@ class HDGSystem:
         Z @ uhat + Z_f @ f_mom.ravel(), with Z (p x n_trace) and Z_f
         (p x M d) sparse.
         """
-        disc, mesh, n = self.disc, self.mesh, self.n_trace
-        # the map of _Discretization.basis_at, summed by einsum: its BLAS
-        # matmul fuses the multiply-add and would round Z differently
-        v0 = mesh.vertices[mesh.elements[parents, 0]]
-        vals = disc.basis.eval(np.einsum("pd,ped->pe", points - v0, disc.invJ[parents]))
+        disc, n = self.disc, self.n_trace
+        vals = disc.basis_at(parents, points)
         flux_rows = np.concatenate([normals[:, :1] * vals, normals[:, 1:] * vals], axis=1)
         z_loc = np.einsum("pc,pcj->pj", flux_rows, disc.local[parents, :2 * disc.d])
         full = _block_matrix((len(parents), n + self.load.shape[1]), (

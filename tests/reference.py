@@ -164,7 +164,7 @@ def assemble_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
         # the edge rule reproduces degree-k traces from their Legendre
         # coefficients, so the path integrals and the data integrals tested
         # against v . nu and w are contractions with those coefficients
-        coef = np.linalg.solve(disc.edge_mass[e], (bm.weights[row][:, None] * disc.mu_vals).T
+        coef = np.linalg.solve(disc.edge_mass[e], (disc.edge_w[e][:, None] * disc.mu_vals).T
                                @ np.hstack([vnb, tr]))              # (ne, 3d)
         pm_t = system.transfer[row].T
         Aq[sq, sq] += coef[:, :2 * d].T @ pm_t

@@ -1,8 +1,9 @@
-"""The benchmark's workloads still run on the library, at their smoke size.
+"""The benchmark's workloads still run on the library and pass its gates.
 
-``perfbench/workloads.py`` replays each workload through the public API;
-a library change that drops or renames a name it calls fails here, not
-only when the benchmark runs.
+``perfbench/workloads.py`` replays each workload through the public API,
+at its smoke size and at full size with its accuracy gates; a library
+change that drops or renames a name it calls, or moves an output past a
+gate, fails here, not only when the benchmark runs.
 """
 
 import importlib.util
@@ -25,9 +26,13 @@ class _NoClock:
         return fn(*args, **kwargs)
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_smoke_replay_passes_every_operation(name, tmp_path):
-    spec = workloads.smoke_variant(workloads.WORKLOADS[name])
+@pytest.mark.parametrize("name,full", [
+    pytest.param(name, full, id=name + ("-full" if full else ""))
+    for name in sorted(workloads.WORKLOADS) for full in (False, True)])
+def test_smoke_replay_passes_every_operation(name, full, tmp_path):
+    spec = workloads.WORKLOADS[name]
+    if not full:
+        spec = workloads.smoke_variant(spec)
     case = workloads.build_case(spec)
     points = workloads.eval_points(spec, case.gamma, seed=1)
     rep = workloads.replay(spec, case, points, _NoClock(), str(tmp_path))

@@ -150,6 +150,22 @@ def test_map_consistency_invariant(circles):
     assert dots.min() >= 0.1
 
 
+@pytest.mark.parametrize("outer", ["circle", "ellipse"])
+def test_transfer_direction_is_the_outward_curve_normal(outer, circles, request):
+    # the normal deviation reads t as the annulus's outward normal at the
+    # mapped node: the outer curve's normal there, minus the inner curve's
+    gamma0 = circles[1]
+    gamma = circles[0] if outer == "circle" else request.getfixturevalue("ellipse")
+    mesh = build_annulus_mesh(gamma, gamma0, 0.1)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
+    for tag, curve, sign in ((TAG_OUTER, gamma, 1.0), (TAG_INNER, gamma0, -1.0)):
+        rows = bmap.tags == tag
+        live = bmap.l[rows] > 0.0
+        assert np.any(live)
+        normal = sign * curve.normal(bmap.params[rows][live])
+        assert np.abs(bmap.t[rows][live] - normal).max() <= 1e-10
+
+
 def test_fitted_map_convention(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2, fitted=True)
@@ -215,7 +231,7 @@ def test_proximity_parameter_synthetic_ratio():
         edge_ids=np.array([0, 1]),
         parents=np.array([0, 1]),
         l=np.array([[0.02, 0.01], [0.001, 0.002]]),
-        normals=np.zeros((2, 2, 2)),
+        t=np.zeros((2, 2, 2)),
         nu=np.zeros((2, 2)),
     )
     rep = proximity_parameter(fake_mesh, bmap)

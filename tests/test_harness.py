@@ -141,7 +141,7 @@ def test_study_on_ellipse_converges_at_order_k_plus_1(ellipse_study):
 
 def test_omega_sweep_records_divergence():
     case = manufactured_case("dipole")
-    rows, best = omega_sweep(case, 0.18, 1, [0.3, 0.6, 0.9], n=N,
+    rows, best = omega_sweep(setup_level(case, 0.18, 1, n=N), case, [0.3, 0.6, 0.9],
                              tol=1e-8, max_iterations=40)
     assert [r["omega"] for r in rows] == [0.3, 0.6, 0.9]
     assert all(np.isfinite(r["ratio"]) and r["ratio"] > 0 for r in rows)
@@ -150,13 +150,26 @@ def test_omega_sweep_records_divergence():
     assert best is not None and best["converged"]
 
 
+def test_omega_sweep_refuses_empty_weights(monkeypatch):
+    case = manufactured_case("dipole")
+    bundle = setup_level(case, 0.25, 1, n=N)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("omega_sweep ran a weight")
+
+    monkeypatch.setattr(harness, "run_fixed_point", refuse)
+    with pytest.raises(ValueError, match="at least one relaxation weight"):
+        omega_sweep(bundle, case, [])
+
+
 def test_diverged_study_level_reports_its_iterations_and_ratio():
     # a level that hits the cap records the iterations it ran and their
     # contraction estimate, as the sweep does for the same run
     case = manufactured_case("dipole-plus-constant")
     rep = convergence_study(case, 1, [0.2], n=8,
                             config=CouplingConfig(omega=0.95, max_iterations=25))
-    rows, _ = omega_sweep(case, 0.2, 1, [0.95], n=8, max_iterations=25)
+    rows, _ = omega_sweep(setup_level(case, 0.2, 1, n=8), case, [0.95],
+                          max_iterations=25)
     row = rep.rows[0]
     assert not row["converged"] and not rows[0]["converged"]
     assert row["iters"] == rows[0]["iterations"] == 25
@@ -202,6 +215,22 @@ def test_cli_mesh_solve_study_sweep(tmp_path):
     assert cli_main(["sweep", str(cfg)]) == 0
     sweep = (out / "sweep.csv").read_text().splitlines()
     assert sweep[0] == "omega,converged,iterations,ratio"
+
+
+def test_cli_sweep_honours_fitted(tmp_path):
+    # the sweep runs on the level its config describes, fitted or not
+    tables = {}
+    for fitted in ("true", "false"):
+        cfg, out = tmp_path / f"{fitted}.cfg", tmp_path / fitted
+        _write_config(cfg, out, extra=["sweep.omegas = 0.3,0.6",
+                                       f"geometry.fitted = {fitted}"])
+        assert cli_main(["sweep", str(cfg)]) == 0
+        tables[fitted] = (out / "sweep.csv").read_bytes()
+    case = manufactured_case("dipole-plus-constant", degree=1, constant=3.0)
+    rows, _ = omega_sweep(setup_level(case, 0.25, 1, n=N, fitted=True), case, [0.3, 0.6])
+    harness.write_sweep_csv(rows, tmp_path / "expected.csv")
+    assert tables["true"] == (tmp_path / "expected.csv").read_bytes()
+    assert tables["true"] != tables["false"]
 
 
 def test_cli_mesh_builds_only_geometry(tmp_path, monkeypatch):
@@ -298,15 +327,17 @@ def test_cli_runs_as_module(tmp_path):
 
 
 def test_deterministic_outputs(tmp_path):
-    # identical configs produce byte-identical study tables
+    # identical configs produce byte-identical study tables, the full one too
+    names = ("study.csv", "study_full.csv")
     outs = []
     for tag in ("a", "b"):
         cfg = tmp_path / f"{tag}.cfg"
         out = tmp_path / tag
         _write_config(cfg, out)
         assert cli_main(["study", str(cfg)]) == 0
-        outs.append((out / "study.csv").read_bytes())
-    assert outs[0] == outs[1]
+        outs.append({name: (out / name).read_bytes() for name in names})
+    for name in names:
+        assert outs[0][name] == outs[1][name], name
 
 
 def test_deterministic_sweep_outputs(tmp_path, monkeypatch):
