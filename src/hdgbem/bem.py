@@ -21,15 +21,18 @@ Parametric kernels (2 pi periodic, G the Green function of the minus
 Laplacian):
 
     V(s,t) = -log|y(s) - y(t)| / (2 pi)
-    K(s,t) = (y(s) - y(t)) . n(y(s)) / (2 pi |y(s) - y(t)|^2),
+    K(s,t) = (y(s) - y(t)) . n(y(s)) / (2 pi |y(s) - y(t)|^2).
 
-with the curvature limit on the diagonal of K.  Every curve, circles
-included, uses the periodic-log splitting: the singular part is applied
-through its exact Fourier multipliers, the smooth remainder and K by the
-trapezoidal rule, both spectrally accurate.  On a circle of radius R the
-result is, to rounding, the Fourier diagonalization: V maps cos/sin of
-mode m to R/(2m) times itself (constants to -R log R) and K annihilates
-mean-zero densities.
+Every curve, circles included, uses the periodic-log splitting: the
+singular part is applied through its exact Fourier multipliers, the smooth
+remainder and K by the trapezoidal rule, both spectrally accurate.  Both
+trapezoidal kernels read one table of differences y(s) - y(t) on the
+quadrature grid, and each diagonal is set by index to its s -> t limit:
+-log|y'| / (2 pi) for V's remainder -log(|y(s) - y(t)| / 2|sin((s-t)/2)|)
+/ (2 pi), and the curvature term -y''.n / (4 pi y'.y') for K.  On a circle
+of radius R the result is, to rounding, the Fourier diagonalization: V
+maps cos/sin of mode m to R/(2m) times itself (constants to -R log R) and
+K annihilates mean-zero densities.
 
 Densities live in the span of {1, cos t .. cos nt, sin t .. sin (n-1)t}
 with 2n real coefficients; the 2n equispaced nodes t_j = j pi / n carry the
@@ -114,30 +117,6 @@ class TrigPolynomial:
         return TrigPolynomial(a * self.cos, a * self.sin)
 
     __rmul__ = __mul__
-
-
-# ---------------------------------------------------------------------------
-# parametric kernels
-# ---------------------------------------------------------------------------
-
-def kernel_double(curve, s, t):
-    """K(s, t) with the curvature limit on the diagonal."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ys, yt = curve.point(s), curve.point(t)
-    ns = curve.normal(s)
-    diff = ys - yt
-    r2 = np.sum(diff * diff, axis=-1)
-    near = np.isclose(np.mod(s - t, TWO_PI), 0.0, atol=1e-12) \
-        | np.isclose(np.mod(s - t, TWO_PI), TWO_PI, atol=1e-12)
-    safe = np.where(near, 1.0, r2)
-    val = np.sum(diff * ns, axis=-1) / (TWO_PI * safe)
-    if np.any(near):
-        dps = curve.derivative(s)
-        dds = curve.second_derivative(s)
-        lim = -np.sum(dds * ns, axis=-1) / (2.0 * TWO_PI * np.sum(dps * dps, axis=-1))
-        val = np.where(near, lim, val)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +210,24 @@ def assemble_layer_operators(curve, n):
     Fd = np.fft.rfft(dens, axis=0)
     log_part = np.fft.irfft(mult[:, None] * Fd, axis=0, n=2 * N)
 
-    # smooth remainder of V and all of K by the trapezoidal rule
-    S, Tm = np.meshgrid(t, t, indexing="ij")       # S integration, Tm target
-    gap = 2.0 * np.abs(np.sin(0.5 * (S - Tm)))
-    ys = curve.point(t)
-    dist = np.linalg.norm(ys[:, None, :] - ys[None, :, :], axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smooth = -np.log(dist / gap) / TWO_PI
+    # smooth remainder of V and all of K by the trapezoidal rule from one table
+    # y(s) - y(t), s integrating and t target; r2 and gap get 1 on the diagonal
+    # before dividing, and each kernel its limit after
+    y = curve.point(t)
+    nrm = curve.normal(t)
+    diff = y[:, None, :] - y[None, :, :]
+    r2 = np.sum(diff * diff, axis=-1)
+    gap = 2.0 * np.abs(np.sin(0.5 * (t[:, None] - t[None, :])))
     ii = np.arange(2 * N)
+    r2[ii, ii] = gap[ii, ii] = 1.0
+    smooth = -np.log(np.sqrt(r2) / gap) / TWO_PI
     smooth[ii, ii] = -np.log(speed) / TWO_PI
+    Kk = np.sum(diff * nrm[:, None, :], axis=-1) / (TWO_PI * r2)
+    dy = curve.derivative(t)
+    Kk[ii, ii] = -np.sum(curve.second_derivative(t) * nrm, axis=-1) \
+        / (2.0 * TWO_PI * np.sum(dy * dy, axis=-1))
     w_trap = np.pi / N
     V_samples = log_part + w_trap * smooth.T @ dens
-    Kk = kernel_double(curve, S.ravel(), Tm.ravel()).reshape(2 * N, 2 * N)
     K_samples = w_trap * Kk.T @ dens
     V = _samples_to_coeff(n, V_samples)
     K = _samples_to_coeff(n, K_samples)

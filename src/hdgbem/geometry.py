@@ -468,9 +468,11 @@ def build_boundary_map(mesh, gamma, gamma0, k):
     scale = max(gamma.diameter(), 1.0)
     edge_ids = np.array(mesh.boundary_edge_ids, dtype=np.int64)
     tags = mesh.boundary_tags[edge_ids].copy()
-    if np.any(tags < 0):
-        raise MapConstructionError("boundary edges must be classified first",
-                                   edge=int(edge_ids[np.argmax(tags < 0)]))
+    bad = (tags != TAG_OUTER) & (tags != TAG_INNER)
+    if np.any(bad):
+        e = int(edge_ids[np.argmax(bad)])
+        raise MapConstructionError(f"boundary edge {e} has tag {mesh.boundary_tags[e]}; "
+                                   "classify it as TAG_OUTER or TAG_INNER first", edge=e)
     parents = mesh.edge_elements[edge_ids, 0].copy()
     p = mesh.vertices[mesh.edges[edge_ids]]                         # (B, 2, 2)
     tang = p[:, 1] - p[:, 0]
@@ -585,7 +587,11 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Read a mesh written by save_mesh and restore its boundary tags."""
+    """Read a mesh written by save_mesh and restore its boundary tags.
+
+    A malformed file, an element vertex index outside the vertex table or a
+    boundary tag other than 0 or 1 raises MeshingFailureError naming the file.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         try:
@@ -601,8 +607,12 @@ def load_mesh(path):
             verts, elems, tags = table(n_v, 2, float), table(n_e, 3, int), table(n_b, 2, int)
         except ValueError as exc:
             raise MeshingFailureError(f"truncated or malformed mesh body in {path}") from exc
+    if np.any((elems < 0) | (elems >= n_v)):
+        raise MeshingFailureError(f"element vertex index outside [0, {n_v}) in {path}")
     mesh = UnfittedMesh(verts, elems, fitted=fitted)
     if sorted(tags[:, 0].tolist()) != sorted(mesh.boundary_edge_ids.tolist()):
         raise MeshingFailureError(f"boundary rows in {path} do not match the mesh")
+    if np.any((tags[:, 1] != TAG_OUTER) & (tags[:, 1] != TAG_INNER)):
+        raise MeshingFailureError(f"boundary tag other than {TAG_OUTER} or {TAG_INNER} in {path}")
     mesh.boundary_tags[tags[:, 0]] = tags[:, 1]
     return mesh

@@ -66,25 +66,17 @@ class ManufacturedCase:
                                       self.gamma.normal(t)))
 
 
-def _bump(r, lo=0.55, hi=0.95, amp=0.3):
+def _bump(r):
+    # kappa - 1 = 0.3 exp(1 - 1/(1 - z^2)) on 0.55 < r < 0.95, and its r-derivative;
     # complex-step safe: the support test uses the real part only
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    z = (r - mid) / half
-    inside = np.abs(np.real(z)) < 1.0
-    out = np.zeros_like(z)
-    zi = np.where(inside, z, 0.0)
-    body = amp * np.exp(1.0 - 1.0 / (1.0 - zi ** 2))
-    return np.where(inside, body, out)
-
-
-def _bump_deriv(r, lo=0.55, hi=0.95, amp=0.3):
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    mid, half = 0.75, 0.5 * (0.95 - 0.55)
     z = (r - mid) / half
     inside = np.abs(np.real(z)) < 1.0
     zi = np.where(inside, z, 0.0)
-    body = amp * np.exp(1.0 - 1.0 / (1.0 - zi ** 2)) \
-        * (-2.0 * zi / (1.0 - zi ** 2) ** 2) / half
-    return np.where(inside, body, np.zeros_like(z))
+    body = 0.3 * np.exp(1.0 - 1.0 / (1.0 - zi ** 2))
+    zero = np.zeros_like(z)
+    return (np.where(inside, body, zero),
+            np.where(inside, body * (-2.0 * zi / (1.0 - zi ** 2) ** 2) / half, zero))
 
 
 def manufactured_case(case_id, degree=1, constant=None):
@@ -117,7 +109,7 @@ def manufactured_case(case_id, degree=1, constant=None):
             def kval(p):
                 p = np.atleast_2d(p)
                 r = np.sqrt(p[:, 0] ** 2 + p[:, 1] ** 2)   # analytic radius
-                return 1.0 + _bump(r)
+                return 1.0 + _bump(r)[0]
 
             kappa = MaterialField(lambda p: np.real(kval(p)))
 
@@ -128,7 +120,7 @@ def manufactured_case(case_id, degree=1, constant=None):
                 # div q = kappa'(r) cos(theta)/r^2 for the radial coefficient
                 p = np.atleast_2d(p)
                 r = np.sqrt(p[:, 0] ** 2 + p[:, 1] ** 2)
-                return _bump_deriv(r) * (p[:, 0] / r) / r ** 2
+                return _bump(r)[1] * (p[:, 0] / r) / r ** 2
         else:
             kappa = MaterialField.identity()
 
@@ -312,17 +304,19 @@ def omega_sweep(bundle, case, omegas, tol=1e-8, max_iterations=100):
     """Convergence behavior of the relaxed iteration across weights.
 
     Every weight runs on the one level ``bundle`` (from ``setup_level``).
-    Divergent weights are recorded, not raised; an empty ``omegas`` raises
-    ValueError.  Returns a list of dicts (omega, converged, iterations,
+    Divergent weights are recorded, not raised.  An empty ``omegas``, or
+    any weight ``CouplingConfig`` refuses, raises ValueError before the
+    first run.  Returns a list of dicts (omega, converged, iterations,
     ratio) plus the best-performing weight.
     """
     if len(omegas) == 0:
         raise ValueError("omega_sweep needs at least one relaxation weight")
+    configs = [CouplingConfig(omega=omega, tol=tol, max_iterations=max_iterations)
+               for omega in omegas]
     rows = []
-    for omega in omegas:
-        cfg = CouplingConfig(omega=omega, tol=tol, max_iterations=max_iterations)
+    for cfg in configs:
         state, converged, ratio = _relaxed_run(bundle, case, cfg)
-        rows.append({"omega": float(omega), "converged": converged,
+        rows.append({"omega": cfg.omega, "converged": converged,
                      "iterations": state.iteration, "ratio": ratio})
     converged_rows = [r for r in rows if r["converged"]]
     best = min(converged_rows, key=lambda r: r["iterations"]) \

@@ -24,13 +24,18 @@ def smooth_unit_circle():
         lambda s: np.stack([-np.cos(s), -np.sin(s)], axis=-1))
 
 
-@pytest.fixture(scope="session")
-def ellipse():
-    a, b = 1.1, 0.85
+def ellipse_curve(a, b, center=(0.0, 0.0)):
+    """The ellipse center + (a cos s, b sin s) as a general parametrized curve."""
+    cx, cy = center
     return Curve.from_parametrization(
-        lambda s: np.stack([a * np.cos(s), b * np.sin(s)], axis=-1),
+        lambda s: np.stack([cx + a * np.cos(s), cy + b * np.sin(s)], axis=-1),
         lambda s: np.stack([-a * np.sin(s), b * np.cos(s)], axis=-1),
         lambda s: np.stack([-a * np.cos(s), -b * np.sin(s)], axis=-1))
+
+
+@pytest.fixture(scope="session")
+def ellipse():
+    return ellipse_curve(1.1, 0.85)
 
 
 def _bundle(circles, h, k, fitted=False):

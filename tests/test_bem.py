@@ -16,7 +16,8 @@ from hdgbem import (
     solve_exterior,
     write_density_csv,
 )
-from hdgbem.bem import EVAL_CHUNK, LayerOperatorSet, kernel_double
+from hdgbem.bem import EVAL_CHUNK, LayerOperatorSet
+from conftest import ellipse_curve
 
 N = 32
 
@@ -94,29 +95,25 @@ def test_weighted_mean_zero_on_curve(smooth_unit_circle):
 
 
 # ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
-
-def test_double_layer_kernel_constant_on_circle():
-    circle = Curve.circle((0, 0), 1.0)
-    s = np.linspace(0, 2 * np.pi, 13)
-    t = np.linspace(0.3, 5.9, 13)
-    vals = kernel_double(circle, s, t)
-    assert np.abs(vals - 1.0 / (4 * np.pi)).max() < 1e-13
-
-
-def test_double_layer_diagonal_is_curvature_limit(smooth_unit_circle):
-    t = np.array([0.7])
-    diag = kernel_double(smooth_unit_circle, t, t)[0]
-    # near-diagonal evaluation cancels in 1 - cos; only a loose check is fair
-    approach = kernel_double(smooth_unit_circle, t + 1e-5, t)[0]
-    assert diag == pytest.approx(1.0 / (4 * np.pi), abs=1e-14)
-    assert approach == pytest.approx(diag, abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
 # operator matrices
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("curve", [
+    Curve.circle((0.0, 0.0), 1.0),
+    Curve.circle((0.7, -1.3), 2.5),
+    ellipse_curve(1.3, 0.9),
+    ellipse_curve(1.1, 0.85),
+], ids=["circle", "shifted-circle", "ellipse-1.3x0.9", "ellipse-1.1x0.85"])
+def test_double_layer_maps_constants_to_one_half(curve, n):
+    # Gauss's lemma in this sign convention: K 1 = +1/2 on any closed curve.
+    # Off the circle the kernel varies and its diagonal is the curvature
+    # limit, so a 1% error there shows as about 4e-5 in K 1.
+    expect = np.zeros(2 * n)
+    expect[0] = 0.5
+    ops = assemble_layer_operators(curve, n)
+    assert np.abs(ops.K[:, 0] - expect).max() <= 1e-13
+
 
 def test_circle_fourier_eigenvalues(ops32):
     for m in range(1, N):

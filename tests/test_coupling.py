@@ -5,7 +5,6 @@ import pytest
 
 from hdgbem import (
     CouplingConfig,
-    Curve,
     DimensionError,
     DivergenceError,
     EstimationError,
@@ -23,6 +22,7 @@ from hdgbem import (
     write_iteration_log,
 )
 from hdgbem.coupling import InterfaceResponse
+from conftest import ellipse_curve
 from reference import bordered_monolithic_solve, q_at
 
 N = 16
@@ -423,11 +423,7 @@ def test_monolithic_matches_fixed_point_on_ellipse(ellipse, k):
 
 def _ellipse_case(center):
     # the dipole-plus-constant fields with a 1.3 x 0.9 elliptic interface
-    (cx, cy), a, b = center, 1.3, 0.9
-    gamma = Curve.from_parametrization(
-        lambda s: np.stack([cx + a * np.cos(s), cy + b * np.sin(s)], axis=-1),
-        lambda s: np.stack([-a * np.sin(s), b * np.cos(s)], axis=-1),
-        lambda s: np.stack([-a * np.cos(s), -b * np.sin(s)], axis=-1))
+    gamma = ellipse_curve(1.3, 0.9, center)
     base = manufactured_case("dipole-plus-constant", constant=3.0)
     return ManufacturedCase("ellipse", base.kappa, base.f, base.u, base.q,
                             base.grad_u, base.u_inf, gamma, base.gamma0,

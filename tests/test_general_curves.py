@@ -24,6 +24,7 @@ from hdgbem import (
     solve_interior,
 )
 from hdgbem.bem import _coeff_to_samples
+from conftest import ellipse_curve
 
 
 def test_non_concentric_annulus_patch_test():
@@ -94,12 +95,7 @@ def test_ellipse_interface_solve_self_convergence(ellipse):
 def test_exterior_solve_refuses_arclength_mean():
     # on an ellipse a density with zero constant coefficient still has an
     # arclength mean; the solve refuses it and accepts its projection
-    a, b, n = 1.3, 0.9, 16
-    curve = Curve.from_parametrization(
-        lambda s: np.stack([a * np.cos(s), b * np.sin(s)], axis=-1),
-        lambda s: np.stack([-a * np.sin(s), b * np.cos(s)], axis=-1),
-        lambda s: np.stack([-a * np.cos(s), -b * np.sin(s)], axis=-1))
-    ops = assemble_layer_operators(curve, n)
+    ops = assemble_layer_operators(ellipse_curve(1.3, 0.9), 16)
     samples = np.cos(2 * ops.nodes) + 0.3 * np.sin(ops.nodes)
     coeff_mean_free = TrigPolynomial.from_samples(samples)
     coeff_mean_free.cos[0] = 0.0

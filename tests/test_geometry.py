@@ -19,6 +19,7 @@ from hdgbem import (
     proximity_parameter,
     save_mesh,
 )
+from conftest import ellipse_curve
 from reference import edge_vertices
 
 
@@ -88,6 +89,44 @@ def test_truncated_or_malformed_mesh_body_names_the_file(circles, tmp_path, cut)
     path.write_text("".join(lines))
     with pytest.raises(MeshingFailureError, match="mesh body in .*mesh.txt"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("index", ["past-end", "negative"])
+def test_mesh_element_vertex_index_out_of_range_names_the_file(circles, tmp_path, index):
+    # numpy would raise a bare IndexError past the end and wrap a negative
+    # index to another vertex
+    mesh = build_annulus_mesh(*circles, 0.3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines(keepends=True)
+    row = 1 + len(mesh.vertices)
+    bad = {"past-end": len(mesh.vertices), "negative": -1}[index]
+    lines[row] = f"{bad} " + " ".join(lines[row].split()[1:]) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(MeshingFailureError, match=r"vertex index outside .* in .*mesh.txt"):
+        load_mesh(path)
+
+
+def test_mesh_boundary_tag_other_than_outer_or_inner_names_the_file(circles, tmp_path):
+    mesh = build_annulus_mesh(*circles, 0.3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines(keepends=True)
+    row = 1 + len(mesh.vertices) + len(mesh.elements)
+    lines[row] = lines[row].split()[0] + " 7\n"
+    path.write_text("".join(lines))
+    with pytest.raises(MeshingFailureError, match="boundary tag other than 0 or 1 in .*mesh.txt"):
+        load_mesh(path)
+
+
+def test_boundary_map_refuses_unknown_tag_naming_the_edge(circles):
+    # an edge tagged neither outer nor inner would keep an unset map row
+    mesh = build_annulus_mesh(*circles, 0.3)
+    edge = int(mesh.boundary_edge_ids[3])
+    mesh.boundary_tags[edge] = 7
+    with pytest.raises(MapConstructionError, match=f"boundary edge {edge} has tag 7") as err:
+        build_boundary_map(mesh, *circles, k=1)
+    assert err.value.edge == edge
 
 
 def _one_triangle_mesh(v0, v1, v2):
@@ -374,10 +413,7 @@ def test_folding_patch_map_raises(circles, monkeypatch):
 @pytest.mark.parametrize("outer", ["circle", "ellipse"])
 def test_map_point_derivative_matches_finite_differences(outer, circles):
     # the circle's and the ellipse's Jacobians come from the same formula
-    curve = circles[0] if outer == "circle" else Curve.from_parametrization(
-        lambda s: np.stack([1.1 * np.cos(s), 0.85 * np.sin(s)], axis=-1),
-        lambda s: np.stack([-1.1 * np.sin(s), 0.85 * np.cos(s)], axis=-1),
-        lambda s: np.stack([-1.1 * np.cos(s), -0.85 * np.sin(s)], axis=-1))
+    curve = circles[0] if outer == "circle" else ellipse_curve(1.1, 0.85)
     rng = np.random.default_rng(5)
     s = rng.uniform(0.0, 2 * np.pi, 16)
     pts = curve.point(s) - rng.uniform(0.01, 0.1, 16)[:, None] * curve.normal(s)

@@ -10,7 +10,6 @@ import pytest
 
 from hdgbem import (
     CouplingConfig,
-    Curve,
     HDGSystem,
     ManufacturedCase,
     assemble_layer_operators,
@@ -23,6 +22,7 @@ from hdgbem import (
 import hdgbem
 from hdgbem import harness
 from hdgbem.cli import main as cli_main
+from conftest import ellipse_curve
 from reference import pde_residual
 
 N = 16
@@ -115,11 +115,7 @@ def test_study_rows_and_csv(tmp_path):
 @pytest.fixture(scope="module")
 def ellipse_study():
     # the dipole-plus-constant fields with a 1.3 x 0.9 elliptic interface
-    a, b = 1.3, 0.9
-    gamma = Curve.from_parametrization(
-        lambda s: np.stack([a * np.cos(s), b * np.sin(s)], axis=-1),
-        lambda s: np.stack([-a * np.sin(s), b * np.cos(s)], axis=-1),
-        lambda s: np.stack([-a * np.cos(s), -b * np.sin(s)], axis=-1))
+    gamma = ellipse_curve(1.3, 0.9)
     base = manufactured_case("dipole-plus-constant")
     case = ManufacturedCase("ellipse", base.kappa, base.f, base.u, base.q,
                             base.grad_u, base.u_inf, gamma, base.gamma0,
@@ -160,6 +156,24 @@ def test_omega_sweep_refuses_empty_weights(monkeypatch):
     monkeypatch.setattr(harness, "run_fixed_point", refuse)
     with pytest.raises(ValueError, match="at least one relaxation weight"):
         omega_sweep(bundle, case, [])
+
+
+def test_omega_sweep_refuses_bad_weight_before_any_run(monkeypatch):
+    # the refused weight comes last, so a sweep that builds each config
+    # just before its run would first pay two coupled solves
+    case = manufactured_case("dipole")
+    bundle = setup_level(case, 0.25, 1, n=N)
+    calls = []
+    real = harness.run_fixed_point
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["config"].omega)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_fixed_point", counted)
+    with pytest.raises(ValueError, match="relaxation weight must lie in"):
+        omega_sweep(bundle, case, [0.5, 0.3, 1.5])
+    assert calls == []
 
 
 def test_diverged_study_level_reports_its_iterations_and_ratio():
