@@ -60,21 +60,22 @@ class TrigPolynomial:
     """Real trigonometric polynomial a0 + sum a_m cos(mt) + b_m sin(mt).
 
     Cosine coefficients run to degree n, sine coefficients to n-1, for 2n
-    real degrees of freedom matching 2n equispaced samples.
+    real degrees of freedom matching 2n equispaced samples, held as the one
+    packed vector [a0..an, b1..b_{n-1}] of which ``cos`` and ``sin`` are views.
     """
 
-    def __init__(self, cos_coeff, sin_coeff):
-        self.cos = np.asarray(cos_coeff, dtype=float)
-        self.sin = np.asarray(sin_coeff, dtype=float)
-        self.n = len(self.cos) - 1
-        if len(self.sin) != max(self.n - 1, 0):
-            raise DimensionError(
-                f"degree {self.n} needs {self.n - 1} sine coefficients, "
-                f"got {len(self.sin)}")
+    def __init__(self, vec):
+        self._c = np.asarray(vec, dtype=float)
+        if self._c.ndim != 1 or len(self._c) % 2:
+            raise DimensionError("packed coefficient vector must have even length")
+        self.n = len(self._c) // 2
+
+    cos = property(lambda self: self._c[:self.n + 1], doc="a0..an, a view")
+    sin = property(lambda self: self._c[self.n + 1:], doc="b1..b_{n-1}, a view")
 
     @classmethod
     def zero(cls, n):
-        return cls(np.zeros(n + 1), np.zeros(max(n - 1, 0)))
+        return cls(np.zeros(2 * n))
 
     @classmethod
     def from_samples(cls, samples):
@@ -82,24 +83,20 @@ class TrigPolynomial:
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or len(samples) % 2 or len(samples) < 4:
             raise DimensionError("need an even number (>= 4) of equispaced samples")
-        return cls.from_coefficients(
-            _samples_to_coeff(len(samples) // 2, samples[:, None])[:, 0])
+        return cls(_samples_to_coeff(len(samples) // 2, samples[:, None])[:, 0])
 
     @classmethod
     def from_coefficients(cls, vec):
-        """From the packed vector [a0..an, b1..b_{n-1}] of length 2n."""
-        vec = np.asarray(vec, dtype=float)
-        if len(vec) % 2:
-            raise DimensionError("packed coefficient vector must have even length")
-        n = len(vec) // 2
-        return cls(vec[:n + 1], vec[n + 1:])
+        """Wraps the packed vector [a0..an, b1..b_{n-1}] of length 2n, uncopied."""
+        return cls(vec)
 
     def coefficients(self):
-        return np.concatenate([self.cos, self.sin])
+        """A copy of the packed vector."""
+        return self._c.copy()
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        return (_coeff_to_samples(self.n, t.ravel()) @ self.coefficients()).reshape(t.shape)
+        return (_coeff_to_samples(self.n, t.ravel()) @ self._c).reshape(t.shape)
 
     def l2_norm(self, speed=1.0):
         """L2(Gamma) norm; ``speed`` is |y'| (a scalar for circles)."""
@@ -108,13 +105,13 @@ class TrigPolynomial:
         return float(np.sqrt(speed * s2))
 
     def __add__(self, other):
-        return TrigPolynomial(self.cos + other.cos, self.sin + other.sin)
+        return TrigPolynomial(self._c + other._c)
 
     def __sub__(self, other):
-        return TrigPolynomial(self.cos - other.cos, self.sin - other.sin)
+        return TrigPolynomial(self._c - other._c)
 
     def __mul__(self, a):
-        return TrigPolynomial(a * self.cos, a * self.sin)
+        return TrigPolynomial(a * self._c)
 
     __rmul__ = __mul__
 
@@ -267,8 +264,8 @@ def _exterior_map(V, K, gram, injection):
 
     Both sides are tested against the mean-zero space and g is sought in
     it: one dense solve of the reduced (2n-1)^2 system for all 2n right-hand
-    sides.  An exactly singular system or a column residual above 1e-12 of
-    its right-hand side raises SolverError.
+    sides.  An exactly singular system or a column residual that is not
+    finite or above 1e-12 of its right-hand side raises SolverError.
     """
     ZtG = injection.T * gram
     reduced = ZtG @ (0.5 * np.eye(len(gram)) - K) @ injection
@@ -279,10 +276,11 @@ def _exterior_map(V, K, gram, injection):
         raise SolverError("singular reduced interface system") from exc
     res = np.linalg.norm(reduced @ sol - rhs, axis=0)
     scale = np.linalg.norm(rhs, axis=0)
-    bad = (res > 1e-12 * scale) & (scale > 0)
+    bad = ~np.isfinite(res) | ((res > 1e-12 * scale) & (scale > 0))
     if np.any(bad):
         j = int(np.argmax(bad))
-        raise SolverError(f"interface solve residual {res[j]:.3e} vs scale {scale[j]:.3e}")
+        raise SolverError(f"interface solve column {j}: residual {res[j]:.3e} "
+                          f"vs scale {scale[j]:.3e}")
     return injection @ sol
 
 
@@ -312,7 +310,7 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     so memory is bounded in the point count; no points give an empty array.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(pts) == 0:
+    if pts.size == 0:
         return np.empty(0)
     if not np.all(np.isfinite(pts)):
         raise DomainError("evaluation point is not finite")

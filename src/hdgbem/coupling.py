@@ -8,38 +8,40 @@ c = g + u_inf e_0.  Both read one step from an ``InterfaceMap``:
   1. the flux: the interior solve with Dirichlet data c on the interface
      and the problem datum on the inner boundary, sampled as normal flux
      at the interface nodes (``apply``, or ``linear`` for its part F c);
-  2. the exterior half (``exterior``): the flux, projected onto densities
-     of zero arclength mean and negated, is the exterior Neumann density
-     lam, and the boundary integral equation gives the trace g_tilde;
+  2. the coupling residual (``coupling_residual``): the negated flux,
+     projected onto densities of zero arclength mean, is the exterior
+     Neumann density lam, whose exterior trace g_tilde gives the residual
+     r(x, flux) = (g - g_tilde, total flux) of the coupling conditions;
   3. the closing solve (``trace_solve``) of the final datum, which gives
      the interior trace for the field, the flux samples and the residual.
 
-``run_fixed_point`` relaxes the step, g <- omega g_tilde + (1 - omega) g.
-Each layer owns its part of the map: ``HDGSystem`` the data operator B,
-the point-flux map Z and its load part z_f; ``LayerOperatorSet`` the node
-arc weights of the mean-flux integral and the exterior solve.  The map's
-data-independent part, an ``InterfaceResponse``, is kept once per (system,
-operator set) and shared by every run on it, so a sweep over weights pays
-for it once.  It counts the trace solves that its dense form F could
-replace: the far-field response and each flux of ``apply``.  Until the
-count reaches n a flux costs one trace solve; then one block solve gives
-U = A^{-1} B and the dense 2n x 2n F = Z U, and every later flux is a
-matvec.  The closing solve needs the trace itself, so it is not counted;
-once U exists it is uhat0 + U c, with a true residual check.  The
-iteration recovers the field once, for the converged trace.
+``run_fixed_point`` steps x <- x - D r with D = (omega, .., omega, 1/chi),
+a damped Richardson iteration.  Each layer owns its part of the map:
+``HDGSystem`` the data operator B, the point-flux map Z and its load part
+z_f; ``LayerOperatorSet`` the node arc weights of the mean-flux integral
+and the exterior solve.  The map's data-independent part, an
+``InterfaceResponse``, is kept once per (system, operator set) and shared
+by every run on it, so a sweep over weights pays for it once.  It counts
+the trace solves that its dense form F could replace: the far-field
+response and each flux of ``apply``.  Until the count reaches n a flux
+costs one trace solve; then one block solve gives U = A^{-1} B and the
+dense 2n x 2n F = Z U, and every later flux is a matvec.  The closing
+solve needs the trace itself, so it is not counted; once U exists it is
+uhat0 + U c, with a true residual check.  The iteration recovers the field
+once, for the converged trace.
 
 The constant mode cannot travel through the mean-zero integral equation,
 so it is driven by the radiation-condition compatibility "total interface
-flux = 0": its update is an exact Newton step using the flux response chi
-to a unit constant datum (one extra interior solve per response).  A fixed
-point of the relaxed map is a fixed point of the unrelaxed one, so
-converged answers do not depend on the relaxation weight.
+flux = 0": its update, with the last entry 1/chi of D, is an exact
+Newton step using the flux response chi to a unit constant datum (one
+extra interior solve per response).  The fixed point r = 0 does not
+depend on D, so converged answers do not depend on the relaxation weight.
 
 ``monolithic_solve`` is the equivalence oracle for the iteration's limit.
-It solves the same coupling conditions, g = g_tilde and zero total flux,
-as one linear system on x by full-memory GMRES over ``linear``: at most
-2n + 1 steps, each one trace solve on the existing factorization or a
-2n x 2n matvec once the response holds F.  It never builds F itself.
+It solves the same residual r = 0 as one linear system on x by
+full-memory GMRES over ``linear``: at most 2n + 1 steps, each one trace
+solve on the existing factorization or a 2n x 2n matvec once the response
+holds F.  It never builds F itself.
 """
 
 import numpy as np
@@ -61,8 +63,8 @@ class CouplingConfig:
             raise ValueError(f"relaxation weight must lie in (0, 1], got {omega}")
         if not 0.0 < tol < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {tol}")
-        if max_iterations < 1:
-            raise ValueError(f"iteration cap must be at least 1, got {max_iterations}")
+        if not (float(max_iterations).is_integer() and max_iterations >= 1):
+            raise ValueError(f"iteration cap must be a whole number >= 1, got {max_iterations}")
         self.omega = float(omega)
         self.max_iterations = int(max_iterations)
         self.tol = float(tol)
@@ -182,8 +184,8 @@ class InterfaceMap:
     flux with one counted trace solve until the response holds F, and with
     flux0 plus F c after that, where flux0 is the flux of uhat0, the
     response's solve of rhs0 (``InterfaceResponse.zero_trace``); ``linear``
-    gives F c alone, never counted; ``exterior`` turns a flux into the
-    exterior trace; ``trace_solve`` is the uncounted closing solve.
+    gives F c alone, never counted; ``coupling_residual`` is the residual
+    both drivers read; ``trace_solve`` is the uncounted closing solve.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -249,15 +251,15 @@ class InterfaceMap:
             return self.trace_solve(c)[1:]
         return self._zero_datum()[1] + self.linear(c), resp.F_residual
 
-    def exterior(self, flux):
-        """(g_tilde coefficients, lam, arc_w . flux) of flux samples.
+    def coupling_residual(self, x, flux):
+        """Residual r = (g - g_tilde, arc_w . flux) of x = (g, u_inf) under flux, and lam.
 
         lam is the negated projected flux, the Neumann density handed to
         the exterior solve, and g_tilde that solve's trace.
         """
         lam = self.ops.project(-flux)
         g_tilde = solve_exterior(self.ops, lam).coefficients()
-        return g_tilde, lam, float(self.ops.arc_w @ flux)
+        return np.append(x[:-1] - g_tilde, self.ops.arc_w @ flux), lam
 
 
 def estimate_contraction(history):
@@ -297,26 +299,22 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
         raise SolverError("degenerate far-field channel: zero flux response")
 
     state = CouplingState(ops.n)
-    omega = config.omega
+    D = np.append(np.full(n2, config.omega), 1.0 / chi)
     x = np.zeros(n2 + 1)
-    c = _datum(x)
     for it in range(1, config.max_iterations + 1):
         state.iteration = it
-        flux, residual = imap.apply(c)
-        g_tilde, state.lam, mean = imap.exterior(flux)
+        flux, residual = imap.apply(_datum(x))
+        r, state.lam = imap.coupling_residual(x, flux)
         state.lambda_mean_max = max(state.lambda_mean_max,
                                     abs(ops.moments @ state.lam.coefficients()))
-        x_new = np.append(omega * g_tilde + (1.0 - omega) * x[:n2],
-                          x[n2] - mean / chi)
-        delta = x_new[:n2] - x[:n2]
-        delta[0] += x_new[n2] - x[n2]
-        update = TrigPolynomial.from_coefficients(delta).l2_norm(speed=speed)
-        x, c = x_new, _datum(x_new)
+        step = D * r
+        x = x - step
+        update = TrigPolynomial.from_coefficients(_datum(step)).l2_norm(speed=speed)
 
         state.history.append(update)
         state.u_inf_history.append(float(x[n2]))
         state.residual_history.append(residual)
-        trace = TrigPolynomial.from_coefficients(c).l2_norm(speed=speed)
+        trace = TrigPolynomial.from_coefficients(_datum(x)).l2_norm(speed=speed)
         if update <= config.tol * max(1.0, trace):
             state.converged = True
             break
@@ -326,7 +324,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
             f"no convergence in {config.max_iterations} iterations "
             f"(last update {state.history[-1]:.3e})", state=state)
     # the field and density of the converged trace, from a real trace solve
-    uhat, flux, residual = imap.trace_solve(c)
+    uhat, flux, residual = imap.trace_solve(_datum(x))
     state.field = system.recover(uhat, imap.f_mom)
     state.lam = ops.project(-flux)
     state.residual_history.append(residual)
@@ -360,9 +358,9 @@ def monolithic_solve(system, ops, f=None, u0=None):
     """Solve interior, interface equation and flux compatibility at once.
 
     The unknowns are x = (g coefficients, u_inf), with datum c = g + u_inf
-    e_0.  With ``imap.exterior`` taking a flux to (g_tilde, lam, arc_w .
-    flux), the residual of x under a flux is r(x, flux) = (g - g_tilde,
-    arc_w . flux), and the coupled system r(x, flux0 + F c) = 0 is linear:
+    e_0.  The residual r(x, flux) = (g - g_tilde, arc_w . flux) that
+    ``run_fixed_point`` steps on, ``imap.coupling_residual``, makes the
+    coupled system r(x, flux0 + F c) = 0 linear:
 
         r(x, F c) = -r(0, flux0),
 
@@ -379,23 +377,20 @@ def monolithic_solve(system, ops, f=None, u0=None):
     """
     n2 = 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)
-
-    def residual(x, flux):
-        g_tilde, _, mean = imap.exterior(flux)
-        return np.append(x[:n2] - g_tilde, mean)
+    b = -imap.coupling_residual(np.zeros(n2 + 1), imap._zero_datum()[1])[0]
+    b_norm = np.linalg.norm(b)
 
     def matvec(x):
-        return residual(x, imap.linear(_datum(x)))
+        return imap.coupling_residual(x, imap.linear(_datum(x)))[0]
 
-    b = -residual(np.zeros(n2 + 1), imap._zero_datum()[1])
-    b_norm = np.linalg.norm(b)
     x, _ = spla.gmres(spla.LinearOperator((n2 + 1, n2 + 1), matvec=matvec), b,
                       rtol=1e-13, atol=0.0, restart=n2 + 1, maxiter=1)
     uhat, flux, _ = imap.trace_solve(_datum(x))
-    r_norm = np.linalg.norm(residual(x, flux))
+    r, lam = imap.coupling_residual(x, flux)
+    r_norm = np.linalg.norm(r)
     if not r_norm <= 1e-10 * b_norm:
         raise SolverError(
             f"coupled GMRES did not solve the interface system: residual "
             f"{r_norm:.3e} against right-hand side {b_norm:.3e}")
     g = TrigPolynomial.from_coefficients(x[:n2])
-    return system.recover(uhat, imap.f_mom), g, ops.project(-flux), float(x[n2])
+    return system.recover(uhat, imap.f_mom), g, lam, float(x[n2])

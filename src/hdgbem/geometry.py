@@ -64,7 +64,8 @@ class Curve:
         self._second_derivative = second_derivative
         sample = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         if not (np.all(np.isfinite(self.point(sample)))
-                and np.all(np.isfinite(self.derivative(sample)))):
+                and np.all(np.isfinite(self.derivative(sample)))
+                and np.all(np.isfinite(self.second_derivative(sample)))):
             raise GeometryInfeasibleError("curve parametrization is not finite")
         if np.min(self.speed(sample)) <= 0.0:
             raise GeometryInfeasibleError("curve parametrization has a vanishing derivative")
@@ -589,8 +590,9 @@ def save_mesh(mesh, path):
 def load_mesh(path):
     """Read a mesh written by save_mesh and restore its boundary tags.
 
-    A malformed file, an element vertex index outside the vertex table or a
-    boundary tag other than 0 or 1 raises MeshingFailureError naming the file.
+    A malformed file, a non-finite vertex coordinate, an element vertex
+    index outside the vertex table or a boundary tag other than 0 or 1
+    raises MeshingFailureError naming the file.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -607,6 +609,8 @@ def load_mesh(path):
             verts, elems, tags = table(n_v, 2, float), table(n_e, 3, int), table(n_b, 2, int)
         except ValueError as exc:
             raise MeshingFailureError(f"truncated or malformed mesh body in {path}") from exc
+    if not np.all(np.isfinite(verts)):
+        raise MeshingFailureError(f"non-finite vertex coordinate in {path}")
     if np.any((elems < 0) | (elems >= n_v)):
         raise MeshingFailureError(f"element vertex index outside [0, {n_v}) in {path}")
     mesh = UnfittedMesh(verts, elems, fitted=fitted)

@@ -193,11 +193,6 @@ class StudyReport:
         self.n = n
         self.rows = []
 
-    def add_row(self, **kw):
-        if self.rows and kw["h"] >= self.rows[-1]["h"]:
-            raise ValueError("study rows must have strictly decreasing h")
-        self.rows.append(kw)
-
     def rate(self, key, i):
         """log2 error ratio between rows i-1 and i; None when not defined."""
         if i == 0:
@@ -273,7 +268,10 @@ def convergence_study(case, k, hs, n=32, config=None, fitted=False):
     cases (polynomial patches) solve the interior problem with the exact
     interface trace as data.  A diverging level is recorded with its
     iteration count and contraction estimate, and the study continues.
+    An empty ``hs`` or one not strictly decreasing raises ValueError first.
     """
+    if len(hs) == 0 or any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError(f"a study needs one or more strictly decreasing h, got {list(hs)}")
     config = config or CouplingConfig()
     report = StudyReport(case.id, k, n)
     for target_h in hs:
@@ -292,11 +290,11 @@ def convergence_study(case, k, hs, n=32, config=None, fitted=False):
                                    g_gamma=case.u, u0_gamma0=case.u0)
         err_q, err_u = l2_errors(field, bundle.system, case.u, case.q) \
             if conv else (np.nan, np.nan)
-        report.add_row(h=float(target_h), mesh_h=bundle.mesh.h,
-                       R_h=bundle.proximity.R_h, n=n,
-                       dofs=bundle.system.n_trace, err_q=err_q, err_u=err_u,
-                       err_g=err_g, err_uinf=err_uinf, iters=iters,
-                       ratio=ratio, converged=conv)
+        report.rows.append(dict(h=float(target_h), mesh_h=bundle.mesh.h,
+                                R_h=bundle.proximity.R_h, n=n,
+                                dofs=bundle.system.n_trace, err_q=err_q,
+                                err_u=err_u, err_g=err_g, err_uinf=err_uinf,
+                                iters=iters, ratio=ratio, converged=conv))
     return report
 
 

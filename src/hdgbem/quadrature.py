@@ -8,6 +8,8 @@ polynomials of total degree 2n - 2 exactly.
 
 import numpy as np
 
+from .errors import DimensionError
+
 
 def gauss_legendre(n):
     """Nodes and weights on [-1, 1]."""
@@ -22,6 +24,8 @@ def gauss01(n):
 
 def edge_rule(k):
     """The k + 2 Gauss points on [0, 1] of every degree-k edge integral."""
+    if k < 0:
+        raise DimensionError(f"polynomial degree must be at least 0, got {k}")
     return gauss01(k + 2)
 
 

@@ -256,6 +256,14 @@ def test_singular_interface_system_is_refused_at_construction(ops32):
         LayerOperatorSet(ops32.curve, N, ops32.V, 0.5 * np.eye(2 * N))
 
 
+def test_non_finite_interface_solve_column_is_refused(ops32):
+    # a NaN residual fails every "above the bound" test, so it needs its own
+    K = ops32.K.copy()
+    K[3, 5] = np.nan
+    with pytest.raises(SolverError, match="interface solve column \\d+: residual nan"):
+        LayerOperatorSet(ops32.curve, N, ops32.V, K)
+
+
 def test_spectral_accuracy_entire_density(ops32):
     # lambda = exp(cos t) - I0(1) has Bessel coefficients 2 I_m(1);
     # the exact trace follows from the Fourier diagonalization
@@ -340,6 +348,8 @@ def test_evaluate_exterior_on_no_points(ops32):
     vals = evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
                              0.0, np.empty((0, 2)))
     assert vals.shape == (0,)
+    assert evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
+                             0.0, []).shape == (0,)
 
 
 def test_inside_point_rejected(ops32):

@@ -107,6 +107,19 @@ def test_mesh_element_vertex_index_out_of_range_names_the_file(circles, tmp_path
         load_mesh(path)
 
 
+def test_mesh_non_finite_vertex_coordinate_names_the_file(circles, tmp_path):
+    # a NaN vertex gives NaN edge lengths, and the boundary map would then
+    # report overlapping edge intervals without naming the file
+    mesh = build_annulus_mesh(*circles, 0.3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1 + int(mesh.edges[mesh.boundary_edge_ids[0], 0])] = "nan 0.3\n"
+    path.write_text("".join(lines))
+    with pytest.raises(MeshingFailureError, match="non-finite vertex coordinate in .*mesh.txt"):
+        load_mesh(path)
+
+
 def test_mesh_boundary_tag_other_than_outer_or_inner_names_the_file(circles, tmp_path):
     mesh = build_annulus_mesh(*circles, 0.3)
     path = tmp_path / "mesh.txt"
@@ -324,7 +337,8 @@ def test_parametrized_curve_matches_circle(smooth_unit_circle):
 
 
 def _spoiled_unit_circle(part, value):
-    """The unit circle with value in its position (part 0) or derivative (1) for s > 3."""
+    """The unit circle with value in its position (part 0), derivative (1) or
+    second derivative (2) for s > 3."""
     fns = [lambda s: np.stack([np.cos(s), np.sin(s)], axis=-1),
            lambda s: np.stack([-np.sin(s), np.cos(s)], axis=-1),
            lambda s: -np.stack([np.cos(s), np.sin(s)], axis=-1)]
@@ -339,7 +353,9 @@ def _spoiled_unit_circle(part, value):
     lambda: Curve.circle((np.nan, 0.0), 1.0),
     lambda: _spoiled_unit_circle(1, np.nan),
     lambda: _spoiled_unit_circle(0, np.inf),
-], ids=["nan-radius", "inf-radius", "nan-center", "nan-derivative", "inf-position"])
+    lambda: _spoiled_unit_circle(2, np.nan),
+], ids=["nan-radius", "inf-radius", "nan-center", "nan-derivative", "inf-position",
+        "nan-second-derivative"])
 def test_non_finite_curve_is_infeasible(make):
     with pytest.raises(GeometryInfeasibleError, match="finite"):
         make()

@@ -10,6 +10,7 @@ import pytest
 
 from hdgbem import (
     CouplingConfig,
+    DimensionError,
     HDGSystem,
     ManufacturedCase,
     assemble_layer_operators,
@@ -174,6 +175,28 @@ def test_omega_sweep_refuses_bad_weight_before_any_run(monkeypatch):
     with pytest.raises(ValueError, match="relaxation weight must lie in"):
         omega_sweep(bundle, case, [0.5, 0.3, 1.5])
     assert calls == []
+
+
+@pytest.mark.parametrize("hs", [[0.2, 0.25], [0.2, 0.2], []], ids=["rising", "repeated", "empty"])
+def test_study_refuses_bad_hs_before_any_level(monkeypatch, hs):
+    # rising h was refused only after both levels were built and solved,
+    # and no h at all gave an empty report
+    calls = []
+    real = harness.setup_level
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "setup_level", counted)
+    with pytest.raises(ValueError, match="strictly decreasing h"):
+        convergence_study(manufactured_case("dipole"), 1, hs)
+    assert calls == []
+
+
+def test_negative_degree_is_refused():
+    with pytest.raises(DimensionError, match="degree must be at least 0, got -1"):
+        setup_level(manufactured_case("dipole"), 0.2, -1)
 
 
 def test_diverged_study_level_reports_its_iterations_and_ratio():
