@@ -192,9 +192,9 @@ def assemble_layer_operators(curve, n):
     Every curve uses the periodic log splitting on a grid of 2 OVERSAMPLE n
     points, so that products of degree-n densities are integrated exactly.
     """
+    if not (float(n).is_integer() and n >= 2):
+        raise DimensionError(f"density degree must be a whole number >= 2, got {n}")
     n = int(n)
-    if n < 2:
-        raise DimensionError("density degree must be at least 2")
     N = OVERSAMPLE * n
     t = np.arange(2 * N) * np.pi / N
     speed = curve.speed(t)
@@ -303,14 +303,20 @@ def solve_exterior(ops, lam):
 def evaluate_exterior(ops, g, lam, u_inf, points):
     """Exterior representation D g - S lam + u_inf at points outside the curve.
 
-    All points are checked before any is evaluated: a non-finite point, or
-    one at signed distance at most EVAL_STANDOFF times the curve's diameter,
-    raises DomainError.  The layer potentials use the trapezoidal rule on
-    max(8n, 64) nodes.  Both passes run over blocks of EVAL_CHUNK points,
-    so memory is bounded in the point count; no points give an empty array.
+    ``points`` is an (m, 2) array or one (2,) point; any other shape raises
+    DimensionError.  All points are checked before any is evaluated: a
+    non-finite point, or one at signed distance at most EVAL_STANDOFF times
+    the curve's diameter, raises DomainError.  The layer potentials use the
+    trapezoidal rule on max(8n, 64) nodes.  Both passes run over blocks of
+    EVAL_CHUNK points, so memory is bounded in the point count; no points
+    give an empty array.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
+    pts = np.asarray(points, dtype=float)
+    if pts.shape not in ((0,), (2,)) and (pts.ndim != 2 or pts.shape[1] != 2):
+        raise DimensionError(f"evaluation points must be an (m, 2) array or one "
+                             f"(2,) point, got shape {pts.shape}")
+    pts = pts.reshape(-1, 2)
+    if len(pts) == 0:
         return np.empty(0)
     if not np.all(np.isfinite(pts)):
         raise DomainError("evaluation point is not finite")

@@ -3,45 +3,26 @@
 Both drivers work on one packed iterate x = (g coefficients, u_inf) of
 length 2n + 1: g, the mean-zero part of the interface Dirichlet trace, and
 the separately tracked far-field constant u_inf.  The interface datum is
-c = g + u_inf e_0.  Both read one step from an ``InterfaceMap``:
+c = g + u_inf e_0.  The interior solve with datum c on the interface is
+affine in c, and so is its normal flux at the 2n density nodes:
 
-  1. the flux: the interior solve with Dirichlet data c on the interface
-     and the problem datum on the inner boundary, sampled as normal flux
-     at the interface nodes (``apply``, or ``linear`` for its part F c);
-  2. the coupling residual (``coupling_residual``): the negated flux,
-     projected onto densities of zero arclength mean, is the exterior
-     Neumann density lam, whose exterior trace g_tilde gives the residual
-     r(x, flux) = (g - g_tilde, total flux) of the coupling conditions;
-  3. the closing solve (``trace_solve``) of the final datum, which gives
-     the interior trace for the field, the flux samples and the residual.
+    uhat = uhat0 + A^{-1} B c,    flux = flux0 + F c,    F = Z A^{-1} B,
 
-``run_fixed_point`` steps x <- x - D r with D = (omega, .., omega, 1/chi),
-a damped Richardson iteration.  Each layer owns its part of the map:
-``HDGSystem`` the data operator B, the point-flux map Z and its load part
-z_f; ``LayerOperatorSet`` the node arc weights of the mean-flux integral
-and the exterior solve.  The map's data-independent part, an
-``InterfaceResponse``, is kept once per (system, operator set) and shared
-by every run on it, so a sweep over weights pays for it once.  It counts
-the trace solves that its dense form F could replace: the far-field
-response and each flux of ``apply``.  Until the count reaches n a flux
-costs one trace solve; then one block solve gives U = A^{-1} B and the
-dense 2n x 2n F = Z U, and every later flux is a matvec.  The closing
-solve needs the trace itself, so it is not counted; once U exists it is
-uhat0 + U c, with a true residual check.  The iteration recovers the field
-once, for the converged trace.
+with A the trace system matrix and uhat0 = A^{-1} rhs0 the solve for the
+load and the inner datum alone.  ``InterfaceMap`` is this map, and its
+``coupling_residual`` turns a flux into the residual
+r(x) = (g - g_tilde, arc_w . flux) of the coupling conditions, where
+g_tilde is the exterior trace of the negated projected flux.  ``HDGSystem``
+owns B, Z and the load part z_f; ``LayerOperatorSet`` the arc weights and
+the exterior solve.
 
-The constant mode cannot travel through the mean-zero integral equation,
-so it is driven by the radiation-condition compatibility "total interface
-flux = 0": its update, with the last entry 1/chi of D, is an exact
-Newton step using the flux response chi to a unit constant datum (one
-extra interior solve per response).  The fixed point r = 0 does not
-depend on D, so converged answers do not depend on the relaxation weight.
-
-``monolithic_solve`` is the equivalence oracle for the iteration's limit.
-It solves the same residual r = 0 as one linear system on x by
-full-memory GMRES over ``linear``: at most 2n + 1 steps, each one trace
-solve on the existing factorization or a 2n x 2n matvec once the response
-holds F.  It never builds F itself.
+``run_fixed_point`` steps x <- x - D r(x) with D = (omega, .., omega,
+1/chi), a damped Richardson iteration, and ``monolithic_solve`` solves the
+linear system r(x) = 0 by GMRES.  The constant mode cannot travel through
+the mean-zero integral equation, so the last entry of D is an exact Newton
+step on "total interface flux = 0", with chi the mean-flux response to a
+unit constant datum.  The fixed point does not depend on D, so converged
+answers do not depend on the relaxation weight.
 """
 
 import numpy as np
@@ -65,6 +46,8 @@ class CouplingConfig:
             raise ValueError(f"tolerance must be positive and finite, got {tol}")
         if not (float(max_iterations).is_integer() and max_iterations >= 1):
             raise ValueError(f"iteration cap must be a whole number >= 1, got {max_iterations}")
+        if n is not None and not float(n).is_integer():
+            raise ValueError(f"density degree must be a whole number, got {n}")
         self.omega = float(omega)
         self.max_iterations = int(max_iterations)
         self.tol = float(tol)
@@ -119,13 +102,11 @@ class InterfaceResponse:
         dipole-fine    7.5-8.0 ms     64 columns, 284-304 ms   1.18-1.19 n
         ellipse-near   5.9-6.7 ms     128 columns, 456-498 ms  1.16-1.21 n
 
-    ``U`` is kept, n_trace x 2n doubles (11.8 MB on bump-sweep), so that a
-    closing solve is a matvec (``InterfaceMap.trace_solve``).  So is the
-    latest solve uhat0 = A^{-1} rhs0 of a map's load and inner datum
-    (``zero_trace``): every run with the same f and u0 reuses it, and a
-    run with other data replaces it, so one trace vector is kept.  The
-    system keeps one response per operator set, built by the first
-    ``InterfaceMap``.
+    ``U`` is kept, n_trace x 2n doubles (11.8 MB on bump-sweep), so that
+    the lift A^{-1} B c of a closing solve is a matvec.  ``zero_trace``
+    keeps the latest uhat0 = A^{-1} rhs0 and its residual, which every map
+    with the same f and u0 reuses.  The system keeps one response per
+    operator set, built by the first ``InterfaceMap``.
     """
 
     def __init__(self, system, ops):
@@ -155,9 +136,9 @@ class InterfaceResponse:
         return self.F
 
     def zero_trace(self, rhs0):
-        """uhat0 = A^{-1} rhs0, one uncounted solve unless rhs0 is bitwise the last one."""
+        """(uhat0, its residual): one uncounted solve of rhs0 unless it is bitwise the last."""
         if self._zero is None or self._zero[0].tobytes() != rhs0.tobytes():
-            self._zero = rhs0.copy(), self.system.solve_trace(rhs0)[0]
+            self._zero = rhs0.copy(), self.system.solve_trace(rhs0)
         return self._zero[1]
 
     @property
@@ -170,22 +151,18 @@ class InterfaceResponse:
 
 
 class InterfaceMap:
-    """One step of the coupling, from interface datum c to the exterior trace.
+    """The affine map from interface datum c to interior trace and flux:
 
-    With A the trace system matrix, the normal flux at the 2n density nodes
-    for datum coefficients c is
+        uhat = uhat0 + A^{-1} B c,    flux = flux0 + F c.
 
-        flux = Z A^{-1} (rhs0 + B c) + Z_f f_mom  =  flux0 + F c.
-
-    ``response`` is the shared ``InterfaceResponse`` of (system, ops) that
-    holds B, Z, Z_f, U and F, and ``ops`` the operator set; ``rhs0``
-    carries the load f and the inner datum u0, and ``z_f`` = Z_f f_mom the
-    load's direct part of each parent element's flux.  ``apply`` gives the
-    flux with one counted trace solve until the response holds F, and with
-    flux0 plus F c after that, where flux0 is the flux of uhat0, the
-    response's solve of rhs0 (``InterfaceResponse.zero_trace``); ``linear``
-    gives F c alone, never counted; ``coupling_residual`` is the residual
-    both drivers read; ``trace_solve`` is the uncounted closing solve.
+    ``rhs0`` carries the load f and the inner datum u0, ``z_f`` = Z_f f_mom
+    is the load's direct part of each parent element's flux, and
+    ``uhat0`` = A^{-1} rhs0, its solve's ``residual0`` and
+    ``flux0`` = Z uhat0 + z_f are fixed when the map is built.  ``response``
+    is the shared ``InterfaceResponse`` of (system, ops), which holds B, Z,
+    U and F.  One lift c -> A^{-1} B c, U c once the response holds U and
+    one trace solve before, serves ``linear`` (F c), ``apply``
+    (flux0 + F c, counted until F exists) and ``trace_solve``.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -196,60 +173,47 @@ class InterfaceMap:
         self.f_mom = system.disc.f_moments(f)
         self.rhs0 = system.rhs(self.f_mom, u0_gamma0=u0)
         self.z_f = self.response.Z_f @ self.f_mom.ravel()
-        self._zero = None
+        self.uhat0, self.residual0 = self.response.zero_trace(self.rhs0)
+        self.flux0 = self.flux(self.uhat0)
 
-    def _zero_datum(self):
-        """(uhat0, flux0) of datum c = 0, from the response's solve of rhs0."""
-        if self._zero is None:
-            uhat0 = self.response.zero_trace(self.rhs0)
-            self._zero = uhat0, self.flux(uhat0)
-        return self._zero
-
-    def trace_solve(self, c):
-        """Interior trace for datum c, its flux samples and the solve's residual.
-
-        Once the response holds U the trace is uhat0 + U c, and its true
-        residual |A uhat - rhs| goes through the same check as a solve's
-        (``HDGSystem.residual``); before, it is one trace solve.  The
-        response counts this solve only when ``apply`` makes it.
-        """
+    def _lift(self, c):
+        """A^{-1} B c and the residual of the solve behind it."""
         resp = self.response
-        rhs = self.rhs0 + resp.B @ c
         if resp.U is None:
-            uhat, residual = resp.system.solve_trace(rhs)
-        else:
-            uhat = self._zero_datum()[0] + resp.U @ c
-            residual = resp.system.residual(uhat, rhs)
-        return uhat, self.flux(uhat), residual
+            return resp.system.solve_trace(resp.B @ c)
+        return resp.U @ c, resp.F_residual
 
     def flux(self, uhat):
         """Flux samples of the interior trace uhat."""
         return self.response.Z @ uhat + self.z_f
 
     def linear(self, c):
-        """F c: flux samples of datum coefficients c, without load or u0.
-
-        The linear part of the map.  Read from F when the response holds
-        it; otherwise one trace solve that the response does not count, so
-        that a caller of this method alone never makes the response build F.
-        """
+        """F c, never counted, so that it alone never makes the response build F."""
         resp = self.response
-        if resp.F is not None:
-            return resp.F @ c
-        uhat, _ = resp.system.solve_trace(resp.B @ c)
-        return resp.Z @ uhat
+        return resp.F @ c if resp.F is not None else resp.Z @ self._lift(c)[0]
 
     def apply(self, c):
-        """Flux samples for datum c and the residual of the solve behind them.
+        """flux0 + F c and the residual of the solve behind it.
 
-        Until F exists this is one trace solve, which the response counts.
-        Served by F, the residual is that of F's worst column.
+        Until F exists the lift is one trace solve, which the response
+        counts; served by F, the residual is that of F's worst column.
         """
         resp = self.response
-        if resp.dense() is None:
-            resp.solves += 1
-            return self.trace_solve(c)[1:]
-        return self._zero_datum()[1] + self.linear(c), resp.F_residual
+        if resp.dense() is not None:
+            return self.flux0 + resp.F @ c, resp.F_residual
+        resp.solves += 1
+        lift, residual = self._lift(c)
+        return self.flux0 + resp.Z @ lift, residual
+
+    def trace_solve(self, c):
+        """Interior trace uhat0 + A^{-1} B c, its flux samples and its true residual.
+
+        The residual |A uhat - rhs0 - B c| goes through the same check as a
+        solve's (``HDGSystem.residual``).  The solve is not counted.
+        """
+        resp = self.response
+        uhat = self.uhat0 + self._lift(c)[0]
+        return uhat, self.flux(uhat), resp.system.residual(uhat, self.rhs0 + resp.B @ c)
 
     def coupling_residual(self, x, flux):
         """Residual r = (g - g_tilde, arc_w . flux) of x = (g, u_inf) under flux, and lam.
@@ -303,7 +267,8 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     x = np.zeros(n2 + 1)
     for it in range(1, config.max_iterations + 1):
         state.iteration = it
-        flux, residual = imap.apply(_datum(x))
+        # x starts at 0, whose flux is flux0
+        flux, residual = imap.apply(_datum(x)) if it > 1 else (imap.flux0, imap.residual0)
         r, state.lam = imap.coupling_residual(x, flux)
         state.lambda_mean_max = max(state.lambda_mean_max,
                                     abs(ops.moments @ state.lam.coefficients()))
@@ -323,7 +288,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
         raise DivergenceError(
             f"no convergence in {config.max_iterations} iterations "
             f"(last update {state.history[-1]:.3e})", state=state)
-    # the field and density of the converged trace, from a real trace solve
+    # the field and density of the converged trace, with its true residual
     uhat, flux, residual = imap.trace_solve(_datum(x))
     state.field = system.recover(uhat, imap.f_mom)
     state.lam = ops.project(-flux)
@@ -334,14 +299,11 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
 def write_iteration_log(state, path):
     """CSV rows (iter, update-norm, u_inf estimate, interior residual).
 
-    One row per iteration.  The interior residual is that of the
-    iteration's trace solve.  Once the counted trace solves on a (system,
-    operators) pair, summed over runs, reach n, the dense interface
-    response is built and serves every later iteration; those iterations
-    log the largest column residual of its block solve.  The closing solve
-    of a converged run has no row: its residual, the true residual of
-    uhat0 + U c once the response holds U, is the last entry of
-    ``state.residual_history``.
+    One row per iteration.  The interior residual is that of the solve
+    behind the iteration's flux: the solve of uhat0 in the first
+    iteration, then the lift's solve of B c until the response holds F,
+    and F's worst column after.  The closing solve of a converged run has
+    no row: its true residual is the last entry of ``state.residual_history``.
     """
     with open(path, "w") as fh:
         fh.write("iter,update_norm,u_inf,interior_residual\n")
@@ -357,27 +319,22 @@ def write_iteration_log(state, path):
 def monolithic_solve(system, ops, f=None, u0=None):
     """Solve interior, interface equation and flux compatibility at once.
 
-    The unknowns are x = (g coefficients, u_inf), with datum c = g + u_inf
-    e_0.  The residual r(x, flux) = (g - g_tilde, arc_w . flux) that
-    ``run_fixed_point`` steps on, ``imap.coupling_residual``, makes the
-    coupled system r(x, flux0 + F c) = 0 linear:
+    With flux = flux0 + F c, the residual r that ``run_fixed_point``
+    steps on is affine in x = (g, u_inf), and r = 0 is the linear system
 
         r(x, F c) = -r(0, flux0),
 
-    with F c = ``imap.linear(c)`` and flux0 the flux of the load and inner
-    datum alone.  It is solved by GMRES with full memory (2n + 1 steps at
-    most, so exact up to rounding).  The true residual of the answer, read
-    from the closing trace solve that also gives the field, must be below
-    1e-10 of the right-hand side, or SolverError is raised with it.  Trace
-    solves go to the system uncounted: flux0 (none when a run with the same
-    f and u0 has left uhat0 on the response), one per GMRES step until F
-    exists, the closing residual of GMRES and the field (uhat0 + U c, with
-    its true residual, when a sweep has built U); the shared response's
-    solve count, U and F stay as they are.  Returns (field, g, lam, u_inf).
+    solved by full-memory GMRES over ``imap.linear`` (at most 2n + 1
+    steps, so exact up to rounding).  The closing ``trace_solve`` gives
+    the field and the true residual of the answer, which must be below
+    1e-10 of the right-hand side, or SolverError is raised with it.  No
+    solve is counted, so the shared response's count, U and F stay as they
+    are, and the map reuses the uhat0 that a run with the same f and u0
+    left on it.  Returns (field, g, lam, u_inf).
     """
     n2 = 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)
-    b = -imap.coupling_residual(np.zeros(n2 + 1), imap._zero_datum()[1])[0]
+    b = -imap.coupling_residual(np.zeros(n2 + 1), imap.flux0)[0]
     b_norm = np.linalg.norm(b)
 
     def matvec(x):

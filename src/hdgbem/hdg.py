@@ -312,10 +312,11 @@ class HDGSystem:
     """
 
     def __init__(self, mesh, bmap, material, tau, k):
-        if bmap.nodes.shape[1] != int(k) + 2:
+        nodes = len(edge_rule(k)[0])       # refuses a negative or fractional k
+        if bmap.nodes.shape[1] != nodes:
             raise DimensionError(
                 f"boundary map has {bmap.nodes.shape[1]} nodes per edge; "
-                f"degree {k} needs {int(k) + 2}")
+                f"degree {k} needs {nodes}")
         self.mesh = mesh
         self.bmap = bmap
         self.material = material

@@ -26,6 +26,8 @@ def edge_rule(k):
     """The k + 2 Gauss points on [0, 1] of every degree-k edge integral."""
     if k < 0:
         raise DimensionError(f"polynomial degree must be at least 0, got {k}")
+    if not float(k).is_integer():
+        raise DimensionError(f"polynomial degree must be a whole number, got {k}")
     return gauss01(k + 2)
 
 

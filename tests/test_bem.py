@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -86,6 +87,13 @@ def test_projection_dimension_errors(ops32):
         ops32.project(np.zeros(2 * N + 2))
     with pytest.raises(DimensionError):
         TrigPolynomial.from_samples(np.zeros(9))
+
+
+@pytest.mark.parametrize("n", [1, 8.7])
+def test_layer_operator_degree_is_refused(smooth_unit_circle, n):
+    # a fractional degree was truncated to the one below
+    with pytest.raises(DimensionError, match=f"whole number >= 2, got {n}"):
+        assemble_layer_operators(smooth_unit_circle, n)
 
 
 def test_weighted_mean_zero_on_curve(smooth_unit_circle):
@@ -356,6 +364,17 @@ def test_inside_point_rejected(ops32):
     with pytest.raises(DomainError):
         evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
                           0.0, np.array([[0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("points", [np.full((1, 3), 5.0), np.full(3, 5.0),
+                                    np.full((1, 1, 2), 5.0)],
+                         ids=["1x3", "3", "1x1x2"])
+def test_bad_point_shape_rejected(ops32, points):
+    # these ended in numpy's broadcast error, or for (1, 1, 2) in a
+    # DomainError about the interface
+    with pytest.raises(DimensionError, match=re.escape(f"got shape {points.shape}")):
+        evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
+                          0.0, points)
 
 
 @pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 0.0], [3.0, np.nan]],

@@ -142,6 +142,9 @@ def test_config_degree_must_match_operators(dipole_bundle):
     with pytest.raises(DimensionError, match="density degree 64"):
         run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                         config=CouplingConfig(n=4 * N))
+    # a fractional degree is refused, not truncated to the one below
+    with pytest.raises(ValueError, match="density degree must be a whole number, got 2.5"):
+        CouplingConfig(n=2.5)
 
 
 @pytest.mark.parametrize("cap", [0, -3, 2.5])
@@ -229,10 +232,10 @@ def test_iteration_log(tmp_path, dipole_bundle):
 
 
 def test_converged_run_recovers_the_field_once(monkeypatch):
-    # one solve for the far-field response and one per iteration until they
-    # reach n = N, the block solve of the dense response, one of the load
-    # and inner datum for flux0; the converged trace is uhat0 + U c and the
-    # only one recovered to an element field.  A fresh system: solves made
+    # one solve of the load and inner datum for uhat0, one for the far-field
+    # response and one per iteration after the first until they reach n = N,
+    # the block solve of the dense response; the converged trace is
+    # uhat0 + U c and the only one recovered to an element field.  A fresh system: solves made
     # by earlier runs on a shared one would count toward its dense response
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.12, 1, n=N)
@@ -251,9 +254,10 @@ def test_converged_run_recovers_the_field_once(monkeypatch):
 
 
 def test_response_counts_only_the_solves_its_dense_form_replaces():
-    # chi and one flux per iteration are counted until the count reaches
-    # n = N; then the block solve, counted once, builds F.  Later fluxes
-    # read F, and the closing solve of the converged trace is not counted
+    # chi and one flux per iteration after the first (whose flux is flux0)
+    # are counted until the count reaches n = N; then the block solve,
+    # counted once, builds F.  Later fluxes read F, and neither the uhat0
+    # solve nor the closing solve of the converged trace is counted
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.12, 1, n=N)
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
@@ -285,37 +289,53 @@ def _bump_run(monkeypatch):
 
 def test_dense_response_is_built_at_n_counted_solves(monkeypatch):
     # n single solves cost about one 2n-column block solve, so the block is
-    # solved when the counted solves reach n; after it only the flux0 solve
-    # of the load and inner datum is left, and the closing solve is uhat0 + U c
+    # solved when the counted solves reach n.  The uncounted uhat0 solve of
+    # the load and inner datum comes first, and the closing solve is
+    # uhat0 + U c
     _, _, resp, calls = _bump_run(monkeypatch)
-    assert [d for d, _ in calls] == [1] * N + [2, 1]
-    assert calls[N][1] == N + 1          # counted as it is made
+    assert [d for d, _ in calls] == [1] * (N + 1) + [2]
+    assert calls[0][1] == 0              # uhat0, not counted
+    assert calls[N + 1][1] == N + 1      # counted as it is made
     assert resp.solves == N + 1
     assert np.array_equal(resp.F, resp.Z @ resp.U)
 
 
-def test_served_trace_matches_a_trace_solve(monkeypatch):
-    # uhat0 + U c is a solve of rhs0 + B c up to rounding, and reports the
-    # true residual; a wrong U fails the same 1e-8 residual gate
-    case, bundle, resp, _ = _bump_run(monkeypatch)
+def _assert_trace_matches_a_trace_solve(case, bundle):
+    """uhat0 plus the lift A^{-1} B c is a solve of rhs0 + B c up to
+    rounding and reports its true residual; returns the map and c."""
     system = bundle.system
     imap = InterfaceMap(system, bundle.ops, f=case.f, u0=case.u0)
     c = np.random.default_rng(3).normal(size=2 * N)
     uhat, flux, residual = imap.trace_solve(c)
-    rhs = imap.rhs0 + resp.B @ c
+    rhs = imap.rhs0 + imap.response.B @ c
     want, _ = system.solve_trace(rhs)
     assert np.linalg.norm(uhat - want) <= 1e-12 * np.linalg.norm(want)
     want_flux = imap.flux(want)
     assert np.linalg.norm(flux - want_flux) <= 1e-12 * np.linalg.norm(want_flux)
     true = np.linalg.norm(system.matrix @ uhat - rhs) / max(np.linalg.norm(rhs), 1.0)
     assert residual == pytest.approx(true, rel=1e-12, abs=0.0)
+    return imap, c
 
+
+def test_served_trace_matches_a_trace_solve(monkeypatch):
+    # the lift is U c once the response holds U; a wrong U fails the same
+    # 1e-8 residual gate
+    case, bundle, resp, _ = _bump_run(monkeypatch)
+    imap, c = _assert_trace_matches_a_trace_solve(case, bundle)
     bad = copy.copy(imap)
     bad.response = copy.copy(resp)
     bad.response.U = resp.U.copy()
     bad.response.U[:, 1] *= 1.0 + 1e-3
     with pytest.raises(SolverError, match="trace solve residual"):
         bad.trace_solve(c)
+
+
+def test_lifted_trace_matches_a_trace_solve_before_U():
+    # before the response holds U the lift is one trace solve of B c
+    case = manufactured_case("variable-kappa-bump", degree=1)
+    bundle = setup_level(case, 0.12, 1, n=N)
+    imap, _ = _assert_trace_matches_a_trace_solve(case, bundle)
+    assert imap.response.U is None
 
 
 def _sweep(case, omegas, bundle_for, calls):
@@ -372,17 +392,19 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
             hs, hr = np.array(s.history), np.array(r.history)
             assert np.all(np.abs(hs - hr) <= 1e-10 * hr)
 
-    # chi and one solve per iteration until they reach n, one block solve,
-    # then one solve of uhat0, which every later run shares since their
-    # data are the same; a converged trace is uhat0 + U c, no solve.  Run 0
-    # crosses n
+    # one solve of uhat0, which every later run shares since their data are
+    # the same, then chi and one solve per iteration after the first until
+    # they reach n, and one block solve; a converged trace is uhat0 + U c,
+    # no solve.  Run 0 crosses n
     assert calls.count(2) == 1
-    assert calls.index(2) == N and states[0].iteration >= N
+    assert calls.index(2) == N + 1 and states[0].iteration > N
     assert list(per_run) == [N + 2] + [0] * (len(omegas) - 1)
-    # iterations served by the response log its worst column residual
+    # the first iteration logs the residual of uhat0's solve, and the
+    # iterations served by the response its worst column residual
     resp = bundle.system.interface_responses[bundle.ops]
+    residual0 = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0).residual0
     assert states[-1].residual_history[:-1] == \
-        [resp.F_residual] * states[-1].iteration
+        [residual0] + [resp.F_residual] * (states[-1].iteration - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +514,26 @@ def test_monolithic_never_builds_the_dense_response(monkeypatch):
     assert resp.F is F and resp.solves == solves
 
 
+def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
+    # a run leaves uhat0 of its f and u0 on the shared response, so the
+    # oracle after it makes one solve fewer than on a fresh system; the run
+    # stops before it builds F, so every other solve is the same
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    fresh = setup_level(case, 0.2, 1, n=8)
+    calls = _count_trace_solves(fresh.system, monkeypatch)
+    monolithic_solve(fresh.system, fresh.ops, f=case.f, u0=case.u0)
+    alone = len(calls)
+
+    bundle = setup_level(case, 0.2, 1, n=8)
+    with pytest.raises(DivergenceError):
+        run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                        config=CouplingConfig(max_iterations=2))
+    assert bundle.system.interface_responses[bundle.ops].F is None
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    assert len(calls) == alone - 1
+
+
 def test_maps_with_equal_data_share_one_zero_datum_solve(monkeypatch):
     # the response keeps the latest (rhs0, uhat0): a map whose rhs0 is
     # bitwise equal reuses it, a map with other data replaces it
@@ -500,7 +542,8 @@ def test_maps_with_equal_data_share_one_zero_datum_solve(monkeypatch):
     calls = _count_trace_solves(bundle.system, monkeypatch)
 
     def zero(u0):
-        return InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=u0)._zero_datum()
+        imap = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=u0)
+        return imap.uhat0, imap.flux0
     uhat0, flux0 = zero(case.u0)
     assert len(calls) == 1
     again = zero(case.u0)

@@ -199,6 +199,13 @@ def test_negative_degree_is_refused():
         setup_level(manufactured_case("dipole"), 0.2, -1)
 
 
+@pytest.mark.parametrize("k", [0.5, 1.5])
+def test_fractional_degree_is_refused(k):
+    # the edge rule behind the boundary map truncated k to the degree below
+    with pytest.raises(DimensionError, match=f"degree must be a whole number, got {k}"):
+        setup_level(manufactured_case("dipole"), 0.2, k)
+
+
 def test_diverged_study_level_reports_its_iterations_and_ratio():
     # a level that hits the cap records the iterations it ran and their
     # contraction estimate, as the sweep does for the same run

@@ -332,6 +332,13 @@ def test_map_of_another_degree_is_refused(coarse_k1, circles, k):
         build_system(mesh, bmap, MaterialField.identity(), 1.0, k)
 
 
+def test_fractional_degree_system_is_refused(coarse_k1):
+    # k = 1.5 on the degree-1 map was built as a degree-1 system
+    mesh, bmap, _ = coarse_k1
+    with pytest.raises(DimensionError, match="degree must be a whole number, got 1.5"):
+        build_system(mesh, bmap, MaterialField.identity(), 1.0, 1.5)
+
+
 def test_two_element_mesh_trace_dimension():
     mesh = UnfittedMesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
                         np.array([[0, 1, 2], [0, 2, 3]]))
