@@ -39,8 +39,6 @@ from .quadrature import edge_rule, gauss01
 TWO_PI = 2.0 * np.pi
 # Newton steps of the closest-point search (it stops early once converged)
 NEWTON_STEPS = 30
-# points per block of its grid search, which bounds the (block, 256) temporaries
-GRID_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +102,24 @@ class Curve:
         return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
     def closest_parameter(self, pts):
-        """Parameter of the closest curve point for each row of pts."""
+        """Parameter of the closest curve point for each row of pts.
+
+        A circle uses the closed form.  Any other curve seeds each point
+        with the closest of 256 equispaced parameters and refines it by
+        Newton's method on (x - y(s)) . y'(s) = 0, for at most NEWTON_STEPS
+        steps.  It stops once no step exceeds 1e-14: quadratic convergence
+        then leaves only rounding, and a tighter test can fail for good on
+        points whose step jitters at a few ulp of s.  A non-finite point,
+        or one so far off that its squared distance overflows, raises
+        MapConstructionError.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if not np.all(np.isfinite(pts)):
+            raise MapConstructionError("closest point undefined at a non-finite point")
         if self.is_circle:
-            # closed form, about 80x faster than the grid search and Newton;
-            # at the centre every curve point is closest, and arctan2 would
-            # return 0 for it silently
+            # closed form, faster than the grid search and Newton; at the
+            # centre every curve point is closest, and arctan2 would return
+            # 0 for it silently
             rel = pts - self.center
             if np.any(np.all(rel == 0.0, axis=1)):
                 raise MapConstructionError("radial map undefined at the circle center")
@@ -122,21 +132,20 @@ class Curve:
             h = (dy * dy).sum(axis=1) - (r * ddy).sum(axis=1)
             step = g / np.where(np.abs(h) > 1e-300, h, 1.0)
             s = np.mod(s - step, TWO_PI)
-            if np.max(np.abs(step)) < 1e-15:
+            if np.max(np.abs(step)) < 1e-14:
                 break
         return s
 
     def _grid_parameter(self, pts):
-        """Closest of 256 equispaced parameters, searched GRID_BLOCK points at a time."""
+        """Closest of 256 equispaced parameters, by one k-d tree query (Bentley 1975)."""
+        # imported here: scipy.spatial adds about 7.5 MB of resident memory,
+        # which only curves other than circles need
+        from scipy.spatial import cKDTree
         grid = np.linspace(0.0, TWO_PI, 256, endpoint=False)
-        xg, yg = self.point(grid).T
-        s = np.empty(len(pts))
-        for start in range(0, len(pts), GRID_BLOCK):
-            block = pts[start:start + GRID_BLOCK]
-            dx = block[:, :1] - xg
-            dy = block[:, 1:] - yg
-            s[start:start + GRID_BLOCK] = grid[np.argmin(dx * dx + dy * dy, axis=1)]
-        return s
+        dist, idx = cKDTree(self.point(grid)).query(pts)
+        if not np.all(np.isfinite(dist)):     # the tree finds no sample then
+            raise MapConstructionError("closest point search overflows at a far point")
+        return grid[idx]
 
     def distance(self, pts):
         """Unsigned distance from each point to the curve."""
@@ -209,11 +218,20 @@ class UnfittedMesh:
     # -- connectivity -------------------------------------------------------
 
     def _build_edges(self):
+        """Number the edges and tabulate their elements and sides.
+
+        Each sorted vertex pair (lo, hi) gets the int64 key lo * n_vertices
+        + hi, which sorts in the pairs' lexicographic order, so one 1-D
+        ``np.unique`` of the keys gives the canonical edge numbering (the
+        same as a row-wise unique of the pairs, at a fraction of its cost).
+        """
         elems = self.elements
+        nv = len(self.vertices)
         # local edge m joins vertices (m+1, m+2) mod 3, opposite vertex m
-        raw = np.concatenate([elems[:, [1, 2]], elems[:, [2, 0]], elems[:, [0, 1]]])
-        # np.unique returns the rows in lexicographic order
-        self.edges, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+        raw = np.sort(np.concatenate([elems[:, [1, 2]], elems[:, [2, 0]], elems[:, [0, 1]]]),
+                      axis=1)
+        keys, inverse = np.unique(raw[:, 0] * nv + raw[:, 1], return_inverse=True)
+        self.edges = np.stack([keys // nv, keys % nv], axis=1)
         ends = self.vertices[self.edges]
         self.edge_len = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
         m = len(elems)

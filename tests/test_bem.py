@@ -227,6 +227,15 @@ def test_rejects_non_mean_zero_density(ops32):
         solve_exterior(ops32, lam)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_density(ops32, bad):
+    # the mean-zero test compares False for NaN, so it must be refused first
+    lam = ops32.project(np.cos(ops32.nodes))
+    lam.cos[1] = bad
+    with pytest.raises(SolverError, match="finite density"):
+        solve_exterior(ops32, lam)
+
+
 def test_accepts_sum_of_projected_densities(ops32):
     # mean-zero is a property of the coefficients, so it survives arithmetic
     rng = np.random.default_rng(4)
@@ -384,6 +393,20 @@ def test_non_finite_point_rejected(ops32, point):
     with pytest.raises(DomainError, match="not finite"):
         evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
                           0.0, np.array([[5.0, 0.0], point]))
+
+
+@pytest.mark.parametrize("which, bad", [("u_inf", np.nan), ("u_inf", np.inf),
+                                        ("g", np.nan), ("lam", np.inf)])
+def test_non_finite_data_rejected(ops32, which, bad):
+    data = {"g": ops32.project(np.cos(ops32.nodes)),
+            "lam": ops32.project(np.sin(ops32.nodes)), "u_inf": 0.5}
+    if which == "u_inf":
+        data["u_inf"] = bad
+    else:
+        data[which].cos[2] = bad
+    with pytest.raises(SolverError, match="finite u_inf and densities"):
+        evaluate_exterior(ops32, data["g"], data["lam"], data["u_inf"],
+                          np.array([[5.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -369,16 +369,74 @@ def test_map_refuses_the_circle_center(center):
         geometry._map_points(pts, curve)
 
 
+@pytest.mark.parametrize("point", [[np.nan, 0.0], [np.inf, 0.0], [1e300, 1e300]],
+                         ids=["nan", "inf", "overflow"])
+def test_closest_point_refuses_non_finite_and_overflowing_points(ellipse, point):
+    # NaN would run Newton on NaN, and a squared distance that overflows
+    # leaves the k-d tree without a nearest sample
+    with pytest.raises(MapConstructionError, match="non-finite|overflows"):
+        ellipse.closest_parameter(np.array([[2.0, 0.0], point]))
+
+
 def test_grid_search_matches_unblocked_distance_bitwise(ellipse):
-    # the blocked dx*dx + dy*dy must pick the same grid parameter as the
-    # (npts, 256, 2) squared-difference sum, across several block boundaries
+    # the k-d tree must pick the same grid parameter as the argmin of the
+    # (npts, 256, 2) squared-difference sum
     rng = np.random.default_rng(12)
-    n = 3 * geometry.GRID_BLOCK + 77
+    n = 3149
     s = rng.uniform(0.0, 2 * np.pi, n)
     pts = ellipse.point(s) + rng.uniform(-0.3, 0.3, n)[:, None] * ellipse.normal(s)
     grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
     d2 = ((pts[:, None, :] - ellipse.point(grid)[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(ellipse._grid_parameter(pts), grid[np.argmin(d2, axis=1)])
+
+
+def test_closest_point_search_stops_at_rounding():
+    # one vertex's step jitters at a few ulp of s, so a stop rule below
+    # rounding would run all NEWTON_STEPS steps on every call
+    gamma = ellipse_curve(1.3, 0.9)
+    mesh = build_annulus_mesh(gamma, Curve.circle((0.0, 0.0), 0.5), 0.025)
+    x = mesh.vertices
+    steps = []
+    second = gamma.second_derivative
+    gamma.second_derivative = lambda s: steps.append(len(s)) or second(s)
+    try:
+        s = gamma.closest_parameter(x)
+    finally:
+        del gamma.second_derivative
+    assert 0 < len(steps) <= 8
+    dy = gamma.derivative(s)
+    stationarity = np.abs(((x - gamma.point(s)) * dy).sum(axis=1))
+    scale = np.abs(x).max() * np.linalg.norm(dy, axis=1).max()
+    assert stationarity.max() <= 8 * np.finfo(float).eps * scale
+
+
+def _rowwise_edge_table(elements):
+    """edges, element_edges, edge_elements and edge_sides, by a row-wise unique and a loop."""
+    raw = np.concatenate([elements[:, [1, 2]], elements[:, [2, 0]], elements[:, [0, 1]]])
+    edges, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+    element_edges = inverse.reshape(3, -1).T
+    edge_elements = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_sides = np.full((len(edges), 2), -1, dtype=np.int64)
+    for t, row in enumerate(element_edges):
+        for side, e in enumerate(row):
+            slot = int(edge_elements[e, 0] >= 0)
+            edge_elements[e, slot], edge_sides[e, slot] = t, side
+    return edges, element_edges, edge_elements, edge_sides
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["annulus", "relabelled"])
+def test_key_edge_table_matches_rowwise_unique_bitwise(ellipse, relabel):
+    mesh = build_annulus_mesh(ellipse, Curve.circle((0.0, 0.0), 0.5), 0.1)
+    verts, elems = mesh.vertices, mesh.elements
+    if relabel:
+        new = np.random.default_rng(5).permutation(len(verts))
+        verts, elems = np.empty_like(verts), new[elems]
+        verts[new] = mesh.vertices
+        mesh = UnfittedMesh(verts, elems)
+    ref = _rowwise_edge_table(mesh.elements)
+    for name, want in zip(("edges", "element_edges", "edge_elements", "edge_sides"), ref):
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_overlapping_patches_raise(circles, monkeypatch):
