@@ -50,7 +50,6 @@ from .geometry import (
     UnfittedMesh,
     build_annulus_mesh,
     build_boundary_map,
-    classify_boundary_edges,
     load_mesh,
     proximity_parameter,
     save_mesh,

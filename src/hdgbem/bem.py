@@ -309,8 +309,9 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     """Exterior representation D g - S lam + u_inf at points outside the curve.
 
     ``points`` is an (m, 2) array or one (2,) point; any other shape raises
-    DimensionError.  A non-finite ``u_inf`` or coefficient of g or lam
-    raises SolverError.  All points are checked before any is evaluated, by
+    DimensionError, and so do densities g and lam of another degree than
+    ``ops``.  A non-finite ``u_inf`` or coefficient of g or lam raises
+    SolverError.  All points are checked before any is evaluated, by
     one signed-distance pass: a non-finite point, or one at signed distance
     at most EVAL_STANDOFF times the curve's diameter, raises DomainError.
     The layer potentials use the trapezoidal rule on max(8n, 64) nodes,
@@ -321,8 +322,11 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     if pts.shape not in ((0,), (2,)) and (pts.ndim != 2 or pts.shape[1] != 2):
         raise DimensionError(f"evaluation points must be an (m, 2) array or one "
                              f"(2,) point, got shape {pts.shape}")
-    if not (np.isfinite(u_inf) and np.all(np.isfinite(g.coefficients()))
-            and np.all(np.isfinite(lam.coefficients()))):
+    gc, lc = g.coefficients(), lam.coefficients()
+    if len(gc) != 2 * ops.n or len(lc) != 2 * ops.n:
+        raise DimensionError(f"densities need {2 * ops.n} coefficients, the operators' "
+                             f"2n; got {len(gc)} and {len(lc)}")
+    if not (np.isfinite(u_inf) and np.all(np.isfinite(gc)) and np.all(np.isfinite(lc))):
         raise SolverError("exterior evaluation requires finite u_inf and densities")
     pts = pts.reshape(-1, 2)
     if len(pts) == 0:
@@ -335,10 +339,12 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     t = np.linspace(0.0, TWO_PI, m, endpoint=False)
     y = ops.curve.point(t)
     nrm = ops.curve.normal(t)
-    # trapezoid weight, speed and kernel constants folded into the samples
+    # trapezoid weight, speed and kernel constants folded into the samples;
+    # one mode table serves both densities, each by its own product
     w = ops.curve.speed(t) / m
-    gw = g.eval(t) * w
-    lw = lam.eval(t) * w / 2.0
+    modes = ops.modes(t)
+    gw = (modes @ gc) * w
+    lw = (modes @ lc) * w / 2.0
     vals = np.empty(len(pts))
     for i in range(0, len(pts), EVAL_CHUNK):
         dx = pts[i:i + EVAL_CHUNK, :1] - y[:, 0]

@@ -111,7 +111,7 @@ class Curve:
         then leaves only rounding, and a tighter test can fail for good on
         points whose step jitters at a few ulp of s.  A non-finite point,
         or one so far off that its squared distance overflows, raises
-        MapConstructionError.
+        MapConstructionError; no points give an empty array.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if not np.all(np.isfinite(pts)):
@@ -132,7 +132,7 @@ class Curve:
             h = (dy * dy).sum(axis=1) - (r * ddy).sum(axis=1)
             step = g / np.where(np.abs(h) > 1e-300, h, 1.0)
             s = np.mod(s - step, TWO_PI)
-            if np.max(np.abs(step)) < 1e-14:
+            if np.max(np.abs(step), initial=0.0) < 1e-14:
                 break
         return s
 
@@ -146,10 +146,6 @@ class Curve:
         if not np.all(np.isfinite(dist)):     # the tree finds no sample then
             raise MapConstructionError("closest point search overflows at a far point")
         return grid[idx]
-
-    def distance(self, pts):
-        """Unsigned distance from each point to the curve."""
-        return np.abs(self.signed_distance(pts))
 
     def signed_distance(self, pts):
         """Negative inside the enclosed region, positive outside."""
@@ -181,6 +177,9 @@ class Curve:
 TAG_OUTER = 0   # boundary edge facing the artificial interface
 TAG_INNER = 1   # boundary edge facing the problem boundary
 
+# gradients of the barycentric coordinates on the reference triangle
+_REF_GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
 
 class UnfittedMesh:
     """Triangulation of the computational domain with edge connectivity.
@@ -191,10 +190,17 @@ class UnfittedMesh:
     ``edge_elements`` (E, 2) lists the elements of each edge, the lower one
     first, and ``edge_sides`` (E, 2) the edge's local side in each, so that
     ``element_edges[edge_elements[e, i], edge_sides[e, i]] == e``; boundary
-    edges have -1 in slot 1.  ``edge_len`` (E,) holds the edge lengths,
-    and ``J`` (M, 2, 2) and ``detJ`` (M,) each element's affine map
-    x = v_0 + J xi from the reference triangle: the one copy of each that
-    the boundary map, assembly and export read.
+    edges have -1 in slot 1.  ``boundary_tags`` (E,) says which curve each
+    boundary edge faces, TAG_OUTER or TAG_INNER; it is -1 on interior
+    edges, and on boundary edges until the mesh's builder or ``load_mesh``
+    sets it.
+
+    Every fact about the elements' sides has its one copy here, which the
+    boundary map, assembly and export read: the edge lengths ``edge_len``
+    (E,); each element's affine map x = v_0 + J xi from the reference
+    triangle, as ``J`` and ``invJ`` (M, 2, 2), ``detJ`` (M,) and
+    ``physical_points``; and the unit outward normal of each local side,
+    ``side_normals`` (M, 3, 2), -grad(lambda_s) J^{-1} normalised.
     """
 
     def __init__(self, vertices, elements, fitted=False, regularity_bound=None):
@@ -259,6 +265,10 @@ class UnfittedMesh:
         if np.any(area2 <= 0):
             raise MeshingFailureError("degenerate element",
                                       element=int(np.argmin(area2)))
+        self.invJ = np.linalg.inv(self.J)
+        # -invJ^T grad(lambda_s) points out of side s because detJ > 0
+        nrm = -(_REF_GRAD_LAMBDA @ self.invJ)
+        self.side_normals = nrm / np.linalg.norm(nrm, axis=2, keepdims=True)
         circum = a * b * c / (2.0 * area2)
         inrad = area2 / (a + b + c)
         self.h_T = 2.0 * circum
@@ -271,6 +281,11 @@ class UnfittedMesh:
                     f"element {worst} has circumradius/inradius "
                     f"{self.regularity[worst]:.2f} > bound {regularity_bound:.2f}",
                     element=worst)
+
+    def physical_points(self, ref_pts):
+        """Points v_0 + J xi (M, n, 2) of every element at reference points (n, 2)."""
+        v0 = self.vertices[self.elements[:, 0]]
+        return v0[:, None, :] + ref_pts @ np.swapaxes(self.J, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +304,10 @@ def build_annulus_mesh(gamma, gamma0, target_h, fitted=False):
     The unfitted variant offsets both boundary rings into the annulus by
     INSET_COEFF * target_h^(3/2) so every element is strictly interior;
     ``fitted=True`` puts the rings exactly on the curves and declares the
-    polygon to be the domain boundary.
+    polygon to be the domain boundary.  Vertices are numbered ring by ring
+    from the inner one, so the boundary edges are the first and last rings'
+    and each is tagged by its ring: TAG_OUTER exactly when its lower vertex
+    lies on the last ring.
     """
     if not 0.0 < target_h < np.inf:
         raise GeometryInfeasibleError(
@@ -335,7 +353,9 @@ def build_annulus_mesh(gamma, gamma0, target_h, fitted=False):
 
     if not fitted:
         _check_strictly_inside(mesh, gamma, gamma0)
-    classify_boundary_edges(mesh, gamma, gamma0)
+    ids = mesh.boundary_edge_ids
+    mesh.boundary_tags[ids] = np.where(mesh.edges[ids, 0] >= (n_layer - 1) * n_theta,
+                                       TAG_OUTER, TAG_INNER)
     return mesh
 
 
@@ -346,25 +366,6 @@ def _check_strictly_inside(mesh, gamma, gamma0):
     pts = np.vstack([mesh.vertices, on_edges.reshape(-1, 2)])
     if np.any(gamma.signed_distance(pts) >= 0) or np.any(gamma0.signed_distance(pts) <= 0):
         raise MeshingFailureError("mesh is not strictly inside the annulus")
-
-
-def classify_boundary_edges(mesh, gamma, gamma0):
-    """Tag boundary edges by which curve they face (ties go to the outer one).
-
-    Distances are evaluated at edge midpoints; exact ties fall back to the
-    edge endpoints before applying the tie rule.
-    """
-    ids = mesh.boundary_edge_ids
-    p = mesh.vertices[mesh.edges[ids]]                              # (B, 2, 2)
-    mid = 0.5 * (p[:, 0] + p[:, 1])
-    d_out, d_in = gamma.distance(mid), gamma0.distance(mid)
-    tie = np.abs(d_out - d_in) < 1e-12 * np.maximum(d_out + d_in, 1e-30)
-    if np.any(tie):
-        ends = p[tie].reshape(-1, 2)
-        d_out[tie] = gamma.distance(ends).reshape(-1, 2).sum(axis=1)
-        d_in[tie] = gamma0.distance(ends).reshape(-1, 2).sum(axis=1)
-    mesh.boundary_tags[ids] = np.where(d_out <= d_in, TAG_OUTER, TAG_INNER)
-    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,8 @@ class BoundaryMap(SimpleNamespace):
     position in ``edge_ids`` (the mesh's boundary edges in canonical order)
     and by node within the edge:
 
-    edge_ids (B,), tags (B,), parents (B,), nu (B,2) outward edge normals,
+    edge_ids (B,), tags (B,), parents (B,), nu (B,2) outward edge normals
+    (the parent's ``mesh.side_normals``),
     nodes/mapped (B,q,2), l (B,q), t (B,q,2) unit transfer directions (the
     annulus's outward normal at the mapped node, nu where l = 0), params
     (B,q) curve parameters of the mapped nodes, and endpoint_params (B,2)
@@ -491,16 +493,11 @@ def build_boundary_map(mesh, gamma, gamma0, k):
     if np.any(bad):
         e = int(edge_ids[np.argmax(bad)])
         raise MapConstructionError(f"boundary edge {e} has tag {mesh.boundary_tags[e]}; "
-                                   "classify it as TAG_OUTER or TAG_INNER first", edge=e)
+                                   "set it to TAG_OUTER or TAG_INNER first", edge=e)
     parents = mesh.edge_elements[edge_ids, 0].copy()
+    nu = mesh.side_normals[parents, mesh.edge_sides[edge_ids, 0]]
     p = mesh.vertices[mesh.edges[edge_ids]]                         # (B, 2, 2)
-    tang = p[:, 1] - p[:, 0]
-    nodes = p[:, None, 0] + xg[None, :, None] * tang[:, None, :]    # (B, q, 2)
-    # outward edge normals: away from the parent element's centroid
-    nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    nu /= mesh.edge_len[edge_ids, None]
-    centroid = mesh.vertices[mesh.elements[parents]].mean(axis=1)
-    nu[np.einsum("bd,bd->b", nu, centroid - 0.5 * (p[:, 0] + p[:, 1])) > 0] *= -1.0
+    nodes = p[:, None, 0] + xg[None, :, None] * (p[:, 1] - p[:, 0])[:, None, :]  # (B, q, 2)
 
     mapped, params = np.empty_like(nodes), np.empty(nodes.shape[:2])
     endpoint_params = np.empty((len(edge_ids), 2))

@@ -117,10 +117,6 @@ class DGField:
 # reference tables and the discretization cache
 # ---------------------------------------------------------------------------
 
-# gradients of the barycentric coordinates on the reference triangle
-_REF_GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-
-
 class _ReferenceTables:
     """Degree-k basis integrals on the reference triangle and its sides.
 
@@ -151,8 +147,9 @@ class _Discretization:
     """Element and edge blocks for one (mesh, material, tau, k).
 
     Each block is a table of ``_ReferenceTables(k)`` scaled by the
-    element's geometry.  The stabilization tau is a positive scalar or one
-    positive value per edge.
+    element's geometry, which the mesh holds (``invJ``, ``detJ``,
+    ``physical_points``, ``side_normals``, ``edge_len``).  The
+    stabilization tau is a positive scalar or one positive value per edge.
     """
 
     def __init__(self, mesh, material, tau, k):
@@ -174,10 +171,8 @@ class _Discretization:
         M = len(mesh.elements)
 
         # volume blocks; the mesh keeps every element counterclockwise
-        J, detJ = mesh.J, mesh.detJ
-        self.invJ = invJ = np.linalg.inv(J)
-        v0 = mesh.vertices[mesh.elements[:, 0]]
-        self.phys_pts = v0[:, None, :] + ref.vol_pts @ np.swapaxes(J, 1, 2)
+        invJ, detJ = mesh.invJ, mesh.detJ
+        self.phys_pts = mesh.physical_points(ref.vol_pts)
         self.phys_w = detJ[:, None] * ref.vol_w                    # (M,nq)
         self.vol_vals = ref.vals
         # kappa^{-1}-weighted vector mass, grouped [x-block | y-block]
@@ -201,16 +196,14 @@ class _Discretization:
         orient = (mesh.elements[:, [1, 2, 0]] != mesh.edges[side_edges, 0]).astype(int)
         s3 = np.arange(3)
         self.trace_vals = ref.side_vals[s3, orient]                 # (M,3,qe,d)
-        # outward normals -invJ^T grad(lambda_s), outward because detJ > 0
-        nrm = -(_REF_GRAD_LAMBDA @ invJ)
-        self.side_normals = nrm / np.linalg.norm(nrm, axis=2, keepdims=True)
 
         # E_e (2d x ne) and F_e (d x ne) per (element, side); S (d x d)
         len_es = edge_len[side_edges]
         tau_es = self.tau[side_edges]
         En = len_es[:, :, None, None] * ref.side_mu[s3, orient]     # (M,3,d,ne)
-        self.E_side = np.concatenate([self.side_normals[:, :, :1, None] * En,
-                                      self.side_normals[:, :, 1:, None] * En], axis=2)
+        nrm = mesh.side_normals
+        self.E_side = np.concatenate([nrm[:, :, :1, None] * En, nrm[:, :, 1:, None] * En],
+                                     axis=2)
         self.F_side = tau_es[:, :, None, None] * En
         self.S_elem = ((tau_es * len_es) @ ref.side_mass.reshape(3, -1)).reshape(M, d, d)
 
@@ -235,7 +228,7 @@ class _Discretization:
         """
         v0 = self.mesh.vertices[self.mesh.elements[parents, 0]]
         ref = (pts.reshape(len(parents), -1, 2) - v0[:, None, :]) @ np.swapaxes(
-            self.invJ[parents], 1, 2)
+            self.mesh.invJ[parents], 1, 2)
         return self.basis.eval(ref.reshape(-1, 2)).reshape(pts.shape[:-1] + (self.d,))
 
     def f_moments(self, f):
@@ -503,7 +496,7 @@ def _side_traces(field, disc):
     """Traces of u and of q . n at the edge nodes of every (element, side)."""
     u_tr = np.einsum("msqa,ma->msq", disc.trace_vals, field.U)
     qn_tr = np.einsum("msqa,msd,mda->msq",
-                      disc.trace_vals, disc.side_normals, field.Q)
+                      disc.trace_vals, disc.mesh.side_normals, field.Q)
     return u_tr, qn_tr
 
 
@@ -564,8 +557,7 @@ def write_vtk(field, path):
     mesh = field.mesh
     nodes, tris = _reference_lattice(max(field.k, 1))
     vals = field._basis.eval(nodes)                                  # (n, d)
-    v0 = mesh.vertices[mesh.elements[:, 0]]
-    pts = (v0[:, None] + nodes @ np.swapaxes(mesh.J, 1, 2)).reshape(-1, 2)
+    pts = mesh.physical_points(nodes).reshape(-1, 2)
     u = (field.U @ vals.T).ravel()
     q = np.einsum("mcd,nd->mnc", field.Q, vals).reshape(-1, 2)
     cells = (len(nodes) * np.arange(len(mesh.elements))[:, None, None] + tris).reshape(-1, 3)

@@ -139,7 +139,7 @@ def assemble_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
         vn, tr, slq, slu = [], [], [], []
         for t, s_loc in zip((t1, t2), sides):
             trv = disc.trace_vals[t, s_loc]
-            nrm = disc.side_normals[t, s_loc]
+            nrm = mesh.side_normals[t, s_loc]
             vn.append(np.concatenate([nrm[0] * trv, nrm[1] * trv], axis=1))
             tr.append(trv)
             slq.append(slice(t * 2 * d, (t + 1) * 2 * d))

@@ -409,6 +409,15 @@ def test_non_finite_data_rejected(ops32, which, bad):
                           np.array([[5.0, 0.0]]))
 
 
+@pytest.mark.parametrize("which", ["g", "lam"])
+def test_density_of_another_degree_rejected(ops32, which):
+    # both densities are read through the operators' one mode table
+    data = {"g": TrigPolynomial.zero(N), "lam": TrigPolynomial.zero(N)}
+    data[which] = TrigPolynomial.zero(N // 2)
+    with pytest.raises(DimensionError, match=f"densities need {2 * N} coefficients"):
+        evaluate_exterior(ops32, data["g"], data["lam"], 0.0, np.array([[5.0, 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # interpolation basis and csv interfaces
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hdgbem import (
     UnfittedMesh,
     build_annulus_mesh,
     build_boundary_map,
-    classify_boundary_edges,
     load_mesh,
     proximity_parameter,
     save_mesh,
@@ -132,6 +131,19 @@ def test_mesh_boundary_tag_other_than_outer_or_inner_names_the_file(circles, tmp
         load_mesh(path)
 
 
+def test_mesh_boundary_rows_naming_an_interior_edge_name_the_file(circles, tmp_path):
+    mesh = build_annulus_mesh(*circles, 0.3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines(keepends=True)
+    row = 1 + len(mesh.vertices) + len(mesh.elements)
+    lines[row] = f"{mesh.interior_edge_ids[0]} {lines[row].split()[1]}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(MeshingFailureError,
+                       match="boundary rows in .*mesh.txt do not match the mesh"):
+        load_mesh(path)
+
+
 def test_boundary_map_refuses_unknown_tag_naming_the_edge(circles):
     # an edge tagged neither outer nor inner would keep an unset map row
     mesh = build_annulus_mesh(*circles, 0.3)
@@ -160,26 +172,50 @@ def test_clockwise_elements_are_stored_counterclockwise_with_their_map():
     assert np.all(mesh.detJ > 0)
 
 
-@pytest.mark.parametrize("radius,expected", [(0.95, TAG_OUTER), (0.55, TAG_INNER)])
-def test_classification_by_midpoint_distance(circles, radius, expected):
-    gamma, gamma0 = circles
-    mesh = _one_triangle_mesh((radius, -0.02), (radius, 0.02), (radius - 0.04, 0.0))
-    classify_boundary_edges(mesh, gamma, gamma0)
-    # the vertical edge has midpoint exactly at the probed radius
-    for e in mesh.boundary_edge_ids:
-        mid = edge_vertices(mesh, e).mean(axis=0)
-        if abs(np.linalg.norm(mid) - radius) < 1e-12:
-            assert mesh.boundary_tags[e] == expected
+def test_edge_shared_by_three_elements_is_refused():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(MeshingFailureError, match="non-manifold edge"):
+        UnfittedMesh(verts, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
 
 
-def test_classification_tie_goes_outward(circles):
-    gamma, gamma0 = circles
-    mesh = _one_triangle_mesh((0.75, -0.02), (0.75, 0.02), (0.72, 0.0))
-    classify_boundary_edges(mesh, gamma, gamma0)
-    for e in mesh.boundary_edge_ids:
-        mid = edge_vertices(mesh, e).mean(axis=0)
-        if abs(np.linalg.norm(mid) - 0.75) < 1e-12:
-            assert mesh.boundary_tags[e] == TAG_OUTER
+def test_degenerate_element_is_refused_by_index():
+    # element 1's vertices are collinear: detJ = 0
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(MeshingFailureError, match="degenerate element") as err:
+        UnfittedMesh(verts, np.array([[0, 1, 2], [0, 1, 3]]))
+    assert err.value.element == 1
+
+
+def test_fitted_rings_are_not_strictly_inside(circles):
+    # the chords of a fitted mesh's inner ring cut into the obstacle
+    mesh = build_annulus_mesh(*circles, 0.2, fitted=True)
+    with pytest.raises(MeshingFailureError, match="mesh is not strictly inside the annulus"):
+        geometry._check_strictly_inside(mesh, *circles)
+
+
+@pytest.mark.parametrize("fitted", [False, True], ids=["unfitted", "fitted"])
+@pytest.mark.parametrize("outer", ["circle", "shifted-ellipse"])
+def test_ring_tags_face_the_nearer_curve_and_normals_point_out(circles, outer, fitted):
+    # the ring rule tags what the nearest-curve test would, and the one
+    # outward normal per side is the boundary map's nu
+    gamma0 = circles[1]
+    gamma = circles[0] if outer == "circle" else ellipse_curve(1.3, 0.9, (0.15, 0.1))
+    mesh = build_annulus_mesh(gamma, gamma0, 0.1, fitted=fitted)
+    ids = mesh.boundary_edge_ids
+    tags = mesh.boundary_tags[ids]
+    assert np.any(tags == TAG_OUTER) and np.any(tags == TAG_INNER)
+    mid = mesh.vertices[mesh.edges[ids]].mean(axis=1)
+    nearer_outer = np.abs(gamma.signed_distance(mid)) < np.abs(gamma0.signed_distance(mid))
+    assert np.array_equal(tags == TAG_OUTER, nearer_outer)
+    v = mesh.vertices[mesh.elements]
+    side_mid = 0.5 * (np.roll(v, -1, axis=1) + np.roll(v, -2, axis=1))    # side s
+    away = np.einsum("msd,msd->ms", mesh.side_normals,
+                     side_mid - v.mean(axis=1, keepdims=True))
+    assert np.all(away > 0)
+    assert np.allclose(np.linalg.norm(mesh.side_normals, axis=2), 1.0)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
+    assert np.array_equal(bmap.nu, mesh.side_normals[bmap.parents,
+                                                     mesh.edge_sides[bmap.edge_ids, 0]])
 
 
 def test_radial_map_values(circles):
@@ -231,7 +267,7 @@ def test_tangency_floor_violation_names_edge(circles):
     gamma, gamma0 = circles
     # bottom edge runs along the x axis: radial transfer is tangent to it
     mesh = _one_triangle_mesh((0.8, 0.0), (0.95, 0.0), (0.875, 0.05))
-    classify_boundary_edges(mesh, gamma, gamma0)
+    mesh.boundary_tags[mesh.boundary_edge_ids] = TAG_OUTER
     with pytest.raises(MapConstructionError) as err:
         build_boundary_map(mesh, gamma, gamma0, k=1)
     assert err.value.edge is not None
@@ -359,6 +395,20 @@ def _spoiled_unit_circle(part, value):
 def test_non_finite_curve_is_infeasible(make):
     with pytest.raises(GeometryInfeasibleError, match="finite"):
         make()
+
+
+def test_vanishing_derivative_is_infeasible():
+    with pytest.raises(GeometryInfeasibleError, match="vanishing derivative"):
+        _spoiled_unit_circle(1, 0.0)
+
+
+@pytest.mark.parametrize("outer", ["circle", "ellipse"])
+def test_no_points_give_empty_closest_parameters_and_distances(circles, outer):
+    # off the circle, Newton and its stop test run on an empty step
+    curve = circles[0] if outer == "circle" else ellipse_curve(1.3, 0.9)
+    none = np.empty((0, 2))
+    assert curve.closest_parameter(none).shape == (0,)
+    assert curve.signed_distance(none).shape == (0,)
 
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.2)])

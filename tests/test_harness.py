@@ -368,6 +368,7 @@ def test_cli_runs_as_module(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "proximity ratio" in proc.stdout
+    assert (tmp_path / "out" / "mesh.txt").exists()
 
 
 def test_deterministic_outputs(tmp_path):

@@ -185,7 +185,7 @@ def test_reference_tables_match_pointwise_quadrature(k, kappa):
     material = MaterialField(kappa)
     disc = _Discretization(mesh, material, tau, k)
     for key, expected in _oracle_tables(mesh, material, tau, k).items():
-        _assert_close(getattr(disc, key), expected)
+        _assert_close(getattr(mesh if key == "side_normals" else disc, key), expected)
 
 
 def _reference_matrix(system):
@@ -684,6 +684,8 @@ def test_stabilization_validation(coarse_k1):
     mesh, kappa = coarse_k1[0], MaterialField.identity()
     with pytest.raises(AssemblyError):
         _Discretization(mesh, kappa, 0.0, 1)
+    with pytest.raises(AssemblyError, match="tau must be scalar or one value per edge"):
+        _Discretization(mesh, kappa, np.ones(mesh.n_edges - 1), 1)
     # NaN compares False against 0, so it must be refused as non-finite
     for bad in (np.nan, np.inf):
         per_edge = np.full(mesh.n_edges, 2.0)
