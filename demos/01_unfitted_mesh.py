@@ -34,5 +34,6 @@ print("\nfinest mesh written to annulus_mesh.txt "
 
 fitted = build_annulus_mesh(gamma, gamma0, 0.1, fitted=True)
 fmap = build_boundary_map(fitted, gamma, gamma0, k=2)
-print(f"fitted variant: R_h = {proximity_parameter(fitted, fmap).R_h} "
-      "(the polygon itself is the domain boundary)")
+print(f"fitted variant: R_h = {proximity_parameter(fitted, fmap).R_h:.4f} "
+      "(the inner polygon is the obstacle's boundary; outer nodes map across "
+      "the O(h^2) sagitta of their chords)")

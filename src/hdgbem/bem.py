@@ -153,7 +153,9 @@ class LayerOperatorSet:
     solve reuses: the arclength ``moments`` of the basis and ``exterior``
     (2n x 2n), the interface solve applied to every density mode, so that
     g = exterior @ lam.  For the coupling it holds the node arc weights
-    ``arc_w`` of the total-flux integral over 2n flux samples.
+    ``arc_w`` of the total-flux integral over 2n flux samples, and for the
+    exterior evaluation the trapezoidal nodes' ``quad_points``,
+    ``quad_normals``, weights ``quad_w`` and mode table ``quad_modes``.
 
     It is the one owner of the mean-zero rule: a density is mean-zero when
     its arclength mean ``moments @ c`` vanishes, ``P`` (2n x 2n) maps 2n
@@ -170,7 +172,15 @@ class LayerOperatorSet:
         self.nodes = np.arange(2 * self.n) * np.pi / self.n
         self.gram = np.full(2 * self.n, np.pi)
         self.gram[0] = TWO_PI
-        self.moments = _arc_moments(curve, self.n)
+        # the exterior quadrature: the trapezoidal rule on max(8n, 64) nodes,
+        # with their points, normals, speed / m weights and mode table, read
+        # by the arclength moments and by every evaluate_exterior call
+        t = np.linspace(0.0, TWO_PI, max(8 * self.n, 64), endpoint=False)
+        speed = curve.speed(t)
+        self.quad_modes = _coeff_to_samples(self.n, t)
+        self.quad_points, self.quad_normals = curve.point(t), curve.normal(t)
+        self.quad_w = speed / len(t)
+        self.moments = _arc_moments(curve, speed, self.quad_modes)
         injection = _mean_zero_injection(self.moments)
         self.exterior = _exterior_map(V, K, self.gram, injection)
         self.P = injection @ _samples_to_coeff(self.n, np.eye(2 * self.n))[1:]
@@ -237,19 +247,19 @@ def assemble_layer_operators(curve, n):
 # solves
 # ---------------------------------------------------------------------------
 
-def _arc_moments(curve, n):
-    """Arclength integrals of the packed degree-n basis functions.
+def _arc_moments(curve, speed, modes):
+    """Arclength integrals of the packed basis functions, by the trapezoidal
+    rule on equispaced nodes with curve speeds ``speed`` and mode table ``modes``.
 
     On a circle of radius R they are exactly (2 pi R, 0, ..., 0); the
     quadrature would leave about 1e-17 in the others, and the mean of a
     projected density would then not be exactly zero.
     """
     if curve.is_circle:
-        moments = np.zeros(2 * n)
+        moments = np.zeros(modes.shape[1])
         moments[0] = TWO_PI * curve.radius
         return moments
-    t = np.linspace(0.0, TWO_PI, 8 * n, endpoint=False)
-    return (curve.speed(t)[:, None] * _coeff_to_samples(n, t)).mean(axis=0) * TWO_PI
+    return (speed[:, None] * modes).mean(axis=0) * TWO_PI
 
 
 def _mean_zero_injection(moments):
@@ -335,16 +345,11 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
         raise DomainError("evaluation point is not finite")
     if np.any(ops.curve.signed_distance(pts) <= EVAL_STANDOFF * ops.curve.diameter()):
         raise DomainError("evaluation point inside or too close to the interface")
-    m = max(8 * ops.n, 64)
-    t = np.linspace(0.0, TWO_PI, m, endpoint=False)
-    y = ops.curve.point(t)
-    nrm = ops.curve.normal(t)
+    y, nrm, w = ops.quad_points, ops.quad_normals, ops.quad_w
     # trapezoid weight, speed and kernel constants folded into the samples;
     # one mode table serves both densities, each by its own product
-    w = ops.curve.speed(t) / m
-    modes = ops.modes(t)
-    gw = (modes @ gc) * w
-    lw = (modes @ lc) * w / 2.0
+    gw = (ops.quad_modes @ gc) * w
+    lw = (ops.quad_modes @ lc) * w / 2.0
     vals = np.empty(len(pts))
     for i in range(0, len(pts), EVAL_CHUNK):
         dx = pts[i:i + EVAL_CHUNK, :1] - y[:, 0]

@@ -18,9 +18,10 @@ from the computational boundary to the true boundary shrinks like
 h^(3/2) under refinement (the edge-distance/element-diameter ratio then
 decays like sqrt(h), and the facet normals converge to the curve normals
 like h).  A mesh built with ``fitted=True`` places its boundary vertices on
-the curves and declares the polygon itself to be the domain boundary, in
-which case all transfer distances are exactly zero.  The plain-text mesh
-format records that flag in its header.
+the curves and declares the polygon itself to be the domain boundary; its
+inner transfer distances are exactly zero, while the outer edge nodes still
+map across the O(h^2) sagitta of their chords to the interface.  The
+plain-text mesh format records that flag in its header.
 """
 
 from types import SimpleNamespace
@@ -477,9 +478,10 @@ TANGENCY_FLOOR = 0.1
 def build_boundary_map(mesh, gamma, gamma0, k):
     """Build the node-to-curve transfer map of the degree-k method.
 
-    Each boundary edge carries the k + 2 nodes of ``edge_rule(k)``.  For
-    fitted meshes the map is the identity (zero transfer length, the
-    transfer direction degenerates to the edge normal by convention).
+    Each boundary edge carries the k + 2 nodes of ``edge_rule(k)``.  On
+    fitted meshes the map is the identity on the inner (TAG_INNER) rows
+    (zero transfer length, the transfer direction degenerates to the edge
+    normal by convention); outer rows are mapped as on unfitted meshes.
     Raises MapConstructionError when a transfer direction is nearly
     tangent to its edge, and PatchConstructionError when two edge
     intervals of a curve overlap or the sliver map of an edge folds.
@@ -513,7 +515,12 @@ def build_boundary_map(mesh, gamma, gamma0, k):
         params[rows] = s[:n_node].reshape(-1, nq)
         endpoint_params[rows] = s[n_node:].reshape(-1, 2)
     if mesh.fitted:
-        mapped = nodes.copy()
+        # u0 is exact at the node itself, and an inner chord lies in the
+        # obstacle, where a path would point into the element; the outer
+        # rows keep their transfer paths, which carry the interface datum
+        # across the O(h^2) sagitta of the chord
+        inner = tags == TAG_INNER
+        mapped[inner] = nodes[inner]
     delta = mapped - nodes
     l = np.linalg.norm(delta, axis=2)
     far = l > 1e-14 * scale
@@ -569,7 +576,7 @@ def proximity_parameter(mesh, bmap):
 
     Also reports the sup over boundary nodes of |n_h - n|, the deviation of
     the facet normal from the annulus's outward normal at the mapped point,
-    which is the transfer direction t (nu itself on a fitted map).
+    which is the transfer direction t (nu itself on a fitted map's inner rows).
     """
     per_edge = bmap.l.max(axis=1, initial=0.0) / mesh.h_T[bmap.parents]
     dev = np.linalg.norm(bmap.t - bmap.nu[:, None, :], axis=2)

@@ -13,9 +13,14 @@ line integral couples the boundary trace to the element flux and is kept in
 the system matrix, so the condensed problem stays linear in the trace
 unknowns and its factorization is reused for every right-hand side.
 
-Element unknowns are eliminated per element (static condensation); the
-global system is posed on the trace coefficients of every edge, boundary
-edges included, because the transfer coupling keeps them in the graph.
+Element unknowns are eliminated per element (static condensation, Cockburn,
+Gopalakrishnan & Lazarov, SIAM J. Numer. Anal. 47, 2009), the flux first:
+u solves the d x d SPD Schur complement H = S + D A^{-1} D^T of the
+kappa^{-1} mass A, and q follows from A^{-1}.  For a constant kappa, A^{-1}
+is the closed form (kappa (x) Mhat^{-1}) / detJ, one reference matrix for
+every element; a callable kappa solves each 2d x 2d block A.  The global
+system is posed on the trace coefficients of every edge, boundary edges
+included, because the transfer coupling keeps them in the graph.
 Its sparsity pattern is symmetric (interior rows couple the edges of both
 neighbouring elements, boundary rows the edges of the parent), so it is
 factorized once by SuperLU in symmetric mode: minimum degree on A^T + A,
@@ -58,6 +63,7 @@ class MaterialField:
 
     Accepts the identity (None), a scalar, a constant 2x2 matrix, or a
     callable mapping points (m, 2) to scalars (m,) or matrices (m, 2, 2).
+    A constant is checked here, a callable's values wherever it is read.
     """
 
     def __init__(self, kappa=None):
@@ -70,35 +76,61 @@ class MaterialField:
         elif callable(kappa):
             self._fun = kappa
         else:
-            mat = np.asarray(kappa, dtype=float)
+            mat = np.array(kappa, dtype=float)
             if mat.shape != (2, 2) or not np.allclose(mat, mat.T):
                 raise AssemblyError("constant kappa must be a symmetric 2x2 matrix")
             self._const = mat
-        if self._const is not None and not (np.all(np.isfinite(self._const))
-                                            and np.linalg.eigvalsh(self._const).min() > 0):
-            raise AssemblyError("kappa must be finite and positive definite")
+        if self._const is not None:
+            if not (np.all(np.isfinite(self._const))
+                    and np.linalg.eigvalsh(self._const).min() > 0):
+                raise AssemblyError("kappa must be finite and positive definite")
+            self._const.setflags(write=False)
 
     @classmethod
     def identity(cls):
         return cls(None)
 
+    constant = property(lambda self: self._const,
+                        doc="The constant kappa (2, 2), read-only; None for a callable.")
+
     def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        lead = pts.shape[:-1]
+        """kappa (..., 2, 2) at points (..., 2)."""
         if self._const is not None:
+            lead = np.shape(pts)[:-1]
             return np.broadcast_to(self._const, lead + (2, 2)).copy()
-        raw = np.asarray(self._fun(pts.reshape(-1, 2)), dtype=float)
-        if raw.ndim == 1:
-            out = raw[:, None, None] * np.eye(2)[None, :, :]
-        else:
-            out = raw
-        return out.reshape(lead + (2, 2))
+        return self._checked_values(pts)[0]
 
     def inv(self, pts):
+        """kappa^{-1} (..., 2, 2) at points (..., 2); a callable's by adjugate over det."""
         if self._const is not None:
             lead = np.shape(pts)[:-1]
             return np.broadcast_to(np.linalg.inv(self._const), lead + (2, 2))
-        return np.linalg.inv(self.value(pts))
+        kap, det = self._checked_values(pts)
+        adj = np.stack([np.stack([kap[..., 1, 1], -kap[..., 0, 1]], axis=-1),
+                        np.stack([-kap[..., 1, 0], kap[..., 0, 0]], axis=-1)], axis=-2)
+        return adj / det[..., None, None]
+
+    def _checked_values(self, pts):
+        """The callable's values (..., 2, 2) and their determinants (...).
+
+        A value that is not finite, symmetric and positive definite (a > 0
+        and det > 0) raises AssemblyError naming the first such point.
+        """
+        pts = np.asarray(pts, dtype=float)
+        flat = pts.reshape(-1, 2)
+        raw = np.asarray(self._fun(flat), dtype=float)
+        kap = raw[:, None, None] * np.eye(2) if raw.ndim == 1 else raw
+        a, b, c, d = kap[:, 0, 0], kap[:, 0, 1], kap[:, 1, 0], kap[:, 1, 1]
+        # a non-finite entry leaves det inf or NaN, so a finite det covers it
+        with np.errstate(invalid="ignore", over="ignore"):
+            det = a * d - b * c
+            good = np.isfinite(det) & (det > 0) & (a > 0) & np.isclose(b, c)
+        if not np.all(good):
+            x, y = flat[np.argmin(good)]
+            raise AssemblyError(f"kappa must be finite, symmetric and positive definite; "
+                                f"it is not at point ({x:.6g}, {y:.6g})")
+        lead = pts.shape[:-1]
+        return kap.reshape(lead + (2, 2)), det.reshape(lead)
 
 
 class DGField:
@@ -180,6 +212,10 @@ class _Discretization:
             material.inv(self.phys_pts), 1, 3)                     # (M,2,2,nq)
         self.mass_kinv = (wk.reshape(-1, len(ref.vol_w)) @ ref.products).reshape(
             M, 2, 2, d, d).transpose(0, 1, 3, 2, 4).reshape(M, 2 * d, 2 * d)
+        # its closed-form inverse factor for a constant kappa, see solve_mass
+        kappa = material.constant
+        self._kappa_mhat_inv = None if kappa is None else np.kron(
+            kappa, np.linalg.inv((ref.products.T @ ref.vol_w).reshape(d, d)))
         # (w, div q) = detJ invJ[c, e] (phi_a, d_c phi_b) on T_ref, columns [x | y]
         gj = np.swapaxes(detJ[:, None, None] * invJ, 1, 2)          # (M,e,c)
         self.div = (gj.reshape(-1, 2) @ ref.grad_moments.reshape(2, -1)).reshape(
@@ -207,18 +243,40 @@ class _Discretization:
         self.F_side = tau_es[:, :, None, None] * En
         self.S_elem = ((tau_es * len_es) @ ref.side_mass.reshape(3, -1)).reshape(M, d, d)
 
-        # static condensation: one solve of the local blocks L against the
-        # trace columns R and the load columns [0; I], so that
-        # (q, u) = local @ [uhat_loc; f_mom]
-        L = np.block([[self.mass_kinv, -np.swapaxes(self.div, 1, 2)],
-                      [self.div, self.S_elem]])
-        R = np.concatenate([-self.E_side, self.F_side], axis=2)     # (M,3,3d,ne)
-        R = np.swapaxes(R, 1, 2).reshape(M, 3 * d, 3 * self.ne)
-        load = np.broadcast_to(np.eye(3 * d, d, -2 * d), (M, 3 * d, d))
+        # static condensation: the element solve of L = [[A, -D^T], [D, S]]
+        # (A = mass_kinv, D = div) against the trace columns R = [R_q; R_u]
+        # and the load columns [0; I], with the flux block eliminated:
+        #   u = H^{-1} ((R_u - D A^{-1} R_q) uhat_loc + f_mom),  H = S + D A^{-1} D^T,
+        #   q = A^{-1} (D^T u + R_q uhat_loc),
+        # so that (q, u) = local @ [uhat_loc; f_mom].  H is d x d and SPD: S
+        # alone is only semidefinite for k >= 3, D A^{-1} D^T fills it.
+        ne3 = 3 * self.ne
+        R_q = -np.swapaxes(self.E_side, 1, 2).reshape(M, 2 * d, ne3)
+        R_u = np.swapaxes(self.F_side, 1, 2).reshape(M, d, ne3)
+        X = np.concatenate([np.swapaxes(self.div, 1, 2), R_q], axis=2)  # (M,2d,d+3ne)
         try:
-            self.local = np.linalg.solve(L, np.concatenate([R, load], axis=2))
+            Y = self.solve_mass(X)
+            DY = self.div @ Y
+            H_inv = np.linalg.inv(self.S_elem + DY[:, :, :d])
         except np.linalg.LinAlgError as exc:
             raise AssemblyError("singular element local solver") from exc
+        self.local = np.empty((M, 3 * d, ne3 + d))
+        Q, U = self.local[:, :2 * d], self.local[:, 2 * d:]
+        U[:, :, :ne3] = H_inv @ (R_u - DY[:, :, d:])
+        U[:, :, ne3:] = H_inv
+        np.matmul(Y[:, :, :d], U, out=Q)
+        Q[:, :, :ne3] += Y[:, :, d:]
+
+    def solve_mass(self, X):
+        """A^{-1} X per element, for A = ``mass_kinv`` and X (M, 2d, c).
+
+        A constant kappa makes A = detJ (kappa^{-1} (x) Mhat), Mhat the
+        reference mass, so A^{-1} = (kappa (x) Mhat^{-1}) / detJ is one
+        matrix for every element; a callable kappa solves each A.
+        """
+        if self._kappa_mhat_inv is None:
+            return np.linalg.solve(self.mass_kinv, X)
+        return self._kappa_mhat_inv @ X / self.mesh.detJ[:, None, None]
 
     def basis_at(self, parents, pts):
         """Basis values (p, ..., d) of each parent element at its points (p, ..., 2).
@@ -258,7 +316,7 @@ def assemble_transfer(disc, bmap):
 
     Entry (c, m) is the line integral of the extrapolated flux component c
     along the transfer paths, tested against the edge trace basis mu_m; it
-    is zero on rows with zero-length paths (fitted edges).
+    is zero on rows with zero-length paths (a fitted mesh's inner edges).
     """
     d, ne = disc.d, disc.ne
     B = len(bmap.edge_ids)

@@ -50,16 +50,29 @@ def test_curves_not_nested_is_infeasible():
         build_annulus_mesh(Curve.circle((0, 0), 0.5), Curve.circle((0, 0), 1.0), 0.05)
 
 
+def _chord_sagitta(mesh, bmap, radius):
+    """Per boundary-map row, the sagitta of its edge as a chord of the circle."""
+    half = 0.5 * mesh.edge_len[bmap.edge_ids]
+    return radius - np.sqrt(radius ** 2 - half ** 2)
+
+
 def test_fitted_mesh_round_trips_with_zero_proximity(circles, tmp_path):
+    # the loaded mesh is fitted: zero paths on the inner ring, and on the
+    # outer ring paths no longer than the sagitta of each chord, ~ h^2 / (8 R)
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.15, fitted=True)
     path = tmp_path / "fitted.txt"
     save_mesh(mesh, path)
     loaded = load_mesh(path)
+    assert loaded.fitted
     bmap = build_boundary_map(loaded, gamma, gamma0, k=2)
+    inner = bmap.tags == TAG_INNER
+    assert np.all(bmap.l[inner] == 0.0)
+    lmax = bmap.l.max(axis=1)
+    sag = _chord_sagitta(loaded, bmap, gamma.radius)
+    assert np.all((lmax[~inner] > 0.0) & (lmax[~inner] <= sag[~inner] * (1 + 1e-9)))
     rep = proximity_parameter(loaded, bmap)
-    assert rep.R_h == 0.0
-    assert np.all(bmap.l == 0.0)
+    assert rep.R_h == np.max(lmax / loaded.h_T[bmap.parents])
 
 
 def test_mesh_header_without_fitted_flag_is_malformed(circles, tmp_path):
@@ -255,12 +268,20 @@ def test_transfer_direction_is_the_outward_curve_normal(outer, circles, request)
 
 
 def test_fitted_map_convention(circles):
+    # the identity on inner rows; outer nodes map to the interface
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2, fitted=True)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
-    assert np.all(bmap.l == 0.0)
-    assert np.allclose(bmap.t, np.broadcast_to(bmap.nu[:, None, :], bmap.t.shape))
-    assert np.array_equal(bmap.nodes, bmap.mapped)
+    inner = bmap.tags == TAG_INNER
+    assert np.all(bmap.l[inner] == 0.0)
+    assert np.allclose(bmap.t[inner], np.broadcast_to(bmap.nu[inner, None, :],
+                                                      bmap.t[inner].shape))
+    assert np.array_equal(bmap.nodes[inner], bmap.mapped[inner])
+    outer = ~inner
+    assert np.allclose(np.linalg.norm(bmap.mapped[outer], axis=-1), gamma.radius,
+                       rtol=0.0, atol=1e-14)
+    sag = _chord_sagitta(mesh, bmap, gamma.radius)
+    assert np.all(bmap.l[outer].max(axis=1) <= sag[outer] * (1 + 1e-9))
 
 
 def test_tangency_floor_violation_names_edge(circles):

@@ -113,6 +113,17 @@ def test_study_rows_and_csv(tmp_path):
     assert len(rows) == 3
 
 
+def test_fitted_coupled_study_converges_at_order_k_plus_1():
+    # the outer chord nodes read the interface datum across their O(h^2)
+    # sagitta through transfer paths; read at the closest curve point with no
+    # path, rate_u was -0.73 (err_u 3.9e-4 -> 6.5e-4)
+    case = manufactured_case("dipole-plus-constant", degree=2)
+    rep = convergence_study(case, 2, [0.1, 0.05], n=32, fitted=True,
+                            config=CouplingConfig(omega=0.5, tol=1e-10))
+    assert all(row["converged"] for row in rep.rows)
+    assert rep.rate("err_u", 1) >= 2.7
+
+
 @pytest.fixture(scope="module")
 def ellipse_study():
     # the dipole-plus-constant fields with a 1.3 x 0.9 elliptic interface

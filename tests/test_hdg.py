@@ -13,6 +13,7 @@ from hdgbem import (
     InterfaceMap,
     MaterialField,
     SolverError,
+    TAG_INNER,
     UnfittedMesh,
     assemble_layer_operators,
     build_annulus_mesh,
@@ -228,15 +229,32 @@ def test_trace_matrix_matches_reference_assembly(which, request):
     _assert_close(system.load.toarray(), load)
 
 
-@pytest.mark.parametrize("which", ["coarse_k1", "coarse_k2", "bump"])
-def test_local_solves_match_inverse_of_local_blocks(which, request):
+_LOCAL_KAPPAS = {
+    "identity": lambda: MaterialField.identity(),
+    "anisotropic": lambda: MaterialField([[2.0, 0.5], [0.5, 1.0]]),
+    "bump": lambda: manufactured_case("variable-kappa-bump", degree=1).kappa,
+    "matrix-field": lambda: MaterialField(_kappa_field),
+}
+
+
+@pytest.mark.parametrize("kind, k", [
+    pytest.param("identity", 1, id="coarse_k1"),
+    pytest.param("identity", 2, id="coarse_k2"),
+    pytest.param("identity", 3, id="identity_k3"),
+    pytest.param("bump", 1, id="bump"),
+    *(pytest.param(kind, k, id=f"{kind}_k{k}")
+      for kind in ("bump", "anisotropic", "matrix-field") for k in (1, 2, 3)
+      if (kind, k) != ("bump", 1)),
+])
+def test_local_solves_match_inverse_of_local_blocks(kind, k, coarse_k1):
     # local = [L^-1 R | the load columns of L^-1], per element
-    if which == "bump":
-        case = manufactured_case("variable-kappa-bump", degree=1)
-        disc = setup_level(case, 0.2, 1, n=8).system.disc
-    else:
-        disc = request.getfixturevalue(which)[2].disc
+    disc = _Discretization(coarse_k1[0], _LOCAL_KAPPAS[kind](), 1.0, k)
     M, d, ne = len(disc.mesh.elements), disc.d, disc.ne
+    if k == 3:
+        # a cubic bubble has no trace, so S alone is singular and the Schur
+        # complement H = S + D A^-1 D^T is definite only through D
+        eig = np.linalg.eigvalsh(disc.S_elem)
+        assert np.all(eig[:, 0] < 1e-12 * eig[:, -1])
     L = np.block([[disc.mass_kinv, -np.swapaxes(disc.div, 1, 2)],
                   [disc.div, disc.S_elem]])
     R = np.concatenate([-disc.E_side, disc.F_side], axis=2)
@@ -246,6 +264,17 @@ def test_local_solves_match_inverse_of_local_blocks(which, request):
     for got, expect in ((disc.local[:, :, :3 * ne], inv @ R),
                         (disc.local[:, :, 3 * ne:], inv[:, :, 2 * d:])):
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["identity", "anisotropic", "bump"])
+def test_mass_solve_is_the_inverse_of_the_mass_block(kind, k, coarse_k1):
+    # constant kappa: the closed form (kappa (x) Mhat^-1) / detJ; callable: a solve
+    disc = _Discretization(coarse_k1[0], _LOCAL_KAPPAS[kind](), 1.0, k)
+    M, d = len(disc.mesh.elements), disc.d
+    got = disc.solve_mass(np.broadcast_to(np.eye(2 * d), (M, 2 * d, 2 * d)))
+    expect = np.linalg.inv(disc.mass_kinv)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +328,12 @@ def test_transfer_constant_flux_straight_path():
 
 
 def test_transfer_vanishes_on_fitted_edges(fitted_k1):
+    # on the inner ring; the outer edges carry their sagitta-long paths
     mesh, bmap, system = fitted_k1
     assert system.transfer.shape == (len(bmap.edge_ids), 2 * system.disc.d, system.ne)
-    assert np.all(system.transfer == 0.0)
+    inner = bmap.tags == TAG_INNER
+    assert np.all(system.transfer[inner] == 0.0)
+    assert np.all(np.abs(system.transfer[~inner]).max(axis=(1, 2)) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +341,25 @@ def test_transfer_vanishes_on_fitted_edges(fitted_k1):
 # ---------------------------------------------------------------------------
 
 def test_fitted_matrix_equals_transfer_free_assembly(circles):
-    # with zero transfer paths every boundary row is the edge mass block on
-    # the edge's own trace dofs and zero elsewhere
+    # with zero transfer paths every inner boundary row is the edge mass
+    # block on the edge's own trace dofs and zero elsewhere; an outer row
+    # adds its path's coupling to the trace dofs of its parent element
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=True)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
     system = build_system(mesh, bmap, MaterialField.identity(), 1.0, 1)
     ne = system.ne
     A = system.matrix.tocsr()
-    for e in bmap.edge_ids:
+    for e, tag, parent in zip(bmap.edge_ids, bmap.tags, bmap.parents):
         rows = A[e * ne:(e + 1) * ne].toarray()
         expected = np.zeros_like(rows)
         expected[:, e * ne:(e + 1) * ne] = system.disc.edge_mass[e]
-        assert np.array_equal(rows, expected)
+        if tag == TAG_INNER:
+            assert np.array_equal(rows, expected)
+        else:
+            cols = np.nonzero(np.any(rows != expected, axis=0))[0]
+            assert len(cols) > 0
+            assert set(cols // ne) <= set(mesh.element_edges[parent])
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -566,6 +604,20 @@ def test_extrapolated_flux_linear_patch(fitted_k1, circles):
     assert np.abs(flux + np.cos(s)).max() < 1e-10
 
 
+@pytest.mark.parametrize("bundle", ["coarse_k1", "fitted_k1"])
+def test_interface_datum_path_is_exact_on_a_linear_patch(bundle, circles, request):
+    # u = x through the coupled data path: g = cos s as interface modes read
+    # at the mapped curve points, u0 = x on the inner ring; a fitted mesh
+    # once read the modes a sagitta from the nodes they applied at (9.0e-3)
+    system = request.getfixturevalue(bundle)[2]
+    imap = InterfaceMap(system, assemble_layer_operators(circles[0], 16), None,
+                        lambda p: p[:, 0])
+    c = np.zeros(32)
+    c[1] = 1.0
+    flux, _ = imap.apply(c)
+    assert np.abs(flux + np.cos(imap.ops.nodes)).max() < 1e-10
+
+
 def test_uncovered_point_raises(coarse_k1):
     mesh, bmap, system = coarse_k1
     loc = copy.copy(bmap)               # the fixture's table stays intact
@@ -675,9 +727,39 @@ def test_material_field_validation():
     for kappa in (np.nan, np.inf, [[np.inf, 0.0], [0.0, 1.0]]):
         with pytest.raises(AssemblyError, match="finite"):
             MaterialField(kappa)
-    mat = MaterialField(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    given = np.array([[2.0, 0.5], [0.5, 1.0]])
+    mat = MaterialField(given)
     pts = np.zeros((4, 2))
     assert np.allclose(mat.inv(pts) @ mat.value(pts), np.eye(2))
+    # the constant is a read-only copy; a callable has none
+    given[0, 0] = 5.0
+    assert mat.constant[0, 0] == 2.0 and not mat.constant.flags.writeable
+    assert MaterialField(lambda p: np.ones(len(p))).constant is None
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(-1.0, id="negative"),
+    pytest.param(0.0, id="zero"),
+    pytest.param(np.nan, id="nan"),
+    pytest.param([[np.inf, 0.0], [0.0, 1.0]], id="inf"),
+    pytest.param([[1.0, 0.5], [0.0, 1.0]], id="not-symmetric"),
+    pytest.param([[1.0, 2.0], [2.0, 1.0]], id="indefinite"),
+])
+def test_callable_kappa_refuses_a_bad_value(bad, coarse_k1):
+    # the value at x > 0.5 is bad; the error names the first such point
+    bad = np.asarray(bad, dtype=float)
+    if bad.ndim == 0:
+        material = MaterialField(lambda p: np.where(p[:, 0] > 0.5, bad, 1.0))
+    else:
+        material = MaterialField(
+            lambda p: np.where((p[:, 0] > 0.5)[:, None, None], bad, np.eye(2)))
+    pts = np.array([[0.0, 0.0], [0.75, 0.25], [0.9, 0.2]])
+    for read in (material.value, material.inv):
+        with pytest.raises(AssemblyError, match=r"positive definite; it is not at "
+                                                r"point \(0\.75, 0\.25\)"):
+            read(pts)
+    with pytest.raises(AssemblyError, match="finite, symmetric and positive definite"):
+        _Discretization(coarse_k1[0], material, 1.0, 1)
 
 
 def test_stabilization_validation(coarse_k1):
