@@ -42,6 +42,7 @@ sample <-> coefficient transforms.
 import numpy as np
 
 from .errors import DimensionError, DomainError, SolverError
+from .hdg import _format_e, _format_int, _join
 
 TWO_PI = 2.0 * np.pi
 # the operator quadrature uses OVERSAMPLE times the 2n density nodes
@@ -366,10 +367,11 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
 # ---------------------------------------------------------------------------
 
 def write_density_csv(poly, path):
-    """Rows of (mode index, cosine coefficient, sine coefficient)."""
-    with open(path, "w") as fh:
-        fh.write("mode,cos,sin\n")
-        for m in range(poly.n + 1):
-            s = poly.sin[m - 1] if 1 <= m <= poly.n - 1 else 0.0
-            fh.write(f"{m},{poly.cos[m]:.17e},{s:.17e}\n")
-
+    """Rows of (mode index, cosine coefficient, sine coefficient), reals as ``%.17e``."""
+    sin = np.zeros(poly.n + 1)
+    sin[1:poly.n] = poly.sin
+    vals = _format_e(np.column_stack([poly.cos, sin]), 17)
+    with open(path, "wb") as fh:
+        fh.write(b"mode,cos,sin\n")
+        fh.write(_join(_format_int(np.arange(poly.n + 1)),
+                       b",", vals[:, 0], b",", vals[:, 1], b"\n"))

@@ -9,8 +9,10 @@ are the tools of the HDG analysis (Cockburn, Gopalakrishnan & Sayas, Math.
 Comp. 79, 2010) that only the tests evaluate: the elementwise HDG
 projection, the energy functional and the trace identity; and pointwise
 diagnostics: the PDE residual of a manufactured case, an element's flux
-at given points, and edge geometry.  All are slow and exist only to pin
-the library's answers in the tests.
+at given points, and edge geometry; and the export writers by CPython's
+per-value ``%`` formatting, which the library's array formatter must
+match byte for byte.  All are slow and exist only to pin the library's
+answers in the tests.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ import scipy.sparse.linalg as spla
 from hdgbem import AssemblyError, TrigPolynomial
 from hdgbem.basis import TriangleBasis, edge_legendre
 from hdgbem.coupling import InterfaceMap
-from hdgbem.hdg import DGField, _side_traces
+from hdgbem.hdg import DGField, _reference_lattice, _side_traces
 from hdgbem.quadrature import gauss01, triangle_rule
 
 
@@ -351,3 +353,39 @@ def edge_vertices(mesh, edge_id):
 def edge_length(mesh, edge_id):
     p = edge_vertices(mesh, edge_id)
     return float(np.linalg.norm(p[1] - p[0]))
+
+
+def write_vtk_printf(field, path):
+    """``hdg.write_vtk`` by CPython's per-value ``%`` formatting."""
+    mesh = field.mesh
+    nodes, tris = _reference_lattice(max(field.k, 1))
+    vals = field._basis.eval(nodes)
+    pts = mesh.physical_points(nodes).reshape(-1, 2)
+    u = (field.U @ vals.T).ravel()
+    q = np.einsum("mcd,nd->mnc", field.Q, vals).reshape(-1, 2)
+    cells = (len(nodes) * np.arange(len(mesh.elements))[:, None, None] + tris).reshape(-1, 3)
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\ninterior field\nASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {len(pts)} double\n")
+        fh.write("%.16e %.16e 0.0\n" * len(pts) % tuple(pts.ravel().tolist()))
+        fh.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
+        fh.write("3 %d %d %d\n" * len(cells) % tuple(cells.ravel().tolist()))
+        fh.write(f"CELL_TYPES {len(cells)}\n")
+        fh.write("5\n" * len(cells))
+        fh.write(f"POINT_DATA {len(pts)}\n")
+        fh.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
+        fh.write("%.16e\n" * len(u) % tuple(u.tolist()))
+        fh.write("VECTORS q double\n")
+        fh.write("%.16e %.16e 0.0\n" * len(q) % tuple(q.ravel().tolist()))
+
+
+def write_coefficients_csv_printf(field, path):
+    """``hdg.write_coefficients_csv`` by CPython's per-value ``%`` formatting."""
+    M, d = field.U.shape
+    header = ["element"] + [f"qx_{i}" for i in range(d)] \
+        + [f"qy_{i}" for i in range(d)] + [f"u_{i}" for i in range(d)]
+    table = np.column_stack([np.arange(M), field.Q[:, 0], field.Q[:, 1], field.U])
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write(("%d" + ",%.17e" * (3 * d) + "\n") * M % tuple(table.ravel().tolist()))

@@ -447,3 +447,6 @@ def test_density_csv(tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0] == "mode,cos,sin"
     assert len(rows) == N + 2
+    # every real as printf's %.17e, the sines padded with 0.0 at modes 0 and N
+    sin = [0.0, *g.sin, 0.0]
+    assert rows[1:] == [f"{m},{g.cos[m]:.17e},{sin[m]:.17e}" for m in range(N + 1)]

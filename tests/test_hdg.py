@@ -27,7 +27,7 @@ from hdgbem import (
 )
 from hdgbem.basis import TriangleBasis, edge_legendre
 from hdgbem.geometry import BoundaryMap
-from hdgbem.hdg import _Discretization, assemble_transfer
+from hdgbem.hdg import DGField, _Discretization, _format_e, _join, assemble_transfer
 from hdgbem.harness import manufactured_case, setup_level
 from hdgbem.quadrature import gauss01, triangle_rule
 from reference import (
@@ -38,6 +38,8 @@ from reference import (
     solve_eliminated,
     solve_uncondensed,
     trace_identity_residual,
+    write_coefficients_csv_printf,
+    write_vtk_printf,
 )
 
 
@@ -272,6 +274,8 @@ def test_mass_solve_is_the_inverse_of_the_mass_block(kind, k, coarse_k1):
     # constant kappa: the closed form (kappa (x) Mhat^-1) / detJ; callable: a solve
     disc = _Discretization(coarse_k1[0], _LOCAL_KAPPAS[kind](), 1.0, k)
     M, d = len(disc.mesh.elements), disc.d
+    # the mass itself is built only where a solve reads it
+    assert ("mass_kinv" in vars(disc)) == (kind == "bump")
     got = disc.solve_mass(np.broadcast_to(np.eye(2 * d), (M, 2 * d, 2 * d)))
     expect = np.linalg.inv(disc.mass_kinv)
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
@@ -828,6 +832,54 @@ def test_export_contents_match_the_field(tmp_path, coarse_k2):
     assert np.array_equal(table[:, 1:1 + d], fld.Q[:, 0])
     assert np.array_equal(table[:, 1 + d:1 + 2 * d], fld.Q[:, 1])
     assert np.array_equal(table[:, 1 + 2 * d:], fld.U)
+
+
+@pytest.mark.parametrize("P", [16, 17])
+def test_format_e_matches_printf(P):
+    # the array formatter writes '%.{P}e' % x byte for byte, on every family
+    # where digit generation goes wrong first: exact rounding ties, carries
+    # into the next decade, the ends of the double range and non-finite x
+    rng = np.random.default_rng(27)
+    n = 8000
+    decades = 10.0 ** np.arange(-300, 301)
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    x = np.concatenate([
+        rng.standard_normal(n),
+        rng.standard_normal(n) * 1e-12,
+        np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-300, 300, n),
+        bits[np.isfinite(bits)],
+        # odd M/16: exact ties of the last printed digit at P = 16 and 17
+        (2 * rng.integers(8 * 10 ** 13, 8 * 10 ** 14, n) + 1) / 16.0,
+        (2 * rng.integers(8 * 10 ** 14, 8 * 10 ** 15, n) + 1) / 16.0,
+        (2 * rng.integers(1, 2 ** 52, n) + 1) * 2.0 ** rng.integers(-60, 60, n),
+        decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf),
+        9.999999999999999 * decades, 9.9999999999999999 * decades,
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e-280, 1e280,
+         1.7976931348623157e308, 1e22, 1e23, np.nan, np.inf, -np.inf]])
+    expect = "".join(f"%.{P}e\n" % v for v in x.tolist()).encode()
+    assert _join(_format_e(x, P), b"\n") == expect
+    assert _format_e(np.empty((0, 2)), P).shape == (0, 2, P + 8)
+
+
+def test_exports_match_printf_writers(tmp_path, coarse_k1, coarse_k2):
+    # the array writers and per-value % formatting write the same bytes, on
+    # solved fields and on one with planted zeros, a subnormal, a huge
+    # value and a NaN, which the formatter hands to % one by one
+    fields = [solve_interior(system, f=lambda p: p[:, 0] * p[:, 1],
+                             g_gamma=lambda p: p[:, 0] ** 2, u0_gamma0=lambda p: p[:, 1])
+              for _, _, system in (coarse_k1, coarse_k2)]
+    fld = fields[-1]
+    Q, U = fld.Q.copy(), fld.U.copy()
+    planted = [0.0, -0.0, 1e-310, 1e300, np.nan]
+    U[0, :5] = Q[1, 0, :5] = Q[2, 1, :5] = planted
+    fields.append(DGField(fld.mesh, fld.k, Q, U, fld.Uhat))
+    for i, fld in enumerate(fields):
+        for write, oracle in ((write_vtk, write_vtk_printf),
+                              (write_coefficients_csv, write_coefficients_csv_printf)):
+            got, expect = tmp_path / f"{i}_got", tmp_path / f"{i}_expect"
+            write(fld, got)
+            oracle(fld, expect)
+            assert got.read_bytes() == expect.read_bytes(), (i, write.__name__)
 
 
 def test_transfer_path_leaving_patch_raises():
