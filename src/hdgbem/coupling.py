@@ -93,14 +93,16 @@ class InterfaceResponse:
     U = A^{-1} B and the dense response F = Z U (2n x 2n), so a flux then
     costs a small matvec instead of a sparse solve.  This is the
     ski-rental rule (Karlin et al., Algorithmica 3, 1988): rent single
-    solves until they have cost what F costs, then buy F.  The block solve
-    costs about n single solves (perfbench workloads, one BLAS thread on a
-    2-core Xeon, medians of rounds of n single solves and one block):
+    solves until they have cost what F costs, then buy F.  The block solve,
+    in blocks of 8 columns (``HDGSystem.solve_trace``), costs about n
+    single solves (perfbench workloads, one BLAS thread on a 2-core Xeon;
+    per workload the medians of three runs of 9 rounds of n single solves
+    and one block):
 
         workload       single solve   2n-column block          in single solves
-        bump-sweep     4.5 ms         64 columns, 164-169 ms   1.15-1.18 n
-        dipole-fine    7.5-8.0 ms     64 columns, 284-304 ms   1.18-1.19 n
-        ellipse-near   5.9-6.7 ms     128 columns, 456-498 ms  1.16-1.21 n
+        bump-sweep     2.7-3.7 ms     64 columns, 98-129 ms    1.08-1.22 n
+        dipole-fine    5.8-8.5 ms     64 columns, 224-309 ms   1.01-1.20 n
+        ellipse-near   4.3-6.6 ms     128 columns, 380-444 ms  1.05-1.45 n
 
     ``U`` is kept, n_trace x 2n doubles (11.8 MB on bump-sweep), so that
     the lift A^{-1} B c of a closing solve is a matvec.  ``zero_trace``
@@ -162,7 +164,9 @@ class InterfaceMap:
     is the shared ``InterfaceResponse`` of (system, ops), which holds B, Z,
     U and F.  One lift c -> A^{-1} B c, U c once the response holds U and
     one trace solve before, serves ``linear`` (F c), ``apply``
-    (flux0 + F c, counted until F exists) and ``trace_solve``.
+    (flux0 + F c, counted until F exists) and ``trace_solve``.  The map
+    keeps the last solved lift, keyed on the bytes of c: GMRES ends with a
+    matvec at its answer, whose closing ``trace_solve`` then reuses it.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -175,13 +179,18 @@ class InterfaceMap:
         self.z_f = self.response.Z_f @ self.f_mom.ravel()
         self.uhat0, self.residual0 = self.response.zero_trace(self.rhs0)
         self.flux0 = self.flux(self.uhat0)
+        self._last_lift = None
 
     def _lift(self, c):
-        """A^{-1} B c and the residual of the solve behind it."""
+        """A^{-1} B c and the residual of the solve behind it: U c once the
+        response holds U, else one trace solve unless c is bitwise the last."""
         resp = self.response
-        if resp.U is None:
-            return resp.system.solve_trace(resp.B @ c)
-        return resp.U @ c, resp.F_residual
+        if resp.U is not None:
+            return resp.U @ c, resp.F_residual
+        key = c.tobytes()
+        if self._last_lift is None or self._last_lift[0] != key:
+            self._last_lift = key, resp.system.solve_trace(resp.B @ c)
+        return self._last_lift[1]
 
     def flux(self, uhat):
         """Flux samples of the interior trace uhat."""
@@ -325,9 +334,10 @@ def monolithic_solve(system, ops, f=None, u0=None):
         r(x, F c) = -r(0, flux0),
 
     solved by full-memory GMRES over ``imap.linear`` (at most 2n + 1
-    steps, so exact up to rounding).  The closing ``trace_solve`` gives
-    the field and the true residual of the answer, which must be below
-    1e-10 of the right-hand side, or SolverError is raised with it.  No
+    steps, so exact up to rounding).  GMRES ends with a matvec at its
+    answer, whose lift the closing ``trace_solve`` reuses; it gives the
+    field and the true residual of the answer, which must be below 1e-10
+    of the right-hand side, or SolverError is raised with it.  No
     solve is counted, so the shared response's count, U and F stay as they
     are, and the map reuses the uhat0 that a run with the same f and u0
     left on it.  Returns (field, g, lam, u_inf).

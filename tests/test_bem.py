@@ -361,6 +361,41 @@ def test_chunked_evaluation_is_bounded_and_pointwise(ops32):
         assert abs(one - vals[i]) <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.fixture(scope="module")
+def ops_ellipse32():
+    return assemble_layer_operators(ellipse_curve(1.3, 0.9), N)
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-2, 0.1, 1.0])
+def test_evaluation_off_the_circle_matches_node_sums(ops_ellipse32, d):
+    # (x - y).n is a product with a table that holds y.n, so it carries
+    # rounding of |x| |n| where the node-by-node difference carries that of
+    # |x - y|: 1.5e-13 of max |ref| at d = 1e-3, hence 1e-12 here
+    ops = ops_ellipse32
+    rng = np.random.default_rng(7)
+    s = rng.uniform(0.0, 2.0 * np.pi, 3 * EVAL_CHUNK + 5)
+    pts = ops.curve.point(s) + d * ops.curve.normal(s)
+    decay = 1.0 / (1.0 + np.arange(2 * N)) ** 2
+    g = TrigPolynomial.from_coefficients(rng.normal(size=2 * N) * decay)
+    lam = TrigPolynomial.from_coefficients(rng.normal(size=2 * N) * decay)
+    vals = evaluate_exterior(ops, g, lam, -0.3, pts)
+    m = 8 * N
+    t = 2.0 * np.pi * np.arange(m) / m
+    ref = np.full(len(pts), -0.3)
+    curve = ops.curve
+    for y, nrm, sp, gj, lj in zip(curve.point(t), curve.normal(t), curve.speed(t),
+                                  g.eval(t), lam.eval(t)):
+        diff = pts - y
+        r2 = np.sum(diff * diff, axis=1)
+        ref += sp * (gj * (diff @ nrm) / r2 + 0.5 * lj * np.log(r2)) / m
+    assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+    # a one-point call sums in another order; a repeated call in the same
+    for i in [0, EVAL_CHUNK - 1, EVAL_CHUNK, len(pts) - 1]:
+        one = evaluate_exterior(ops, g, lam, -0.3, pts[i])
+        assert abs(one - vals[i]) <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(evaluate_exterior(ops, g, lam, -0.3, pts), vals)
+
+
 def test_evaluate_exterior_on_no_points(ops32):
     vals = evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
                              0.0, np.empty((0, 2)))

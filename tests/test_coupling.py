@@ -514,6 +514,24 @@ def test_monolithic_never_builds_the_dense_response(monkeypatch):
     assert resp.F is F and resp.solves == solves
 
 
+def test_monolithic_closing_solve_reuses_the_last_matvec(monkeypatch):
+    # uhat0, then one solve per GMRES matvec; GMRES's last matvec is at its
+    # answer, so the closing trace_solve makes none of its own
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    bundle = setup_level(case, 0.2, 1, n=8)
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    matvecs = []
+    linear = InterfaceMap.linear
+
+    def counted(self, c):
+        matvecs.append(1)
+        return linear(self, c)
+    monkeypatch.setattr(InterfaceMap, "linear", counted)
+    monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    assert len(matvecs) >= 2
+    assert len(calls) == 1 + len(matvecs)
+
+
 def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
     # a run leaves uhat0 of its f and u0 on the shared response, so the
     # oracle after it makes one solve fewer than on a fresh system; the run

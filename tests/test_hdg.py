@@ -438,6 +438,20 @@ def test_failed_trace_solve_reports_condition_estimate(circles, monkeypatch):
         assert np.isfinite(cond) and cond >= 1.0
 
 
+def test_block_trace_solve_matches_single_solves(coarse_k1):
+    # 13 columns, not a multiple of the block size
+    system = coarse_k1[2]
+    rhs = np.random.default_rng(3).normal(size=(system.n_trace, 13))
+    x, rel = system.solve_trace(rhs)
+    singles = [system.solve_trace(rhs[:, j]) for j in range(13)]
+    for j, (xj, _) in enumerate(singles):
+        assert np.array_equal(x[:, j], xj)
+    assert rel == max(r for _, r in singles)
+    rhs[5, 11] = np.nan
+    with pytest.raises(SolverError, match="trace solve residual nan"):
+        system.solve_trace(rhs)
+
+
 @pytest.mark.parametrize("which", ["coarse_k1", "fitted_k1", "bump", "ellipse"])
 def test_trace_matrix_pattern_is_symmetric(which, request, circles):
     # the symmetric-mode ordering (minimum degree on A^T + A) assumes it
