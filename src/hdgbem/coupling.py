@@ -16,6 +16,17 @@ g_tilde is the exterior trace of the negated projected flux.  ``HDGSystem``
 owns B, Z and the load part z_f; ``LayerOperatorSet`` the arc weights and
 the exterior solve.
 
+Until the dense F is built (``InterfaceResponse.dense``), fluxes come
+from the span of the data directions solved so far: an orthonormal basis
+Q of those directions and their fluxes F Q.  A datum within SPAN_TOL of
+the span costs a small matvec, and one outside it one trace solve, which
+adds its direction.  The span keeps fluxes, 2n long, rather than lifts
+A^{-1} B Q, n_trace long, since the iteration needs only fluxes.
+SPAN_TOL = 1e-13 lies above the leftover of data in the span (at most
+3e-14 on dipole-fine and ellipse-near) and below the new directions of
+those runs (at least 1.6e-13).  Until F exists, the ``interior_residual``
+column of the iteration log holds the worst residual of the span's solves.
+
 ``run_fixed_point`` steps x <- x - D r(x) with D = (omega, .., omega,
 1/chi), a damped Richardson iteration, and ``monolithic_solve`` solves the
 linear system r(x) = 0 by GMRES.  The constant mode cannot travel through
@@ -30,6 +41,16 @@ import scipy.sparse.linalg as spla
 
 from .bem import TrigPolynomial, solve_exterior
 from .errors import DimensionError, DivergenceError, EstimationError, SolverError
+
+# A datum whose part outside the span of solved directions is at most
+# SPAN_TOL of its norm is served from the span, with a flux error of at
+# most |F| SPAN_TOL |c|.  Measured on the perfbench workloads after the two
+# Gram-Schmidt passes: the leftover of data in the span is at most 4e-16 of
+# them on dipole-fine and 3e-14 on ellipse-near, and new directions leave
+# at least 1.6e-13 and 1.1e-12.  On bump-sweep's slowest run (omega 0.1)
+# rounding makes the leftover creep from 5e-16 to 1.3e-13 over seven
+# iterations, faster with direct solves; one solve then resets it.
+SPAN_TOL = 1e-13
 
 
 class CouplingConfig:
@@ -86,12 +107,31 @@ class InterfaceResponse:
     ``BoundaryMap.locate`` finds for it, and row j of ``Z_f`` reads it
     from that element's load moments (both from ``HDGSystem.point_flux``).
 
-    ``solves`` counts, over all runs on the pair, the trace solves that the
-    dense response could replace: the far-field response chi and each flux
-    that ``InterfaceMap.apply`` solves for.  Once the count reaches n, half
-    the column count of ``B``, one block solve of all 2n columns gives
-    U = A^{-1} B and the dense response F = Z U (2n x 2n), so a flux then
-    costs a small matvec instead of a sparse solve.  This is the
+    Until the dense response F = Z A^{-1} B exists, fluxes come from the
+    span of the data directions solved so far: an orthonormal basis
+    ``Q[:, :m]`` (2n x m) and its fluxes ``FQ[:, :m]`` = F Q.
+    ``span_flux`` projects a datum c onto Q with two classical Gram-Schmidt
+    passes.  If the part left over is at most SPAN_TOL |c|, the flux is
+    FQ Q^T c, a small matvec; otherwise one trace solve of B q, for the
+    normalized leftover q, appends a column.  The relaxed iterates soon
+    stop adding directions, so a run pays one solve per new direction, not
+    one per iteration (Krylov subspace recycling: Parks et al., SIAM J.
+    Sci. Comput. 28, 2006).  SPAN_TOL = 1e-13 lies above the leftover of
+    data in the span (at most 3e-14) and below new directions (at least
+    1.6e-13) on dipole-fine and ellipse-near (see its comment).  The span
+    keeps fluxes, 2n long, not lifts A^{-1} B q, n_trace long: those would
+    add up to n_trace x 2n doubles more, as much as U, and the only lift a
+    run needs, that of its converged datum, is one solve.
+    ``span_residual`` is the worst residual of the span's solves, which
+    the ``interior_residual`` column of the iteration log holds until F
+    exists.
+
+    ``solves`` counts, over all runs on the pair, the flux requests that
+    the dense response could replace: the far-field response chi and each
+    ``InterfaceMap.apply``, whether the span serves it or not.  Once the
+    count reaches n, half the column count of ``B``, one block solve of
+    all 2n columns gives U = A^{-1} B and F = Z U (2n x 2n), so a flux
+    then costs a small matvec whatever its direction.  This is the
     ski-rental rule (Karlin et al., Algorithmica 3, 1988): rent single
     solves until they have cost what F costs, then buy F.  The block solve,
     in blocks of 8 columns (``HDGSystem.solve_trace``), costs about n
@@ -118,6 +158,10 @@ class InterfaceResponse:
         self.Z, self.Z_f = system.point_flux(
             system.bmap.locate(ops.nodes), ops.curve.point(ops.nodes),
             ops.curve.normal(ops.nodes))
+        n2 = self.B.shape[1]
+        self.Q, self.FQ = np.empty((n2, n2)), np.empty((n2, n2))
+        self.m = 0
+        self.span_residual = 0.0
         self.solves = 0
         self.U = None
         self.F = None
@@ -125,17 +169,35 @@ class InterfaceResponse:
         self._chi = None
         self._zero = None
 
-    def solve(self, rhs):
-        """Counted trace solve: coefficients and the relative residual."""
-        self.solves += 1
-        return self.system.solve_trace(rhs)
-
     def dense(self):
-        """F once the solves on this pair reach n (built then), else None."""
+        """F once the counted requests on this pair reach n (built then), else None."""
         if self.F is None and self.solves >= self.ops.n:
-            self.U, self.F_residual = self.solve(self.B.toarray())
+            self.solves += 1
+            self.U, self.F_residual = self.system.solve_trace(self.B.toarray())
             self.F = self.Z @ self.U
         return self.F
+
+    def span_flux(self, c, extend=True):
+        """F c from the span of solved directions, which a c outside it
+        extends by one trace solve; None for such a c when not ``extend``."""
+        m = self.m
+        Q = self.Q[:, :m]
+        y = Q.T @ c
+        r = c - Q @ y
+        y2 = Q.T @ r
+        r -= Q @ y2
+        y += y2
+        leftover = np.linalg.norm(r)
+        if leftover <= SPAN_TOL * np.linalg.norm(c) or m == len(c):
+            return self.FQ[:, :m] @ y
+        if not extend:
+            return None
+        self.Q[:, m] = r / leftover
+        lift, residual = self.system.solve_trace(self.B @ self.Q[:, m])
+        self.FQ[:, m] = self.Z @ lift
+        self.m += 1
+        self.span_residual = max(self.span_residual, residual)
+        return self.FQ[:, :m + 1] @ np.append(y, leftover)
 
     def zero_trace(self, rhs0):
         """(uhat0, its residual): one uncounted solve of rhs0 unless it is bitwise the last."""
@@ -145,10 +207,10 @@ class InterfaceResponse:
 
     @property
     def chi(self):
-        """Mean-flux response to a unit constant datum (far-field channel)."""
+        """Mean-flux response to a unit constant datum (far-field channel), counted."""
         if self._chi is None:
-            uhat, _ = self.solve(self.B @ np.eye(self.B.shape[1])[0])
-            self._chi = float(self.ops.arc_w @ (self.Z @ uhat))
+            self.solves += 1
+            self._chi = float(self.ops.arc_w @ self.span_flux(np.eye(self.B.shape[1])[0]))
         return self._chi
 
 
@@ -162,11 +224,23 @@ class InterfaceMap:
     ``uhat0`` = A^{-1} rhs0, its solve's ``residual0`` and
     ``flux0`` = Z uhat0 + z_f are fixed when the map is built.  ``response``
     is the shared ``InterfaceResponse`` of (system, ops), which holds B, Z,
-    U and F.  One lift c -> A^{-1} B c, U c once the response holds U and
-    one trace solve before, serves ``linear`` (F c), ``apply``
-    (flux0 + F c, counted until F exists) and ``trace_solve``.  The map
-    keeps the last solved lift, keyed on the bytes of c: GMRES ends with a
-    matvec at its answer, whose closing ``trace_solve`` then reuses it.
+    the span of solved directions (Q, FQ = F Q) and, once built, U and F.
+
+    ``apply`` (flux0 + F c, counted until F exists) reads F, else the span,
+    which a c more than SPAN_TOL = 1e-13 outside it (data in it leave at
+    most 3e-14 on dipole-fine and ellipse-near) extends by one solve, and
+    reports the worst residual of the span's solves, the log's
+    ``interior_residual`` until F exists.  The span holds fluxes, not
+    n_trace-long lifts, since the iteration needs only fluxes, so it
+    cannot serve a trace.
+
+    ``linear`` (F c, for the oracle) reads F or the span but never extends
+    the span: GMRES's late Arnoldi vectors are rounding-noise directions,
+    each of which would cost a solve and stay in the span for every later
+    request.  Outside the span it solves the lift c -> A^{-1} B c, as does
+    ``trace_solve`` (U c once the response holds U).  The map keeps that last solved lift, keyed on
+    the bytes of c: GMRES ends with a matvec at its answer, whose closing
+    ``trace_solve`` then reuses it when it lay outside the span.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -197,22 +271,28 @@ class InterfaceMap:
         return self.response.Z @ uhat + self.z_f
 
     def linear(self, c):
-        """F c, never counted, so that it alone never makes the response build F."""
+        """F c, never counted and never extending the span, so that it alone
+        never makes the response build F or grow."""
         resp = self.response
-        return resp.F @ c if resp.F is not None else resp.Z @ self._lift(c)[0]
+        if resp.F is not None:
+            return resp.F @ c
+        flux = resp.span_flux(c, extend=False)
+        return flux if flux is not None else resp.Z @ self._lift(c)[0]
 
     def apply(self, c):
-        """flux0 + F c and the residual of the solve behind it.
+        """flux0 + F c and the residual of the solves behind it.
 
-        Until F exists the lift is one trace solve, which the response
-        counts; served by F, the residual is that of F's worst column.
+        The request is counted until F exists.  Until then the flux comes
+        from the span, which c may extend by one solve, and the residual is
+        the worst of the span's solves; served by F, that of F's worst
+        column.
         """
         resp = self.response
         if resp.dense() is not None:
             return self.flux0 + resp.F @ c, resp.F_residual
         resp.solves += 1
-        lift, residual = self._lift(c)
-        return self.flux0 + resp.Z @ lift, residual
+        flux = self.flux0 + resp.span_flux(c)
+        return flux, resp.span_residual
 
     def trace_solve(self, c):
         """Interior trace uhat0 + A^{-1} B c, its flux samples and its true residual.
@@ -308,11 +388,16 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
 def write_iteration_log(state, path):
     """CSV rows (iter, update-norm, u_inf estimate, interior residual).
 
-    One row per iteration.  The interior residual is that of the solve
+    One row per iteration.  The interior residual is that of the solves
     behind the iteration's flux: the solve of uhat0 in the first
-    iteration, then the lift's solve of B c until the response holds F,
-    and F's worst column after.  The closing solve of a converged run has
-    no row: its true residual is the last entry of ``state.residual_history``.
+    iteration; then, until the response holds F, the worst residual of
+    the solves behind the span of data directions that serves the flux
+    (the span keeps the fluxes of those directions, not their lifts, since
+    the iteration needs only fluxes, and serves a datum within
+    SPAN_TOL = 1e-13 of it, above the at most 3e-14 that data in the span
+    leave on dipole-fine and ellipse-near); and F's worst column after.  The
+    closing solve of a converged run has no row: its true residual is the
+    last entry of ``state.residual_history``.
     """
     with open(path, "w") as fh:
         fh.write("iter,update_norm,u_inf,interior_residual\n")
@@ -334,13 +419,15 @@ def monolithic_solve(system, ops, f=None, u0=None):
         r(x, F c) = -r(0, flux0),
 
     solved by full-memory GMRES over ``imap.linear`` (at most 2n + 1
-    steps, so exact up to rounding).  GMRES ends with a matvec at its
-    answer, whose lift the closing ``trace_solve`` reuses; it gives the
-    field and the true residual of the answer, which must be below 1e-10
-    of the right-hand side, or SolverError is raised with it.  No
-    solve is counted, so the shared response's count, U and F stay as they
-    are, and the map reuses the uhat0 that a run with the same f and u0
-    left on it.  Returns (field, g, lam, u_inf).
+    steps, so exact up to rounding).  The operator's dtype is given, so
+    building it makes no probe matvec at 0.  GMRES ends with a matvec at
+    its answer, whose lift the closing ``trace_solve`` reuses when that
+    matvec left the span; it gives the field and the true residual of the
+    answer, which must be below 1e-10 of the right-hand side, or
+    SolverError is raised with it.  No solve is counted and the span is
+    read but not extended, so the shared response's count, span, U and F
+    stay as they are, and the map reuses the uhat0 that a run with the
+    same f and u0 left on it.  Returns (field, g, lam, u_inf).
     """
     n2 = 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)
@@ -350,7 +437,7 @@ def monolithic_solve(system, ops, f=None, u0=None):
     def matvec(x):
         return imap.coupling_residual(x, imap.linear(_datum(x)))[0]
 
-    x, _ = spla.gmres(spla.LinearOperator((n2 + 1, n2 + 1), matvec=matvec), b,
+    x, _ = spla.gmres(spla.LinearOperator((n2 + 1, n2 + 1), matvec=matvec, dtype=float), b,
                       rtol=1e-13, atol=0.0, restart=n2 + 1, maxiter=1)
     uhat, flux, _ = imap.trace_solve(_datum(x))
     r, lam = imap.coupling_residual(x, flux)

@@ -791,7 +791,7 @@ def write_vtk(field, path):
     vals = field._basis.eval(nodes)                                  # (n, d)
     pts = mesh.physical_points(nodes).reshape(-1, 2)
     u = (field.U @ vals.T).ravel()
-    q = np.einsum("mcd,nd->mnc", field.Q, vals).reshape(-1, 2)
+    q = np.swapaxes(field.Q @ vals.T, 1, 2).reshape(-1, 2)
     cells = (len(nodes) * np.arange(len(mesh.elements))[:, None, None] + tris).reshape(-1, 3)
 
     def xy_rows(a):                          # "%.16e %.16e 0.0\n" per row

@@ -362,7 +362,7 @@ def write_vtk_printf(field, path):
     vals = field._basis.eval(nodes)
     pts = mesh.physical_points(nodes).reshape(-1, 2)
     u = (field.U @ vals.T).ravel()
-    q = np.einsum("mcd,nd->mnc", field.Q, vals).reshape(-1, 2)
+    q = np.swapaxes(field.Q @ vals.T, 1, 2).reshape(-1, 2)
     cells = (len(nodes) * np.arange(len(mesh.elements))[:, None, None] + tris).reshape(-1, 3)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\ninterior field\nASCII\n")

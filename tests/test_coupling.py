@@ -21,6 +21,7 @@ from hdgbem import (
     solve_exterior,
     write_iteration_log,
 )
+from hdgbem import coupling
 from hdgbem.coupling import InterfaceResponse
 from conftest import ellipse_curve
 from reference import bordered_monolithic_solve, q_at
@@ -232,11 +233,12 @@ def test_iteration_log(tmp_path, dipole_bundle):
 
 
 def test_converged_run_recovers_the_field_once(monkeypatch):
-    # one solve of the load and inner datum for uhat0, one for the far-field
-    # response and one per iteration after the first until they reach n = N,
-    # the block solve of the dense response; the converged trace is
-    # uhat0 + U c and the only one recovered to an element field.  A fresh system: solves made
-    # by earlier runs on a shared one would count toward its dense response
+    # one solve of the load and inner datum for uhat0, one per direction of
+    # the span (the far-field response's among them) until the counted
+    # requests reach n = N, and the block solve of the dense response; the
+    # converged trace is uhat0 + U c and the only one recovered to an
+    # element field.  A fresh system: requests made by earlier runs on a
+    # shared one would count toward its dense response
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.12, 1, n=N)
     calls = {"solve_trace": 0, "recover": 0}
@@ -249,15 +251,18 @@ def test_converged_run_recovers_the_field_once(monkeypatch):
         monkeypatch.setattr(HDGSystem, name, counted)
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                             config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
-    assert state.converged and state.iteration >= N
-    assert calls == {"solve_trace": N + 2, "recover": 1}
+    resp = bundle.system.interface_responses[bundle.ops]
+    assert state.converged and state.iteration > N and resp.F is not None
+    assert 2 <= resp.m < N
+    assert calls == {"solve_trace": resp.m + 2, "recover": 1}
 
 
 def test_response_counts_only_the_solves_its_dense_form_replaces():
     # chi and one flux per iteration after the first (whose flux is flux0)
-    # are counted until the count reaches n = N; then the block solve,
-    # counted once, builds F.  Later fluxes read F, and neither the uhat0
-    # solve nor the closing solve of the converged trace is counted
+    # are counted, served by the span or not, until the count reaches n = N;
+    # then the block solve, counted once, builds F.  Later fluxes read F,
+    # and neither the uhat0 solve nor the closing solve of the converged
+    # trace is counted
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.12, 1, n=N)
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
@@ -289,13 +294,14 @@ def _bump_run(monkeypatch):
 
 def test_dense_response_is_built_at_n_counted_solves(monkeypatch):
     # n single solves cost about one 2n-column block solve, so the block is
-    # solved when the counted solves reach n.  The uncounted uhat0 solve of
-    # the load and inner datum comes first, and the closing solve is
-    # uhat0 + U c
+    # solved when the counted requests reach n.  The uncounted uhat0 solve
+    # of the load and inner datum comes first, then one solve per direction
+    # of the span, fewer than the requests; the closing solve is uhat0 + U c
     _, _, resp, calls = _bump_run(monkeypatch)
-    assert [d for d, _ in calls] == [1] * (N + 1) + [2]
+    assert 2 <= resp.m < N
+    assert [d for d, _ in calls] == [1] * (resp.m + 1) + [2]
     assert calls[0][1] == 0              # uhat0, not counted
-    assert calls[N + 1][1] == N + 1      # counted as it is made
+    assert calls[-1][1] == N + 1         # counted as it is made
     assert resp.solves == N + 1
     assert np.array_equal(resp.F, resp.Z @ resp.U)
 
@@ -338,6 +344,100 @@ def test_lifted_trace_matches_a_trace_solve_before_U():
     assert imap.response.U is None
 
 
+# ---------------------------------------------------------------------------
+# span of solved data directions
+# ---------------------------------------------------------------------------
+
+def _direct_flux(resp, c, extend=True):
+    """F c by one trace solve of B c, in place of the span."""
+    return resp.Z @ resp.system.solve_trace(resp.B @ c)[0]
+
+
+def test_span_flux_matches_a_direct_solve(monkeypatch):
+    # a datum outside the span adds one direction by one trace solve, and
+    # one inside it is served by FQ Q^T c with none; either flux is
+    # Z A^{-1} B c of a direct solve up to rounding, and Q stays orthonormal
+    case = manufactured_case("variable-kappa-bump", degree=1)
+    bundle = setup_level(case, 0.12, 1, n=N)
+    resp = InterfaceMap(bundle.system, bundle.ops).response
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    rng = np.random.default_rng(5)
+
+    def check(c, solves):
+        want = _direct_flux(resp, c)
+        before = len(calls)
+        got = resp.span_flux(c)
+        assert len(calls) - before == solves
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for m in range(1, 5):
+        check(rng.normal(size=2 * N), 1)
+        assert resp.m == m
+    for _ in range(4):
+        check(resp.Q[:, :4] @ rng.normal(size=4), 0)
+    assert resp.m == 4
+    Q = resp.Q[:, :4]
+    assert np.abs(Q.T @ Q - np.eye(4)).max() <= 1e-14
+
+
+def test_span_never_exceeds_2n_directions(monkeypatch):
+    # with no tolerance every datum leaves the span by rounding at least;
+    # the span stops at 2n directions, which hold every datum, and its
+    # fluxes still match direct solves
+    monkeypatch.setattr(coupling, "SPAN_TOL", 0.0)
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    n = 8
+    bundle = setup_level(case, 0.2, 1, n=n)
+    resp = InterfaceMap(bundle.system, bundle.ops).response
+    for c in np.random.default_rng(6).normal(size=(2 * n + 3, 2 * n)):
+        got = resp.span_flux(c)
+        want = _direct_flux(resp, c)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert resp.m == 2 * n
+    assert np.abs(resp.Q.T @ resp.Q - np.eye(2 * n)).max() <= 1e-14
+
+
+def test_run_under_n_requests_solves_once_per_direction(monkeypatch):
+    # a fresh run that stays under n counted requests never builds F: it
+    # solves for uhat0, once per direction of the span (chi's among them),
+    # fewer than its iterations, and for its closing trace.  It takes the
+    # iterations of a reference whose every flux is a direct solve and
+    # agrees with it to rounding
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    n = 2 * N
+    cfg = CouplingConfig(omega=0.5, tol=1e-10, n=n)
+    ref_bundle = setup_level(case, 0.12, 1, n=n)
+    with monkeypatch.context() as m:
+        m.setattr(InterfaceResponse, "span_flux", _direct_flux)
+        ref = run_fixed_point(ref_bundle.system, ref_bundle.ops, f=case.f,
+                              u0=case.u0, config=cfg)
+    bundle = setup_level(case, 0.12, 1, n=n)
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                            config=cfg)
+    resp = bundle.system.interface_responses[bundle.ops]
+    assert state.converged and resp.F is None and resp.solves < n
+    assert 2 <= resp.m < state.iteration
+    assert len(calls) == resp.m + 2
+    assert state.iteration == ref.iteration
+    g, g_ref = state.g.coefficients(), ref.g.coefficients()
+    assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    assert abs(state.u_inf - ref.u_inf) <= 1e-12 * abs(ref.u_inf)
+    # the log's last served iteration holds the worst residual of the span
+    assert state.residual_history[-2] == resp.span_residual
+
+    # the oracle reads the span but leaves it as it was, and gives the
+    # answer of an oracle on a response without one
+    m, Q = resp.m, resp.Q[:, :resp.m].copy()
+    field, g, _, u_inf = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    assert resp.m == m and np.array_equal(resp.Q[:, :m], Q)
+    assert ref_bundle.system.interface_responses[ref_bundle.ops].m == 0
+    want = monolithic_solve(ref_bundle.system, ref_bundle.ops, f=case.f, u0=case.u0)
+    for a, b in ((field.Q, want[0].Q), (field.U, want[0].U),
+                 (g.coefficients(), want[1].coefficients())):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+    assert abs(u_inf - want[3]) <= 1e-12 * abs(want[3])
+
+
 def _sweep(case, omegas, bundle_for, calls):
     """Coupled runs, one per weight, and the solve_trace calls after each."""
     states, marks = [], []
@@ -354,10 +454,11 @@ def _sweep(case, omegas, bundle_for, calls):
 
 
 def test_shared_response_matches_fresh_systems(monkeypatch):
-    # one system swept over weights builds its dense response once its trace
-    # solves reach n = 16, in the first run; the reference takes one trace
-    # solve per iteration throughout, on fresh systems whose response never
-    # builds F.  The case has a load, so the particular flux z_f is not zero
+    # one system swept over weights builds its dense response once its
+    # counted requests reach n = 16, in the first run; the reference takes
+    # one trace solve per iteration throughout, on fresh systems whose
+    # response neither keeps a span nor builds F.  The case has a load, so
+    # the particular flux z_f is not zero
     case = manufactured_case("variable-kappa-bump", degree=1)
     omegas = (0.3, 0.4, 0.35, 0.95, 0.45)         # 0.95 diverges in 25
     calls = []
@@ -374,6 +475,7 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
         return fresh_bundles[-1]
     with monkeypatch.context() as m:
         m.setattr(InterfaceResponse, "dense", lambda self: None)
+        m.setattr(InterfaceResponse, "span_flux", _direct_flux)
         ref, ref_runs = _sweep(case, omegas, fresh, calls)
     assert all(b.system.interface_responses[b.ops].F is None for b in fresh_bundles)
     assert list(ref_runs) == [1 + s.iteration + s.converged for s in ref]
@@ -393,16 +495,20 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
             assert np.all(np.abs(hs - hr) <= 1e-10 * hr)
 
     # one solve of uhat0, which every later run shares since their data are
-    # the same, then chi and one solve per iteration after the first until
-    # they reach n, and one block solve; a converged trace is uhat0 + U c,
-    # no solve.  Run 0 crosses n
-    assert calls.count(2) == 1
-    assert calls.index(2) == N + 1 and states[0].iteration > N
-    assert list(per_run) == [N + 2] + [0] * (len(omegas) - 1)
-    # the first iteration logs the residual of uhat0's solve, and the
-    # iterations served by the response its worst column residual
+    # the same, then one solve per direction of the span (chi's among them)
+    # until the counted requests reach n, and one block solve; a converged
+    # trace is uhat0 + U c, no solve.  Run 0 crosses n
     resp = bundle.system.interface_responses[bundle.ops]
+    assert calls.count(2) == 1 and resp.m < N
+    assert calls.index(2) == resp.m + 1 and states[0].iteration > N
+    assert list(per_run) == [resp.m + 2] + [0] * (len(omegas) - 1)
+    # the first iteration logs the residual of uhat0's solve, the iterations
+    # served by the span the worst residual of its solves so far, and those
+    # served by F its worst column residual
     residual0 = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0).residual0
+    spanned = states[0].residual_history[1:N]
+    assert spanned == sorted(spanned) and spanned[-1] == resp.span_residual
+    assert states[0].residual_history[N] == resp.F_residual
     assert states[-1].residual_history[:-1] == \
         [residual0] + [resp.F_residual] * (states[-1].iteration - 1)
 
@@ -515,8 +621,10 @@ def test_monolithic_never_builds_the_dense_response(monkeypatch):
 
 
 def test_monolithic_closing_solve_reuses_the_last_matvec(monkeypatch):
-    # uhat0, then one solve per GMRES matvec; GMRES's last matvec is at its
-    # answer, so the closing trace_solve makes none of its own
+    # uhat0, then one solve per GMRES matvec, since the span of a fresh
+    # response is empty and the oracle never extends it; GMRES's last
+    # matvec is at its answer, so the closing trace_solve makes none of its
+    # own
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(bundle.system, monkeypatch)
@@ -530,12 +638,17 @@ def test_monolithic_closing_solve_reuses_the_last_matvec(monkeypatch):
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(matvecs) >= 2
     assert len(calls) == 1 + len(matvecs)
+    assert bundle.system.interface_responses[bundle.ops].m == 0
 
 
 def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
     # a run leaves uhat0 of its f and u0 on the shared response, so the
-    # oracle after it makes one solve fewer than on a fresh system; the run
-    # stops before it builds F, so every other solve is the same
+    # oracle after it makes one solve fewer than on a fresh system.  The
+    # run stops after two iterations, before it builds F, with the span
+    # {e_0, c_2} of chi and x_1 = D b, b = -r(0); it holds the datum of
+    # b / |b|, GMRES's first matvec, which therefore makes no solve.  Every
+    # other matvec leaves the span and makes the same solve as on a fresh
+    # system
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     fresh = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(fresh.system, monkeypatch)
@@ -546,10 +659,11 @@ def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
     with pytest.raises(DivergenceError):
         run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                         config=CouplingConfig(max_iterations=2))
-    assert bundle.system.interface_responses[bundle.ops].F is None
+    resp = bundle.system.interface_responses[bundle.ops]
+    assert resp.F is None and resp.m == 2
     calls = _count_trace_solves(bundle.system, monkeypatch)
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
-    assert len(calls) == alone - 1
+    assert len(calls) == alone - 2
 
 
 def test_maps_with_equal_data_share_one_zero_datum_solve(monkeypatch):
