@@ -29,15 +29,17 @@ column of the iteration log holds the worst residual of the span's solves.
 
 ``run_fixed_point`` steps x <- x - D r(x) with D = (omega, .., omega,
 1/chi), a damped Richardson iteration, and ``monolithic_solve`` solves the
-linear system r(x) = 0 by GMRES.  The constant mode cannot travel through
-the mean-zero integral equation, so the last entry of D is an exact Newton
-step on "total interface flux = 0", with chi the mean-flux response to a
-unit constant datum.  The fixed point does not depend on D, so converged
-answers do not depend on the relaxation weight.
+linear system r(x) = 0 by GMRES augmented by the span of solved
+directions, whose fluxes cost no solve: after a converged run the span
+holds the answer, and the oracle's one trace solve is its closing one.
+The constant mode cannot travel through the mean-zero integral equation,
+so the last entry of D is an exact Newton step on "total interface
+flux = 0", with chi the mean-flux response to a unit constant datum.  The
+fixed point does not depend on D, so converged answers do not depend on
+the relaxation weight.
 """
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .bem import TrigPolynomial, solve_exterior
 from .errors import DimensionError, DivergenceError, EstimationError, SolverError
@@ -237,10 +239,9 @@ class InterfaceMap:
     ``linear`` (F c, for the oracle) reads F or the span but never extends
     the span: GMRES's late Arnoldi vectors are rounding-noise directions,
     each of which would cost a solve and stay in the span for every later
-    request.  Outside the span it solves the lift c -> A^{-1} B c, as does
-    ``trace_solve`` (U c once the response holds U).  The map keeps that last solved lift, keyed on
-    the bytes of c: GMRES ends with a matvec at its answer, whose closing
-    ``trace_solve`` then reuses it when it lay outside the span.
+    request.  Outside the span it makes one trace solve of B c and keeps
+    nothing of it.  ``trace_solve`` solves the lift c -> A^{-1} B c, U c
+    once the response holds U, else one trace solve.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -253,18 +254,6 @@ class InterfaceMap:
         self.z_f = self.response.Z_f @ self.f_mom.ravel()
         self.uhat0, self.residual0 = self.response.zero_trace(self.rhs0)
         self.flux0 = self.flux(self.uhat0)
-        self._last_lift = None
-
-    def _lift(self, c):
-        """A^{-1} B c and the residual of the solve behind it: U c once the
-        response holds U, else one trace solve unless c is bitwise the last."""
-        resp = self.response
-        if resp.U is not None:
-            return resp.U @ c, resp.F_residual
-        key = c.tobytes()
-        if self._last_lift is None or self._last_lift[0] != key:
-            self._last_lift = key, resp.system.solve_trace(resp.B @ c)
-        return self._last_lift[1]
 
     def flux(self, uhat):
         """Flux samples of the interior trace uhat."""
@@ -272,12 +261,13 @@ class InterfaceMap:
 
     def linear(self, c):
         """F c, never counted and never extending the span, so that it alone
-        never makes the response build F or grow."""
+        never makes the response build F or grow: F c or the span's flux,
+        else one trace solve."""
         resp = self.response
         if resp.F is not None:
             return resp.F @ c
         flux = resp.span_flux(c, extend=False)
-        return flux if flux is not None else resp.Z @ self._lift(c)[0]
+        return flux if flux is not None else resp.Z @ resp.system.solve_trace(resp.B @ c)[0]
 
     def apply(self, c):
         """flux0 + F c and the residual of the solves behind it.
@@ -301,7 +291,8 @@ class InterfaceMap:
         solve's (``HDGSystem.residual``).  The solve is not counted.
         """
         resp = self.response
-        uhat = self.uhat0 + self._lift(c)[0]
+        uhat = self.uhat0 + (resp.U @ c if resp.U is not None
+                             else resp.system.solve_trace(resp.B @ c)[0])
         return uhat, self.flux(uhat), resp.system.residual(uhat, self.rhs0 + resp.B @ c)
 
     def coupling_residual(self, x, flux):
@@ -410,35 +401,82 @@ def write_iteration_log(state, path):
 # monolithic oracle
 # ---------------------------------------------------------------------------
 
+def _orth(B, v):
+    """v less its projection on the orthonormal columns of B, by two passes."""
+    v = v - B @ (B.T @ v)
+    return v - B @ (B.T @ v)
+
+
 def monolithic_solve(system, ops, f=None, u0=None):
     """Solve interior, interface equation and flux compatibility at once.
 
     With flux = flux0 + F c, the residual r that ``run_fixed_point``
-    steps on is affine in x = (g, u_inf), and r = 0 is the linear system
+    steps on is affine in x = (g, u_inf) and linear in (x, flux), and
+    r = 0 is the linear system
 
-        r(x, F c) = -r(0, flux0),
+        J x = r(x, F C x) = b,    b = -r(0, flux0),
 
-    solved by full-memory GMRES over ``imap.linear`` (at most 2n + 1
-    steps, so exact up to rounding).  The operator's dtype is given, so
-    building it makes no probe matvec at 0.  GMRES ends with a matvec at
-    its answer, whose lift the closing ``trace_solve`` reuses when that
-    matvec left the span; it gives the field and the true residual of the
-    answer, which must be below 1e-10 of the right-hand side, or
-    SolverError is raised with it.  No solve is counted and the span is
-    read but not extended, so the shared response's count, span, U and F
-    stay as they are, and the map reuses the uhat0 that a run with the
-    same f and u0 left on it.  Returns (field, g, lam, u_inf).
+    solved by GMRES augmented by the span of solved directions (Saad, SIAM
+    J. Matrix Anal. Appl. 18, 1997).  The augmentation space
+    W = {x : C x in span Q}, with C x = g + u_inf e_0 the datum, has the
+    m + 1 columns [Q; 0] and the kernel direction (-e_0, 1) of C; its
+    images J W are m + 1 calls of ``coupling_residual`` on the span's
+    fluxes FQ (0 for the kernel direction), with no trace solve.  Arnoldi
+    runs on J from b, as plain GMRES does, so the Krylov vectors are
+    plain GMRES's, and after k = 0, 1, .. matvecs x minimizes |b - J x|
+    over W + K_k(J, b).  The images are orthonormalized as they come (an
+    image within SPAN_TOL of the earlier ones adds none, which can only
+    overstate the minimum), so the minimum is the norm of what is left of
+    b after projecting it on them.  The loop stops once that is at most
+    1e-13 |b|, at k = 2n + 1, or at an Arnoldi breakdown, and x is then
+    one small least-squares solve over the images.  The search space
+    contains plain GMRES's, so the loop never takes more Krylov steps, and
+    each step's matvec ``imap.linear`` is the one plain GMRES makes: at
+    most one trace solve, none in the span or once F exists.  After a
+    converged run the span holds the answer, and the loop stops at k = 0.
+    b = 0 gives x = 0.
+
+    No matvec is made at the answer, so the closing ``trace_solve`` is a
+    solve of its own (U c once U exists).  It gives the field and the true
+    residual of the answer, which must be at most 1e-10 |b|, or
+    SolverError is raised with it; so a span whose fluxes FQ are not F Q
+    cannot pass.  No solve is counted and the span is read but not
+    extended, so the shared response's count, span, U and F stay as they
+    are, and the map reuses the uhat0 that a run with the same f and u0
+    left on it.  Returns (field, g, lam, u_inf).
     """
     n2 = 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)
-    b = -imap.coupling_residual(np.zeros(n2 + 1), imap.flux0)[0]
+    resp, m = imap.response, imap.response.m
+
+    def J(x, flux):
+        return imap.coupling_residual(x, flux)[0]
+
+    b = -J(np.zeros(n2 + 1), imap.flux0)
     b_norm = np.linalg.norm(b)
-
-    def matvec(x):
-        return imap.coupling_residual(x, imap.linear(_datum(x)))[0]
-
-    x, _ = spla.gmres(spla.LinearOperator((n2 + 1, n2 + 1), matvec=matvec, dtype=float), b,
-                      rtol=1e-13, atol=0.0, restart=n2 + 1, maxiter=1)
+    x = np.zeros(n2 + 1)
+    if b_norm > 0:
+        W = np.zeros((n2 + 1, m + 1))
+        W[:n2, :m] = resp.Q[:, :m]
+        W[0, m], W[n2, m] = -1.0, 1.0
+        JW = np.column_stack([J(W[:, j], resp.FQ[:, j]) for j in range(m)]
+                             + [J(W[:, m], np.zeros(n2))])
+        O = np.linalg.qr(JW)[0]          # orthonormal basis of the images
+        left = _orth(O, b)               # b less its best fit by them
+        V, JV = [b / b_norm], []         # Krylov vectors and their images
+        while np.linalg.norm(left) > 1e-13 * b_norm and len(JV) <= n2:
+            JV.append(J(V[-1], imap.linear(_datum(V[-1]))))
+            w = _orth(np.column_stack(V), JV[-1])
+            o = _orth(O, JV[-1])
+            o_norm = np.linalg.norm(o)
+            if o_norm > SPAN_TOL * np.linalg.norm(JV[-1]):
+                O = np.column_stack([O, o / o_norm])
+                left = _orth(O[:, -1:], left)
+            if not np.linalg.norm(w) > 0:    # Arnoldi breakdown: K is invariant
+                break
+            V.append(w / np.linalg.norm(w))
+        coef = np.linalg.lstsq(np.column_stack([JW] + JV), b)[0]
+        x = np.column_stack([W] + V[:len(JV)]) @ coef
     uhat, flux, _ = imap.trace_solve(_datum(x))
     r, lam = imap.coupling_residual(x, flux)
     r_norm = np.linalg.norm(r)

@@ -597,10 +597,10 @@ def _count_trace_solves(system, monkeypatch):
 
 
 def test_monolithic_never_builds_the_dense_response(monkeypatch):
-    # flux0, at most 2n + 1 GMRES steps, GMRES's closing residual and the
-    # field: none is counted, so the oracle never builds F though it may
-    # make more than the n solves at which a run would, and the response
-    # it shares with the iteration is left as it was
+    # uhat0, at most 2n + 1 GMRES steps and the closing solve of the field:
+    # none is counted, so the oracle never builds F though it may make more
+    # than the n solves at which a run would, and the response it shares
+    # with the iteration is left as it was
     n = 8
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=n)
@@ -620,11 +620,12 @@ def test_monolithic_never_builds_the_dense_response(monkeypatch):
     assert resp.F is F and resp.solves == solves
 
 
-def test_monolithic_closing_solve_reuses_the_last_matvec(monkeypatch):
-    # uhat0, then one solve per GMRES matvec, since the span of a fresh
-    # response is empty and the oracle never extends it; GMRES's last
-    # matvec is at its answer, so the closing trace_solve makes none of its
-    # own
+def test_monolithic_fresh_system_solves_per_matvec_and_to_close(monkeypatch):
+    # uhat0, then one solve per Krylov matvec, since the span of a fresh
+    # response is empty and the oracle never extends it, and one closing
+    # solve at the answer, which no matvec reached: 1 + k + 1 solves, the
+    # total of plain GMRES, whose closing solve reused the lift of its
+    # final matvec at the answer
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(bundle.system, monkeypatch)
@@ -637,8 +638,72 @@ def test_monolithic_closing_solve_reuses_the_last_matvec(monkeypatch):
     monkeypatch.setattr(InterfaceMap, "linear", counted)
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(matvecs) >= 2
-    assert len(calls) == 1 + len(matvecs)
+    assert len(calls) == 1 + len(matvecs) + 1 == 10
     assert bundle.system.interface_responses[bundle.ops].m == 0
+
+
+def _converged_span_run():
+    """A converged run that leaves a span and no F (h = 0.2, k = 1, n = 32)."""
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    bundle = setup_level(case, 0.2, 1, n=32)
+    run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                    config=CouplingConfig(omega=0.5, tol=1e-10, n=32))
+    resp = bundle.system.interface_responses[bundle.ops]
+    assert resp.F is None and resp.m >= 2
+    return case, bundle, resp
+
+
+def _assert_same_oracle_answer(got, want, rtol):
+    for a, b in ((got[0].Q, want[0].Q), (got[0].U, want[0].U),
+                 (got[1].coefficients(), want[1].coefficients())):
+        assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+    assert abs(got[3] - want[3]) <= rtol * abs(want[3])
+
+
+def test_monolithic_after_a_converged_run_makes_one_solve(monkeypatch):
+    # the span of a converged run holds the answer, so the augmented GMRES
+    # stops before its first Krylov matvec; its one solve is the closing
+    # one.  The answer is that of an oracle on a fresh system and of the
+    # bordered reference, within the oracle's 1e-11 against the reference:
+    # a fresh oracle lies about 2e-12 from it here
+    case, bundle, resp = _converged_span_run()
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    got = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    assert len(calls) == 1
+    fresh = setup_level(case, 0.2, 1, n=32)
+    _assert_same_oracle_answer(
+        got, monolithic_solve(fresh.system, fresh.ops, f=case.f, u0=case.u0), 1e-11)
+    _assert_same_oracle_answer(
+        got, bordered_monolithic_solve(fresh.system, fresh.ops, f=case.f, u0=case.u0), 1e-11)
+
+
+def test_monolithic_on_a_partial_span_solves_no_more_than_on_a_fresh_system(monkeypatch):
+    # Q[:, :j] and FQ[:, :j] are the span after its first j solves; on each
+    # the oracle makes no more solves than on a fresh system, less the
+    # uhat0 solve that the run leaves, and gives the same answer
+    case, bundle, resp = _converged_span_run()
+    fresh = setup_level(case, 0.2, 1, n=32)
+    calls = _count_trace_solves(fresh.system, monkeypatch)
+    want = monolithic_solve(fresh.system, fresh.ops, f=case.f, u0=case.u0)
+    alone = len(calls) - 1
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    m = resp.m
+    for j in range(m + 1):
+        resp.m = j
+        del calls[:]
+        got = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+        assert 1 <= len(calls) <= alone
+        _assert_same_oracle_answer(got, want, 1e-11)
+    assert len(calls) == 1
+
+
+def test_monolithic_refuses_a_wrong_span_flux():
+    # a flux column off by 1e-6 moves the answer, which the closing solve's
+    # true residual exposes
+    case, bundle, resp = _converged_span_run()
+    resp.FQ[:, 0] *= 1.0 + 1e-6
+    with pytest.raises(SolverError, match=r"coupled GMRES .* residual \d\.\d+e[+-]\d+"):
+        monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
 
 
 def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
