@@ -2,8 +2,8 @@
 
 The unrelaxed interface map is an affine contraction only for favorable
 geometry.  Relaxation scales an eigenmode of slope mu by 1 - omega (1 - mu).
-On this annulus the slopes lie in about [-5/3, -0.49] (the spectrum of the
-dense interface response at n = 32), so plain iteration diverges and the
+On this annulus the slopes lie in about [-5/3, -0.49] (the eigenvalues of
+the unrelaxed iteration map at n = 32), so plain iteration diverges and the
 relaxed map contracts exactly for weights below about 0.75.  The sweep
 records every weight, divergent ones included.
 """

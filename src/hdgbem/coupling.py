@@ -16,16 +16,16 @@ g_tilde is the exterior trace of the negated projected flux.  ``HDGSystem``
 owns B, Z and the load part z_f; ``LayerOperatorSet`` the arc weights and
 the exterior solve.
 
-Until the dense F is built (``InterfaceResponse.dense``), fluxes come
-from the span of the data directions solved so far: an orthonormal basis
-Q of those directions and their fluxes F Q.  A datum within SPAN_TOL of
-the span costs a small matvec, and one outside it one trace solve, which
-adds its direction.  The span keeps fluxes, 2n long, rather than lifts
-A^{-1} B Q, n_trace long, since the iteration needs only fluxes.
-SPAN_TOL = 1e-13 lies above the leftover of data in the span (at most
-3e-14 on dipole-fine and ellipse-near) and below the new directions of
-those runs (at least 1.6e-13).  Until F exists, the ``interior_residual``
-column of the iteration log holds the worst residual of the span's solves.
+Fluxes come from the span of the data directions solved so far: an
+orthonormal basis Q of those directions and their fluxes F Q.  A datum
+within SPAN_TOL of the span costs a small matvec, and one outside it one
+trace solve, which adds its direction; at 2n directions the span is F.
+The span keeps fluxes, 2n long, rather than lifts A^{-1} B Q, n_trace
+long, since the iteration needs only fluxes.  SPAN_TOL = 1e-13 lies above
+the leftover of data in the span (at most 3e-14 on dipole-fine and
+ellipse-near) and below the new directions of those runs (at least
+1.6e-13).  The ``interior_residual`` column of the iteration log holds the
+worst residual of the span's solves.
 
 ``run_fixed_point`` steps x <- x - D r(x) with D = (omega, .., omega,
 1/chi), a damped Richardson iteration, and ``monolithic_solve`` solves the
@@ -109,48 +109,28 @@ class InterfaceResponse:
     ``BoundaryMap.locate`` finds for it, and row j of ``Z_f`` reads it
     from that element's load moments (both from ``HDGSystem.point_flux``).
 
-    Until the dense response F = Z A^{-1} B exists, fluxes come from the
-    span of the data directions solved so far: an orthonormal basis
-    ``Q[:, :m]`` (2n x m) and its fluxes ``FQ[:, :m]`` = F Q.
-    ``span_flux`` projects a datum c onto Q with two classical Gram-Schmidt
-    passes.  If the part left over is at most SPAN_TOL |c|, the flux is
-    FQ Q^T c, a small matvec; otherwise one trace solve of B q, for the
-    normalized leftover q, appends a column.  The relaxed iterates soon
-    stop adding directions, so a run pays one solve per new direction, not
-    one per iteration (Krylov subspace recycling: Parks et al., SIAM J.
-    Sci. Comput. 28, 2006).  SPAN_TOL = 1e-13 lies above the leftover of
+    Fluxes F c, F = Z A^{-1} B, come from the span of the data directions
+    solved so far: an orthonormal basis ``Q[:, :m]`` (2n x m) and its
+    fluxes ``FQ[:, :m]`` = F Q.  ``span_flux`` projects a datum c onto Q
+    with two classical Gram-Schmidt passes.  If the part left over is at
+    most SPAN_TOL |c|, the flux is FQ Q^T c, a small matvec; otherwise one
+    trace solve of B q, for the normalized leftover q, appends a column.
+    The relaxed iterates soon stop adding directions, so a run pays one
+    solve per new direction, not one per iteration (Krylov subspace
+    recycling: Parks et al., SIAM J. Sci. Comput. 28, 2006), and at
+    m = 2n the span is F.  SPAN_TOL = 1e-13 lies above the leftover of
     data in the span (at most 3e-14) and below new directions (at least
     1.6e-13) on dipole-fine and ellipse-near (see its comment).  The span
     keeps fluxes, 2n long, not lifts A^{-1} B q, n_trace long: those would
-    add up to n_trace x 2n doubles more, as much as U, and the only lift a
-    run needs, that of its converged datum, is one solve.
-    ``span_residual`` is the worst residual of the span's solves, which
-    the ``interior_residual`` column of the iteration log holds until F
-    exists.
+    add up to n_trace x 2n doubles, and the only lift a run needs, that of
+    its converged datum, is one solve.  ``span_residual`` is the worst
+    residual of the span's solves, which the ``interior_residual`` column
+    of the iteration log holds.
 
-    ``solves`` counts, over all runs on the pair, the flux requests that
-    the dense response could replace: the far-field response chi and each
-    ``InterfaceMap.apply``, whether the span serves it or not.  Once the
-    count reaches n, half the column count of ``B``, one block solve of
-    all 2n columns gives U = A^{-1} B and F = Z U (2n x 2n), so a flux
-    then costs a small matvec whatever its direction.  This is the
-    ski-rental rule (Karlin et al., Algorithmica 3, 1988): rent single
-    solves until they have cost what F costs, then buy F.  The block solve,
-    in blocks of 8 columns (``HDGSystem.solve_trace``), costs about n
-    single solves (perfbench workloads, one BLAS thread on a 2-core Xeon;
-    per workload the medians of three runs of 9 rounds of n single solves
-    and one block):
-
-        workload       single solve   2n-column block          in single solves
-        bump-sweep     2.7-3.7 ms     64 columns, 98-129 ms    1.08-1.22 n
-        dipole-fine    5.8-8.5 ms     64 columns, 224-309 ms   1.01-1.20 n
-        ellipse-near   4.3-6.6 ms     128 columns, 380-444 ms  1.05-1.45 n
-
-    ``U`` is kept, n_trace x 2n doubles (11.8 MB on bump-sweep), so that
-    the lift A^{-1} B c of a closing solve is a matvec.  ``zero_trace``
-    keeps the latest uhat0 = A^{-1} rhs0 and its residual, which every map
-    with the same f and u0 reuses.  The system keeps one response per
-    operator set, built by the first ``InterfaceMap``.
+    ``zero_trace`` keeps the latest load f and inner datum u0 with their
+    load moments, rhs0 and uhat0 = A^{-1} rhs0, which every map with equal
+    f and u0 reuses.  The system keeps one response per operator set,
+    built by the first ``InterfaceMap``.
     """
 
     def __init__(self, system, ops):
@@ -164,20 +144,8 @@ class InterfaceResponse:
         self.Q, self.FQ = np.empty((n2, n2)), np.empty((n2, n2))
         self.m = 0
         self.span_residual = 0.0
-        self.solves = 0
-        self.U = None
-        self.F = None
-        self.F_residual = None
         self._chi = None
         self._zero = None
-
-    def dense(self):
-        """F once the counted requests on this pair reach n (built then), else None."""
-        if self.F is None and self.solves >= self.ops.n:
-            self.solves += 1
-            self.U, self.F_residual = self.system.solve_trace(self.B.toarray())
-            self.F = self.Z @ self.U
-        return self.F
 
     def span_flux(self, c, extend=True):
         """F c from the span of solved directions, which a c outside it
@@ -201,17 +169,26 @@ class InterfaceResponse:
         self.span_residual = max(self.span_residual, residual)
         return self.FQ[:, :m + 1] @ np.append(y, leftover)
 
-    def zero_trace(self, rhs0):
-        """(uhat0, its residual): one uncounted solve of rhs0 unless it is bitwise the last."""
-        if self._zero is None or self._zero[0].tobytes() != rhs0.tobytes():
-            self._zero = rhs0.copy(), self.system.solve_trace(rhs0)
-        return self._zero[1]
+    def zero_trace(self, f, u0):
+        """(f_mom, rhs0, uhat0, residual0) of load f and inner datum u0.
+
+        The latest entry is reused when (f, u0) equals its key; else the
+        load moments, rhs0 and one solve of it replace it.  f and u0 are
+        taken to be pure functions (or constants), so that equal ones give
+        equal data.  The key compares with ==, not identity: a bound method
+        such as ``ManufacturedCase.u0`` is a new object on every access, and
+        equal when its object and function are the same.
+        """
+        if self._zero is None or self._zero[:2] != (f, u0):
+            f_mom = self.system.disc.f_moments(f)
+            rhs0 = self.system.rhs(f_mom, u0_gamma0=u0)
+            self._zero = (f, u0, f_mom, rhs0) + self.system.solve_trace(rhs0)
+        return self._zero[2:]
 
     @property
     def chi(self):
-        """Mean-flux response to a unit constant datum (far-field channel), counted."""
+        """Mean-flux response to a unit constant datum (far-field channel)."""
         if self._chi is None:
-            self.solves += 1
             self._chi = float(self.ops.arc_w @ self.span_flux(np.eye(self.B.shape[1])[0]))
         return self._chi
 
@@ -224,24 +201,24 @@ class InterfaceMap:
     ``rhs0`` carries the load f and the inner datum u0, ``z_f`` = Z_f f_mom
     is the load's direct part of each parent element's flux, and
     ``uhat0`` = A^{-1} rhs0, its solve's ``residual0`` and
-    ``flux0`` = Z uhat0 + z_f are fixed when the map is built.  ``response``
-    is the shared ``InterfaceResponse`` of (system, ops), which holds B, Z,
-    the span of solved directions (Q, FQ = F Q) and, once built, U and F.
+    ``flux0`` = Z uhat0 + z_f are fixed when the map is built; f_mom, rhs0
+    and uhat0 come from the response's ``zero_trace``, shared by maps with
+    equal f and u0.  ``response`` is the shared ``InterfaceResponse`` of
+    (system, ops), which holds B, Z and the span of solved directions
+    (Q, FQ = F Q).
 
-    ``apply`` (flux0 + F c, counted until F exists) reads F, else the span,
-    which a c more than SPAN_TOL = 1e-13 outside it (data in it leave at
-    most 3e-14 on dipole-fine and ellipse-near) extends by one solve, and
-    reports the worst residual of the span's solves, the log's
-    ``interior_residual`` until F exists.  The span holds fluxes, not
-    n_trace-long lifts, since the iteration needs only fluxes, so it
-    cannot serve a trace.
+    ``apply`` (flux0 + F c) reads the span, which a c more than
+    SPAN_TOL = 1e-13 outside it (data in it leave at most 3e-14 on
+    dipole-fine and ellipse-near) extends by one solve, and reports the
+    worst residual of the span's solves, the log's ``interior_residual``.
+    The span holds fluxes, not n_trace-long lifts, since the iteration
+    needs only fluxes, so it cannot serve a trace.
 
-    ``linear`` (F c, for the oracle) reads F or the span but never extends
-    the span: GMRES's late Arnoldi vectors are rounding-noise directions,
-    each of which would cost a solve and stay in the span for every later
-    request.  Outside the span it makes one trace solve of B c and keeps
-    nothing of it.  ``trace_solve`` solves the lift c -> A^{-1} B c, U c
-    once the response holds U, else one trace solve.
+    ``linear`` (F c, for the oracle) reads the span but never extends it:
+    GMRES's late Arnoldi vectors are rounding-noise directions, each of
+    which would cost a solve and stay in the span for every later request.
+    Outside the span it makes one trace solve of B c and keeps nothing of
+    it.  ``trace_solve`` gives the trace uhat0 + A^{-1} B c by one solve.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -249,10 +226,8 @@ class InterfaceMap:
         if ops not in system.interface_responses:
             system.interface_responses[ops] = InterfaceResponse(system, ops)
         self.response = system.interface_responses[ops]
-        self.f_mom = system.disc.f_moments(f)
-        self.rhs0 = system.rhs(self.f_mom, u0_gamma0=u0)
+        self.f_mom, self.rhs0, self.uhat0, self.residual0 = self.response.zero_trace(f, u0)
         self.z_f = self.response.Z_f @ self.f_mom.ravel()
-        self.uhat0, self.residual0 = self.response.zero_trace(self.rhs0)
         self.flux0 = self.flux(self.uhat0)
 
     def flux(self, uhat):
@@ -260,40 +235,21 @@ class InterfaceMap:
         return self.response.Z @ uhat + self.z_f
 
     def linear(self, c):
-        """F c, never counted and never extending the span, so that it alone
-        never makes the response build F or grow: F c or the span's flux,
-        else one trace solve."""
+        """F c from the span, else one trace solve; the span is never extended."""
         resp = self.response
-        if resp.F is not None:
-            return resp.F @ c
         flux = resp.span_flux(c, extend=False)
         return flux if flux is not None else resp.Z @ resp.system.solve_trace(resp.B @ c)[0]
 
     def apply(self, c):
-        """flux0 + F c and the residual of the solves behind it.
-
-        The request is counted until F exists.  Until then the flux comes
-        from the span, which c may extend by one solve, and the residual is
-        the worst of the span's solves; served by F, that of F's worst
-        column.
-        """
-        resp = self.response
-        if resp.dense() is not None:
-            return self.flux0 + resp.F @ c, resp.F_residual
-        resp.solves += 1
-        flux = self.flux0 + resp.span_flux(c)
-        return flux, resp.span_residual
+        """flux0 + F c from the span, which c may extend by one solve, and
+        the worst residual of the span's solves."""
+        return self.flux0 + self.response.span_flux(c), self.response.span_residual
 
     def trace_solve(self, c):
-        """Interior trace uhat0 + A^{-1} B c, its flux samples and its true residual.
-
-        The residual |A uhat - rhs0 - B c| goes through the same check as a
-        solve's (``HDGSystem.residual``).  The solve is not counted.
-        """
-        resp = self.response
-        uhat = self.uhat0 + (resp.U @ c if resp.U is not None
-                             else resp.system.solve_trace(resp.B @ c)[0])
-        return uhat, self.flux(uhat), resp.system.residual(uhat, self.rhs0 + resp.B @ c)
+        """Interior trace uhat0 + A^{-1} B c, its flux samples and its true
+        residual, by one trace solve of rhs0 + B c (``HDGSystem.solve_trace``)."""
+        uhat, residual = self.response.system.solve_trace(self.rhs0 + self.response.B @ c)
+        return uhat, self.flux(uhat), residual
 
     def coupling_residual(self, x, flux):
         """Residual r = (g - g_tilde, arc_w . flux) of x = (g, u_inf) under flux, and lam.
@@ -381,14 +337,13 @@ def write_iteration_log(state, path):
 
     One row per iteration.  The interior residual is that of the solves
     behind the iteration's flux: the solve of uhat0 in the first
-    iteration; then, until the response holds F, the worst residual of
-    the solves behind the span of data directions that serves the flux
-    (the span keeps the fluxes of those directions, not their lifts, since
-    the iteration needs only fluxes, and serves a datum within
-    SPAN_TOL = 1e-13 of it, above the at most 3e-14 that data in the span
-    leave on dipole-fine and ellipse-near); and F's worst column after.  The
-    closing solve of a converged run has no row: its true residual is the
-    last entry of ``state.residual_history``.
+    iteration, then the worst residual of the solves behind the span of
+    data directions that serves the flux (the span keeps the fluxes of
+    those directions, not their lifts, since the iteration needs only
+    fluxes, and serves a datum within SPAN_TOL = 1e-13 of it, above the at
+    most 3e-14 that data in the span leave on dipole-fine and
+    ellipse-near).  The closing solve of a converged run has no row: its
+    true residual is the last entry of ``state.residual_history``.
     """
     with open(path, "w") as fh:
         fh.write("iter,update_norm,u_inf,interior_residual\n")
@@ -432,18 +387,16 @@ def monolithic_solve(system, ops, f=None, u0=None):
     one small least-squares solve over the images.  The search space
     contains plain GMRES's, so the loop never takes more Krylov steps, and
     each step's matvec ``imap.linear`` is the one plain GMRES makes: at
-    most one trace solve, none in the span or once F exists.  After a
-    converged run the span holds the answer, and the loop stops at k = 0.
-    b = 0 gives x = 0.
+    most one trace solve, none in the span.  After a converged run the
+    span holds the answer, and the loop stops at k = 0.  b = 0 gives x = 0.
 
     No matvec is made at the answer, so the closing ``trace_solve`` is a
-    solve of its own (U c once U exists).  It gives the field and the true
-    residual of the answer, which must be at most 1e-10 |b|, or
-    SolverError is raised with it; so a span whose fluxes FQ are not F Q
-    cannot pass.  No solve is counted and the span is read but not
-    extended, so the shared response's count, span, U and F stay as they
-    are, and the map reuses the uhat0 that a run with the same f and u0
-    left on it.  Returns (field, g, lam, u_inf).
+    solve of its own.  It gives the field and the true residual of the
+    answer, which must be at most 1e-10 |b|, or SolverError is raised with
+    it; so a span whose fluxes FQ are not F Q cannot pass.  The span is
+    read but not extended, so the shared response's span stays as it is,
+    and the map reuses the load moments and uhat0 that a run with equal f
+    and u0 left on it.  Returns (field, g, lam, u_inf).
     """
     n2 = 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)

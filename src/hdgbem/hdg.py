@@ -55,12 +55,6 @@ from .errors import (
 from .geometry import TAG_OUTER
 from .quadrature import edge_rule, triangle_rule
 
-# columns per block of a 2-D solve_trace.  Solving and checking the 64
-# columns of the interface response in blocks of 8 instead of at once took
-# 124 -> 101 ms on bump-sweep and 240 -> 200 ms on dipole-fine (medians of
-# 20, one BLAS thread, 2-core Xeon); 16 columns gave the same, 4 no gain
-_SOLVE_BLOCK = 8
-
 
 # ---------------------------------------------------------------------------
 # coefficients
@@ -487,41 +481,23 @@ class HDGSystem:
     # -- solve and recovery ---------------------------------------------------
 
     def solve_trace(self, rhs):
-        """Trace coefficients for ``rhs`` and the relative residual of the solve.
-
-        ``rhs`` is one right-hand side or a 2-D array of them, one per
-        column; the residual is checked by ``residual``.  A 2-D rhs is
-        solved and checked in Fortran-ordered blocks of _SOLVE_BLOCK
-        columns, and the worst column's residual is returned.
-        """
-        if np.ndim(rhs) == 1:
-            x = self.lu.solve(rhs)
-            return x, self.residual(x, rhs)
-        x = np.empty(np.shape(rhs), order="F")
-        worst = 0.0
-        for j in range(0, x.shape[1], _SOLVE_BLOCK):
-            cols = np.asfortranarray(rhs[:, j:j + _SOLVE_BLOCK])
-            x[:, j:j + _SOLVE_BLOCK] = self.lu.solve(cols)
-            worst = max(worst, self.residual(x[:, j:j + _SOLVE_BLOCK], cols))
-        return x, worst
+        """Trace coefficients for ``rhs`` and the relative residual of the
+        solve, checked by ``residual``."""
+        x = self.lu.solve(rhs)
+        return x, self.residual(x, rhs)
 
     def residual(self, x, rhs):
-        """Checked relative residual of trace coefficients x for ``rhs``.
-
-        Columns of 2-D x and rhs are checked each.  A column's residual is
-        |A x - rhs| scaled by max(|rhs column|, 1), and the worst column is
-        returned; a non-finite x or a residual above 1e-8 raises
-        SolverError with a condition estimate.
+        """Checked relative residual |A x - rhs| / max(|rhs|, 1) of trace
+        coefficients x for ``rhs``; a non-finite x or a residual above 1e-8
+        raises SolverError with a condition estimate.
         """
-        res = np.atleast_1d(np.linalg.norm(self.matrix @ x - rhs, axis=0))
-        norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
-        rel = res / np.maximum(norm, 1.0)
-        j = int(np.argmax(rel))
-        if not np.all(np.isfinite(x)) or rel[j] > 1e-8:
+        res, norm = np.linalg.norm(self.matrix @ x - rhs), np.linalg.norm(rhs)
+        rel = res / max(norm, 1.0)
+        if not np.all(np.isfinite(x)) or rel > 1e-8:
             raise SolverError(
-                f"trace solve residual {res[j]:.3e} (rhs norm {norm[j]:.3e}, "
+                f"trace solve residual {res:.3e} (rhs norm {norm:.3e}, "
                 f"condition estimate {self._condition_estimate():.3e})")
-        return float(rel[j])
+        return float(rel)
 
     def _condition_estimate(self):
         """1-norm condition number estimate that reuses the LU factors."""

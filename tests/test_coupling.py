@@ -234,11 +234,9 @@ def test_iteration_log(tmp_path, dipole_bundle):
 
 def test_converged_run_recovers_the_field_once(monkeypatch):
     # one solve of the load and inner datum for uhat0, one per direction of
-    # the span (the far-field response's among them) until the counted
-    # requests reach n = N, and the block solve of the dense response; the
-    # converged trace is uhat0 + U c and the only one recovered to an
-    # element field.  A fresh system: requests made by earlier runs on a
-    # shared one would count toward its dense response
+    # the span (the far-field response's among them) and one of the
+    # converged trace, the only one recovered to an element field.  A fresh
+    # system: a shared one keeps the span of earlier runs
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.12, 1, n=N)
     calls = {"solve_trace": 0, "recover": 0}
@@ -252,63 +250,14 @@ def test_converged_run_recovers_the_field_once(monkeypatch):
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                             config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
     resp = bundle.system.interface_responses[bundle.ops]
-    assert state.converged and state.iteration > N and resp.F is not None
+    assert state.converged and state.iteration > N
     assert 2 <= resp.m < N
     assert calls == {"solve_trace": resp.m + 2, "recover": 1}
 
 
-def test_response_counts_only_the_solves_its_dense_form_replaces():
-    # chi and one flux per iteration after the first (whose flux is flux0)
-    # are counted, served by the span or not, until the count reaches n = N;
-    # then the block solve, counted once, builds F.  Later fluxes read F,
-    # and neither the uhat0 solve nor the closing solve of the converged
-    # trace is counted
-    case = manufactured_case("dipole-plus-constant", constant=3.0)
-    bundle = setup_level(case, 0.12, 1, n=N)
-    state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
-                            config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
-    resp = bundle.system.interface_responses[bundle.ops]
-    assert state.converged and state.iteration > N and resp.F is not None
-    assert resp.solves == N + 1
-
-
-def _bump_run(monkeypatch):
-    """A fresh bump run of at least 20 iterations, its response and the
-    (ndim, response.solves) of every solve_trace call it made."""
-    case = manufactured_case("variable-kappa-bump", degree=1)
-    bundle = setup_level(case, 0.12, 1, n=N)
-    resp = InterfaceMap(bundle.system, bundle.ops).response
-    calls = []
-    original = HDGSystem.solve_trace
-
-    def counted(self, rhs):
-        calls.append((np.ndim(rhs), resp.solves))
-        return original(self, rhs)
-    monkeypatch.setattr(HDGSystem, "solve_trace", counted)
-    state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
-                            config=CouplingConfig(omega=0.3, tol=1e-10, n=N))
-    monkeypatch.undo()
-    assert state.converged and state.iteration >= 20
-    return case, bundle, resp, calls
-
-
-def test_dense_response_is_built_at_n_counted_solves(monkeypatch):
-    # n single solves cost about one 2n-column block solve, so the block is
-    # solved when the counted requests reach n.  The uncounted uhat0 solve
-    # of the load and inner datum comes first, then one solve per direction
-    # of the span, fewer than the requests; the closing solve is uhat0 + U c
-    _, _, resp, calls = _bump_run(monkeypatch)
-    assert 2 <= resp.m < N
-    assert [d for d, _ in calls] == [1] * (resp.m + 1) + [2]
-    assert calls[0][1] == 0              # uhat0, not counted
-    assert calls[-1][1] == N + 1         # counted as it is made
-    assert resp.solves == N + 1
-    assert np.array_equal(resp.F, resp.Z @ resp.U)
-
-
 def _assert_trace_matches_a_trace_solve(case, bundle):
-    """uhat0 plus the lift A^{-1} B c is a solve of rhs0 + B c up to
-    rounding and reports its true residual; returns the map and c."""
+    """The trace of a datum c is a solve of rhs0 + B c and reports its true
+    residual; returns the map and c."""
     system = bundle.system
     imap = InterfaceMap(system, bundle.ops, f=case.f, u0=case.u0)
     c = np.random.default_rng(3).normal(size=2 * N)
@@ -323,25 +272,16 @@ def _assert_trace_matches_a_trace_solve(case, bundle):
     return imap, c
 
 
-def test_served_trace_matches_a_trace_solve(monkeypatch):
-    # the lift is U c once the response holds U; a wrong U fails the same
-    # 1e-8 residual gate
-    case, bundle, resp, _ = _bump_run(monkeypatch)
-    imap, c = _assert_trace_matches_a_trace_solve(case, bundle)
-    bad = copy.copy(imap)
-    bad.response = copy.copy(resp)
-    bad.response.U = resp.U.copy()
-    bad.response.U[:, 1] *= 1.0 + 1e-3
-    with pytest.raises(SolverError, match="trace solve residual"):
-        bad.trace_solve(c)
-
-
-def test_lifted_trace_matches_a_trace_solve_before_U():
-    # before the response holds U the lift is one trace solve of B c
+def test_served_trace_matches_a_trace_solve():
+    # the trace is one solve of rhs0 + B c, on a fresh system and on one
+    # whose run left its span and the zero datum that the map is served
     case = manufactured_case("variable-kappa-bump", degree=1)
     bundle = setup_level(case, 0.12, 1, n=N)
+    _assert_trace_matches_a_trace_solve(case, bundle)
+    run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                    config=CouplingConfig(omega=0.3, tol=1e-10, n=N))
     imap, _ = _assert_trace_matches_a_trace_solve(case, bundle)
-    assert imap.response.U is None
+    assert imap.response.m >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +337,10 @@ def test_span_never_exceeds_2n_directions(monkeypatch):
 
 
 def test_run_under_n_requests_solves_once_per_direction(monkeypatch):
-    # a fresh run that stays under n counted requests never builds F: it
-    # solves for uhat0, once per direction of the span (chi's among them),
-    # fewer than its iterations, and for its closing trace.  It takes the
-    # iterations of a reference whose every flux is a direct solve and
-    # agrees with it to rounding
+    # a fresh run of fewer than n iterations solves for uhat0, once per
+    # direction of the span (chi's among them), fewer than its iterations,
+    # and for its closing trace.  It takes the iterations of a reference
+    # whose every flux is a direct solve and agrees with it to rounding
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     n = 2 * N
     cfg = CouplingConfig(omega=0.5, tol=1e-10, n=n)
@@ -415,7 +354,7 @@ def test_run_under_n_requests_solves_once_per_direction(monkeypatch):
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                             config=cfg)
     resp = bundle.system.interface_responses[bundle.ops]
-    assert state.converged and resp.F is None and resp.solves < n
+    assert state.converged and state.iteration < n
     assert 2 <= resp.m < state.iteration
     assert len(calls) == resp.m + 2
     assert state.iteration == ref.iteration
@@ -454,18 +393,17 @@ def _sweep(case, omegas, bundle_for, calls):
 
 
 def test_shared_response_matches_fresh_systems(monkeypatch):
-    # one system swept over weights builds its dense response once its
-    # counted requests reach n = 16, in the first run; the reference takes
+    # one system swept over weights shares one span; the reference takes
     # one trace solve per iteration throughout, on fresh systems whose
-    # response neither keeps a span nor builds F.  The case has a load, so
-    # the particular flux z_f is not zero
+    # response keeps no span.  The case has a load, so the particular flux
+    # z_f is not zero
     case = manufactured_case("variable-kappa-bump", degree=1)
     omegas = (0.3, 0.4, 0.35, 0.95, 0.45)         # 0.95 diverges in 25
     calls = []
     original = HDGSystem.solve_trace
 
     def counted(self, rhs):
-        calls.append(np.ndim(rhs))
+        calls.append(1)
         return original(self, rhs)
     monkeypatch.setattr(HDGSystem, "solve_trace", counted)
     fresh_bundles = []
@@ -474,10 +412,9 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
         fresh_bundles.append(setup_level(case, 0.12, 1, n=N))
         return fresh_bundles[-1]
     with monkeypatch.context() as m:
-        m.setattr(InterfaceResponse, "dense", lambda self: None)
         m.setattr(InterfaceResponse, "span_flux", _direct_flux)
         ref, ref_runs = _sweep(case, omegas, fresh, calls)
-    assert all(b.system.interface_responses[b.ops].F is None for b in fresh_bundles)
+    assert all(b.system.interface_responses[b.ops].m == 0 for b in fresh_bundles)
     assert list(ref_runs) == [1 + s.iteration + s.converged for s in ref]
 
     calls.clear()
@@ -495,22 +432,18 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
             assert np.all(np.abs(hs - hr) <= 1e-10 * hr)
 
     # one solve of uhat0, which every later run shares since their data are
-    # the same, then one solve per direction of the span (chi's among them)
-    # until the counted requests reach n, and one block solve; a converged
-    # trace is uhat0 + U c, no solve.  Run 0 crosses n
+    # the same, one solve per direction of the span (chi's among them) and
+    # one closing solve per converged run
     resp = bundle.system.interface_responses[bundle.ops]
-    assert calls.count(2) == 1 and resp.m < N
-    assert calls.index(2) == resp.m + 1 and states[0].iteration > N
-    assert list(per_run) == [resp.m + 2] + [0] * (len(omegas) - 1)
-    # the first iteration logs the residual of uhat0's solve, the iterations
-    # served by the span the worst residual of its solves so far, and those
-    # served by F its worst column residual
+    assert sum(per_run) == 1 + resp.m + sum(s.converged for s in states)
+    assert 2 <= resp.m < 2 * N
+    # the first iteration of every run logs the residual of uhat0's solve,
+    # and the iterations served by the span the worst residual of its
+    # solves so far
     residual0 = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0).residual0
-    spanned = states[0].residual_history[1:N]
-    assert spanned == sorted(spanned) and spanned[-1] == resp.span_residual
-    assert states[0].residual_history[N] == resp.F_residual
-    assert states[-1].residual_history[:-1] == \
-        [residual0] + [resp.F_residual] * (states[-1].iteration - 1)
+    assert all(s.residual_history[0] == residual0 for s in states)
+    served = [r for s in states for r in s.residual_history[1:s.iteration]]
+    assert served == sorted(served) and served[-1] == resp.span_residual
 
 
 # ---------------------------------------------------------------------------
@@ -596,28 +529,28 @@ def _count_trace_solves(system, monkeypatch):
     return calls
 
 
-def test_monolithic_never_builds_the_dense_response(monkeypatch):
+def test_monolithic_never_extends_the_span(monkeypatch):
     # uhat0, at most 2n + 1 GMRES steps and the closing solve of the field:
-    # none is counted, so the oracle never builds F though it may make more
-    # than the n solves at which a run would, and the response it shares
-    # with the iteration is left as it was
+    # the oracle reads the span that it shares with the iteration but
+    # leaves it as it was, on a fresh system and after a run, whose span
+    # holds the answer, so that only the closing solve is left
     n = 8
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=n)
     calls = _count_trace_solves(bundle.system, monkeypatch)
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     resp = bundle.system.interface_responses[bundle.ops]
-    assert len(calls) <= 2 * n + 4
-    assert resp.solves == 0 and resp.F is None
+    assert len(calls) <= 2 * n + 3
+    assert resp.m == 0
 
-    # once a run has built F, GMRES steps are matvecs with it
     run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0)
-    F, solves = resp.F, resp.solves
-    assert F is not None
+    m = resp.m
+    Q, FQ = resp.Q[:, :m].copy(), resp.FQ[:, :m].copy()
     del calls[:]
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
-    assert len(calls) <= 2
-    assert resp.F is F and resp.solves == solves
+    assert len(calls) == 1
+    assert resp.m == m and np.array_equal(resp.Q[:, :m], Q)
+    assert np.array_equal(resp.FQ[:, :m], FQ)
 
 
 def test_monolithic_fresh_system_solves_per_matvec_and_to_close(monkeypatch):
@@ -643,13 +576,13 @@ def test_monolithic_fresh_system_solves_per_matvec_and_to_close(monkeypatch):
 
 
 def _converged_span_run():
-    """A converged run that leaves a span and no F (h = 0.2, k = 1, n = 32)."""
+    """A converged run that leaves a span (h = 0.2, k = 1, n = 32)."""
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=32)
     run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                     config=CouplingConfig(omega=0.5, tol=1e-10, n=32))
     resp = bundle.system.interface_responses[bundle.ops]
-    assert resp.F is None and resp.m >= 2
+    assert resp.m >= 2
     return case, bundle, resp
 
 
@@ -709,11 +642,10 @@ def test_monolithic_refuses_a_wrong_span_flux():
 def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
     # a run leaves uhat0 of its f and u0 on the shared response, so the
     # oracle after it makes one solve fewer than on a fresh system.  The
-    # run stops after two iterations, before it builds F, with the span
-    # {e_0, c_2} of chi and x_1 = D b, b = -r(0); it holds the datum of
-    # b / |b|, GMRES's first matvec, which therefore makes no solve.  Every
-    # other matvec leaves the span and makes the same solve as on a fresh
-    # system
+    # run stops after two iterations with the span {e_0, c_2} of chi and
+    # x_1 = D b, b = -r(0); it holds the datum of b / |b|, GMRES's first
+    # matvec, which therefore makes no solve.  Every other matvec leaves the
+    # span and makes the same solve as on a fresh system
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     fresh = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(fresh.system, monkeypatch)
@@ -725,15 +657,17 @@ def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
         run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                         config=CouplingConfig(max_iterations=2))
     resp = bundle.system.interface_responses[bundle.ops]
-    assert resp.F is None and resp.m == 2
+    assert resp.m == 2
     calls = _count_trace_solves(bundle.system, monkeypatch)
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(calls) == alone - 2
 
 
 def test_maps_with_equal_data_share_one_zero_datum_solve(monkeypatch):
-    # the response keeps the latest (rhs0, uhat0): a map whose rhs0 is
-    # bitwise equal reuses it, a map with other data replaces it
+    # the response keeps the zero datum (load moments, rhs0, uhat0) of the
+    # latest (f, u0): a map with equal f and u0 reuses it (the bound method
+    # case.u0 is a new object on every access, but an equal one), and a map
+    # with other data replaces it
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(bundle.system, monkeypatch)
@@ -750,6 +684,52 @@ def test_maps_with_equal_data_share_one_zero_datum_solve(monkeypatch):
     assert len(calls) == 2 and not np.array_equal(other[0], uhat0)
     assert np.array_equal(zero(case.u0)[0], uhat0)
     assert len(calls) == 3
+
+
+def test_load_is_evaluated_once_per_f_and_u0():
+    # a sweep of runs on one system and the oracle after it share the load
+    # moments of one evaluation of f, since their f and u0 are the same
+    case = manufactured_case("variable-kappa-bump", degree=1)
+    bundle = setup_level(case, 0.2, 1, n=8)
+    evaluations = []
+
+    def f(pts):
+        evaluations.append(len(pts))
+        return case.f(pts)
+    for omega in (0.3, 0.4, 0.5):
+        state = run_fixed_point(bundle.system, bundle.ops, f=f, u0=case.u0,
+                                config=CouplingConfig(omega=omega, tol=1e-10))
+        assert state.converged
+    monolithic_solve(bundle.system, bundle.ops, f=f, u0=case.u0)
+    assert len(evaluations) == 1
+
+
+def test_span_stays_under_2n_in_a_slow_run(monkeypatch):
+    # rounding lets the data of a slow run creep out of the span, one more
+    # direction every several iterations (see SPAN_TOL); at omega = 0.1 the
+    # span still stays under 2n directions, the run makes one solve per
+    # direction besides uhat0 and the closing one, and it takes the
+    # iterations of a run whose every flux is a direct solve and agrees
+    # with it to rounding
+    case = manufactured_case("variable-kappa-bump", degree=1)
+    cfg = CouplingConfig(omega=0.1, tol=1e-10, n=N)
+    ref_bundle = setup_level(case, 0.12, 1, n=N)
+    with monkeypatch.context() as m:
+        m.setattr(InterfaceResponse, "span_flux", _direct_flux)
+        ref = run_fixed_point(ref_bundle.system, ref_bundle.ops, f=case.f,
+                              u0=case.u0, config=cfg)
+    bundle = setup_level(case, 0.12, 1, n=N)
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                            config=cfg)
+    resp = bundle.system.interface_responses[bundle.ops]
+    assert state.converged and state.iteration >= 50
+    assert len(calls) == resp.m + 2
+    assert 2 <= resp.m < 2 * N
+    assert state.iteration == ref.iteration
+    g, g_ref = state.g.coefficients(), ref.g.coefficients()
+    assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    assert abs(state.u_inf - ref.u_inf) <= 1e-12 * abs(ref.u_inf)
 
 
 def test_monolithic_refuses_an_unsolved_system():
