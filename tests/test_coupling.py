@@ -272,12 +272,21 @@ def _assert_trace_matches_a_trace_solve(case, bundle):
     return imap, c
 
 
-def test_served_trace_matches_a_trace_solve():
-    # the trace is one solve of rhs0 + B c, on a fresh system and on one
-    # whose run left its span and the zero datum that the map is served
+def test_lifted_trace_matches_a_trace_solve_before_U():
+    # on a fresh system, before any direction is solved (the span took the
+    # place of the dense lift U), the trace is one solve of rhs0 + B c and
+    # leaves the span empty
     case = manufactured_case("variable-kappa-bump", degree=1)
     bundle = setup_level(case, 0.12, 1, n=N)
-    _assert_trace_matches_a_trace_solve(case, bundle)
+    imap, _ = _assert_trace_matches_a_trace_solve(case, bundle)
+    assert imap.response.m == 0
+
+
+def test_served_trace_matches_a_trace_solve():
+    # the trace is one solve of rhs0 + B c also on a system whose run left
+    # its span and the zero datum that the map is served
+    case = manufactured_case("variable-kappa-bump", degree=1)
+    bundle = setup_level(case, 0.12, 1, n=N)
     run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                     config=CouplingConfig(omega=0.3, tol=1e-10, n=N))
     imap, _ = _assert_trace_matches_a_trace_solve(case, bundle)
