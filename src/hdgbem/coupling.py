@@ -16,22 +16,22 @@ g_tilde is the exterior trace of the negated projected flux.  ``HDGSystem``
 owns B, Z and the load part z_f; ``LayerOperatorSet`` the arc weights and
 the exterior solve.
 
-Fluxes come from the span of the data directions solved so far: an
-orthonormal basis Q of those directions and their fluxes F Q.  A datum
-within SPAN_TOL of the span costs a small matvec, and one outside it one
-trace solve, which adds its direction; at 2n directions the span is F.
-The span keeps fluxes, 2n long, rather than lifts A^{-1} B Q, n_trace
-long, since the iteration needs only fluxes.  SPAN_TOL = 1e-13 lies above
-the leftover of data in the span (at most 3e-14 on dipole-fine and
-ellipse-near) and below the new directions of those runs (at least
-1.6e-13).  The ``interior_residual`` column of the iteration log holds the
-worst residual of the span's solves.
+Every flux F c, for both drivers and for chi, comes from one call,
+``InterfaceResponse.span_flux``, which reads the span of the data
+directions solved so far: an orthonormal basis Q of those directions and
+their fluxes F Q.  A datum within SPAN_TOL of the span costs a small
+matvec, and one outside it one trace solve, which adds its direction; at
+2n directions the span is F.  The span keeps fluxes, 2n long, rather than
+lifts A^{-1} B Q, n_trace long, since the drivers need only fluxes.  The
+``interior_residual`` column of the iteration log holds the worst residual
+of the solves behind the flux, uhat0's and the span's.
 
 ``run_fixed_point`` steps x <- x - D r(x) with D = (omega, .., omega,
 1/chi), a damped Richardson iteration, and ``monolithic_solve`` solves the
 linear system r(x) = 0 by GMRES augmented by the span of solved
-directions, whose fluxes cost no solve: after a converged run the span
-holds the answer, and the oracle's one trace solve is its closing one.
+directions, whose fluxes cost no solve, and whose matvecs extend it: after
+a converged run or an oracle with the same data the span holds the answer,
+and the oracle's one trace solve is its closing one.
 The constant mode cannot travel through the mean-zero integral equation,
 so the last entry of D is an exact Newton step on "total interface
 flux = 0", with chi the mean-flux response to a unit constant datum.  The
@@ -118,14 +118,14 @@ class InterfaceResponse:
     The relaxed iterates soon stop adding directions, so a run pays one
     solve per new direction, not one per iteration (Krylov subspace
     recycling: Parks et al., SIAM J. Sci. Comput. 28, 2006), and at
-    m = 2n the span is F.  SPAN_TOL = 1e-13 lies above the leftover of
-    data in the span (at most 3e-14) and below new directions (at least
-    1.6e-13) on dipole-fine and ellipse-near (see its comment).  The span
-    keeps fluxes, 2n long, not lifts A^{-1} B q, n_trace long: those would
-    add up to n_trace x 2n doubles, and the only lift a run needs, that of
-    its converged datum, is one solve.  ``span_residual`` is the worst
-    residual of the span's solves, which the ``interior_residual`` column
-    of the iteration log holds.
+    m = 2n the span is F.  The oracle's matvecs extend it as well: a
+    request costs at most one solve whether or not its direction is kept,
+    so keeping it never adds a solve, even for a late Arnoldi vector that
+    is mostly rounding noise, and a later run or oracle reuses it.  The
+    span keeps fluxes, 2n long, not lifts A^{-1} B q, n_trace long: those
+    would add up to n_trace x 2n doubles, and the only lift a run needs,
+    that of its converged datum, is one solve.  ``span_residual`` is the
+    worst residual of the span's solves.
 
     ``zero_trace`` keeps the latest load f and inner datum u0 with their
     load moments, rhs0 and uhat0 = A^{-1} rhs0, which every map with equal
@@ -147,9 +147,9 @@ class InterfaceResponse:
         self._chi = None
         self._zero = None
 
-    def span_flux(self, c, extend=True):
+    def span_flux(self, c):
         """F c from the span of solved directions, which a c outside it
-        extends by one trace solve; None for such a c when not ``extend``."""
+        extends by one trace solve."""
         m = self.m
         Q = self.Q[:, :m]
         y = Q.T @ c
@@ -160,8 +160,6 @@ class InterfaceResponse:
         leftover = np.linalg.norm(r)
         if leftover <= SPAN_TOL * np.linalg.norm(c) or m == len(c):
             return self.FQ[:, :m] @ y
-        if not extend:
-            return None
         self.Q[:, m] = r / leftover
         lift, residual = self.system.solve_trace(self.B @ self.Q[:, m])
         self.FQ[:, m] = self.Z @ lift
@@ -207,18 +205,12 @@ class InterfaceMap:
     (system, ops), which holds B, Z and the span of solved directions
     (Q, FQ = F Q).
 
-    ``apply`` (flux0 + F c) reads the span, which a c more than
-    SPAN_TOL = 1e-13 outside it (data in it leave at most 3e-14 on
-    dipole-fine and ellipse-near) extends by one solve, and reports the
-    worst residual of the span's solves, the log's ``interior_residual``.
-    The span holds fluxes, not n_trace-long lifts, since the iteration
-    needs only fluxes, so it cannot serve a trace.
-
-    ``linear`` (F c, for the oracle) reads the span but never extends it:
-    GMRES's late Arnoldi vectors are rounding-noise directions, each of
-    which would cost a solve and stay in the span for every later request.
-    Outside the span it makes one trace solve of B c and keeps nothing of
-    it.  ``trace_solve`` gives the trace uhat0 + A^{-1} B c by one solve.
+    ``apply`` (flux0 + F c) reads the span, which a c more than SPAN_TOL
+    outside it extends by one solve, and reports the worst residual of the
+    solves behind the flux, max(residual0, span_residual), the log's
+    ``interior_residual``.  At c = 0 it returns flux0 with no solve.  The
+    span holds fluxes, not n_trace-long lifts, so it cannot serve a trace:
+    ``trace_solve`` gives the trace uhat0 + A^{-1} B c by one solve.
     """
 
     def __init__(self, system, ops, f=None, u0=None):
@@ -234,16 +226,11 @@ class InterfaceMap:
         """Flux samples of the interior trace uhat."""
         return self.response.Z @ uhat + self.z_f
 
-    def linear(self, c):
-        """F c from the span, else one trace solve; the span is never extended."""
-        resp = self.response
-        flux = resp.span_flux(c, extend=False)
-        return flux if flux is not None else resp.Z @ resp.system.solve_trace(resp.B @ c)[0]
-
     def apply(self, c):
         """flux0 + F c from the span, which c may extend by one solve, and
-        the worst residual of the span's solves."""
-        return self.flux0 + self.response.span_flux(c), self.response.span_residual
+        the worst residual of the solves behind it."""
+        return (self.flux0 + self.response.span_flux(c),
+                max(self.residual0, self.response.span_residual))
 
     def trace_solve(self, c):
         """Interior trace uhat0 + A^{-1} B c, its flux samples and its true
@@ -303,8 +290,7 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     x = np.zeros(n2 + 1)
     for it in range(1, config.max_iterations + 1):
         state.iteration = it
-        # x starts at 0, whose flux is flux0
-        flux, residual = imap.apply(_datum(x)) if it > 1 else (imap.flux0, imap.residual0)
+        flux, residual = imap.apply(_datum(x))
         r, state.lam = imap.coupling_residual(x, flux)
         state.lambda_mean_max = max(state.lambda_mean_max,
                                     abs(ops.moments @ state.lam.coefficients()))
@@ -335,15 +321,11 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
 def write_iteration_log(state, path):
     """CSV rows (iter, update-norm, u_inf estimate, interior residual).
 
-    One row per iteration.  The interior residual is that of the solves
-    behind the iteration's flux: the solve of uhat0 in the first
-    iteration, then the worst residual of the solves behind the span of
-    data directions that serves the flux (the span keeps the fluxes of
-    those directions, not their lifts, since the iteration needs only
-    fluxes, and serves a datum within SPAN_TOL = 1e-13 of it, above the at
-    most 3e-14 that data in the span leave on dipole-fine and
-    ellipse-near).  The closing solve of a converged run has no row: its
-    true residual is the last entry of ``state.residual_history``.
+    One row per iteration.  The interior residual is the worst residual of
+    the solves behind the iteration's flux: uhat0's and those of the span
+    of data directions that serves it (``InterfaceMap.apply``).  The
+    closing solve of a converged run has no row: its true residual is the
+    last entry of ``state.residual_history``.
     """
     with open(path, "w") as fh:
         fh.write("iter,update_norm,u_inf,interior_residual\n")
@@ -386,17 +368,18 @@ def monolithic_solve(system, ops, f=None, u0=None):
     1e-13 |b|, at k = 2n + 1, or at an Arnoldi breakdown, and x is then
     one small least-squares solve over the images.  The search space
     contains plain GMRES's, so the loop never takes more Krylov steps, and
-    each step's matvec ``imap.linear`` is the one plain GMRES makes: at
-    most one trace solve, none in the span.  After a converged run the
-    span holds the answer, and the loop stops at k = 0.  b = 0 gives x = 0.
+    each step's matvec takes its flux from ``span_flux``, as the iteration
+    does: at most one trace solve, none in the span, and a direction
+    outside it stays there.  After a converged run or an oracle on the same
+    system the span holds the answer, and the loop stops at k = 0.  b = 0
+    gives x = 0.
 
     No matvec is made at the answer, so the closing ``trace_solve`` is a
     solve of its own.  It gives the field and the true residual of the
     answer, which must be at most 1e-10 |b|, or SolverError is raised with
-    it; so a span whose fluxes FQ are not F Q cannot pass.  The span is
-    read but not extended, so the shared response's span stays as it is,
-    and the map reuses the load moments and uhat0 that a run with equal f
-    and u0 left on it.  Returns (field, g, lam, u_inf).
+    it; so a span whose fluxes FQ are not F Q cannot pass.  The map reuses
+    the load moments and uhat0 that a run with equal f and u0 left on the
+    shared response.  Returns (field, g, lam, u_inf).
     """
     n2 = 2 * ops.n
     imap = InterfaceMap(system, ops, f, u0)
@@ -418,7 +401,7 @@ def monolithic_solve(system, ops, f=None, u0=None):
         left = _orth(O, b)               # b less its best fit by them
         V, JV = [b / b_norm], []         # Krylov vectors and their images
         while np.linalg.norm(left) > 1e-13 * b_norm and len(JV) <= n2:
-            JV.append(J(V[-1], imap.linear(_datum(V[-1]))))
+            JV.append(J(V[-1], resp.span_flux(_datum(V[-1]))))
             w = _orth(np.column_stack(V), JV[-1])
             o = _orth(O, JV[-1])
             o_norm = np.linalg.norm(o)

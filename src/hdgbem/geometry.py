@@ -297,6 +297,10 @@ class UnfittedMesh:
 REGULARITY_BOUND = 10.0
 # unfitted rings sit INSET_COEFF * target_h^(3/2) inside the curves
 INSET_COEFF = 0.3
+# most vertices of a generated mesh: building one peaks near 1 kB per
+# vertex, 4 GB at the bound, and the trace system of a solve on it takes
+# some 30 kB per vertex at k = 2, far more than a workstation holds
+MAX_MESH_VERTICES = 4_000_000
 
 
 def build_annulus_mesh(gamma, gamma0, target_h, fitted=False):
@@ -323,9 +327,17 @@ def build_annulus_mesh(gamma, gamma0, target_h, fitted=False):
         raise GeometryInfeasibleError(
             f"gap {gap.min():.3g} leaves no room for a layer of elements at "
             f"target_h={target_h:.3g}")
+    # log10 of about n_theta * n_layer below, finite however small target_h is
+    mean_length = 0.5 * (gamma.length() + gamma0.length())
+    log_count = np.log10(mean_length * gap.mean()) - 2.0 * np.log10(target_h)
+    if log_count > np.log10(MAX_MESH_VERTICES):
+        exponent = int(log_count)
+        raise GeometryInfeasibleError(
+            f"target_h={target_h:.3g} needs about "
+            f"{10.0 ** (log_count - exponent):.2f}e{exponent} mesh vertices, "
+            f"more than {MAX_MESH_VERTICES}")
 
-    n_theta = max(9, int(round(0.5 * (gamma.length() + gamma0.length()) / TWO_PI
-                               * TWO_PI / target_h)))
+    n_theta = max(9, int(round(mean_length / TWO_PI * TWO_PI / target_h)))
     if n_theta % 2 == 0:
         # an odd sector count breaks the half-turn symmetry of the layered
         # grid; exact error cancellations would otherwise flatten the

@@ -297,8 +297,11 @@ def test_served_trace_matches_a_trace_solve():
 # span of solved data directions
 # ---------------------------------------------------------------------------
 
-def _direct_flux(resp, c, extend=True):
-    """F c by one trace solve of B c, in place of the span."""
+def _direct_flux(resp, c):
+    """F c by one trace solve of B c, in place of the span; F 0 = 0 with
+    no solve, as the span serves it."""
+    if not c.any():
+        return np.zeros(resp.Z.shape[0])
     return resp.Z @ resp.system.solve_trace(resp.B @ c)[0]
 
 
@@ -370,11 +373,13 @@ def test_run_under_n_requests_solves_once_per_direction(monkeypatch):
     g, g_ref = state.g.coefficients(), ref.g.coefficients()
     assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
     assert abs(state.u_inf - ref.u_inf) <= 1e-12 * abs(ref.u_inf)
-    # the log's last served iteration holds the worst residual of the span
-    assert state.residual_history[-2] == resp.span_residual
+    # the log's last iteration holds the worst residual of the solves
+    # behind its flux, uhat0's and the span's
+    residual0 = resp.zero_trace(case.f, case.u0)[3]
+    assert state.residual_history[-2] == max(residual0, resp.span_residual)
 
-    # the oracle reads the span but leaves it as it was, and gives the
-    # answer of an oracle on a response without one
+    # the oracle finds the answer in the span, so it leaves the span as it
+    # was, and gives the answer of an oracle on a response without one
     m, Q = resp.m, resp.Q[:, :resp.m].copy()
     field, g, _, u_inf = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert resp.m == m and np.array_equal(resp.Q[:, :m], Q)
@@ -412,8 +417,9 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
     original = HDGSystem.solve_trace
 
     def counted(self, rhs):
-        calls.append(1)
-        return original(self, rhs)
+        result = original(self, rhs)
+        calls.append(result[1])
+        return result
     monkeypatch.setattr(HDGSystem, "solve_trace", counted)
     fresh_bundles = []
 
@@ -446,13 +452,13 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
     resp = bundle.system.interface_responses[bundle.ops]
     assert sum(per_run) == 1 + resp.m + sum(s.converged for s in states)
     assert 2 <= resp.m < 2 * N
-    # the first iteration of every run logs the residual of uhat0's solve,
-    # and the iterations served by the span the worst residual of its
-    # solves so far
+    # every iteration logs the worst residual of the solves behind its
+    # flux, uhat0's and the span's so far
     residual0 = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0).residual0
-    assert all(s.residual_history[0] == residual0 for s in states)
-    served = [r for s in states for r in s.residual_history[1:s.iteration]]
-    assert served == sorted(served) and served[-1] == resp.span_residual
+    served = [r for s in states for r in s.residual_history[:s.iteration]]
+    assert served == sorted(served) and served[0] >= residual0
+    assert set(served) <= set(calls)
+    assert served[-1] == max(residual0, resp.span_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +544,12 @@ def _count_trace_solves(system, monkeypatch):
     return calls
 
 
-def test_monolithic_never_extends_the_span(monkeypatch):
+def test_monolithic_extends_the_span_by_its_out_of_span_matvecs_only(monkeypatch):
     # uhat0, at most 2n + 1 GMRES steps and the closing solve of the field:
-    # the oracle reads the span that it shares with the iteration but
-    # leaves it as it was, on a fresh system and after a run, whose span
-    # holds the answer, so that only the closing solve is left
+    # the oracle extends the span that it shares with the iteration by the
+    # direction of each matvec that makes a solve, and by nothing else.
+    # After a run, whose span holds the answer, only the closing solve is
+    # left and the span stays as it was
     n = 8
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=n)
@@ -550,7 +557,7 @@ def test_monolithic_never_extends_the_span(monkeypatch):
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     resp = bundle.system.interface_responses[bundle.ops]
     assert len(calls) <= 2 * n + 3
-    assert resp.m == 0
+    assert resp.m == len(calls) - 2 > 0
 
     run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     m = resp.m
@@ -564,24 +571,52 @@ def test_monolithic_never_extends_the_span(monkeypatch):
 
 def test_monolithic_fresh_system_solves_per_matvec_and_to_close(monkeypatch):
     # uhat0, then one solve per Krylov matvec, since the span of a fresh
-    # response is empty and the oracle never extends it, and one closing
-    # solve at the answer, which no matvec reached: 1 + k + 1 solves, the
-    # total of plain GMRES, whose closing solve reused the lift of its
-    # final matvec at the answer
+    # response is empty and each matvec's direction leaves the span of the
+    # earlier ones, and one closing solve at the answer, which no matvec
+    # reached: 1 + k + 1 solves, the total of plain GMRES, whose closing
+    # solve reused the lift of its final matvec at the answer
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(bundle.system, monkeypatch)
     matvecs = []
-    linear = InterfaceMap.linear
+    span_flux = InterfaceResponse.span_flux
 
     def counted(self, c):
         matvecs.append(1)
-        return linear(self, c)
-    monkeypatch.setattr(InterfaceMap, "linear", counted)
+        return span_flux(self, c)
+    monkeypatch.setattr(InterfaceResponse, "span_flux", counted)
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(matvecs) >= 2
     assert len(calls) == 1 + len(matvecs) + 1 == 10
-    assert bundle.system.interface_responses[bundle.ops].m == 0
+    assert bundle.system.interface_responses[bundle.ops].m == len(matvecs)
+
+
+def test_monolithic_leaves_its_directions_in_the_span(monkeypatch):
+    # the directions of an oracle's matvecs stay in the shared span: a
+    # second oracle finds the answer there and makes only its closing
+    # solve, and a run after it makes fewer solves than on a fresh system,
+    # with the same iterations and answer
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    bundle = setup_level(case, 0.2, 1, n=8)
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    first = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    assert len(calls) == 10
+    assert bundle.system.interface_responses[bundle.ops].m > 0
+    del calls[:]
+    second = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    assert len(calls) == 1
+    _assert_same_oracle_answer(second, first, 1e-12)
+
+    del calls[:]
+    state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    fresh = setup_level(case, 0.2, 1, n=8)
+    fresh_calls = _count_trace_solves(fresh.system, monkeypatch)
+    ref = run_fixed_point(fresh.system, fresh.ops, f=case.f, u0=case.u0)
+    assert len(calls) < len(fresh_calls)
+    assert state.iteration == ref.iteration
+    g, g_ref = state.g.coefficients(), ref.g.coefficients()
+    assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    assert abs(state.u_inf - ref.u_inf) <= 1e-12 * abs(ref.u_inf)
 
 
 def _converged_span_run():
@@ -620,9 +655,10 @@ def test_monolithic_after_a_converged_run_makes_one_solve(monkeypatch):
 
 
 def test_monolithic_on_a_partial_span_solves_no_more_than_on_a_fresh_system(monkeypatch):
-    # Q[:, :j] and FQ[:, :j] are the span after its first j solves; on each
-    # the oracle makes no more solves than on a fresh system, less the
-    # uhat0 solve that the run leaves, and gives the same answer
+    # Q[:, :j] and FQ[:, :j] are the run's span after its first j solves
+    # (restored each time, since the oracle extends the span); on each the
+    # oracle makes no more solves than on a fresh system, less the uhat0
+    # solve that the run leaves, and gives the same answer
     case, bundle, resp = _converged_span_run()
     fresh = setup_level(case, 0.2, 1, n=32)
     calls = _count_trace_solves(fresh.system, monkeypatch)
@@ -630,8 +666,9 @@ def test_monolithic_on_a_partial_span_solves_no_more_than_on_a_fresh_system(monk
     alone = len(calls) - 1
     calls = _count_trace_solves(bundle.system, monkeypatch)
     m = resp.m
+    Q, FQ = resp.Q[:, :m].copy(), resp.FQ[:, :m].copy()
     for j in range(m + 1):
-        resp.m = j
+        resp.Q[:, :m], resp.FQ[:, :m], resp.m = Q, FQ, j
         del calls[:]
         got = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
         assert 1 <= len(calls) <= alone
@@ -750,7 +787,7 @@ def test_monolithic_refuses_an_unsolved_system():
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     ops = bundle.ops
-    unit = InterfaceMap(bundle.system, ops).linear(np.eye(2 * ops.n)[0])
+    unit = InterfaceMap(bundle.system, ops).response.span_flux(np.eye(2 * ops.n)[0])
     bad = copy.copy(ops)
     bad.exterior = np.zeros_like(ops.exterior)
     bad.arc_w = ops.arc_w - (ops.arc_w @ unit) / (unit @ unit) * unit

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -43,6 +44,30 @@ def test_too_thin_gap_is_infeasible():
 def test_non_finite_target_h_is_infeasible(circles, target_h):
     with pytest.raises(GeometryInfeasibleError, match="positive and finite"):
         build_annulus_mesh(*circles, target_h)
+
+
+@pytest.mark.parametrize("target_h", [1e-300, 5e-324])
+def test_tiny_target_h_is_refused_before_allocating(circles, target_h):
+    # the vertex count is checked before anything of mesh size is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryInfeasibleError,
+                           match=rf"target_h={target_h:.3g} needs about .*e\d+ mesh vertices"):
+            build_annulus_mesh(*circles, target_h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
+def test_vertex_bound_counts_mesh_vertices(circles, monkeypatch):
+    # a bound just above a mesh's vertex count lets it be built, and the
+    # next finer mesh, with about twice the vertices, is refused
+    count = len(build_annulus_mesh(*circles, 0.1).vertices)
+    monkeypatch.setattr(geometry, "MAX_MESH_VERTICES", int(1.2 * count))
+    assert len(build_annulus_mesh(*circles, 0.1).vertices) == count
+    with pytest.raises(GeometryInfeasibleError, match=f"more than {int(1.2 * count)}$"):
+        build_annulus_mesh(*circles, 0.07)
 
 
 def test_curves_not_nested_is_infeasible():

@@ -337,6 +337,15 @@ def test_cli_rejects_non_finite_numbers(line, tmp_path, capsys):
     assert f"{line.split()[0]} must be finite" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_tiny_h0(tmp_path, capsys):
+    # a mesh too large for memory is a solver failure, not a traceback
+    cfg = tmp_path / "tiny.cfg"
+    _write_config(cfg, tmp_path / "out", extra=["discretization.h0 = 1e-300"])
+    assert cli_main(["solve", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"solver failure: target_h=1e-300 needs about .* mesh vertices", err)
+
+
 def test_cli_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("coupling.weight = 0.5\n")
