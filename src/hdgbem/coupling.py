@@ -13,31 +13,21 @@ load and the inner datum alone.  ``InterfaceMap`` is this map, and its
 ``coupling_residual`` turns a flux into the residual
 r(x) = (g - g_tilde, arc_w . flux) of the coupling conditions, where
 g_tilde is the exterior trace of the negated projected flux.  ``HDGSystem``
-owns B, Z and the load part z_f; ``LayerOperatorSet`` the arc weights and
-the exterior solve.
-
-Every flux F c, for both drivers and for chi, comes from one call,
-``InterfaceResponse.span_flux``, which reads the span of the data
-directions solved so far: an orthonormal basis Q of those directions and
-their fluxes F Q.  A datum within SPAN_TOL of the span costs a small
-matvec, and one outside it one trace solve, which adds its direction; at
-2n directions the span is F.  The span keeps fluxes, 2n long, rather than
-lifts A^{-1} B Q, n_trace long, since the drivers need only fluxes.  The
-``interior_residual`` column of the iteration log holds the worst residual
-of the solves behind the flux, uhat0's and the span's.
+supplies B, Z and Z_f, and ``LayerOperatorSet`` the arc weights and the
+exterior solve.  Every flux F c, for both drivers and for chi, comes from
+the span of solved directions that the map keeps (``InterfaceMap``).
 
 ``run_fixed_point`` steps x <- x - D r(x) with D = (omega, .., omega,
 1/chi), a damped Richardson iteration, and ``monolithic_solve`` solves the
-linear system r(x) = 0 by GMRES augmented by the span of solved
-directions, whose fluxes cost no solve, and whose matvecs extend it: after
-a converged run or an oracle with the same data the span holds the answer,
-and the oracle's one trace solve is its closing one.
+linear system r(x) = 0 by GMRES augmented by that span.
 The constant mode cannot travel through the mean-zero integral equation,
 so the last entry of D is an exact Newton step on "total interface
 flux = 0", with chi the mean-flux response to a unit constant datum.  The
 fixed point does not depend on D, so converged answers do not depend on
 the relaxation weight.
 """
+
+import functools
 
 import numpy as np
 
@@ -100,8 +90,11 @@ def _datum(x):
     return c
 
 
-class InterfaceResponse:
-    """The f/u0-independent part of the interface map of one (system, ops).
+class InterfaceMap:
+    """The interface map of one (system, operator set): the affine map from
+    interface datum c to interior trace and flux,
+
+        uhat = uhat0 + A^{-1} B c,    flux = flux0 + F c,    F = Z A^{-1} B.
 
     ``B`` (n_trace x 2n) maps density coefficients to the trace right-hand
     side (``HDGSystem.interface_operator``).  Row j of ``Z`` reads the
@@ -109,9 +102,9 @@ class InterfaceResponse:
     ``BoundaryMap.locate`` finds for it, and row j of ``Z_f`` reads it
     from that element's load moments (both from ``HDGSystem.point_flux``).
 
-    Fluxes F c, F = Z A^{-1} B, come from the span of the data directions
-    solved so far: an orthonormal basis ``Q[:, :m]`` (2n x m) and its
-    fluxes ``FQ[:, :m]`` = F Q.  ``span_flux`` projects a datum c onto Q
+    Every flux F c comes from ``span_flux``, which reads the span of the
+    data directions solved so far: an orthonormal basis ``Q[:, :m]``
+    (2n x m) and its fluxes ``FQ[:, :m]`` = F Q.  It projects c onto Q
     with two classical Gram-Schmidt passes.  If the part left over is at
     most SPAN_TOL |c|, the flux is FQ Q^T c, a small matvec; otherwise one
     trace solve of B q, for the normalized leftover q, appends a column.
@@ -124,13 +117,15 @@ class InterfaceResponse:
     is mostly rounding noise, and a later run or oracle reuses it.  The
     span keeps fluxes, 2n long, not lifts A^{-1} B q, n_trace long: those
     would add up to n_trace x 2n doubles, and the only lift a run needs,
-    that of its converged datum, is one solve.  ``span_residual`` is the
-    worst residual of the span's solves.
+    that of its converged datum, is one solve (``trace_solve``).
+    ``span_residual`` is the worst residual of the span's solves.
 
-    ``zero_trace`` keeps the latest load f and inner datum u0 with their
-    load moments, rhs0 and uhat0 = A^{-1} rhs0, which every map with equal
-    f and u0 reuses.  The system keeps one response per operator set,
-    built by the first ``InterfaceMap``.
+    ``load(f, u0)`` sets the load f and inner datum u0: their load moments
+    ``f_mom``, ``rhs0``, ``uhat0`` = A^{-1} rhs0 with its solve's
+    ``residual0``, ``z_f`` = Z_f f_mom, the load's direct part of each
+    parent element's flux, and ``flux0`` = Z uhat0 + z_f.  The system
+    keeps one map per operator set (``interface_map``), shared by every
+    run on it.
     """
 
     def __init__(self, system, ops):
@@ -144,8 +139,34 @@ class InterfaceResponse:
         self.Q, self.FQ = np.empty((n2, n2)), np.empty((n2, n2))
         self.m = 0
         self.span_residual = 0.0
-        self._chi = None
-        self._zero = None
+        self._key = None
+
+    def load(self, f, u0):
+        """This map with load f and inner datum u0; returns the map.
+
+        The latest load is kept while (f, u0) equals its key; else its
+        moments, rhs0 and one solve of it replace it, but only once that
+        solve has passed, so a failed load leaves the previous one in
+        place.  f and u0 are taken to be pure functions (or constants), so
+        that equal ones give equal data.  The key compares with ==, not
+        identity: a bound method such as ``ManufacturedCase.u0`` is a new
+        object on every access, and equal when its object and function are
+        the same.
+        """
+        if self._key != (f, u0):
+            f_mom = self.system.disc.f_moments(f)
+            rhs0 = self.system.rhs(f_mom, u0_gamma0=u0)
+            uhat0, residual0 = self.system.solve_trace(rhs0)
+            self._key = (f, u0)
+            self.f_mom, self.rhs0, self.uhat0, self.residual0 = f_mom, rhs0, uhat0, residual0
+            self.z_f = self.Z_f @ f_mom.ravel()
+            self.flux0 = self.flux(uhat0)
+        return self
+
+    @functools.cached_property
+    def chi(self):
+        """Mean-flux response to a unit constant datum (far-field channel)."""
+        return float(self.ops.arc_w @ self.span_flux(np.eye(self.B.shape[1])[0]))
 
     def span_flux(self, c):
         """F c from the span of solved directions, which a c outside it
@@ -167,75 +188,20 @@ class InterfaceResponse:
         self.span_residual = max(self.span_residual, residual)
         return self.FQ[:, :m + 1] @ np.append(y, leftover)
 
-    def zero_trace(self, f, u0):
-        """(f_mom, rhs0, uhat0, residual0) of load f and inner datum u0.
-
-        The latest entry is reused when (f, u0) equals its key; else the
-        load moments, rhs0 and one solve of it replace it.  f and u0 are
-        taken to be pure functions (or constants), so that equal ones give
-        equal data.  The key compares with ==, not identity: a bound method
-        such as ``ManufacturedCase.u0`` is a new object on every access, and
-        equal when its object and function are the same.
-        """
-        if self._zero is None or self._zero[:2] != (f, u0):
-            f_mom = self.system.disc.f_moments(f)
-            rhs0 = self.system.rhs(f_mom, u0_gamma0=u0)
-            self._zero = (f, u0, f_mom, rhs0) + self.system.solve_trace(rhs0)
-        return self._zero[2:]
-
-    @property
-    def chi(self):
-        """Mean-flux response to a unit constant datum (far-field channel)."""
-        if self._chi is None:
-            self._chi = float(self.ops.arc_w @ self.span_flux(np.eye(self.B.shape[1])[0]))
-        return self._chi
-
-
-class InterfaceMap:
-    """The affine map from interface datum c to interior trace and flux:
-
-        uhat = uhat0 + A^{-1} B c,    flux = flux0 + F c.
-
-    ``rhs0`` carries the load f and the inner datum u0, ``z_f`` = Z_f f_mom
-    is the load's direct part of each parent element's flux, and
-    ``uhat0`` = A^{-1} rhs0, its solve's ``residual0`` and
-    ``flux0`` = Z uhat0 + z_f are fixed when the map is built; f_mom, rhs0
-    and uhat0 come from the response's ``zero_trace``, shared by maps with
-    equal f and u0.  ``response`` is the shared ``InterfaceResponse`` of
-    (system, ops), which holds B, Z and the span of solved directions
-    (Q, FQ = F Q).
-
-    ``apply`` (flux0 + F c) reads the span, which a c more than SPAN_TOL
-    outside it extends by one solve, and reports the worst residual of the
-    solves behind the flux, max(residual0, span_residual), the log's
-    ``interior_residual``.  At c = 0 it returns flux0 with no solve.  The
-    span holds fluxes, not n_trace-long lifts, so it cannot serve a trace:
-    ``trace_solve`` gives the trace uhat0 + A^{-1} B c by one solve.
-    """
-
-    def __init__(self, system, ops, f=None, u0=None):
-        self.ops = ops
-        if ops not in system.interface_responses:
-            system.interface_responses[ops] = InterfaceResponse(system, ops)
-        self.response = system.interface_responses[ops]
-        self.f_mom, self.rhs0, self.uhat0, self.residual0 = self.response.zero_trace(f, u0)
-        self.z_f = self.response.Z_f @ self.f_mom.ravel()
-        self.flux0 = self.flux(self.uhat0)
-
     def flux(self, uhat):
         """Flux samples of the interior trace uhat."""
-        return self.response.Z @ uhat + self.z_f
+        return self.Z @ uhat + self.z_f
 
     def apply(self, c):
-        """flux0 + F c from the span, which c may extend by one solve, and
-        the worst residual of the solves behind it."""
-        return (self.flux0 + self.response.span_flux(c),
-                max(self.residual0, self.response.span_residual))
+        """flux0 + F c from the span, and the worst residual of the solves
+        behind it, max(residual0, span_residual), the log's
+        ``interior_residual``.  At c = 0 it returns flux0 with no solve."""
+        return self.flux0 + self.span_flux(c), max(self.residual0, self.span_residual)
 
     def trace_solve(self, c):
         """Interior trace uhat0 + A^{-1} B c, its flux samples and its true
         residual, by one trace solve of rhs0 + B c (``HDGSystem.solve_trace``)."""
-        uhat, residual = self.response.system.solve_trace(self.rhs0 + self.response.B @ c)
+        uhat, residual = self.system.solve_trace(self.rhs0 + self.B @ c)
         return uhat, self.flux(uhat), residual
 
     def coupling_residual(self, x, flux):
@@ -247,6 +213,13 @@ class InterfaceMap:
         lam = self.ops.project(-flux)
         g_tilde = solve_exterior(self.ops, lam).coefficients()
         return np.append(x[:-1] - g_tilde, self.ops.arc_w @ flux), lam
+
+
+def interface_map(system, ops, f=None, u0=None):
+    """The system's one ``InterfaceMap`` for ``ops``, loaded with (f, u0)."""
+    if ops not in system.interface_maps:
+        system.interface_maps[ops] = InterfaceMap(system, ops)
+    return system.interface_maps[ops].load(f, u0)
 
 
 def estimate_contraction(history):
@@ -280,8 +253,8 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
         raise DimensionError(f"configured density degree {config.n} does not "
                              f"match the operator set's {ops.n}")
     speed = ops.curve.mean_speed()
-    imap = InterfaceMap(system, ops, f, u0)
-    chi = imap.response.chi
+    imap = interface_map(system, ops, f, u0)
+    chi = imap.chi
     if abs(chi) < 1e-12:
         raise SolverError("degenerate far-field channel: zero flux response")
 
@@ -368,22 +341,20 @@ def monolithic_solve(system, ops, f=None, u0=None):
     1e-13 |b|, at k = 2n + 1, or at an Arnoldi breakdown, and x is then
     one small least-squares solve over the images.  The search space
     contains plain GMRES's, so the loop never takes more Krylov steps, and
-    each step's matvec takes its flux from ``span_flux``, as the iteration
-    does: at most one trace solve, none in the span, and a direction
-    outside it stays there.  After a converged run or an oracle on the same
+    each step's matvec takes its flux from ``span_flux``, as the
+    iteration does.  After a converged run or an oracle on the same
     system the span holds the answer, and the loop stops at k = 0.  b = 0
     gives x = 0.
 
     No matvec is made at the answer, so the closing ``trace_solve`` is a
     solve of its own.  It gives the field and the true residual of the
     answer, which must be at most 1e-10 |b|, or SolverError is raised with
-    it; so a span whose fluxes FQ are not F Q cannot pass.  The map reuses
-    the load moments and uhat0 that a run with equal f and u0 left on the
-    shared response.  Returns (field, g, lam, u_inf).
+    it; so a span whose fluxes FQ are not F Q cannot pass.  Returns
+    (field, g, lam, u_inf).
     """
     n2 = 2 * ops.n
-    imap = InterfaceMap(system, ops, f, u0)
-    resp, m = imap.response, imap.response.m
+    imap = interface_map(system, ops, f, u0)
+    m = imap.m
 
     def J(x, flux):
         return imap.coupling_residual(x, flux)[0]
@@ -393,15 +364,15 @@ def monolithic_solve(system, ops, f=None, u0=None):
     x = np.zeros(n2 + 1)
     if b_norm > 0:
         W = np.zeros((n2 + 1, m + 1))
-        W[:n2, :m] = resp.Q[:, :m]
+        W[:n2, :m] = imap.Q[:, :m]
         W[0, m], W[n2, m] = -1.0, 1.0
-        JW = np.column_stack([J(W[:, j], resp.FQ[:, j]) for j in range(m)]
+        JW = np.column_stack([J(W[:, j], imap.FQ[:, j]) for j in range(m)]
                              + [J(W[:, m], np.zeros(n2))])
         O = np.linalg.qr(JW)[0]          # orthonormal basis of the images
         left = _orth(O, b)               # b less its best fit by them
         V, JV = [b / b_norm], []         # Krylov vectors and their images
         while np.linalg.norm(left) > 1e-13 * b_norm and len(JV) <= n2:
-            JV.append(J(V[-1], resp.span_flux(_datum(V[-1]))))
+            JV.append(J(V[-1], imap.span_flux(_datum(V[-1]))))
             w = _orth(np.column_stack(V), JV[-1])
             o = _orth(O, JV[-1])
             o_norm = np.linalg.norm(o)

@@ -390,8 +390,8 @@ class HDGSystem:
         self.transfer = assemble_transfer(self.disc, bmap)
         self._assemble()
         self._lu = None
-        # coupling.InterfaceResponse per LayerOperatorSet, shared by all runs
-        self.interface_responses = {}
+        # coupling.InterfaceMap per LayerOperatorSet, shared by all runs
+        self.interface_maps = {}
 
     # -- assembly ---------------------------------------------------------
 

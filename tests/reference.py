@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from hdgbem import AssemblyError, TrigPolynomial
 from hdgbem.basis import TriangleBasis, edge_legendre
-from hdgbem.coupling import InterfaceMap
+from hdgbem.coupling import interface_map
 from hdgbem.hdg import DGField, _reference_lattice, _side_traces
 from hdgbem.quadrature import gauss01, triangle_rule
 
@@ -35,13 +35,12 @@ def bordered_monolithic_solve(system, ops, f=None, u0=None):
     matrix.  Returns (field, g, lam, u_inf), like ``monolithic_solve``.
     """
     n_trace, n2 = system.n_trace, 2 * ops.n
-    imap = InterfaceMap(system, ops, f, u0)
-    resp = imap.response
+    imap = interface_map(system, ops, f, u0)
     T = -ops.exterior @ ops.P
     A = sp.bmat([
-        [system.matrix, -resp.B, -resp.B[:, :1]],
-        [-sp.csr_matrix(T) @ resp.Z, sp.identity(n2), None],
-        [sp.csr_matrix(ops.arc_w[None, :]) @ resp.Z, None, None],
+        [system.matrix, -imap.B, -imap.B[:, :1]],
+        [-sp.csr_matrix(T) @ imap.Z, sp.identity(n2), None],
+        [sp.csr_matrix(ops.arc_w[None, :]) @ imap.Z, None, None],
     ], format="csc")
     rhs = np.concatenate([imap.rhs0, T @ imap.z_f, [-(ops.arc_w @ imap.z_f)]])
     x = spla.spsolve(A, rhs)

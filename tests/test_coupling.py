@@ -22,7 +22,7 @@ from hdgbem import (
     write_iteration_log,
 )
 from hdgbem import coupling
-from hdgbem.coupling import InterfaceResponse
+from hdgbem.coupling import interface_map
 from conftest import ellipse_curve
 from reference import bordered_monolithic_solve, q_at
 
@@ -48,7 +48,7 @@ def _datum(g, u_inf):
 
 def test_dtn_zero_data(dipole_bundle):
     _, bundle = dipole_bundle
-    imap = InterfaceMap(bundle.system, bundle.ops)
+    imap = interface_map(bundle.system, bundle.ops)
     r, lam = imap.coupling_residual(np.zeros(2 * N + 1), imap.apply(np.zeros(2 * N))[0])
     mflux = r[-1]
     uhat, flux, _ = imap.trace_solve(np.zeros(2 * N))
@@ -66,7 +66,7 @@ def test_constant_flux_projects_to_zero_density(dipole_bundle):
 
 def test_dtn_at_exact_fixed_point(dipole_bundle):
     case, bundle = dipole_bundle
-    imap = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    imap = interface_map(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     g = case.g_exact(bundle.ops)
     r, lam = imap.coupling_residual(np.append(g.coefficients(), case.u_inf),
                                     imap.apply(_datum(g, case.u_inf))[0])
@@ -81,10 +81,10 @@ def test_interface_map_data_matches_boundary_moments(dipole_bundle):
     # on the unit circle the datum g + u_inf = cos s + 3 is x + 3 at the
     # mapped points, so its edge moments are those of the callable datum
     case, bundle = dipole_bundle
-    imap = InterfaceMap(bundle.system, bundle.ops)
+    imap = interface_map(bundle.system, bundle.ops)
     want = bundle.system.boundary_data_vector(g_gamma=lambda p: p[:, 0] + 3.0)
     c = _datum(case.g_exact(bundle.ops), 3.0)
-    assert np.abs(imap.response.B @ c - want).max() < 1e-13
+    assert np.abs(imap.B @ c - want).max() < 1e-13
 
 
 def test_interface_map_matches_recovered_field(dipole_bundle):
@@ -93,7 +93,7 @@ def test_interface_map_matches_recovered_field(dipole_bundle):
     case, bundle = dipole_bundle
     system = bundle.system
     f = lambda pts: 1.0 + pts[:, 0] * pts[:, 1]
-    imap = InterfaceMap(system, bundle.ops, f=f, u0=case.u0)
+    imap = interface_map(system, bundle.ops, f=f, u0=case.u0)
     c = _datum(case.g_exact(bundle.ops), case.u_inf)
     uhat, flux, _ = imap.trace_solve(c)
     field = system.recover(uhat, imap.f_mom)
@@ -249,20 +249,20 @@ def test_converged_run_recovers_the_field_once(monkeypatch):
         monkeypatch.setattr(HDGSystem, name, counted)
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                             config=CouplingConfig(omega=0.5, tol=1e-9, n=N))
-    resp = bundle.system.interface_responses[bundle.ops]
+    imap = bundle.system.interface_maps[bundle.ops]
     assert state.converged and state.iteration > N
-    assert 2 <= resp.m < N
-    assert calls == {"solve_trace": resp.m + 2, "recover": 1}
+    assert 2 <= imap.m < N
+    assert calls == {"solve_trace": imap.m + 2, "recover": 1}
 
 
 def _assert_trace_matches_a_trace_solve(case, bundle):
     """The trace of a datum c is a solve of rhs0 + B c and reports its true
     residual; returns the map and c."""
     system = bundle.system
-    imap = InterfaceMap(system, bundle.ops, f=case.f, u0=case.u0)
+    imap = interface_map(system, bundle.ops, f=case.f, u0=case.u0)
     c = np.random.default_rng(3).normal(size=2 * N)
     uhat, flux, residual = imap.trace_solve(c)
-    rhs = imap.rhs0 + imap.response.B @ c
+    rhs = imap.rhs0 + imap.B @ c
     want, _ = system.solve_trace(rhs)
     assert np.linalg.norm(uhat - want) <= 1e-12 * np.linalg.norm(want)
     want_flux = imap.flux(want)
@@ -279,7 +279,7 @@ def test_lifted_trace_matches_a_trace_solve_before_U():
     case = manufactured_case("variable-kappa-bump", degree=1)
     bundle = setup_level(case, 0.12, 1, n=N)
     imap, _ = _assert_trace_matches_a_trace_solve(case, bundle)
-    assert imap.response.m == 0
+    assert imap.m == 0
 
 
 def test_served_trace_matches_a_trace_solve():
@@ -290,19 +290,19 @@ def test_served_trace_matches_a_trace_solve():
     run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                     config=CouplingConfig(omega=0.3, tol=1e-10, n=N))
     imap, _ = _assert_trace_matches_a_trace_solve(case, bundle)
-    assert imap.response.m >= 2
+    assert imap.m >= 2
 
 
 # ---------------------------------------------------------------------------
 # span of solved data directions
 # ---------------------------------------------------------------------------
 
-def _direct_flux(resp, c):
+def _direct_flux(imap, c):
     """F c by one trace solve of B c, in place of the span; F 0 = 0 with
     no solve, as the span serves it."""
     if not c.any():
-        return np.zeros(resp.Z.shape[0])
-    return resp.Z @ resp.system.solve_trace(resp.B @ c)[0]
+        return np.zeros(imap.Z.shape[0])
+    return imap.Z @ imap.system.solve_trace(imap.B @ c)[0]
 
 
 def test_span_flux_matches_a_direct_solve(monkeypatch):
@@ -311,23 +311,23 @@ def test_span_flux_matches_a_direct_solve(monkeypatch):
     # Z A^{-1} B c of a direct solve up to rounding, and Q stays orthonormal
     case = manufactured_case("variable-kappa-bump", degree=1)
     bundle = setup_level(case, 0.12, 1, n=N)
-    resp = InterfaceMap(bundle.system, bundle.ops).response
+    imap = interface_map(bundle.system, bundle.ops)
     calls = _count_trace_solves(bundle.system, monkeypatch)
     rng = np.random.default_rng(5)
 
     def check(c, solves):
-        want = _direct_flux(resp, c)
+        want = _direct_flux(imap, c)
         before = len(calls)
-        got = resp.span_flux(c)
+        got = imap.span_flux(c)
         assert len(calls) - before == solves
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     for m in range(1, 5):
         check(rng.normal(size=2 * N), 1)
-        assert resp.m == m
+        assert imap.m == m
     for _ in range(4):
-        check(resp.Q[:, :4] @ rng.normal(size=4), 0)
-    assert resp.m == 4
-    Q = resp.Q[:, :4]
+        check(imap.Q[:, :4] @ rng.normal(size=4), 0)
+    assert imap.m == 4
+    Q = imap.Q[:, :4]
     assert np.abs(Q.T @ Q - np.eye(4)).max() <= 1e-14
 
 
@@ -339,13 +339,13 @@ def test_span_never_exceeds_2n_directions(monkeypatch):
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     n = 8
     bundle = setup_level(case, 0.2, 1, n=n)
-    resp = InterfaceMap(bundle.system, bundle.ops).response
+    imap = interface_map(bundle.system, bundle.ops)
     for c in np.random.default_rng(6).normal(size=(2 * n + 3, 2 * n)):
-        got = resp.span_flux(c)
-        want = _direct_flux(resp, c)
+        got = imap.span_flux(c)
+        want = _direct_flux(imap, c)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert resp.m == 2 * n
-    assert np.abs(resp.Q.T @ resp.Q - np.eye(2 * n)).max() <= 1e-14
+    assert imap.m == 2 * n
+    assert np.abs(imap.Q.T @ imap.Q - np.eye(2 * n)).max() <= 1e-14
 
 
 def test_run_under_n_requests_solves_once_per_direction(monkeypatch):
@@ -358,32 +358,31 @@ def test_run_under_n_requests_solves_once_per_direction(monkeypatch):
     cfg = CouplingConfig(omega=0.5, tol=1e-10, n=n)
     ref_bundle = setup_level(case, 0.12, 1, n=n)
     with monkeypatch.context() as m:
-        m.setattr(InterfaceResponse, "span_flux", _direct_flux)
+        m.setattr(InterfaceMap, "span_flux", _direct_flux)
         ref = run_fixed_point(ref_bundle.system, ref_bundle.ops, f=case.f,
                               u0=case.u0, config=cfg)
     bundle = setup_level(case, 0.12, 1, n=n)
     calls = _count_trace_solves(bundle.system, monkeypatch)
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                             config=cfg)
-    resp = bundle.system.interface_responses[bundle.ops]
+    imap = bundle.system.interface_maps[bundle.ops]
     assert state.converged and state.iteration < n
-    assert 2 <= resp.m < state.iteration
-    assert len(calls) == resp.m + 2
+    assert 2 <= imap.m < state.iteration
+    assert len(calls) == imap.m + 2
     assert state.iteration == ref.iteration
     g, g_ref = state.g.coefficients(), ref.g.coefficients()
     assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
     assert abs(state.u_inf - ref.u_inf) <= 1e-12 * abs(ref.u_inf)
     # the log's last iteration holds the worst residual of the solves
     # behind its flux, uhat0's and the span's
-    residual0 = resp.zero_trace(case.f, case.u0)[3]
-    assert state.residual_history[-2] == max(residual0, resp.span_residual)
+    assert state.residual_history[-2] == max(imap.residual0, imap.span_residual)
 
     # the oracle finds the answer in the span, so it leaves the span as it
-    # was, and gives the answer of an oracle on a response without one
-    m, Q = resp.m, resp.Q[:, :resp.m].copy()
+    # was, and gives the answer of an oracle on a map without one
+    m, Q = imap.m, imap.Q[:, :imap.m].copy()
     field, g, _, u_inf = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
-    assert resp.m == m and np.array_equal(resp.Q[:, :m], Q)
-    assert ref_bundle.system.interface_responses[ref_bundle.ops].m == 0
+    assert imap.m == m and np.array_equal(imap.Q[:, :m], Q)
+    assert ref_bundle.system.interface_maps[ref_bundle.ops].m == 0
     want = monolithic_solve(ref_bundle.system, ref_bundle.ops, f=case.f, u0=case.u0)
     for a, b in ((field.Q, want[0].Q), (field.U, want[0].U),
                  (g.coefficients(), want[1].coefficients())):
@@ -409,7 +408,7 @@ def _sweep(case, omegas, bundle_for, calls):
 def test_shared_response_matches_fresh_systems(monkeypatch):
     # one system swept over weights shares one span; the reference takes
     # one trace solve per iteration throughout, on fresh systems whose
-    # response keeps no span.  The case has a load, so the particular flux
+    # map keeps no span.  The case has a load, so the particular flux
     # z_f is not zero
     case = manufactured_case("variable-kappa-bump", degree=1)
     omegas = (0.3, 0.4, 0.35, 0.95, 0.45)         # 0.95 diverges in 25
@@ -427,9 +426,9 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
         fresh_bundles.append(setup_level(case, 0.12, 1, n=N))
         return fresh_bundles[-1]
     with monkeypatch.context() as m:
-        m.setattr(InterfaceResponse, "span_flux", _direct_flux)
+        m.setattr(InterfaceMap, "span_flux", _direct_flux)
         ref, ref_runs = _sweep(case, omegas, fresh, calls)
-    assert all(b.system.interface_responses[b.ops].m == 0 for b in fresh_bundles)
+    assert all(b.system.interface_maps[b.ops].m == 0 for b in fresh_bundles)
     assert list(ref_runs) == [1 + s.iteration + s.converged for s in ref]
 
     calls.clear()
@@ -449,16 +448,16 @@ def test_shared_response_matches_fresh_systems(monkeypatch):
     # one solve of uhat0, which every later run shares since their data are
     # the same, one solve per direction of the span (chi's among them) and
     # one closing solve per converged run
-    resp = bundle.system.interface_responses[bundle.ops]
-    assert sum(per_run) == 1 + resp.m + sum(s.converged for s in states)
-    assert 2 <= resp.m < 2 * N
+    imap = bundle.system.interface_maps[bundle.ops]
+    assert sum(per_run) == 1 + imap.m + sum(s.converged for s in states)
+    assert 2 <= imap.m < 2 * N
     # every iteration logs the worst residual of the solves behind its
     # flux, uhat0's and the span's so far
-    residual0 = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=case.u0).residual0
+    residual0 = interface_map(bundle.system, bundle.ops, f=case.f, u0=case.u0).residual0
     served = [r for s in states for r in s.residual_history[:s.iteration]]
     assert served == sorted(served) and served[0] >= residual0
     assert set(served) <= set(calls)
-    assert served[-1] == max(residual0, resp.span_residual)
+    assert served[-1] == max(residual0, imap.span_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -555,23 +554,23 @@ def test_monolithic_extends_the_span_by_its_out_of_span_matvecs_only(monkeypatch
     bundle = setup_level(case, 0.2, 1, n=n)
     calls = _count_trace_solves(bundle.system, monkeypatch)
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
-    resp = bundle.system.interface_responses[bundle.ops]
+    imap = bundle.system.interface_maps[bundle.ops]
     assert len(calls) <= 2 * n + 3
-    assert resp.m == len(calls) - 2 > 0
+    assert imap.m == len(calls) - 2 > 0
 
     run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0)
-    m = resp.m
-    Q, FQ = resp.Q[:, :m].copy(), resp.FQ[:, :m].copy()
+    m = imap.m
+    Q, FQ = imap.Q[:, :m].copy(), imap.FQ[:, :m].copy()
     del calls[:]
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(calls) == 1
-    assert resp.m == m and np.array_equal(resp.Q[:, :m], Q)
-    assert np.array_equal(resp.FQ[:, :m], FQ)
+    assert imap.m == m and np.array_equal(imap.Q[:, :m], Q)
+    assert np.array_equal(imap.FQ[:, :m], FQ)
 
 
 def test_monolithic_fresh_system_solves_per_matvec_and_to_close(monkeypatch):
     # uhat0, then one solve per Krylov matvec, since the span of a fresh
-    # response is empty and each matvec's direction leaves the span of the
+    # map is empty and each matvec's direction leaves the span of the
     # earlier ones, and one closing solve at the answer, which no matvec
     # reached: 1 + k + 1 solves, the total of plain GMRES, whose closing
     # solve reused the lift of its final matvec at the answer
@@ -579,16 +578,16 @@ def test_monolithic_fresh_system_solves_per_matvec_and_to_close(monkeypatch):
     bundle = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(bundle.system, monkeypatch)
     matvecs = []
-    span_flux = InterfaceResponse.span_flux
+    span_flux = InterfaceMap.span_flux
 
     def counted(self, c):
         matvecs.append(1)
         return span_flux(self, c)
-    monkeypatch.setattr(InterfaceResponse, "span_flux", counted)
+    monkeypatch.setattr(InterfaceMap, "span_flux", counted)
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(matvecs) >= 2
     assert len(calls) == 1 + len(matvecs) + 1 == 10
-    assert bundle.system.interface_responses[bundle.ops].m == len(matvecs)
+    assert bundle.system.interface_maps[bundle.ops].m == len(matvecs)
 
 
 def test_monolithic_leaves_its_directions_in_the_span(monkeypatch):
@@ -601,7 +600,7 @@ def test_monolithic_leaves_its_directions_in_the_span(monkeypatch):
     calls = _count_trace_solves(bundle.system, monkeypatch)
     first = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(calls) == 10
-    assert bundle.system.interface_responses[bundle.ops].m > 0
+    assert bundle.system.interface_maps[bundle.ops].m > 0
     del calls[:]
     second = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(calls) == 1
@@ -625,9 +624,9 @@ def _converged_span_run():
     bundle = setup_level(case, 0.2, 1, n=32)
     run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                     config=CouplingConfig(omega=0.5, tol=1e-10, n=32))
-    resp = bundle.system.interface_responses[bundle.ops]
-    assert resp.m >= 2
-    return case, bundle, resp
+    imap = bundle.system.interface_maps[bundle.ops]
+    assert imap.m >= 2
+    return case, bundle, imap
 
 
 def _assert_same_oracle_answer(got, want, rtol):
@@ -643,7 +642,7 @@ def test_monolithic_after_a_converged_run_makes_one_solve(monkeypatch):
     # one.  The answer is that of an oracle on a fresh system and of the
     # bordered reference, within the oracle's 1e-11 against the reference:
     # a fresh oracle lies about 2e-12 from it here
-    case, bundle, resp = _converged_span_run()
+    case, bundle, imap = _converged_span_run()
     calls = _count_trace_solves(bundle.system, monkeypatch)
     got = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(calls) == 1
@@ -659,16 +658,16 @@ def test_monolithic_on_a_partial_span_solves_no_more_than_on_a_fresh_system(monk
     # (restored each time, since the oracle extends the span); on each the
     # oracle makes no more solves than on a fresh system, less the uhat0
     # solve that the run leaves, and gives the same answer
-    case, bundle, resp = _converged_span_run()
+    case, bundle, imap = _converged_span_run()
     fresh = setup_level(case, 0.2, 1, n=32)
     calls = _count_trace_solves(fresh.system, monkeypatch)
     want = monolithic_solve(fresh.system, fresh.ops, f=case.f, u0=case.u0)
     alone = len(calls) - 1
     calls = _count_trace_solves(bundle.system, monkeypatch)
-    m = resp.m
-    Q, FQ = resp.Q[:, :m].copy(), resp.FQ[:, :m].copy()
+    m = imap.m
+    Q, FQ = imap.Q[:, :m].copy(), imap.FQ[:, :m].copy()
     for j in range(m + 1):
-        resp.Q[:, :m], resp.FQ[:, :m], resp.m = Q, FQ, j
+        imap.Q[:, :m], imap.FQ[:, :m], imap.m = Q, FQ, j
         del calls[:]
         got = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
         assert 1 <= len(calls) <= alone
@@ -679,14 +678,14 @@ def test_monolithic_on_a_partial_span_solves_no_more_than_on_a_fresh_system(monk
 def test_monolithic_refuses_a_wrong_span_flux():
     # a flux column off by 1e-6 moves the answer, which the closing solve's
     # true residual exposes
-    case, bundle, resp = _converged_span_run()
-    resp.FQ[:, 0] *= 1.0 + 1e-6
+    case, bundle, imap = _converged_span_run()
+    imap.FQ[:, 0] *= 1.0 + 1e-6
     with pytest.raises(SolverError, match=r"coupled GMRES .* residual \d\.\d+e[+-]\d+"):
         monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
 
 
 def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
-    # a run leaves uhat0 of its f and u0 on the shared response, so the
+    # a run leaves uhat0 of its f and u0 on the shared map, so the
     # oracle after it makes one solve fewer than on a fresh system.  The
     # run stops after two iterations with the span {e_0, c_2} of chi and
     # x_1 = D b, b = -r(0); it holds the datum of b / |b|, GMRES's first
@@ -702,24 +701,24 @@ def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
     with pytest.raises(DivergenceError):
         run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                         config=CouplingConfig(max_iterations=2))
-    resp = bundle.system.interface_responses[bundle.ops]
-    assert resp.m == 2
+    imap = bundle.system.interface_maps[bundle.ops]
+    assert imap.m == 2
     calls = _count_trace_solves(bundle.system, monkeypatch)
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(calls) == alone - 2
 
 
 def test_maps_with_equal_data_share_one_zero_datum_solve(monkeypatch):
-    # the response keeps the zero datum (load moments, rhs0, uhat0) of the
-    # latest (f, u0): a map with equal f and u0 reuses it (the bound method
-    # case.u0 is a new object on every access, but an equal one), and a map
+    # the map keeps the zero datum (load moments, rhs0, uhat0) of the
+    # latest (f, u0): a load with equal f and u0 reuses it (the bound method
+    # case.u0 is a new object on every access, but an equal one), and a load
     # with other data replaces it
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(bundle.system, monkeypatch)
 
     def zero(u0):
-        imap = InterfaceMap(bundle.system, bundle.ops, f=case.f, u0=u0)
+        imap = interface_map(bundle.system, bundle.ops, f=case.f, u0=u0)
         return imap.uhat0, imap.flux0
     uhat0, flux0 = zero(case.u0)
     assert len(calls) == 1
@@ -730,6 +729,53 @@ def test_maps_with_equal_data_share_one_zero_datum_solve(monkeypatch):
     assert len(calls) == 2 and not np.array_equal(other[0], uhat0)
     assert np.array_equal(zero(case.u0)[0], uhat0)
     assert len(calls) == 3
+
+
+def test_a_failed_load_leaves_the_previous_one_in_place(monkeypatch):
+    # a load whose uhat0 solve fails raises SolverError and keeps the
+    # previous load, so the next run with the first f and u0 is served its
+    # uhat0 and span: one trace solve, the closing one, and the first answer
+    case = manufactured_case("dipole-plus-constant", constant=3.0)
+    bundle = setup_level(case, 0.2, 1, n=N)
+    cfg = CouplingConfig(omega=0.5, tol=1e-10, n=N)
+    first = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0, config=cfg)
+    nan = lambda pts: np.full(len(np.atleast_2d(pts)), np.nan)
+    with pytest.raises(SolverError, match="trace solve residual"):
+        run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=nan, config=cfg)
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    again = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0, config=cfg)
+    assert len(calls) == 1
+    for a, b in ((again.g.coefficients(), first.g.coefficients()),
+                 (again.field.Q, first.field.Q), (again.field.U, first.field.U)):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+    assert abs(again.u_inf - first.u_inf) <= 1e-12 * abs(first.u_inf)
+
+
+def test_a_new_load_keeps_the_span_of_the_old(monkeypatch):
+    # run B (constant 1) after run A (constant 3) on one system reloads the
+    # shared map and keeps A's span as it was: B takes the iterations of B
+    # on a fresh system and its answer, with one solve for its uhat0, one
+    # per direction it adds and its closing one, fewer than on a fresh system
+    a = manufactured_case("dipole-plus-constant", constant=3.0)
+    b = manufactured_case("dipole-plus-constant", constant=1.0)
+    cfg = CouplingConfig(omega=0.5, tol=1e-10, n=N)
+    fresh = setup_level(b, 0.2, 1, n=N)
+    fresh_calls = _count_trace_solves(fresh.system, monkeypatch)
+    want = run_fixed_point(fresh.system, fresh.ops, f=b.f, u0=b.u0, config=cfg)
+
+    bundle = setup_level(a, 0.2, 1, n=N)
+    run_fixed_point(bundle.system, bundle.ops, f=a.f, u0=a.u0, config=cfg)
+    imap = bundle.system.interface_maps[bundle.ops]
+    m, Q = imap.m, imap.Q[:, :imap.m].copy()
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    got = run_fixed_point(bundle.system, bundle.ops, f=b.f, u0=b.u0, config=cfg)
+    assert got.iteration == want.iteration
+    assert len(calls) == 1 + (imap.m - m) + 1 < len(fresh_calls)
+    assert np.array_equal(imap.Q[:, :m], Q)
+    for x, y in ((got.g.coefficients(), want.g.coefficients()),
+                 (got.field.Q, want.field.Q)):
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+    assert abs(got.u_inf - want.u_inf) <= 1e-12 * abs(want.u_inf)
 
 
 def test_load_is_evaluated_once_per_f_and_u0():
@@ -761,17 +807,17 @@ def test_span_stays_under_2n_in_a_slow_run(monkeypatch):
     cfg = CouplingConfig(omega=0.1, tol=1e-10, n=N)
     ref_bundle = setup_level(case, 0.12, 1, n=N)
     with monkeypatch.context() as m:
-        m.setattr(InterfaceResponse, "span_flux", _direct_flux)
+        m.setattr(InterfaceMap, "span_flux", _direct_flux)
         ref = run_fixed_point(ref_bundle.system, ref_bundle.ops, f=case.f,
                               u0=case.u0, config=cfg)
     bundle = setup_level(case, 0.12, 1, n=N)
     calls = _count_trace_solves(bundle.system, monkeypatch)
     state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
                             config=cfg)
-    resp = bundle.system.interface_responses[bundle.ops]
+    imap = bundle.system.interface_maps[bundle.ops]
     assert state.converged and state.iteration >= 50
-    assert len(calls) == resp.m + 2
-    assert 2 <= resp.m < 2 * N
+    assert len(calls) == imap.m + 2
+    assert 2 <= imap.m < 2 * N
     assert state.iteration == ref.iteration
     g, g_ref = state.g.coefficients(), ref.g.coefficients()
     assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
@@ -787,11 +833,11 @@ def test_monolithic_refuses_an_unsolved_system():
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     ops = bundle.ops
-    unit = InterfaceMap(bundle.system, ops).response.span_flux(np.eye(2 * ops.n)[0])
+    unit = interface_map(bundle.system, ops).span_flux(np.eye(2 * ops.n)[0])
     bad = copy.copy(ops)
     bad.exterior = np.zeros_like(ops.exterior)
     bad.arc_w = ops.arc_w - (ops.arc_w @ unit) / (unit @ unit) * unit
-    flux0 = InterfaceMap(bundle.system, bad, f=case.f, u0=case.u0).apply(
+    flux0 = interface_map(bundle.system, bad, f=case.f, u0=case.u0).apply(
         np.zeros(2 * ops.n))[0]
     assert abs(bad.arc_w @ flux0) > 1e-3 * np.abs(bad.arc_w).sum() * np.abs(flux0).max()
     with pytest.raises(SolverError, match=r"coupled GMRES .* residual \d\.\d+e[+-]\d+"):

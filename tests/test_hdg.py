@@ -10,7 +10,6 @@ from hdgbem import (
     CoverageError,
     Curve,
     DimensionError,
-    InterfaceMap,
     MaterialField,
     SolverError,
     TAG_INNER,
@@ -26,6 +25,7 @@ from hdgbem import (
     write_vtk,
 )
 from hdgbem.basis import TriangleBasis, edge_legendre
+from hdgbem.coupling import interface_map
 from hdgbem.geometry import BoundaryMap
 from hdgbem.hdg import DGField, _Discretization, _format_e, _join, assemble_transfer
 from hdgbem.harness import manufactured_case, setup_level
@@ -590,7 +590,7 @@ def test_stability_bounded_under_refinement(circles):
 
 def _interface_flux(system, gamma, u_ex=None, n=16):
     """Interface map flux at its 2n nodes for the interior solve with data u_ex."""
-    imap = InterfaceMap(system, assemble_layer_operators(gamma, n))
+    imap = interface_map(system, assemble_layer_operators(gamma, n))
     rhs = system.rhs(system.disc.f_moments(None), g_gamma=u_ex, u0_gamma0=u_ex)
     uhat, _ = system.solve_trace(rhs)
     return imap.flux(uhat), imap.ops.nodes
@@ -622,8 +622,8 @@ def test_interface_datum_path_is_exact_on_a_linear_patch(bundle, circles, reques
     # at the mapped curve points, u0 = x on the inner ring; a fitted mesh
     # once read the modes a sagitta from the nodes they applied at (9.0e-3)
     system = request.getfixturevalue(bundle)[2]
-    imap = InterfaceMap(system, assemble_layer_operators(circles[0], 16), None,
-                        lambda p: p[:, 0])
+    imap = interface_map(system, assemble_layer_operators(circles[0], 16), None,
+                         lambda p: p[:, 0])
     c = np.zeros(32)
     c[1] = 1.0
     flux, _ = imap.apply(c)
