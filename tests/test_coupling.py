@@ -21,7 +21,7 @@ from hdgbem import (
     solve_exterior,
     write_iteration_log,
 )
-from hdgbem import coupling
+from hdgbem import bem, coupling
 from hdgbem.coupling import interface_map
 from conftest import ellipse_curve
 from reference import bordered_monolithic_solve, q_at
@@ -198,6 +198,26 @@ def test_dipole_fixed_point_geometric_decay(dipole_bundle):
     assert 0.0 < ratio < 0.6
     # mean-zero invariant held at every iteration
     assert state.lambda_mean_max <= 1e-12 * max(state.lam.l2_norm(), 1e-30)
+
+
+def test_exterior_sum_vanishes_inside_after_a_converged_run(dipole_bundle):
+    # extinction: for Cauchy data of an exterior field D g - S lam is zero
+    # inside the curve, so on Gamma0 the log-free trapezoidal sum of the
+    # converged densities returns u_inf up to the run's tolerance (measured
+    # 6.3e-11); a g off by 1e-3 cos 2t shows at its own size
+    case, bundle = dipole_bundle
+    state = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                            config=CouplingConfig(omega=0.5, tol=1e-10, n=N))
+    pts = case.gamma0.point(np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False))
+    lam_c = state.lam.coefficients()
+
+    def extinction(g):
+        psi, _ = bem._cauchy_density(bundle.ops, g.coefficients(), lam_c)
+        return np.abs(bem._log_free_sum(bundle.ops, psi, pts)).max()
+
+    assert extinction(state.g) <= 2e-10
+    wrong = state.g + bundle.ops.project(1e-3 * np.cos(2.0 * bundle.ops.nodes))
+    assert extinction(wrong) >= 1e-5
 
 
 def test_limit_independent_of_relaxation_weight(dipole_bundle):
