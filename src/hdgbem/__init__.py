@@ -15,7 +15,6 @@ from .bem import (
     assemble_layer_operators,
     evaluate_exterior,
     solve_exterior,
-    write_density_csv,
 )
 from .coupling import (
     CouplingConfig,
@@ -24,7 +23,6 @@ from .coupling import (
     estimate_contraction,
     monolithic_solve,
     run_fixed_point,
-    write_iteration_log,
 )
 from .errors import (
     AssemblyError,
@@ -42,6 +40,15 @@ from .errors import (
     SolverError,
     TransferIntegrationError,
 )
+from .export import (
+    load_mesh,
+    save_mesh,
+    write_coefficients_csv,
+    write_density_csv,
+    write_iteration_log,
+    write_study_csv,
+    write_vtk,
+)
 from .geometry import (
     BoundaryMap,
     Curve,
@@ -50,9 +57,7 @@ from .geometry import (
     UnfittedMesh,
     build_annulus_mesh,
     build_boundary_map,
-    load_mesh,
     proximity_parameter,
-    save_mesh,
 )
 from .harness import (
     ManufacturedCase,
@@ -72,8 +77,6 @@ from .hdg import (
     l2_errors,
     local_conservation_residual,
     solve_interior,
-    write_coefficients_csv,
-    write_vtk,
 )
 
 __version__ = "0.1.0"

@@ -50,7 +50,8 @@ barycentric rule for Cauchy integrals does.
 import numpy as np
 
 from .errors import DimensionError, DomainError, SolverError
-from .hdg import _format_e, _format_int, _join
+# perfbench calls and traces this writer as a bem attribute
+from .export import write_density_csv  # noqa: F401
 
 TWO_PI = 2.0 * np.pi
 # the operator quadrature uses OVERSAMPLE times the 2n density nodes
@@ -527,18 +528,3 @@ def _cauchy_sums(nodes, cols, z, skip_self=False):
         out[i:i + b].real = p[:b, :c] + p[b:, c:]
         out[i:i + b].imag = p[:b, c:] - p[b:, :c]
     return out
-
-
-# ---------------------------------------------------------------------------
-# csv interfaces
-# ---------------------------------------------------------------------------
-
-def write_density_csv(poly, path):
-    """Rows of (mode index, cosine coefficient, sine coefficient), reals as ``%.17e``."""
-    sin = np.zeros(poly.n + 1)
-    sin[1:poly.n] = poly.sin
-    vals = _format_e(np.column_stack([poly.cos, sin]), 17)
-    with open(path, "wb") as fh:
-        fh.write(b"mode,cos,sin\n")
-        fh.write(_join(_format_int(np.arange(poly.n + 1)),
-                       b",", vals[:, 0], b",", vals[:, 1], b"\n"))

@@ -24,23 +24,12 @@ import math
 import os
 import sys
 
-from .bem import write_density_csv
-from .coupling import CouplingConfig, run_fixed_point, write_iteration_log
+from .coupling import CouplingConfig, run_fixed_point
 from .errors import ConfigError, DivergenceError, HdgBemError
-from .geometry import (
-    build_annulus_mesh,
-    build_boundary_map,
-    proximity_parameter,
-    save_mesh,
-)
-from .harness import (
-    convergence_study,
-    manufactured_case,
-    omega_sweep,
-    setup_level,
-    write_sweep_csv,
-)
-from .hdg import write_coefficients_csv, write_vtk
+from .export import (save_mesh, write_coefficients_csv, write_density_csv, write_iteration_log,
+                     write_mesh_report, write_study_csv, write_sweep_csv, write_vtk)
+from .geometry import build_annulus_mesh, build_boundary_map, proximity_parameter
+from .harness import convergence_study, manufactured_case, omega_sweep, setup_level
 
 _DEFAULTS = {
     "geometry.fitted": "false",
@@ -173,11 +162,7 @@ def cmd_mesh(params):
     mesh_path = os.path.join(params["outdir"], "mesh.txt")
     save_mesh(mesh, mesh_path)
     report_path = os.path.join(params["outdir"], "mesh_report.csv")
-    with open(report_path, "w") as fh:
-        fh.write("h_target,mesh_h,elements,R_h,normal_deviation\n")
-        fh.write(f"{params['h0']:.10e},{mesh.h:.10e},"
-                 f"{len(mesh.elements)},{rep.R_h:.10e},"
-                 f"{rep.normal_deviation:.10e}\n")
+    write_mesh_report(mesh, rep, params["h0"], report_path)
     print(f"mesh: {len(mesh.elements)} elements, h = {mesh.h:.4f}")
     print(f"proximity ratio R_h = {rep.R_h:.4e}, "
           f"max |n_h - n| = {rep.normal_deviation:.4e}")
@@ -221,8 +206,8 @@ def cmd_study(params):
                                config=cfg, fitted=params["fitted"])
     os.makedirs(params["outdir"], exist_ok=True)
     path = os.path.join(params["outdir"], "study.csv")
-    report.to_csv(path)
-    report.to_csv(os.path.join(params["outdir"], "study_full.csv"), full=True)
+    write_study_csv(report, path)
+    write_study_csv(report, os.path.join(params["outdir"], "study_full.csv"), full=True)
     print(report.summary())
     print(f"wrote {path}")
     if any(not row["converged"] for row in report.rows):

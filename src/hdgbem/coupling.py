@@ -33,6 +33,8 @@ import numpy as np
 
 from .bem import TrigPolynomial, solve_exterior
 from .errors import DimensionError, DivergenceError, EstimationError, SolverError
+# perfbench calls and traces this writer as a coupling attribute
+from .export import write_iteration_log  # noqa: F401
 
 # A datum whose part outside the span of solved directions is at most
 # SPAN_TOL of its norm is served from the span, with a flux error of at
@@ -289,22 +291,6 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     state.lam = ops.project(-flux)
     state.residual_history.append(residual)
     return state
-
-
-def write_iteration_log(state, path):
-    """CSV rows (iter, update-norm, u_inf estimate, interior residual).
-
-    One row per iteration.  The interior residual is the worst residual of
-    the solves behind the iteration's flux: uhat0's and those of the span
-    of data directions that serves it (``InterfaceMap.apply``).  The
-    closing solve of a converged run has no row: its true residual is the
-    last entry of ``state.residual_history``.
-    """
-    with open(path, "w") as fh:
-        fh.write("iter,update_norm,u_inf,interior_residual\n")
-        for i, (upd, u_inf, res) in enumerate(zip(
-                state.history, state.u_inf_history, state.residual_history), 1):
-            fh.write(f"{i},{upd:.17e},{u_inf:.17e},{res:.3e}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,8 @@ class UnfittedMesh:
     ``element_edges[edge_elements[e, i], edge_sides[e, i]] == e``; boundary
     edges have -1 in slot 1.  ``boundary_tags`` (E,) says which curve each
     boundary edge faces, TAG_OUTER or TAG_INNER; it is -1 on interior
-    edges, and on boundary edges until the mesh's builder or ``load_mesh``
-    sets it.
+    edges, and on boundary edges until the mesh's builder or
+    ``export.load_mesh`` sets it.
 
     Every fact about the elements' sides has its one copy here, which the
     boundary map, assembly and export read: the edge lengths ``edge_len``
@@ -594,63 +594,3 @@ def proximity_parameter(mesh, bmap):
     dev = np.linalg.norm(bmap.t - bmap.nu[:, None, :], axis=2)
     return ProximityReport(float(per_edge.max(initial=0.0)),
                            float(dev.max(initial=0.0)))
-
-
-# ---------------------------------------------------------------------------
-# plain-text mesh format
-# ---------------------------------------------------------------------------
-
-def save_mesh(mesh, path):
-    """Write the plain-text mesh format.
-
-    Header ``vertices N / elements M / boundary B / fitted F`` with F 1 for
-    a fitted mesh and 0 otherwise, then coordinate rows, 0-based element
-    index triples, and boundary rows ``edge-id tag`` with tag 0 for
-    outer-facing and 1 for inner-facing edges.  Edge ids refer to the
-    canonical lexicographic edge ordering.
-    """
-    lines = [f"vertices {len(mesh.vertices)} / elements {len(mesh.elements)} "
-             f"/ boundary {len(mesh.boundary_edge_ids)} / fitted {int(mesh.fitted)}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    for tri in mesh.elements:
-        lines.append(f"{tri[0]} {tri[1]} {tri[2]}")
-    for e in mesh.boundary_edge_ids:
-        lines.append(f"{e} {mesh.boundary_tags[e]}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path):
-    """Read a mesh written by save_mesh and restore its boundary tags.
-
-    A malformed file, a non-finite vertex coordinate, an element vertex
-    index outside the vertex table or a boundary tag other than 0 or 1
-    raises MeshingFailureError naming the file.
-    """
-    with open(path) as fh:
-        header = fh.readline().split()
-        try:
-            n_v, n_e, n_b = int(header[1]), int(header[4]), int(header[7])
-            fitted = {"fitted 0": False, "fitted 1": True}[" ".join(header[9:])]
-        except (IndexError, KeyError, ValueError) as exc:
-            raise MeshingFailureError(f"malformed mesh header in {path}") from exc
-
-        def table(rows, cols, conv):
-            return np.array([[conv(t) for t in fh.readline().split()] for _ in range(rows)],
-                            dtype=conv).reshape(rows, cols)
-        try:
-            verts, elems, tags = table(n_v, 2, float), table(n_e, 3, int), table(n_b, 2, int)
-        except ValueError as exc:
-            raise MeshingFailureError(f"truncated or malformed mesh body in {path}") from exc
-    if not np.all(np.isfinite(verts)):
-        raise MeshingFailureError(f"non-finite vertex coordinate in {path}")
-    if np.any((elems < 0) | (elems >= n_v)):
-        raise MeshingFailureError(f"element vertex index outside [0, {n_v}) in {path}")
-    mesh = UnfittedMesh(verts, elems, fitted=fitted)
-    if sorted(tags[:, 0].tolist()) != sorted(mesh.boundary_edge_ids.tolist()):
-        raise MeshingFailureError(f"boundary rows in {path} do not match the mesh")
-    if np.any((tags[:, 1] != TAG_OUTER) & (tags[:, 1] != TAG_INNER)):
-        raise MeshingFailureError(f"boundary tag other than {TAG_OUTER} or {TAG_INNER} in {path}")
-    mesh.boundary_tags[tags[:, 0]] = tags[:, 1]
-    return mesh

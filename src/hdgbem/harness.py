@@ -22,6 +22,8 @@ from .coupling import (
     run_fixed_point,
 )
 from .errors import DivergenceError
+# perfbench calls and traces this writer as a harness attribute
+from .export import write_sweep_csv  # noqa: F401
 from .geometry import (
     Curve,
     build_annulus_mesh,
@@ -204,31 +206,6 @@ class StudyReport:
             return None      # exactness regime, rate meaningless
         return float(np.log2(e0 / e1))
 
-    def to_csv(self, path, full=False):
-        cols = list(self.columns)
-        if full:
-            cols += ["mesh_h", "n", "dofs", "err_g", "err_uinf", "converged"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i, row in enumerate(self.rows):
-                vals = []
-                for cname in cols:
-                    if cname == "level":
-                        vals.append(str(i))
-                    elif cname == "rate_q":
-                        r = self.rate("err_q", i)
-                        vals.append("" if r is None else f"{r:.6f}")
-                    elif cname == "rate_u":
-                        r = self.rate("err_u", i)
-                        vals.append("" if r is None else f"{r:.6f}")
-                    else:
-                        v = row.get(cname, "")
-                        if isinstance(v, float):
-                            vals.append(f"{v:.10e}")
-                        else:
-                            vals.append(str(v))
-                fh.write(",".join(vals) + "\n")
-
     def summary(self):
         lines = [f"case={self.case_id} k={self.k} n={self.n}",
                  "level      h        R_h      err_q      err_u    rate_q rate_u iters  ratio"]
@@ -320,11 +297,3 @@ def omega_sweep(bundle, case, omegas, tol=1e-8, max_iterations=100):
     best = min(converged_rows, key=lambda r: r["iterations"]) \
         if converged_rows else None
     return rows, best
-
-
-def write_sweep_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write("omega,converged,iterations,ratio\n")
-        for r in rows:
-            fh.write(f"{r['omega']:.6f},{int(r['converged'])},"
-                     f"{r['iterations']},{r['ratio']:.10e}\n")

@@ -52,6 +52,8 @@ from .errors import (
     SolverError,
     TransferIntegrationError,
 )
+# perfbench calls and traces these writers as hdg attributes
+from .export import write_coefficients_csv, write_vtk  # noqa: F401
 from .geometry import TAG_OUTER
 from .quadrature import edge_rule, triangle_rule
 
@@ -144,7 +146,6 @@ class DGField:
         self.Q = Q          # (M, 2, d)
         self.U = U          # (M, d)
         self.Uhat = Uhat    # (E, k+1)
-        self._basis = TriangleBasis(k)
 
 
 # ---------------------------------------------------------------------------
@@ -590,215 +591,3 @@ def l2_errors(field, system, u_exact, q_exact):
     err_q = np.sqrt(np.einsum("mq,mqc,mqcd,mqd->", disc.phys_w, diff, kinv, diff))
     err_u = np.sqrt(np.sum(disc.phys_w * (uv - ue) ** 2))
     return float(err_q), float(err_u)
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-# text tables, four chars to a uint32: "0000".."9999", and the exponents
-# -399..399 as sign and three digits, 0 for a missing hundreds ("+", 0, "0", "5")
-_DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
-            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_EXPONENT4 = np.frombuffer(b"".join(t[:1] + b"\0" * (4 - len(t)) + t[1:] for t in (
-    b"%+03d" % e for e in range(-399, 400))), np.uint32)
-# values per pass of the float kernel, so that its temporaries stay in cache
-_BLOCK = 1 << 14
-
-
-@functools.lru_cache(maxsize=None)
-def _pow10(s):
-    """10^s as a double-double (hi, lo): hi + lo is within 2^-106 of it."""
-    num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
-    hi = num / den                       # int / int is correctly rounded
-    a, b = hi.as_integer_ratio()
-    return hi, (num * b - a * den) / (den * b)
-
-
-def _split(a):
-    """Dekker's split a = hi + lo into two 26-bit halves (exact)."""
-    c = 134217729.0 * a                                      # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _scaled(v, s):
-    """v 10^s as p + r: p = fl(v 10^s), r its tail to 4e-14 where v 10^s < 1e18.
-
-    r is Dekker's TwoProduct error of v hi plus v lo, for 10^s = hi + lo.
-    """
-    base = int(s.min(initial=0))
-    hi = np.zeros(int(s.max(initial=0)) - base + 1)
-    lo = np.zeros_like(hi)
-    for i in np.flatnonzero(np.bincount(s - base)):
-        hi[i], lo[i] = _pow10(base + int(i))
-    (hh, hl), k = _split(hi), s - base
-    p = v * hi[k]
-    vh, vl = _split(v)
-    return p, (((vh * hh[k] - p) + vh * hl[k] + vl * hh[k]) + vl * hl[k]) + v * lo[k]
-
-
-def _format_e(x, P):
-    """``'%.{P}e' % x`` of every x as a char matrix x.shape + (P+8,), P 16 or 17.
-
-    A row reads: sign, lead digit, '.', P digits, 'e', exponent sign and
-    three exponent digits, with byte 0 for a character the text lacks (a
-    plus sign, a third exponent digit below 100).  The digits are
-    m = round(|x| 10^s) for s = P - floor(log10 |x|), a P+1 digit integer:
-    in ``_scaled``, p is an integer and r its exact tail to 4e-14, so
-    p + rint(r) is the correctly rounded m unless r lies within 1e-12 of
-    a half.  Those (every exact tie among them), non-finite x and |x|
-    outside [1e-280, 1e280] (where the split could overflow) are formatted
-    by ``%`` one by one.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((x.size, P + 8), np.uint8)
-    flat = x.ravel()
-    for i in range(0, x.size, _BLOCK):
-        _format_block(flat[i:i + _BLOCK], P, out[i:i + _BLOCK])
-    return out.reshape(x.shape + (P + 8,))
-
-
-def _format_block(x, P, out):
-    """``_format_e`` of a 1-D block x into out (len(x), P+8)."""
-    a = np.abs(x)
-    zero = a == 0
-    normal = (a >= 1e-280) & (a <= 1e280)
-    v = np.where(normal, a, 1.0)          # a stand-in where % or zero writes the row
-    s = P - np.floor(np.log10(v)).astype(np.int64)
-    p, r = _scaled(v, s)
-    while True:
-        # log10 can miss by one next to a power of ten: step s until
-        # 10^P - 0.03 <= v 10^s < 10^(P+1) - 0.1.  In the margins both
-        # choices of s print the same digits, and they keep the two tests
-        # from sending an entry back and forth.
-        shift = ((p - 10.0 ** (P + 1)) + r >= -0.1).astype(np.int64) \
-            - ((p - 10.0 ** P) + r < -0.03)
-        bad = np.flatnonzero(shift)
-        if not len(bad):
-            break
-        s[bad] -= shift[bad]
-        p[bad], r[bad] = _scaled(v[bad], s[bad])
-    n = np.rint(r)
-    m = p.astype(np.int64) + n.astype(np.int64)
-    carry = m == 10 ** (P + 1)                               # 9.99... rounds up
-    np.putmask(m, carry, 10 ** P)
-    np.putmask(m, zero, 0)
-    e10 = P - s + carry
-
-    out[:, 0] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
-    groups = np.empty((len(x), P // 4), np.uint32)           # filled from the right
-    for j in range(P // 4 - 1, -1, -1):
-        last = m // 10000
-        groups[:, j] = _DIGITS4[m - 10000 * last]
-        m = last
-    out[:, P % 4 + 3:P + 3] = groups.view(np.uint8)
-    for j in range(P % 4 + 2, 2, -1):
-        last = m // 10
-        out[:, j] = m - 10 * last + ord("0")
-        m = last
-    out[:, 1] = m + ord("0")
-    out[:, 2] = ord(".")
-    out[:, P + 3] = ord("e")
-    out[:, P + 4:] = _EXPONENT4[e10 + 399].view(np.uint8).reshape(-1, 4)
-    for i in np.flatnonzero(~(normal | zero) | (np.abs(np.abs(r - n) - 0.5) < 1e-12)):
-        text = (f"%.{P}e" % x[i]).encode()
-        out[i] = 0
-        out[i, :len(text)] = np.frombuffer(text, np.uint8)
-
-
-def _format_int(a):
-    """Decimal text of non-negative integers as a char matrix a.shape + (w,), 0 = no character."""
-    a = np.asarray(a, dtype=np.int64)
-    w = len(str(int(a.max(initial=0))))
-    out = np.empty(a.shape + (w,), np.uint8)
-    rest = a
-    for j in range(w - 1, -1, -1):
-        last = rest // 10
-        # a leading zero is no character; the ones digit always is one
-        out[..., j] = np.where((a >= 10 ** (w - 1 - j)) | (j == w - 1),
-                               rest - 10 * last + ord("0"), 0)
-        rest = last
-    return out
-
-
-def _join(*columns):
-    """The rows of side-by-side columns as one text, its 0 bytes dropped.
-
-    A column is a char matrix (n, w), one row per output row, or a bytes
-    literal repeated on every row.
-    """
-    n = next(len(col) for col in columns if not isinstance(col, bytes))
-    cols = [np.frombuffer(col, np.uint8) if isinstance(col, bytes) else col
-            for col in columns]
-    table = np.empty((n, sum(col.shape[-1] for col in cols)), np.uint8)
-    at = 0
-    for col in cols:
-        table[:, at:at + col.shape[-1]] = col
-        at += col.shape[-1]
-    flat = table.ravel()
-    return flat[flat != 0].tobytes()
-
-
-def _reference_lattice(r):
-    """Lattice (i/r, j/r), i + j <= r, and its r^2 congruent triangles."""
-    ij = [(i, j) for i in range(r + 1) for j in range(r + 1 - i)]
-    idx = {p: n for n, p in enumerate(ij)}
-    tris = []
-    for i, j in ij:
-        if i + j < r:
-            tris.append((idx[(i, j)], idx[(i + 1, j)], idx[(i, j + 1)]))
-        if i + j < r - 1:
-            tris.append((idx[(i + 1, j)], idx[(i + 1, j + 1)], idx[(i, j + 1)]))
-    return np.array(ij, dtype=float) / r, np.array(tris)
-
-
-def write_vtk(field, path):
-    """Legacy ASCII unstructured-grid file with u point data and q vectors.
-
-    Each element is subdivided into k^2 congruent triangles (one for k = 0)
-    and the discontinuous fields are written as per-element point data; the
-    basis is evaluated once on the shared reference lattice.  Reals are
-    printf's ``%.16e``, byte for byte (``_format_e``); each section is
-    formatted as one array and written before the next is built.
-    """
-    mesh = field.mesh
-    nodes, tris = _reference_lattice(max(field.k, 1))
-    vals = field._basis.eval(nodes)                                  # (n, d)
-    pts = mesh.physical_points(nodes).reshape(-1, 2)
-    u = (field.U @ vals.T).ravel()
-    q = np.swapaxes(field.Q @ vals.T, 1, 2).reshape(-1, 2)
-    cells = (len(nodes) * np.arange(len(mesh.elements))[:, None, None] + tris).reshape(-1, 3)
-
-    def xy_rows(a):                          # "%.16e %.16e 0.0\n" per row
-        xy = _format_e(a, 16)
-        return _join(xy[:, 0], b" ", xy[:, 1], b" 0.0\n")
-
-    with open(path, "wb") as fh:
-        fh.write(b"# vtk DataFile Version 3.0\ninterior field\nASCII\n"
-                 b"DATASET UNSTRUCTURED_GRID\n" + f"POINTS {len(pts)} double\n".encode())
-        fh.write(xy_rows(pts))
-        fh.write(f"CELLS {len(cells)} {4 * len(cells)}\n".encode())
-        ids = _format_int(cells)
-        fh.write(_join(b"3 ", ids[:, 0], b" ", ids[:, 1], b" ", ids[:, 2], b"\n"))
-        fh.write(f"CELL_TYPES {len(cells)}\n".encode() + b"5\n" * len(cells))
-        fh.write(f"POINT_DATA {len(pts)}\nSCALARS u double 1\nLOOKUP_TABLE default\n".encode())
-        fh.write(_join(_format_e(u, 16), b"\n"))
-        fh.write(b"VECTORS q double\n")
-        fh.write(xy_rows(q))
-
-
-def write_coefficients_csv(field, path):
-    """Regression dump: one row per element with its coefficient block.
-
-    The columns are the element id, then Q's x and y blocks and U, each
-    real as printf's ``%.17e`` (``_format_e``), which round-trips exactly.
-    """
-    M, d = field.U.shape
-    header = ["element"] + [f"qx_{i}" for i in range(d)] \
-        + [f"qy_{i}" for i in range(d)] + [f"u_{i}" for i in range(d)]
-    vals = _format_e(np.concatenate([field.Q[:, 0], field.Q[:, 1], field.U], axis=1), 17)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        fh.write(_join(_format_int(np.arange(M)),
-                       *[col for j in range(3 * d) for col in (b",", vals[:, j])], b"\n"))

@@ -22,7 +22,8 @@ import scipy.sparse.linalg as spla
 from hdgbem import AssemblyError, TrigPolynomial
 from hdgbem.basis import TriangleBasis, edge_legendre
 from hdgbem.coupling import interface_map
-from hdgbem.hdg import DGField, _reference_lattice, _side_traces
+from hdgbem.export import _reference_lattice
+from hdgbem.hdg import DGField, _side_traces
 from hdgbem.quadrature import gauss01, triangle_rule
 
 
@@ -355,10 +356,10 @@ def edge_length(mesh, edge_id):
 
 
 def write_vtk_printf(field, path):
-    """``hdg.write_vtk`` by CPython's per-value ``%`` formatting."""
+    """``export.write_vtk`` by CPython's per-value ``%`` formatting."""
     mesh = field.mesh
     nodes, tris = _reference_lattice(max(field.k, 1))
-    vals = field._basis.eval(nodes)
+    vals = TriangleBasis(field.k).eval(nodes)
     pts = mesh.physical_points(nodes).reshape(-1, 2)
     u = (field.U @ vals.T).ravel()
     q = np.swapaxes(field.Q @ vals.T, 1, 2).reshape(-1, 2)
@@ -380,7 +381,7 @@ def write_vtk_printf(field, path):
 
 
 def write_coefficients_csv_printf(field, path):
-    """``hdg.write_coefficients_csv`` by CPython's per-value ``%`` formatting."""
+    """``export.write_coefficients_csv`` by CPython's per-value ``%`` formatting."""
     M, d = field.U.shape
     header = ["element"] + [f"qx_{i}" for i in range(d)] \
         + [f"qy_{i}" for i in range(d)] + [f"u_{i}" for i in range(d)]

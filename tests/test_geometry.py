@@ -111,7 +111,7 @@ def test_mesh_header_without_fitted_flag_is_malformed(circles, tmp_path):
         load_mesh(path)
 
 
-@pytest.mark.parametrize("cut", ["half", "vertex-row", "element-row", "tag-row"])
+@pytest.mark.parametrize("cut", ["half", "vertex-row", "element-row", "tag-row", "trailing-row"])
 def test_truncated_or_malformed_mesh_body_names_the_file(circles, tmp_path, cut):
     mesh = build_annulus_mesh(*circles, 0.3)
     path = tmp_path / "mesh.txt"
@@ -120,6 +120,8 @@ def test_truncated_or_malformed_mesh_body_names_the_file(circles, tmp_path, cut)
     n_v, n_e = len(mesh.vertices), len(mesh.elements)
     if cut == "half":
         lines = lines[:len(lines) // 2]
+    elif cut == "trailing-row":
+        lines.append("garbage row\n")
     else:
         row = {"vertex-row": 1, "element-row": 1 + n_v, "tag-row": 1 + n_v + n_e}[cut]
         lines[row] = lines[row].split()[0] + "\n"

@@ -18,10 +18,12 @@ from hdgbem import (
     omega_sweep,
     save_mesh,
     setup_level,
+    write_study_csv,
 )
 import hdgbem
 from hdgbem import harness
 from hdgbem.cli import main as cli_main
+from hdgbem.export import write_sweep_csv
 from conftest import ellipse_curve
 from reference import pde_residual
 
@@ -106,7 +108,7 @@ def test_study_rows_and_csv(tmp_path):
     assert rep.rows[1]["err_u"] < rep.rows[0]["err_u"]
     assert rep.rate("err_u", 1) > 1.5
     path = tmp_path / "study.csv"
-    rep.to_csv(path)
+    write_study_csv(rep, path)
     rows = path.read_text().splitlines()
     assert rows[0] == "level,h,R_h,err_q,err_u,rate_q,rate_u,iters,ratio"
     assert len(rows) == 3
@@ -282,7 +284,7 @@ def test_cli_sweep_honours_fitted(tmp_path):
         tables[fitted] = (out / "sweep.csv").read_bytes()
     case = manufactured_case("dipole-plus-constant", degree=1, constant=3.0)
     rows, _ = omega_sweep(setup_level(case, 0.25, 1, n=N, fitted=True), case, [0.3, 0.6])
-    harness.write_sweep_csv(rows, tmp_path / "expected.csv")
+    write_sweep_csv(rows, tmp_path / "expected.csv")
     assert tables["true"] == (tmp_path / "expected.csv").read_bytes()
     assert tables["true"] != tables["false"]
 
@@ -390,45 +392,28 @@ def test_cli_runs_as_module(tmp_path):
     assert (tmp_path / "out" / "mesh.txt").exists()
 
 
-def test_deterministic_outputs(tmp_path):
-    # identical configs produce byte-identical study tables, the full one too
-    names = ("study.csv", "study_full.csv")
-    outs = []
-    for tag in ("a", "b"):
-        cfg = tmp_path / f"{tag}.cfg"
-        out = tmp_path / tag
-        _write_config(cfg, out)
-        assert cli_main(["study", str(cfg)]) == 0
-        outs.append({name: (out / name).read_bytes() for name in names})
-    for name in names:
-        assert outs[0][name] == outs[1][name], name
+# every file each command writes
+COMMAND_OUTPUTS = {
+    "mesh": ("mesh.txt", "mesh_report.csv"),
+    "solve": ("iterations.csv", "field.vtk", "coefficients.csv", "trace_g.csv",
+              "density_lambda.csv"),
+    "study": ("study.csv", "study_full.csv"),
+    "sweep": ("sweep.csv",),
+}
 
 
-def test_deterministic_sweep_outputs(tmp_path):
-    # identical configs produce byte-identical sweep tables
+@pytest.mark.parametrize("command", sorted(COMMAND_OUTPUTS))
+def test_deterministic_outputs(tmp_path, command):
+    # identical configs produce byte-identical files, and no others
     outs = []
     for tag in ("a", "b"):
         cfg = tmp_path / f"{tag}.cfg"
         out = tmp_path / tag
         _write_config(cfg, out, extra=["sweep.omegas = 0.3,0.5,0.7,0.9"])
-        assert cli_main(["sweep", str(cfg)]) == 0
-        outs.append((out / "sweep.csv").read_bytes())
+        assert cli_main([command, str(cfg)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outs[0]) == sorted(COMMAND_OUTPUTS[command])
     assert outs[0] == outs[1]
-
-
-def test_deterministic_solve_outputs(tmp_path):
-    # identical configs produce byte-identical solve files
-    names = ("field.vtk", "coefficients.csv", "iterations.csv", "trace_g.csv",
-             "density_lambda.csv")
-    outs = []
-    for tag in ("a", "b"):
-        cfg = tmp_path / f"{tag}.cfg"
-        out = tmp_path / tag
-        _write_config(cfg, out)
-        assert cli_main(["solve", str(cfg)]) == 0
-        outs.append({name: (out / name).read_bytes() for name in names})
-    for name in names:
-        assert outs[0][name] == outs[1][name], name
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from hdgbem import (
 from hdgbem.basis import TriangleBasis, edge_legendre
 from hdgbem.coupling import interface_map
 from hdgbem.geometry import BoundaryMap
-from hdgbem.hdg import DGField, _Discretization, _format_e, _join, assemble_transfer
+from hdgbem.export import _format_e, _join
+from hdgbem.hdg import DGField, _Discretization, assemble_transfer
 from hdgbem.harness import manufactured_case, setup_level
 from hdgbem.quadrature import gauss01, triangle_rule
 from reference import (
