@@ -240,7 +240,7 @@ def write_iteration_log(state, path):
     One row per iteration.  The interior residual is the worst residual of
     the solves behind the iteration's flux: uhat0's and those of the span
     of data directions that serves it (``InterfaceMap.apply``).  The
-    closing solve of a converged run has no row: its true residual is the
+    closing trace of a converged run has no row: its true residual is the
     last entry of ``state.residual_history``.
     """
     with open(path, "w") as fh:

@@ -513,8 +513,8 @@ class HDGSystem:
 
     def recover(self, uhat, f_mom):
         mesh, d = self.mesh, self.disc.d
-        qu = np.einsum("mab,mb->ma", self.disc.local,
-                       np.concatenate([uhat, f_mom.ravel()])[self._elem_cols])
+        v = np.concatenate([uhat, f_mom.ravel()])[self._elem_cols]
+        qu = np.matmul(self.disc.local, v[..., None])[..., 0]
         Q = qu[:, :2 * d].reshape(len(mesh.elements), 2, d)
         return DGField(mesh, self.k, Q, qu[:, 2 * d:], uhat.reshape(mesh.n_edges, self.ne))
 

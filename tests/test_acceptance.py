@@ -12,14 +12,12 @@ import pytest
 from hdgbem import (
     CouplingConfig,
     Curve,
-    TrigPolynomial,
     assemble_layer_operators,
     convergence_study,
     estimate_contraction,
     local_conservation_residual,
     manufactured_case,
     monolithic_solve,
-    omega_sweep,
     run_fixed_point,
     setup_level,
     solve_exterior,

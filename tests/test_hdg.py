@@ -8,7 +8,6 @@ import scipy.sparse.linalg as spla
 from hdgbem import (
     AssemblyError,
     CoverageError,
-    Curve,
     DimensionError,
     MaterialField,
     SolverError,
