@@ -80,6 +80,7 @@ class TrigPolynomial:
     Cosine coefficients run to degree n, sine coefficients to n-1, for 2n
     real degrees of freedom matching 2n equispaced samples, held as the one
     packed vector [a0..an, b1..b_{n-1}] of which ``cos`` and ``sin`` are views.
+    ``TrigPolynomial(vec)`` wraps a packed vector of length 2n, uncopied.
     """
 
     def __init__(self, vec):
@@ -102,11 +103,6 @@ class TrigPolynomial:
         if samples.ndim != 1 or len(samples) % 2 or len(samples) < 4:
             raise DimensionError("need an even number (>= 4) of equispaced samples")
         return cls(_samples_to_coeff(len(samples) // 2, samples[:, None])[:, 0])
-
-    @classmethod
-    def from_coefficients(cls, vec):
-        """Wraps the packed vector [a0..an, b1..b_{n-1}] of length 2n, uncopied."""
-        return cls(vec)
 
     def coefficients(self):
         """A copy of the packed vector."""
@@ -210,7 +206,7 @@ class LayerOperatorSet:
         samples = np.asarray(samples, dtype=float)
         if samples.shape != (2 * self.n,):
             raise DimensionError(f"expected {2 * self.n} samples, got shape {samples.shape}")
-        return TrigPolynomial.from_coefficients(self.P @ samples)
+        return TrigPolynomial(self.P @ samples)
 
 
 def assemble_layer_operators(curve, n):
@@ -324,7 +320,7 @@ def solve_exterior(ops, lam):
     if not np.all(np.isfinite(lam_c)):
         raise SolverError("exterior solve requires a finite density")
     _require_mean_zero(ops, lam_c, "exterior solve")
-    return TrigPolynomial.from_coefficients(ops.exterior @ lam_c)
+    return TrigPolynomial(ops.exterior @ lam_c)
 
 
 def _require_mean_zero(ops, c, what):

@@ -21,7 +21,8 @@ directions.
 
 ``run_fixed_point`` steps x <- x - D r(x) with D = (omega, .., omega,
 1/chi), a damped Richardson iteration, and ``monolithic_solve`` solves the
-linear system r(x) = 0 by GMRES augmented by that span.
+linear system r(x) = 0 by a least-squares fit over that span, grown by the
+fit's own residual.
 The constant mode cannot travel through the mean-zero integral equation,
 so the last entry of D is an exact Newton step on "total interface
 flux = 0", with chi the mean-flux response to a unit constant datum.  The
@@ -118,10 +119,8 @@ class InterfaceMap:
     direction.  The relaxed iterates soon stop adding directions, so a
     run pays one solve per new direction, not one per iteration (Krylov
     subspace recycling: Parks et al., SIAM J. Sci. Comput. 28, 2006), and
-    at m = 2n the span is F.  The oracle's matvecs extend it as well: a
-    request costs at most one solve whether or not its direction is kept,
-    so keeping it never adds a solve, even for a late Arnoldi vector that
-    is mostly rounding noise, and a later run or oracle reuses it.  The
+    at m = 2n the span is F.  The oracle's residual directions extend it
+    as well, and a later run or oracle reuses them.  The
     lifts hold m x n_trace doubles, at most 2n x n_trace; after a perfbench
     replay m is 7 to 19 and they hold 1.85 to 3.34 MiB.
     ``span_residual`` is the worst residual of the span's solves.
@@ -289,16 +288,16 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
                                     abs(ops.moments @ state.lam.coefficients()))
         step = D * r
         x = x - step
-        update = TrigPolynomial.from_coefficients(_datum(step)).l2_norm(speed=speed)
+        update = TrigPolynomial(_datum(step)).l2_norm(speed=speed)
 
         state.history.append(update)
         state.u_inf_history.append(float(x[n2]))
         state.residual_history.append(residual)
-        trace = TrigPolynomial.from_coefficients(_datum(x)).l2_norm(speed=speed)
+        trace = TrigPolynomial(_datum(x)).l2_norm(speed=speed)
         if update <= config.tol * max(1.0, trace):
             state.converged = True
             break
-    state.g, state.u_inf = TrigPolynomial.from_coefficients(x[:n2]), float(x[n2])
+    state.g, state.u_inf = TrigPolynomial(x[:n2]), float(x[n2])
     if not state.converged:
         raise DivergenceError(
             f"no convergence in {config.max_iterations} iterations "
@@ -315,12 +314,6 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
 # monolithic oracle
 # ---------------------------------------------------------------------------
 
-def _orth(B, v):
-    """v less its projection on the orthonormal columns of B, by two passes."""
-    v = v - B @ (B.T @ v)
-    return v - B @ (B.T @ v)
-
-
 def monolithic_solve(system, ops, f=None, u0=None):
     """Solve interior, interface equation and flux compatibility at once.
 
@@ -330,37 +323,31 @@ def monolithic_solve(system, ops, f=None, u0=None):
 
         J x = r(x, F C x) = b,    b = -r(0, flux0),
 
-    solved by GMRES augmented by the span of solved directions (Saad, SIAM
-    J. Matrix Anal. Appl. 18, 1997).  The augmentation space
-    W = {x : C x in span Q}, with C x = g + u_inf e_0 the datum, has the
-    m + 1 columns [Q; 0] and the kernel direction (-e_0, 1) of C; its
-    images J W are m + 1 calls of ``coupling_residual`` on the span's
-    fluxes FQ (0 for the kernel direction), with no trace solve.  Arnoldi
-    runs on J from b, as plain GMRES does, so the Krylov vectors are
-    plain GMRES's, and after k = 0, 1, .. matvecs x minimizes |b - J x|
-    over W + K_k(J, b).  The images are orthonormalized as they come (an
-    image within SPAN_TOL of the earlier ones adds none, which can only
-    overstate the minimum), so the minimum is the norm of what is left of
-    b after projecting it on them.  The loop stops once that is at most
-    1e-13 |b|, at k = 2n + 1, or at an Arnoldi breakdown, and x is then
-    one small least-squares solve over the images.  The search space
-    contains plain GMRES's, so the loop never takes more Krylov steps, and
-    each step's matvec takes its flux from ``span_flux``, as the
-    iteration does.  After a converged run or an oracle on the same
-    system the span holds the answer, and the loop stops at k = 0.  b = 0
-    gives x = 0.
+    solved by minimal residuals over the span of solved directions, grown
+    by its own residual: GCR (Eisenstat, Elman & Schultz, SIAM J. Numer.
+    Anal. 20, 1983) on a recycled subspace (Parks et al., SIAM J. Sci.
+    Comput. 28, 2006).  The space W = {x : C x in span Q}, with
+    C x = g + u_inf e_0 the datum, has the m + 1 columns [Q; 0] and, last,
+    the kernel direction (-e_0, 1) of C; its images J W are m + 1 calls of
+    ``coupling_residual`` on the span's fluxes FQ (0 for the kernel
+    direction), with no trace solve, each computed once.  x = W y with y
+    the least-squares fit of J W y to b.  If its residual r = b - J W y
+    is above 1e-13 |b|, ``span_flux`` of the datum of r adds that
+    direction to the span by one trace solve, and the fit is made again
+    over the larger W.  The loop also stops once the span does not grow,
+    because the datum of r lies in it already or m = 2n.  After a
+    converged run or an oracle on the same system the span holds the
+    answer, and the first fit makes no solve.  b = 0 gives x = 0.
 
-    The answer's datum lies in the span, since every matvec's datum was
-    added to it, so the closing ``trace_solve`` serves its trace from the
-    lifts with no solve, and checks the trace's true residual.  Its flux,
-    from that trace and not from FQ, gives the coupling residual of the
-    answer, which must be at most 1e-10 |b|, or SolverError is raised with
-    it; so a span whose fluxes FQ are not F Q cannot pass.  Returns
-    (field, g, lam, u_inf).
+    The answer's datum lies in the span by construction, so the closing
+    ``trace_solve`` serves its trace from the lifts with no solve, and
+    checks the trace's true residual.  Its flux, from that trace and not
+    from FQ, gives the coupling residual of the answer, which must be at
+    most 1e-10 |b|, or SolverError is raised with it; so a span whose
+    fluxes FQ are not F Q cannot pass.  Returns (field, g, lam, u_inf).
     """
     n2 = 2 * ops.n
     imap = interface_map(system, ops, f, u0)
-    m = imap.m
 
     def J(x, flux):
         return imap.coupling_residual(x, flux)[0]
@@ -369,33 +356,28 @@ def monolithic_solve(system, ops, f=None, u0=None):
     b_norm = np.linalg.norm(b)
     x = np.zeros(n2 + 1)
     if b_norm > 0:
+        kernel = np.zeros(n2 + 1)
+        kernel[0], kernel[n2] = -1.0, 1.0
+        images, kernel_image = [], J(kernel, np.zeros(n2))
+        m = None
+        while m != imap.m:               # until the span stops growing
+            m = imap.m
+            images += [J(np.append(imap.Q[:, j], 0.0), imap.FQ[:, j])
+                       for j in range(len(images), m)]
+            JW = np.column_stack(images + [kernel_image])
+            y = np.linalg.lstsq(JW, b)[0]
+            r = b - JW @ y
+            if np.linalg.norm(r) > 1e-13 * b_norm:
+                imap.span_flux(_datum(r))
         W = np.zeros((n2 + 1, m + 1))
-        W[:n2, :m] = imap.Q[:, :m]
-        W[0, m], W[n2, m] = -1.0, 1.0
-        JW = np.column_stack([J(W[:, j], imap.FQ[:, j]) for j in range(m)]
-                             + [J(W[:, m], np.zeros(n2))])
-        O = np.linalg.qr(JW)[0]          # orthonormal basis of the images
-        left = _orth(O, b)               # b less its best fit by them
-        V, JV = [b / b_norm], []         # Krylov vectors and their images
-        while np.linalg.norm(left) > 1e-13 * b_norm and len(JV) <= n2:
-            JV.append(J(V[-1], imap.span_flux(_datum(V[-1]))))
-            w = _orth(np.column_stack(V), JV[-1])
-            o = _orth(O, JV[-1])
-            o_norm = np.linalg.norm(o)
-            if o_norm > SPAN_TOL * np.linalg.norm(JV[-1]):
-                O = np.column_stack([O, o / o_norm])
-                left = _orth(O[:, -1:], left)
-            if not np.linalg.norm(w) > 0:    # Arnoldi breakdown: K is invariant
-                break
-            V.append(w / np.linalg.norm(w))
-        coef = np.linalg.lstsq(np.column_stack([JW] + JV), b)[0]
-        x = np.column_stack([W] + V[:len(JV)]) @ coef
+        W[:n2, :m], W[:, m] = imap.Q[:, :m], kernel
+        x = W @ y
     uhat, flux, _ = imap.trace_solve(_datum(x))
     r, lam = imap.coupling_residual(x, flux)
     r_norm = np.linalg.norm(r)
     if not r_norm <= 1e-10 * b_norm:
         raise SolverError(
-            f"coupled GMRES did not solve the interface system: residual "
+            f"coupled oracle did not solve the interface system: residual "
             f"{r_norm:.3e} against right-hand side {b_norm:.3e}")
-    g = TrigPolynomial.from_coefficients(x[:n2])
+    g = TrigPolynomial(x[:n2])
     return system.recover(uhat, imap.f_mom), g, lam, float(x[n2])

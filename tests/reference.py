@@ -46,7 +46,7 @@ def bordered_monolithic_solve(system, ops, f=None, u0=None):
     rhs = np.concatenate([imap.rhs0, T @ imap.z_f, [-(ops.arc_w @ imap.z_f)]])
     x = spla.spsolve(A, rhs)
     uhat = x[:n_trace]
-    g = TrigPolynomial.from_coefficients(x[n_trace:n_trace + n2])
+    g = TrigPolynomial(x[n_trace:n_trace + n2])
     field = system.recover(uhat, imap.f_mom)
     return field, g, ops.project(-imap.flux(uhat)), float(x[-1])
 

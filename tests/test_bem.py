@@ -45,7 +45,7 @@ def test_eval_matches_mode_sum(n):
     # the coefficient matrix product against the mode-by-mode sum, on a
     # 2-D parameter array whose shape it keeps
     rng = np.random.default_rng(n)
-    poly = TrigPolynomial.from_coefficients(rng.normal(size=2 * n))
+    poly = TrigPolynomial(rng.normal(size=2 * n))
     t = rng.uniform(-7.0, 7.0, size=(3, 5))
     expect = poly.cos[0] + sum(poly.cos[m] * np.cos(m * t) for m in range(1, n + 1)) \
         + sum(poly.sin[m - 1] * np.sin(m * t) for m in range(1, n))

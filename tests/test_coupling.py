@@ -623,7 +623,7 @@ def test_monolithic_matches_fixed_point_on_shifted_ellipse(k):
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("interface", ["circle", "ellipse"])
 def test_monolithic_matches_bordered_reference(interface, k):
-    # GMRES on the interface unknowns against one sparse LU of the bordered
+    # the oracle's fit over the span against one sparse LU of the bordered
     # system over trace, interface and far-field unknowns
     case = manufactured_case("dipole-plus-constant", constant=3.0) \
         if interface == "circle" else _ellipse_case((0.0, 0.0))
@@ -648,10 +648,11 @@ def _count_trace_solves(system, monkeypatch):
 
 
 def test_monolithic_extends_the_span_by_its_out_of_span_matvecs_only(monkeypatch):
-    # uhat0 and at most 2n GMRES steps that leave the span: the oracle
-    # extends the span that it shares with the iteration by the direction
-    # of each matvec that makes a solve, and by nothing else; the answer
-    # lies in the span, so its field takes no solve.  After a run, whose
+    # uhat0 and at most 2n residual directions that leave the span: the
+    # oracle extends the span that it shares with the iteration by the
+    # datum of each fit residual that makes a solve (a matvec F c), and by
+    # nothing else; the answer lies in the span, so its field takes no
+    # solve.  After a run, whose
     # span holds the answer, the oracle makes no solve and the span stays
     # as it was
     n = 8
@@ -674,10 +675,10 @@ def test_monolithic_extends_the_span_by_its_out_of_span_matvecs_only(monkeypatch
 
 
 def test_monolithic_fresh_system_solves_once_per_matvec(monkeypatch):
-    # uhat0, then one solve per Krylov matvec, since the span of a fresh
-    # map is empty and each matvec's direction leaves the span of the
-    # earlier ones: 1 + k solves, one fewer than plain GMRES with its
-    # closing solve at the answer, which lies in the span of the matvecs
+    # uhat0, then one solve per matvec F c, one for the datum of each fit
+    # residual, since the span of a fresh map is empty and each residual's
+    # datum leaves the span of the earlier ones: 1 + k solves, and none for
+    # the closing trace at the answer, which lies in the span
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(bundle.system, monkeypatch)
@@ -695,7 +696,7 @@ def test_monolithic_fresh_system_solves_once_per_matvec(monkeypatch):
 
 
 def test_monolithic_leaves_its_directions_in_the_span(monkeypatch):
-    # the directions of an oracle's matvecs stay in the shared span: a
+    # the residual directions of an oracle stay in the shared span: a
     # second oracle finds the answer there and makes no solve, and a run
     # after it makes fewer solves than on a fresh system,
     # with the same iterations and answer
@@ -741,8 +742,8 @@ def _assert_same_oracle_answer(got, want, rtol):
 
 
 def test_monolithic_after_a_converged_run_makes_no_solve(monkeypatch):
-    # the span of a converged run holds the answer, so the augmented GMRES
-    # stops before its first Krylov matvec, and the field of the answer
+    # the span of a converged run holds the answer, so the oracle's first
+    # fit over it leaves no residual to solve for, and the field of the answer
     # comes from the span's lifts: no solve, for this oracle and a second
     # one.  The answer is that of an oracle on a fresh system and of the
     # bordered reference, within the oracle's 1e-11 against the reference:
@@ -787,7 +788,7 @@ def test_monolithic_refuses_a_wrong_span_flux():
     # lifts and not from FQ, exposes it in the coupling residual
     case, bundle, imap = _converged_span_run()
     imap.FQ[:, 0] *= 1.0 + 1e-6
-    with pytest.raises(SolverError, match=r"coupled GMRES .* residual \d\.\d+e[+-]\d+"):
+    with pytest.raises(SolverError, match=r"coupled oracle .* residual \d\.\d+e[+-]\d+"):
         monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
 
 
@@ -795,9 +796,9 @@ def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
     # a run leaves uhat0 of its f and u0 on the shared map, so the
     # oracle after it makes one solve fewer than on a fresh system.  The
     # run stops after two iterations with the span {e_0, c_2} of chi and
-    # x_1 = D b, b = -r(0); it holds the datum of b / |b|, GMRES's first
-    # matvec, which therefore makes no solve.  Every other matvec leaves the
-    # span and makes the same solve as on a fresh system
+    # x_1 = D b, b = -r(0); it holds the datum of b and so that of a fresh
+    # oracle's first residual, b less its part along the image (-e_0, 0)
+    # of the kernel direction, which therefore makes no solve either
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     fresh = setup_level(case, 0.2, 1, n=8)
     calls = _count_trace_solves(fresh.system, monkeypatch)
@@ -813,6 +814,44 @@ def test_monolithic_reuses_the_uhat0_of_a_run(monkeypatch):
     calls = _count_trace_solves(bundle.system, monkeypatch)
     monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
     assert len(calls) == alone - 2
+
+
+@pytest.mark.parametrize("name, k, n, fresh, after_run", [
+    ("circle", 1, 8, 8, 5),
+    ("bump", 2, 16, 9, 6),
+    ("ellipse", 2, 32, 10, 7),
+])
+def test_monolithic_trace_solves_on_a_fresh_and_a_partial_span(
+        monkeypatch, name, k, n, fresh, after_run):
+    # the trace solves of the oracle on a fresh system (uhat0 and one per
+    # residual direction; its closing trace is served from the span) and
+    # after a 3-iteration run, whose span and uhat0 it reuses: each fit
+    # over the span makes no solve, so the run's directions save solves
+    case = {"circle": manufactured_case("dipole-plus-constant", constant=3.0),
+            "bump": manufactured_case("variable-kappa-bump", degree=2),
+            "ellipse": _ellipse_case((0.15, 0.1))}[name]
+    closing = []
+    trace_solve = InterfaceMap.trace_solve
+
+    def counted(self, c):
+        before = len(calls)
+        result = trace_solve(self, c)
+        closing.append(len(calls) - before)
+        return result
+    monkeypatch.setattr(InterfaceMap, "trace_solve", counted)
+    bundle = setup_level(case, 0.1, k, n=n)
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    want = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    assert len(calls) == fresh and closing == [0]
+
+    bundle = setup_level(case, 0.1, k, n=n)
+    with pytest.raises(DivergenceError):
+        run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                        config=CouplingConfig(max_iterations=3))
+    calls = _count_trace_solves(bundle.system, monkeypatch)
+    got = monolithic_solve(bundle.system, bundle.ops, f=case.f, u0=case.u0)
+    assert len(calls) == after_run
+    _assert_same_oracle_answer(got, want, 1e-11)
 
 
 def test_maps_with_equal_data_share_one_zero_datum_solve(monkeypatch):
@@ -936,8 +975,8 @@ def test_monolithic_refuses_an_unsolved_system():
     # a zero exterior solve (so zero T, flux -> g) and arc weights orthogonal
     # to the flux of a constant datum make the u_inf column vanish while the
     # zero-flux row still asks for arc_w . flux0 = 0, which no (g, u_inf)
-    # meets; GMRES stalls on an iterate that only rounding keeps finite, and
-    # the oracle refuses it
+    # meets; the fit stalls once its residual adds no direction to the span,
+    # on an iterate that only rounding keeps finite, and the oracle refuses it
     case = manufactured_case("dipole-plus-constant", constant=3.0)
     bundle = setup_level(case, 0.2, 1, n=8)
     ops = bundle.ops
@@ -948,7 +987,7 @@ def test_monolithic_refuses_an_unsolved_system():
     flux0 = interface_map(bundle.system, bad, f=case.f, u0=case.u0).apply(
         np.zeros(2 * ops.n))[0]
     assert abs(bad.arc_w @ flux0) > 1e-3 * np.abs(bad.arc_w).sum() * np.abs(flux0).max()
-    with pytest.raises(SolverError, match=r"coupled GMRES .* residual \d\.\d+e[+-]\d+"):
+    with pytest.raises(SolverError, match=r"coupled oracle .* residual \d\.\d+e[+-]\d+"):
         monolithic_solve(bundle.system, bad, f=case.f, u0=case.u0)
 
 
