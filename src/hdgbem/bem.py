@@ -42,9 +42,18 @@ sample <-> coefficient transforms.
 single layer by parts turns D g - S lam into Re Phi(z), the Cauchy integral
 Phi(z) = (1/2 pi) int W / (z - zeta) ds in complex notation, z = x1 + i x2
 and zeta(s) the curve, with W = (Lambda - i g) zeta' and Lambda the
-antiderivative of lam |zeta'|, periodic because lam is mean-zero.  Away
-from the curve the trapezoidal rule sums it; near the curve the
-barycentric rule for Cauchy integrals does.
+antiderivative of lam |zeta'|, periodic because lam is mean-zero.  Three
+rules sum it, chosen per point, for m = max(8n, 64) nodes of radius R about
+their centroid:
+
+- within EVAL_BAND node spacings of the curve, the barycentric rule for
+  Cauchy integrals, O(m) per point;
+- outside that band and at least EVAL_LAURENT R from the centroid, the
+  Laurent series of the trapezoidal sum, O(EVAL_TERMS) per point after one
+  O(EVAL_TERMS m) set of moments;
+- elsewhere, the trapezoidal sum itself, O(m) per point.
+
+A one-point call and a blocked call agree to the last bits, not bit for bit.
 """
 
 import numpy as np
@@ -68,6 +77,13 @@ EVAL_STANDOFF = 1e-6
 # d the trapezoidal rule's error decays like exp(-2 pi d / spacing), so it
 # reaches rounding at ln(1/eps) / 2 pi = 5.7 spacings
 EVAL_BAND = np.log(1.0 / np.finfo(float).eps) / TWO_PI
+# points outside the band and at least EVAL_LAURENT times the nodes' radius R
+# from their centroid take the far sum's Laurent series: its term k = 0, 1, ...
+# is at most EVAL_LAURENT^-(k+1) mean |W_j| / R, so the tail after EVAL_TERMS
+# terms is below (eps / 4) / (EVAL_LAURENT - 1) = eps / 2 of mean |W_j| / R,
+# the rounding level of the direct sum
+EVAL_LAURENT = 1.5
+EVAL_TERMS = int(np.ceil(np.log(np.finfo(float).eps / 4.0) / np.log(1.0 / EVAL_LAURENT)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +135,16 @@ class TrigPolynomial:
         return float(np.sqrt(speed * s2))
 
     def __add__(self, other):
-        return TrigPolynomial(self._c + other._c)
+        return TrigPolynomial(self._c + self._same_degree(other)._c)
 
     def __sub__(self, other):
-        return TrigPolynomial(self._c - other._c)
+        return TrigPolynomial(self._c - self._same_degree(other)._c)
+
+    def _same_degree(self, other):
+        if other.n != self.n:
+            raise DimensionError(f"cannot combine trigonometric polynomials of "
+                                 f"degrees {self.n} and {other.n}")
+        return other
 
     def __mul__(self, a):
         return TrigPolynomial(a * self._c)
@@ -337,7 +359,8 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
 
     ``points`` is an (m, 2) array or one (2,) point; any other shape raises
     DimensionError, and so do densities g and lam of another degree than
-    ``ops``.  A non-finite ``u_inf`` or coefficient of g or lam raises
+    ``ops`` and a ``u_inf`` that is not a scalar.  A non-finite ``u_inf``
+    or coefficient of g or lam raises
     SolverError, and so does a lam that fails ``solve_exterior``'s
     mean-zero rule.  All points are checked before any is evaluated: a
     non-finite point, or one whose squared norm overflows, raises
@@ -345,16 +368,25 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     times the curve's diameter.  No points give an empty array.
 
     The field is u - u_inf = Re Phi(z), the Cauchy integral of the module
-    docstring, which needs lam mean-zero.  Points farther than EVAL_BAND
-    node spacings from the curve take the trapezoidal rule on max(8n, 64)
-    nodes; nearer points take the barycentric rule, which is spectrally
-    accurate up to the curve (``_close_sum``).  Both run over
-    blocks of EVAL_CHUNK points, so memory is O(points) with no
-    points x nodes term.  A one-point call and the same point in a block
-    can run other BLAS kernels, so their values can differ in the last
-    bits: with exact data at n = 64 on the unit circle and the 1.3 x 0.9
-    ellipse, by at most 1.5e-15 of max |u| (at d = 0.1, just outside the
-    band) for distances d from 1e-5 to 3, and not at all in the band.
+    docstring, which needs lam mean-zero.  Each point takes one of three
+    rules, over m = max(8n, 64) nodes of radius R about their centroid:
+
+    - within EVAL_BAND node spacings of the curve, the barycentric rule,
+      spectrally accurate up to the curve (``_close_sum``), O(m) per point;
+    - outside the band and at least EVAL_LAURENT R from the centroid, the
+      Laurent series of the trapezoidal sum (``_laurent_sum``),
+      EVAL_TERMS = 93 terms per point, its tail below the sum's rounding;
+    - elsewhere, the trapezoidal sum (``_log_free_sum``), O(m) per point.
+
+    The band test comes first: on coarse curves the band reaches past
+    EVAL_LAURENT R.  The two O(m) rules run over blocks of EVAL_CHUNK
+    points and the series over all its points at once, so memory is
+    O(points) with no points x nodes term.  A one-point call runs other
+    BLAS kernels and numpy loops than a block, so their values can differ
+    in the last bits: with exact data at n = 64 on the unit circle and the
+    1.3 x 0.9 ellipse, for distances d from 1e-5 to 3, by at most 3.5e-15
+    of max |u| (the trapezoidal sum at d = 0.1, just outside the band), by
+    at most 2e-16 on the Laurent series (d >= 1), and not at all in the band.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape not in ((0,), (2,)) and (pts.ndim != 2 or pts.shape[1] != 2):
@@ -364,6 +396,8 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     if len(gc) != 2 * ops.n or len(lc) != 2 * ops.n:
         raise DimensionError(f"densities need {2 * ops.n} coefficients, the operators' "
                              f"2n; got {len(gc)} and {len(lc)}")
+    if np.ndim(u_inf) != 0:
+        raise DimensionError(f"u_inf must be a scalar, got shape {np.shape(u_inf)}")
     if not (np.isfinite(u_inf) and np.all(np.isfinite(gc)) and np.all(np.isfinite(lc))):
         raise SolverError("exterior evaluation requires finite u_inf and densities")
     _require_mean_zero(ops, lc, "exterior evaluation")
@@ -375,26 +409,43 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(np.einsum("ij,ij->i", pts, pts))):
             raise DomainError("evaluation point too far out: its squared norm overflows")
-    close = _close_points(ops, pts)
+    centre, radius = _node_disk(ops)
+    z = pts[:, 0] + 1j * pts[:, 1] - centre
+    r = np.abs(z)
+    close = _close_points(ops, pts, r, radius)
+    laurent = ~close & (r >= EVAL_LAURENT * radius)
+    direct = ~(close | laurent)
     psi, dpsi = _cauchy_density(ops, gc, lc)
     vals = np.empty(len(pts))
-    vals[~close] = _log_free_sum(ops, psi, pts[~close])
+    if np.any(laurent):
+        vals[laurent] = _laurent_sum(ops, psi, z[laurent], centre, radius)
+    vals[direct] = _log_free_sum(ops, psi, pts[direct])
     if np.any(close):
         vals[close] = _close_sum(ops, _boundary_values(ops, psi, dpsi), pts[close])
     vals += u_inf
     return vals if np.ndim(points) > 1 else float(vals[0])
 
 
-def _close_points(ops, pts):
+def _node_disk(ops):
+    """Centroid z0 of the quadrature nodes, as a complex number, and their
+    largest distance R from it."""
+    nodes = ops.quad_points[:, 0] + 1j * ops.quad_points[:, 1]
+    centre = nodes.mean()
+    return centre, np.max(np.abs(nodes - centre))
+
+
+def _close_points(ops, pts, r, radius):
     """Mask of the points within EVAL_BAND node spacings of the curve.
 
-    The spacing is that of the fastest node.  A circle measures every
-    distance in closed form.  On other curves a point farther from the
-    nodes' centroid than the farthest node plus one spacing plus the band
-    is outside both the curve and the band, since every curve point lies
-    within half a spacing of a node; only the others take the Newton
-    search of ``signed_distance``.  A point at signed distance at most
-    EVAL_STANDOFF times the diameter raises DomainError.
+    ``r`` holds the points' distances from the nodes' centroid and
+    ``radius`` the farthest node's.  The spacing is that of the fastest
+    node.  A circle measures every distance in closed form.  On other
+    curves a point farther from the centroid than the farthest node plus
+    one spacing plus the band is outside both the curve and the band,
+    since every curve point lies within half a spacing of a node; only the
+    others take the Newton search of ``signed_distance``.  A point at
+    signed distance at most EVAL_STANDOFF times the diameter raises
+    DomainError.
     """
     curve, nodes = ops.curve, ops.quad_points
     spacing = np.max(np.abs(ops.quad_dzeta)) * TWO_PI / len(nodes)
@@ -402,9 +453,7 @@ def _close_points(ops, pts):
     if curve.is_circle:
         dist = curve.signed_distance(pts)
     else:
-        centre = nodes.mean(axis=0)
-        reach = np.max(np.hypot(*(nodes - centre).T)) + spacing + band
-        near = np.hypot(*(pts - centre).T) <= reach
+        near = r <= radius + spacing + band
         dist = np.full(len(pts), np.inf)
         dist[near] = curve.signed_distance(pts[near])
     if np.any(dist <= EVAL_STANDOFF * curve.diameter()):
@@ -461,6 +510,32 @@ def _log_free_sum(ops, psi, pts):
         np.divide(prod[:b, :m], prod[:b, m:], out=quot[:b])
         np.matmul(quot[:b], ones, out=vals[i:i + b])
     return vals
+
+
+def _laurent_sum(ops, psi, z, centre, radius):
+    """The sum of ``_log_free_sum`` by its Laurent series about the nodes'
+    centroid z0 = ``centre``, at points whose offsets z - z0 are ``z``, each
+    at least EVAL_LAURENT R from z0, R = ``radius`` the farthest node's.
+
+    With s_j = (zeta_j - z0) / R and w = R / (z - z0),
+    (1/m) sum_j W_j / (z - zeta_j) = sum_k b_k w^(k+1) / R with the scaled
+    moments b_k = (1/m) sum_j W_j s_j^k (Greengard & Rokhlin, J. Comput.
+    Phys. 73, 1987).  The first EVAL_TERMS moments cost EVAL_TERMS m once;
+    each point then takes EVAL_TERMS complex multiply-adds by Horner's rule.
+    """
+    nodes = ops.quad_points[:, 0] + 1j * ops.quad_points[:, 1]
+    powers = np.empty((EVAL_TERMS, len(nodes)), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = (nodes - centre) / radius
+    np.cumprod(powers, axis=0, out=powers)
+    b = powers @ (psi * ops.quad_dzeta) / len(nodes)
+    w = radius / z
+    acc = np.full(len(z), b[-1])
+    for bk in b[-2::-1]:
+        acc *= w
+        acc += bk
+    acc *= w
+    return acc.real / radius
 
 
 def _boundary_values(ops, psi, dpsi):

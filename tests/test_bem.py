@@ -53,6 +53,14 @@ def test_eval_matches_mode_sum(n):
     assert np.shape(poly.eval(0.5)) == ()
 
 
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_polynomials_of_different_degrees_do_not_combine(op):
+    # this ended in numpy's broadcast error
+    a, b = TrigPolynomial.zero(4), TrigPolynomial.zero(8)
+    with pytest.raises(DimensionError, match="degrees 4 and 8"):
+        a + b if op == "add" else a - b
+
+
 def test_projection_kills_constants(ops32):
     # the projection is a matrix product, so a constant leaves rounding
     out = ops32.project(np.full(2 * N, 4.2))
@@ -428,6 +436,80 @@ def test_band_edge_is_accurate_on_both_sides(ops64, side):
     assert np.abs(vals - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
+def laurent_ring_error(ops, g, lam):
+    """Max |evaluate_exterior - direct sum| over rings at 0.98 and 1.02 times
+    EVAL_LAURENT R about the nodes' centroid, the inner ring on the direct
+    sum and the outer one on the Laurent series; with max |u - u_inf| there
+    and the values."""
+    centre, radius = bem._node_disk(ops)
+    ring = np.exp(2j * np.pi * np.arange(400) / 400)
+    z = centre + np.concatenate([0.98 * ring, 1.02 * ring]) * bem.EVAL_LAURENT * radius
+    pts = np.column_stack([z.real, z.imag])
+    vals = evaluate_exterior(ops, g, lam, 0.0, pts)
+    psi, _ = bem._cauchy_density(ops, g.coefficients(), lam.coefficients())
+    direct = bem._log_free_sum(ops, psi, pts)
+    return np.abs(vals - direct).max(), np.abs(vals).max(), pts, vals
+
+
+# both sums err by rounding on either side of the exact discrete sum: against
+# it in extended precision each is within 3.1 eps of max |u - u_inf| here,
+# and they differ by up to 4.2 eps
+LAURENT_TOL = 8.0 * np.finfo(float).eps
+
+
+def test_laurent_series_matches_the_direct_sum(ops64):
+    g, lam = cauchy_data(ops64)
+    err, scale, pts, vals = laurent_ring_error(ops64, g, lam)
+    assert err <= LAURENT_TOL * scale
+    exact = harmonic_field(pts)[0]
+    assert np.abs(vals - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_laurent_series_needs_all_its_terms(ops64_both, monkeypatch):
+    # Cauchy data of an exterior field has moments that decay like the
+    # field's Laurent coefficients, (0.36 / R)^k here, so fewer terms would
+    # do for it; a cardinal g with lam = 0 is no such data, its moments do
+    # not decay, and it needs the worst-case EVAL_TERMS (measured at n = 64
+    # on the ellipse: 4.8 eps with them, 125 eps with 20 fewer)
+    ops = ops64_both["ellipse"]
+    g, lam = TrigPolynomial.from_samples(np.eye(2 * ops.n)[0]), TrigPolynomial.zero(ops.n)
+    err, scale, _, _ = laurent_ring_error(ops, g, lam)
+    assert err <= LAURENT_TOL * scale
+    monkeypatch.setattr(bem, "EVAL_TERMS", bem.EVAL_TERMS - 20)
+    err, scale, _, _ = laurent_ring_error(ops, g, lam)
+    assert err > LAURENT_TOL * scale
+
+
+def test_band_points_beyond_the_laurent_radius_stay_on_the_close_rule():
+    # at n = 8 the band around the unit circle reaches r = 1.56, past
+    # EVAL_LAURENT R = 1.5: points between take the barycentric rule, exact
+    # here for u = Re(a1 / z + a2 / z^2 + a3 / z^3), whose Cauchy data has degree 3
+    ops = assemble_layer_operators(Curve.circle((0.0, 0.0), 1.0), 8)
+    a = np.array([0.3, 0.2 - 0.1j, 0.05j])
+    k = np.arange(1, 4)
+
+    def field(p):
+        z = p[..., 0] + 1j * p[..., 1]
+        return (a / z[..., None] ** k).sum(axis=-1).real, \
+            (-k * a / z[..., None] ** (k + 1)).sum(axis=-1)
+
+    y = ops.curve.point(ops.nodes)
+    du = field(y)[1]
+    lam = np.sum(np.column_stack([du.real, -du.imag]) * ops.curve.normal(ops.nodes), axis=1)
+    g, lam = TrigPolynomial.from_samples(field(y)[0]), ops.project(lam)
+    s = np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False)
+    r = np.linspace(1.51, 1.55, 300)
+    pts = r[:, None] * np.column_stack([np.cos(s), np.sin(s)])
+    spacing = 2.0 * np.pi / len(ops.quad_points)
+    assert r.min() >= bem.EVAL_LAURENT and r.max() - 1.0 < EVAL_BAND * spacing
+    vals = evaluate_exterior(ops, g, lam, 0.0, pts)
+    psi, dpsi = bem._cauchy_density(ops, g.coefficients(), lam.coefficients())
+    close = bem._close_sum(ops, bem._boundary_values(ops, psi, dpsi), pts)
+    assert np.array_equal(vals, close)
+    exact = field(pts)[0]
+    assert np.abs(vals - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
 def test_boundary_values_match_the_trace(ops64):
     # for Cauchy data of an exterior field, Re v is g at the nodes
     g, lam = cauchy_data(ops64)
@@ -508,6 +590,14 @@ def test_non_finite_data_rejected(ops32, which, bad):
     with pytest.raises(SolverError, match="finite u_inf and densities"):
         evaluate_exterior(ops32, data["g"], data["lam"], data["u_inf"],
                           np.array([[5.0, 0.0]]))
+
+
+@pytest.mark.parametrize("u_inf", [np.array([1.0, 2.0]), np.array([1.0])], ids=["2", "1"])
+def test_non_scalar_u_inf_rejected(ops32, u_inf):
+    # a 2-vector ended in numpy's truth-value error; a 1-vector was broadcast
+    with pytest.raises(DimensionError, match="u_inf must be a scalar"):
+        evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
+                          u_inf, np.array([[5.0, 0.0]]))
 
 
 @pytest.mark.parametrize("which", ["g", "lam"])
