@@ -96,13 +96,13 @@ class TrigPolynomial:
     Cosine coefficients run to degree n, sine coefficients to n-1, for 2n
     real degrees of freedom matching 2n equispaced samples, held as the one
     packed vector [a0..an, b1..b_{n-1}] of which ``cos`` and ``sin`` are views.
-    ``TrigPolynomial(vec)`` wraps a packed vector of length 2n, uncopied.
+    ``TrigPolynomial(vec)`` wraps a packed vector of length 2n >= 2, uncopied.
     """
 
     def __init__(self, vec):
         self._c = np.asarray(vec, dtype=float)
-        if self._c.ndim != 1 or len(self._c) % 2:
-            raise DimensionError("packed coefficient vector must have even length")
+        if self._c.ndim != 1 or len(self._c) % 2 or len(self._c) == 0:
+            raise DimensionError("packed coefficient vector must have even length >= 2")
         self.n = len(self._c) // 2
 
     cos = property(lambda self: self._c[:self.n + 1], doc="a0..an, a view")
@@ -190,7 +190,10 @@ class LayerOperatorSet:
     ``arc_w`` of the total-flux integral over 2n flux samples, and for the
     exterior evaluation the max(8n, 64) trapezoidal nodes' ``quad_points``,
     curve derivatives ``quad_dzeta`` as complex numbers and mode table
-    ``quad_modes``.
+    ``quad_modes``, and what every evaluation reads of them: centroid
+    ``centre`` (complex), farthest-node distance ``radius``, fastest-node
+    ``spacing``, refusal distance ``standoff`` (EVAL_STANDOFF diameters) and
+    ``laurent_powers`` (EVAL_TERMS x m), row k ((zeta_j - centre) / radius)^k.
 
     It is the one owner of the mean-zero rule: a density is mean-zero when
     its arclength mean ``moments @ c`` vanishes, ``P`` (2n x 2n) maps 2n
@@ -218,6 +221,16 @@ class LayerOperatorSet:
         self.exterior = _exterior_map(V, K, self.gram, injection)
         self.P = injection @ _samples_to_coeff(self.n, np.eye(2 * self.n))[1:]
         self.arc_w = curve.speed(self.nodes) * np.pi / self.n
+        # the nodes' evaluation geometry, the same for every evaluate_exterior call
+        z = self.quad_points[:, 0] + 1j * self.quad_points[:, 1]
+        self.centre = z.mean()
+        self.radius = np.max(np.abs(z - self.centre))
+        self.spacing = np.max(np.abs(self.quad_dzeta)) * TWO_PI / len(z)
+        self.standoff = EVAL_STANDOFF * curve.diameter()
+        powers = np.empty((EVAL_TERMS, len(z)), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = (z - self.centre) / self.radius
+        self.laurent_powers = np.cumprod(powers, axis=0, out=powers)
 
     def modes(self, t):
         """Values (t.shape + (2n,)) of the 2n packed density modes at parameters t."""
@@ -359,17 +372,18 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
 
     ``points`` is an (m, 2) array or one (2,) point; any other shape raises
     DimensionError, and so do densities g and lam of another degree than
-    ``ops`` and a ``u_inf`` that is not a scalar.  A non-finite ``u_inf``
-    or coefficient of g or lam raises
-    SolverError, and so does a lam that fails ``solve_exterior``'s
-    mean-zero rule.  All points are checked before any is evaluated: a
-    non-finite point, or one whose squared norm overflows, raises
-    DomainError, and so does one at signed distance at most EVAL_STANDOFF
-    times the curve's diameter.  No points give an empty array.
+    ``ops`` and a ``u_inf`` that is not a real scalar.  A non-finite
+    ``u_inf`` or coefficient of g or lam raises SolverError, and so does a
+    lam that fails ``solve_exterior``'s mean-zero rule.  All points are
+    checked before any is evaluated: a non-finite point, or one whose
+    squared norm overflows, raises DomainError, and so does one at signed
+    distance at most ``ops.standoff`` (EVAL_STANDOFF times the curve's
+    diameter).  No points give an empty array.
 
     The field is u - u_inf = Re Phi(z), the Cauchy integral of the module
     docstring, which needs lam mean-zero.  Each point takes one of three
-    rules, over m = max(8n, 64) nodes of radius R about their centroid:
+    rules, over m = max(8n, 64) nodes of radius R = ``ops.radius`` about
+    their centroid ``ops.centre``:
 
     - within EVAL_BAND node spacings of the curve, the barycentric rule,
       spectrally accurate up to the curve (``_close_sum``), O(m) per point;
@@ -396,8 +410,8 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     if len(gc) != 2 * ops.n or len(lc) != 2 * ops.n:
         raise DimensionError(f"densities need {2 * ops.n} coefficients, the operators' "
                              f"2n; got {len(gc)} and {len(lc)}")
-    if np.ndim(u_inf) != 0:
-        raise DimensionError(f"u_inf must be a scalar, got shape {np.shape(u_inf)}")
+    if np.ndim(u_inf) != 0 or np.iscomplexobj(u_inf):
+        raise DimensionError(f"u_inf must be a scalar and real, got {u_inf!r}")
     if not (np.isfinite(u_inf) and np.all(np.isfinite(gc)) and np.all(np.isfinite(lc))):
         raise SolverError("exterior evaluation requires finite u_inf and densities")
     _require_mean_zero(ops, lc, "exterior evaluation")
@@ -409,16 +423,15 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(np.einsum("ij,ij->i", pts, pts))):
             raise DomainError("evaluation point too far out: its squared norm overflows")
-    centre, radius = _node_disk(ops)
-    z = pts[:, 0] + 1j * pts[:, 1] - centre
+    z = pts[:, 0] + 1j * pts[:, 1] - ops.centre
     r = np.abs(z)
-    close = _close_points(ops, pts, r, radius)
-    laurent = ~close & (r >= EVAL_LAURENT * radius)
+    close = _close_points(ops, pts, r)
+    laurent = ~close & (r >= EVAL_LAURENT * ops.radius)
     direct = ~(close | laurent)
     psi, dpsi = _cauchy_density(ops, gc, lc)
     vals = np.empty(len(pts))
     if np.any(laurent):
-        vals[laurent] = _laurent_sum(ops, psi, z[laurent], centre, radius)
+        vals[laurent] = _laurent_sum(ops, psi, z[laurent])
     vals[direct] = _log_free_sum(ops, psi, pts[direct])
     if np.any(close):
         vals[close] = _close_sum(ops, _boundary_values(ops, psi, dpsi), pts[close])
@@ -426,37 +439,21 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     return vals if np.ndim(points) > 1 else float(vals[0])
 
 
-def _node_disk(ops):
-    """Centroid z0 of the quadrature nodes, as a complex number, and their
-    largest distance R from it."""
-    nodes = ops.quad_points[:, 0] + 1j * ops.quad_points[:, 1]
-    centre = nodes.mean()
-    return centre, np.max(np.abs(nodes - centre))
-
-
-def _close_points(ops, pts, r, radius):
+def _close_points(ops, pts, r):
     """Mask of the points within EVAL_BAND node spacings of the curve.
 
-    ``r`` holds the points' distances from the nodes' centroid and
-    ``radius`` the farthest node's.  The spacing is that of the fastest
-    node.  A circle measures every distance in closed form.  On other
-    curves a point farther from the centroid than the farthest node plus
-    one spacing plus the band is outside both the curve and the band,
-    since every curve point lies within half a spacing of a node; only the
-    others take the Newton search of ``signed_distance``.  A point at
-    signed distance at most EVAL_STANDOFF times the diameter raises
-    DomainError.
+    ``r`` holds the points' distances from the nodes' centroid.  A point
+    farther from it than the farthest node plus one spacing plus the band
+    is outside both the curve and the band, since every curve point lies
+    within half a spacing of a node; only the others are measured by
+    ``signed_distance``.  A point at signed distance at most
+    ``ops.standoff`` raises DomainError.
     """
-    curve, nodes = ops.curve, ops.quad_points
-    spacing = np.max(np.abs(ops.quad_dzeta)) * TWO_PI / len(nodes)
-    band = EVAL_BAND * spacing
-    if curve.is_circle:
-        dist = curve.signed_distance(pts)
-    else:
-        near = r <= radius + spacing + band
-        dist = np.full(len(pts), np.inf)
-        dist[near] = curve.signed_distance(pts[near])
-    if np.any(dist <= EVAL_STANDOFF * curve.diameter()):
+    band = EVAL_BAND * ops.spacing
+    near = r <= ops.radius + ops.spacing + band
+    dist = np.full(len(pts), np.inf)
+    dist[near] = ops.curve.signed_distance(pts[near])
+    if np.any(dist <= ops.standoff):
         raise DomainError("evaluation point inside or too close to the interface")
     return dist < band
 
@@ -512,23 +509,19 @@ def _log_free_sum(ops, psi, pts):
     return vals
 
 
-def _laurent_sum(ops, psi, z, centre, radius):
+def _laurent_sum(ops, psi, z):
     """The sum of ``_log_free_sum`` by its Laurent series about the nodes'
-    centroid z0 = ``centre``, at points whose offsets z - z0 are ``z``, each
-    at least EVAL_LAURENT R from z0, R = ``radius`` the farthest node's.
+    centroid z0 = ``ops.centre``, at points whose offsets z - z0 are ``z``,
+    each at least EVAL_LAURENT R from z0, R = ``ops.radius``.
 
     With s_j = (zeta_j - z0) / R and w = R / (z - z0),
     (1/m) sum_j W_j / (z - zeta_j) = sum_k b_k w^(k+1) / R with the scaled
     moments b_k = (1/m) sum_j W_j s_j^k (Greengard & Rokhlin, J. Comput.
-    Phys. 73, 1987).  The first EVAL_TERMS moments cost EVAL_TERMS m once;
-    each point then takes EVAL_TERMS complex multiply-adds by Horner's rule.
+    Phys. 73, 1987), one per row of ``ops.laurent_powers``: EVAL_TERMS m
+    multiply-adds once, then EVAL_TERMS per point by Horner's rule.
     """
-    nodes = ops.quad_points[:, 0] + 1j * ops.quad_points[:, 1]
-    powers = np.empty((EVAL_TERMS, len(nodes)), dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = (nodes - centre) / radius
-    np.cumprod(powers, axis=0, out=powers)
-    b = powers @ (psi * ops.quad_dzeta) / len(nodes)
+    radius = ops.radius
+    b = ops.laurent_powers @ (psi * ops.quad_dzeta) / len(psi)
     w = radius / z
     acc = np.full(len(z), b[-1])
     for bk in b[-2::-1]:

@@ -313,9 +313,10 @@ def save_mesh(mesh, path):
 def load_mesh(path):
     """Read a mesh written by save_mesh and restore its boundary tags.
 
-    A malformed file, a row past the declared tables, a non-finite vertex
-    coordinate, an element vertex index outside the vertex table or a
-    boundary tag other than 0 or 1 raises MeshingFailureError naming the file.
+    A malformed file, a header with no elements or a negative count, a row
+    past the declared tables, a non-finite vertex coordinate, an element
+    vertex index outside the vertex table or a boundary tag other than 0 or
+    1 raises MeshingFailureError naming the file.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -324,6 +325,9 @@ def load_mesh(path):
             fitted = {"fitted 0": False, "fitted 1": True}[" ".join(header[9:])]
         except (IndexError, KeyError, ValueError) as exc:
             raise MeshingFailureError(f"malformed mesh header in {path}") from exc
+        if n_e < 1 or min(n_v, n_b) < 0:
+            raise MeshingFailureError(f"mesh header in {path} declares no elements "
+                                      f"or a negative count")
 
         def table(rows, cols, conv):
             return np.array([[conv(t) for t in fh.readline().split()] for _ in range(rows)],

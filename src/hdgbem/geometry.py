@@ -207,6 +207,8 @@ class UnfittedMesh:
     def __init__(self, vertices, elements, fitted=False, regularity_bound=None):
         self.vertices = np.asarray(vertices, dtype=float)
         elements = np.asarray(elements, dtype=np.int64)
+        if elements.size == 0:
+            raise MeshingFailureError("mesh has no elements")
         v = self.vertices[elements]
         J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
         detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
@@ -396,10 +398,10 @@ ARC_SLACK = 1e-9
 class BoundaryMap(SimpleNamespace):
     """Pointwise map from boundary-edge quadrature nodes onto the true curves.
 
-    The nodes are those of the degree-k edge rule, q = k + 2 per edge, so a
-    map serves only systems of its degree.  All arrays are indexed by
-    position in ``edge_ids`` (the mesh's boundary edges in canonical order)
-    and by node within the edge:
+    The nodes are those of the degree-k edge rule, q = k + 2 per edge, and
+    ``k`` is the degree of every system built on the map.  All arrays are
+    indexed by position in ``edge_ids`` (the mesh's boundary edges in
+    canonical order) and by node within the edge:
 
     edge_ids (B,), tags (B,), parents (B,), nu (B,2) outward edge normals
     (the parent's ``mesh.side_normals``),
@@ -490,7 +492,8 @@ TANGENCY_FLOOR = 0.1
 def build_boundary_map(mesh, gamma, gamma0, k):
     """Build the node-to-curve transfer map of the degree-k method.
 
-    Each boundary edge carries the k + 2 nodes of ``edge_rule(k)``.  On
+    Each boundary edge carries the k + 2 nodes of ``edge_rule(k)``, which
+    refuses a negative or fractional k, and the map records k.  On
     fitted meshes the map is the identity on the inner (TAG_INNER) rows
     (zero transfer length, the transfer direction degenerates to the edge
     normal by convention); outer rows are mapped as on unfitted meshes.
@@ -564,7 +567,7 @@ def build_boundary_map(mesh, gamma, gamma0, k):
             f"sliver of edge {int(edge_ids[np.argmax(folds)])} self-intersects "
             "(map folds)")
     return BoundaryMap(
-        edge_ids=edge_ids, tags=tags, parents=parents, nu=nu, nodes=nodes,
+        k=int(k), edge_ids=edge_ids, tags=tags, parents=parents, nu=nu, nodes=nodes,
         mapped=mapped, l=l, t=t, params=params, endpoint_params=endpoint_params,
         **lookup)
 

@@ -168,10 +168,11 @@ class SolverBundle:
 
 
 def setup_level(case, target_h, k, n=32, fitted=False):
-    """Mesh, boundary map, trace system (tau = 1) and layer operators for one level."""
+    """Mesh, degree-k boundary map, trace system (stabilization ``hdg.TAU``)
+    and layer operators for one level."""
     mesh = build_annulus_mesh(case.gamma, case.gamma0, target_h, fitted=fitted)
     bmap = build_boundary_map(mesh, case.gamma, case.gamma0, k)
-    system = build_system(mesh, bmap, case.kappa, 1.0, k)
+    system = build_system(mesh, bmap, case.kappa)
     ops = assemble_layer_operators(case.gamma, n)
     return SolverBundle(mesh, bmap, system, ops, proximity_parameter(mesh, bmap))
 

@@ -2,9 +2,10 @@
 
 The mixed form seeks (q, u, uhat) with q + kappa grad u = 0 and div q = f,
 where uhat is a single-valued polynomial trace on the mesh skeleton.  On
-interior edges the numerical flux q.nu + tau (u - uhat) is conserved; on the
-computational boundary the trace is matched against the Dirichlet datum
-carried over from the true boundary along short transfer segments,
+interior edges the numerical flux q.nu + TAU (u - uhat) is conserved, with
+one stabilization TAU = 1 on every edge; on the computational boundary the
+trace is matched against the Dirichlet datum carried over from the true
+boundary along short transfer segments,
 
     uhat(x) = data(mapped x) + int_0^l(x) kappa^{-1} E q (x + s t) . t ds,
 
@@ -46,16 +47,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import TriangleBasis, edge_legendre
-from .errors import (
-    AssemblyError,
-    DimensionError,
-    SolverError,
-    TransferIntegrationError,
-)
+from .errors import AssemblyError, SolverError, TransferIntegrationError
 # perfbench calls and traces these writers as hdg attributes
 from .export import write_coefficients_csv, write_vtk  # noqa: F401
 from .geometry import TAG_OUTER
 from .quadrature import edge_rule, triangle_rule
+
+# the stabilization tau of the numerical flux, the same on every edge
+TAU = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +178,17 @@ class _ReferenceTables:
 
 
 class _Discretization:
-    """Element and edge blocks for one (mesh, material, tau, k).
+    """Element and edge blocks for one (mesh, material, k).
 
     Each block is a table of ``_ReferenceTables(k)`` scaled by the
     element's geometry, which the mesh holds (``invJ``, ``detJ``,
-    ``physical_points``, ``side_normals``, ``edge_len``).  The
-    stabilization tau is a positive scalar or one positive value per edge.
+    ``physical_points``, ``side_normals``, ``edge_len``), and by TAU.
     """
 
-    def __init__(self, mesh, material, tau, k):
+    def __init__(self, mesh, material, k):
         self.mesh = mesh
         self.material = material
         self.k = int(k)
-        tau = np.asarray(tau, dtype=float)
-        if tau.ndim == 0:
-            tau = np.full(mesh.n_edges, float(tau))
-        if tau.shape != (mesh.n_edges,):
-            raise AssemblyError("tau must be scalar or one value per edge")
-        if not np.all(np.isfinite(tau) & (tau > 0)):
-            raise AssemblyError("tau must be finite and strictly positive")
-        self.tau = tau
         self.basis = TriangleBasis(k)
         ref = _ReferenceTables(self.k)
         d = self.d = self.basis.dim
@@ -235,13 +225,12 @@ class _Discretization:
 
         # E_e (2d x ne) and F_e (d x ne) per (element, side); S (d x d)
         len_es = edge_len[side_edges]
-        tau_es = self.tau[side_edges]
         En = len_es[:, :, None, None] * ref.side_mu[s3, orient]     # (M,3,d,ne)
         nrm = mesh.side_normals
         self.E_side = np.concatenate([nrm[:, :, :1, None] * En, nrm[:, :, 1:, None] * En],
                                      axis=2)
-        self.F_side = tau_es[:, :, None, None] * En
-        self.S_elem = ((tau_es * len_es) @ ref.side_mass.reshape(3, -1)).reshape(M, d, d)
+        self.F_side = TAU * En
+        self.S_elem = ((TAU * len_es) @ ref.side_mass.reshape(3, -1)).reshape(M, d, d)
 
         # static condensation: the element solve of L = [[A, -D^T], [D, S]]
         # (A = mass_kinv, D = div) against the trace columns R = [R_q; R_u]
@@ -375,17 +364,12 @@ class HDGSystem:
     3 ne side-trace dofs followed by n_trace plus its d load dofs.
     """
 
-    def __init__(self, mesh, bmap, material, tau, k):
-        nodes = len(edge_rule(k)[0])       # refuses a negative or fractional k
-        if bmap.nodes.shape[1] != nodes:
-            raise DimensionError(
-                f"boundary map has {bmap.nodes.shape[1]} nodes per edge; "
-                f"degree {k} needs {nodes}")
+    def __init__(self, mesh, bmap, material):
         self.mesh = mesh
         self.bmap = bmap
         self.material = material
-        self.k = int(k)
-        self.disc = _Discretization(mesh, material, tau, k)
+        self.k = bmap.k
+        self.disc = _Discretization(mesh, material, self.k)
         self.ne = self.disc.ne
         self.n_trace = mesh.n_edges * self.ne
         self.transfer = assemble_transfer(self.disc, bmap)
@@ -423,7 +407,7 @@ class HDGSystem:
             (n, n), flux,
             # interior diagonal  -2 tau M_e
             (trace_dofs[interior], trace_dofs[interior],
-             (-2.0 * disc.tau[interior])[:, None, None] * disc.edge_mass[interior]),
+             (-2.0 * TAU) * disc.edge_mass[interior]),
             trans, (trace_dofs[bdry], trace_dofs[bdry], disc.edge_mass[bdry])).tocsc()
         self.load = _block_matrix((n, M * d), *load).tocsc()
 
@@ -535,9 +519,10 @@ class HDGSystem:
         return full[:, :n], full[:, n:]
 
 
-def build_system(mesh, bmap, material, tau, k):
-    """Assemble the condensed trace system (factorization happens lazily)."""
-    return HDGSystem(mesh, bmap, material, tau, k)
+def build_system(mesh, bmap, material):
+    """Assemble the condensed trace system of the map's degree ``bmap.k``
+    (factorization happens lazily)."""
+    return HDGSystem(mesh, bmap, material)
 
 
 def solve_interior(system, f=None, g_gamma=None, u0_gamma0=None):
@@ -571,9 +556,7 @@ def local_conservation_residual(field, system, f=None):
     u_tr, qn_tr = _side_traces(field, disc)
     uhat_tr = field.Uhat[mesh.element_edges] @ disc.mu_vals.T
     w_es = disc.edge_w[mesh.element_edges]
-    tau_es = disc.tau[mesh.element_edges]
-    flux = np.einsum("msq,msq->m",
-                     w_es, qn_tr + tau_es[:, :, None] * (u_tr - uhat_tr))
+    flux = np.einsum("msq,msq->m", w_es, qn_tr + TAU * (u_tr - uhat_tr))
     return flux - f_int
 
 

@@ -23,7 +23,7 @@ from hdgbem import AssemblyError, TrigPolynomial
 from hdgbem.basis import TriangleBasis, edge_legendre
 from hdgbem.coupling import interface_map
 from hdgbem.export import _reference_lattice
-from hdgbem.hdg import DGField, _side_traces
+from hdgbem.hdg import TAU, DGField, _side_traces
 from hdgbem.quadrature import gauss01, triangle_rule
 
 
@@ -79,7 +79,7 @@ def assemble_uncondensed(system, f=None, g_gamma=None, u0_gamma0=None):
             if mesh.boundary_tags[e] < 0:
                 A[st, sq] += disc.E_side[t, s_loc].T
                 A[st, su] += disc.F_side[t, s_loc].T
-                A[st, st] += -disc.tau[e] * disc.edge_mass[e]
+                A[st, st] += -TAU * disc.edge_mass[e]
     for row, e in enumerate(system.bmap.edge_ids):
         t = int(system.bmap.parents[row])
         st = slice(nq + nu + e * ne, nq + nu + (e + 1) * ne)
@@ -133,11 +133,10 @@ def assemble_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
         F2[t * d:(t + 1) * d] += -f_mom[t]
         for s_loc in range(3):
             e = mesh.element_edges[t, s_loc]
-            Cm[su, su] += disc.tau[e] * u_trace_mats[t, s_loc]
+            Cm[su, su] += TAU * u_trace_mats[t, s_loc]
     for e in mesh.interior_edge_ids:
         (t1, t2), sides = mesh.edge_elements[e], mesh.edge_sides[e]
         w = disc.edge_w[e]
-        tau_e = disc.tau[e]
         vn, tr, slq, slu = [], [], [], []
         for t, s_loc in zip((t1, t2), sides):
             trv = disc.trace_vals[t, s_loc]
@@ -148,11 +147,11 @@ def assemble_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
             slu.append(slice(t * d, (t + 1) * d))
         for a in range(2):
             for c in range(2):
-                pen = 0.5 / tau_e * np.einsum("q,qi,qj->ij", w, vn[a], vn[c])
+                pen = 0.5 / TAU * np.einsum("q,qi,qj->ij", w, vn[a], vn[c])
                 Aq[slq[a], slq[c]] += pen
                 avg = 0.5 * np.einsum("q,qi,qj->ij", w, tr[a], vn[c])
                 Bm[slu[a], slq[c]] += avg
-                Cm[slu[a], slu[c]] += -2.0 * tau_e * 0.25 * np.einsum(
+                Cm[slu[a], slu[c]] += -2.0 * TAU * 0.25 * np.einsum(
                     "q,qi,qj->ij", w, tr[a], tr[c])
     data = system.boundary_data_vector(g_gamma, u0_gamma0)  # reuse moments
     bm = system.bmap
@@ -170,10 +169,10 @@ def assemble_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
                                @ np.hstack([vnb, tr]))              # (ne, 3d)
         pm_t = system.transfer[row].T
         Aq[sq, sq] += coef[:, :2 * d].T @ pm_t
-        Bt[su, sq] += disc.tau[e] * coef[:, 2 * d:].T @ pm_t
+        Bt[su, sq] += TAU * coef[:, 2 * d:].T @ pm_t
         data_e = data[e * disc.ne:(e + 1) * disc.ne]
         F1[sq] -= data_e @ coef[:, :2 * d]
-        F2[su] -= disc.tau[e] * data_e @ coef[:, 2 * d:]
+        F2[su] -= TAU * data_e @ coef[:, 2 * d:]
     big = sp.bmat([[Aq.tocsc(), Bm.tocsc().T],
                    [(Bm + Bt).tocsc(), -Cm.tocsc()]]).tocsc()
     rhs = np.concatenate([F1, F2])
@@ -194,12 +193,12 @@ def solve_eliminated(system, f=None, g_gamma=None, u0_gamma0=None):
 # HDG analysis: projection, energy functional, trace identity
 # ---------------------------------------------------------------------------
 
-def hdg_projection(q_fun, u_fun, verts, tau, k):
+def hdg_projection(q_fun, u_fun, verts, k):
     """Elementwise projection matching volume moments and stabilized fluxes.
 
     Solves, on the triangle with the given vertices, for (Pq, Pu) of degree
     k satisfying the degree k-1 volume moments of q and u and the edge
-    moments of q.n + tau u.  Returns the coefficient arrays in the modal
+    moments of q.n + TAU u.  Returns the coefficient arrays in the modal
     basis.  Its volume and edge rules are exact for degrees 2k + 8 and
     2k + 9.
     """
@@ -218,7 +217,6 @@ def hdg_projection(q_fun, u_fun, verts, tau, k):
     phys = verts[0] + ref_pts @ J.T
     w = detJ * ref_w
     vals = basis.eval(ref_pts)
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), (3,))
 
     n_rows = 2 * d_low + d_low + 3 * (k + 1)
     if n_rows != 3 * d:
@@ -253,11 +251,11 @@ def hdg_projection(q_fun, u_fun, verts, tau, k):
         wq = wg * length
         qe = np.asarray(q_fun(pts), dtype=float)
         ue = np.asarray(u_fun(pts), dtype=float)
-        target = qe @ nrm + tau[s_loc] * ue
+        target = qe @ nrm + TAU * ue
         for m in range(k + 1):
             A[r, 0 * d:1 * d] = np.einsum("q,qa->a", wq * mu[:, m] * nrm[0], tv)
             A[r, 1 * d:2 * d] = np.einsum("q,qa->a", wq * mu[:, m] * nrm[1], tv)
-            A[r, 2 * d:] = tau[s_loc] * np.einsum("q,qa->a", wq * mu[:, m], tv)
+            A[r, 2 * d:] = TAU * np.einsum("q,qa->a", wq * mu[:, m], tv)
             b[r] = np.sum(wq * mu[:, m] * target)
             r += 1
     try:
@@ -282,18 +280,17 @@ def j_functional(field, system):
 
     u_tr, qn_tr = _side_traces(field, disc)
     w_es = disc.edge_w[mesh.element_edges]
-    tau_es = disc.tau[mesh.element_edges]
     tags = mesh.boundary_tags[mesh.element_edges]
 
     bdry = tags >= 0
-    total += np.sum(np.where(bdry, tau_es, 0.0)[:, :, None] * w_es * u_tr ** 2)
+    total += TAU * np.sum(np.where(bdry[:, :, None], w_es * u_tr ** 2, 0.0))
 
     # interior terms need both sides of each edge
     e, (u1, u2), (qn1, qn2) = _interior_two_sides(mesh, u_tr, qn_tr)
-    w, tau_e = disc.edge_w[e], disc.tau[e]
+    w = disc.edge_w[e]
     mean_u = 0.5 * (u1 + u2)
-    total += np.sum(tau_e * np.sum(w * ((u1 - mean_u) ** 2 + (u2 - mean_u) ** 2), axis=1))
-    total += np.sum(np.sum(w * (qn1 + qn2) ** 2, axis=1) / tau_e)
+    total += TAU * np.sum(w * ((u1 - mean_u) ** 2 + (u2 - mean_u) ** 2))
+    total += np.sum(w * (qn1 + qn2) ** 2) / TAU
     return float(np.sqrt(total))
 
 
@@ -303,7 +300,7 @@ def trace_identity_residual(field, system):
     u_tr, qn_tr = _side_traces(field, disc)
     e, (u1, u2), (qn1, qn2) = _interior_two_sides(mesh, u_tr, qn_tr)
     uhat = field.Uhat[e] @ disc.mu_vals.T
-    target = (0.5 / disc.tau[e])[:, None] * (qn1 + qn2) + 0.5 * (u1 + u2)
+    target = (0.5 / TAU) * (qn1 + qn2) + 0.5 * (u1 + u2)
     err = np.sqrt(np.sum(disc.edge_w[e] * (uhat - target) ** 2, axis=1))
     return float(err.max(initial=0.0))
 

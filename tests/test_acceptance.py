@@ -211,7 +211,7 @@ def test_criterion_10_projection_oracle(k):
     q_fun = lambda p: np.column_stack([basis.eval(to_ref(p)) @ c[0],
                                        basis.eval(to_ref(p)) @ c[1]])
     u_fun = lambda p: basis.eval(to_ref(p)) @ c[2]
-    Qx, Qy, U = hdg_projection(q_fun, u_fun, verts, 1.0, k)
+    Qx, Qy, U = hdg_projection(q_fun, u_fun, verts, k)
     vals = basis.eval(ref)
     reproduce = max(np.abs(vals @ Qx - q_fun(phys)[:, 0]).max(),
                     np.abs(vals @ Qy - q_fun(phys)[:, 1]).max(),
@@ -227,7 +227,7 @@ def test_criterion_10_projection_oracle(k):
     for lvl in range(4):
         s = 0.5 ** lvl
         vv = np.array([[0.0, 0.0], [s, 0.0], [0.0, s]])
-        Qx, Qy, U = hdg_projection(q_smooth, u_smooth, vv, 1.0, k)
+        Qx, Qy, U = hdg_projection(q_smooth, u_smooth, vv, k)
         pp = dense * s
         bv = basis.eval(dense)
         errs.append(max(np.abs(bv @ Qx - q_smooth(pp)[:, 0]).max(),

@@ -98,6 +98,14 @@ def test_projection_dimension_errors(ops32):
         TrigPolynomial.from_samples(np.zeros(9))
 
 
+@pytest.mark.parametrize("make", [lambda: TrigPolynomial([]), lambda: TrigPolynomial.zero(0)],
+                         ids=["empty", "zero-0"])
+def test_empty_trig_polynomial_is_refused(make):
+    # it was built, and its l2_norm and eval raised numpy's IndexError and ValueError
+    with pytest.raises(DimensionError, match="even length >= 2"):
+        make()
+
+
 @pytest.mark.parametrize("n", [1, 8.7])
 def test_layer_operator_degree_is_refused(smooth_unit_circle, n):
     # a fractional degree was truncated to the one below
@@ -441,9 +449,8 @@ def laurent_ring_error(ops, g, lam):
     EVAL_LAURENT R about the nodes' centroid, the inner ring on the direct
     sum and the outer one on the Laurent series; with max |u - u_inf| there
     and the values."""
-    centre, radius = bem._node_disk(ops)
     ring = np.exp(2j * np.pi * np.arange(400) / 400)
-    z = centre + np.concatenate([0.98 * ring, 1.02 * ring]) * bem.EVAL_LAURENT * radius
+    z = ops.centre + np.concatenate([0.98 * ring, 1.02 * ring]) * bem.EVAL_LAURENT * ops.radius
     pts = np.column_stack([z.real, z.imag])
     vals = evaluate_exterior(ops, g, lam, 0.0, pts)
     psi, _ = bem._cauchy_density(ops, g.coefficients(), lam.coefficients())
@@ -469,13 +476,15 @@ def test_laurent_series_needs_all_its_terms(ops64_both, monkeypatch):
     # Cauchy data of an exterior field has moments that decay like the
     # field's Laurent coefficients, (0.36 / R)^k here, so fewer terms would
     # do for it; a cardinal g with lam = 0 is no such data, its moments do
-    # not decay, and it needs the worst-case EVAL_TERMS (measured at n = 64
-    # on the ellipse: 4.8 eps with them, 125 eps with 20 fewer)
+    # not decay, and it needs the worst-case EVAL_TERMS rows of the power
+    # table (measured at n = 64 on the ellipse: 4.8 eps with them, 125 eps
+    # with 20 fewer)
     ops = ops64_both["ellipse"]
     g, lam = TrigPolynomial.from_samples(np.eye(2 * ops.n)[0]), TrigPolynomial.zero(ops.n)
     err, scale, _, _ = laurent_ring_error(ops, g, lam)
     assert err <= LAURENT_TOL * scale
-    monkeypatch.setattr(bem, "EVAL_TERMS", bem.EVAL_TERMS - 20)
+    assert len(ops.laurent_powers) == bem.EVAL_TERMS
+    monkeypatch.setattr(ops, "laurent_powers", ops.laurent_powers[:-20])
     err, scale, _, _ = laurent_ring_error(ops, g, lam)
     assert err > LAURENT_TOL * scale
 
@@ -598,6 +607,27 @@ def test_non_scalar_u_inf_rejected(ops32, u_inf):
     with pytest.raises(DimensionError, match="u_inf must be a scalar"):
         evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
                           u_inf, np.array([[5.0, 0.0]]))
+
+
+@pytest.mark.parametrize("u_inf", [1.0 + 2.0j, np.complex128(3.0)], ids=["python", "numpy"])
+def test_complex_u_inf_rejected(ops32, u_inf):
+    # adding it to the real values ended in numpy's UFuncTypeError
+    with pytest.raises(DimensionError, match="u_inf must be a scalar and real"):
+        evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
+                          u_inf, np.array([[5.0, 0.0]]))
+
+
+def test_circle_measures_only_the_prefiltered_points(ops32, monkeypatch):
+    # the radius prefilter holds on a circle too: a point beyond the
+    # farthest node plus one spacing plus the band is never measured
+    curve, asked = ops32.curve, []
+    measure = curve.signed_distance
+    monkeypatch.setattr(curve, "signed_distance",
+                        lambda pts: asked.append(len(pts)) or measure(pts))
+    pts = np.array([[1.05, 0.0], [0.0, 3.0], [5.0, 0.0], [-2.0, -2.0]])
+    vals = evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N), 1.0, pts)
+    assert asked == [1]
+    assert np.array_equal(vals, np.ones(4))
 
 
 @pytest.mark.parametrize("which", ["g", "lam"])

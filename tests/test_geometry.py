@@ -111,6 +111,27 @@ def test_mesh_header_without_fitted_flag_is_malformed(circles, tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("header", ["vertices 0 / elements 0 / boundary 0 / fitted 0",
+                                    "vertices 3 / elements -1 / boundary 0 / fitted 0",
+                                    "vertices -1 / elements 1 / boundary 0 / fitted 0",
+                                    "vertices 3 / elements 1 / boundary -2 / fitted 0"],
+                         ids=["no-elements", "negative-elements", "negative-vertices",
+                              "negative-boundary"])
+def test_mesh_header_with_no_elements_or_a_negative_count_names_the_file(tmp_path, header):
+    # numpy raised its bare "zero-size array to reduction operation" error
+    path = tmp_path / "mesh.txt"
+    path.write_text(header + "\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 2\n")
+    with pytest.raises(MeshingFailureError,
+                       match="mesh header in .*mesh.txt declares no elements or a negative"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("elements", [np.empty((0, 3), dtype=int), []], ids=["0x3", "empty"])
+def test_mesh_without_elements_is_refused(elements):
+    with pytest.raises(MeshingFailureError, match="mesh has no elements"):
+        UnfittedMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), elements)
+
+
 @pytest.mark.parametrize("cut", ["half", "vertex-row", "element-row", "tag-row", "trailing-row"])
 def test_truncated_or_malformed_mesh_body_names_the_file(circles, tmp_path, cut):
     mesh = build_annulus_mesh(*circles, 0.3)

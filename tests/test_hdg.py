@@ -27,7 +27,7 @@ from hdgbem.basis import TriangleBasis, edge_legendre
 from hdgbem.coupling import interface_map
 from hdgbem.geometry import BoundaryMap
 from hdgbem.export import _format_e, _join
-from hdgbem.hdg import DGField, _Discretization, assemble_transfer
+from hdgbem.hdg import TAU, DGField, _Discretization, assemble_transfer
 from hdgbem.harness import manufactured_case, setup_level
 from hdgbem.quadrature import gauss01, triangle_rule
 from reference import (
@@ -54,14 +54,14 @@ def _unit_right_triangle():
 
 def test_k0_mass_block_is_area_times_identity():
     mesh = _unit_right_triangle()
-    mass_kinv = _Discretization(mesh, MaterialField.identity(), 1.0, 0).mass_kinv[0]
+    mass_kinv = _Discretization(mesh, MaterialField.identity(), 0).mass_kinv[0]
     assert np.allclose(mass_kinv, 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_mass_block_scales_inversely_with_kappa():
     mesh = _unit_right_triangle()
-    m1 = _Discretization(mesh, MaterialField.identity(), 1.0, 0).mass_kinv[0]
-    m2 = _Discretization(mesh, MaterialField(2.0), 1.0, 0).mass_kinv[0]
+    m1 = _Discretization(mesh, MaterialField.identity(), 0).mass_kinv[0]
+    m2 = _Discretization(mesh, MaterialField(2.0), 0).mass_kinv[0]
     assert np.allclose(m2, 0.5 * m1, atol=1e-15)
 
 
@@ -81,7 +81,7 @@ def test_blocks_match_dense_quadrature_oracle():
     kappa = A @ A.T + 2.0 * np.eye(2)
     mesh = _unit_right_triangle()
     k = 2
-    mass_kinv = _Discretization(mesh, MaterialField(kappa), 1.0, k).mass_kinv[0]
+    mass_kinv = _Discretization(mesh, MaterialField(kappa), k).mass_kinv[0]
     # independent oracle: dense high-order rule, direct basis contraction
     basis = TriangleBasis(k)
     pts, w = triangle_rule(12)
@@ -121,7 +121,7 @@ def _kappa_field(p):
                      np.stack([off, 1.0 + p[:, 1] ** 2], -1)], -2)
 
 
-def _oracle_tables(mesh, material, tau, k):
+def _oracle_tables(mesh, material, k):
     """The blocks of _Discretization, quadrature point by point per element.
 
     Volume integrands use physical gradients; side integrands map the
@@ -158,8 +158,8 @@ def _oracle_tables(mesh, material, tau, k):
             sides["trace_vals"].append(tv)
             sides["side_normals"].append(nrm)
             sides["E_side"].append(np.concatenate([nrm[0] * En, nrm[1] * En]))
-            sides["F_side"].append(tau[e] * En)
-            S += tau[e] * length * (wg[:, None] * tv).T @ tv
+            sides["F_side"].append(TAU * En)
+            S += TAU * length * (wg[:, None] * tv).T @ tv
         for key, val in sides.items():
             out[key].append(val)
         out["mass_kinv"].append(mass)
@@ -184,17 +184,16 @@ def test_reference_tables_match_pointwise_quadrature(k, kappa):
     # every local side meets global edges of both orientations
     along = mesh.elements[:, [1, 2, 0]] == mesh.edges[mesh.element_edges, 0]
     assert np.all(along.any(axis=0)) and not np.any(along.all(axis=0))
-    tau = np.linspace(0.5, 2.0, mesh.n_edges)
     material = MaterialField(kappa)
-    disc = _Discretization(mesh, material, tau, k)
-    for key, expected in _oracle_tables(mesh, material, tau, k).items():
+    disc = _Discretization(mesh, material, k)
+    for key, expected in _oracle_tables(mesh, material, k).items():
         _assert_close(getattr(mesh if key == "side_normals" else disc, key), expected)
 
 
 def _reference_matrix(system):
     """Condensed trace matrix and load map from the oracle blocks, one element at a time."""
     mesh, ne, d = system.mesh, system.ne, system.disc.d
-    blocks = _oracle_tables(mesh, system.material, system.disc.tau, system.k)
+    blocks = _oracle_tables(mesh, system.material, system.k)
     dofs = np.arange(system.n_trace).reshape(mesh.n_edges, ne)
     # columns [trace | load]: element t's load moments sit at n_trace + t d ...
     A = np.zeros((system.n_trace, system.n_trace + len(mesh.elements) * d))
@@ -211,7 +210,7 @@ def _reference_matrix(system):
         for s, e in enumerate(edges):
             if mesh.boundary_tags[e] < 0:
                 A[np.ix_(dofs[e], cols)] += np.hstack([E[s].T, F[s].T]) @ rec
-                A[np.ix_(dofs[e], dofs[e])] -= system.disc.tau[e] * blocks["edge_mass"][e]
+                A[np.ix_(dofs[e], dofs[e])] -= TAU * blocks["edge_mass"][e]
     for row, (e, t) in enumerate(zip(system.bmap.edge_ids, system.bmap.parents)):
         cols, rec = recovery[t]
         A[np.ix_(dofs[e], cols)] -= system.transfer[row].T @ rec[:2 * d]
@@ -250,7 +249,7 @@ _LOCAL_KAPPAS = {
 ])
 def test_local_solves_match_inverse_of_local_blocks(kind, k, coarse_k1):
     # local = [L^-1 R | the load columns of L^-1], per element
-    disc = _Discretization(coarse_k1[0], _LOCAL_KAPPAS[kind](), 1.0, k)
+    disc = _Discretization(coarse_k1[0], _LOCAL_KAPPAS[kind](), k)
     M, d, ne = len(disc.mesh.elements), disc.d, disc.ne
     if k == 3:
         # a cubic bubble has no trace, so S alone is singular and the Schur
@@ -272,7 +271,7 @@ def test_local_solves_match_inverse_of_local_blocks(kind, k, coarse_k1):
 @pytest.mark.parametrize("kind", ["identity", "anisotropic", "bump"])
 def test_mass_solve_is_the_inverse_of_the_mass_block(kind, k, coarse_k1):
     # constant kappa: the closed form (kappa (x) Mhat^-1) / detJ; callable: a solve
-    disc = _Discretization(coarse_k1[0], _LOCAL_KAPPAS[kind](), 1.0, k)
+    disc = _Discretization(coarse_k1[0], _LOCAL_KAPPAS[kind](), k)
     M, d = len(disc.mesh.elements), disc.d
     # the mass itself is built only where a solve reads it
     assert ("mass_kinv" in vars(disc)) == (kind == "bump")
@@ -317,7 +316,7 @@ def test_transfer_constant_flux_straight_path():
     length = edge_length(mesh, edge)
     d = 0.07
     for k in (0, 1, 2):
-        disc = _Discretization(mesh, MaterialField.identity(), 1.0, k)
+        disc = _Discretization(mesh, MaterialField.identity(), k)
         bmap = _synthetic_boundary_map(mesh, edge, d, (1.0, 0.0), k)
         moments = assemble_transfer(disc, bmap)
         assert moments.shape == (1, 2 * disc.d, disc.ne)
@@ -351,7 +350,7 @@ def test_fitted_matrix_equals_transfer_free_assembly(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=True)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-    system = build_system(mesh, bmap, MaterialField.identity(), 1.0, 1)
+    system = build_system(mesh, bmap, MaterialField.identity())
     ne = system.ne
     A = system.matrix.tocsr()
     for e, tag, parent in zip(bmap.edge_ids, bmap.tags, bmap.parents):
@@ -366,25 +365,30 @@ def test_fitted_matrix_equals_transfer_free_assembly(circles):
             assert set(cols // ne) <= set(mesh.element_edges[parent])
 
 
-@pytest.mark.parametrize("k", [0, 2])
-def test_map_of_another_degree_is_refused(coarse_k1, circles, k):
-    # the degree-1 map carries 3 nodes per edge; a degree-k system needs k + 2
-    mesh, bmap, _ = coarse_k1
-    with pytest.raises(DimensionError, match=f"3 nodes per edge; degree {k} needs {k + 2}"):
-        build_system(mesh, bmap, MaterialField.identity(), 1.0, k)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_system_takes_the_degree_of_its_map(circles, k):
+    # the map is the one owner of k: its k + 2 nodes per edge and the
+    # system's k + 1 trace coefficients per edge follow from it
+    gamma, gamma0 = circles
+    mesh = build_annulus_mesh(gamma, gamma0, 0.3)
+    bmap = build_boundary_map(mesh, gamma, gamma0, k)
+    system = build_system(mesh, bmap, MaterialField.identity())
+    assert bmap.k == system.k == system.disc.k == k
+    assert bmap.nodes.shape[1] == k + 2
+    assert system.n_trace == mesh.n_edges * (k + 1)
 
 
-def test_fractional_degree_system_is_refused(coarse_k1):
-    # k = 1.5 on the degree-1 map was built as a degree-1 system
-    mesh, bmap, _ = coarse_k1
-    with pytest.raises(DimensionError, match="degree must be a whole number, got 1.5"):
-        build_system(mesh, bmap, MaterialField.identity(), 1.0, 1.5)
+def test_fractional_degree_system_is_refused(coarse_k1, circles):
+    # the map refuses the degree, so no system of it can be built
+    for k, what in ((1.5, "a whole number, got 1.5"), (-1, "at least 0, got -1")):
+        with pytest.raises(DimensionError, match=f"degree must be {what}"):
+            build_boundary_map(coarse_k1[0], *circles, k=k)
 
 
 def test_two_element_mesh_trace_dimension():
     mesh = UnfittedMesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
                         np.array([[0, 1, 2], [0, 2, 3]]))
-    disc = _Discretization(mesh, MaterialField.identity(), 1.0, 0)
+    disc = _Discretization(mesh, MaterialField.identity(), 0)
     assert mesh.n_edges == 5
     assert mesh.n_edges * disc.ne == 5   # one trace unknown per retained edge
 
@@ -422,7 +426,7 @@ def test_failed_trace_solve_reports_condition_estimate(circles, monkeypatch):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.3)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-    system = build_system(mesh, bmap, MaterialField.identity(), 1.0, 1)
+    system = build_system(mesh, bmap, MaterialField.identity())
     system._lu = spla.splu((1.5 * system.matrix).tocsc())
 
     def dense_inverse(*args, **kwargs):
@@ -456,7 +460,7 @@ def test_trace_matrix_pattern_is_symmetric(which, request, circles):
         gamma = request.getfixturevalue("ellipse")
         mesh = build_annulus_mesh(gamma, circles[1], 0.15)
         bmap = build_boundary_map(mesh, gamma, circles[1], k=2)
-        system = build_system(mesh, bmap, MaterialField.identity(), 1.0, 2)
+        system = build_system(mesh, bmap, MaterialField.identity())
     else:
         system = request.getfixturevalue(which)[2]
     pattern, transpose = system.matrix.tocsr(), system.matrix.T.tocsr()
@@ -549,7 +553,7 @@ def test_patch_exactness_random_polynomial(circles, k, fitted):
 
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=fitted)
     bmap = build_boundary_map(mesh, gamma, gamma0, k)
-    system = build_system(mesh, bmap, MaterialField(kappa), 1.0, k)
+    system = build_system(mesh, bmap, MaterialField(kappa))
     fld = solve_interior(system, f=f_ex, g_gamma=u_ex, u0_gamma0=u_ex)
     eq, eu = l2_errors(fld, system, u_ex, q_ex)
     assert eq < 1e-9 and eu < 1e-9
@@ -575,7 +579,7 @@ def test_stability_bounded_under_refinement(circles):
     for h in (0.2, 0.1, 0.05):
         mesh = build_annulus_mesh(gamma, gamma0, h)
         bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-        system = build_system(mesh, bmap, MaterialField.identity(), 1.0, 1)
+        system = build_system(mesh, bmap, MaterialField.identity())
         fld = solve_interior(system, f=None, g_gamma=u_ex, u0_gamma0=u_ex)
         mass = np.sqrt(np.sum(system.disc.phys_w
                               * np.einsum("qa,ma->mq", system.disc.vol_vals,
@@ -684,7 +688,7 @@ def test_projection_reproduces_polynomial_pairs(k):
 
     q_fun = lambda p: np.column_stack([poly(cqx, p), poly(cqy, p)])
     u_fun = lambda p: poly(cu, p)
-    Qx, Qy, U = hdg_projection(q_fun, u_fun, VERTS, 1.0, k)
+    Qx, Qy, U = hdg_projection(q_fun, u_fun, VERTS, k)
     basis = TriangleBasis(k)
     rp = np.array([[0.25, 0.3], [0.5, 0.12], [0.2, 0.61], [0.33, 0.33]])
     J = np.column_stack([VERTS[1] - VERTS[0], VERTS[2] - VERTS[0]])
@@ -707,7 +711,7 @@ def test_projection_order_on_nested_elements(k):
     for lvl in range(4):
         s = 0.5 ** lvl
         verts = np.array([[0.0, 0.0], [s, 0.0], [0.0, s]])
-        Qx, Qy, U = hdg_projection(q_fun, u_fun, verts, 1.0, k)
+        Qx, Qy, U = hdg_projection(q_fun, u_fun, verts, k)
         pp = verts[0] + dense @ np.column_stack([verts[1] - verts[0],
                                                  verts[2] - verts[0]]).T
         vals = basis.eval(dense)
@@ -723,7 +727,7 @@ def test_projection_divergence_free_flux_keeps_zero_scalar():
     q_fun = lambda p: np.column_stack([np.atleast_2d(p)[:, 1] ** 2,
                                        np.atleast_2d(p)[:, 0] ** 2])
     u_fun = lambda p: np.zeros(len(np.atleast_2d(p)))
-    Qx, Qy, U = hdg_projection(q_fun, u_fun, VERTS, 1.0, 2)
+    Qx, Qy, U = hdg_projection(q_fun, u_fun, VERTS, 2)
     assert np.abs(U).max() < 1e-12
 
 
@@ -771,24 +775,7 @@ def test_callable_kappa_refuses_a_bad_value(bad, coarse_k1):
                                                 r"point \(0\.75, 0\.25\)"):
             read(pts)
     with pytest.raises(AssemblyError, match="finite, symmetric and positive definite"):
-        _Discretization(coarse_k1[0], material, 1.0, 1)
-
-
-def test_stabilization_validation(coarse_k1):
-    mesh, kappa = coarse_k1[0], MaterialField.identity()
-    with pytest.raises(AssemblyError):
-        _Discretization(mesh, kappa, 0.0, 1)
-    with pytest.raises(AssemblyError, match="tau must be scalar or one value per edge"):
-        _Discretization(mesh, kappa, np.ones(mesh.n_edges - 1), 1)
-    # NaN compares False against 0, so it must be refused as non-finite
-    for bad in (np.nan, np.inf):
-        per_edge = np.full(mesh.n_edges, 2.0)
-        per_edge[mesh.n_edges // 2] = bad
-        for tau in (bad, per_edge):
-            with pytest.raises(AssemblyError, match="finite"):
-                _Discretization(mesh, kappa, tau, 1)
-    tau = _Discretization(mesh, kappa, 2.5, 1).tau
-    assert tau.shape == (mesh.n_edges,)
+        _Discretization(coarse_k1[0], material, 1)
 
 
 def test_field_exports(tmp_path, coarse_k1):
@@ -896,7 +883,7 @@ def test_transfer_path_leaving_patch_raises():
                         np.array([[0, 1, 2]]))
     edge = next(e for e in mesh.boundary_edge_ids
                 if abs(edge_vertices(mesh, e).mean(axis=0)[0] - 0.9) < 1e-12)
-    disc = _Discretization(mesh, MaterialField.identity(), 1.0, 1)
+    disc = _Discretization(mesh, MaterialField.identity(), 1)
     bmap = _synthetic_boundary_map(mesh, edge, 5.0, (1.0, 0.0), 1)  # absurd length
     with pytest.raises(TransferIntegrationError):
         assemble_transfer(disc, bmap)
