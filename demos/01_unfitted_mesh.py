@@ -23,7 +23,7 @@ print("    h   elements   mesh_h      R_h   max|n_h-n|    max l")
 for target_h in (0.2, 0.1, 0.05, 0.025):
     mesh = build_annulus_mesh(gamma, gamma0, target_h)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
-    rep = proximity_parameter(mesh, bmap)
+    rep = proximity_parameter(bmap)
     # the longest transfer segment shrinks like h^(3/2)
     print(f"{target_h:5.3f} {len(mesh.elements):10d} {mesh.h:8.4f} "
           f"{rep.R_h:8.4f} {rep.normal_deviation:12.4e} {bmap.l.max():10.3e}")
@@ -34,6 +34,6 @@ print("\nfinest mesh written to annulus_mesh.txt "
 
 fitted = build_annulus_mesh(gamma, gamma0, 0.1, fitted=True)
 fmap = build_boundary_map(fitted, gamma, gamma0, k=2)
-print(f"fitted variant: R_h = {proximity_parameter(fitted, fmap).R_h:.4f} "
+print(f"fitted variant: R_h = {proximity_parameter(fmap).R_h:.4f} "
       "(the inner polygon is the obstacle's boundary; outer nodes map across "
       "the O(h^2) sagitta of their chords)")

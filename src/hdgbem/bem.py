@@ -15,8 +15,8 @@ so an exterior solve is one matvec.  "Mean-zero" always means zero
 arclength mean, and the operator set owns the rule: its ``moments``
 measure the mean, ``P`` builds mean-zero densities, and ``solve_exterior``
 refuses a density whose mean is not zero.  It also owns what the coupling
-reads of the exterior side: the node arc weights and the matrix from
-interface flux samples to the exterior trace.
+reads of the exterior side: the node arc weights of the total flux and the
+projection ``project`` of flux samples onto a mean-zero density.
 Parametric kernels (2 pi periodic, G the Green function of the minus
 Laplacian):
 
@@ -110,6 +110,8 @@ class TrigPolynomial:
 
     @classmethod
     def zero(cls, n):
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise DimensionError(f"degree must be a whole number, got {n!r}")
         return cls(np.zeros(2 * n))
 
     @classmethod
@@ -410,7 +412,7 @@ def evaluate_exterior(ops, g, lam, u_inf, points):
     if len(gc) != 2 * ops.n or len(lc) != 2 * ops.n:
         raise DimensionError(f"densities need {2 * ops.n} coefficients, the operators' "
                              f"2n; got {len(gc)} and {len(lc)}")
-    if np.ndim(u_inf) != 0 or np.iscomplexobj(u_inf):
+    if np.ndim(u_inf) != 0 or np.asarray(u_inf).dtype.kind not in "biuf":
         raise DimensionError(f"u_inf must be a scalar and real, got {u_inf!r}")
     if not (np.isfinite(u_inf) and np.all(np.isfinite(gc)) and np.all(np.isfinite(lc))):
         raise SolverError("exterior evaluation requires finite u_inf and densities")

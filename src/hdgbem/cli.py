@@ -15,8 +15,9 @@ Configuration is a plain-text key = value file with dotted section keys::
     sweep.omegas           = 0.1,0.2,...   # sweep subcommand only
     output.dir             = out
 
-Lines starting with '#' are comments.  Exit status: 0 success, 1 solver
-failure, 2 configuration error.
+Lines starting with '#' are comments.  The output directory is created
+before any work.  Exit status: 0 success, 1 solver failure, 2
+configuration error, an output directory that cannot be created included.
 """
 
 import argparse
@@ -156,9 +157,7 @@ def cmd_mesh(params):
     case = _case(params)
     mesh = build_annulus_mesh(case.gamma, case.gamma0, params["h0"],
                               fitted=params["fitted"])
-    rep = proximity_parameter(
-        mesh, build_boundary_map(mesh, case.gamma, case.gamma0, params["k"]))
-    os.makedirs(params["outdir"], exist_ok=True)
+    rep = proximity_parameter(build_boundary_map(mesh, case.gamma, case.gamma0, params["k"]))
     mesh_path = os.path.join(params["outdir"], "mesh.txt")
     save_mesh(mesh, mesh_path)
     report_path = os.path.join(params["outdir"], "mesh_report.csv")
@@ -176,7 +175,6 @@ def cmd_solve(params):
                          fitted=params["fitted"])
     cfg = CouplingConfig(omega=params["omega"], tol=params["tol"],
                          n=params["n"], max_iterations=params["max_iterations"])
-    os.makedirs(params["outdir"], exist_ok=True)
     try:
         state = run_fixed_point(bundle.system, bundle.ops, f=case.f,
                                 u0=case.u0, config=cfg)
@@ -204,7 +202,6 @@ def cmd_study(params):
                          n=params["n"], max_iterations=params["max_iterations"])
     report = convergence_study(case, params["k"], hs, n=params["n"],
                                config=cfg, fitted=params["fitted"])
-    os.makedirs(params["outdir"], exist_ok=True)
     path = os.path.join(params["outdir"], "study.csv")
     write_study_csv(report, path)
     write_study_csv(report, os.path.join(params["outdir"], "study_full.csv"), full=True)
@@ -221,7 +218,6 @@ def cmd_sweep(params):
                          fitted=params["fitted"])
     rows, best = omega_sweep(bundle, case, params["omegas"], tol=params["tol"],
                              max_iterations=params["max_iterations"])
-    os.makedirs(params["outdir"], exist_ok=True)
     path = os.path.join(params["outdir"], "sweep.csv")
     write_sweep_csv(rows, path)
     print("omega  converged  iterations  ratio")
@@ -248,6 +244,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         params = _validated(parse_config(args.config))
+        try:
+            os.makedirs(params["outdir"], exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {params['outdir']!r}: {exc}",
+                              key="output.dir") from exc
         return _COMMANDS[args.command](params)
     except ConfigError as err:
         where = f" ({err.key})" if err.key else ""

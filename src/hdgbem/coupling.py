@@ -35,7 +35,7 @@ import functools
 import numpy as np
 
 from .bem import TrigPolynomial, solve_exterior
-from .errors import DimensionError, DivergenceError, EstimationError, SolverError
+from .errors import CoverageError, DimensionError, DivergenceError, EstimationError, SolverError
 # perfbench calls and traces this writer as a coupling attribute
 from .export import write_iteration_log  # noqa: F401
 
@@ -130,16 +130,19 @@ class InterfaceMap:
     ``residual0``, ``z_f`` = Z_f f_mom, the load's direct part of each
     parent element's flux, and ``flux0`` = Z uhat0 + z_f.  The system
     keeps one map per operator set (``interface_map``), shared by every
-    run on it.
+    run on it.  An operator set whose curve differs from the boundary
+    map's ``gamma`` at its 2n nodes raises CoverageError.
     """
 
     def __init__(self, system, ops):
+        points = ops.curve.point(ops.nodes)
+        if not np.array_equal(points, system.bmap.gamma.point(ops.nodes)):
+            raise CoverageError("the operator set's curve is not the boundary map's gamma")
         self.system = system
         self.ops = ops
         self.B = system.interface_operator(ops.modes)
         self.Z, self.Z_f = system.point_flux(
-            system.bmap.locate(ops.nodes), ops.curve.point(ops.nodes),
-            ops.curve.normal(ops.nodes))
+            system.bmap.locate(ops.nodes), points, ops.curve.normal(ops.nodes))
         n2 = self.B.shape[1]
         self.Q, self.FQ = np.empty((n2, n2)), np.empty((n2, n2))
         self.lifts = []

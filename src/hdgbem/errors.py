@@ -42,7 +42,7 @@ class SolverError(HdgBemError):
 
 
 class CoverageError(HdgBemError):
-    """An interface point is not covered by any outer edge interval."""
+    """An interface point is not covered by the boundary map's outer edges."""
 
 
 class DimensionError(HdgBemError):

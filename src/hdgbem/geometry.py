@@ -398,8 +398,9 @@ ARC_SLACK = 1e-9
 class BoundaryMap(SimpleNamespace):
     """Pointwise map from boundary-edge quadrature nodes onto the true curves.
 
-    The nodes are those of the degree-k edge rule, q = k + 2 per edge, and
-    ``k`` is the degree of every system built on the map.  All arrays are
+    It records what a solve is built on: the ``mesh``, the curves ``gamma``
+    and ``gamma0``, and the degree ``k`` of every system built on it, whose
+    edge rule gives the q = k + 2 nodes of each edge.  All arrays are
     indexed by position in ``edge_ids`` (the mesh's boundary edges in
     canonical order) and by node within the edge:
 
@@ -493,13 +494,14 @@ def build_boundary_map(mesh, gamma, gamma0, k):
     """Build the node-to-curve transfer map of the degree-k method.
 
     Each boundary edge carries the k + 2 nodes of ``edge_rule(k)``, which
-    refuses a negative or fractional k, and the map records k.  On
-    fitted meshes the map is the identity on the inner (TAG_INNER) rows
-    (zero transfer length, the transfer direction degenerates to the edge
-    normal by convention); outer rows are mapped as on unfitted meshes.
-    Raises MapConstructionError when a transfer direction is nearly
-    tangent to its edge, and PatchConstructionError when two edge
-    intervals of a curve overlap or the sliver map of an edge folds.
+    refuses a negative or fractional k, and the map records the mesh, the
+    curves and k.  On fitted meshes the map is the identity on the inner
+    (TAG_INNER) rows (zero transfer length, the transfer direction
+    degenerates to the edge normal by convention); outer rows are mapped
+    as on unfitted meshes.  Raises MapConstructionError when a transfer
+    direction is nearly tangent to its edge, and PatchConstructionError
+    when two edge intervals of a curve overlap or the sliver map of an
+    edge folds.
     """
     xg = edge_rule(k)[0]
     nq = len(xg)
@@ -567,9 +569,9 @@ def build_boundary_map(mesh, gamma, gamma0, k):
             f"sliver of edge {int(edge_ids[np.argmax(folds)])} self-intersects "
             "(map folds)")
     return BoundaryMap(
-        k=int(k), edge_ids=edge_ids, tags=tags, parents=parents, nu=nu, nodes=nodes,
-        mapped=mapped, l=l, t=t, params=params, endpoint_params=endpoint_params,
-        **lookup)
+        mesh=mesh, gamma=gamma, gamma0=gamma0, k=int(k), edge_ids=edge_ids, tags=tags,
+        parents=parents, nu=nu, nodes=nodes, mapped=mapped, l=l, t=t, params=params,
+        endpoint_params=endpoint_params, **lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +588,14 @@ class ProximityReport:
                 f"normal_deviation={self.normal_deviation:.4g})")
 
 
-def proximity_parameter(mesh, bmap):
+def proximity_parameter(bmap):
     """Max ratio of edge-to-boundary distance over parent element diameter.
 
     Also reports the sup over boundary nodes of |n_h - n|, the deviation of
     the facet normal from the annulus's outward normal at the mapped point,
     which is the transfer direction t (nu itself on a fitted map's inner rows).
     """
-    per_edge = bmap.l.max(axis=1, initial=0.0) / mesh.h_T[bmap.parents]
+    per_edge = bmap.l.max(axis=1, initial=0.0) / bmap.mesh.h_T[bmap.parents]
     dev = np.linalg.norm(bmap.t - bmap.nu[:, None, :], axis=2)
     return ProximityReport(float(per_edge.max(initial=0.0)),
                            float(dev.max(initial=0.0)))

@@ -84,7 +84,8 @@ def _bump(r):
 def manufactured_case(case_id, degree=1, constant=None):
     """Build one of the named verification cases.
 
-    ``degree`` selects the polynomial for the patch case; ``constant`` is
+    ``degree`` selects the polynomial for the patch case: x for 1, x^2 for
+    any whole degree >= 2, and ValueError otherwise; ``constant`` is
     the far-field constant of the plus-constant and bump variants, None for
     their own (3.0 and 1.0).
     """
@@ -135,6 +136,8 @@ def manufactured_case(case_id, degree=1, constant=None):
                                 description="dipole-type exterior field")
 
     if case_id == "polynomial-patch":
+        if not (float(degree).is_integer() and degree >= 1):
+            raise ValueError(f"polynomial degree must be a whole number >= 1, got {degree}")
         if degree == 1:
             u = lambda p: np.atleast_2d(p)[:, 0]
             grad_u = lambda p: np.tile([1.0, 0.0], (len(np.atleast_2d(p)), 1))
@@ -148,7 +151,7 @@ def manufactured_case(case_id, degree=1, constant=None):
         return ManufacturedCase("polynomial-patch", MaterialField.identity(),
                                 f, u, q, grad_u, 0.0, gamma, gamma0,
                                 supports_coupling=False,
-                                description=f"global degree-{min(degree, 2)} polynomial")
+                                description=f"global degree-{min(int(degree), 2)} polynomial")
     raise KeyError(f"unknown case id {case_id!r}; choose from {CASE_IDS}")
 
 
@@ -169,12 +172,13 @@ class SolverBundle:
 
 def setup_level(case, target_h, k, n=32, fitted=False):
     """Mesh, degree-k boundary map, trace system (stabilization ``hdg.TAU``)
-    and layer operators for one level."""
+    and layer operators for one level; the system and the proximity report
+    read the mesh, curves and degree from the map."""
     mesh = build_annulus_mesh(case.gamma, case.gamma0, target_h, fitted=fitted)
     bmap = build_boundary_map(mesh, case.gamma, case.gamma0, k)
-    system = build_system(mesh, bmap, case.kappa)
+    system = build_system(bmap, case.kappa)
     ops = assemble_layer_operators(case.gamma, n)
-    return SolverBundle(mesh, bmap, system, ops, proximity_parameter(mesh, bmap))
+    return SolverBundle(mesh, bmap, system, ops, proximity_parameter(bmap))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import TriangleBasis, edge_legendre
-from .errors import AssemblyError, SolverError, TransferIntegrationError
+from .errors import AssemblyError, DimensionError, SolverError, TransferIntegrationError
 # perfbench calls and traces these writers as hdg attributes
 from .export import write_coefficients_csv, write_vtk  # noqa: F401
 from .geometry import TAG_OUTER
@@ -148,89 +148,75 @@ class DGField:
 
 
 # ---------------------------------------------------------------------------
-# reference tables and the discretization cache
+# the discretization cache
 # ---------------------------------------------------------------------------
-
-class _ReferenceTables:
-    """Degree-k basis integrals on the reference triangle and its sides.
-
-    Side s runs from reference vertex s+1 to s+2 (mod 3); orientation 1
-    swaps its ends, for a global edge that runs against the side.
-    """
-
-    def __init__(self, k):
-        basis = TriangleBasis(k)
-        d = basis.dim
-        self.vol_pts, self.vol_w = triangle_rule(2 * k + 3)
-        self.vals, grads = basis.eval_grad(self.vol_pts)                 # (nq,d), (nq,d,2)
-        self.products = (self.vals[:, :, None] * self.vals[:, None, :]).reshape(-1, d * d)
-        self.grad_moments = np.einsum("q,qa,qbc->cab", self.vol_w, self.vals, grads)
-        q1, self.edge_w = edge_rule(k)
-        self.mu = edge_legendre(k, 2.0 * q1 - 1.0)                       # (qe, ne)
-        self.edge_mass = (self.edge_w[:, None] * self.mu).T @ self.mu
-        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])            # side starts
-        pts = a[:, None] + q1[:, None] * (np.roll(a, -1, axis=0) - a)[:, None]
-        vals = basis.eval(pts.reshape(-1, 2)).reshape(3, len(q1), d)
-        # the Gauss nodes are symmetric, so a reversed side reads them backwards
-        self.side_vals = np.stack([vals, vals[:, ::-1]], axis=1)         # (3,2,qe,d)
-        self.side_mu = np.einsum("q,soqa,qm->soam", self.edge_w, self.side_vals, self.mu)
-        self.side_mass = np.einsum("q,sqa,sqb->sab", self.edge_w, vals, vals)
-
 
 class _Discretization:
     """Element and edge blocks for one (mesh, material, k).
 
-    Each block is a table of ``_ReferenceTables(k)`` scaled by the
-    element's geometry, which the mesh holds (``invJ``, ``detJ``,
-    ``physical_points``, ``side_normals``, ``edge_len``), and by TAU.
+    Each block is a degree-k basis integral on the reference triangle or
+    one of its sides, scaled by the element's geometry, which the mesh
+    holds (``invJ``, ``detJ``, ``physical_points``, ``side_normals``,
+    ``edge_len``), and by TAU.  Side s runs from reference vertex s+1 to
+    s+2 (mod 3); orientation 1 swaps its ends, for a global edge that runs
+    against the side.
     """
 
     def __init__(self, mesh, material, k):
         self.mesh = mesh
         self.material = material
         self.k = int(k)
-        self.basis = TriangleBasis(k)
-        ref = _ReferenceTables(self.k)
-        d = self.d = self.basis.dim
+        basis = self.basis = TriangleBasis(self.k)
+        d = self.d = basis.dim
         self.ne = self.k + 1
         M = len(mesh.elements)
 
         # volume blocks; the mesh keeps every element counterclockwise
+        vol_pts, vol_w = triangle_rule(2 * self.k + 3)
+        self.vol_vals, grads = basis.eval_grad(vol_pts)                 # (nq,d), (nq,d,2)
+        self._products = (self.vol_vals[:, :, None] * self.vol_vals[:, None, :]).reshape(-1, d * d)
         invJ, detJ = mesh.invJ, mesh.detJ
-        self.phys_pts = mesh.physical_points(ref.vol_pts)
-        self.phys_w = detJ[:, None] * ref.vol_w                    # (M,nq)
-        self.vol_vals = ref.vals
-        self._products = ref.products
+        self.phys_pts = mesh.physical_points(vol_pts)
+        self.phys_w = detJ[:, None] * vol_w                        # (M,nq)
         # the closed-form inverse factor of mass_kinv for a constant kappa,
         # see solve_mass
         kappa = material.constant
         self._kappa_mhat_inv = None if kappa is None else np.kron(
-            kappa, np.linalg.inv((ref.products.T @ ref.vol_w).reshape(d, d)))
+            kappa, np.linalg.inv((self._products.T @ vol_w).reshape(d, d)))
         # (w, div q) = detJ invJ[c, e] (phi_a, d_c phi_b) on T_ref, columns [x | y]
+        grad_moments = np.einsum("q,qa,qbc->cab", vol_w, self.vol_vals, grads)
         gj = np.swapaxes(detJ[:, None, None] * invJ, 1, 2)          # (M,e,c)
-        self.div = (gj.reshape(-1, 2) @ ref.grad_moments.reshape(2, -1)).reshape(
+        self.div = (gj.reshape(-1, 2) @ grad_moments.reshape(2, -1)).reshape(
             M, 2, d, d).transpose(0, 2, 1, 3).reshape(M, d, 2 * d)
 
         # edge blocks: Gauss nodes along the canonical edge direction
+        q1, w1 = edge_rule(self.k)
+        self.mu_vals = edge_legendre(self.k, 2.0 * q1 - 1.0)       # (qe,ne)
         edge_len = mesh.edge_len
-        self.edge_w = edge_len[:, None] * ref.edge_w               # (E,qe)
-        self.mu_vals = ref.mu
-        self.edge_mass = edge_len[:, None, None] * ref.edge_mass
+        self.edge_w = edge_len[:, None] * w1                       # (E,qe)
+        self.edge_mass = edge_len[:, None, None] * ((w1[:, None] * self.mu_vals).T @ self.mu_vals)
 
         # per (element, side): orientation 1 where the edge runs against the side
         side_edges = mesh.element_edges                             # (M,3)
         orient = (mesh.elements[:, [1, 2, 0]] != mesh.edges[side_edges, 0]).astype(int)
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])            # side starts
+        pts = a[:, None] + q1[:, None] * (np.roll(a, -1, axis=0) - a)[:, None]
+        vals = basis.eval(pts.reshape(-1, 2)).reshape(3, len(q1), d)
+        # the Gauss nodes are symmetric, so a reversed side reads them backwards
+        side_vals = np.stack([vals, vals[:, ::-1]], axis=1)              # (3,2,qe,d)
         s3 = np.arange(3)
-        self.trace_vals = ref.side_vals[s3, orient]                 # (M,3,qe,d)
+        self.trace_vals = side_vals[s3, orient]                     # (M,3,qe,d)
 
         # E_e (2d x ne) and F_e (d x ne) per (element, side); S (d x d)
+        side_mu = np.einsum("q,soqa,qm->soam", w1, side_vals, self.mu_vals)
+        side_mass = np.einsum("q,sqa,sqb->sab", w1, vals, vals)
         len_es = edge_len[side_edges]
-        En = len_es[:, :, None, None] * ref.side_mu[s3, orient]     # (M,3,d,ne)
+        En = len_es[:, :, None, None] * side_mu[s3, orient]         # (M,3,d,ne)
         nrm = mesh.side_normals
         self.E_side = np.concatenate([nrm[:, :, :1, None] * En, nrm[:, :, 1:, None] * En],
                                      axis=2)
         self.F_side = TAU * En
-        self.S_elem = ((TAU * len_es) @ ref.side_mass.reshape(3, -1)).reshape(M, d, d)
+        self.S_elem = ((TAU * len_es) @ side_mass.reshape(3, -1)).reshape(M, d, d)
 
         # static condensation: the element solve of L = [[A, -D^T], [D, S]]
         # (A = mass_kinv, D = div) against the trace columns R = [R_q; R_u]
@@ -362,10 +348,11 @@ class HDGSystem:
     solves with fresh data reuse the one-time factorization.  Every trace
     map reads an element through ``disc.local`` over ``_elem_cols``, its
     3 ne side-trace dofs followed by n_trace plus its d load dofs.
+    The system is built on the boundary map's ``mesh`` and degree ``k``.
     """
 
-    def __init__(self, mesh, bmap, material):
-        self.mesh = mesh
+    def __init__(self, bmap, material):
+        self.mesh = mesh = bmap.mesh
         self.bmap = bmap
         self.material = material
         self.k = bmap.k
@@ -519,10 +506,10 @@ class HDGSystem:
         return full[:, :n], full[:, n:]
 
 
-def build_system(mesh, bmap, material):
-    """Assemble the condensed trace system of the map's degree ``bmap.k``
-    (factorization happens lazily)."""
-    return HDGSystem(mesh, bmap, material)
+def build_system(bmap, material):
+    """Assemble the condensed trace system on the map's mesh, of the map's
+    degree (factorization happens lazily)."""
+    return HDGSystem(bmap, material)
 
 
 def solve_interior(system, f=None, g_gamma=None, u0_gamma0=None):
@@ -549,8 +536,11 @@ def _side_traces(field, disc):
 
 
 def local_conservation_residual(field, system, f=None):
-    """Per-element defect of <qhat.nu, 1>_dT = (f, 1)_T."""
+    """Per-element defect of <qhat.nu, 1>_dT = (f, 1)_T; a field on another
+    mesh than the system's raises DimensionError."""
     mesh, disc = system.mesh, system.disc
+    if field.mesh is not mesh:
+        raise DimensionError("the field is on another mesh than the system")
     f_mom = disc.f_moments(f)
     f_int = f_mom[:, 0]        # first basis function is identically 1
     u_tr, qn_tr = _side_traces(field, disc)
@@ -561,8 +551,11 @@ def local_conservation_residual(field, system, f=None):
 
 
 def l2_errors(field, system, u_exact, q_exact):
-    """Weighted flux error ||kappa^{-1/2}(q - q_h)|| and scalar L2 error."""
+    """Weighted flux error ||kappa^{-1/2}(q - q_h)|| and scalar L2 error;
+    a field on another mesh than the system's raises DimensionError."""
     disc = system.disc
+    if field.mesh is not system.mesh:
+        raise DimensionError("the field is on another mesh than the system")
     pts = disc.phys_pts
     M, nq, _ = pts.shape
     uv = np.einsum("qa,ma->mq", disc.vol_vals, field.U)

@@ -42,7 +42,7 @@ def _bundle(circles, h, k, fitted=False):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, h, fitted=fitted)
     bmap = build_boundary_map(mesh, gamma, gamma0, k)
-    system = build_system(mesh, bmap, MaterialField.identity())
+    system = build_system(bmap, MaterialField.identity())
     return mesh, bmap, system
 
 

@@ -106,6 +106,13 @@ def test_empty_trig_polynomial_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize("n", [-1, 1.5, np.float64(2.0)])
+def test_zero_trig_polynomial_of_a_bad_degree_is_refused(n):
+    # np.zeros raised its own ValueError and TypeError
+    with pytest.raises(DimensionError, match="degree must be a whole number"):
+        TrigPolynomial.zero(n)
+
+
 @pytest.mark.parametrize("n", [1, 8.7])
 def test_layer_operator_degree_is_refused(smooth_unit_circle, n):
     # a fractional degree was truncated to the one below
@@ -605,6 +612,14 @@ def test_non_finite_data_rejected(ops32, which, bad):
 def test_non_scalar_u_inf_rejected(ops32, u_inf):
     # a 2-vector ended in numpy's truth-value error; a 1-vector was broadcast
     with pytest.raises(DimensionError, match="u_inf must be a scalar"):
+        evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
+                          u_inf, np.array([[5.0, 0.0]]))
+
+
+@pytest.mark.parametrize("u_inf", ["a", b"x", None], ids=["str", "bytes", "none"])
+def test_non_numeric_u_inf_rejected(ops32, u_inf):
+    # np.isfinite raised its own TypeError
+    with pytest.raises(DimensionError, match="u_inf must be a scalar and real"):
         evaluate_exterior(ops32, TrigPolynomial.zero(N), TrigPolynomial.zero(N),
                           u_inf, np.array([[5.0, 0.0]]))
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hdgbem import (
+    CoverageError,
     CouplingConfig,
+    Curve,
     DimensionError,
     DivergenceError,
     EstimationError,
@@ -146,6 +148,40 @@ def test_config_degree_must_match_operators(dipole_bundle):
     # a fractional degree is refused, not truncated to the one below
     with pytest.raises(ValueError, match="density degree must be a whole number, got 2.5"):
         CouplingConfig(n=2.5)
+
+
+@pytest.mark.parametrize("driver", [run_fixed_point, monolithic_solve],
+                         ids=["fixed-point", "monolithic"])
+def test_operators_on_another_curve_are_refused(dipole_bundle, driver):
+    # the ellipse's node parameters fall in the circle's outer edge
+    # intervals too, so the run converged to a wrong u_inf and the oracle
+    # agreed with it
+    case, bundle = dipole_bundle
+    ops = bem.assemble_layer_operators(ellipse_curve(1.3, 0.9), N)
+    with pytest.raises(CoverageError, match="not the boundary map's gamma"):
+        driver(bundle.system, ops, f=case.f, u0=case.u0)
+    assert ops not in bundle.system.interface_maps
+
+
+@pytest.mark.parametrize("curve", [
+    lambda: Curve.circle((0.0, 0.0), 1.0),
+    lambda: Curve.from_parametrization(
+        lambda s: np.stack([np.cos(s), np.sin(s)], axis=-1),
+        lambda s: np.stack([-np.sin(s), np.cos(s)], axis=-1),
+        lambda s: np.stack([-np.cos(s), -np.sin(s)], axis=-1))],
+    ids=["circle", "parametrized"])
+def test_operators_on_an_equal_curve_built_again_couple(dipole_bundle, curve):
+    # the refusal compares points, not Curve objects
+    case, bundle = dipole_bundle
+    ops = bem.assemble_layer_operators(curve(), N)
+    assert ops.curve is not bundle.system.bmap.gamma
+    config = CouplingConfig(tol=1e-10, n=N)
+    again = run_fixed_point(bundle.system, ops, f=case.f, u0=case.u0, config=config)
+    first = run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0, config=config)
+    assert (again.g - first.g).l2_norm() <= 1e-8
+    assert abs(again.u_inf - first.u_inf) <= 1e-8
+    field = monolithic_solve(bundle.system, ops, f=case.f, u0=case.u0)[0]
+    assert np.abs(field.U - first.field.U).max() <= 1e-8
 
 
 @pytest.mark.parametrize("cap", [0, -3, 2.5])

@@ -32,20 +32,20 @@ def test_non_concentric_annulus_patch_test():
     gamma0 = Curve.circle((0.15, -0.1), 0.4)
     mesh = build_annulus_mesh(gamma, gamma0, 0.15)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-    system = build_system(mesh, bmap, MaterialField.identity())
+    system = build_system(bmap, MaterialField.identity())
     u_ex = lambda p: p[:, 0] - 0.5 * p[:, 1]
     q_ex = lambda p: np.tile([-1.0, 0.5], (len(p), 1))
     fld = solve_interior(system, g_gamma=u_ex, u0_gamma0=u_ex)
     eq, eu = l2_errors(fld, system, u_ex, q_ex)
     assert eq < 1e-9 and eu < 1e-9
-    assert proximity_parameter(mesh, bmap).R_h < 0.3
+    assert proximity_parameter(bmap).R_h < 0.3
 
 
 def test_ellipse_annulus_patch_test_and_partition(ellipse):
     gamma0 = Curve.circle((0.15, -0.1), 0.4)
     mesh = build_annulus_mesh(ellipse, gamma0, 0.15)
     bmap = build_boundary_map(mesh, ellipse, gamma0, k=2)
-    system = build_system(mesh, bmap, MaterialField.identity())
+    system = build_system(bmap, MaterialField.identity())
     u_ex = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2     # harmonic quadratic
     q_ex = lambda p: np.column_stack([-2.0 * p[:, 0], 2.0 * p[:, 1]])
     fld = solve_interior(system, g_gamma=u_ex, u0_gamma0=u_ex)

@@ -29,7 +29,7 @@ def test_build_keeps_vertices_in_band_and_edges_near_curves(circles):
     r = np.linalg.norm(mesh.vertices, axis=1)
     assert r.min() > 0.5 and r.max() < 1.0
     bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
-    rep = proximity_parameter(mesh, bmap)
+    rep = proximity_parameter(bmap)
     # every boundary edge within C * (parent diameter) of its curve
     for row, e in enumerate(bmap.edge_ids):
         assert bmap.l[row].max() <= rep.R_h * mesh.h_T[bmap.parents[row]] + 1e-14
@@ -96,7 +96,7 @@ def test_fitted_mesh_round_trips_with_zero_proximity(circles, tmp_path):
     lmax = bmap.l.max(axis=1)
     sag = _chord_sagitta(loaded, bmap, gamma.radius)
     assert np.all((lmax[~inner] > 0.0) & (lmax[~inner] <= sag[~inner] * (1 + 1e-9)))
-    rep = proximity_parameter(loaded, bmap)
+    rep = proximity_parameter(bmap)
     assert rep.R_h == np.max(lmax / loaded.h_T[bmap.parents])
 
 
@@ -385,13 +385,14 @@ def test_layered_elements_match_loop_reference(circles):
 def test_proximity_parameter_synthetic_ratio():
     fake_mesh = types.SimpleNamespace(h_T=np.array([0.1, 0.1]))
     bmap = types.SimpleNamespace(
+        mesh=fake_mesh,
         edge_ids=np.array([0, 1]),
         parents=np.array([0, 1]),
         l=np.array([[0.02, 0.01], [0.001, 0.002]]),
         t=np.zeros((2, 2, 2)),
         nu=np.zeros((2, 2)),
     )
-    rep = proximity_parameter(fake_mesh, bmap)
+    rep = proximity_parameter(bmap)
     assert rep.R_h == pytest.approx(0.2)
 
 
@@ -401,7 +402,7 @@ def test_refinement_trends(circles):
     for h in (0.2, 0.1, 0.05):
         mesh = build_annulus_mesh(gamma, gamma0, h)
         bmap = build_boundary_map(mesh, gamma, gamma0, k=2)
-        rep = proximity_parameter(mesh, bmap)
+        rep = proximity_parameter(bmap)
         R_hs.append(rep.R_h)
         devs.append(rep.normal_deviation)
     assert R_hs[0] >= R_hs[1] >= R_hs[2]

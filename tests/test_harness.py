@@ -21,7 +21,7 @@ from hdgbem import (
     write_study_csv,
 )
 import hdgbem
-from hdgbem import harness
+from hdgbem import cli, harness
 from hdgbem.cli import main as cli_main
 from hdgbem.export import write_sweep_csv
 from conftest import ellipse_curve
@@ -206,6 +206,19 @@ def test_study_refuses_bad_hs_before_any_level(monkeypatch, hs):
     assert calls == []
 
 
+@pytest.mark.parametrize("degree", [0, 1.5, -1])
+def test_polynomial_patch_refuses_a_degree_that_is_not_whole_and_positive(degree):
+    # degrees 0 and 1.5 built u = x^2 and labelled it degree-0 and degree-1.5
+    with pytest.raises(ValueError, match=f"whole number >= 1, got {degree}"):
+        manufactured_case("polynomial-patch", degree=degree)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 2.0])
+def test_polynomial_patch_above_degree_1_is_the_quadratic(degree):
+    case = manufactured_case("polynomial-patch", degree=degree)
+    assert case.f == -2.0 and case.description == "global degree-2 polynomial"
+
+
 def test_negative_degree_is_refused():
     with pytest.raises(DimensionError, match="degree must be at least 0, got -1"):
         setup_level(manufactured_case("dipole"), 0.2, -1)
@@ -346,6 +359,23 @@ def test_cli_refuses_a_tiny_h0(tmp_path, capsys):
     assert cli_main(["solve", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert re.match(r"solver failure: target_h=1e-300 needs about .* mesh vertices", err)
+
+
+@pytest.mark.parametrize("outdir", ["", "a-file"], ids=["empty", "file"])
+def test_cli_refuses_an_unusable_output_dir_before_any_work(outdir, tmp_path, monkeypatch,
+                                                            capsys):
+    # the study ran every level, then os.makedirs raised its own
+    # FileNotFoundError or FileExistsError with exit status 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("hdgbem study ran before checking output.dir")
+
+    monkeypatch.setattr(cli, "convergence_study", refuse)
+    (tmp_path / "a-file").write_text("")
+    cfg = tmp_path / "run.cfg"
+    _write_config(cfg, tmp_path / outdir if outdir else "")
+    assert cli_main(["study", str(cfg)]) == 2
+    assert "config error (output.dir): cannot create output directory" in (
+        capsys.readouterr().err)
 
 
 def test_cli_rejects_unknown_key(tmp_path, capsys):

@@ -19,6 +19,7 @@ from hdgbem import (
     build_system,
     l2_errors,
     local_conservation_residual,
+    proximity_parameter,
     solve_interior,
     write_coefficients_csv,
     write_vtk,
@@ -350,7 +351,7 @@ def test_fitted_matrix_equals_transfer_free_assembly(circles):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=True)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-    system = build_system(mesh, bmap, MaterialField.identity())
+    system = build_system(bmap, MaterialField.identity())
     ne = system.ne
     A = system.matrix.tocsr()
     for e, tag, parent in zip(bmap.edge_ids, bmap.tags, bmap.parents):
@@ -372,7 +373,7 @@ def test_system_takes_the_degree_of_its_map(circles, k):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.3)
     bmap = build_boundary_map(mesh, gamma, gamma0, k)
-    system = build_system(mesh, bmap, MaterialField.identity())
+    system = build_system(bmap, MaterialField.identity())
     assert bmap.k == system.k == system.disc.k == k
     assert bmap.nodes.shape[1] == k + 2
     assert system.n_trace == mesh.n_edges * (k + 1)
@@ -426,7 +427,7 @@ def test_failed_trace_solve_reports_condition_estimate(circles, monkeypatch):
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.3)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-    system = build_system(mesh, bmap, MaterialField.identity())
+    system = build_system(bmap, MaterialField.identity())
     system._lu = spla.splu((1.5 * system.matrix).tocsc())
 
     def dense_inverse(*args, **kwargs):
@@ -460,7 +461,7 @@ def test_trace_matrix_pattern_is_symmetric(which, request, circles):
         gamma = request.getfixturevalue("ellipse")
         mesh = build_annulus_mesh(gamma, circles[1], 0.15)
         bmap = build_boundary_map(mesh, gamma, circles[1], k=2)
-        system = build_system(mesh, bmap, MaterialField.identity())
+        system = build_system(bmap, MaterialField.identity())
     else:
         system = request.getfixturevalue(which)[2]
     pattern, transpose = system.matrix.tocsr(), system.matrix.T.tocsr()
@@ -553,7 +554,7 @@ def test_patch_exactness_random_polynomial(circles, k, fitted):
 
     mesh = build_annulus_mesh(gamma, gamma0, 0.25, fitted=fitted)
     bmap = build_boundary_map(mesh, gamma, gamma0, k)
-    system = build_system(mesh, bmap, MaterialField(kappa))
+    system = build_system(bmap, MaterialField(kappa))
     fld = solve_interior(system, f=f_ex, g_gamma=u_ex, u0_gamma0=u_ex)
     eq, eu = l2_errors(fld, system, u_ex, q_ex)
     assert eq < 1e-9 and eu < 1e-9
@@ -579,7 +580,7 @@ def test_stability_bounded_under_refinement(circles):
     for h in (0.2, 0.1, 0.05):
         mesh = build_annulus_mesh(gamma, gamma0, h)
         bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
-        system = build_system(mesh, bmap, MaterialField.identity())
+        system = build_system(bmap, MaterialField.identity())
         fld = solve_interior(system, f=None, g_gamma=u_ex, u0_gamma0=u_ex)
         mass = np.sqrt(np.sum(system.disc.phys_w
                               * np.einsum("qa,ma->mq", system.disc.vol_vals,
@@ -634,6 +635,16 @@ def test_interface_datum_path_is_exact_on_a_linear_patch(bundle, circles, reques
     assert np.abs(flux + np.cos(imap.ops.nodes)).max() < 1e-10
 
 
+def test_system_and_proximity_read_the_mesh_of_their_map(circles):
+    gamma, gamma0 = circles
+    mesh = build_annulus_mesh(gamma, gamma0, 0.3)
+    bmap = build_boundary_map(mesh, gamma, gamma0, 1)
+    assert (bmap.mesh, bmap.gamma, bmap.gamma0) == (mesh, gamma, gamma0)
+    system = build_system(bmap, MaterialField.identity())
+    assert system.mesh is system.disc.mesh is mesh
+    assert proximity_parameter(bmap).R_h == np.max(bmap.l.max(axis=1) / mesh.h_T[bmap.parents])
+
+
 def test_uncovered_point_raises(coarse_k1):
     mesh, bmap, system = coarse_k1
     loc = copy.copy(bmap)               # the fixture's table stays intact
@@ -645,6 +656,20 @@ def test_uncovered_point_raises(coarse_k1):
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("diagnostic", [
+    lambda field, system, case: l2_errors(field, system, case.u, case.q),
+    lambda field, system, case: local_conservation_residual(field, system)],
+    ids=["l2_errors", "local_conservation_residual"])
+def test_field_from_another_mesh_is_refused(coarse_k1, fitted_k1, diagnostic):
+    # the fitted and unfitted h = 0.2 meshes have the same connectivity, so
+    # the fitted field's arrays fit the unfitted system and gave wrong errors
+    case = manufactured_case("dipole")
+    field = solve_interior(fitted_k1[2], g_gamma=case.u, u0_gamma0=case.u0)
+    diagnostic(field, fitted_k1[2], case)
+    with pytest.raises(DimensionError, match="another mesh than the system"):
+        diagnostic(field, coarse_k1[2], case)
+
 
 def test_j_functional_zero_perimeter_homogeneity(coarse_k1):
     mesh, bmap, system = coarse_k1
