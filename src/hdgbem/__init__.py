@@ -36,9 +36,7 @@ from .errors import (
     HdgBemError,
     MapConstructionError,
     MeshingFailureError,
-    PatchConstructionError,
     SolverError,
-    TransferIntegrationError,
 )
 from .export import (
     load_mesh,

@@ -266,8 +266,11 @@ def estimate_contraction(history):
 def run_fixed_point(system, ops, f=None, u0=None, config=None):
     """Iterate interior/exterior solves with relaxation until the trace settles.
 
-    Raises DivergenceError (carrying the state and its history) when the
-    iteration cap is hit; callers may retry with a smaller weight.
+    It stops once the update norm is at most tol * max(1, trace norm), both
+    L2(Gamma) norms of interface data.  Raises DivergenceError (carrying
+    the state and its history) when the iteration cap is hit, or at the
+    first iteration whose update or trace norm is not finite (overflows),
+    which is then left out of the history; callers may retry with a smaller weight.
     """
     config = config or CouplingConfig()
     n2 = 2 * ops.n
@@ -284,19 +287,23 @@ def run_fixed_point(system, ops, f=None, u0=None, config=None):
     D = np.append(np.full(n2, config.omega), 1.0 / chi)
     x = np.zeros(n2 + 1)
     for it in range(1, config.max_iterations + 1):
-        state.iteration = it
         flux, residual = imap.apply(_datum(x))
         r, state.lam = imap.coupling_residual(x, flux)
         state.lambda_mean_max = max(state.lambda_mean_max,
                                     abs(ops.moments @ state.lam.coefficients()))
         step = D * r
         x = x - step
-        update = TrigPolynomial(_datum(step)).l2_norm(speed=speed)
-
+        with np.errstate(over="ignore"):
+            update = TrigPolynomial(_datum(step)).l2_norm(speed=speed)
+            trace = TrigPolynomial(_datum(x)).l2_norm(speed=speed)
+        if not np.isfinite(update + trace):     # inf <= tol * inf would pass
+            state.g, state.u_inf = TrigPolynomial(x[:n2]), float(x[n2])
+            raise DivergenceError(f"update or trace norm is not finite at iteration {it}",
+                                  state=state)
+        state.iteration = it
         state.history.append(update)
         state.u_inf_history.append(float(x[n2]))
         state.residual_history.append(residual)
-        trace = TrigPolynomial(_datum(x)).l2_norm(speed=speed)
         if update <= config.tol * max(1.0, trace):
             state.converged = True
             break

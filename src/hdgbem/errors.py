@@ -18,23 +18,22 @@ class MeshingFailureError(HdgBemError):
 
 
 class MapConstructionError(HdgBemError):
-    """Boundary mapping could not be built for an edge."""
+    """The boundary map refuses a level, or a point cannot be mapped.
+
+    ``build_boundary_map`` refuses an untagged edge, a nearly tangent
+    transfer direction, a path longer than 3 h_T of its parent element,
+    overlapping edge intervals and a folding sliver map (``edge`` is set
+    for all but the overlap); the closest-point search refuses non-finite
+    points, a circle's centre and points whose distance overflows.
+    """
 
     def __init__(self, message, edge=None):
         super().__init__(message)
         self.edge = edge
 
 
-class PatchConstructionError(HdgBemError):
-    """Two edge intervals of a curve overlap, or an edge's sliver map folds."""
-
-
 class AssemblyError(HdgBemError):
     """Element assembly failed (degenerate geometry or singular block)."""
-
-
-class TransferIntegrationError(HdgBemError):
-    """A transfer path is longer than 3 h_T of its parent element."""
 
 
 class SolverError(HdgBemError):
@@ -66,7 +65,7 @@ class ConfigError(HdgBemError):
 
 
 class DivergenceError(HdgBemError):
-    """The fixed-point iteration hit its iteration cap without converging.
+    """The fixed-point iteration hit its iteration cap, or its norms overflowed.
 
     Carries the update-norm history so callers can retry with a smaller
     relaxation weight.

@@ -33,7 +33,6 @@ from .errors import (
     GeometryInfeasibleError,
     MapConstructionError,
     MeshingFailureError,
-    PatchConstructionError,
 )
 from .quadrature import edge_rule, gauss01
 
@@ -201,10 +200,12 @@ class UnfittedMesh:
     (E,); each element's affine map x = v_0 + J xi from the reference
     triangle, as ``J`` and ``invJ`` (M, 2, 2), ``detJ`` (M,) and
     ``physical_points``; and the unit outward normal of each local side,
-    ``side_normals`` (M, 3, 2), -grad(lambda_s) J^{-1} normalised.
+    ``side_normals`` (M, 3, 2), -grad(lambda_s) J^{-1} normalised.  Each
+    element's circumradius/inradius ratio ``regularity`` (M,) is left to
+    the mesh's builder to bound.
     """
 
-    def __init__(self, vertices, elements, fitted=False, regularity_bound=None):
+    def __init__(self, vertices, elements, fitted=False):
         self.vertices = np.asarray(vertices, dtype=float)
         elements = np.asarray(elements, dtype=np.int64)
         if elements.size == 0:
@@ -221,7 +222,7 @@ class UnfittedMesh:
         self.elements, self.J, self.detJ = elements, J, detJ
         self.fitted = bool(fitted)
         self._build_edges()
-        self._geometry_tables(regularity_bound)
+        self._geometry_tables()
         self.boundary_tags = np.full(self.n_edges, -1, dtype=np.int8)
 
     # -- connectivity -------------------------------------------------------
@@ -261,7 +262,7 @@ class UnfittedMesh:
         self.boundary_edge_ids = np.nonzero(counts == 1)[0]
         self.interior_edge_ids = np.nonzero(counts == 2)[0]
 
-    def _geometry_tables(self, regularity_bound):
+    def _geometry_tables(self):
         # side lengths, side m opposite vertex m
         a, b, c = self.edge_len[self.element_edges].T
         area2 = self.detJ                                    # twice the area
@@ -277,13 +278,6 @@ class UnfittedMesh:
         self.h_T = 2.0 * circum
         self.h = float(self.h_T.max())
         self.regularity = circum / inrad
-        if regularity_bound is not None:
-            worst = int(np.argmax(self.regularity))
-            if self.regularity[worst] > regularity_bound:
-                raise MeshingFailureError(
-                    f"element {worst} has circumradius/inradius "
-                    f"{self.regularity[worst]:.2f} > bound {regularity_bound:.2f}",
-                    element=worst)
 
     def physical_points(self, ref_pts):
         """Points v_0 + J xi (M, n, 2) of every element at reference points (n, 2)."""
@@ -314,7 +308,8 @@ def build_annulus_mesh(gamma, gamma0, target_h, fitted=False):
     polygon to be the domain boundary.  Vertices are numbered ring by ring
     from the inner one, so the boundary edges are the first and last rings'
     and each is tagged by its ring: TAG_OUTER exactly when its lower vertex
-    lies on the last ring.
+    lies on the last ring.  An element whose circumradius/inradius ratio
+    exceeds REGULARITY_BOUND raises MeshingFailureError naming it.
     """
     if not 0.0 < target_h < np.inf:
         raise GeometryInfeasibleError(
@@ -364,7 +359,12 @@ def build_annulus_mesh(gamma, gamma0, target_h, fitted=False):
         np.where(even, np.stack([v00, v01, v11], -1), np.stack([v00, v01, v10], -1)),
         np.where(even, np.stack([v00, v11, v10], -1), np.stack([v01, v11, v10], -1)),
     ], axis=2).reshape(-1, 3)
-    mesh = UnfittedMesh(verts, tris, fitted=fitted, regularity_bound=REGULARITY_BOUND)
+    mesh = UnfittedMesh(verts, tris, fitted=fitted)
+    worst = int(np.argmax(mesh.regularity))
+    if mesh.regularity[worst] > REGULARITY_BOUND:
+        raise MeshingFailureError(
+            f"element {worst} has circumradius/inradius "
+            f"{mesh.regularity[worst]:.2f} > bound {REGULARITY_BOUND:.2f}", element=worst)
 
     if not fitted:
         _check_strictly_inside(mesh, gamma, gamma0)
@@ -451,7 +451,7 @@ def _edge_intervals(endpoint_params):
     """One curve's edge intervals: sorted (starts, widths) and their order.
 
     Each edge spans the shorter parameter interval between its mapped
-    endpoints; two intervals that overlap raise PatchConstructionError.
+    endpoints; two intervals that overlap raise MapConstructionError.
     """
     s0, s1 = endpoint_params.T
     d = np.mod(s1 - s0, TWO_PI)
@@ -462,7 +462,7 @@ def _edge_intervals(endpoint_params):
     lo, width = lo[order], width[order]
     following = np.append(lo[1:], lo[0] + TWO_PI)
     if np.any(following < lo + width - ARC_SLACK):
-        raise PatchConstructionError("edge intervals overlap along the curve")
+        raise MapConstructionError("edge intervals overlap along the curve")
     return lo, width, order
 
 
@@ -498,10 +498,11 @@ def build_boundary_map(mesh, gamma, gamma0, k):
     curves and k.  On fitted meshes the map is the identity on the inner
     (TAG_INNER) rows (zero transfer length, the transfer direction
     degenerates to the edge normal by convention); outer rows are mapped
-    as on unfitted meshes.  Raises MapConstructionError when a transfer
-    direction is nearly tangent to its edge, and PatchConstructionError
-    when two edge intervals of a curve overlap or the sliver map of an
-    edge folds.
+    as on unfitted meshes.  Raises MapConstructionError, in this order,
+    when a boundary edge has no curve tag, a transfer direction is nearly
+    tangent to its edge, a transfer path is longer than 3 h_T of its
+    parent element, two edge intervals of a curve overlap, or the
+    sliver map of an edge folds; each but the overlap names its edge.
     """
     xg = edge_rule(k)[0]
     nq = len(xg)
@@ -552,8 +553,14 @@ def build_boundary_map(mesh, gamma, gamma0, k):
             f"transfer direction nearly tangent on edge {int(edge_ids[row])} "
             f"(min t.nu = {dot[row].min():.3f} < floor {TANGENCY_FLOOR})",
             edge=int(edge_ids[row]))
+    lmax = l.max(axis=1)
+    leaves = lmax > 3.0 * mesh.h_T[parents]
+    if np.any(leaves):
+        e = int(edge_ids[np.argmax(leaves)])
+        raise MapConstructionError(f"transfer path on edge {e} is longer than 3 h_T "
+                                   "of its parent element", edge=e)
     lookup, folds = {}, np.zeros(len(edge_ids), dtype=bool)
-    live = l.max(axis=1) > 0.0
+    live = lmax > 0.0
     for tag, curve in curves:
         rows = np.nonzero(tags == tag)[0]
         if len(rows) == 0:
@@ -565,9 +572,8 @@ def build_boundary_map(mesh, gamma, gamma0, k):
         if len(rows):
             folds[rows] = _folds(p[rows], curve)
     if np.any(folds):
-        raise PatchConstructionError(
-            f"sliver of edge {int(edge_ids[np.argmax(folds)])} self-intersects "
-            "(map folds)")
+        e = int(edge_ids[np.argmax(folds)])
+        raise MapConstructionError(f"sliver of edge {e} self-intersects (map folds)", edge=e)
     return BoundaryMap(
         mesh=mesh, gamma=gamma, gamma0=gamma0, k=int(k), edge_ids=edge_ids, tags=tags,
         parents=parents, nu=nu, nodes=nodes, mapped=mapped, l=l, t=t, params=params,

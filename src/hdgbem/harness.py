@@ -173,11 +173,12 @@ class SolverBundle:
 def setup_level(case, target_h, k, n=32, fitted=False):
     """Mesh, degree-k boundary map, trace system (stabilization ``hdg.TAU``)
     and layer operators for one level; the system and the proximity report
-    read the mesh, curves and degree from the map."""
+    read the mesh, curves and degree from the map.  The layer operators
+    come first, so a density degree they refuse costs no mesh."""
+    ops = assemble_layer_operators(case.gamma, n)
     mesh = build_annulus_mesh(case.gamma, case.gamma0, target_h, fitted=fitted)
     bmap = build_boundary_map(mesh, case.gamma, case.gamma0, k)
     system = build_system(bmap, case.kappa)
-    ops = assemble_layer_operators(case.gamma, n)
     return SolverBundle(mesh, bmap, system, ops, proximity_parameter(bmap))
 
 
@@ -250,10 +251,13 @@ def convergence_study(case, k, hs, n=32, config=None, fitted=False):
     cases (polynomial patches) solve the interior problem with the exact
     interface trace as data.  A diverging level is recorded with its
     iteration count and contraction estimate, and the study continues.
-    An empty ``hs`` or one not strictly decreasing raises ValueError first.
+    An empty ``hs``, or one not strictly decreasing or holding an h that is
+    not positive and finite, raises ValueError first.
     """
-    if len(hs) == 0 or any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError(f"a study needs one or more strictly decreasing h, got {list(hs)}")
+    if (len(hs) == 0 or any(b >= a for a, b in zip(hs, hs[1:]))
+            or not all(0.0 < h < np.inf for h in hs)):
+        raise ValueError(f"a study needs one or more strictly decreasing h, each "
+                         f"positive and finite, got {list(hs)}")
     config = config or CouplingConfig()
     report = StudyReport(case.id, k, n)
     for target_h in hs:

@@ -384,6 +384,26 @@ def ops64_both():
             "ellipse": assemble_layer_operators(ellipse_curve(1.3, 0.9), 64)}
 
 
+@pytest.fixture(scope="module")
+def lobed64():
+    """n = 64 operators of the non-convex three-lobed curve r = 1 + 0.15 cos 3s."""
+    def polar(s, a, b):
+        # a (cos s, sin s) + b (-sin s, cos s)
+        return np.stack([a * np.cos(s) - b * np.sin(s), a * np.sin(s) + b * np.cos(s)], axis=-1)
+
+    def r(s):
+        return 1.0 + 0.15 * np.cos(3.0 * s)
+
+    def dr(s):
+        return -0.45 * np.sin(3.0 * s)
+
+    curve = Curve.from_parametrization(
+        lambda s: polar(s, r(s), 0.0),
+        lambda s: polar(s, dr(s), r(s)),
+        lambda s: polar(s, -1.35 * np.cos(3.0 * s) - r(s), 2.0 * dr(s)))
+    return assemble_layer_operators(curve, 64)
+
+
 @pytest.fixture(params=["circle", "ellipse"])
 def ops64(request, ops64_both):
     return ops64_both[request.param]
@@ -417,13 +437,13 @@ def test_chunked_evaluation_is_bounded_and_pointwise(ops64_both):
 
 
 @pytest.mark.parametrize("d", [1e-5, 1e-3, 1e-2, 0.1, 1.0])
-def test_evaluation_off_the_circle_matches_node_sums(ops64_both, d):
-    # exact Cauchy data at n = 64 on the circle and the ellipse: the
-    # barycentric rule near the curve and the log-free trapezoidal sum away
-    # from it both reach rounding
+def test_evaluation_off_the_circle_matches_node_sums(ops64_both, lobed64, d):
+    # exact Cauchy data at n = 64 on the circle, the ellipse and the
+    # non-convex three-lobed curve: the barycentric rule near the curve and
+    # the log-free trapezoidal sum away from it both reach rounding
     rng = np.random.default_rng(7)
     s = rng.uniform(0.0, 2.0 * np.pi, 3 * EVAL_CHUNK + 5)
-    for ops in ops64_both.values():
+    for ops in [*ops64_both.values(), lobed64]:
         pts = ops.curve.point(s) + d * ops.curve.normal(s)
         g, lam = cauchy_data(ops)
         vals = evaluate_exterior(ops, g, lam, -0.3, pts)

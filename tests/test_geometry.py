@@ -423,11 +423,19 @@ def test_mesh_io_round_trip(circles, tmp_path):
     assert np.array_equal(loaded.boundary_tags, mesh.boundary_tags)
 
 
-def test_regularity_bound_violation_reports_element():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-3]])
-    with pytest.raises(MeshingFailureError) as err:
-        UnfittedMesh(verts, np.array([[0, 1, 2]]), regularity_bound=10.0)
-    assert err.value.element == 0
+def test_regularity_bound_violation_reports_element(circles, monkeypatch):
+    # the generator applies the bound, the mesh container does not: a bound
+    # below the layered grid's worst ratio refuses that element by name
+    gamma, gamma0 = circles
+    mesh = build_annulus_mesh(gamma, gamma0, 0.2)
+    worst = int(np.argmax(mesh.regularity))
+    assert 1.5 < mesh.regularity[worst] <= geometry.REGULARITY_BOUND
+    monkeypatch.setattr(geometry, "REGULARITY_BOUND", 1.5)
+    with pytest.raises(MeshingFailureError,
+                       match=f"element {worst} has circumradius/inradius "
+                             f"{mesh.regularity[worst]:.2f} > bound 1.50") as err:
+        build_annulus_mesh(gamma, gamma0, 0.2)
+    assert err.value.element == worst
 
 
 def test_parametrized_curve_matches_circle(smooth_unit_circle):
@@ -562,7 +570,6 @@ def test_key_edge_table_matches_rowwise_unique_bitwise(ellipse, relabel):
 def test_overlapping_patches_raise(circles, monkeypatch):
     # moving one mapped endpoint's curve parameter by 0.5 stretches the
     # intervals of its two edges over their neighbours
-    from hdgbem import PatchConstructionError
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
     end = edge_vertices(mesh, mesh.boundary_edge_ids[0])[1]
@@ -575,7 +582,7 @@ def test_overlapping_patches_raise(circles, monkeypatch):
 
     build_boundary_map(mesh, gamma, gamma0, k=1)
     monkeypatch.setattr(geometry, "_map_points", tampered)
-    with pytest.raises(PatchConstructionError, match="edge intervals overlap along the curve"):
+    with pytest.raises(MapConstructionError, match="edge intervals overlap along the curve"):
         build_boundary_map(mesh, gamma, gamma0, k=1)
 
 
@@ -583,7 +590,6 @@ def test_folding_patch_map_raises(circles, monkeypatch):
     # a map Jacobian flipped on one edge's nodes turns the transfer vector's
     # derivative against the edge: the sliver map then reverses orientation
     # between the two across nodes, and that edge's map must be refused
-    from hdgbem import PatchConstructionError
     gamma, gamma0 = circles
     mesh = build_annulus_mesh(gamma, gamma0, 0.2)
     bmap = build_boundary_map(mesh, gamma, gamma0, k=1)
@@ -600,8 +606,23 @@ def test_folding_patch_map_raises(circles, monkeypatch):
         return jac
 
     monkeypatch.setattr(geometry, "_map_point_derivative", flipped)
-    with pytest.raises(PatchConstructionError, match=f"sliver of edge {edge} self-intersects"):
+    with pytest.raises(MapConstructionError,
+                       match=f"sliver of edge {edge} self-intersects") as err:
         build_boundary_map(mesh, gamma, gamma0, k=1)
+    assert err.value.edge == edge
+
+
+def test_transfer_path_longer_than_3_h_T_is_refused_by_the_map(circles):
+    # a fine mesh of the annulus between radii 0.5 and 0.8, mapped to the
+    # unit circle: its outer paths, about 0.2 long, are over 5 diameters of
+    # their parents, and the map itself refuses them
+    gamma, gamma0 = circles
+    mesh = build_annulus_mesh(Curve.circle((0.0, 0.0), 0.8), gamma0, 0.025)
+    with pytest.raises(MapConstructionError,
+                       match="transfer path on edge .* is longer than 3 h_T") as err:
+        build_boundary_map(mesh, gamma, gamma0, k=2)
+    assert err.value.edge in mesh.boundary_edge_ids
+    assert mesh.boundary_tags[err.value.edge] == TAG_OUTER
 
 
 @pytest.mark.parametrize("outer", ["circle", "ellipse"])

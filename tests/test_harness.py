@@ -11,11 +11,13 @@ import pytest
 from hdgbem import (
     CouplingConfig,
     DimensionError,
+    DivergenceError,
     ManufacturedCase,
     assemble_layer_operators,
     convergence_study,
     manufactured_case,
     omega_sweep,
+    run_fixed_point,
     save_mesh,
     setup_level,
     write_study_csv,
@@ -189,10 +191,12 @@ def test_omega_sweep_refuses_bad_weight_before_any_run(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("hs", [[0.2, 0.25], [0.2, 0.2], []], ids=["rising", "repeated", "empty"])
+@pytest.mark.parametrize("hs", [[0.2, 0.25], [0.2, 0.2], [], [0.2, np.nan], [0.2, -0.1]],
+                         ids=["rising", "repeated", "empty", "nan", "negative"])
 def test_study_refuses_bad_hs_before_any_level(monkeypatch, hs):
     # rising h was refused only after both levels were built and solved,
-    # and no h at all gave an empty report
+    # no h at all gave an empty report, and a nan or negative second h
+    # passed the ordering test and failed only after level 0 was solved
     calls = []
     real = harness.setup_level
 
@@ -204,6 +208,54 @@ def test_study_refuses_bad_hs_before_any_level(monkeypatch, hs):
     with pytest.raises(ValueError, match="strictly decreasing h"):
         convergence_study(manufactured_case("dipole"), 1, hs)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2.5])
+def test_setup_level_refuses_a_bad_density_degree_before_the_mesh(monkeypatch, n):
+    # the layer operators were built last, after the mesh, the map and the
+    # trace system
+    calls = []
+    monkeypatch.setattr(harness, "build_annulus_mesh",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(DimensionError, match=f"whole number >= 2, got {n}"):
+        setup_level(manufactured_case("dipole"), 0.025, 2, n=n)
+    assert calls == []
+
+
+def _overflowing_level():
+    # omega = 0.9 grows the tiny CLI level's iterate by about 1.4 per step:
+    # after some 1050 steps the squared coefficients behind the update and
+    # trace norms overflow, and inf <= tol * inf passed as convergence
+    case = manufactured_case("dipole-plus-constant")
+    return case, setup_level(case, 0.25, 1, n=N)
+
+
+def test_overflowing_run_raises_divergence():
+    case, bundle = _overflowing_level()
+    with pytest.raises(DivergenceError, match="norm is not finite at iteration 1055") as err:
+        run_fixed_point(bundle.system, bundle.ops, f=case.f, u0=case.u0,
+                        config=CouplingConfig(omega=0.9, max_iterations=4000))
+    state = err.value.state
+    assert not state.converged
+    assert state.iteration == len(state.history) == len(state.u_inf_history) == 1054
+    assert np.all(np.isfinite(state.history)) and state.history[-1] > 1e150
+
+
+def test_overflowing_sweep_row_is_unconverged_with_a_finite_ratio():
+    case, bundle = _overflowing_level()
+    rows, best = omega_sweep(bundle, case, [0.5, 0.9], max_iterations=4000)
+    assert rows[0]["converged"] and best is rows[0]
+    assert not rows[1]["converged"] and rows[1]["iterations"] == 1054
+    assert 1.0 < rows[1]["ratio"] < np.inf
+
+
+def test_cli_solve_of_an_overflowing_run_exits_1(tmp_path, capsys):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    _write_config(cfg, out, extra=["coupling.omega = 0.9", "coupling.max_iterations = 4000"])
+    assert cli_main(["solve", str(cfg)]) == 1
+    assert "not finite at iteration 1055" in capsys.readouterr().err
+    assert len((out / "iterations.csv").read_text().splitlines()) == 1 + 1054
+    assert not (out / "field.vtk").exists()
 
 
 @pytest.mark.parametrize("degree", [0, 1.5, -1])

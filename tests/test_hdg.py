@@ -900,15 +900,3 @@ def test_exports_match_printf_writers(tmp_path, coarse_k1, coarse_k2):
             write(fld, got)
             oracle(fld, expect)
             assert got.read_bytes() == expect.read_bytes(), (i, write.__name__)
-
-
-def test_transfer_path_leaving_patch_raises():
-    from hdgbem import TransferIntegrationError
-    mesh = UnfittedMesh(np.array([[0.9, -0.025], [0.9, 0.025], [0.85, 0.0]]),
-                        np.array([[0, 1, 2]]))
-    edge = next(e for e in mesh.boundary_edge_ids
-                if abs(edge_vertices(mesh, e).mean(axis=0)[0] - 0.9) < 1e-12)
-    disc = _Discretization(mesh, MaterialField.identity(), 1)
-    bmap = _synthetic_boundary_map(mesh, edge, 5.0, (1.0, 0.0), 1)  # absurd length
-    with pytest.raises(TransferIntegrationError):
-        assemble_transfer(disc, bmap)
